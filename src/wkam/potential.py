@@ -25,6 +25,7 @@ from .core import (
     CostInstance,
     PotentialTable,
     ValueFunction,
+    kleene_plus,
     lax_oleinik_pos,
     minplus_product,
 )
@@ -32,34 +33,18 @@ from .critical import CriticalData
 from .numbers import InputError, neg
 
 
-def reduced_power_prefix_min(crit: CriticalData, n: int) -> tuple:
-    """Entrywise min of reduced-matrix powers R^1 .. R^n."""
-    red = crit.reduced
-    acc = red
-    best = [list(row) for row in red]
-    for _ in range(n - 1):
-        acc = minplus_product(acc, red)
-        for i, row in enumerate(acc):
-            bi = best[i]
-            for j, v in enumerate(row):
-                if v < bi[j]:
-                    bi[j] = v
-    return tuple(tuple(row) for row in best)
-
-
 def phi_n(inst: CostInstance, crit: CriticalData, n: int) -> PotentialTable:
     """Tail potential of order n >= 1.
 
-    phi_1 is the least reduced walk weight with >= 1 edge; since the reduced
-    matrix has no negative cycle, walks longer than the point count never
-    beat shorter ones and the prefix-min of the first ``n_points`` powers is
-    exact.  Higher orders follow by min-plus products with the reduced
-    matrix, which realises the row recursion T-(row) + alpha0.
+    phi_1 is the least reduced walk weight with >= 1 edge: the Kleene plus
+    of the reduced matrix, which has no negative cycle.  Higher orders
+    follow by min-plus products with the reduced matrix, which realises the
+    row recursion T-(row) + alpha0.
     """
     if n < 1:
         raise InputError("tail potential is defined for order >= 1")
     inst.require_total("tail potential")
-    entries = reduced_power_prefix_min(crit, inst.n)
+    entries = kleene_plus(crit.reduced)
     for _ in range(n - 1):
         entries = minplus_product(entries, crit.reduced)
     return PotentialTable(entries=entries, kind="phi_n", alpha0=crit.alpha0, order=n)

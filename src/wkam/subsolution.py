@@ -27,7 +27,7 @@ from .barrier import orbit_neg, orbit_pos
 from .core import CostInstance, ValueFunction, as_value_function
 from .critical import CriticalData, is_dominated
 from .numbers import ConstructionError, InputError, Value
-from .potential import mane_potential
+from .potential import jump_F, mane_potential
 
 
 @dataclass(frozen=True)
@@ -154,18 +154,10 @@ def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunct
     assumed, and a mismatch raises with both vertex sets.
     """
     mix = uniform_subsolution_mix(inst, crit)
-    mode = inst.mode
     scale = inst.value_scale()
-    phi = mane_potential(inst, crit)
-    cost = inst.cost
-    # Global Aubry vertices via the jump values (zero closed reduced cost).
+    jumps = jump_F(inst, crit).values
     global_vertices = tuple(
-        x
-        for x in range(inst.n)
-        if mode.is_zero(
-            min(phi.entries[x][z] + cost[z][x] for z in range(inst.n)) + crit.alpha0,
-            scale=scale,
-        )
+        x for x in range(inst.n) if inst.mode.is_zero(jumps[x], scale=scale)
     )
     mix_vertices = aubry_of(inst, crit, mix)
     if mix_vertices != global_vertices:

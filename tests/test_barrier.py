@@ -26,6 +26,7 @@ from wkam import (
 )
 from wkam.barrier import orbit_neg, orbit_pos
 from wkam.models import gen_constant, gen_random
+from wkam.numbers import Mode
 from wkam.oracle import (
     aubry_chain_sets,
     enum_zero_cycles,
@@ -69,10 +70,31 @@ def test_barrier_t3_positive_diagonal(t3):
 
 
 def test_barrier_closed_form_agrees():
+    # the closed-form barrier against the tail-potential recursion: h is
+    # phi_{1+k} for the reported transient k, and no earlier order
     for seed in (0, 5, 9, 21):
         inst = gen_random((seed % 6) + 2, seed, -2, 2)
         crit, bar = crit_bar(inst)
-        assert barrier_closed_form(inst, crit) == bar.h.entries
+        k = bar.iterations_to_fix
+        assert phi_n(inst, crit, 1 + k).entries == bar.h.entries
+        if k >= 1:
+            assert phi_n(inst, crit, k).entries != bar.h.entries
+
+
+def test_float_barrier_answers_and_matches_exact():
+    # every float instance gets a barrier (no iteration cap to hit) within
+    # tolerance of the exact barrier of the same float costs
+    fmode = Mode("float", 1e-9)
+    for n in range(2, 9):
+        for seed in range(200):
+            inst = gen_random(n, seed, -2, 2, mode=fmode)
+            crit, bar = crit_bar(inst)
+            exact = make_instance([[F(v) for v in row] for row in inst.cost])
+            eh = barrier_closed_form(exact, critical_value(exact))
+            scale = inst.value_scale()
+            for row, erow in zip(bar.h.entries, eh):
+                for v, ev in zip(row, erow):
+                    assert fmode.eq(v, float(ev), scale=scale), (n, seed)
 
 
 def test_barrier_above_potential_and_triangle():

@@ -84,6 +84,19 @@ def test_barrier_constant_csv(capsys):
     assert all(l.endswith(",0") for l in h_lines)
 
 
+def test_barrier_long_transient_exits_0(capsys, tmp_path):
+    # walks of j steps that stay at the off-Aubry point cost j/100, below
+    # h = 2000 until j = 200000, so phi_{1+k} = h first at k = 199999; a
+    # brute-force row iteration with no cap takes exactly that many steps
+    p = tmp_path / "slow.json"
+    p.write_text('{"cost": [[0, 1000], [1000, "1/100"]]}')
+    code, out, _ = run(capsys, "barrier", "--in", str(p))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["h"] == [[0, 1000], [1000, 2000]]
+    assert doc["iterations_to_fix"] == 199999
+
+
 def test_potential_output(capsys, t2_file):
     code, out, _ = run(capsys, "potential", "--in", t2_file)
     doc = json.loads(out)
