@@ -13,9 +13,11 @@ j edges inside B, the tail potentials are ``phi_j = min(h, G_j)`` on B x B
 and h elsewhere.  The transient ``iterations_to_fix``, the least k with
 ``phi_{1+k} = h``, is the least k with ``G_{k+1} >= h`` on B x B (0 when B
 is empty); ``G_j`` is nondecreasing in j, so doubling and binary lifting
-find it with O(log k) min-plus products.  Rows of ``h`` are fixed points of
-``T- + alpha0`` (negative weak KAM solutions); negated columns are fixed
-points of ``T+ - alpha0`` (positive solutions).
+find it with O(log k) min-plus products.  The closed form, the transient
+and the orbits run on the integer kernel of ``CriticalData`` (see ``core``);
+``h`` becomes ``Fraction`` only when it is returned.  Rows of ``h`` are
+fixed points of ``T- + alpha0`` (negative weak KAM solutions); negated
+columns are fixed points of ``T+ - alpha0`` (positive solutions).
 
 The projected Aubry set is the zero diagonal of the barrier; the edge Aubry
 set collects the ordered pairs closing a zero-reduced-weight circuit,
@@ -28,7 +30,9 @@ solutions ``u_minus >= u`` and ``u_plus <= u``.  With ``m = |B|``,
 ``S = max (u_minus - u)``, the backward orbit takes no step when ``S = 0``
 and at most ``m * ceil(S / delta)`` steps otherwise (forward:
 ``S = max (u - u_plus)``).  The bound depends on the weights, not on n
-alone.  The orbits are the only iterations here: float mode caps them at
+alone.  The forward orbit evaluates ``T+ u - alpha0 = max_y u(y) - r(x, y)``
+directly on the kernel rows, with no transposed instance.  The orbits are
+the only iterations here: float mode caps them at
 ``4 n^2`` steps (exact mode at ``_EXACT_ITER_CAP``), a design cap and not
 this bound, and an orbit that needs more raises ``NonConvergenceError``.
 """
@@ -36,6 +40,7 @@ this bound, and an orbit that needs more raises ``NonConvergenceError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .core import (
@@ -43,16 +48,19 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
+    from_grid,
+    grid_scale,
     kleene_plus,
     lax_oleinik_neg,
     lax_oleinik_pos,
     minplus_product,
+    to_grid,
     vf_eq,
     vf_le,
 )
 from .critical import CriticalData, is_dominated
 from .numbers import ConstructionError, InputError, NonConvergenceError, Value, neg
-from .potential import jump_F, phi_n
+from .potential import jump_F, potential_grid
 
 _EXACT_ITER_CAP = 100_000
 
@@ -77,17 +85,19 @@ class AubryData:
 def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
     """Barrier by the Aubry closed form, with its exact transient."""
     inst.require_total("Peierls barrier")
-    h = barrier_closed_form(inst, crit)
+    g = _closed_form_grid(inst, crit)
+    h = tuple(from_grid(inst.mode, row, crit.scale) for row in g)
     table = PotentialTable(entries=h, kind="barrier", alpha0=crit.alpha0)
-    return BarrierData(h=table, iterations_to_fix=_transient(inst, crit, h))
+    return BarrierData(h=table, iterations_to_fix=_transient(inst, crit, g))
 
 
 def _transient(inst: CostInstance, crit: CriticalData, h: Matrix) -> int:
-    """Least k >= 0 with G_{k+1} >= h on B x B (see the module docstring)."""
+    """Least k >= 0 with G_{k+1} >= h on B x B (see the module docstring);
+    h is the barrier on the kernel's grid."""
     mode = inst.mode
     scale = inst.value_scale()
     off = [x for x in range(inst.n) if not mode.is_zero(h[x][x], scale=scale)]
-    s = tuple(tuple(crit.reduced[x][y] for y in off) for x in off)
+    s = tuple(tuple(crit.kernel[x][y] for y in off) for x in off)
     hb = [[h[x][y] for y in off] for x in off]
 
     def reached(g: Matrix) -> bool:
@@ -125,15 +135,16 @@ def aubry(
     """
     mode = inst.mode
     scale = inst.value_scale()
-    h = bar.h.entries
+    _, h, r = potential_grid(inst, crit, bar.h)
     vertices = tuple(x for x in range(inst.n) if mode.is_zero(h[x][x], scale=scale))
-    edges = []
-    for x in range(inst.n):
-        for y in range(inst.n):
-            if mode.is_zero(inst.cost[x][y] + crit.alpha0 + h[y][x], scale=scale):
-                edges.append((x, y))
+    edges = tuple(
+        (x, y)
+        for x in range(inst.n)
+        for y in range(inst.n)
+        if mode.is_zero(r[x][y] + h[y][x], scale=scale)
+    )
     jumps = jump_F(inst, crit, phi=phi)
-    return AubryData(vertices=vertices, edges=tuple(edges), jumps=jumps)
+    return AubryData(vertices=vertices, edges=edges, jumps=jumps)
 
 
 def weak_kam_neg(bar: BarrierData, x: int) -> ValueFunction:
@@ -173,22 +184,7 @@ def orbit_neg(
     The number of steps obeys the bound in the module docstring.  Float
     mode raises ``NonConvergenceError`` past the design cap of 4 n^2
     iterations, which is not that bound."""
-    if not is_dominated(inst, u, crit.alpha0).ok:
-        raise InputError("function is not dominated at the critical constant")
-    mode = inst.mode
-    scale = inst.value_scale()
-    cap = 4 * inst.n * inst.n if not mode.exact else _EXACT_ITER_CAP
-    red = crit.reduced
-    n = inst.n
-    cur = tuple(u.values)
-    out = [cur]
-    for _ in range(cap):
-        nxt = tuple(min(cur[z] + red[z][y] for z in range(n)) for y in range(n))
-        if vf_eq(mode, nxt, cur, scale=scale):
-            return out
-        out.append(nxt)
-        cur = nxt
-    raise NonConvergenceError(f"orbit did not stabilize within {cap} iterations")
+    return _orbit(inst, crit, u, forward=False)
 
 
 def orbit_pos(
@@ -199,20 +195,40 @@ def orbit_pos(
     The number of steps obeys the bound in the module docstring.  Float
     mode raises ``NonConvergenceError`` past the design cap of 4 n^2
     iterations, which is not that bound."""
+    return _orbit(inst, crit, u, forward=True)
+
+
+def _orbit(
+    inst: CostInstance, crit: CriticalData, u: ValueFunction, forward: bool
+) -> list[tuple[Value, ...]]:
+    """Normalized orbit on the kernel's grid, refined to u's denominators.
+
+    Backward: v(y) = min_z v(z) + r(z, y), over kernel columns.
+    Forward: v(x) = max_y v(y) - r(x, y), over kernel rows."""
     if not is_dominated(inst, u, crit.alpha0).ok:
         raise InputError("function is not dominated at the critical constant")
     mode = inst.mode
     scale = inst.value_scale()
     cap = 4 * inst.n * inst.n if not mode.exact else _EXACT_ITER_CAP
-    cur = ValueFunction(tuple(u.values))
-    out = [cur.values]
+    start = tuple(mode.coerce(v) for v in u.values)
+    D = grid_scale(mode, start, crit.scale)
+    r = crit.kernel_at(D)
+    if forward:
+        def step(v):
+            return [max(map(sub, v, row)) for row in r]
+    else:
+        cols = tuple(zip(*r))
+
+        def step(v):
+            return [min(map(add, v, col)) for col in cols]
+    cur = to_grid(mode, start, D)
+    grid = [cur]
     for _ in range(cap):
-        img = lax_oleinik_pos(inst, cur)
-        nxt = tuple(v - crit.alpha0 for v in img.values)
-        if vf_eq(mode, nxt, cur.values, scale=scale):
-            return out
-        out.append(nxt)
-        cur = ValueFunction(nxt)
+        nxt = step(cur)
+        if vf_eq(mode, nxt, cur, scale=scale):
+            return [tuple(u.values)] + [from_grid(mode, v, D) for v in grid[1:]]
+        grid.append(nxt)
+        cur = nxt
     raise NonConvergenceError(f"orbit did not stabilize within {cap} iterations")
 
 
@@ -387,13 +403,19 @@ def min_formula_check(
 def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
     """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
     Aubry vertices being the zero set of the phi_1 diagonal."""
-    e = phi_n(inst, crit, 1).entries
+    inst.require_total("tail potential")
+    g = _closed_form_grid(inst, crit)
+    return tuple(from_grid(inst.mode, row, crit.scale) for row in g)
+
+
+def _closed_form_grid(inst: CostInstance, crit: CriticalData) -> Matrix:
+    """The closed form on the kernel's grid, phi_1 being its Kleene plus."""
+    e = kleene_plus(crit.kernel)
     mode = inst.mode
     scale = inst.value_scale()
     verts = [x for x in range(inst.n) if mode.is_zero(e[x][x], scale=scale)]
     if not verts:
         raise ConstructionError("no Aubry vertex found for the closed form")
-    return tuple(
-        tuple(min(e[x][a] + e[a][y] for a in verts) for y in range(inst.n))
-        for x in range(inst.n)
-    )
+    to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
+    from_a = list(zip(*(e[a] for a in verts)))  # phi_1(a, y), one tuple per y
+    return tuple(tuple(min(map(add, xa, ay)) for ay in from_a) for xa in to_a)

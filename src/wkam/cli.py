@@ -268,11 +268,9 @@ def cmd_subsolution(args) -> int:
     if args.check:
         bar = peierls_barrier(inst, crit)
         aub = aubry(inst, crit, bar)
+        edges = set(aub.edges)
         expected = {
-            (x, y)
-            for x in range(inst.n)
-            for y in range(inst.n)
-            if (x, y) not in set(aub.edges)
+            (x, y) for x in range(inst.n) for y in range(inst.n) if (x, y) not in edges
         }
         doc["strict_matches_aubry_complement"] = set(pairs) == expected
     if args.fmt == "json":

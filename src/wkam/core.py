@@ -1,4 +1,4 @@
-"""Min-plus kernels and the Lax-Oleinik operators on finite cost instances.
+"""Min-plus kernels, the Lax-Oleinik operators and the integer grid.
 
 A cost instance is an ``n x n`` matrix ``c`` over the extended reals, read as
 the one-step transition price ``c(x, y)`` from row point ``x`` to column
@@ -7,17 +7,30 @@ point ``y``.  The two value-update operators are
     ``T-(u)(x) = min_y  u(y) + c(y, x)``   (backward / min-plus)
     ``T+(u)(x) = max_y  u(y) - c(x, y)``   (forward  / max-plus)
 
-``T+`` is always evaluated through the reversal identity
-``T+(u) = -T-_(c transposed)(-u)`` so that both operators share one kernel.
-N-step chain costs are min-plus matrix powers.  All operations are pure
-functions of immutable inputs and deterministic (ties in argmins break to the
-lowest point index).
+The public ``lax_oleinik_pos`` evaluates ``T+`` through the reversal identity
+``T+(u) = -T-_(c transposed)(-u)``; the solver's orbits and jumps evaluate
+it directly on the grid below.  N-step chain costs are min-plus matrix
+powers.  All operations are pure functions of immutable inputs and
+deterministic (ties in argmins break to the lowest point index).
+
+Exact mode computes on an integer grid: with ``D`` a common denominator of
+the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
+``v * D`` and ``from_grid`` maps back to ``Fraction(k, D)``.  Scaling by a
+positive constant preserves sums and order, so min-plus results on the grid
+are bit-identical to the ``Fraction`` ones, and ``Fraction`` appears only at
+the public API.  Float mode has no grid: ``D = 1``, ``to_grid`` is the
+identity and ``from_grid`` divides by ``D``, so both modes run the same code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from operator import add
+from typing import Iterable, Optional, Sequence
 
 from .numbers import EXACT, InputError, Mode, Value, is_inf, neg
 
@@ -53,11 +66,17 @@ class CostInstance:
         except ValueError:
             raise InputError(f"unknown point label {label!r}") from None
 
+    _value_scale: Optional[Value] = field(default=None, init=False, repr=False, compare=False)
+
     def value_scale(self) -> Value:
-        """n * max|c| over finite entries; tolerance scale for walk sums."""
-        finite = [abs(v) for row in self.cost for v in row if not is_inf(v)]
-        top = max(finite) if finite else 0
-        return self.n * max(top, 1)
+        """n * max|c| over finite entries; tolerance scale for walk sums.
+
+        Computed on the first call and kept on the instance."""
+        if self._value_scale is None:
+            finite = [abs(v) for row in self.cost for v in row if not is_inf(v)]
+            top = max(finite) if finite else 0
+            object.__setattr__(self, "_value_scale", self.n * max(top, 1))
+        return self._value_scale
 
     def require_total(self, op: str) -> None:
         if not self.total:
@@ -125,7 +144,7 @@ def make_instance(
         rows.append(tuple(mode.coerce(v) for v in row))
     cmat = tuple(rows)
     if labels is None:
-        labels = tuple(f"p{i}" for i in range(n))
+        labels = _default_labels(n)
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
@@ -137,24 +156,34 @@ def make_instance(
         if len(metric) != n or any(len(r) != n for r in metric):
             raise InputError("metric matrix is not n x n")
         mmat = _freeze([[mode.coerce(v) for v in r] for r in metric])
-        for i in range(n):
-            if mmat[i][i] != 0:
+        D = grid_scale(mode, chain.from_iterable(mmat))
+        g = [to_grid(mode, row, D) for row in mmat]
+        for i, row in enumerate(g):
+            if row[i] != 0:
                 raise InputError(f"metric diagonal must be zero at {i}")
-            for j in range(n):
-                if is_inf(mmat[i][j]) or mmat[i][j] < 0:
+            for j, dij in enumerate(row):
+                if is_inf(dij) or dij < 0:
                     raise InputError(f"metric entry ({i},{j}) must be finite >= 0")
-                if mmat[i][j] != mmat[j][i]:
+                if dij != g[j][i]:
                     raise InputError(f"metric not symmetric at ({i},{j})")
-        for i in range(n):
-            for j in range(n):
-                dij = mmat[i][j]
-                for k in range(n):
-                    if dij > mmat[i][k] + mmat[k][j]:
-                        raise InputError(
-                            f"metric violates triangle inequality at ({i},{k},{j})"
-                        )
+        # Symmetry makes column j equal to row j, so each (i, j) is one
+        # C-level scan over k; the loop below names the first violating k.
+        for i, row in enumerate(g):
+            for j, dij in enumerate(row):
+                if dij > min(map(add, row, g[j])):
+                    k = next(k for k in range(n) if dij > row[k] + g[j][k])
+                    raise InputError(
+                        f"metric violates triangle inequality at ({i},{k},{j})"
+                    )
     total = not any(is_inf(v) for row in cmat for v in row)
     return CostInstance(n=n, labels=labels, cost=cmat, mode=mode, metric=mmat, total=total)
+
+
+@lru_cache(maxsize=None)
+def _default_labels(n: int) -> tuple[str, ...]:
+    """Labels p0 .. p(n-1), one tuple per n shared by every unlabelled
+    instance (a benchmark batch holds thousands of small instances)."""
+    return tuple(f"p{i}" for i in range(n))
 
 
 def as_value_function(inst: CostInstance, values: Sequence[Value], tag: str = "") -> ValueFunction:
@@ -181,11 +210,8 @@ def minplus_apply(cost: Matrix, values: Sequence[Value]) -> tuple[Value, ...]:
 
 def minplus_product(a: Matrix, b: Matrix) -> Matrix:
     """Min-plus matrix product: entry (x,y) = min_z a(x,z) + b(z,y)."""
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(min(arow[z] + b[z][y] for z in rng) for y in rng) for arow in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(min(map(add, arow, col)) for col in cols) for arow in a)
 
 
 def kleene_plus(a: Matrix) -> Matrix:
@@ -200,17 +226,43 @@ def kleene_plus(a: Matrix) -> Matrix:
         dk = d[k]
         for i, row in enumerate(d):
             rk = row[k]
-            d[i] = [min(v, rk + w) for v, w in zip(row, dk)]
+            d[i] = [v if v <= (s := rk + w) else s for v, w in zip(row, dk)]
     return _freeze(d)
-
-
-def matrix_add_scalar(a: Matrix, k: Value) -> Matrix:
-    return tuple(tuple(v + k for v in row) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
     n = len(a)
     return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the integer grid
+# ---------------------------------------------------------------------------
+
+def grid_scale(mode: Mode, values: Iterable[Value], base: int = 1) -> int:
+    """Least multiple D of ``base`` with v * D an integer for every finite
+    value; 1 in float mode."""
+    if not mode.exact:
+        return 1
+    return math.lcm(base, *{v.denominator for v in values if not isinstance(v, float)})
+
+
+def to_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
+    """v * D for each value (integers in exact mode); +inf stays +inf.
+
+    D must be a multiple of every denominator, as ``grid_scale`` gives."""
+    if not mode.exact:
+        return tuple(values)
+    return tuple(
+        v if isinstance(v, float) else v.numerator * (D // v.denominator) for v in values
+    )
+
+
+def from_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
+    """k / D for each grid value: a Fraction in exact mode; +inf stays +inf."""
+    if not mode.exact:
+        return tuple(k / D for k in values)
+    return tuple(k if isinstance(k, float) else Fraction(k, D) for k in values)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,32 @@ digraph.  Feasible sub-solutions at a given alpha are shortest-path
 potentials for the shifted weights ``c + alpha`` from a virtual source
 connected to every point at weight zero (difference-constraint feasibility);
 an infeasible alpha yields a negative-cycle witness instead.
+
+Everything here runs on the integer grid of ``core``.  Karp runs on the
+costs scaled by their common denominator and compares cycle means by
+cross-multiplication; ``critical_value`` then stores the scale ``D``, a
+common denominator of the costs and alpha0, with the integer kernel
+``(c + alpha0) * D`` that the solver modules compute with (float mode:
+``D = 1`` and the kernel is the reduced matrix itself).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 from typing import NamedTuple, Optional
 
-from .core import CostInstance, Matrix, ValueFunction, as_value_function, matrix_add_scalar
-from .numbers import INF, InputError, Value, is_inf, neg
+from .core import (
+    CostInstance,
+    Matrix,
+    ValueFunction,
+    as_value_function,
+    from_grid,
+    grid_scale,
+    to_grid,
+)
+from .numbers import INF, InputError, Value, is_inf
 
 
 @dataclass(frozen=True)
@@ -29,11 +46,19 @@ class CriticalData:
     ``witness_cycle`` is a simple cycle (vertex indices, closing edge
     implied) whose mean cost equals ``-alpha0``; ``reduced`` is
     ``c + alpha0``, which has no negative cycle and at least one zero cycle.
+    ``kernel`` is ``reduced * scale`` on the integer grid of ``core``.
     """
 
     alpha0: Value
     witness_cycle: tuple[int, ...]
     reduced: Matrix
+    scale: int
+    kernel: Matrix
+
+    def kernel_at(self, D: int) -> Matrix:
+        """The kernel on the finer grid D, a multiple of ``scale``."""
+        m = D // self.scale
+        return self.kernel if m == 1 else tuple(tuple(v * m for v in row) for row in self.kernel)
 
 
 class DominationResult(NamedTuple):
@@ -53,64 +78,57 @@ class SubsolutionResult(NamedTuple):
 def critical_value(inst: CostInstance) -> CriticalData:
     """Smallest alpha admitting a dominated function, with witness cycle."""
     n = inst.n
+    mode = inst.mode
     if not inst.total:
         for x in range(n):
             if all(is_inf(v) for v in inst.cost[x]):
                 raise InputError(f"point {inst.labels[x]} has out-degree 0")
-    mu = _karp_min_cycle_mean(inst)
-    alpha0 = neg(mu)
-    reduced = matrix_add_scalar(inst.cost, alpha0)
-    witness = _zero_cycle(inst, reduced)
-    return CriticalData(alpha0=alpha0, witness_cycle=witness, reduced=reduced)
+    D0 = grid_scale(mode, chain.from_iterable(inst.cost))
+    total, length = _karp_min_cycle_mean(tuple(to_grid(mode, row, D0) for row in inst.cost))
+    (alpha0,) = from_grid(mode, (-total,), length * D0)
+    D = grid_scale(mode, (alpha0,), D0)
+    (a,) = to_grid(mode, (alpha0,), D)
+    kernel = tuple(tuple(v + a for v in to_grid(mode, row, D)) for row in inst.cost)
+    reduced = tuple(from_grid(mode, row, D) for row in kernel)
+    witness = _zero_cycle(inst, kernel)
+    return CriticalData(alpha0, witness, reduced, D, kernel)
 
 
-def _karp_min_cycle_mean(inst: CostInstance) -> Value:
+def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
     """Karp's recurrence with a virtual source feeding every point at 0.
 
     D[k][v] is the least weight of a walk with exactly k edges from the
     source; the minimum cycle mean is min_v max_k (D[N][v]-D[k][v])/(N-k)
-    over finite entries, N being the augmented vertex count.
+    over finite entries, N being the augmented vertex count.  Means are
+    kept as (total, length) pairs and compared by cross-multiplication,
+    so integer weights stay integers.
     """
-    n = inst.n
-    cost = inst.cost
+    n = len(cost)
     big = n + 1  # vertices 0..n-1 plus source n
-    prev = [INF] * n
-    levels = [list(prev)]
-    prev = [0] * n  # one edge: source -> v at weight 0
-    levels.append(list(prev))
+    cols = tuple(zip(*cost))
+    levels = [[INF] * n, [0] * n]  # one edge: source -> v at weight 0
     for _ in range(2, big + 1):
-        cur = []
-        for v in range(n):
-            best = INF
-            for u in range(n):
-                if is_inf(prev[u]) or is_inf(cost[u][v]):
-                    continue
-                w = prev[u] + cost[u][v]
-                if w < best:
-                    best = w
-            cur.append(best)
-        levels.append(cur)
-        prev = cur
+        levels.append([min(map(add, levels[-1], col)) for col in cols])
     top = levels[big]
-    mu: Optional[Value] = None
+    best: Optional[tuple[Value, int]] = None
     for v in range(n):
         if is_inf(top[v]):
             continue
-        worst: Optional[Value] = None
+        worst: Optional[tuple[Value, int]] = None
         for k in range(big):
             if is_inf(levels[k][v]):
                 continue
-            ratio = (top[v] - levels[k][v]) / (big - k)
-            if worst is None or ratio > worst:
-                worst = ratio
-        if worst is not None and (mu is None or worst < mu):
-            mu = worst
-    if mu is None:
+            num, den = top[v] - levels[k][v], big - k
+            if worst is None or num * worst[1] > worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (best is None or worst[0] * best[1] < best[0] * worst[1]):
+            best = worst
+    if best is None:
         raise InputError("instance has no cycle; critical constant undefined")
-    return inst.mode.coerce(mu)
+    return best
 
 
-def _zero_cycle(inst: CostInstance, reduced: Matrix) -> tuple[int, ...]:
+def _zero_cycle(inst: CostInstance, kernel: Matrix) -> tuple[int, ...]:
     """Deterministic simple cycle of zero reduced weight.
 
     Shortest-path potentials p for the reduced weights make every
@@ -121,13 +139,13 @@ def _zero_cycle(inst: CostInstance, reduced: Matrix) -> tuple[int, ...]:
     n = inst.n
     mode = inst.mode
     scale = inst.value_scale()
-    pot = _bellman_ford(reduced, n)
+    pot, _ = _bellman_ford(kernel)
     tol_steps = 0
     while True:
         adj: list[list[int]] = [[] for _ in range(n)]
         for u in range(n):
             for v in range(n):
-                r = reduced[u][v]
+                r = kernel[u][v]
                 if is_inf(r):
                     continue
                 if mode.eq(pot[u] + r, pot[v], scale=scale * (10 ** tol_steps)):
@@ -140,25 +158,25 @@ def _zero_cycle(inst: CostInstance, reduced: Matrix) -> tuple[int, ...]:
         tol_steps += 1  # float fringe: widen the tightness band and retry
 
 
-def _bellman_ford(weights: Matrix, n: int) -> list[Value]:
+def _bellman_ford(weights: Matrix) -> tuple[list[Value], list[Optional[int]]]:
+    """Distances from a virtual source at weight 0 to every point, with
+    predecessors; at most n relaxation rounds."""
+    n = len(weights)
     dist: list[Value] = [0] * n
+    pred: list[Optional[int]] = [None] * n
     for _ in range(n):
         changed = False
-        for u in range(n):
+        for u, row in enumerate(weights):
             du = dist[u]
-            if is_inf(du):
-                continue
-            row = weights[u]
-            for v in range(n):
-                if is_inf(row[v]):
-                    continue
-                w = du + row[v]
-                if w < dist[v]:
-                    dist[v] = w
+            for v, w in enumerate(row):
+                cand = du + w
+                if cand < dist[v]:
+                    dist[v] = cand
+                    pred[v] = u
                     changed = True
         if not changed:
             break
-    return dist
+    return dist, pred
 
 
 def _first_cycle(adj: list[list[int]], n: int) -> Optional[tuple[int, ...]]:
@@ -189,14 +207,17 @@ def is_dominated(
     """Check u(y) - u(x) <= c(x, y) + alpha for all pairs; witness on failure."""
     mode = inst.mode
     scale = inst.value_scale()
-    vals = u.values
-    for x in range(inst.n):
-        row = inst.cost[x]
+    alpha = mode.coerce(alpha)
+    values = [mode.coerce(v) for v in u.values]
+    D = grid_scale(mode, chain(values, (alpha,), chain.from_iterable(inst.cost)))
+    vals = to_grid(mode, values, D)
+    (a,) = to_grid(mode, (alpha,), D)
+    for x, row in enumerate(inst.cost):
         ux = vals[x]
-        for y in range(inst.n):
-            if is_inf(row[y]):
+        for y, c in enumerate(to_grid(mode, row, D)):
+            if is_inf(c):
                 continue
-            if not mode.le(vals[y] - ux, row[y] + alpha, scale=scale):
+            if not mode.le(vals[y] - ux, c + a, scale=scale):
                 return DominationResult(False, (x, y))
     return DominationResult(True, None)
 
@@ -210,27 +231,13 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
     cycle of negative shifted weight, i.e. alpha below the critical constant.
     """
     n = inst.n
-    alpha = inst.mode.coerce(alpha)
-    w = matrix_add_scalar(inst.cost, alpha)
-    dist: list[Value] = [0] * n
-    pred: list[Optional[int]] = [None] * n
-    for _ in range(n):
-        changed = False
-        for u in range(n):
-            du = dist[u]
-            if is_inf(du):
-                continue
-            for v in range(n):
-                if is_inf(w[u][v]):
-                    continue
-                cand = du + w[u][v]
-                if cand < dist[v]:
-                    dist[v] = cand
-                    pred[v] = u
-                    changed = True
-        if not changed:
-            break
-    margin = 0 if inst.mode.exact else inst.mode.tolerance * float(inst.value_scale())
+    mode = inst.mode
+    alpha = mode.coerce(alpha)
+    D = grid_scale(mode, chain((alpha,), chain.from_iterable(inst.cost)))
+    (a,) = to_grid(mode, (alpha,), D)
+    w = tuple(tuple(v + a for v in to_grid(mode, row, D)) for row in inst.cost)
+    dist, pred = _bellman_ford(w)
+    margin = 0 if mode.exact else mode.tolerance * float(inst.value_scale())
     for u in range(n):
         for v in range(n):
             if is_inf(w[u][v]):
@@ -238,7 +245,7 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
             if dist[u] + w[u][v] < dist[v] - margin:
                 pred[v] = u
                 return SubsolutionResult(False, None, _trace_cycle(pred, v, n))
-    u_fn = as_value_function(inst, dist, tag=f"subsolution(alpha={alpha})")
+    u_fn = as_value_function(inst, from_grid(mode, dist, D), tag=f"subsolution(alpha={alpha})")
     return SubsolutionResult(True, u_fn, None)
 
 

@@ -10,9 +10,9 @@ check always carries a concrete witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import Callable, Optional
 
@@ -36,10 +36,13 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
+    from_grid,
+    grid_scale,
     lax_oleinik_neg,
     lax_oleinik_pos,
     minplus_product,
     reverse_cost,
+    to_grid,
     vf_eq,
     vf_le,
 )
@@ -82,10 +85,6 @@ class CycleScan:
     vertex_min_reduced: tuple[Value, ...] = ()
 
 
-def _exact_scale(values: list[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values)) if values else 1
-
-
 def _iter_simple_cycles(n: int, weight: Callable[[int, int], Optional[Value]]):
     """Yield (cycle, total_weight) over all simple cycles, each cycle
     listed once with its least vertex first."""
@@ -116,33 +115,21 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     """Enumerate all simple cycles; track the minimum mean and, when alpha0
     is supplied, the zero-reduced-weight structure.
 
-    Exact mode scales all weights to integers by the common denominator, so
+    Exact mode scales all weights to integers on the grid of ``core``, so
     every comparison is integer arithmetic.
     """
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
     mode = inst.mode
-    if mode.exact:
-        finite = [v for row in inst.cost for v in row if not is_inf(v)]
-        denoms = list(finite)
-        if alpha0 is not None:
-            denoms.append(alpha0)
-        D = _exact_scale(denoms)
-        w_int = [
-            [None if is_inf(v) else int(v * D) for v in row] for row in inst.cost
-        ]
-        a_int = None if alpha0 is None else int(alpha0 * D)
+    extra = () if alpha0 is None else (alpha0,)
+    D = grid_scale(mode, chain(extra, chain.from_iterable(inst.cost)))
+    w_grid = [
+        [None if is_inf(v) else v for v in to_grid(mode, row, D)] for row in inst.cost
+    ]
+    a_grid = None if alpha0 is None else to_grid(mode, extra, D)[0]
 
-        def weight(i: int, j: int):
-            return w_int[i][j]
-
-    else:
-        D = 1
-        a_int = None if alpha0 is None else float(alpha0)
-
-        def weight(i: int, j: int):
-            v = inst.cost[i][j]
-            return None if is_inf(v) else v
+    def weight(i: int, j: int):
+        return w_grid[i][j]
 
     best_s: Optional[Value] = None
     best_len = 1
@@ -166,8 +153,8 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
             attaining_count += 1
             if len(attaining) < ATTAINING_CAP:
                 attaining.append(cyc)
-        if a_int is not None:
-            red = total + L * a_int
+        if a_grid is not None:
+            red = total + L * a_grid
             for v in cyc:
                 if vmin[v] is None or red < vmin[v]:
                     vmin[v] = red
@@ -178,14 +165,8 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
                     zero_e.add((a, b))
     if best_s is None:
         raise SizeGuardError("instance has no cycle")
-    if mode.exact:
-        min_mean = Fraction(best_s, best_len * D)
-        vmin_vals = tuple(
-            INF if v is None else Fraction(v, D) for v in vmin
-        )
-    else:
-        min_mean = best_s / best_len
-        vmin_vals = tuple(INF if v is None else v for v in vmin)
+    (min_mean,) = from_grid(mode, (best_s,), best_len * D)
+    vmin_vals = from_grid(mode, (INF if v is None else v for v in vmin), D)
     return CycleScan(
         min_mean=min_mean,
         attaining=tuple(attaining),

@@ -14,23 +14,32 @@ fixed points:
     ``F(x) = T-(phi_x)(x) + alpha0``   (>= 0, zero exactly on the Aubry set)
     ``f(x) = T+(phi^x)(x) - alpha0``   (<= 0, zero exactly on the Aubry set)
 
-where ``phi_x = phi(x, .)`` and ``phi^x = -phi(., x)``.
+where ``phi_x = phi(x, .)`` and ``phi^x = -phi(., x)``.  With
+``r = c + alpha0`` they read ``F(x) = min_z phi(x, z) + r(z, x)`` and
+``f(x) = -min_y phi(y, x) + r(x, y)``, which is how they are computed: on the
+integer kernel of ``CriticalData`` (see ``core``), with no transposed
+instance.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import Optional
 
 from .core import (
     CostInstance,
+    Matrix,
     PotentialTable,
     ValueFunction,
+    from_grid,
+    grid_scale,
     kleene_plus,
-    lax_oleinik_pos,
     minplus_product,
+    to_grid,
 )
 from .critical import CriticalData
-from .numbers import InputError, neg
+from .numbers import InputError
 
 
 def phi_n(inst: CostInstance, crit: CriticalData, n: int) -> PotentialTable:
@@ -39,15 +48,26 @@ def phi_n(inst: CostInstance, crit: CriticalData, n: int) -> PotentialTable:
     phi_1 is the least reduced walk weight with >= 1 edge: the Kleene plus
     of the reduced matrix, which has no negative cycle.  Higher orders
     follow by min-plus products with the reduced matrix, which realises the
-    row recursion T-(row) + alpha0.
+    row recursion T-(row) + alpha0.  All of it runs on the integer kernel.
     """
     if n < 1:
         raise InputError("tail potential is defined for order >= 1")
     inst.require_total("tail potential")
-    entries = kleene_plus(crit.reduced)
+    g = kleene_plus(crit.kernel)
     for _ in range(n - 1):
-        entries = minplus_product(entries, crit.reduced)
+        g = minplus_product(g, crit.kernel)
+    entries = tuple(from_grid(inst.mode, row, crit.scale) for row in g)
     return PotentialTable(entries=entries, kind="phi_n", alpha0=crit.alpha0, order=n)
+
+
+def potential_grid(
+    inst: CostInstance, crit: CriticalData, phi: PotentialTable
+) -> tuple[int, Matrix, Matrix]:
+    """(D, phi * D, kernel * D) on a grid D fine enough for both tables."""
+    mode = inst.mode
+    D = grid_scale(mode, chain.from_iterable(phi.entries), crit.scale)
+    p = tuple(to_grid(mode, row, D) for row in phi.entries)
+    return D, p, crit.kernel_at(D)
 
 
 def mane_potential(inst: CostInstance, crit: CriticalData) -> PotentialTable:
@@ -70,13 +90,9 @@ def jump_F(
     """Backward jump F(x) = T-(phi_x)(x) + alpha0; nonnegative."""
     if phi is None:
         phi = mane_potential(inst, crit)
-    cost = inst.cost
-    n = inst.n
-    vals = tuple(
-        min(phi.entries[x][z] + cost[z][x] for z in range(n)) + crit.alpha0
-        for x in range(n)
-    )
-    return ValueFunction(vals, tag="F")
+    D, p, r = potential_grid(inst, crit, phi)
+    vals = [min(map(add, p[x], rcol)) for x, rcol in enumerate(zip(*r))]
+    return ValueFunction(from_grid(inst.mode, vals, D), tag="F")
 
 
 def jump_f(
@@ -86,13 +102,11 @@ def jump_f(
 ) -> ValueFunction:
     """Forward jump f(x) = T+(phi^x)(x) - alpha0; nonpositive.
 
-    phi^x is the negated column of the potential; the forward operator runs
-    through the shared reversal kernel.
+    phi^x is the negated column of the potential, so
+    f(x) = -min_y phi(y, x) + r(x, y), read straight off the kernel rows.
     """
     if phi is None:
         phi = mane_potential(inst, crit)
-    vals = []
-    for x in range(inst.n):
-        col = ValueFunction(tuple(neg(v) for v in phi.col(x)))
-        vals.append(lax_oleinik_pos(inst, col).values[x] - crit.alpha0)
-    return ValueFunction(tuple(vals), tag="f")
+    D, p, r = potential_grid(inst, crit, phi)
+    vals = [-min(map(add, pcol, r[x])) for x, pcol in enumerate(zip(*p))]
+    return ValueFunction(from_grid(inst.mode, vals, D), tag="f")

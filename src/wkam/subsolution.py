@@ -15,19 +15,28 @@ dominated function that is strict at exactly the pairs admitting no
 bi-infinite calibrated chain through them, and agrees with u on the Aubry
 set of u.  Applying the same construction to a mix of all normalized
 potential rows gives a sub-solution strict off the global Aubry edges.
+Both averages are sums on the integer grid of ``core``, divided once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 from .barrier import orbit_neg, orbit_pos
-from .core import CostInstance, ValueFunction, as_value_function
+from .core import (
+    CostInstance,
+    PotentialTable,
+    ValueFunction,
+    as_value_function,
+    from_grid,
+    grid_scale,
+    to_grid,
+)
 from .critical import CriticalData, is_dominated
 from .numbers import ConstructionError, InputError, Value
-from .potential import jump_F, mane_potential
+from .potential import jump_F, mane_potential, potential_grid
 
 
 @dataclass(frozen=True)
@@ -72,24 +81,21 @@ def aubry_of(
     inst: CostInstance, crit: CriticalData, u: ValueFunction
 ) -> tuple[int, ...]:
     """Points whose normalized orbits fix u: u_minus(x) = u(x) = u_plus(x)."""
+    return _fixed_points(inst, u, orbit_neg(inst, crit, u), orbit_pos(inst, crit, u))
+
+
+def _fixed_points(
+    inst: CostInstance, u: ValueFunction, neg_hist: list, pos_hist: list
+) -> tuple[int, ...]:
     mode = inst.mode
     scale = inst.value_scale()
-    lo = orbit_neg(inst, crit, u)[-1]
-    hi = orbit_pos(inst, crit, u)[-1]
+    lo, hi = neg_hist[-1], pos_hist[-1]
     return tuple(
         x
         for x in range(inst.n)
         if mode.eq(lo[x], u.values[x], scale=scale)
         and mode.eq(hi[x], u.values[x], scale=scale)
     )
-
-
-def _uniform_weights(inst: CostInstance, count: int) -> list[Value]:
-    if inst.mode.exact:
-        w = Fraction(1, count)
-    else:
-        w = 1.0 / count
-    return [w] * count
 
 
 def strict_subsolution(
@@ -104,19 +110,24 @@ def strict_subsolution(
     of u; elsewhere the result is strict.  On the Aubry set of u all
     components equal u, so the average does too.
     """
-    neg_hist = orbit_neg(inst, crit, u)
-    pos_hist = orbit_pos(inst, crit, u)
+    return _strictify(inst, u, orbit_neg(inst, crit, u), orbit_pos(inst, crit, u))
+
+
+def _strictify(
+    inst: CostInstance, u: ValueFunction, neg_hist: list, pos_hist: list
+) -> ValueFunction:
     N = max(1, len(neg_hist) - 1, len(pos_hist) - 1)
-    comps: list[tuple[Value, ...]] = []
-    for k in range(N + 1):
-        comps.append(neg_hist[min(k, len(neg_hist) - 1)])
-    for k in range(1, N + 1):
-        comps.append(pos_hist[min(k, len(pos_hist) - 1)])
-    weights = _uniform_weights(inst, len(comps))
-    vals = [
-        sum(w * comp[i] for comp, w in zip(comps, weights)) for i in range(inst.n)
-    ]
+    comps = [neg_hist[min(k, len(neg_hist) - 1)] for k in range(N + 1)]
+    comps += [pos_hist[min(k, len(pos_hist) - 1)] for k in range(1, N + 1)]
+    mode = inst.mode
+    D = grid_scale(mode, chain.from_iterable(comps))
+    vals = _average(inst, [to_grid(mode, c, D) for c in comps], D)
     return as_value_function(inst, vals, tag=f"strict[{u.tag}]" if u.tag else "strict")
+
+
+def _average(inst: CostInstance, rows: Sequence[Sequence[Value]], D: int) -> tuple:
+    """Uniform average of grid vectors on the grid D: one sum, one division."""
+    return from_grid(inst.mode, [sum(col) for col in zip(*rows)], D * len(rows))
 
 
 def strict_pairs(
@@ -134,16 +145,17 @@ def strict_pairs(
     return tuple(out)
 
 
-def uniform_subsolution_mix(inst: CostInstance, crit: CriticalData) -> ValueFunction:
+def uniform_subsolution_mix(
+    inst: CostInstance,
+    crit: CriticalData,
+    phi: Optional[PotentialTable] = None,
+) -> ValueFunction:
     """Average of all potential rows, each normalized to vanish at point 0."""
-    phi = mane_potential(inst, crit)
-    rows = []
-    for x in range(inst.n):
-        base = phi.entries[x][0]
-        rows.append(ValueFunction(tuple(v - base for v in phi.entries[x])))
-    weights = _uniform_weights(inst, inst.n)
-    vals = [sum(w * r.values[i] for r, w in zip(rows, weights)) for i in range(inst.n)]
-    return as_value_function(inst, vals, tag="potential_mix")
+    if phi is None:
+        phi = mane_potential(inst, crit)
+    D, p, _ = potential_grid(inst, crit, phi)
+    rows = [[v - row[0] for v in row] for row in p]
+    return as_value_function(inst, _average(inst, rows, D), tag="potential_mix")
 
 
 def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunction:
@@ -151,21 +163,25 @@ def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunct
 
     Built by strictifying the uniform potential-row mix.  The mix must have
     the global Aubry set as its own Aubry set; this is verified rather than
-    assumed, and a mismatch raises with both vertex sets.
+    assumed, and a mismatch raises with both vertex sets.  One Mane
+    potential serves the mix and the jumps, and one pair of orbits of the
+    mix serves the check and the strictification.
     """
-    mix = uniform_subsolution_mix(inst, crit)
+    phi = mane_potential(inst, crit)
+    mix = uniform_subsolution_mix(inst, crit, phi=phi)
     scale = inst.value_scale()
-    jumps = jump_F(inst, crit).values
+    jumps = jump_F(inst, crit, phi=phi).values
     global_vertices = tuple(
         x for x in range(inst.n) if inst.mode.is_zero(jumps[x], scale=scale)
     )
-    mix_vertices = aubry_of(inst, crit, mix)
+    neg_hist, pos_hist = orbit_neg(inst, crit, mix), orbit_pos(inst, crit, mix)
+    mix_vertices = _fixed_points(inst, mix, neg_hist, pos_hist)
     if mix_vertices != global_vertices:
         raise ConstructionError(
             "potential-row mix does not pin the Aubry set: "
             f"mix {mix_vertices} vs global {global_vertices}"
         )
-    return strict_subsolution(inst, crit, mix)
+    return _strictify(inst, mix, neg_hist, pos_hist)
 
 
 def calibrates_all(
