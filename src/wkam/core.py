@@ -7,11 +7,12 @@ point ``y``.  The two value-update operators are
     ``T-(u)(x) = min_y  u(y) + c(y, x)``   (backward / min-plus)
     ``T+(u)(x) = max_y  u(y) - c(x, y)``   (forward  / max-plus)
 
-The public ``lax_oleinik_pos`` evaluates ``T+`` through the reversal identity
-``T+(u) = -T-_(c transposed)(-u)``; the solver's orbits and jumps evaluate
-it directly on the grid below.  N-step chain costs are min-plus matrix
-powers.  All operations are pure functions of immutable inputs and
-deterministic (ties in argmins break to the lowest point index).
+Both public operators evaluate their formula directly, and so do the
+solver's orbits and jumps on the grid below; the reversal identity
+``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not used to
+compute ``T+``.  N-step chain costs are min-plus matrix powers.  All
+operations are pure functions of immutable inputs and deterministic (ties
+in argmins break to the lowest point index).
 
 Exact mode computes on an integer grid: with ``D`` a common denominator of
 the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import add
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .numbers import EXACT, InputError, Mode, Value, is_inf, neg
+from .numbers import EXACT, InputError, Mode, Value, is_inf
 
 Matrix = tuple[tuple[Value, ...], ...]
 
@@ -293,16 +294,14 @@ def reverse_cost(inst: CostInstance) -> CostInstance:
 def lax_oleinik_pos(inst: CostInstance, u: ValueFunction) -> ValueFunction:
     """Forward operator: result(x) = max_y u(y) - c(x, y).
 
-    Evaluated as -T-(transposed cost)(-u): both operators run on one kernel,
-    which makes the reversal identity bit-exact by construction.
+    Computed as -min_y (c(x, y) - u(y)), so a +inf cost never wins and float
+    results, signed zeros included, equal those of the reversal identity.
     """
     _check_function(inst, u)
-    neg_u = ValueFunction(tuple(neg(v) for v in u.values))
-    inner = lax_oleinik_neg(reverse_cost(inst), neg_u)
-    return ValueFunction(
-        tuple(neg(v) for v in inner.values),
-        tag=f"T+[{u.tag}]" if u.tag else "T+",
-    )
+    low = tuple(min(map(sub, row, u.values)) for row in inst.cost)
+    if any(is_inf(v) for v in low):
+        raise InputError("forward update produced -inf (a point has no outgoing edge)")
+    return ValueFunction(tuple(-v for v in low), tag=f"T+[{u.tag}]" if u.tag else "T+")
 
 
 def cost_power(inst: CostInstance, n: int) -> PotentialTable:

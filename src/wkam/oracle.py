@@ -1,11 +1,13 @@
 """Brute-force reference implementations and the full property harness.
 
 Everything here recomputes solver outputs by a different route at desk
-scale: simple cycles are enumerated one by one (with exact integer-scaled
-weights in exact mode), chain costs by recursive enumeration, the barrier by
-detecting the eventual periodicity of reduced min-plus powers, and the
-per-function Aubry sets by reachability in the tight-edge graph.  A failed
-check always carries a concrete witness.
+scale: every simple cycle is enumerated (with exact integer-scaled weights in
+exact mode) in one depth-first pass that does O(1) work per cycle and
+aggregates the per-vertex minimum reduced weight and the zero-cycle vertices
+and edges as each search subtree returns; chain costs come from recursive
+enumeration, the barrier from the eventual periodicity of reduced min-plus
+powers, and the per-function Aubry sets from reachability in the tight-edge
+graph.  A failed check always carries a concrete witness.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from random import Random
-from typing import Callable, Optional
+from typing import Optional
 
 from .barrier import (
     AubryData,
@@ -85,35 +87,20 @@ class CycleScan:
     vertex_min_reduced: tuple[Value, ...] = ()
 
 
-def _iter_simple_cycles(n: int, weight: Callable[[int, int], Optional[Value]]):
-    """Yield (cycle, total_weight) over all simple cycles, each cycle
-    listed once with its least vertex first."""
-    for m in range(n):
-        path = [m]
-        used = {m}
-
-        def rec(v: int, acc):
-            w_close = weight(v, m)
-            if w_close is not None:
-                yield tuple(path), acc + w_close
-            for nxt in range(m + 1, n):
-                if nxt in used:
-                    continue
-                w = weight(v, nxt)
-                if w is None:
-                    continue
-                path.append(nxt)
-                used.add(nxt)
-                yield from rec(nxt, acc + w)
-                path.pop()
-                used.discard(nxt)
-
-        yield from rec(m, 0)
-
-
 def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     """Enumerate all simple cycles; track the minimum mean and, when alpha0
     is supplied, the zero-reduced-weight structure.
+
+    One depth-first search per least vertex m extends the path m, p1, ...
+    by the remaining vertices in increasing order, and each node closes its
+    own cycle (the edge back to m) before it visits its children.  The path
+    total is carried down, so closing a cycle costs O(1) work, not O(length);
+    a path becomes a tuple only when its cycle enters the capped
+    ``attaining`` list.  Every
+    cycle closed in the subtree below the node where v joined the path runs
+    through v and through the edge into v, so the per-vertex minimum reduced
+    weight and the zero vertices and edges are aggregated as each subtree
+    returns, not cycle by cycle.
 
     Exact mode scales all weights to integers on the grid of ``core``, so
     every comparison is integer arithmetic.
@@ -121,52 +108,77 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
     mode = inst.mode
+    exact = mode.exact
     extra = () if alpha0 is None else (alpha0,)
     D = grid_scale(mode, chain(extra, chain.from_iterable(inst.cost)))
     w_grid = [
         [None if is_inf(v) else v for v in to_grid(mode, row, D)] for row in inst.cost
     ]
-    a_grid = None if alpha0 is None else to_grid(mode, extra, D)[0]
+    a_grid = 0 if alpha0 is None else to_grid(mode, extra, D)[0]
+    tol_band = 0.0 if exact else mode.tolerance * float(inst.value_scale())
 
-    def weight(i: int, j: int):
-        return w_grid[i][j]
-
-    best_s: Optional[Value] = None
+    best_s: Value = INF
     best_len = 1
     attaining: list[tuple[int, ...]] = []
     attaining_count = 0
-    count = 0
+    count = zeros = 0
     zero_v: set[int] = set()
     zero_e: set[tuple[int, int]] = set()
-    vmin: list[Optional[Value]] = [None] * n
-    tol_band = 0.0 if mode.exact else mode.tolerance * float(inst.value_scale())
-    for cyc, total in _iter_simple_cycles(n, weight):
-        count += 1
-        L = len(cyc)
-        if best_s is None or total * best_len < best_s * L:
-            best_s, best_len = total, L
-            attaining = [cyc]
-            attaining_count = 1
-        elif total * best_len == best_s * L or (
-            not mode.exact and abs(total / L - best_s / best_len) <= tol_band
-        ):
-            attaining_count += 1
-            if len(attaining) < ATTAINING_CAP:
-                attaining.append(cyc)
-        if a_grid is not None:
-            red = total + L * a_grid
-            for v in cyc:
-                if vmin[v] is None or red < vmin[v]:
-                    vmin[v] = red
-            is_zero = red == 0 if mode.exact else abs(red) <= tol_band
-            if is_zero:
-                zero_v.update(cyc)
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    zero_e.add((a, b))
-    if best_s is None:
+    vmin: list[Value] = [INF] * n
+
+    def visit(v: int, acc, L: int, rest: tuple[int, ...]):
+        """Scan the subtree of the path ending at v (total acc, L vertices)
+        and return the least reduced weight of a cycle closed in it.  A
+        subtree holds a zero cycle iff it moved the ``zeros`` count."""
+        nonlocal best_s, best_len, attaining, attaining_count, count, zeros
+        zeros_before = zeros
+        row = w_grid[v]
+        sub_min = INF
+        w = row[m]
+        if w is not None:
+            count += 1
+            total = acc + w
+            lhs, rhs = total * best_len, best_s * L
+            if lhs < rhs:
+                best_s, best_len = total, L
+                attaining = [tuple(path)]
+                attaining_count = 1
+            elif lhs == rhs or (
+                not exact and abs(total / L - best_s / best_len) <= tol_band
+            ):
+                attaining_count += 1
+                if len(attaining) < ATTAINING_CAP:
+                    attaining.append(tuple(path))
+            sub_min = total + L * a_grid
+            if sub_min == 0 if exact else abs(sub_min) <= tol_band:
+                zeros += 1
+                zero_e.add((v, m))
+        for i, nxt in enumerate(rest):
+            w = row[nxt]
+            if w is None:
+                continue
+            path.append(nxt)
+            z = zeros
+            red = visit(nxt, acc + w, L + 1, rest[:i] + rest[i + 1 :])
+            path.pop()
+            if red < sub_min:
+                sub_min = red
+            if zeros != z:
+                zero_e.add((v, nxt))
+        if sub_min < vmin[v]:
+            vmin[v] = sub_min
+        if zeros != zeros_before:
+            zero_v.add(v)
+        return sub_min
+
+    for m in range(n):
+        path = [m]
+        visit(m, 0, 1, tuple(range(m + 1, n)))
+    if count == 0:
         raise SizeGuardError("instance has no cycle")
     (min_mean,) = from_grid(mode, (best_s,), best_len * D)
-    vmin_vals = from_grid(mode, (INF if v is None else v for v in vmin), D)
+    if alpha0 is None:  # the zero structure is relative to alpha0
+        zero_v, zero_e, vmin = set(), set(), [INF] * n
     return CycleScan(
         min_mean=min_mean,
         attaining=tuple(attaining),
@@ -174,7 +186,7 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
         cycle_count=count,
         zero_vertices=tuple(sorted(zero_v)),
         zero_edges=tuple(sorted(zero_e)),
-        vertex_min_reduced=vmin_vals,
+        vertex_min_reduced=from_grid(mode, vmin, D),
     )
 
 
@@ -599,13 +611,12 @@ def _check_constant_commutation(ws: _Workspace) -> CheckResult:
 def _check_reversal(ws: _Workspace) -> CheckResult:
     name = "tropical.reversal_identity"
     inst = ws.inst
+    rev = reverse_cost(inst)
     for u in ws.samples[:5]:
-        via_kernel = lax_oleinik_pos(inst, u).values
-        direct = tuple(
-            max(u.values[y] - inst.cost[x][y] for y in range(inst.n))
-            for x in range(inst.n)
-        )
-        if not vf_eq(ws.mode, via_kernel, direct, scale=ws.scale):
+        direct = lax_oleinik_pos(inst, u).values
+        neg_u = ValueFunction(tuple(-v for v in u.values))
+        via_reversal = tuple(-v for v in lax_oleinik_neg(rev, neg_u).values)
+        if not vf_eq(ws.mode, direct, via_reversal, scale=ws.scale):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
 

@@ -1,0 +1,84 @@
+"""Naive reference for ``wkam.oracle.cycle_scan``.
+
+Every simple cycle is yielded as its own tuple with its own total, and the
+scan's fields are accumulated cycle by cycle on the instance's own values
+(``Fraction`` or float, no integer grid), so the reference shares nothing
+with the one-pass scan but the order in which cycles are visited.
+"""
+
+from typing import Callable, Optional
+
+from wkam.numbers import INF, SizeGuardError, Value, is_inf
+from wkam.oracle import ATTAINING_CAP, CycleScan
+
+
+def iter_simple_cycles(n: int, weight: Callable[[int, int], Optional[Value]]):
+    """Yield (cycle, total_weight) over all simple cycles, each cycle
+    listed once with its least vertex first."""
+    for m in range(n):
+        path = [m]
+        used = {m}
+
+        def rec(v: int, acc):
+            w_close = weight(v, m)
+            if w_close is not None:
+                yield tuple(path), acc + w_close
+            for nxt in range(m + 1, n):
+                if nxt in used:
+                    continue
+                w = weight(v, nxt)
+                if w is None:
+                    continue
+                path.append(nxt)
+                used.add(nxt)
+                yield from rec(nxt, acc + w)
+                path.pop()
+                used.discard(nxt)
+
+        yield from rec(m, 0)
+
+
+def naive_cycle_scan(inst, alpha0: Optional[Value] = None) -> CycleScan:
+    """``cycle_scan`` computed one cycle at a time: each cycle's vertices
+    and edges are walked to update the zero structure and the minima."""
+    mode = inst.mode
+    cost = inst.cost
+
+    def weight(i, j):
+        return None if is_inf(cost[i][j]) else cost[i][j]
+
+    tol_band = 0.0 if mode.exact else mode.tolerance * float(inst.value_scale())
+    best_s, best_len = None, 1
+    attaining, attaining_count, count = [], 0, 0
+    zero_v, zero_e = set(), set()
+    vmin = [INF] * inst.n
+    for cyc, total in iter_simple_cycles(inst.n, weight):
+        count += 1
+        L = len(cyc)
+        if best_s is None or total * best_len < best_s * L:
+            best_s, best_len = total, L
+            attaining, attaining_count = [cyc], 1
+        elif total * best_len == best_s * L or (
+            not mode.exact and abs(total / L - best_s / best_len) <= tol_band
+        ):
+            attaining_count += 1
+            if len(attaining) < ATTAINING_CAP:
+                attaining.append(cyc)
+        if alpha0 is not None:
+            red = total + L * alpha0
+            for v in cyc:
+                vmin[v] = min(vmin[v], red)
+            if red == 0 if mode.exact else abs(red) <= tol_band:
+                zero_v.update(cyc)
+                zero_e.update(zip(cyc, cyc[1:] + cyc[:1]))
+    if best_s is None:
+        raise SizeGuardError("instance has no cycle")
+    return CycleScan(
+        min_mean=best_s / best_len,
+        attaining=tuple(attaining),
+        attaining_count=attaining_count,
+        cycle_count=count,
+        zero_vertices=tuple(sorted(zero_v)),
+        zero_edges=tuple(sorted(zero_e)),
+        vertex_min_reduced=tuple(vmin),
+    )

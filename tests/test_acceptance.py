@@ -38,7 +38,6 @@ from wkam import (
 from wkam.core import minplus_product
 from wkam.models import circle_metric, fk_potential_well, gen_random
 from wkam.oracle import (
-    _iter_simple_cycles,
     aubry_chain_sets,
     cycle_scan,
     liminf_barrier_bounded,
@@ -46,6 +45,8 @@ from wkam.oracle import (
 )
 from wkam.potential import mane_potential
 from wkam.subsolution import max_strict_subsolution
+
+from cycle_reference import iter_simple_cycles
 
 N_INSTANCES = 200
 
@@ -380,7 +381,7 @@ def _off_aubry_gap(b: Bundle):
     def weight(i, j):
         return None if i in aub or j in aub else red[i][j]
 
-    cycles = _iter_simple_cycles(inst.n, weight)
+    cycles = iter_simple_cycles(inst.n, weight)
     return inst.n - len(aub), min((w for _, w in cycles), default=None)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -7,10 +8,13 @@ from wkam import (
     cost_power,
     critical_value,
     is_dominated,
+    make_instance,
     peierls_barrier,
 )
 from wkam.models import gen_constant, gen_random
+from wkam.numbers import INF, Mode
 from wkam.oracle import (
+    ATTAINING_CAP,
     cycle_scan,
     enum_cycles,
     enum_walks,
@@ -19,6 +23,8 @@ from wkam.oracle import (
     subsolution_sampler,
     verify_all,
 )
+
+from cycle_reference import naive_cycle_scan
 
 
 # --- cycle enumeration ------------------------------------------------------------
@@ -185,10 +191,61 @@ def test_verify_all_guard():
 
 
 def test_cycle_scan_caps_attaining_list():
+    # Every cycle of a constant instance ties, so the list is capped and
+    # its head is the search order: least vertex first, then the path
+    # extended in increasing index order, each node closing before its
+    # children.
     inst = gen_constant(6, F(1))
     scan = cycle_scan(inst)
-    assert scan.attaining_count >= len(scan.attaining)
+    assert scan.cycle_count == scan.attaining_count == 415
+    assert len(scan.attaining) == ATTAINING_CAP
+    assert scan.attaining[:4] == ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3))
     assert scan.min_mean == F(1)
+
+
+def _sparse(n: int, seed: int, mode: Mode):
+    """Random instance with about 40 % +inf entries and a loop at 0."""
+    rng = Random(seed)
+    cost = [
+        [INF if rng.random() < 0.4 else F(rng.randint(-8, 8), rng.choice((1, 2, 4)))
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    cost[0][0] = F(1)
+    if not mode.exact:
+        cost = [[float(v) for v in row] for row in cost]
+    return make_instance(cost, mode=mode)
+
+
+_SCAN_KINDS = {
+    "exact": lambda n, s: gen_random(n, s, -2, 2),
+    "float": lambda n, s: gen_random(n, s, -2, 2, mode=Mode("float")),
+    "sparse-exact": lambda n, s: _sparse(n, s, Mode()),
+    "sparse-float": lambda n, s: _sparse(n, s, Mode("float")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCAN_KINDS))
+def test_cycle_scan_matches_naive_reference(kind):
+    fields = (
+        "min_mean",
+        "cycle_count",
+        "attaining",
+        "attaining_count",
+        "zero_vertices",
+        "zero_edges",
+        "vertex_min_reduced",
+    )
+    for n in range(1, 8):
+        for seed in range(3):
+            inst = _SCAN_KINDS[kind](n, seed)
+            for alpha0 in (None, critical_value(inst).alpha0):
+                got = cycle_scan(inst, alpha0=alpha0)
+                want = naive_cycle_scan(inst, alpha0=alpha0)
+                for f in fields:
+                    assert getattr(got, f) == getattr(want, f), (
+                        f"{kind} n={n} seed={seed} alpha0={alpha0}: {f}"
+                    )
 
 
 def test_liminf_rejects_tiny_horizon(t2):
@@ -198,16 +255,12 @@ def test_liminf_rejects_tiny_horizon(t2):
 
 
 def test_verify_all_float_mode():
-    from wkam.numbers import Mode
-
     inst = gen_random(5, 3, -2.0, 2.0, mode=Mode("float", 1e-9))
     report = verify_all(inst, seed=3)
     assert report.ok, report.failures()
 
 
 def test_float_alpha0_close_to_exact():
-    from wkam.numbers import Mode
-
     exact = gen_random(6, 12, -2, 2)
     approx = gen_random(6, 12, -2.0, 2.0, mode=Mode("float", 1e-9))
     # different draws (uniform vs grid), so compare each to its own oracle
