@@ -50,7 +50,6 @@ from .models import (
     gen_constant,
     gen_fk,
     gen_random,
-    growth_constants,
     lipschitz_constants,
     lipschitz_large_check,
     load,

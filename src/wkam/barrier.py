@@ -13,8 +13,11 @@ j edges inside B, the tail potentials are ``phi_j = min(h, G_j)`` on B x B
 and h elsewhere.  The transient ``iterations_to_fix``, the least k with
 ``phi_{1+k} = h``, is the least k with ``G_{k+1} >= h`` on B x B (0 when B
 is empty); ``G_j`` is nondecreasing in j, so doubling and binary lifting
-find it with O(log k) min-plus products.  The closed form, the transient
-and the orbits run on the integer kernel of ``CriticalData`` (see ``core``);
+find it with O(log k) min-plus products.  h costs O(n^2 |A|) on top of
+``phi_1``, which ``CriticalData`` holds once; the transient is computed on
+the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
+that never read it never pay for it.  The closed form, the transient and
+the orbits run on the integer kernel of ``CriticalData`` (see ``core``);
 ``h`` becomes ``Fraction`` only when it is returned.  Rows of ``h`` are
 fixed points of ``T- + alpha0`` (negative weak KAM solutions); negated
 columns are fixed points of ``T+ - alpha0`` (positive solutions).
@@ -39,7 +42,8 @@ this bound, and an orbit that needs more raises ``NonConvergenceError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, sub
 from typing import Optional, Sequence
 
@@ -48,6 +52,7 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
+    cost_power,
     from_grid,
     grid_scale,
     kleene_plus,
@@ -67,10 +72,19 @@ _EXACT_ITER_CAP = 100_000
 
 @dataclass(frozen=True)
 class BarrierData:
-    """Peierls barrier and the least k with ``phi_{1+k} = h``."""
+    """Peierls barrier of an instance, with its transient.
+
+    ``iterations_to_fix``, the least k with ``phi_{1+k} = h``, is computed
+    from the instance and its critical data on its first read and kept.
+    """
 
     h: PotentialTable
-    iterations_to_fix: int
+    _inst: CostInstance = field(repr=False)
+    _crit: CriticalData = field(repr=False)
+
+    @cached_property
+    def iterations_to_fix(self) -> int:
+        return _transient(self._inst, self._crit, self.h.entries)
 
 
 @dataclass(frozen=True)
@@ -83,22 +97,20 @@ class AubryData:
 
 
 def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
-    """Barrier by the Aubry closed form, with its exact transient."""
+    """Barrier by the Aubry closed form; its transient is computed on first
+    read."""
     inst.require_total("Peierls barrier")
-    g = _closed_form_grid(inst, crit)
-    h = tuple(from_grid(inst.mode, row, crit.scale) for row in g)
-    table = PotentialTable(entries=h, kind="barrier", alpha0=crit.alpha0)
-    return BarrierData(h=table, iterations_to_fix=_transient(inst, crit, g))
+    h = barrier_closed_form(inst, crit)
+    return BarrierData(PotentialTable(entries=h, kind="barrier", alpha0=crit.alpha0), inst, crit)
 
 
 def _transient(inst: CostInstance, crit: CriticalData, h: Matrix) -> int:
-    """Least k >= 0 with G_{k+1} >= h on B x B (see the module docstring);
-    h is the barrier on the kernel's grid."""
+    """Least k >= 0 with G_{k+1} >= h on B x B (see the module docstring)."""
     mode = inst.mode
     scale = inst.value_scale()
     off = [x for x in range(inst.n) if not mode.is_zero(h[x][x], scale=scale)]
     s = tuple(tuple(crit.kernel[x][y] for y in off) for x in off)
-    hb = [[h[x][y] for y in off] for x in off]
+    hb = [to_grid(mode, [h[x][y] for y in off], crit.scale) for x in off]
 
     def reached(g: Matrix) -> bool:
         return all(
@@ -381,8 +393,6 @@ def min_formula_check(
     """
     if n < 1:
         raise InputError("step count must be >= 1")
-    from .core import cost_power  # local import keeps module deps one-way
-
     mode = inst.mode
     scale = inst.value_scale()
     cn = cost_power(inst, n).entries
@@ -402,15 +412,10 @@ def min_formula_check(
 
 def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
     """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
-    Aubry vertices being the zero set of the phi_1 diagonal."""
+    Aubry vertices being the zero set of the phi_1 diagonal; phi_1 is the
+    Kleene plus held on ``crit``."""
     inst.require_total("tail potential")
-    g = _closed_form_grid(inst, crit)
-    return tuple(from_grid(inst.mode, row, crit.scale) for row in g)
-
-
-def _closed_form_grid(inst: CostInstance, crit: CriticalData) -> Matrix:
-    """The closed form on the kernel's grid, phi_1 being its Kleene plus."""
-    e = kleene_plus(crit.kernel)
+    e = crit.kernel_plus()
     mode = inst.mode
     scale = inst.value_scale()
     verts = [x for x in range(inst.n) if mode.is_zero(e[x][x], scale=scale)]
@@ -418,4 +423,6 @@ def _closed_form_grid(inst: CostInstance, crit: CriticalData) -> Matrix:
         raise ConstructionError("no Aubry vertex found for the closed form")
     to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
     from_a = list(zip(*(e[a] for a in verts)))  # phi_1(a, y), one tuple per y
-    return tuple(tuple(min(map(add, xa, ay)) for ay in from_a) for xa in to_a)
+    return tuple(
+        from_grid(mode, [min(map(add, xa, ay)) for ay in from_a], crit.scale) for xa in to_a
+    )

@@ -58,15 +58,6 @@ class CostInstance:
     metric: Optional[Matrix] = None
     total: bool = field(default=True)
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InputError(f"unknown point label {label!r}") from None
-
     _value_scale: Optional[Value] = field(default=None, init=False, repr=False, compare=False)
 
     def value_scale(self) -> Value:

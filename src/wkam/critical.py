@@ -22,7 +22,7 @@ common denominator of the costs and alpha0, with the integer kernel
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import add
 from typing import NamedTuple, Optional
@@ -34,6 +34,7 @@ from .core import (
     as_value_function,
     from_grid,
     grid_scale,
+    kleene_plus,
     to_grid,
 )
 from .numbers import INF, InputError, Value, is_inf
@@ -47,6 +48,9 @@ class CriticalData:
     implied) whose mean cost equals ``-alpha0``; ``reduced`` is
     ``c + alpha0``, which has no negative cycle and at least one zero cycle.
     ``kernel`` is ``reduced * scale`` on the integer grid of ``core``.
+    ``kernel_plus()`` is its Kleene plus P, held once per object: phi_1, the
+    Mane potential, the Aubry vertices and the closed-form barrier all read
+    the same P.
     """
 
     alpha0: Value
@@ -54,6 +58,15 @@ class CriticalData:
     reduced: Matrix
     scale: int
     kernel: Matrix
+    _plus: Optional[Matrix] = field(default=None, init=False, repr=False, compare=False)
+
+    def kernel_plus(self) -> Matrix:
+        """P = kleene_plus(kernel), phi_1 on the kernel's grid.
+
+        Computed on the first call and kept on the object."""
+        if self._plus is None:
+            object.__setattr__(self, "_plus", kleene_plus(self.kernel))
+        return self._plus
 
     def kernel_at(self, D: int) -> Matrix:
         """The kernel on the finer grid D, a multiple of ``scale``."""

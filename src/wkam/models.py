@@ -242,11 +242,6 @@ def _reconstruct_chain(step, hops, x, y, bound) -> tuple[int, ...]:
 # growth constants and Lipschitz-in-the-large checks
 # ---------------------------------------------------------------------------
 
-class GrowthReport(NamedTuple):
-    C: dict
-    A: dict
-
-
 def growth_C(inst: CostInstance, k: Value) -> Value:
     """Tight super-linearity defect: C(k) = max over pairs of k*d - c."""
     _need_metric(inst)
@@ -271,23 +266,6 @@ def growth_A(inst: CostInstance, R: Value) -> Value:
     if not vals:
         raise InputError(f"no pair within distance {R}")
     return max(vals)
-
-
-def growth_constants(
-    inst: CostInstance,
-    ks: Optional[Sequence[Value]] = None,
-    Rs: Optional[Sequence[Value]] = None,
-) -> GrowthReport:
-    """Sampled tight constants for super-linearity and uniform boundedness."""
-    _need_metric(inst)
-    if ks is None:
-        ks = [0, 1, 2, 4]
-    if Rs is None:
-        Rs = sorted({inst.metric[x][y] for x in range(inst.n) for y in range(inst.n)})
-    return GrowthReport(
-        C={k: growth_C(inst, inst.mode.coerce(k)) for k in ks},
-        A={R: growth_A(inst, inst.mode.coerce(R)) for R in Rs},
-    )
 
 
 class LipschitzResult(NamedTuple):

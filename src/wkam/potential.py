@@ -34,7 +34,6 @@ from .core import (
     ValueFunction,
     from_grid,
     grid_scale,
-    kleene_plus,
     minplus_product,
     to_grid,
 )
@@ -46,14 +45,15 @@ def phi_n(inst: CostInstance, crit: CriticalData, n: int) -> PotentialTable:
     """Tail potential of order n >= 1.
 
     phi_1 is the least reduced walk weight with >= 1 edge: the Kleene plus
-    of the reduced matrix, which has no negative cycle.  Higher orders
-    follow by min-plus products with the reduced matrix, which realises the
-    row recursion T-(row) + alpha0.  All of it runs on the integer kernel.
+    of the reduced matrix, which has no negative cycle, held on ``crit``.
+    Higher orders follow by min-plus products with the reduced matrix, which
+    realises the row recursion T-(row) + alpha0.  All of it runs on the
+    integer kernel.
     """
     if n < 1:
         raise InputError("tail potential is defined for order >= 1")
     inst.require_total("tail potential")
-    g = kleene_plus(crit.kernel)
+    g = crit.kernel_plus()
     for _ in range(n - 1):
         g = minplus_product(g, crit.kernel)
     entries = tuple(from_grid(inst.mode, row, crit.scale) for row in g)

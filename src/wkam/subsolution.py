@@ -163,9 +163,10 @@ def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunct
 
     Built by strictifying the uniform potential-row mix.  The mix must have
     the global Aubry set as its own Aubry set; this is verified rather than
-    assumed, and a mismatch raises with both vertex sets.  One Mane
-    potential serves the mix and the jumps, and one pair of orbits of the
-    mix serves the check and the strictification.
+    assumed, and a mismatch raises with both vertex sets.  The mix and the
+    jumps share one Mane potential, read off the Kleene plus that ``crit``
+    holds, and one pair of orbits of the mix serves the check and the
+    strictification.
     """
     phi = mane_potential(inst, crit)
     mix = uniform_subsolution_mix(inst, crit, phi=phi)
@@ -182,13 +183,3 @@ def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunct
             f"mix {mix_vertices} vs global {global_vertices}"
         )
     return _strictify(inst, mix, neg_hist, pos_hist)
-
-
-def calibrates_all(
-    inst: CostInstance,
-    crit: CriticalData,
-    functions: Sequence[ValueFunction],
-    chain: object,
-) -> bool:
-    """True iff every function in the family calibrates the chain."""
-    return all(is_calibrated(inst, crit, f, chain) for f in functions)

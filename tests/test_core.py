@@ -35,13 +35,6 @@ def test_non_square_rejected():
         make_instance([[F(1), F(2)]])
 
 
-def test_label_lookup(t2):
-    assert t2.label_of(1) == "b"
-    assert t2.index_of("a") == 0
-    with pytest.raises(InputError):
-        t2.index_of("z")
-
-
 def test_metric_validation():
     with pytest.raises(InputError):
         make_instance([[F(0)]], metric=[[F(1)]])  # nonzero diagonal

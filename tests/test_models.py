@@ -11,7 +11,6 @@ from wkam import (
     gen_constant,
     gen_fk,
     gen_random,
-    growth_constants,
     lipschitz_constants,
     lipschitz_large_check,
     load,
@@ -149,9 +148,6 @@ def test_growth_constants_constant_cost():
     )
     assert growth_A(inst, 1) == F(5)
     assert growth_C(inst, 0) == F(-5)
-    rep = growth_constants(inst)
-    assert rep.A[F(1)] == F(5)
-    assert rep.C[0] == F(-5)
 
 
 def test_growth_constants_fk_match_exhaustive_scan():

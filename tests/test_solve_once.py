@@ -1,0 +1,135 @@
+"""Each instance is solved once.
+
+``CriticalData`` holds P = kleene_plus(kernel), from which phi_1, the Mane
+potential, F, the Aubry vertices and the closed-form barrier follow, and
+the barrier's transient runs only when ``iterations_to_fix`` is read.
+These tests count the Kleene plus calls on the n x n kernel and the
+transient searches made by every CLI subcommand, by ``verify`` and by the
+library pipeline, and check the lazy transient against values computed
+when it was still eager.
+"""
+
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+import wkam
+import wkam.barrier
+import wkam.core
+from wkam import Mode, critical_value, gen_fk, gen_random, make_instance, peierls_barrier
+from wkam.cli import main
+from wkam.models import fk_potential_well
+
+FLOAT = Mode("float", 1e-9)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The matrices passed to kleene_plus, wherever wkam binds it, and the
+    number of transient searches."""
+    rec = {"plus": [], "transient": 0}
+    kleene_plus = wkam.core.kleene_plus
+    transient = wkam.barrier._transient
+
+    def counted_plus(a):
+        rec["plus"].append(a)
+        return kleene_plus(a)
+
+    def counted_transient(*args):
+        rec["transient"] += 1
+        return transient(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("wkam") and getattr(mod, "kleene_plus", None) is kleene_plus:
+            monkeypatch.setattr(mod, "kleene_plus", counted_plus)
+    monkeypatch.setattr(wkam.barrier, "_transient", counted_transient)
+    return rec
+
+
+def _kernel_plus_count(rec, n):
+    # the transient's Kleene plus acts on the off-Aubry block, which is
+    # smaller than n because the Aubry set is never empty
+    return sum(1 for a in rec["plus"] if len(a) == n)
+
+
+@pytest.mark.parametrize(
+    "argv, kernel_plus, transient",
+    [
+        (["critical"], 0, 0),
+        (["potential"], 1, 0),
+        (["barrier"], 1, 1),
+        (["aubry"], 1, 0),
+        (["subsolution"], 1, 0),
+        (["subsolution", "--check"], 1, 0),
+        (["plotdata"], 1, 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_cli_subcommand_solves_once(calls, capsys, argv, kernel_plus, transient):
+    code = main([argv[0], "--gen", "fk:24:1:well@0", *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert _kernel_plus_count(calls, 24) == kernel_plus
+    assert calls["transient"] == transient
+
+
+def test_verify_solves_once_per_instance(calls, capsys):
+    code = main(["verify", "--gen", "fk:8:1:well@0"])
+    capsys.readouterr()
+    assert code == 0
+    # one for the instance and one for its transpose, which the check
+    # potential.jump_signs_and_reversal solves on its own
+    kernels = [a for a in calls["plus"] if len(a) == 8]
+    assert len(kernels) == 2
+    assert kernels[0] is not kernels[1]
+    assert calls["transient"] == 1
+
+
+@pytest.mark.parametrize("mode", [wkam.EXACT, FLOAT], ids=["exact", "float"])
+def test_library_pipeline_solves_once(calls, mode):
+    # the pipeline of the benchmark's exact-random and float-random ops
+    inst = gen_random(8, 3, -2, 2, mode=mode)
+    crit = critical_value(inst)
+    phi = wkam.mane_potential(inst, crit)
+    wkam.jump_F(inst, crit, phi=phi)
+    wkam.jump_f(inst, crit, phi=phi)
+    bar = peierls_barrier(inst, crit)
+    wkam.aubry(inst, crit, bar, phi=phi)
+    wkam.max_strict_subsolution(inst, crit)
+    assert _kernel_plus_count(calls, 8) == 1
+    assert calls["transient"] == 0
+
+
+def test_transient_runs_once_on_first_read(calls):
+    inst = gen_fk(24, 1, fk_potential_well(24, 0))
+    bar = peierls_barrier(inst, critical_value(inst))
+    assert calls["transient"] == 0
+    assert bar.iterations_to_fix == 8
+    assert bar.iterations_to_fix == 8
+    assert calls["transient"] == 1
+
+
+def _slow():
+    # the instance of test_cli.py::test_barrier_long_transient_exits_0
+    return make_instance([[F(0), F(1000)], [F(1000), F(1, 100)]])
+
+
+# iterations_to_fix as peierls_barrier returned it when the transient was
+# computed eagerly, before the barrier was returned
+EAGER = [
+    ("random:5:2:-100:100", lambda: gen_random(5, 2, -100, 100), 13),
+    ("random:8:2:-100:100", lambda: gen_random(8, 2, -100, 100), 25),
+    ("random:12:2:-100:100", lambda: gen_random(12, 2, -100, 100), 47),
+    ("random:32:0:-100:100", lambda: gen_random(32, 0, -100, 100), 521),
+    ("fk:8:1:well@3", lambda: gen_fk(8, 1, fk_potential_well(8, 3)), 6),
+    ("float random:4:2:-2:2", lambda: gen_random(4, 2, -2, 2, mode=FLOAT), 0),
+    ("float random:6:1:-2:2", lambda: gen_random(6, 1, -2, 2, mode=FLOAT), 194),
+    ("long transient", _slow, 199999),
+]
+
+
+@pytest.mark.parametrize("make, k", [e[1:] for e in EAGER], ids=[e[0] for e in EAGER])
+def test_lazy_transient_matches_eager_value(make, k):
+    inst = make()
+    assert peierls_barrier(inst, critical_value(inst)).iterations_to_fix == k
