@@ -52,8 +52,8 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
-    cost_power,
     from_grid,
+    grid_operands,
     grid_scale,
     kleene_plus,
     lax_oleinik_neg,
@@ -353,7 +353,8 @@ def representation_check(
     """Orbit bound S(x,y) = max_{n,m <= N} T-^n u(y) - T+^m u(x) + (n+m) a0.
 
     S never exceeds the barrier; equality is attained rowwise when u ranges
-    over the tail-potential rows and N covers the stabilization index.
+    over the tail-potential rows and N covers the stabilization index.  Both
+    orbits run on the grid of the costs refined to u's denominators.
     """
     if N < 1:
         raise InputError("horizon must be >= 1")
@@ -361,25 +362,20 @@ def representation_check(
         bar = peierls_barrier(inst, crit)
     mode = inst.mode
     scale = inst.value_scale()
-    neg_its = [tuple(u.values)]
-    cur = ValueFunction(u.values)
+    D, start, c = grid_operands(inst, u, crit.scale)
+    (a,) = to_grid(mode, (crit.alpha0,), D)
+    cols = tuple(zip(*c))
+    hi = lo = neg_it = pos_it = start
     for _ in range(N):
-        img = lax_oleinik_neg(inst, cur)
-        cur = ValueFunction(tuple(v + crit.alpha0 for v in img.values))
-        neg_its.append(cur.values)
-    pos_its = [tuple(u.values)]
-    cur = ValueFunction(u.values)
-    for _ in range(N):
-        img = lax_oleinik_pos(inst, cur)
-        cur = ValueFunction(tuple(v - crit.alpha0 for v in img.values))
-        pos_its.append(cur.values)
-    hi = tuple(max(it[y] for it in neg_its) for y in range(inst.n))
-    lo = tuple(min(it[x] for it in pos_its) for x in range(inst.n))
-    S = tuple(tuple(hi[y] - lo[x] for y in range(inst.n)) for x in range(inst.n))
+        neg_it = [min(map(add, neg_it, col)) + a for col in cols]
+        pos_it = [-min(map(sub, row, pos_it)) - a for row in c]
+        hi = list(map(max, hi, neg_it))
+        lo = list(map(min, lo, pos_it))
+    S = tuple(from_grid(mode, [hy - lx for hy in hi], D) for lx in lo)
     ok = all(
-        mode.le(S[x][y], bar.h.entries[x][y], scale=scale)
-        for x in range(inst.n)
-        for y in range(inst.n)
+        mode.le(sv, hv, scale=scale)
+        for srow, hrow in zip(S, bar.h.entries)
+        for sv, hv in zip(srow, hrow)
     )
     return RepresentationResult(matrix=S, ok=ok)
 
@@ -390,22 +386,27 @@ def min_formula_check(
     """Both n-step splittings of the barrier:
 
     h(x,y) = min_z h(x,z) + c_n(z,y) + n a0 = min_z c_n(x,z) + n a0 + h(z,y).
+
+    Both sides are computed on the grid of the barrier and the kernel.
     """
     if n < 1:
         raise InputError("step count must be >= 1")
     mode = inst.mode
     scale = inst.value_scale()
-    cn = cost_power(inst, n).entries
-    h = bar.h.entries
-    shift = n * crit.alpha0
-    rng = range(inst.n)
-    for x in rng:
-        for y in rng:
-            right = min(h[x][z] + cn[z][y] for z in rng) + shift
-            left = min(cn[x][z] + h[z][y] for z in rng) + shift
-            if not mode.eq(h[x][y], right, scale=scale):
+    D, h, _ = potential_grid(inst, crit, bar.h)
+    c = cn = inst.cost_at(D)
+    for _ in range(n - 1):
+        cn = minplus_product(cn, c)
+    (a,) = to_grid(mode, (crit.alpha0,), D)
+    shift = n * a
+    cols, hcols = tuple(zip(*cn)), tuple(zip(*h))
+    for hrow, crow in zip(h, cn):
+        for hxy, ccol, hcol in zip(hrow, cols, hcols):
+            right = min(map(add, hrow, ccol)) + shift
+            left = min(map(add, crow, hcol)) + shift
+            if not mode.eq(hxy, right, scale=scale):
                 return False
-            if not mode.eq(h[x][y], left, scale=scale):
+            if not mode.eq(hxy, left, scale=scale):
                 return False
     return True
 

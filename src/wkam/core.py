@@ -7,8 +7,8 @@ point ``y``.  The two value-update operators are
     ``T-(u)(x) = min_y  u(y) + c(y, x)``   (backward / min-plus)
     ``T+(u)(x) = max_y  u(y) - c(x, y)``   (forward  / max-plus)
 
-Both public operators evaluate their formula directly, and so do the
-solver's orbits and jumps on the grid below; the reversal identity
+Both public operators evaluate their formula directly on the integer grid
+below, and so do the solver's orbits and jumps; the reversal identity
 ``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not used to
 compute ``T+``.  N-step chain costs are min-plus matrix powers.  All
 operations are pure functions of immutable inputs and deterministic (ties
@@ -19,8 +19,11 @@ the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
 ``v * D`` and ``from_grid`` maps back to ``Fraction(k, D)``.  Scaling by a
 positive constant preserves sums and order, so min-plus results on the grid
 are bit-identical to the ``Fraction`` ones, and ``Fraction`` appears only at
-the public API.  Float mode has no grid: ``D = 1``, ``to_grid`` is the
-identity and ``from_grid`` divides by ``D``, so both modes run the same code.
+the public API.  Each instance holds its costs on their own grid ``D0``
+(``CostInstance.cost_grid``); an input that needs a finer grid ``D``
+multiplies them by ``D // D0``.  Float mode has no grid: ``D = 1``,
+``to_grid`` is the identity, ``from_grid`` divides by ``D`` and the held
+matrix is the cost matrix itself, so both modes run the same code.
 """
 
 from __future__ import annotations
@@ -59,6 +62,17 @@ class CostInstance:
     total: bool = field(default=True)
 
     _value_scale: Optional[Value] = field(default=None, init=False, repr=False, compare=False)
+    _grid: Optional[tuple[int, Matrix]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Give every instance dict the key from the start.  CPython keeps
+        # instance dicts key-sharing only while later keys fit the layout
+        # made at construction; filling in both cached fields afterwards
+        # turns each dict into a full table (464 bytes, not 128), and a
+        # float batch holds thousands of instances.
+        object.__setattr__(self, "_grid", None)
 
     def value_scale(self) -> Value:
         """n * max|c| over finite entries; tolerance scale for walk sums.
@@ -69,6 +83,25 @@ class CostInstance:
             top = max(finite) if finite else 0
             object.__setattr__(self, "_value_scale", self.n * max(top, 1))
         return self._value_scale
+
+    def cost_grid(self) -> tuple[int, Matrix]:
+        """D0, the least common denominator of the costs, with the costs
+        times D0 (float mode: 1 and the cost matrix itself).
+
+        Computed on the first call and kept on the instance."""
+        if self._grid is None:
+            D0 = grid_scale(self.mode, chain.from_iterable(self.cost))
+            g = self.cost
+            if self.mode.exact:
+                g = tuple(to_grid(self.mode, row, D0) for row in g)
+            object.__setattr__(self, "_grid", (D0, g))
+        return self._grid
+
+    def cost_at(self, D: int) -> Matrix:
+        """The costs on the finer grid D, a multiple of D0."""
+        D0, g = self.cost_grid()
+        m = D // D0
+        return g if m == 1 else tuple(tuple(v * m for v in row) for row in g)
 
     def require_total(self, op: str) -> None:
         if not self.total:
@@ -192,14 +225,6 @@ def constant_function(inst: CostInstance, k: Value, tag: str = "const") -> Value
 # kernels
 # ---------------------------------------------------------------------------
 
-def minplus_apply(cost: Matrix, values: Sequence[Value]) -> tuple[Value, ...]:
-    """Raw backward update: result(x) = min_y values(y) + cost(y, x)."""
-    n = len(cost)
-    return tuple(
-        min(values[y] + cost[y][x] for y in range(n)) for x in range(n)
-    )
-
-
 def minplus_product(a: Matrix, b: Matrix) -> Matrix:
     """Min-plus matrix product: entry (x,y) = min_z a(x,z) + b(z,y)."""
     cols = tuple(zip(*b))
@@ -263,11 +288,11 @@ def from_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
 
 def lax_oleinik_neg(inst: CostInstance, u: ValueFunction) -> ValueFunction:
     """Backward operator: result(x) = min_y u(y) + c(y, x)."""
-    _check_function(inst, u)
-    out = minplus_apply(inst.cost, u.values)
+    D, vals, cost = grid_operands(inst, u)
+    out = [min(map(add, vals, col)) for col in zip(*cost)]
     if any(is_inf(v) for v in out):
         raise InputError("backward update produced +inf (a point has no incoming edge)")
-    return ValueFunction(out, tag=f"T-[{u.tag}]" if u.tag else "T-")
+    return ValueFunction(from_grid(inst.mode, out, D), tag=f"T-[{u.tag}]" if u.tag else "T-")
 
 
 def reverse_cost(inst: CostInstance) -> CostInstance:
@@ -288,11 +313,12 @@ def lax_oleinik_pos(inst: CostInstance, u: ValueFunction) -> ValueFunction:
     Computed as -min_y (c(x, y) - u(y)), so a +inf cost never wins and float
     results, signed zeros included, equal those of the reversal identity.
     """
-    _check_function(inst, u)
-    low = tuple(min(map(sub, row, u.values)) for row in inst.cost)
+    D, vals, cost = grid_operands(inst, u)
+    low = [min(map(sub, row, vals)) for row in cost]
     if any(is_inf(v) for v in low):
         raise InputError("forward update produced -inf (a point has no outgoing edge)")
-    return ValueFunction(tuple(-v for v in low), tag=f"T+[{u.tag}]" if u.tag else "T+")
+    out = from_grid(inst.mode, [-v for v in low], D)
+    return ValueFunction(out, tag=f"T+[{u.tag}]" if u.tag else "T+")
 
 
 def cost_power(inst: CostInstance, n: int) -> PotentialTable:
@@ -309,11 +335,19 @@ def cost_power(inst: CostInstance, n: int) -> PotentialTable:
     return PotentialTable(entries=acc, kind="c_n", alpha0=None, order=n)
 
 
-def _check_function(inst: CostInstance, u: ValueFunction) -> None:
+def grid_operands(
+    inst: CostInstance, u: ValueFunction, base: int = 1
+) -> tuple[int, tuple, Matrix]:
+    """Check u, then put u and the costs on one grid D, the least multiple
+    of ``base`` and of the costs' D0 that u needs: (D, u * D, c * D)."""
     if len(u.values) != inst.n:
         raise InputError(f"function length {len(u.values)} != {inst.n} points")
     if not u.is_finite():
         raise InputError("value function must be finite everywhere")
+    mode = inst.mode
+    vals = [mode.coerce(v) for v in u.values]
+    D = grid_scale(mode, vals, math.lcm(base, inst.cost_grid()[0]))
+    return D, to_grid(mode, vals, D), inst.cost_at(D)
 
 
 # ---------------------------------------------------------------------------

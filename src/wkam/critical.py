@@ -13,8 +13,8 @@ connected to every point at weight zero (difference-constraint feasibility);
 an infeasible alpha yields a negative-cycle witness instead.
 
 Everything here runs on the integer grid of ``core``.  Karp runs on the
-costs scaled by their common denominator and compares cycle means by
-cross-multiplication; ``critical_value`` then stores the scale ``D``, a
+costs the instance holds on their own grid ``D0`` and compares cycle means
+by cross-multiplication; ``critical_value`` then stores the scale ``D``, a
 common denominator of the costs and alpha0, with the integer kernel
 ``(c + alpha0) * D`` that the solver modules compute with (float mode:
 ``D = 1`` and the kernel is the reduced matrix itself).
@@ -96,12 +96,12 @@ def critical_value(inst: CostInstance) -> CriticalData:
         for x in range(n):
             if all(is_inf(v) for v in inst.cost[x]):
                 raise InputError(f"point {inst.labels[x]} has out-degree 0")
-    D0 = grid_scale(mode, chain.from_iterable(inst.cost))
-    total, length = _karp_min_cycle_mean(tuple(to_grid(mode, row, D0) for row in inst.cost))
+    D0, grid = inst.cost_grid()
+    total, length = _karp_min_cycle_mean(grid)
     (alpha0,) = from_grid(mode, (-total,), length * D0)
     D = grid_scale(mode, (alpha0,), D0)
     (a,) = to_grid(mode, (alpha0,), D)
-    kernel = tuple(tuple(v + a for v in to_grid(mode, row, D)) for row in inst.cost)
+    kernel = tuple(tuple(v + a for v in row) for row in inst.cost_at(D))
     reduced = tuple(from_grid(mode, row, D) for row in kernel)
     witness = _zero_cycle(inst, kernel)
     return CriticalData(alpha0, witness, reduced, D, kernel)
@@ -222,12 +222,12 @@ def is_dominated(
     scale = inst.value_scale()
     alpha = mode.coerce(alpha)
     values = [mode.coerce(v) for v in u.values]
-    D = grid_scale(mode, chain(values, (alpha,), chain.from_iterable(inst.cost)))
+    D = grid_scale(mode, chain(values, (alpha,)), inst.cost_grid()[0])
     vals = to_grid(mode, values, D)
     (a,) = to_grid(mode, (alpha,), D)
-    for x, row in enumerate(inst.cost):
+    for x, row in enumerate(inst.cost_at(D)):
         ux = vals[x]
-        for y, c in enumerate(to_grid(mode, row, D)):
+        for y, c in enumerate(row):
             if is_inf(c):
                 continue
             if not mode.le(vals[y] - ux, c + a, scale=scale):
@@ -246,9 +246,9 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
     n = inst.n
     mode = inst.mode
     alpha = mode.coerce(alpha)
-    D = grid_scale(mode, chain((alpha,), chain.from_iterable(inst.cost)))
+    D = grid_scale(mode, (alpha,), inst.cost_grid()[0])
     (a,) = to_grid(mode, (alpha,), D)
-    w = tuple(tuple(v + a for v in to_grid(mode, row, D)) for row in inst.cost)
+    w = tuple(tuple(v + a for v in row) for row in inst.cost_at(D))
     dist, pred = _bellman_ford(w)
     margin = 0 if mode.exact else mode.tolerance * float(inst.value_scale())
     for u in range(n):

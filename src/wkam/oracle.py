@@ -8,6 +8,13 @@ and edges as each search subtree returns; chain costs come from recursive
 enumeration, the barrier from the eventual periodicity of reduced min-plus
 powers, and the per-function Aubry sets from reachability in the tight-edge
 graph.  A failed check always carries a concrete witness.
+
+The harness computes on the integer grid of ``core``.  ``verify_all`` puts
+the costs, alpha0, the powers and tables it compares, the barrier under test
+and the sampled functions on one common denominator, so each entrywise
+identity compares integers; float mode runs the same code with D = 1.
+``Fraction`` remains only in the values public functions return and in
+witness text.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .core import (
     PotentialTable,
     ValueFunction,
     from_grid,
+    grid_operands,
     grid_scale,
     lax_oleinik_neg,
     lax_oleinik_pos,
@@ -110,10 +118,8 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     mode = inst.mode
     exact = mode.exact
     extra = () if alpha0 is None else (alpha0,)
-    D = grid_scale(mode, chain(extra, chain.from_iterable(inst.cost)))
-    w_grid = [
-        [None if is_inf(v) else v for v in to_grid(mode, row, D)] for row in inst.cost
-    ]
+    D = grid_scale(mode, extra, inst.cost_grid()[0])
+    w_grid = [[None if is_inf(v) else v for v in row] for row in inst.cost_at(D)]
     a_grid = 0 if alpha0 is None else to_grid(mode, extra, D)[0]
     tol_band = 0.0 if exact else mode.tolerance * float(inst.value_scale())
 
@@ -246,18 +252,25 @@ class LiminfReport:
 def liminf_barrier_bounded(inst: CostInstance, crit: CriticalData, N: int) -> LiminfReport:
     """Tail-minimum of reduced powers, with explicit stabilization.
 
-    The reduced matrix powers R^k become eventually periodic; once a repeat
-    R^(t) = R^(t+p) is seen, the limiting tail minimum is the entrywise min
-    over one full period, which is exactly the barrier.  Without a repeat
-    within N powers the report is flagged unstabilized and carries the
-    minimum over the last window.
+    The reduced matrix powers R^k, taken on the kernel's integer grid,
+    become eventually periodic; once a repeat R^(t) = R^(t+p) is seen, the
+    limiting tail minimum is the entrywise min over one full period, which
+    is exactly the barrier.  Without a repeat within N powers the report is
+    flagged unstabilized and carries the minimum over the last window.
     """
     if N < 2:
         raise SizeGuardError("need N >= 2")
     inst.require_total("liminf oracle")
     mode = inst.mode
     scale = inst.value_scale()
-    red = crit.reduced
+    red = crit.kernel
+
+    def window_min(window: list[Matrix]) -> Matrix:
+        return tuple(
+            from_grid(mode, map(min, zip(*(w[i] for w in window))), crit.scale)
+            for i in range(inst.n)
+        )
+
     powers: list[Matrix] = [red]
     for k in range(1, N):
         nxt = minplus_product(powers[-1], red)
@@ -269,15 +282,8 @@ def liminf_barrier_bounded(inst: CostInstance, crit: CriticalData, N: int) -> Li
             )
             if same:
                 period = (k + 1) - (t + 1)
-                window = powers[t : t + period]
-                mat = tuple(
-                    tuple(
-                        min(w[i][j] for w in window) for j in range(inst.n)
-                    )
-                    for i in range(inst.n)
-                )
                 return LiminfReport(
-                    matrix=mat,
+                    matrix=window_min(powers[t : t + period]),
                     stabilized=True,
                     transient=t + 1,
                     period=period,
@@ -285,11 +291,7 @@ def liminf_barrier_bounded(inst: CostInstance, crit: CriticalData, N: int) -> Li
                 )
         powers.append(nxt)
     window = powers[max(0, len(powers) - inst.n) :]
-    mat = tuple(
-        tuple(min(w[i][j] for w in window) for j in range(inst.n))
-        for i in range(inst.n)
-    )
-    return LiminfReport(matrix=mat, stabilized=False, powers_used=len(powers))
+    return LiminfReport(matrix=window_min(window), stabilized=False, powers_used=len(powers))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +302,15 @@ def tight_graph(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> lis
     """Adjacency of the edges where domination is tight for u."""
     mode = inst.mode
     scale = inst.value_scale()
+    D, g, c = grid_operands(inst, u, crit.scale)
+    (a0,) = to_grid(mode, (crit.alpha0,), D)
     adj: list[list[int]] = [[] for _ in range(inst.n)]
     for a in range(inst.n):
         for b in range(inst.n):
-            r = inst.cost[a][b]
+            r = c[a][b]
             if is_inf(r):
                 continue
-            if mode.eq(u.values[b] - u.values[a], r + crit.alpha0, scale=scale):
+            if mode.eq(g[b] - g[a], r + a0, scale=scale):
                 adj[a].append(b)
     return adj
 
@@ -438,11 +442,26 @@ class OracleReport:
 
 
 class _Workspace:
-    """Everything verify_all needs, computed once."""
+    """Everything verify_all needs, computed once.
 
-    def __init__(self, inst: CostInstance, seed: int, samples: int, horizon: Optional[int]):
+    The tables the checks compare entrywise live on one integer grid D (see
+    ``core``): the least common multiple of the denominators of the costs,
+    alpha0, the samples and the barrier under test.  ``c``, ``r``, ``p``
+    and ``h`` are the cost, reduced, Mane potential and barrier matrices
+    times D, ``a`` is alpha0 times D and ``grid_samples`` the samples times
+    D.  Float mode has D = 1, so both modes run the same checks.
+    """
+
+    def __init__(
+        self,
+        inst: CostInstance,
+        seed: int,
+        samples: int,
+        horizon: Optional[int],
+        barrier_override: Optional[Matrix],
+    ):
         self.inst = inst
-        self.mode = inst.mode
+        self.mode = mode = inst.mode
         self.scale = inst.value_scale()
         self.crit = critical_value(inst)
         self.phi1 = phi_n(inst, self.crit, 1)
@@ -457,29 +476,39 @@ class _Workspace:
         )
         self.horizon = horizon or 4 * inst.n * inst.n + 8
         self.rng = Random(seed + 1)
-        self._raw_powers: dict[int, Matrix] = {1: inst.cost}
-        self._red_powers: dict[int, Matrix] = {1: self.crit.reduced}
-        self._phi_tables: dict[int, Matrix] = {1: self.phi1.entries}
+        claimed = self.bar.h.entries
+        if barrier_override is not None:
+            claimed = tuple(tuple(mode.coerce(v) for v in row) for row in barrier_override)
+        values = chain(chain.from_iterable(u.values for u in self.samples), *claimed)
+        self.D = D = grid_scale(mode, values, self.crit.scale)
+        (self.a,) = to_grid(mode, (self.crit.alpha0,), D)
+        self.c = inst.cost_at(D)
+        self.r = self.crit.kernel_at(D)
+        self.p = self.grid(self.phi.entries)
+        self.h = self.grid(self.bar.h.entries)
+        self.h_claimed = self.grid(claimed)
+        self.grid_samples = [to_grid(mode, u.values, D) for u in self.samples]
+        self._raw_powers: dict[int, Matrix] = {1: self.c}
+        self._phi_tables: dict[int, Matrix] = {1: self.grid(self.phi1.entries)}
         self._max_strict: Optional[ValueFunction] = None
 
+    def grid(self, m: Matrix) -> Matrix:
+        """A matrix whose denominators divide D, times D."""
+        return tuple(to_grid(self.mode, row, self.D) for row in m)
+
     def raw_power(self, k: int) -> Matrix:
+        """c^k times D."""
         m = max(self._raw_powers)
         while m < k:
-            self._raw_powers[m + 1] = minplus_product(self._raw_powers[m], self.inst.cost)
+            self._raw_powers[m + 1] = minplus_product(self._raw_powers[m], self.c)
             m += 1
         return self._raw_powers[k]
 
-    def red_power(self, k: int) -> Matrix:
-        m = max(self._red_powers)
-        while m < k:
-            self._red_powers[m + 1] = minplus_product(self._red_powers[m], self.crit.reduced)
-            m += 1
-        return self._red_powers[k]
-
     def phi_table(self, k: int) -> Matrix:
+        """phi_k times D."""
         m = max(self._phi_tables)
         while m < k:
-            self._phi_tables[m + 1] = minplus_product(self._phi_tables[m], self.crit.reduced)
+            self._phi_tables[m + 1] = minplus_product(self._phi_tables[m], self.r)
             m += 1
         return self._phi_tables[k]
 
@@ -504,7 +533,7 @@ def verify_all(
     """
     _guard(inst.n, CYCLE_GUARD, "verify_all")
     inst.require_total("verify_all")
-    ws = _Workspace(inst, seed, samples, horizon)
+    ws = _Workspace(inst, seed, samples, horizon, barrier_override)
     checks: list[CheckResult] = []
     run = checks.append
 
@@ -529,12 +558,11 @@ def verify_all(
     run(_check_rows_cols_dominated(ws))
     run(_check_jumps(ws))
 
-    h = barrier_override if barrier_override is not None else ws.bar.h.entries
     run(_check_barrier_fixed_points(ws))
     run(_check_barrier_vs_liminf(ws))
-    run(_check_barrier_closed_form(ws, h))
-    run(_check_barrier_triangle(ws, h))
-    run(_check_hh_suite(ws, h))
+    run(_check_barrier_closed_form(ws, ws.h_claimed))
+    run(_check_barrier_triangle(ws, ws.h_claimed))
+    run(_check_hh_suite(ws, ws.h_claimed))
     run(_check_min_formula(ws))
     run(_check_representation(ws))
     run(_check_u_limits_extremal(ws))
@@ -707,12 +735,12 @@ def _check_subsolution_feasibility(ws: _Workspace) -> CheckResult:
 def _check_potential_axioms(ws: _Workspace) -> CheckResult:
     name = "potential.axioms"
     inst = ws.inst
-    p = ws.phi.entries
+    p = ws.p
     for x in range(inst.n):
         if not ws.mode.is_zero(p[x][x], scale=ws.scale):
             return CheckResult(name, False, f"diagonal at {x}")
         for y in range(inst.n):
-            if not ws.mode.le(p[x][y], inst.cost[x][y] + ws.crit.alpha0, scale=ws.scale):
+            if not ws.mode.le(p[x][y], ws.c[x][y] + ws.a, scale=ws.scale):
                 return CheckResult(name, False, f"upper bound at ({x},{y})")
     for x in range(inst.n):
         for y in range(inst.n):
@@ -725,11 +753,11 @@ def _check_potential_axioms(ws: _Workspace) -> CheckResult:
 def _check_sup_representation(ws: _Workspace) -> CheckResult:
     name = "potential.sup_representation"
     inst = ws.inst
-    p = ws.phi.entries
-    for u in ws.samples:
+    p = ws.p
+    for u, g in zip(ws.samples, ws.grid_samples):
         for x in range(inst.n):
             for y in range(inst.n):
-                if not ws.mode.le(u.values[y] - u.values[x], p[x][y], scale=ws.scale):
+                if not ws.mode.le(g[y] - g[x], p[x][y], scale=ws.scale):
                     return CheckResult(name, False, f"{u.tag} at ({x},{y})")
     # any function below the potential in increments is dominated
     for _ in range(5):
@@ -738,7 +766,9 @@ def _check_sup_representation(ws: _Workspace) -> CheckResult:
         else:
             r = [ws.rng.uniform(-2, 2) for _ in range(inst.n)]
         v = ValueFunction(
-            tuple(min(r[x] + p[x][y] for x in range(inst.n)) for y in range(inst.n))
+            tuple(
+                min(r[x] + ws.phi.entries[x][y] for x in range(inst.n)) for y in range(inst.n)
+            )
         )
         res = is_dominated(inst, v, ws.crit.alpha0)
         if not res.ok:
@@ -767,7 +797,7 @@ def _check_phi_recursion(ws: _Workspace) -> CheckResult:
         nxt = ws.phi_table(k + 1)
         for x in range(inst.n):
             row = tuple(
-                min(cur[x][z] + inst.cost[z][y] for z in range(inst.n)) + ws.crit.alpha0
+                min(cur[x][z] + ws.c[z][y] for z in range(inst.n)) + ws.a
                 for y in range(inst.n)
             )
             if not vf_eq(ws.mode, row, nxt[x], scale=ws.scale):
@@ -877,7 +907,7 @@ def _check_barrier_triangle(ws: _Workspace, h: Matrix) -> CheckResult:
     inst = ws.inst
     for x in range(inst.n):
         for y in range(inst.n):
-            if not ws.mode.le(ws.phi.entries[x][y], h[x][y], scale=ws.scale):
+            if not ws.mode.le(ws.p[x][y], h[x][y], scale=ws.scale):
                 return CheckResult(name, False, f"h < phi at ({x},{y})")
             for z in range(inst.n):
                 if not ws.mode.le(h[x][z], h[x][y] + h[y][z], scale=ws.scale):
@@ -889,10 +919,9 @@ def _check_hh_suite(ws: _Workspace, h: Matrix) -> CheckResult:
     name = "barrier.chain_splitting_suite"
     inst = ws.inst
     rng = range(inst.n)
-    a0 = ws.crit.alpha0
     for m in range(1, 5):
         cm = ws.raw_power(m)
-        shift = m * a0
+        shift = m * ws.a
         for n_ in range(1, 5):
             pn = ws.phi_table(n_)
             pnm = ws.phi_table(n_ + m)
@@ -964,35 +993,30 @@ def _check_representation(ws: _Workspace) -> CheckResult:
 def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
     name = "barrier.limits_are_extremal"
     inst = ws.inst
-    h = ws.bar.h.entries
-    for u in ws.samples[:10]:
+    h = ws.h
+    rng = range(inst.n)
+    for u, g in zip(ws.samples[:10], ws.grid_samples):
         um = u_minus(inst, ws.crit, u)
-        if not vf_le(ws.mode, u.values, um.values, scale=ws.scale):
+        umg = to_grid(ws.mode, um.values, ws.D)
+        if not vf_le(ws.mode, g, umg, scale=ws.scale):
             return CheckResult(name, False, f"u_minus below u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, um, "negative"):
             return CheckResult(name, False, f"u_minus not a solution for {u.tag}")
         envelope = tuple(
-            min(
-                h[x][y] + max(u.values[t] - h[x][t] for t in range(inst.n))
-                for x in range(inst.n)
-            )
-            for y in range(inst.n)
+            min(h[x][y] + max(g[t] - h[x][t] for t in rng) for x in rng) for y in rng
         )
-        if not vf_eq(ws.mode, um.values, envelope, scale=ws.scale):
+        if not vf_eq(ws.mode, umg, envelope, scale=ws.scale):
             return CheckResult(name, False, f"u_minus not least solution above {u.tag}")
         up = u_plus(inst, ws.crit, u)
-        if not vf_le(ws.mode, up.values, u.values, scale=ws.scale):
+        upg = to_grid(ws.mode, up.values, ws.D)
+        if not vf_le(ws.mode, upg, g, scale=ws.scale):
             return CheckResult(name, False, f"u_plus above u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, up, "positive"):
             return CheckResult(name, False, f"u_plus not a solution for {u.tag}")
         envelope_p = tuple(
-            max(
-                -h[t][x] + min(u.values[s] + h[s][x] for s in range(inst.n))
-                for x in range(inst.n)
-            )
-            for t in range(inst.n)
+            max(-h[t][x] + min(g[s] + h[s][x] for s in rng) for x in rng) for t in rng
         )
-        if not vf_eq(ws.mode, up.values, envelope_p, scale=ws.scale):
+        if not vf_eq(ws.mode, upg, envelope_p, scale=ws.scale):
             return CheckResult(name, False, f"u_plus not greatest solution below {u.tag}")
     return CheckResult(name, True)
 
@@ -1001,10 +1025,10 @@ def _check_phi_orbit_identity(ws: _Workspace) -> CheckResult:
     name = "barrier.potential_orbit_identity"
     inst = ws.inst
     for x in range(inst.n):
-        cur = tuple(ws.phi.entries[x])
+        cur = ws.p[x]
         for k in range(1, 5):
             cur = tuple(
-                min(cur[z] + inst.cost[z][y] for z in range(inst.n)) + ws.crit.alpha0
+                min(cur[z] + ws.c[z][y] for z in range(inst.n)) + ws.a
                 for y in range(inst.n)
             )
             if not vf_eq(ws.mode, cur, ws.phi_table(k)[x], scale=ws.scale):
@@ -1087,11 +1111,13 @@ def _check_strict_dichotomy(ws: _Workspace) -> CheckResult:
     u1 = ws.max_strict()
     if not is_dominated(inst, u1, ws.crit.alpha0).ok:
         return CheckResult(name, False, "constructed function not dominated")
+    backward = lax_oleinik_neg(inst, u1).values
+    forward = lax_oleinik_pos(inst, u1).values
     for x in range(inst.n):
         if x in ws.aub.vertices:
             continue
-        tneg = lax_oleinik_neg(inst, u1).values[x] + ws.crit.alpha0
-        tpos = lax_oleinik_pos(inst, u1).values[x] - ws.crit.alpha0
+        tneg = backward[x] + ws.crit.alpha0
+        tpos = forward[x] - ws.crit.alpha0
         if not ws.mode.lt(u1.values[x], tneg, scale=ws.scale):
             return CheckResult(name, False, f"backward slack missing at {x}")
         if not ws.mode.lt(tpos, u1.values[x], scale=ws.scale):
@@ -1102,18 +1128,12 @@ def _check_strict_dichotomy(ws: _Workspace) -> CheckResult:
 def _check_tightness_propagates(ws: _Workspace) -> CheckResult:
     name = "subsolution.tight_pair_forces_fixed_point"
     inst = ws.inst
-    for u in ws.samples[:10]:
-        timg = lax_oleinik_neg(inst, u).values
+    for u, g in zip(ws.samples[:10], ws.grid_samples):
+        timg = to_grid(ws.mode, lax_oleinik_neg(inst, u).values, ws.D)
         for x in range(inst.n):
             for y in range(inst.n):
-                tight = ws.mode.eq(
-                    u.values[x] - u.values[y],
-                    inst.cost[y][x] + ws.crit.alpha0,
-                    scale=ws.scale,
-                )
-                if tight and not ws.mode.eq(
-                    u.values[x], timg[x] + ws.crit.alpha0, scale=ws.scale
-                ):
+                tight = ws.mode.eq(g[x] - g[y], ws.c[y][x] + ws.a, scale=ws.scale)
+                if tight and not ws.mode.eq(g[x], timg[x] + ws.a, scale=ws.scale):
                     return CheckResult(name, False, f"{u.tag} at ({y},{x})")
     return CheckResult(name, True)
 

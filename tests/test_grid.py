@@ -3,20 +3,21 @@
 Exact mode computes on integers scaled by a common denominator and converts
 to Fraction at the API.  These tests recompute every grid-backed output
 with plain Fraction arithmetic (the generic ``kleene_plus`` and
-``minplus_product`` on ``crit.reduced``, and iterated ``lax_oleinik_neg``
-and ``lax_oleinik_pos``) and require the same values and types.  The
+``minplus_product`` on ``crit.reduced``, and the operator and domination
+formulas written out entrywise) and require the same values and types.  The
 instances mix denominators 3, 5 and 7 and have witness cycles of two or
 more points, so alpha0 brings a denominator of its own; the orbit inputs
 carry a denominator 11 that divides no grid scale.
 """
 
 from fractions import Fraction as F
+from itertools import chain
 from random import Random
 
 import pytest
 
 from wkam import make_instance
-from wkam.barrier import orbit_neg, orbit_pos, peierls_barrier
+from wkam.barrier import orbit_neg, orbit_pos, peierls_barrier, representation_check
 from wkam.core import (
     ValueFunction,
     from_grid,
@@ -27,8 +28,9 @@ from wkam.core import (
     minplus_product,
     to_grid,
 )
-from wkam.critical import critical_value
-from wkam.numbers import EXACT, INF, Mode
+from wkam.critical import critical_value, is_dominated
+from wkam.models import gen_random
+from wkam.numbers import EXACT, INF, InputError, Mode
 from wkam.potential import jump_F, jump_f, mane_potential, phi_n
 from wkam.subsolution import max_strict_subsolution, uniform_subsolution_mix
 
@@ -97,15 +99,31 @@ def _ref_mane(inst, crit):
     )
 
 
+def _ref_neg(inst, u):
+    """T-(u)(x) = min_y u(y) + c(y, x), entry by entry."""
+    return tuple(min(u[y] + inst.cost[y][x] for y in range(inst.n)) for x in range(inst.n))
+
+
+def _ref_pos(inst, u):
+    """T+(u)(x) = -min_y c(x, y) - u(y), entry by entry."""
+    return tuple(-min(inst.cost[x][y] - u[y] for y in range(inst.n)) for x in range(inst.n))
+
+
+def _ref_dominated(inst, u, alpha):
+    for x in range(inst.n):
+        for y in range(inst.n):
+            if u[y] - u[x] > inst.cost[x][y] + alpha:
+                return False, (x, y)
+    return True, None
+
+
 def _ref_orbit(inst, crit, u, forward):
     cur, out = tuple(u), [tuple(u)]
     while True:
         if forward:
-            img = lax_oleinik_pos(inst, ValueFunction(cur)).values
-            nxt = tuple(v - crit.alpha0 for v in img)
+            nxt = tuple(v - crit.alpha0 for v in _ref_pos(inst, cur))
         else:
-            img = lax_oleinik_neg(inst, ValueFunction(cur)).values
-            nxt = tuple(v + crit.alpha0 for v in img)
+            nxt = tuple(v + crit.alpha0 for v in _ref_neg(inst, cur))
         if nxt == cur:
             return out
         out.append(nxt)
@@ -153,9 +171,7 @@ def test_grid_matches_fraction_reference(idx):
     )
     _same(jump_F(inst, crit, phi=phi).values, F_ref)
     f_ref = tuple(
-        lax_oleinik_pos(inst, ValueFunction(tuple(-v for v in phi.col(x)))).values[x]
-        - crit.alpha0
-        for x in range(inst.n)
+        _ref_pos(inst, tuple(-v for v in phi.col(x)))[x] - crit.alpha0 for x in range(inst.n)
     )
     _same(jump_f(inst, crit).values, f_ref)
     mix = uniform_subsolution_mix(inst, crit)
@@ -190,3 +206,107 @@ def test_grid_helpers_round_trip():
     assert grid_scale(flt, (0.5, 0.25)) == 1
     assert to_grid(flt, (0.5, INF), 1) == (0.5, INF)
     assert from_grid(flt, (3.0, 1), 2) == (1.5, 0.5)
+
+
+@pytest.mark.parametrize("idx", range(len(CORPUS)))
+def test_operators_off_the_grid_match_fraction_reference(idx):
+    inst = CORPUS[idx]
+    rng = Random(idx)
+    inputs = [tuple(F(rng.randint(-40, 40), 11) for _ in range(inst.n)) for _ in range(4)]
+    inputs.append((0,) * inst.n)  # ints come back as Fractions
+    for u in inputs:
+        _same(lax_oleinik_neg(inst, ValueFunction(u)).values, _ref_neg(inst, u))
+        _same(lax_oleinik_pos(inst, ValueFunction(u)).values, _ref_pos(inst, u))
+
+
+@pytest.mark.parametrize("idx", range(len(CORPUS)))
+def test_domination_off_the_grid_matches_fraction_reference(idx):
+    inst = CORPUS[idx]
+    crit = critical_value(inst)
+    phi = _ref_mane(inst, crit)
+    rng = Random(idx)
+    inputs = [tuple((a + b) / 2 + F(1, 11) for a, b in zip(phi[0], phi[-1]))]
+    inputs += [tuple(F(rng.randint(-9, 9), 11) for _ in range(inst.n)) for _ in range(3)]
+    outcomes = set()
+    for u in inputs:
+        for alpha in (crit.alpha0, crit.alpha0 - F(1, 11), crit.alpha0 + 3):
+            got = is_dominated(inst, ValueFunction(u), alpha)
+            want = _ref_dominated(inst, u, alpha)
+            assert (got.ok, got.witness) == want
+            outcomes.add(want[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("idx", range(len(CORPUS)))
+def test_representation_off_the_grid_matches_fraction_reference(idx):
+    inst = CORPUS[idx]
+    crit = critical_value(inst)
+    bar = peierls_barrier(inst, crit)
+    phi = _ref_mane(inst, crit)
+    u = tuple((a + b) / 2 + F(1, 11) for a, b in zip(phi[0], phi[-1]))
+    N = 6
+    neg, pos = [u], [u]
+    for _ in range(N):
+        neg.append(tuple(v + crit.alpha0 for v in _ref_neg(inst, neg[-1])))
+        pos.append(tuple(v - crit.alpha0 for v in _ref_pos(inst, pos[-1])))
+    hi = [max(it[y] for it in neg) for y in range(inst.n)]
+    lo = [min(it[x] for it in pos) for x in range(inst.n)]
+    S = tuple(tuple(hy - lx for hy in hi) for lx in lo)
+    rep = representation_check(inst, crit, ValueFunction(u), N, bar=bar)
+    _same(rep.matrix, S)
+    below = all(s <= h for srow, hrow in zip(S, bar.h.entries) for s, h in zip(srow, hrow))
+    assert rep.ok == below
+
+
+def test_sparse_costs_keep_their_errors():
+    # Column 1 and row 1 are all +inf: point 1 has no incoming and no
+    # outgoing edge.
+    dead = make_instance([[F(1, 3), INF, F(2)], [INF, INF, INF], [F(1, 5), INF, F(1, 7)]])
+    u = ValueFunction((F(1, 11), F(0), F(-2, 11)))
+    no_in = r"^backward update produced \+inf \(a point has no incoming edge\)$"
+    no_out = r"^forward update produced -inf \(a point has no outgoing edge\)$"
+    with pytest.raises(InputError, match=no_in):
+        lax_oleinik_neg(dead, u)
+    with pytest.raises(InputError, match=no_out):
+        lax_oleinik_pos(dead, u)
+    with pytest.raises(InputError, match=r"^value function must be finite everywhere$"):
+        lax_oleinik_neg(dead, ValueFunction((F(0), INF, F(0))))
+    with pytest.raises(InputError, match=r"^function length 2 != 3 points$"):
+        lax_oleinik_pos(dead, ValueFunction((F(0), F(0))))
+    # +inf entries elsewhere are skipped, as in the Fraction formulas.
+    sparse = make_instance([[F(1, 3), INF], [F(2, 5), F(1, 7)]])
+    for u in ((F(1, 11), F(-3, 11)), (F(0), F(5, 11))):
+        _same(lax_oleinik_neg(sparse, ValueFunction(u)).values, _ref_neg(sparse, u))
+        _same(lax_oleinik_pos(sparse, ValueFunction(u)).values, _ref_pos(sparse, u))
+        for alpha in (F(0), F(-1, 3)):
+            got = is_dominated(sparse, ValueFunction(u), alpha)
+            assert (got.ok, got.witness) == _ref_dominated(sparse, u, alpha)
+
+
+def test_float_operators_equal_by_repr():
+    flt = Mode("float")
+    signed = make_instance([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [2.0, 0.0, -0.0]], mode=flt)
+    cases = [(signed, (0.0, -0.0, 0.0)), (signed, (-0.0, 0.0, -0.0)), (signed, (0, F(1, 2), -0.0))]
+    rng = Random(5)
+    for n in (1, 4, 7):
+        inst = gen_random(n, n, -2.0, 2.0, mode=flt)
+        cases.append((inst, tuple(rng.uniform(-3.0, 3.0) for _ in range(n))))
+    for inst, u in cases:
+        v = tuple(float(x) for x in u)
+        assert repr(lax_oleinik_neg(inst, ValueFunction(u)).values) == repr(_ref_neg(inst, v))
+        assert repr(lax_oleinik_pos(inst, ValueFunction(u)).values) == repr(_ref_pos(inst, v))
+    zeros, neg_zeros = ValueFunction((0.0,) * 3), ValueFunction((-0.0,) * 3)
+    assert repr(lax_oleinik_pos(signed, zeros).values) == "(-0.0, 0.0, -0.0)"
+    assert repr(lax_oleinik_neg(signed, neg_zeros).values) == "(0.0, -0.0, 0.0)"
+
+
+def test_cost_grid_held_once():
+    inst = CORPUS[0]
+    D0, g = inst.cost_grid()
+    assert D0 == grid_scale(EXACT, chain.from_iterable(inst.cost)) == 210
+    assert g == tuple(to_grid(EXACT, row, D0) for row in inst.cost)
+    assert inst.cost_grid()[1] is g
+    assert inst.cost_at(2 * D0) == tuple(tuple(2 * v for v in row) for row in g)
+    flt = gen_random(4, 0, -2.0, 2.0, mode=Mode("float"))
+    assert flt.cost_grid() == (1, flt.cost)
+    assert flt.cost_grid()[1] is flt.cost

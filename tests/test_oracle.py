@@ -267,3 +267,26 @@ def test_float_alpha0_close_to_exact():
     assert critical_value(exact).alpha0 == -enum_cycles(exact).min_mean
     a_f = critical_value(approx).alpha0
     assert abs(a_f - (-enum_cycles(approx).min_mean)) <= 1e-9 * 64
+
+
+def test_verify_all_negative_control_witnesses_pinned(t3):
+    # The full failure lists, names and witnesses, of two corrupted
+    # barriers.  The second puts entries off the instance's grid (1/13), so
+    # the oracle's common scale must widen to cover the override.
+    on_grid = ((F(0), F(0), F(8)), (F(0), F(0), F(9)), (F(-1), F(-1), F(8)))
+    report = verify_all(t3, barrier_override=on_grid)
+    assert [(c.name, c.witness) for c in report.failures()] == [
+        ("barrier.closed_form_via_aubry", "row 0 differs from phi_2"),
+        ("barrier.triangle_and_floor", "h < phi at (0,2)"),
+        ("barrier.chain_splitting_suite", "h left split m=1 (1,0,2)"),
+    ]
+    inst = gen_random(5, 2, -2, 2)
+    h = [list(row) for row in peierls_barrier(inst, critical_value(inst)).h.entries]
+    h[3][0] -= F(1, 13)
+    h[1][2] += F(1, 13)
+    report = verify_all(inst, seed=2, barrier_override=tuple(map(tuple, h)))
+    assert [(c.name, c.witness) for c in report.failures()] == [
+        ("barrier.closed_form_via_aubry", "row 1 differs from phi_17"),
+        ("barrier.triangle_and_floor", "triangle at (0,3,0)"),
+        ("barrier.chain_splitting_suite", "h left split m=1 (1,3,0)"),
+    ]
