@@ -28,24 +28,28 @@ set collects the ordered pairs closing a zero-reduced-weight circuit,
 
 For a dominated u, the normalized orbits ``T-^k u + k alpha0`` (nondecreasing)
 and ``T+^k u - k alpha0`` (nonincreasing) stabilize to the enveloping
-solutions ``u_minus >= u`` and ``u_plus <= u``.  With ``m = |B|``,
-``delta > 0`` the least reduced weight of a simple cycle avoiding A and
-``S = max (u_minus - u)``, the backward orbit takes no step when ``S = 0``
-and at most ``m * ceil(S / delta)`` steps otherwise (forward:
-``S = max (u - u_plus)``).  The bound depends on the weights, not on n
-alone.  The forward orbit evaluates ``T+ u - alpha0 = max_y u(y) - r(x, y)``
-directly on the kernel rows, with no transposed instance.  The orbits are
-the only iterations here: float mode caps them at
-``4 n^2`` steps (exact mode at ``_EXACT_ITER_CAP``), a design cap and not
-this bound, and an orbit that needs more raises ``NonConvergenceError``.
+solutions ``u_minus >= u`` and ``u_plus <= u``.  As ``h(a, .) = phi_1(a, .)``
+and ``h(., a) = phi_1(., a)`` for a in A, both are closed forms, O(n |A|):
+
+    ``u_minus(y) = min_{a in A} u(a) + phi_1(a, y)``,
+    ``u_plus(x) = max_{a in A} u(a) - phi_1(x, a)``.
+
+Only averaging needs the iterates (see ``subsolution``): ``orbit_walk``
+steps to the known limit.  With ``m = |B|``, ``delta' = min_{x in B}
+phi_1(x, x) > 0`` (at most the weight of any cycle inside B) and ``S`` the
+largest gap between u and the limit, it takes at most
+``m * ceil(S / delta')`` steps, none when ``S = 0``; a budget above
+``_WALK_BUDGET_LIMIT`` raises ``SizeGuardError`` before any step, and an
+overrun raises ``ConstructionError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, sub
-from typing import Optional, Sequence
+from itertools import count
+from operator import add, le, sub
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     CostInstance,
@@ -64,10 +68,13 @@ from .core import (
     vf_le,
 )
 from .critical import CriticalData, is_dominated
-from .numbers import ConstructionError, InputError, NonConvergenceError, Value, neg
+from .numbers import ConstructionError, InputError, SizeGuardError, Value, neg
 from .potential import jump_F, potential_grid
 
-_EXACT_ITER_CAP = 100_000
+# Largest orbit budget m * ceil(S / delta') a walk may start with.  The
+# budget can be far above the walk (fk:256:1:well: 7.1e6 for 7 steps); a
+# walk that used all of it would take about 4 minutes at n = 2.
+_WALK_BUDGET_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -173,89 +180,98 @@ def is_weak_kam(
     inst: CostInstance, crit: CriticalData, u: ValueFunction, sign: str
 ) -> bool:
     """Fixed-point test: u = T-(u) + alpha0 (negative) or T+(u) - alpha0."""
-    mode = inst.mode
-    scale = inst.value_scale()
+    if sign not in ("negative", "positive"):
+        raise InputError(f"sign must be 'negative' or 'positive', got {sign!r}")
     if sign == "negative":
-        img = lax_oleinik_neg(inst, u)
-        return vf_eq(mode, tuple(v + crit.alpha0 for v in img.values), u.values, scale=scale)
-    if sign == "positive":
-        img = lax_oleinik_pos(inst, u)
-        return vf_eq(mode, tuple(v - crit.alpha0 for v in img.values), u.values, scale=scale)
-    raise InputError(f"sign must be 'negative' or 'positive', got {sign!r}")
+        img = tuple(v + crit.alpha0 for v in lax_oleinik_neg(inst, u).values)
+    else:
+        img = tuple(v - crit.alpha0 for v in lax_oleinik_pos(inst, u).values)
+    return vf_eq(inst.mode, img, u.values, scale=inst.value_scale())
 
 
 # ---------------------------------------------------------------------------
 # normalized orbits and limits
 # ---------------------------------------------------------------------------
 
-def orbit_neg(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction
-) -> list[tuple[Value, ...]]:
-    """Iterates u, T-u + a0, T-^2 u + 2 a0, ... up to the first repeat.
-
-    The number of steps obeys the bound in the module docstring.  Float
-    mode raises ``NonConvergenceError`` past the design cap of 4 n^2
-    iterations, which is not that bound."""
+def orbit_neg(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> list[tuple[Value, ...]]:
+    """Iterates u, T-u + a0, T-^2 u + 2 a0, ... up to u_minus."""
     return _orbit(inst, crit, u, forward=False)
 
 
-def orbit_pos(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction
-) -> list[tuple[Value, ...]]:
-    """Iterates u, T+u - a0, T+^2 u - 2 a0, ... up to the first repeat.
-
-    The number of steps obeys the bound in the module docstring.  Float
-    mode raises ``NonConvergenceError`` past the design cap of 4 n^2
-    iterations, which is not that bound."""
+def orbit_pos(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> list[tuple[Value, ...]]:
+    """Iterates u, T+u - a0, T+^2 u - 2 a0, ... up to u_plus."""
     return _orbit(inst, crit, u, forward=True)
 
 
-def _orbit(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction, forward: bool
-) -> list[tuple[Value, ...]]:
-    """Normalized orbit on the kernel's grid, refined to u's denominators.
+def _orbit(inst: CostInstance, crit: CriticalData, u: ValueFunction, forward: bool) -> list:
+    D, start, lo, hi = limits_grid(inst, crit, u)
+    walk = orbit_walk(inst, crit, D, start, hi if forward else lo, forward)
+    next(walk)
+    return [tuple(u.values)] + [from_grid(inst.mode, v, D) for v in walk]
 
-    Backward: v(y) = min_z v(z) + r(z, y), over kernel columns.
-    Forward: v(x) = max_y v(y) - r(x, y), over kernel rows."""
+
+def limits_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple:
+    """Check that u is dominated; then D, u, u_minus and u_plus on the
+    kernel's grid refined to u's denominators, by the closed forms."""
+    inst.require_total("orbit limits")
     if not is_dominated(inst, u, crit.alpha0).ok:
         raise InputError("function is not dominated at the critical constant")
     mode = inst.mode
-    scale = inst.value_scale()
-    cap = 4 * inst.n * inst.n if not mode.exact else _EXACT_ITER_CAP
-    start = tuple(mode.coerce(v) for v in u.values)
-    D = grid_scale(mode, start, crit.scale)
-    r = crit.kernel_at(D)
-    if forward:
-        def step(v):
-            return [max(map(sub, v, row)) for row in r]
-    else:
-        cols = tuple(zip(*r))
+    vals = [mode.coerce(v) for v in u.values]
+    D = grid_scale(mode, vals, crit.scale)
+    m, p = D // crit.scale, crit.kernel_plus()
+    start = list(to_grid(mode, vals, D))
+    ua = [(start[a], a) for a in aubry_vertices(inst, p)]
+    lo = [min(v + p[a][y] * m for v, a in ua) for y in range(inst.n)]
+    hi = [max(v - row[a] * m for v, a in ua) for row in p]
+    return D, start, lo, hi
 
-        def step(v):
-            return [min(map(add, v, col)) for col in cols]
-    cur = to_grid(mode, start, D)
-    grid = [cur]
-    for _ in range(cap):
-        nxt = step(cur)
-        if vf_eq(mode, nxt, cur, scale=scale):
-            return [tuple(u.values)] + [from_grid(mode, v, D) for v in grid[1:]]
-        grid.append(nxt)
-        cur = nxt
-    raise NonConvergenceError(f"orbit did not stabilize within {cap} iterations")
+
+def orbit_walk(
+    inst: CostInstance, crit: CriticalData, D: int, start: list, limit: list, forward: bool
+) -> Iterator[list]:
+    """Iterates of the normalized orbit of ``start`` on the grid D, up to the
+    first that reaches ``limit`` (float mode: its band); the budget of the
+    module docstring is checked on the call, before any step."""
+    mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
+    m, p = D // crit.scale, crit.kernel_plus()
+    loops = [p[x][x] * m for x in range(inst.n) if not mode.is_zero(p[x][x], scale=scale)]
+    gap = max(map(abs, map(sub, limit, start)))
+    budget = len(loops) * int(-(-gap // min(loops))) if gap > 0 and loops else 0
+    if budget > _WALK_BUDGET_LIMIT:
+        raise SizeGuardError(f"orbit needs up to {budget} steps, over {_WALK_BUDGET_LIMIT}")
+    band = None if exact else [mode.tolerance * max(1.0, abs(v), abs(scale)) for v in limit]
+    r = crit.kernel_at(D)
+    cols = tuple(zip(*r))
+
+    def walk():
+        cur = start
+        for k in count():
+            yield cur
+            if cur == limit if exact else all(map(le, map(abs, map(sub, cur, limit)), band)):
+                return
+            if k == budget:
+                raise ConstructionError(f"orbit overran its budget of {budget} steps")
+            if forward:
+                cur = [max(map(sub, cur, row)) for row in r]
+            else:
+                cur = [min(map(add, cur, col)) for col in cols]
+
+    return walk()
 
 
 def u_minus(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> ValueFunction:
-    """Limit of the nondecreasing normalized backward orbit: the least
-    negative weak KAM solution above u."""
-    hist = orbit_neg(inst, crit, u)
-    return ValueFunction(hist[-1], tag=f"u_minus[{u.tag}]" if u.tag else "u_minus")
+    """The least negative weak KAM solution above u, by the closed form."""
+    D, _, lo, _ = limits_grid(inst, crit, u)
+    tag = f"u_minus[{u.tag}]" if u.tag else "u_minus"
+    return ValueFunction(from_grid(inst.mode, lo, D), tag=tag)
 
 
 def u_plus(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> ValueFunction:
-    """Limit of the nonincreasing normalized forward orbit: the greatest
-    positive weak KAM solution below u."""
-    hist = orbit_pos(inst, crit, u)
-    return ValueFunction(hist[-1], tag=f"u_plus[{u.tag}]" if u.tag else "u_plus")
+    """The greatest positive weak KAM solution below u, by the closed form."""
+    D, _, _, hi = limits_grid(inst, crit, u)
+    tag = f"u_plus[{u.tag}]" if u.tag else "u_plus"
+    return ValueFunction(from_grid(inst.mode, hi, D), tag=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +321,7 @@ def conjugate_check(
     upper = vf_le(mode, u.values, tmtp.values, scale=scale)
     twice = lax_oleinik_neg(inst, lax_oleinik_pos(inst, tmtp))
     comp = vf_eq(mode, twice.values, tmtp.values, scale=scale)
-    return ConjugateReport(
-        u_minus=um,
-        u_minus_plus=ump,
-        u_minus_plus_minus=umpm,
-        u_minus_plus_minus_plus=umpmp,
-        idempotent=idem,
-        lower_bound_holds=lower,
-        upper_bound_holds=upper,
-        composite_idempotent=comp,
-    )
+    return ConjugateReport(um, ump, umpm, umpmp, idem, lower, upper, comp)
 
 
 def inf_solutions(
@@ -417,13 +424,20 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
     Kleene plus held on ``crit``."""
     inst.require_total("tail potential")
     e = crit.kernel_plus()
-    mode = inst.mode
-    scale = inst.value_scale()
-    verts = [x for x in range(inst.n) if mode.is_zero(e[x][x], scale=scale)]
-    if not verts:
-        raise ConstructionError("no Aubry vertex found for the closed form")
+    verts = aubry_vertices(inst, e)
     to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
     from_a = list(zip(*(e[a] for a in verts)))  # phi_1(a, y), one tuple per y
     return tuple(
-        from_grid(mode, [min(map(add, xa, ay)) for ay in from_a], crit.scale) for xa in to_a
+        from_grid(inst.mode, [min(map(add, xa, ay)) for ay in from_a], crit.scale)
+        for xa in to_a
     )
+
+
+def aubry_vertices(inst: CostInstance, p: Matrix) -> list[int]:
+    """The Aubry vertices: the zero set of the diagonal of
+    P = ``crit.kernel_plus()``."""
+    scale = inst.value_scale()
+    verts = [x for x in range(inst.n) if inst.mode.is_zero(p[x][x], scale=scale)]
+    if not verts:
+        raise ConstructionError("no Aubry vertex found for the closed form")
+    return verts

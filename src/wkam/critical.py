@@ -153,22 +153,16 @@ def _zero_cycle(inst: CostInstance, kernel: Matrix) -> tuple[int, ...]:
     mode = inst.mode
     scale = inst.value_scale()
     pot, _ = _bellman_ford(kernel)
-    tol_steps = 0
-    while True:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                r = kernel[u][v]
-                if is_inf(r):
-                    continue
-                if mode.eq(pot[u] + r, pot[v], scale=scale * (10 ** tol_steps)):
-                    adj[u].append(v)
-        cyc = _first_cycle(adj, n)
-        if cyc is not None:
-            return cyc
-        if mode.exact or tol_steps >= 3:
-            raise RuntimeError("no zero-reduced cycle found in tight subgraph")
-        tol_steps += 1  # float fringe: widen the tightness band and retry
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            r = kernel[u][v]
+            if not is_inf(r) and mode.eq(pot[u] + r, pot[v], scale=scale):
+                adj[u].append(v)
+    cyc = _first_cycle(adj, n)
+    if cyc is None:
+        raise RuntimeError("no zero-reduced cycle found in tight subgraph")
+    return cyc
 
 
 def _bellman_ford(weights: Matrix) -> tuple[list[Value], list[Optional[int]]]:

@@ -34,7 +34,8 @@ class SizeGuardError(InputError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A float-mode fixed-point iteration hit its cap without settling."""
+    """An iteration hit a cap without settling.  Nothing in wkam raises it
+    now; it stays exported because ``perfbench/workloads.py`` names it."""
 
 
 class ConstructionError(RuntimeError):
@@ -43,12 +44,6 @@ class ConstructionError(RuntimeError):
 
 def is_inf(x: Value) -> bool:
     return isinstance(x, float) and math.isinf(x)
-
-
-def ensure_finite(x: Value, what: str = "value") -> Value:
-    if is_inf(x):
-        raise InputError(f"{what} must be finite, got +inf")
-    return x
 
 
 def neg(x: Value) -> Value:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from random import Random
 from typing import Optional
 
@@ -398,21 +399,24 @@ def subsolution_sampler(
         base.append(sol.u.values)
     out = []
     exact = inst.mode.exact
+    if exact:  # base columns on one grid D: integer weights, one division
+        D = grid_scale(inst.mode, chain.from_iterable(base))
+        cols = list(zip(*(to_grid(inst.mode, b, D) for b in base)))
     for k in range(count):
         raw = [rng.randint(0, 3) for _ in base]
         if sum(raw) == 0:
             raw[rng.randrange(len(raw))] = 1
         total = sum(raw)
         if exact:
-            weights = [Fraction(r, total) for r in raw]
             shift = Fraction(rng.randint(-8, 8), 4)
+            vals = [Fraction(sum(map(mul, raw, col)), D * total) + shift for col in cols]
         else:
             weights = [r / total for r in raw]
             shift = rng.uniform(-2.0, 2.0)
-        vals = [
-            sum(w * b[i] for w, b in zip(weights, base)) + shift
-            for i in range(inst.n)
-        ]
+            vals = [
+                sum(w * b[i] for w, b in zip(weights, base)) + shift
+                for i in range(inst.n)
+            ]
         out.append(ValueFunction(tuple(vals), tag=f"sample[{seed}:{k}]"))
     return out
 

@@ -6,7 +6,8 @@ tight along every step, i.e. the total identity
     ``u(x_k) = u(x_0) + c(x_0,x_1) + ... + c(x_{k-1},x_k) + k alpha0``
 
 holds.  The Aubry set of u collects the points whose normalized orbits never
-move: ``u_minus(x) = u(x) = u_plus(x)``.
+move: ``u_minus(x) = u(x) = u_plus(x)``; both limits are closed forms
+(see ``barrier``), so no orbit is iterated to find it.
 
 A strict sub-solution at a pair (x, y) satisfies
 ``u(y) - u(x) < c(x, y) + alpha0`` strictly.  Averaging the normalized
@@ -15,28 +16,28 @@ dominated function that is strict at exactly the pairs admitting no
 bi-infinite calibrated chain through them, and agrees with u on the Aubry
 set of u.  Applying the same construction to a mix of all normalized
 potential rows gives a sub-solution strict off the global Aubry edges.
-Both averages are sums on the integer grid of ``core``, divided once.
+Both averages are sums on the integer grid of ``core``, divided once; the
+strictification keeps one running sum per orbit, walked once to its known
+limit, and never the iterates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Optional, Sequence
+from operator import add
+from typing import Optional
 
-from .barrier import orbit_neg, orbit_pos
+from .barrier import aubry_vertices, limits_grid, orbit_walk
 from .core import (
     CostInstance,
     PotentialTable,
     ValueFunction,
     as_value_function,
     from_grid,
-    grid_scale,
-    to_grid,
 )
 from .critical import CriticalData, is_dominated
-from .numbers import ConstructionError, InputError, Value
-from .potential import jump_F, mane_potential, potential_grid
+from .numbers import ConstructionError, InputError
+from .potential import mane_potential, potential_grid
 
 
 @dataclass(frozen=True)
@@ -77,30 +78,23 @@ def is_calibrated(
     return inst.mode.eq(u.values[pts[-1]], total, scale=inst.value_scale())
 
 
-def aubry_of(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction
-) -> tuple[int, ...]:
+def aubry_of(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple[int, ...]:
     """Points whose normalized orbits fix u: u_minus(x) = u(x) = u_plus(x)."""
-    return _fixed_points(inst, u, orbit_neg(inst, crit, u), orbit_pos(inst, crit, u))
+    _, start, lo, hi = limits_grid(inst, crit, u)
+    return _fixed_points(inst, start, lo, hi)
 
 
-def _fixed_points(
-    inst: CostInstance, u: ValueFunction, neg_hist: list, pos_hist: list
-) -> tuple[int, ...]:
+def _fixed_points(inst: CostInstance, start: list, lo: list, hi: list) -> tuple[int, ...]:
     mode = inst.mode
     scale = inst.value_scale()
-    lo, hi = neg_hist[-1], pos_hist[-1]
     return tuple(
         x
-        for x in range(inst.n)
-        if mode.eq(lo[x], u.values[x], scale=scale)
-        and mode.eq(hi[x], u.values[x], scale=scale)
+        for x, (v, a, b) in enumerate(zip(start, lo, hi))
+        if mode.eq(a, v, scale=scale) and mode.eq(b, v, scale=scale)
     )
 
 
-def strict_subsolution(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction
-) -> ValueFunction:
+def strict_subsolution(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> ValueFunction:
     """Uniform average of the normalized iterates of u.
 
     Components are v_k = T-^k u + k alpha0 (k = 0..N) and
@@ -110,24 +104,27 @@ def strict_subsolution(
     of u; elsewhere the result is strict.  On the Aubry set of u all
     components equal u, so the average does too.
     """
-    return _strictify(inst, u, orbit_neg(inst, crit, u), orbit_pos(inst, crit, u))
+    return _strictify(inst, crit, u, *limits_grid(inst, crit, u))
 
 
 def _strictify(
-    inst: CostInstance, u: ValueFunction, neg_hist: list, pos_hist: list
+    inst: CostInstance, crit: CriticalData, u: ValueFunction, D: int, start, lo, hi
 ) -> ValueFunction:
-    N = max(1, len(neg_hist) - 1, len(pos_hist) - 1)
-    comps = [neg_hist[min(k, len(neg_hist) - 1)] for k in range(N + 1)]
-    comps += [pos_hist[min(k, len(pos_hist) - 1)] for k in range(1, N + 1)]
-    mode = inst.mode
-    D = grid_scale(mode, chain.from_iterable(comps))
-    vals = _average(inst, [to_grid(mode, c, D) for c in comps], D)
+    """One running sum per walk, padded with its last iterate to N steps,
+    then one division; the iterates are never kept."""
+    walks = [orbit_walk(inst, crit, D, start, lim, fwd) for lim, fwd in ((lo, False), (hi, True))]
+    total, steps, lasts = list(start), [], []
+    for walk in walks:
+        last, k = next(walk), 0
+        for k, last in enumerate(walk, 1):
+            total = list(map(add, total, last))
+        steps.append(k)
+        lasts.append(last)
+    N = max(1, *steps)
+    for k, last in zip(steps, lasts):
+        total = [t + (N - k) * v for t, v in zip(total, last)]
+    vals = from_grid(inst.mode, total, D * (2 * N + 1))
     return as_value_function(inst, vals, tag=f"strict[{u.tag}]" if u.tag else "strict")
-
-
-def _average(inst: CostInstance, rows: Sequence[Sequence[Value]], D: int) -> tuple:
-    """Uniform average of grid vectors on the grid D: one sum, one division."""
-    return from_grid(inst.mode, [sum(col) for col in zip(*rows)], D * len(rows))
 
 
 def strict_pairs(
@@ -155,7 +152,8 @@ def uniform_subsolution_mix(
         phi = mane_potential(inst, crit)
     D, p, _ = potential_grid(inst, crit, phi)
     rows = [[v - row[0] for v in row] for row in p]
-    return as_value_function(inst, _average(inst, rows, D), tag="potential_mix")
+    vals = from_grid(inst.mode, [sum(col) for col in zip(*rows)], D * len(rows))
+    return as_value_function(inst, vals, tag="potential_mix")
 
 
 def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunction:
@@ -163,23 +161,18 @@ def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunct
 
     Built by strictifying the uniform potential-row mix.  The mix must have
     the global Aubry set as its own Aubry set; this is verified rather than
-    assumed, and a mismatch raises with both vertex sets.  The mix and the
-    jumps share one Mane potential, read off the Kleene plus that ``crit``
-    holds, and one pair of orbits of the mix serves the check and the
-    strictification.
+    assumed, and a mismatch raises with both vertex sets.  The global Aubry
+    vertices, the mix and its closed-form limits are all read off the
+    Kleene plus P that ``crit`` holds; the limits serve the check and end
+    the two walks of the strictification.
     """
-    phi = mane_potential(inst, crit)
-    mix = uniform_subsolution_mix(inst, crit, phi=phi)
-    scale = inst.value_scale()
-    jumps = jump_F(inst, crit, phi=phi).values
-    global_vertices = tuple(
-        x for x in range(inst.n) if inst.mode.is_zero(jumps[x], scale=scale)
-    )
-    neg_hist, pos_hist = orbit_neg(inst, crit, mix), orbit_pos(inst, crit, mix)
-    mix_vertices = _fixed_points(inst, mix, neg_hist, pos_hist)
+    mix = uniform_subsolution_mix(inst, crit)
+    global_vertices = tuple(aubry_vertices(inst, crit.kernel_plus()))
+    D, start, lo, hi = limits_grid(inst, crit, mix)
+    mix_vertices = _fixed_points(inst, start, lo, hi)
     if mix_vertices != global_vertices:
         raise ConstructionError(
             "potential-row mix does not pin the Aubry set: "
             f"mix {mix_vertices} vs global {global_vertices}"
         )
-    return _strictify(inst, mix, neg_hist, pos_hist)
+    return _strictify(inst, crit, mix, D, start, lo, hi)

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkam import (
     InputError,
@@ -34,7 +36,7 @@ from wkam.oracle import (
     subsolution_sampler,
 )
 from wkam.potential import mane_potential, phi_n
-from wkam.subsolution import aubry_of
+from wkam.subsolution import aubry_of, max_strict_subsolution
 
 
 def crit_bar(inst):
@@ -227,43 +229,52 @@ def test_limits_reject_non_dominated(t2):
         u_minus(t2, crit, as_value_function(t2, [0, 100]))
 
 
-def test_float_mode_orbit_cap_reported():
-    # slow orbit: descends by the 1/4 reduced self-loop for ~19 steps, past
-    # the designed float-mode cap of 4*n^2 = 16 iterations
-    from wkam import NonConvergenceError
-    from wkam.numbers import Mode
-
-    inst = make_instance(
-        [[-1.5, 0.75], [1.25, -1.25]], mode=Mode("float", 1e-12)
-    )
+def test_float_u_plus_answers_past_4n_squared():
+    # the forward orbit descends by the 1/4 reduced self-loop for 19 steps,
+    # past 4*n^2 = 16; float u_plus reads the closed form and the float walk
+    # runs to it, both matching the exact twin within tolerance
+    mode = Mode("float", 1e-12)
+    inst = make_instance([[-1.5, 0.75], [1.25, -1.25]], mode=mode)
     crit = critical_value(inst)
     u = as_value_function(inst, [-7 / 12, 17 / 12])
     assert is_dominated(inst, u, crit.alpha0).ok
-    with pytest.raises(NonConvergenceError):
-        u_plus(inst, crit, u)
-    # the exact-mode twin runs to its true fixed point
+    up = u_plus(inst, crit, u)
     exact = make_instance([[F(-3, 2), F(3, 4)], [F(5, 4), F(-5, 4)]])
     ecrit = critical_value(exact)
     eu = as_value_function(exact, [F(-7, 12), F(17, 12)])
-    up = u_plus(exact, ecrit, eu)
-    assert is_weak_kam(exact, ecrit, up, "positive")
+    eup = u_plus(exact, ecrit, eu)
+    assert is_weak_kam(exact, ecrit, eup, "positive")
+    assert len(orbit_pos(exact, ecrit, eu)) - 1 == 19
+    scale = inst.value_scale()
+    assert all(mode.eq(a, float(b), scale=scale) for a, b in zip(up.values, eup.values))
+    hist = orbit_pos(inst, crit, u)
+    assert len(hist) - 1 > 16
+    assert all(mode.eq(a, b, scale=scale) for a, b in zip(hist[-1], up.values))
 
 
 def test_orbits_monotone_and_solutions():
-    inst = gen_random(5, 11, -2, 2)
-    crit = critical_value(inst)
-    for u in subsolution_sampler(inst, crit, seed=3, count=10):
-        hist = orbit_neg(inst, crit, u)
-        for a, b in zip(hist, hist[1:]):
-            assert all(x <= y for x, y in zip(a, b))
-        um = u_minus(inst, crit, u)
-        assert is_weak_kam(inst, crit, um, "negative")
-        hist_p = orbit_pos(inst, crit, u)
-        for a, b in zip(hist_p, hist_p[1:]):
-            assert all(x >= y for x, y in zip(a, b))
-        up = u_plus(inst, crit, u)
-        assert is_weak_kam(inst, crit, up, "positive")
-        assert all(p <= z <= m for p, z, m in zip(up.values, u.values, um.values))
+    for mode in (Mode("exact"), Mode("float", 1e-9)):
+        inst = gen_random(5, 11, -2, 2, mode=mode)
+        crit = critical_value(inst)
+        scale = inst.value_scale()
+        for u in subsolution_sampler(inst, crit, seed=3, count=10):
+            hist = orbit_neg(inst, crit, u)
+            for a, b in zip(hist, hist[1:]):
+                assert all(mode.le(x, y, scale=scale) for x, y in zip(a, b))
+            um = u_minus(inst, crit, u)
+            assert is_weak_kam(inst, crit, um, "negative")
+            hist_p = orbit_pos(inst, crit, u)
+            for a, b in zip(hist_p, hist_p[1:]):
+                assert all(mode.le(y, x, scale=scale) for x, y in zip(a, b))
+            up = u_plus(inst, crit, u)
+            assert is_weak_kam(inst, crit, up, "positive")
+            assert all(
+                mode.le(p, z, scale=scale) and mode.le(z, m, scale=scale)
+                for p, z, m in zip(up.values, u.values, um.values)
+            )
+            # each orbit ends at its closed-form limit
+            for last, lim in ((hist[-1], um.values), (hist_p[-1], up.values)):
+                assert all(mode.eq(a, b, scale=scale) for a, b in zip(last, lim))
 
 
 def test_limits_are_enveloping_solutions():
@@ -437,3 +448,37 @@ def test_potential_orbit_reaches_tail_tables():
             img = lax_oleinik_neg(inst, cur)
             cur = ValueFunction(tuple(v + crit.alpha0 for v in img.values))
             assert cur.values == phi_n(inst, crit, k).entries[x]
+
+
+# --- robustness: exact and float limits agree on quarter-grid instances ----------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-12, max_value=12), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_limits_never_raise_and_float_matches_exact(quarters):
+    mode = Mode("float", 1e-9)
+    exact = make_instance([[F(k, 4) for k in row] for row in quarters])
+    flt = make_instance([[k / 4 for k in row] for row in quarters], mode=mode)
+    ecrit, fcrit = critical_value(exact), critical_value(flt)
+    scale = flt.value_scale()
+
+    def close(a, b):
+        return all(mode.eq(x, float(y), scale=scale) for x, y in zip(a, b))
+
+    eu = solve_subsolution(exact, ecrit.alpha0).u
+    samples = [eu, ValueFunction(tuple(v + F(1, 3) for v in eu.values))]
+    samples += subsolution_sampler(exact, ecrit, seed=len(quarters), count=3)
+    for u in samples:
+        fu = ValueFunction(tuple(float(v) for v in u.values))
+        assert close(u_minus(flt, fcrit, fu).values, u_minus(exact, ecrit, u).values)
+        assert close(u_plus(flt, fcrit, fu).values, u_plus(exact, ecrit, u).values)
+        assert aubry_of(flt, fcrit, fu) == aubry_of(exact, ecrit, u)
+    e1 = max_strict_subsolution(exact, ecrit)
+    assert close(max_strict_subsolution(flt, fcrit).values, e1.values)

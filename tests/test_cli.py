@@ -97,6 +97,52 @@ def test_barrier_long_transient_exits_0(capsys, tmp_path):
     assert doc["iterations_to_fix"] == 199999
 
 
+def test_subsolution_slow_orbit_exits_0(capsys, tmp_path):
+    # both orbits of the mix u* = (0, 0) creep by the 1/100 self-loop at the
+    # off-Aubry point for 100000 steps until they meet their closed-form
+    # limits (0, 1000) and (0, -1000); the iterates average to (0, 0)
+    from wkam.models import load
+    from wkam.oracle import cycle_scan
+
+    p = tmp_path / "slow.json"
+    p.write_text('{"cost": [[0, 1000], [1000, "1/100"]]}')
+    code, out, _ = run(capsys, "subsolution", "--in", str(p))
+    assert code == 0
+    doc = json.loads(out)
+    inst = load(p)
+    alpha0 = -cycle_scan(inst).min_mean
+    assert doc["alpha0"] == alpha0
+    tight = set(cycle_scan(inst, alpha0).zero_edges)
+    expected = [
+        [inst.labels[x], inst.labels[y]]
+        for x in range(inst.n)
+        for y in range(inst.n)
+        if (x, y) not in tight
+    ]
+    assert doc["strict_pairs"] == expected
+    assert doc["u1"] == [0, 0]
+
+
+def test_subsolution_over_orbit_budget_exits_2_fast(capsys, tmp_path):
+    # the orbit budget m * ceil(S / delta') = 1 * 10^6 / (1/1000) = 10^9
+    # steps is refused before any step
+    from time import perf_counter
+
+    from wkam import SizeGuardError, critical_value, max_strict_subsolution
+    from wkam.models import load
+
+    p = tmp_path / "slower.json"
+    p.write_text('{"cost": [[0, 1000000], [1000000, "1/1000"]]}')
+    t0 = perf_counter()
+    code, _, err = run(capsys, "subsolution", "--in", str(p))
+    assert perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "1000000000 steps" in err
+    inst = load(p)
+    with pytest.raises(SizeGuardError):
+        max_strict_subsolution(inst, critical_value(inst))
+
+
 def test_potential_output(capsys, t2_file):
     code, out, _ = run(capsys, "potential", "--in", t2_file)
     doc = json.loads(out)
