@@ -38,9 +38,12 @@ Only averaging needs the iterates (see ``subsolution``): ``orbit_walk``
 steps to the known limit.  With ``m = |B|``, ``delta' = min_{x in B}
 phi_1(x, x) > 0`` (at most the weight of any cycle inside B) and ``S`` the
 largest gap between u and the limit, it takes at most
-``m * ceil(S / delta')`` steps, none when ``S = 0``; a budget above
-``_WALK_BUDGET_LIMIT`` raises ``SizeGuardError`` before any step, and an
-overrun raises ``ConstructionError``.
+``m * ceil(S / delta')`` steps, none when ``S = 0``, and an overrun raises
+``ConstructionError``.  As one step moves ``v(x)`` by at most ``r(x, x)``,
+it also takes at least ``max_x ceil(|limit(x) - u(x)| / r(x, x))`` steps.
+A walk may make ``_WALK_WORK_LIMIT`` entry updates (n^2 a step): one that
+provably needs more raises ``SizeGuardError`` before any step, and one
+that has not settled when it has made them raises it then.
 """
 
 from __future__ import annotations
@@ -71,10 +74,10 @@ from .critical import CriticalData, is_dominated
 from .numbers import ConstructionError, InputError, SizeGuardError, Value, neg
 from .potential import jump_F, potential_grid
 
-# Largest orbit budget m * ceil(S / delta') a walk may start with.  The
-# budget can be far above the walk (fk:256:1:well: 7.1e6 for 7 steps); a
-# walk that used all of it would take about 4 minutes at n = 2.
-_WALK_BUDGET_LIMIT = 10**8
+# Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
+# n = 2, 6103 at n = 256.  Measured with CPython 3.11 on one core of a
+# 2-vCPU VM, that is at most about 190 s at n = 2 and 40 s at n = 256.
+_WALK_WORK_LIMIT = 4 * 10**8
 
 
 @dataclass(frozen=True)
@@ -180,30 +183,38 @@ def is_weak_kam(
     inst: CostInstance, crit: CriticalData, u: ValueFunction, sign: str
 ) -> bool:
     """Fixed-point test: u = T-(u) + alpha0 (negative) or T+(u) - alpha0."""
-    if sign not in ("negative", "positive"):
-        raise InputError(f"sign must be 'negative' or 'positive', got {sign!r}")
+    mode = inst.mode
+    scale = inst.value_scale()
     if sign == "negative":
-        img = tuple(v + crit.alpha0 for v in lax_oleinik_neg(inst, u).values)
-    else:
-        img = tuple(v - crit.alpha0 for v in lax_oleinik_pos(inst, u).values)
-    return vf_eq(inst.mode, img, u.values, scale=inst.value_scale())
+        img = lax_oleinik_neg(inst, u)
+        return vf_eq(mode, tuple(v + crit.alpha0 for v in img.values), u.values, scale=scale)
+    if sign == "positive":
+        img = lax_oleinik_pos(inst, u)
+        return vf_eq(mode, tuple(v - crit.alpha0 for v in img.values), u.values, scale=scale)
+    raise InputError(f"sign must be 'negative' or 'positive', got {sign!r}")
 
 
 # ---------------------------------------------------------------------------
 # normalized orbits and limits
 # ---------------------------------------------------------------------------
 
-def orbit_neg(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> list[tuple[Value, ...]]:
+def orbit_neg(
+    inst: CostInstance, crit: CriticalData, u: ValueFunction
+) -> list[tuple[Value, ...]]:
     """Iterates u, T-u + a0, T-^2 u + 2 a0, ... up to u_minus."""
     return _orbit(inst, crit, u, forward=False)
 
 
-def orbit_pos(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> list[tuple[Value, ...]]:
+def orbit_pos(
+    inst: CostInstance, crit: CriticalData, u: ValueFunction
+) -> list[tuple[Value, ...]]:
     """Iterates u, T+u - a0, T+^2 u - 2 a0, ... up to u_plus."""
     return _orbit(inst, crit, u, forward=True)
 
 
-def _orbit(inst: CostInstance, crit: CriticalData, u: ValueFunction, forward: bool) -> list:
+def _orbit(
+    inst: CostInstance, crit: CriticalData, u: ValueFunction, forward: bool
+) -> list[tuple[Value, ...]]:
     D, start, lo, hi = limits_grid(inst, crit, u)
     walk = orbit_walk(inst, crit, D, start, hi if forward else lo, forward)
     next(walk)
@@ -231,17 +242,22 @@ def orbit_walk(
     inst: CostInstance, crit: CriticalData, D: int, start: list, limit: list, forward: bool
 ) -> Iterator[list]:
     """Iterates of the normalized orbit of ``start`` on the grid D, up to the
-    first that reaches ``limit`` (float mode: its band); the budget of the
-    module docstring is checked on the call, before any step."""
+    first that reaches ``limit`` (float mode: its band).  The step bounds and
+    the work limit of the module docstring are checked on the call, before
+    any step."""
     mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
-    m, p = D // crit.scale, crit.kernel_plus()
+    m, p, r = D // crit.scale, crit.kernel_plus(), crit.kernel_at(D)
     loops = [p[x][x] * m for x in range(inst.n) if not mode.is_zero(p[x][x], scale=scale)]
     gap = max(map(abs, map(sub, limit, start)))
     budget = len(loops) * int(-(-gap // min(loops))) if gap > 0 and loops else 0
-    if budget > _WALK_BUDGET_LIMIT:
-        raise SizeGuardError(f"orbit needs up to {budget} steps, over {_WALK_BUDGET_LIMIT}")
-    band = None if exact else [mode.tolerance * max(1.0, abs(v), abs(scale)) for v in limit]
-    r = crit.kernel_at(D)
+    band = [0] * inst.n if exact else [mode.tolerance * max(1.0, abs(v), abs(scale)) for v in limit]
+    rest = [abs(w - v) - t for v, w, t in zip(start, limit, band)]
+    # one step moves v(x) by at most r(x, x), so the walk takes at least need steps
+    need = max((int(-(-d // r[x][x])) for x, d in enumerate(rest) if d > 0 < r[x][x]), default=0)
+    allowed = _WALK_WORK_LIMIT // (inst.n * inst.n)
+    if need > allowed:
+        raise SizeGuardError(f"orbit needs at least {need} steps, over {allowed} at n = {inst.n}")
+    stop = min(budget, allowed)
     cols = tuple(zip(*r))
 
     def walk():
@@ -252,6 +268,8 @@ def orbit_walk(
                 return
             if k == budget:
                 raise ConstructionError(f"orbit overran its budget of {budget} steps")
+            if k == stop:
+                raise SizeGuardError(f"orbit did not settle in {stop} steps at n = {inst.n}")
             if forward:
                 cur = [max(map(sub, cur, row)) for row in r]
             else:
@@ -321,7 +339,16 @@ def conjugate_check(
     upper = vf_le(mode, u.values, tmtp.values, scale=scale)
     twice = lax_oleinik_neg(inst, lax_oleinik_pos(inst, tmtp))
     comp = vf_eq(mode, twice.values, tmtp.values, scale=scale)
-    return ConjugateReport(um, ump, umpm, umpmp, idem, lower, upper, comp)
+    return ConjugateReport(
+        u_minus=um,
+        u_minus_plus=ump,
+        u_minus_plus_minus=umpm,
+        u_minus_plus_minus_plus=umpmp,
+        idempotent=idem,
+        lower_bound_holds=lower,
+        upper_bound_holds=upper,
+        composite_idempotent=comp,
+    )
 
 
 def inf_solutions(
@@ -424,12 +451,12 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
     Kleene plus held on ``crit``."""
     inst.require_total("tail potential")
     e = crit.kernel_plus()
+    mode = inst.mode
     verts = aubry_vertices(inst, e)
     to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
     from_a = list(zip(*(e[a] for a in verts)))  # phi_1(a, y), one tuple per y
     return tuple(
-        from_grid(inst.mode, [min(map(add, xa, ay)) for ay in from_a], crit.scale)
-        for xa in to_a
+        from_grid(mode, [min(map(add, xa, ay)) for ay in from_a], crit.scale) for xa in to_a
     )
 
 

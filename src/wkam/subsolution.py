@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Optional
 
 from .barrier import aubry_vertices, limits_grid, orbit_walk
 from .core import (
     CostInstance,
-    PotentialTable,
     ValueFunction,
     as_value_function,
     from_grid,
@@ -78,13 +76,17 @@ def is_calibrated(
     return inst.mode.eq(u.values[pts[-1]], total, scale=inst.value_scale())
 
 
-def aubry_of(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple[int, ...]:
+def aubry_of(
+    inst: CostInstance, crit: CriticalData, u: ValueFunction
+) -> tuple[int, ...]:
     """Points whose normalized orbits fix u: u_minus(x) = u(x) = u_plus(x)."""
     _, start, lo, hi = limits_grid(inst, crit, u)
     return _fixed_points(inst, start, lo, hi)
 
 
-def _fixed_points(inst: CostInstance, start: list, lo: list, hi: list) -> tuple[int, ...]:
+def _fixed_points(
+    inst: CostInstance, start: list, lo: list, hi: list
+) -> tuple[int, ...]:
     mode = inst.mode
     scale = inst.value_scale()
     return tuple(
@@ -94,7 +96,9 @@ def _fixed_points(inst: CostInstance, start: list, lo: list, hi: list) -> tuple[
     )
 
 
-def strict_subsolution(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> ValueFunction:
+def strict_subsolution(
+    inst: CostInstance, crit: CriticalData, u: ValueFunction
+) -> ValueFunction:
     """Uniform average of the normalized iterates of u.
 
     Components are v_k = T-^k u + k alpha0 (k = 0..N) and
@@ -142,15 +146,9 @@ def strict_pairs(
     return tuple(out)
 
 
-def uniform_subsolution_mix(
-    inst: CostInstance,
-    crit: CriticalData,
-    phi: Optional[PotentialTable] = None,
-) -> ValueFunction:
+def uniform_subsolution_mix(inst: CostInstance, crit: CriticalData) -> ValueFunction:
     """Average of all potential rows, each normalized to vanish at point 0."""
-    if phi is None:
-        phi = mane_potential(inst, crit)
-    D, p, _ = potential_grid(inst, crit, phi)
+    D, p, _ = potential_grid(inst, crit, mane_potential(inst, crit))
     rows = [[v - row[0] for v in row] for row in p]
     vals = from_grid(inst.mode, [sum(col) for col in zip(*rows)], D * len(rows))
     return as_value_function(inst, vals, tag="potential_mix")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wkam import (
     InputError,
+    SizeGuardError,
     ValueFunction,
     as_value_function,
     aubry,
@@ -250,6 +251,24 @@ def test_float_u_plus_answers_past_4n_squared():
     hist = orbit_pos(inst, crit, u)
     assert len(hist) - 1 > 16
     assert all(mode.eq(a, b, scale=scale) for a, b in zip(hist[-1], up.values))
+
+
+def test_walk_refused_after_its_work_limit(monkeypatch):
+    # the self-loops of 100 bound each step's move by 100, so the walk passes
+    # the check on the call; but the backward orbit of 0 climbs by the 1/100
+    # two-cycle inside B, 1/200 a step, and has not reached its limit 1000
+    # when it has made the (lowered) work limit of 50 steps at n = 3
+    import wkam.barrier as barrier
+
+    inst = make_instance([[0, 1000, 1000], [1000, 100, F(1, 100)], [1000, 0, 100]])
+    crit = critical_value(inst)
+    D, start, lo, _ = barrier.limits_grid(inst, crit, as_value_function(inst, [0, 0, 0]))
+    assert lo == [0, 1000 * D, 1000 * D]
+    monkeypatch.setattr(barrier, "_WALK_WORK_LIMIT", 50 * 9)
+    walk = barrier.orbit_walk(inst, crit, D, start, lo, False)
+    with pytest.raises(SizeGuardError, match="did not settle in 50 steps"):
+        for _ in walk:
+            pass
 
 
 def test_orbits_monotone_and_solutions():

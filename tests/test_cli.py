@@ -124,23 +124,24 @@ def test_subsolution_slow_orbit_exits_0(capsys, tmp_path):
 
 
 def test_subsolution_over_orbit_budget_exits_2_fast(capsys, tmp_path):
-    # the orbit budget m * ceil(S / delta') = 1 * 10^6 / (1/1000) = 10^9
-    # steps is refused before any step
-    from time import perf_counter
-
-    from wkam import SizeGuardError, critical_value, max_strict_subsolution
+    # the off-Aubry self-loop 1/1000 bounds each step's move, so both orbits
+    # of the mix u* = (0, 0) need at least 10^6 / (1/1000) = 10^9 steps to
+    # reach their limits; the walk is refused before any step
+    from wkam import SizeGuardError, critical_value, uniform_subsolution_mix
+    from wkam.barrier import limits_grid, orbit_walk
     from wkam.models import load
 
     p = tmp_path / "slower.json"
     p.write_text('{"cost": [[0, 1000000], [1000000, "1/1000"]]}')
-    t0 = perf_counter()
     code, _, err = run(capsys, "subsolution", "--in", str(p))
-    assert perf_counter() - t0 < 1.0
     assert code == 2
     assert "1000000000 steps" in err
     inst = load(p)
-    with pytest.raises(SizeGuardError):
-        max_strict_subsolution(inst, critical_value(inst))
+    crit = critical_value(inst)
+    D, start, lo, hi = limits_grid(inst, crit, uniform_subsolution_mix(inst, crit))
+    for limit, forward in ((lo, False), (hi, True)):
+        with pytest.raises(SizeGuardError):
+            orbit_walk(inst, crit, D, start, limit, forward)  # raises on the call
 
 
 def test_potential_output(capsys, t2_file):
