@@ -16,7 +16,7 @@ the absolute band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -59,16 +59,15 @@ class Mode:
 
     kind: str = "exact"
     tolerance: float = 1e-9
+    # kind == "exact", stored once: hot loops read it on every call
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "float"):
             raise InputError(f"unknown mode {self.kind!r}")
         if self.kind == "float" and not self.tolerance > 0:
             raise InputError("float mode needs tolerance > 0")
-
-    @property
-    def exact(self) -> bool:
-        return self.kind == "exact"
+        object.__setattr__(self, "exact", self.kind == "exact")
 
     def coerce(self, x: Value) -> Value:
         """Bring a finite number into this mode's representation."""
@@ -119,7 +118,9 @@ class Mode:
         return a < b - self._band(a, b, scale)
 
     def is_zero(self, a: Value, scale: Value = 1) -> bool:
-        return self.eq(a, 0, scale=scale)
+        if self.exact:
+            return a == 0
+        return not is_inf(a) and abs(a) <= self._band(a, 0, scale)
 
 
 EXACT = Mode("exact")

@@ -1,10 +1,15 @@
 """Brute-force reference implementations and the full property harness.
 
 Everything here recomputes solver outputs by a different route at desk
-scale: every simple cycle is enumerated (with exact integer-scaled weights in
-exact mode) in one depth-first pass that does O(1) work per cycle and
-aggregates the per-vertex minimum reduced weight and the zero-cycle vertices
-and edges as each search subtree returns; chain costs come from recursive
+scale.  Every simple cycle is enumerated (with exact integer-scaled weights
+in exact mode) in one depth-first pass, least vertex first and each path's
+cycle before its extensions' cycles.  A parent closes its children's
+cycles, so the leaves of the search are never called.  One comparison of a
+cycle's total with a per-length threshold, recomputed only when the best
+mean changes, passes every cycle that can neither improve nor tie the
+least mean; only the others take the slow path of full comparisons.  The
+per-vertex minimum reduced weight and the zero-cycle vertices and edges are
+aggregated as each search subtree returns.  Chain costs come from recursive
 enumeration, the barrier from the eventual periodicity of reduced min-plus
 powers, and the per-function Aubry sets from reachability in the tight-edge
 graph.  A failed check always carries a concrete witness.
@@ -101,15 +106,29 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     is supplied, the zero-reduced-weight structure.
 
     One depth-first search per least vertex m extends the path m, p1, ...
-    by the remaining vertices in increasing order, and each node closes its
-    own cycle (the edge back to m) before it visits its children.  The path
-    total is carried down, so closing a cycle costs O(1) work, not O(length);
-    a path becomes a tuple only when its cycle enters the capped
-    ``attaining`` list.  Every
-    cycle closed in the subtree below the node where v joined the path runs
-    through v and through the edge into v, so the per-vertex minimum reduced
-    weight and the zero vertices and edges are aggregated as each subtree
-    returns, not cycle by cycle.
+    by the remaining vertices in increasing order, and cycles are visited in
+    preorder: a path's own cycle (the edge back to m) before the cycles of
+    its extensions.  A parent closes each child's cycle in its own loop,
+    just before it descends into that child, so a child with no vertices
+    left is never called.  The path total is carried down, the remaining
+    vertices are a bitmask whose members come from a table, and the path is
+    a list preallocated by depth, so closing a cycle costs O(1) work.
+
+    Fast path: a cycle of length L can improve or tie the best mean only if
+    its total is at most ``thr[L]``; every other cycle is passed by that one
+    comparison.  In exact mode thr[L] = floor(best_s * L / best_len), which
+    is exactly total * best_len <= best_s * L.  In float mode it is
+    L * (mean + band) widened by a relative margin, so rounding can only
+    send extra cycles to the slow path.  The slow path makes the full
+    comparison (new best, exact tie, float tie-in within the tolerance band
+    of the current best, the capped ``attaining`` list), turns the path
+    into a tuple, and recomputes ``thr`` when the best mean changes.
+
+    Every cycle closed in the subtree below the node where v joined the
+    path runs through v and through the edge into v, so the per-vertex
+    minimum reduced weight (the raw total plus L * alpha0) and the zero
+    vertices and edges are aggregated as each subtree returns, not cycle
+    by cycle.
 
     Exact mode scales all weights to integers on the grid of ``core``, so
     every comparison is integer arithmetic.
@@ -122,65 +141,114 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     D = grid_scale(mode, extra, inst.cost_grid()[0])
     w_grid = [[None if is_inf(v) else v for v in row] for row in inst.cost_at(D)]
     a_grid = 0 if alpha0 is None else to_grid(mode, extra, D)[0]
-    tol_band = 0.0 if exact else mode.tolerance * float(inst.value_scale())
+    band = 0 if exact else mode.tolerance * float(inst.value_scale())
+    red_at = [L * a_grid for L in range(n + 1)]  # alpha0 * L on the grid
+    # kids[mask]: (j, mask without j) for each member j, in increasing order
+    kids = [
+        tuple((j, mask ^ 1 << j) for j in range(n) if mask >> j & 1)
+        for mask in range(1 << n)
+    ]
 
     best_s: Value = INF
     best_len = 1
+    thr: list[Value] = [INF] * (n + 1)
     attaining: list[tuple[int, ...]] = []
     attaining_count = 0
     count = zeros = 0
     zero_v: set[int] = set()
     zero_e: set[tuple[int, int]] = set()
     vmin: list[Value] = [INF] * n
+    path = [0] * n
 
-    def visit(v: int, acc, L: int, rest: tuple[int, ...]):
-        """Scan the subtree of the path ending at v (total acc, L vertices)
-        and return the least reduced weight of a cycle closed in it.  A
-        subtree holds a zero cycle iff it moved the ``zeros`` count."""
-        nonlocal best_s, best_len, attaining, attaining_count, count, zeros
-        zeros_before = zeros
+    def settle(total, L: int) -> None:
+        """Slow path for the cycle path[:L] with the given total."""
+        nonlocal best_s, best_len, attaining, attaining_count
+        lhs, rhs = total * best_len, best_s * L
+        if lhs < rhs:
+            best_s, best_len = total, L
+            attaining = [tuple(path[:L])]
+            attaining_count = 1
+            if exact:
+                thr[:] = [best_s * k // best_len for k in range(n + 1)]
+            else:
+                mean = best_s / best_len
+                top = mean + band + (abs(mean) + band) * 2.0**-40
+                thr[:] = [k * top for k in range(n + 1)]
+        elif lhs == rhs or (
+            not exact and abs(total / L - best_s / best_len) <= band
+        ):
+            attaining_count += 1
+            if len(attaining) < ATTAINING_CAP:
+                attaining.append(tuple(path[:L]))
+
+    def visit(v: int, acc, L: int, rest: int):
+        """Close and scan the children of the path path[:L], which ends at
+        v with total acc, over the remaining vertices ``rest``; return the
+        least reduced weight of a cycle closed below v.  A subtree holds a
+        zero cycle iff it moved the ``zeros`` count."""
+        nonlocal count, zeros
         row = w_grid[v]
+        L1 = L + 1
+        t = thr[L1]
+        a = red_at[L1]
         sub_min = INF
-        w = row[m]
-        if w is not None:
-            count += 1
-            total = acc + w
-            lhs, rhs = total * best_len, best_s * L
-            if lhs < rhs:
-                best_s, best_len = total, L
-                attaining = [tuple(path)]
-                attaining_count = 1
-            elif lhs == rhs or (
-                not exact and abs(total / L - best_s / best_len) <= tol_band
-            ):
-                attaining_count += 1
-                if len(attaining) < ATTAINING_CAP:
-                    attaining.append(tuple(path))
-            sub_min = total + L * a_grid
-            if sub_min == 0 if exact else abs(sub_min) <= tol_band:
-                zeros += 1
-                zero_e.add((v, m))
-        for i, nxt in enumerate(rest):
+        for nxt, sub in kids[rest]:
             w = row[nxt]
             if w is None:
                 continue
-            path.append(nxt)
+            acc1 = acc + w
             z = zeros
-            red = visit(nxt, acc + w, L + 1, rest[:i] + rest[i + 1 :])
-            path.pop()
+            red = INF
+            w = close[nxt]
+            if w is not None:
+                count += 1
+                total = acc1 + w
+                if total <= t:
+                    path[L] = nxt
+                    settle(total, L1)
+                    t = thr[L1]
+                red = total + a
+                if red <= band and red >= -band:  # |red| <= band
+                    zeros += 1
+                    zero_e.add((nxt, m))
+            if sub:
+                path[L] = nxt
+                below = visit(nxt, acc1, L1, sub)
+                if below < red:
+                    red = below
             if red < sub_min:
                 sub_min = red
+            if red < vmin[nxt]:
+                vmin[nxt] = red
             if zeros != z:
+                zero_v.add(nxt)
                 zero_e.add((v, nxt))
-        if sub_min < vmin[v]:
-            vmin[v] = sub_min
-        if zeros != zeros_before:
-            zero_v.add(v)
         return sub_min
 
     for m in range(n):
-        path = [m]
-        visit(m, 0, 1, tuple(range(m + 1, n)))
+        close = [row[m] for row in w_grid]
+        path[0] = m
+        z = zeros
+        red = INF
+        w = close[m]
+        if w is not None:
+            count += 1
+            total = 0 + w  # the sum every path makes: a -0.0 loop gives 0.0
+            if total <= thr[1]:
+                settle(total, 1)
+            red = total + red_at[1]
+            if red <= band and red >= -band:
+                zeros += 1
+                zero_e.add((m, m))
+        rest = (1 << n) - (2 << m)  # the vertices above m
+        if rest:
+            below = visit(m, 0, 1, rest)
+            if below < red:
+                red = below
+        if red < vmin[m]:
+            vmin[m] = red
+        if zeros != z:
+            zero_v.add(m)
     if count == 0:
         raise SizeGuardError("instance has no cycle")
     (min_mean,) = from_grid(mode, (best_s,), best_len * D)

@@ -53,6 +53,16 @@ def test_float_mode_tolerance_band():
     assert m.eq(0.0, 1e-7, scale=1000)
 
 
+def test_mode_identity_is_kind_and_tolerance():
+    # the stored ``exact`` flag takes no part in ==, hash or repr
+    m = Mode("float", 1e-6)
+    assert (m == Mode("float", 1e-6), hash(m), repr(m)) == (
+        True,
+        hash(("float", 1e-6)),
+        "Mode(kind='float', tolerance=1e-06)",
+    )
+
+
 def test_mode_validation():
     with pytest.raises(InputError):
         Mode("decimal")

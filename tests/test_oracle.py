@@ -203,6 +203,12 @@ def test_cycle_scan_caps_attaining_list():
     assert scan.min_mean == F(1)
 
 
+def test_cycle_scan_is_exhaustive_at_the_desk_limit():
+    # A total instance on 10 vertices has sum_k C(10, k) (k - 1)! simple
+    # cycles, and the scan must close every one of them.
+    assert cycle_scan(gen_random(10, 0, -2, 2)).cycle_count == 1_112_083
+
+
 def _sparse(n: int, seed: int, mode: Mode):
     """Random instance with about 40 % +inf entries and a loop at 0."""
     rng = Random(seed)
@@ -217,9 +223,22 @@ def _sparse(n: int, seed: int, mode: Mode):
     return make_instance(cost, mode=mode)
 
 
+def _near_tie(n: int, seed: int):
+    """Quarter-grid costs as floats, each moved by noise far below the
+    tolerance band: cycles that tie exactly on the grid now have means that
+    differ inside the band, so only the float tie-in makes them attain."""
+    rng = Random(seed)
+    cost = [
+        [float(v) + rng.uniform(-1e-11, 1e-11) for v in row]
+        for row in gen_random(n, seed, -2, 2).cost
+    ]
+    return make_instance(cost, mode=Mode("float"))
+
+
 _SCAN_KINDS = {
     "exact": lambda n, s: gen_random(n, s, -2, 2),
     "float": lambda n, s: gen_random(n, s, -2, 2, mode=Mode("float")),
+    "float-near-tie": _near_tie,
     "sparse-exact": lambda n, s: _sparse(n, s, Mode()),
     "sparse-float": lambda n, s: _sparse(n, s, Mode("float")),
 }
@@ -236,7 +255,7 @@ def test_cycle_scan_matches_naive_reference(kind):
         "zero_edges",
         "vertex_min_reduced",
     )
-    for n in range(1, 8):
+    for n in range(1, 9):
         for seed in range(3):
             inst = _SCAN_KINDS[kind](n, seed)
             for alpha0 in (None, critical_value(inst).alpha0):
