@@ -106,32 +106,27 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     is supplied, the zero-reduced-weight structure.
 
     One depth-first search per least vertex m extends the path m, p1, ...
-    by the remaining vertices in increasing order, and cycles are visited in
-    preorder: a path's own cycle (the edge back to m) before the cycles of
-    its extensions.  A parent closes each child's cycle in its own loop,
-    just before it descends into that child, so a child with no vertices
-    left is never called.  The path total is carried down, the remaining
-    vertices are a bitmask whose members come from a table, and the path is
-    a list preallocated by depth, so closing a cycle costs O(1) work.
+    by the remaining vertices in increasing order.  Cycles are visited in
+    preorder, a path's own cycle (the edge back to m) before those of its
+    extensions: a parent closes each child's cycle in its loop just before
+    it descends, so a child with no vertices left is never called.  The
+    path total is carried down, the remaining vertices are a bitmask with a
+    member table, and the path is a list preallocated by depth.
 
     Fast path: a cycle of length L can improve or tie the best mean only if
-    its total is at most ``thr[L]``; every other cycle is passed by that one
-    comparison.  In exact mode thr[L] = floor(best_s * L / best_len), which
-    is exactly total * best_len <= best_s * L.  In float mode it is
-    L * (mean + band) widened by a relative margin, so rounding can only
-    send extra cycles to the slow path.  The slow path makes the full
-    comparison (new best, exact tie, float tie-in within the tolerance band
-    of the current best, the capped ``attaining`` list), turns the path
-    into a tuple, and recomputes ``thr`` when the best mean changes.
+    its total is at most thr[L], so one comparison passes every other
+    cycle.  Exact mode has thr[L] = floor(best_s * L / best_len), exactly
+    total * best_len <= best_s * L; float mode widens L * (mean + band) by
+    a relative margin, so rounding can only send extra cycles to the slow
+    path.  The slow path makes the full comparison (new best, exact tie,
+    float tie-in within the band of the current best, the capped
+    ``attaining`` list) and recomputes thr when the best mean changes.
 
-    Every cycle closed in the subtree below the node where v joined the
-    path runs through v and through the edge into v, so the per-vertex
-    minimum reduced weight (the raw total plus L * alpha0) and the zero
-    vertices and edges are aggregated as each subtree returns, not cycle
-    by cycle.
-
-    Exact mode scales all weights to integers on the grid of ``core``, so
-    every comparison is integer arithmetic.
+    Every cycle closed below the node where v joined the path runs through
+    v and the edge into v, so the per-vertex minimum reduced weight (raw
+    total plus L * alpha0) and the zero vertices and edges are aggregated
+    as each subtree returns.  Exact mode scales all weights to integers on
+    the grid of ``core``, so every comparison is integer arithmetic.
     """
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
@@ -142,7 +137,6 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     w_grid = [[None if is_inf(v) else v for v in row] for row in inst.cost_at(D)]
     a_grid = 0 if alpha0 is None else to_grid(mode, extra, D)[0]
     band = 0 if exact else mode.tolerance * float(inst.value_scale())
-    red_at = [L * a_grid for L in range(n + 1)]  # alpha0 * L on the grid
     # kids[mask]: (j, mask without j) for each member j, in increasing order
     kids = [
         tuple((j, mask ^ 1 << j) for j in range(n) if mask >> j & 1)
@@ -181,18 +175,19 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
             if len(attaining) < ATTAINING_CAP:
                 attaining.append(tuple(path[:L]))
 
-    def visit(v: int, acc, L: int, rest: int):
+    def visit(v: int, acc, L: int, children) -> Value:
         """Close and scan the children of the path path[:L], which ends at
-        v with total acc, over the remaining vertices ``rest``; return the
-        least reduced weight of a cycle closed below v.  A subtree holds a
-        zero cycle iff it moved the ``zeros`` count."""
+        v with total acc; ``children`` pairs each next vertex with the
+        mask of the vertices left after it.  Return the least reduced
+        weight of a cycle closed below v.  A subtree holds a zero cycle iff
+        it moved the ``zeros`` count."""
         nonlocal count, zeros
         row = w_grid[v]
         L1 = L + 1
         t = thr[L1]
-        a = red_at[L1]
+        a = L1 * a_grid  # alpha0 * L1 on the grid
         sub_min = INF
-        for nxt, sub in kids[rest]:
+        for nxt, sub in children:
             w = row[nxt]
             if w is None:
                 continue
@@ -213,7 +208,7 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
                     zero_e.add((nxt, m))
             if sub:
                 path[L] = nxt
-                below = visit(nxt, acc1, L1, sub)
+                below = visit(nxt, acc1, L1, kids[sub])
                 if below < red:
                     red = below
             if red < sub_min:
@@ -225,30 +220,14 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
                 zero_e.add((v, nxt))
         return sub_min
 
+    # A virtual vertex n enters each root m at cost 0, so the path (m,) and
+    # its loop are closed like every other path.
+    w_grid.append([0] * n)
     for m in range(n):
         close = [row[m] for row in w_grid]
-        path[0] = m
-        z = zeros
-        red = INF
-        w = close[m]
-        if w is not None:
-            count += 1
-            total = 0 + w  # the sum every path makes: a -0.0 loop gives 0.0
-            if total <= thr[1]:
-                settle(total, 1)
-            red = total + red_at[1]
-            if red <= band and red >= -band:
-                zeros += 1
-                zero_e.add((m, m))
-        rest = (1 << n) - (2 << m)  # the vertices above m
-        if rest:
-            below = visit(m, 0, 1, rest)
-            if below < red:
-                red = below
-        if red < vmin[m]:
-            vmin[m] = red
-        if zeros != z:
-            zero_v.add(m)
+        above = (1 << n) - (2 << m)  # the vertices above m
+        visit(n, 0, 0, ((m, above),))
+        zero_e.discard((n, m))
     if count == 0:
         raise SizeGuardError("instance has no cycle")
     (min_mean,) = from_grid(mode, (best_s,), best_len * D)
