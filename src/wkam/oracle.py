@@ -228,6 +228,7 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
         above = (1 << n) - (2 << m)  # the vertices above m
         visit(n, 0, 0, ((m, above),))
         zero_e.discard((n, m))
+    del visit  # break the closure's reference to itself: it holds ``kids``
     if count == 0:
         raise SizeGuardError("instance has no cycle")
     (min_mean,) = from_grid(mode, (best_s,), best_len * D)
