@@ -1,18 +1,19 @@
 """Brute-force reference implementations and the full property harness.
 
 Everything here recomputes solver outputs by a different route at desk
-scale.  Every simple cycle is enumerated (with exact integer-scaled weights
-in exact mode) in one depth-first pass, least vertex first and each path's
-cycle before its extensions' cycles.  A parent closes its children's
-cycles, so the leaves of the search are never called.  One comparison of a
-cycle's total with a per-length threshold, recomputed only when the best
-mean changes, passes every cycle that can neither improve nor tie the
-least mean; only the others take the slow path of full comparisons.  The
-per-vertex minimum reduced weight and the zero-cycle vertices and edges are
-aggregated as each search subtree returns.  Chain costs come from recursive
-enumeration, the barrier from the eventual periodicity of reduced min-plus
-powers, and the per-function Aubry sets from reachability in the tight-edge
-graph.  A failed check always carries a concrete witness.
+scale.  The simple cycles are scanned from the costs alone (with exact
+integer-scaled weights in exact mode), least vertex first.  Per least
+vertex, a forward subset DP over (vertex set, last vertex) holds the number
+of paths and the least path total; it gives the cycle count, the per-vertex
+minimum reduced weight and the least mean.  A depth-first search visits the
+cycles in preorder, each path's cycle before its extensions' cycles, for
+the capped list of cycles attaining the least mean and for the zero-cycle
+vertices and edges.  It descends into a child only where a suffix subset DP
+leaves room for a cycle that ties the least mean or has reduced weight
+zero.  Chain costs come from recursive enumeration, the barrier from the
+eventual periodicity of reduced min-plus powers, and the per-function Aubry
+sets from reachability in the tight-edge graph.  A failed check always
+carries a concrete witness.
 
 The harness computes on the integer grid of ``core``.  ``verify_all`` puts
 the costs, alpha0, the powers and tables it compares, the barrier under test
@@ -90,7 +91,8 @@ def _guard(n: int, limit: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class CycleScan:
-    """One exhaustive pass over the simple cycles of an instance."""
+    """The least mean and zero structure over all simple cycles of an
+    instance."""
 
     min_mean: Value
     attaining: tuple[tuple[int, ...], ...]  # capped; see attaining_count
@@ -101,17 +103,137 @@ class CycleScan:
     vertex_min_reduced: tuple[Value, ...] = ()
 
 
-def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
-    """Enumerate all simple cycles; track the minimum mean and, when alpha0
-    is supplied, the zero-reduced-weight structure.
+def _members(k: int) -> list[tuple[int, ...]]:
+    """members[mask]: the set bits of each k-bit mask, in increasing order."""
+    return [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
 
-    One depth-first search per least vertex m extends the path m, p1, ...
-    by the remaining vertices in increasing order.  Cycles are visited in
-    preorder, a path's own cycle (the edge back to m) before those of its
-    extensions: a parent closes each child's cycle in its loop just before
-    it descends, so a child with no vertices left is never called.  The
-    path total is carried down, the remaining vertices are a bitmask with a
-    member table, and the path is a list preallocated by depth.
+
+def _closings(w: list, m: int, members: list) -> tuple[list[int], list[Value]]:
+    """Forward subset DP over the cycles whose least vertex is m.
+
+    Bit i of a mask S stands for vertex m + 1 + i.  For each S, return the
+    number of simple cycles on the vertex set {m} + S and their least
+    total.  Per (S, last vertex) the DP keeps the least path total from m
+    and the number of paths.  Totals are the search's left-fold sums, and
+    fl(x + w) is monotone in x, so in float mode too the least total is
+    the least of the cycles' own totals."""
+    k = len(w) - 1 - m
+    full = 1 << k
+    sub = [row[m + 1:] for row in w[m + 1:]]
+    back = [row[m] for row in w[m + 1:]]
+    tot = [[INF] * k for _ in range(full)]
+    num = [[0] * k for _ in range(full)]
+    for i, x in enumerate(w[m][m + 1:]):
+        if x is not None:
+            tot[1 << i][i] = 0 + x  # the fold starts at 0: -0.0 becomes 0.0
+            num[1 << i][i] = 1
+    x = w[m][m]
+    cyc_num = [0] * full
+    cyc_min: list[Value] = [INF] * full
+    if x is not None:
+        cyc_num[0], cyc_min[0] = 1, 0 + x
+    for S in range(1, full):
+        tS, nS = tot[S], num[S]
+        outside = members[full - 1 ^ S]
+        c, low = 0, INF
+        for i in members[S]:
+            p = nS[i]
+            if not p:
+                continue
+            t = tS[i]
+            x = back[i]
+            if x is not None:
+                c += p
+                x = t + x
+                if x < low:
+                    low = x
+            row = sub[i]
+            for j in outside:
+                x = row[j]
+                if x is not None:
+                    x = t + x
+                    T = S | 1 << j
+                    if x < tot[T][j]:
+                        tot[T][j] = x
+                    num[T][j] += p
+        cyc_num[S], cyc_min[S] = c, low
+    return cyc_num, cyc_min
+
+
+def _children(w: list, m: int, members: list, shifts: list, exact: bool) -> list[tuple]:
+    """Suffix subset DP: the search's child table below root m.
+
+    For a shift (s, c, z), C(i, R) is the least sum of w * s - c over the
+    edges of a path from vertex m + 1 + i through a subset of R back to m
+    (bits as in ``_closings``).  A path from m that ends at m + 1 + i with
+    total acc and leaves R unvisited has k - |R| edges, so every cycle
+    below it has a shifted sum above z when
+    acc > ((k - |R|) * c - C(i, R) + z) / s.  The skip limit lim[R][i] is
+    the largest of these bounds over the shifts (floored in exact mode,
+    where acc is an integer), and -INF where no path closes.
+
+    Return kids[S]: (vertex, S without it, skip limit) for each member of
+    S in increasing order from which a path closes."""
+    k = len(w) - 1 - m
+    full = 1 << k
+    lim: list[list[Value]] = [[-INF] * k for _ in range(full)]
+    for s, c, z in shifts:
+        sub = [[None if x is None else x * s - c for x in row[m + 1:]] for row in w[m + 1:]]
+        back = [INF if row[m] is None else row[m] * s - c for row in w[m + 1:]]
+        least: list[list[Value]] = [[INF] * k for _ in range(full)]
+        for R in range(full):
+            inside = members[R]
+            edges = k - len(inside)
+            for i in members[full - 1 ^ R]:
+                low = back[i]
+                row = sub[i]
+                for j in inside:
+                    x = row[j]
+                    if x is not None:
+                        x += least[R ^ 1 << j][j]
+                        if x < low:
+                            low = x
+                if low == INF:
+                    continue
+                least[R][i] = low
+                q = edges * c - low + z
+                if exact:
+                    q //= s
+                if q > lim[R][i]:
+                    lim[R][i] = q
+    return [
+        tuple(
+            (m + 1 + i, S ^ 1 << i, lim[S ^ 1 << i][i])
+            for i in members[S]
+            if lim[S ^ 1 << i][i] != -INF
+        )
+        for S in range(full)
+    ]
+
+
+def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
+    """Scan all simple cycles; track the minimum mean and, when alpha0 is
+    supplied, the zero-reduced-weight structure.
+
+    Counts and minima come from a forward subset DP per least vertex m
+    (``_closings``): the number of cycles and the least total per vertex
+    set give ``cycle_count``, the per-vertex minimum reduced weight (least
+    total plus L * alpha0 over the sets through the vertex) and the least
+    mean, with no cycle closed one by one.
+
+    The capped ``attaining`` list and the zero vertices and edges come from
+    one depth-first search per least vertex m that extends the path m, p1,
+    ... by the remaining vertices in increasing order.  Cycles are visited
+    in preorder, a path's own cycle (the edge back to m) before those of
+    its extensions: a parent closes each child's cycle in its loop just
+    before it descends.  A child is skipped when the suffix subset DP of
+    ``_children`` proves that no cycle below it has a mean within the band
+    of the least mean or a reduced weight within the band of zero.  The
+    skipped cycles come before the final best or can never tie it, so
+    ``attaining`` and its order are those of the full search.  Exact mode
+    skips only cycles of larger mean and positive reduced weight; float
+    mode widens both bands by a relative margin that covers the rounding of
+    the sums and of the slow path's comparisons.
 
     Fast path: a cycle of length L can improve or tie the best mean only if
     its total is at most thr[L], so one comparison passes every other
@@ -123,10 +245,9 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     ``attaining`` list) and recomputes thr when the best mean changes.
 
     Every cycle closed below the node where v joined the path runs through
-    v and the edge into v, so the per-vertex minimum reduced weight (raw
-    total plus L * alpha0) and the zero vertices and edges are aggregated
-    as each subtree returns.  Exact mode scales all weights to integers on
-    the grid of ``core``, so every comparison is integer arithmetic.
+    v and the edge into v, so the zero vertices and edges are aggregated as
+    each subtree returns.  Exact mode scales all weights to integers on the
+    grid of ``core``, so every comparison is integer arithmetic.
     """
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
@@ -137,21 +258,51 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     w_grid = [[None if is_inf(v) else v for v in row] for row in inst.cost_at(D)]
     a_grid = 0 if alpha0 is None else to_grid(mode, extra, D)[0]
     band = 0 if exact else mode.tolerance * float(inst.value_scale())
-    # kids[mask]: (j, mask without j) for each member j, in increasing order
-    kids = [
-        tuple((j, mask ^ 1 << j) for j in range(n) if mask >> j & 1)
-        for mask in range(1 << n)
-    ]
+    members = _members(n - 1)
+
+    count = 0
+    vmin: list[Value] = [INF] * n
+    low_s: Value = INF  # the least mean is low_s / low_len
+    low_len = 1
+    for m in range(n):
+        cyc_num, cyc_min = _closings(w_grid, m, members)
+        count += sum(cyc_num)
+        for S, low in enumerate(cyc_min):
+            if low == INF:
+                continue
+            L = len(members[S]) + 1
+            if low * low_len < low_s * L:
+                low_s, low_len = low, L
+            red = low + L * a_grid
+            for v in (m, *(m + 1 + i for i in members[S])):
+                if red < vmin[v]:
+                    vmin[v] = red
+    if count == 0:
+        raise SizeGuardError("instance has no cycle")
+
+    # Skip shifts (s, c, z) for ``_children``: the search keeps every cycle
+    # with sum(w * s - c) <= z for some shift.  In float mode the margin
+    # ``slack`` (2^-30 of the magnitudes) is above the rounding of a sum of
+    # n + 1 terms and of the slow path's cross products (2^-52 relative),
+    # even summed over the 1.2e6 cycles of a desk-size instance.
+    if exact:
+        slack = 0
+        shifts = [(low_len, low_s, 0)]
+    else:
+        wabs = max(abs(x) for row in w_grid for x in row if x is not None)
+        slack = (wabs + abs(a_grid) + band) * 2.0**-30
+        shifts = [(1, low_s / low_len + band + slack, 0)]
+    if alpha0 is not None:
+        shifts.append((1, -a_grid, band + slack))
 
     best_s: Value = INF
     best_len = 1
     thr: list[Value] = [INF] * (n + 1)
     attaining: list[tuple[int, ...]] = []
     attaining_count = 0
-    count = zeros = 0
+    zeros = 0
     zero_v: set[int] = set()
     zero_e: set[tuple[int, int]] = set()
-    vmin: list[Value] = [INF] * n
     path = [0] * n
 
     def settle(total, L: int) -> None:
@@ -175,28 +326,26 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
             if len(attaining) < ATTAINING_CAP:
                 attaining.append(tuple(path[:L]))
 
-    def visit(v: int, acc, L: int, children) -> Value:
+    def visit(v: int, acc, L: int, children) -> None:
         """Close and scan the children of the path path[:L], which ends at
-        v with total acc; ``children`` pairs each next vertex with the
-        mask of the vertices left after it.  Return the least reduced
-        weight of a cycle closed below v.  A subtree holds a zero cycle iff
-        it moved the ``zeros`` count."""
-        nonlocal count, zeros
-        row = w_grid[v]
+        v with total acc; ``children`` holds each next vertex with the mask
+        of the vertices left after it and its skip limit.  A subtree holds
+        a zero cycle iff it moved the ``zeros`` count."""
+        nonlocal zeros
+        row = rows[v]
         L1 = L + 1
         t = thr[L1]
         a = L1 * a_grid  # alpha0 * L1 on the grid
-        sub_min = INF
-        for nxt, sub in children:
+        for nxt, sub, lim in children:
             w = row[nxt]
             if w is None:
                 continue
             acc1 = acc + w
+            if acc1 > lim:  # no cycle below can tie the least mean or be zero
+                continue
             z = zeros
-            red = INF
             w = close[nxt]
             if w is not None:
-                count += 1
                 total = acc1 + w
                 if total <= t:
                     path[L] = nxt
@@ -208,29 +357,20 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
                     zero_e.add((nxt, m))
             if sub:
                 path[L] = nxt
-                below = visit(nxt, acc1, L1, kids[sub])
-                if below < red:
-                    red = below
-            if red < sub_min:
-                sub_min = red
-            if red < vmin[nxt]:
-                vmin[nxt] = red
+                visit(nxt, acc1, L1, kids[sub])
             if zeros != z:
                 zero_v.add(nxt)
                 zero_e.add((v, nxt))
-        return sub_min
 
-    # A virtual vertex n enters each root m at cost 0, so the path (m,) and
-    # its loop are closed like every other path.
-    w_grid.append([0] * n)
+    # A virtual vertex n enters each root m at cost 0 with no skip limit,
+    # so the path (m,) and its loop are closed like every other path.
+    rows = [*w_grid, [0] * n]
     for m in range(n):
-        close = [row[m] for row in w_grid]
-        above = (1 << n) - (2 << m)  # the vertices above m
-        visit(n, 0, 0, ((m, above),))
+        close = [row[m] for row in rows]
+        kids = _children(w_grid, m, members, shifts, exact)
+        visit(n, 0, 0, ((m, len(kids) - 1, INF),))
         zero_e.discard((n, m))
     del visit  # break the closure's reference to itself: it holds ``kids``
-    if count == 0:
-        raise SizeGuardError("instance has no cycle")
     (min_mean,) = from_grid(mode, (best_s,), best_len * D)
     if alpha0 is None:  # the zero structure is relative to alpha0
         zero_v, zero_e, vmin = set(), set(), [INF] * n
@@ -501,7 +641,8 @@ class _Workspace:
     alpha0, the samples and the barrier under test.  ``c``, ``r``, ``p``
     and ``h`` are the cost, reduced, Mane potential and barrier matrices
     times D, ``a`` is alpha0 times D and ``grid_samples`` the samples times
-    D.  Float mode has D = 1, so both modes run the same checks.
+    D.  Float mode has D = 1, so both modes run the same checks.  ``rev``
+    is the reversed instance, shared by the reversal and jump checks.
     """
 
     def __init__(
@@ -513,6 +654,7 @@ class _Workspace:
         barrier_override: Optional[Matrix],
     ):
         self.inst = inst
+        self.rev = reverse_cost(inst)
         self.mode = mode = inst.mode
         self.scale = inst.value_scale()
         self.crit = critical_value(inst)
@@ -691,11 +833,10 @@ def _check_constant_commutation(ws: _Workspace) -> CheckResult:
 def _check_reversal(ws: _Workspace) -> CheckResult:
     name = "tropical.reversal_identity"
     inst = ws.inst
-    rev = reverse_cost(inst)
     for u in ws.samples[:5]:
         direct = lax_oleinik_pos(inst, u).values
         neg_u = ValueFunction(tuple(-v for v in u.values))
-        via_reversal = tuple(-v for v in lax_oleinik_neg(rev, neg_u).values)
+        via_reversal = tuple(-v for v in lax_oleinik_neg(ws.rev, neg_u).values)
         if not vf_eq(ws.mode, direct, via_reversal, scale=ws.scale):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
@@ -904,9 +1045,7 @@ def _check_jumps(ws: _Workspace) -> CheckResult:
             return CheckResult(name, False, f"F({x}) < 0")
         if ws.mode.lt(0, ws.f.values[x], scale=ws.scale):
             return CheckResult(name, False, f"f({x}) > 0")
-    rev = reverse_cost(inst)
-    rcrit = critical_value(rev)
-    rF = jump_F(rev, rcrit)
+    rF = jump_F(ws.rev, critical_value(ws.rev))
     flipped = tuple(-v for v in rF.values)
     if not vf_eq(ws.mode, ws.f.values, flipped, scale=ws.scale):
         return CheckResult(name, False, "f != -F(reversed)")

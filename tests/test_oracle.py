@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from wkam import (
+    InputError,
     SizeGuardError,
     cost_power,
     critical_value,
@@ -206,19 +207,37 @@ def test_cycle_scan_caps_attaining_list():
 
 def test_cycle_scan_is_exhaustive_at_the_desk_limit():
     # A total instance on 10 vertices has sum_k C(10, k) (k - 1)! simple
-    # cycles, and the scan must close every one of them.
+    # cycles, and the scan must count every one of them.
     assert cycle_scan(gen_random(10, 0, -2, 2)).cycle_count == 1_112_083
 
 
-def test_cycle_scan_leaves_no_reference_cycle():
+def test_cycle_scan_worst_case_skips_nothing():
+    # Every cycle of a constant instance has the least mean and, at
+    # alpha0 = -1, reduced weight zero, so the search can skip no child:
+    # all 1,112,083 cycles attain, in search order, and every vertex and
+    # edge lies on a zero cycle.
+    n = 10
+    scan = cycle_scan(gen_constant(n, F(1)), alpha0=F(-1))
+    assert scan.cycle_count == scan.attaining_count == 1_112_083
+    assert len(scan.attaining) == ATTAINING_CAP
+    assert scan.attaining[:5] == ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4))
+    assert scan.attaining[9:11] == (tuple(range(10)), (0, 1, 2, 3, 4, 5, 6, 7, 9))
+    assert scan.zero_vertices == tuple(range(n))
+    assert scan.zero_edges == tuple((i, j) for i in range(n) for j in range(n))
+    assert scan.vertex_min_reduced == (0,) * n
+
+
+@pytest.mark.parametrize("with_alpha0", [False, True])
+def test_cycle_scan_leaves_no_reference_cycle(with_alpha0):
     # A recursive closure refers to itself; left so, it keeps the scan's
-    # member table (about 6000 tuples at n = 10) until a full collection,
-    # and the peak RSS of repeated verify_all calls grows.
+    # child and limit tables until a full collection, and the peak RSS of
+    # repeated verify_all calls grows.
     inst = gen_random(6, 0, -2, 2)
+    alpha0 = critical_value(inst).alpha0 if with_alpha0 else None
     gc.collect()
     gc.disable()
     try:
-        cycle_scan(inst)
+        cycle_scan(inst, alpha0=alpha0)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -238,25 +257,45 @@ def _sparse(n: int, seed: int, mode: Mode):
     return make_instance(cost, mode=mode)
 
 
-def _near_tie(n: int, seed: int):
-    """Quarter-grid costs as floats, each moved by noise far below the
-    tolerance band: cycles that tie exactly on the grid now have means that
-    differ inside the band, so only the float tie-in makes them attain."""
+def _jitter(inst, seed: int, noise: float):
+    """The costs as floats, each moved by noise below the tolerance band:
+    cycles that tie exactly on the grid now have means that differ inside
+    the band, so only the float tie-in makes them attain."""
     rng = Random(seed)
-    cost = [
-        [float(v) + rng.uniform(-1e-11, 1e-11) for v in row]
-        for row in gen_random(n, seed, -2, 2).cost
-    ]
+    cost = [[float(v) + rng.uniform(-noise, noise) for v in row] for row in inst.cost]
     return make_instance(cost, mode=Mode("float"))
 
 
 _SCAN_KINDS = {
     "exact": lambda n, s: gen_random(n, s, -2, 2),
     "float": lambda n, s: gen_random(n, s, -2, 2, mode=Mode("float")),
-    "float-near-tie": _near_tie,
+    "exact-wide": lambda n, s: gen_random(n, s, -100, 100),
+    "float-wide": lambda n, s: gen_random(n, s, -100, 100, mode=Mode("float")),
+    "float-near-tie": lambda n, s: _jitter(gen_random(n, s, -2, 2), s, 1e-11),
+    # every cycle ties on the grid, and the noise is half the band (1e-9 *
+    # value_scale = 1e-9 * n): means differ by more than the search's
+    # rounding margin but still tie
+    "float-band-tie": lambda n, s: _jitter(gen_constant(n, 1), s, 5e-10 * n),
     "sparse-exact": lambda n, s: _sparse(n, s, Mode()),
     "sparse-float": lambda n, s: _sparse(n, s, Mode("float")),
+    "constant-exact": lambda n, s: gen_constant(n, F((1, 0, -2)[s])),
+    "constant-float": lambda n, s: gen_constant(n, (1, 0, -2)[s], mode=Mode("float")),
 }
+
+
+def _scan_alphas(inst):
+    """None, and alpha0 = crit where the critical value exists; below
+    n = 8 also crit + 1/3 and crit - 1/3 (n = 8 bounds the reference's run
+    time).  The search skips by both the least mean and alpha0, and a low
+    alpha0 makes reduced weights negative."""
+    try:
+        crit = critical_value(inst).alpha0
+    except InputError:
+        return (None,)
+    if inst.n >= 8:
+        return (None, crit)
+    third = F(1, 3) if inst.mode.exact else 1 / 3
+    return (None, crit, crit + third, crit - third)
 
 
 @pytest.mark.parametrize("kind", sorted(_SCAN_KINDS))
@@ -273,7 +312,7 @@ def test_cycle_scan_matches_naive_reference(kind):
     for n in range(1, 9):
         for seed in range(3):
             inst = _SCAN_KINDS[kind](n, seed)
-            for alpha0 in (None, critical_value(inst).alpha0):
+            for alpha0 in _scan_alphas(inst):
                 got = cycle_scan(inst, alpha0=alpha0)
                 want = naive_cycle_scan(inst, alpha0=alpha0)
                 for f in fields:
