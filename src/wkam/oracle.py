@@ -108,13 +108,13 @@ def _members(k: int) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
 
 
-def _closings(w: list, m: int, members: list) -> tuple[list[int], list[Value]]:
+def _closings(w: list, m: int, members: list) -> tuple[int, list[Value]]:
     """Forward subset DP over the cycles whose least vertex is m.
 
-    Bit i of a mask S stands for vertex m + 1 + i.  For each S, return the
-    number of simple cycles on the vertex set {m} + S and their least
-    total.  Per (S, last vertex) the DP keeps the least path total from m
-    and the number of paths.  Totals are the search's left-fold sums, and
+    Bit i of a mask S stands for vertex m + 1 + i.  Return the number of
+    these cycles and, for each S, the least total of the cycles on the
+    vertex set {m} + S.  Per (S, last vertex) the DP keeps the least path
+    total from m and the number of paths.  Totals are the search's left-fold sums, and
     fl(x + w) is monotone in x, so in float mode too the least total is
     the least of the cycles' own totals."""
     k = len(w) - 1 - m
@@ -128,10 +128,10 @@ def _closings(w: list, m: int, members: list) -> tuple[list[int], list[Value]]:
             tot[1 << i][i] = 0 + x  # the fold starts at 0: -0.0 becomes 0.0
             num[1 << i][i] = 1
     x = w[m][m]
-    cyc_num = [0] * full
+    count = 0 if x is None else 1
     cyc_min: list[Value] = [INF] * full
     if x is not None:
-        cyc_num[0], cyc_min[0] = 1, 0 + x
+        cyc_min[0] = 0 + x
     for S in range(1, full):
         tS, nS = tot[S], num[S]
         outside = members[full - 1 ^ S]
@@ -156,8 +156,9 @@ def _closings(w: list, m: int, members: list) -> tuple[list[int], list[Value]]:
                     if x < tot[T][j]:
                         tot[T][j] = x
                     num[T][j] += p
-        cyc_num[S], cyc_min[S] = c, low
-    return cyc_num, cyc_min
+        count += c
+        cyc_min[S] = low
+    return count, cyc_min
 
 
 def _children(w: list, m: int, members: list, shifts: list, exact: bool) -> list[tuple]:
@@ -215,25 +216,22 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     """Scan all simple cycles; track the minimum mean and, when alpha0 is
     supplied, the zero-reduced-weight structure.
 
-    Counts and minima come from a forward subset DP per least vertex m
-    (``_closings``): the number of cycles and the least total per vertex
-    set give ``cycle_count``, the per-vertex minimum reduced weight (least
-    total plus L * alpha0 over the sets through the vertex) and the least
+    A forward subset DP per least vertex m (``_closings``) gives
+    ``cycle_count``, the per-vertex minimum reduced weight (least total
+    plus L * alpha0 over the vertex sets through the vertex) and the least
     mean, with no cycle closed one by one.
 
     The capped ``attaining`` list and the zero vertices and edges come from
-    one depth-first search per least vertex m that extends the path m, p1,
-    ... by the remaining vertices in increasing order.  Cycles are visited
-    in preorder, a path's own cycle (the edge back to m) before those of
-    its extensions: a parent closes each child's cycle in its loop just
-    before it descends.  A child is skipped when the suffix subset DP of
-    ``_children`` proves that no cycle below it has a mean within the band
-    of the least mean or a reduced weight within the band of zero.  The
-    skipped cycles come before the final best or can never tie it, so
-    ``attaining`` and its order are those of the full search.  Exact mode
-    skips only cycles of larger mean and positive reduced weight; float
-    mode widens both bands by a relative margin that covers the rounding of
-    the sums and of the slow path's comparisons.
+    one depth-first search per m that extends the path m, p1, ... by the
+    remaining vertices in increasing order.  It visits cycles in preorder:
+    a parent closes each child's cycle just before it descends.  It skips a
+    child when the suffix subset DP of ``_children`` proves that no cycle
+    below it has a mean within the band of the least mean or a reduced
+    weight within the band of zero.  Skipped cycles come before the final
+    best or can never tie it, so ``attaining`` and its order are those of
+    the full search.  Exact mode skips only cycles of larger mean and
+    positive reduced weight; float mode widens both bands by a relative
+    margin that covers the rounding of the sums and of the slow path.
 
     Fast path: a cycle of length L can improve or tie the best mean only if
     its total is at most thr[L], so one comparison passes every other
@@ -265,8 +263,8 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     low_s: Value = INF  # the least mean is low_s / low_len
     low_len = 1
     for m in range(n):
-        cyc_num, cyc_min = _closings(w_grid, m, members)
-        count += sum(cyc_num)
+        c, cyc_min = _closings(w_grid, m, members)
+        count += c
         for S, low in enumerate(cyc_min):
             if low == INF:
                 continue

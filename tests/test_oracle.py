@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from wkam import (
-    InputError,
     SizeGuardError,
     cost_power,
     critical_value,
@@ -227,20 +226,19 @@ def test_cycle_scan_worst_case_skips_nothing():
     assert scan.vertex_min_reduced == (0,) * n
 
 
-@pytest.mark.parametrize("with_alpha0", [False, True])
-def test_cycle_scan_leaves_no_reference_cycle(with_alpha0):
+def test_cycle_scan_leaves_no_reference_cycle():
     # A recursive closure refers to itself; left so, it keeps the scan's
-    # child and limit tables until a full collection, and the peak RSS of
-    # repeated verify_all calls grows.
+    # child tables until a full collection, and the peak RSS of repeated
+    # verify_all calls grows.
     inst = gen_random(6, 0, -2, 2)
-    alpha0 = critical_value(inst).alpha0 if with_alpha0 else None
-    gc.collect()
-    gc.disable()
-    try:
-        cycle_scan(inst, alpha0=alpha0)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    for alpha0 in (None, critical_value(inst).alpha0):
+        gc.collect()
+        gc.disable()
+        try:
+            cycle_scan(inst, alpha0=alpha0)
+            assert gc.collect() == 0, f"alpha0={alpha0}"
+        finally:
+            gc.enable()
 
 
 def _sparse(n: int, seed: int, mode: Mode):
@@ -284,14 +282,11 @@ _SCAN_KINDS = {
 
 
 def _scan_alphas(inst):
-    """None, and alpha0 = crit where the critical value exists; below
-    n = 8 also crit + 1/3 and crit - 1/3 (n = 8 bounds the reference's run
-    time).  The search skips by both the least mean and alpha0, and a low
-    alpha0 makes reduced weights negative."""
-    try:
-        crit = critical_value(inst).alpha0
-    except InputError:
-        return (None,)
+    """None and alpha0 = crit; below n = 8 also crit + 1/3 and crit - 1/3
+    (n = 8 bounds the reference's run time).  The search skips by both the
+    least mean and alpha0, and a low alpha0 makes reduced weights
+    negative."""
+    crit = critical_value(inst).alpha0
     if inst.n >= 8:
         return (None, crit)
     third = F(1, 3) if inst.mode.exact else 1 / 3
