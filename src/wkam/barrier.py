@@ -61,7 +61,6 @@ from .core import (
     ValueFunction,
     from_grid,
     grid_operands,
-    grid_scale,
     kleene_plus,
     lax_oleinik_neg,
     lax_oleinik_pos,
@@ -70,7 +69,7 @@ from .core import (
     vf_eq,
     vf_le,
 )
-from .critical import CriticalData, is_dominated
+from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError, SizeGuardError, Value, neg
 from .potential import jump_F, potential_grid
 
@@ -225,13 +224,8 @@ def limits_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tup
     """Check that u is dominated; then D, u, u_minus and u_plus on the
     kernel's grid refined to u's denominators, by the closed forms."""
     inst.require_total("orbit limits")
-    if not is_dominated(inst, u, crit.alpha0).ok:
-        raise InputError("function is not dominated at the critical constant")
-    mode = inst.mode
-    vals = [mode.coerce(v) for v in u.values]
-    D = grid_scale(mode, vals, crit.scale)
+    D, start = _dominated_grid(inst, crit, u)
     m, p = D // crit.scale, crit.kernel_plus()
-    start = list(to_grid(mode, vals, D))
     ua = [(start[a], a) for a in aubry_vertices(inst, p)]
     lo = [min(v + p[a][y] * m for v, a in ua) for y in range(inst.n)]
     hi = [max(v - row[a] * m for v, a in ua) for row in p]

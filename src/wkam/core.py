@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import add, sub
+from operator import add, eq, le, sub
 from typing import Iterable, Optional, Sequence
 
 from .numbers import EXACT, InputError, Mode, Value, is_inf
@@ -355,8 +355,12 @@ def grid_operands(
 # ---------------------------------------------------------------------------
 
 def vf_le(mode: Mode, u: Sequence[Value], v: Sequence[Value], scale: Value = 1) -> bool:
+    if mode.exact:  # Mode.le without a call per entry
+        return all(map(le, u, v))
     return all(mode.le(a, b, scale=scale) for a, b in zip(u, v))
 
 
 def vf_eq(mode: Mode, u: Sequence[Value], v: Sequence[Value], scale: Value = 1) -> bool:
+    if mode.exact:
+        return all(map(eq, u, v))
     return all(mode.eq(a, b, scale=scale) for a, b in zip(u, v))

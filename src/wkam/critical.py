@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import add
-from typing import NamedTuple, Optional
+from operator import add, sub
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     CostInstance,
@@ -37,7 +37,7 @@ from .core import (
     kleene_plus,
     to_grid,
 )
-from .numbers import INF, InputError, Value, is_inf
+from .numbers import INF, InputError, Mode, Value, is_inf
 
 
 @dataclass(frozen=True)
@@ -213,20 +213,49 @@ def is_dominated(
 ) -> DominationResult:
     """Check u(y) - u(x) <= c(x, y) + alpha for all pairs; witness on failure."""
     mode = inst.mode
-    scale = inst.value_scale()
     alpha = mode.coerce(alpha)
     values = [mode.coerce(v) for v in u.values]
     D = grid_scale(mode, chain(values, (alpha,)), inst.cost_grid()[0])
-    vals = to_grid(mode, values, D)
     (a,) = to_grid(mode, (alpha,), D)
-    for x, row in enumerate(inst.cost_at(D)):
+    hit = _undominated(mode, to_grid(mode, values, D), inst.cost_at(D), a, inst.value_scale())
+    return DominationResult(hit is None, hit)
+
+
+def _dominated_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple[int, list]:
+    """D and u * D on the kernel's grid refined to u's denominators, after
+    checking u against ``crit.kernel_at(D)``, (c + alpha0) * D: InputError
+    unless u is dominated at alpha0."""
+    mode = inst.mode
+    vals = [mode.coerce(v) for v in u.values]
+    D = grid_scale(mode, vals, crit.scale)
+    start = list(to_grid(mode, vals, D))
+    if _undominated(mode, start, crit.kernel_at(D), 0, inst.value_scale()) is not None:
+        raise InputError("function is not dominated at the critical constant")
+    return D, start
+
+
+def _undominated(
+    mode: Mode, vals: Sequence[Value], cost: Matrix, a: Value, scale: Value
+) -> Optional[tuple[int, int]]:
+    """The first pair (x, y), in row-major order, with
+    vals[y] - vals[x] > cost[x][y] + a, or None when vals is dominated.
+
+    ``vals``, ``cost`` and ``a`` are on one grid.  Exact mode decides each
+    row with one reduction, max_y (vals[y] - cost[x][y]) <= vals[x] + a, and
+    scans the entries of a failing row only, for the witness; float mode
+    compares entry by entry within the tolerance band."""
+    if mode.exact:
+        for x, row in enumerate(cost):
+            top = vals[x] + a
+            if max(map(sub, vals, row)) > top:
+                return x, next(y for y, (v, c) in enumerate(zip(vals, row)) if v - c > top)
+        return None
+    for x, row in enumerate(cost):
         ux = vals[x]
         for y, c in enumerate(row):
-            if is_inf(c):
-                continue
-            if not mode.le(vals[y] - ux, c + a, scale=scale):
-                return DominationResult(False, (x, y))
-    return DominationResult(True, None)
+            if not is_inf(c) and not mode.le(vals[y] - ux, c + a, scale=scale):
+                return x, y
+    return None
 
 
 def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:

@@ -20,7 +20,9 @@ the costs, alpha0, the powers and tables it compares, the barrier under test
 and the sampled functions on one common denominator, so each entrywise
 identity compares integers; float mode runs the same code with D = 1.
 ``Fraction`` remains only in the values public functions return and in
-witness text.
+witness text.  An inequality lhs <= a (x) b + s over X x X x X is decided
+row by row against one min-plus product; only a failing row is scanned
+entry by entry, for the first witness (x, y, z) of the loop it replaces.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import add, mul, sub
 from random import Random
-from typing import Optional
+from typing import Callable, Optional
 
 from .barrier import (
     AubryData,
@@ -462,12 +464,7 @@ def liminf_barrier_bounded(inst: CostInstance, crit: CriticalData, N: int) -> Li
     for k in range(1, N):
         nxt = minplus_product(powers[-1], red)
         for t, old in enumerate(powers):
-            same = all(
-                mode.eq(a, b, scale=scale)
-                for ra, rb in zip(old, nxt)
-                for a, b in zip(ra, rb)
-            )
-            if same:
+            if all(vf_eq(mode, ra, rb, scale=scale) for ra, rb in zip(old, nxt)):
                 period = (k + 1) - (t + 1)
                 return LiminfReport(
                     matrix=window_min(powers[t : t + period]),
@@ -682,6 +679,7 @@ class _Workspace:
         self.grid_samples = [to_grid(mode, u.values, D) for u in self.samples]
         self._raw_powers: dict[int, Matrix] = {1: self.c}
         self._phi_tables: dict[int, Matrix] = {1: self.grid(self.phi1.entries)}
+        self._products: dict[tuple[int, int], tuple[Matrix, Matrix, Matrix]] = {}
         self._max_strict: Optional[ValueFunction] = None
 
     def grid(self, m: Matrix) -> Matrix:
@@ -703,6 +701,56 @@ class _Workspace:
             self._phi_tables[m + 1] = minplus_product(self._phi_tables[m], self.r)
             m += 1
         return self._phi_tables[k]
+
+    def product(self, a: Matrix, b: Matrix) -> Matrix:
+        """a (x) b, held for the last eight pairs of tables (with the pair, so
+        the ids in the key stay theirs): enough for a check to reuse its own
+        products and the next checks to reuse those of the one before."""
+        key = (id(a), id(b))
+        if key not in self._products:
+            if len(self._products) == 8:
+                del self._products[next(iter(self._products))]
+            self._products[key] = (a, b, minplus_product(a, b))
+        return self._products[key][2]
+
+    def first_pair(self, bad: Callable[[int, int], bool]) -> Optional[tuple[int, int]]:
+        """The first pair (x, y), in row-major order, with bad(x, y)."""
+        pts = range(self.inst.n)
+        return next(((x, y) for x in pts for y in pts if bad(x, y)), None)
+
+    def first_violation(self, *ineqs: tuple) -> Optional[tuple[int, int, int, int]]:
+        """The first (x, y, z, i) in lexicographic order where the i-th of
+        ``ineqs`` (lhs, a, b, s), lhs[x][z] <= a[x][y] + b[y][z] + s, fails.
+
+        Row x holds for all y iff it holds against row x of a (x) b, the least
+        right-hand side: fl(t + s) is monotone in t, and b + band(b) is
+        nondecreasing in b as the tolerance is below 1.  Only a failing row is
+        scanned entry by entry, for the witness."""
+        mode, scale, pts = self.mode, self.scale, range(self.inst.n)
+        rows = [(lhs, self.product(a, b), s) for lhs, a, b, s in ineqs]
+        for x in pts:
+            if all(vf_le(mode, lhs[x], [t + s for t in prod[x]], scale) for lhs, prod, s in rows):
+                continue
+            for y in pts:
+                for z in pts:
+                    for i, (lhs, a, b, s) in enumerate(ineqs):
+                        if not mode.le(lhs[x][z], a[x][y] + b[y][z] + s, scale=scale):
+                            return x, y, z, i
+        return None
+
+    def orbit(self, table: Matrix, steps: int, forward: bool) -> list[Matrix]:
+        """Iterates 1..steps of u -> T- u + alpha0, or with ``forward`` of
+        u -> T+ u - alpha0, on every row u of ``table``, one min-plus product
+        per step: T- u = u (x) c and T+ u (w) = -((-u) (x) c^T)(w)."""
+        a, cT, out = self.a, tuple(zip(*self.c)), []
+        for _ in range(steps):
+            if forward:
+                low = minplus_product(tuple(tuple(-v for v in row) for row in table), cT)
+                table = tuple(tuple(-v - a for v in row) for row in low)
+            else:
+                table = tuple(tuple(v + a for v in row) for row in minplus_product(table, self.c))
+            out.append(table)
+        return out
 
     def max_strict(self) -> ValueFunction:
         if self._max_strict is None:
@@ -792,10 +840,9 @@ def _check_semigroup_law(ws: _Workspace) -> CheckResult:
         for b in range(1, top + 1):
             lhs = ws.raw_power(a + b)
             rhs = minplus_product(ws.raw_power(a), ws.raw_power(b))
-            for i in range(inst.n):
-                for j in range(inst.n):
-                    if not ws.mode.eq(lhs[i][j], rhs[i][j], scale=ws.scale):
-                        return CheckResult(name, False, f"n={a} m={b} at ({i},{j})")
+            hit = ws.first_pair(lambda i, j: not ws.mode.eq(lhs[i][j], rhs[i][j], scale=ws.scale))
+            if hit is not None:
+                return CheckResult(name, False, "n={} m={} at ({},{})".format(a, b, *hit))
     return CheckResult(name, True)
 
 
@@ -933,11 +980,9 @@ def _check_potential_axioms(ws: _Workspace) -> CheckResult:
         for y in range(inst.n):
             if not ws.mode.le(p[x][y], ws.c[x][y] + ws.a, scale=ws.scale):
                 return CheckResult(name, False, f"upper bound at ({x},{y})")
-    for x in range(inst.n):
-        for y in range(inst.n):
-            for z in range(inst.n):
-                if not ws.mode.le(p[x][z], p[x][y] + p[y][z], scale=ws.scale):
-                    return CheckResult(name, False, f"triangle at ({x},{y},{z})")
+    hit = ws.first_violation((p, p, p, 0))
+    if hit is not None:
+        return CheckResult(name, False, "triangle at ({},{},{})".format(*hit))
     return CheckResult(name, True)
 
 
@@ -946,21 +991,16 @@ def _check_sup_representation(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     p = ws.p
     for u, g in zip(ws.samples, ws.grid_samples):
-        for x in range(inst.n):
-            for y in range(inst.n):
-                if not ws.mode.le(g[y] - g[x], p[x][y], scale=ws.scale):
-                    return CheckResult(name, False, f"{u.tag} at ({x},{y})")
+        hit = ws.first_pair(lambda x, y: not ws.mode.le(g[y] - g[x], p[x][y], scale=ws.scale))
+        if hit is not None:
+            return CheckResult(name, False, "{} at ({},{})".format(u.tag, *hit))
     # any function below the potential in increments is dominated
     for _ in range(5):
         if inst.mode.exact:
             r = [Fraction(ws.rng.randint(-8, 8), 4) for _ in range(inst.n)]
         else:
             r = [ws.rng.uniform(-2, 2) for _ in range(inst.n)]
-        v = ValueFunction(
-            tuple(
-                min(r[x] + ws.phi.entries[x][y] for x in range(inst.n)) for y in range(inst.n)
-            )
-        )
+        v = ValueFunction(tuple(min(map(add, r, col)) for col in zip(*ws.phi.entries)))
         res = is_dominated(inst, v, ws.crit.alpha0)
         if not res.ok:
             return CheckResult(name, False, f"phi-envelope not dominated at {res.witness}")
@@ -982,42 +1022,31 @@ def _check_phi_vs_phi1(ws: _Workspace) -> CheckResult:
 
 def _check_phi_recursion(ws: _Workspace) -> CheckResult:
     name = "potential.tail_recursion"
-    inst = ws.inst
     for k in range(1, 4):
-        cur = ws.phi_table(k)
-        nxt = ws.phi_table(k + 1)
-        for x in range(inst.n):
-            row = tuple(
-                min(cur[x][z] + ws.c[z][y] for z in range(inst.n)) + ws.a
-                for y in range(inst.n)
-            )
-            if not vf_eq(ws.mode, row, nxt[x], scale=ws.scale):
+        step = ws.product(ws.phi_table(k), ws.c)
+        for x, (row, want) in enumerate(zip(step, ws.phi_table(k + 1))):
+            if not vf_eq(ws.mode, [v + ws.a for v in row], want, scale=ws.scale):
                 return CheckResult(name, False, f"order {k} row {x}")
     return CheckResult(name, True)
 
 
 def _check_vanish(ws: _Workspace) -> CheckResult:
     name = "potential.forward_vanish"
-    inst = ws.inst
-    for x in range(inst.n):
-        row = ValueFunction(ws.phi1.entries[x])
-        val = lax_oleinik_pos(inst, row).values[x] - ws.crit.alpha0
-        if not ws.mode.is_zero(val, scale=ws.scale):
+    (step,) = ws.orbit(ws.phi_table(1), 1, forward=True)
+    for x, row in enumerate(step):
+        if not ws.mode.is_zero(row[x], scale=ws.scale):
+            (val,) = from_grid(ws.mode, (row[x],), ws.D)
             return CheckResult(name, False, f"x={x} value {val}")
     return CheckResult(name, True)
 
 
 def _check_iterated_vanish(ws: _Workspace) -> CheckResult:
     name = "potential.iterated_forward_vanish"
-    inst = ws.inst
-    for x in range(inst.n):
-        for start in (ws.phi1.entries[x], ws.phi.entries[x]):
-            cur = ValueFunction(start)
-            for m in range(1, 6):
-                cur = ValueFunction(
-                    tuple(v - ws.crit.alpha0 for v in lax_oleinik_pos(inst, cur).values)
-                )
-                if not ws.mode.is_zero(cur.values[x], scale=ws.scale):
+    orbits = [ws.orbit(start, 5, forward=True) for start in (ws.phi_table(1), ws.p)]
+    for x in range(ws.inst.n):
+        for orbit in orbits:
+            for m, table in enumerate(orbit, 1):
+                if not ws.mode.is_zero(table[x][x], scale=ws.scale):
                     return CheckResult(name, False, f"x={x} m={m}")
     return CheckResult(name, True)
 
@@ -1069,10 +1098,9 @@ def _check_barrier_vs_liminf(ws: _Workspace) -> CheckResult:
     if not rep.stabilized:
         return CheckResult(name, False, "liminf oracle did not stabilize")
     h = ws.bar.h.entries
-    for i in range(ws.inst.n):
-        for j in range(ws.inst.n):
-            if not ws.mode.eq(h[i][j], rep.matrix[i][j], scale=ws.scale):
-                return CheckResult(name, False, f"at ({i},{j})")
+    hit = ws.first_pair(lambda i, j: not ws.mode.eq(h[i][j], rep.matrix[i][j], scale=ws.scale))
+    if hit is not None:
+        return CheckResult(name, False, "at ({},{})".format(*hit))
     return CheckResult(name, True)
 
 
@@ -1092,62 +1120,45 @@ def _check_barrier_closed_form(ws: _Workspace, h: Matrix) -> CheckResult:
 
 
 def _check_barrier_triangle(ws: _Workspace, h: Matrix) -> CheckResult:
+    # the floor at (x, y) is checked before the triangles at (x, y, z)
     name = "barrier.triangle_and_floor"
-    inst = ws.inst
-    for x in range(inst.n):
-        for y in range(inst.n):
-            if not ws.mode.le(ws.p[x][y], h[x][y], scale=ws.scale):
-                return CheckResult(name, False, f"h < phi at ({x},{y})")
-            for z in range(inst.n):
-                if not ws.mode.le(h[x][z], h[x][y] + h[y][z], scale=ws.scale):
-                    return CheckResult(name, False, f"triangle at ({x},{y},{z})")
+    hit = ws.first_violation((h, h, h, 0))
+    floor = ws.first_pair(lambda x, y: not ws.mode.le(ws.p[x][y], h[x][y], scale=ws.scale))
+    if floor is not None and (hit is None or floor <= hit[:2]):
+        return CheckResult(name, False, "h < phi at ({},{})".format(*floor))
+    if hit is not None:
+        return CheckResult(name, False, "triangle at ({},{},{})".format(*hit))
     return CheckResult(name, True)
 
 
 def _check_hh_suite(ws: _Workspace, h: Matrix) -> CheckResult:
     name = "barrier.chain_splitting_suite"
-    inst = ws.inst
-    rng = range(inst.n)
+
+    def fail(what: str, hit: tuple) -> CheckResult:
+        return CheckResult(name, False, "{} ({},{},{})".format(what, *hit))
+
     for m in range(1, 5):
         cm = ws.raw_power(m)
         shift = m * ws.a
         for n_ in range(1, 5):
-            pn = ws.phi_table(n_)
-            pnm = ws.phi_table(n_ + m)
-            for x in rng:
-                for y in rng:
-                    for z in rng:
-                        if not ws.mode.le(
-                            pnm[x][z], pn[x][y] + cm[y][z] + shift, scale=ws.scale
-                        ):
-                            return CheckResult(name, False, f"phi split n={n_} m={m} ({x},{y},{z})")
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if not ws.mode.le(h[x][z], h[x][y] + cm[y][z] + shift, scale=ws.scale):
-                        return CheckResult(name, False, f"h right split m={m} ({x},{y},{z})")
-                    if not ws.mode.le(h[x][z], cm[x][y] + shift + h[y][z], scale=ws.scale):
-                        return CheckResult(name, False, f"h left split m={m} ({x},{y},{z})")
+            hit = ws.first_violation((ws.phi_table(n_ + m), ws.phi_table(n_), cm, shift))
+            if hit is not None:
+                return fail(f"phi split n={n_} m={m}", hit)
+        # h(x,z) <= h(x,y) + c_m(y,z) + shift, then <= c_m(x,y) + shift + h(y,z)
+        cm_shift = tuple(tuple(v + shift for v in row) for row in cm)
+        hit = ws.first_violation((h, h, cm, shift), (h, cm_shift, h, 0))
+        if hit is not None:
+            return fail(f"h {('right', 'left')[hit[3]]} split m={m}", hit)
     for m in range(1, 5):
-        pm = ws.phi_table(m)
         for l in range(1, 5):
-            pl = ws.phi_table(l)
             for n_ in range(1, min(4, l + m) + 1):
-                pn = ws.phi_table(n_)
-                for x in rng:
-                    for y in rng:
-                        for z in rng:
-                            if not ws.mode.le(pn[x][z], pm[x][y] + pl[y][z], scale=ws.scale):
-                                return CheckResult(
-                                    name, False, f"phi-phi n={n_} m={m} l={l} ({x},{y},{z})"
-                                )
+                hit = ws.first_violation((ws.phi_table(n_), ws.phi_table(m), ws.phi_table(l), 0))
+                if hit is not None:
+                    return fail(f"phi-phi n={n_} m={m} l={l}", hit)
     for n_ in range(1, 5):
-        pn = ws.phi_table(n_)
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if not ws.mode.le(h[x][z], h[x][y] + pn[y][z], scale=ws.scale):
-                        return CheckResult(name, False, f"h-phi n={n_} ({x},{y},{z})")
+        hit = ws.first_violation((h, h, ws.phi_table(n_), 0))
+        if hit is not None:
+            return fail(f"h-phi n={n_}", hit)
     return CheckResult(name, True)
 
 
@@ -1183,7 +1194,6 @@ def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
     name = "barrier.limits_are_extremal"
     inst = ws.inst
     h = ws.h
-    rng = range(inst.n)
     for u, g in zip(ws.samples[:10], ws.grid_samples):
         um = u_minus(inst, ws.crit, u)
         umg = to_grid(ws.mode, um.values, ws.D)
@@ -1191,9 +1201,8 @@ def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
             return CheckResult(name, False, f"u_minus below u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, um, "negative"):
             return CheckResult(name, False, f"u_minus not a solution for {u.tag}")
-        envelope = tuple(
-            min(h[x][y] + max(g[t] - h[x][t] for t in rng) for x in rng) for y in rng
-        )
+        lift = [max(map(sub, g, row)) for row in h]  # max_t g(t) - h(x, t)
+        envelope = tuple(min(map(add, col, lift)) for col in zip(*h))
         if not vf_eq(ws.mode, umg, envelope, scale=ws.scale):
             return CheckResult(name, False, f"u_minus not least solution above {u.tag}")
         up = u_plus(inst, ws.crit, u)
@@ -1202,9 +1211,8 @@ def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
             return CheckResult(name, False, f"u_plus above u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, up, "positive"):
             return CheckResult(name, False, f"u_plus not a solution for {u.tag}")
-        envelope_p = tuple(
-            max(-h[t][x] + min(g[s] + h[s][x] for s in rng) for x in rng) for t in rng
-        )
+        low = [min(map(add, g, col)) for col in zip(*h)]  # min_s g(s) + h(s, x)
+        envelope_p = tuple(max(map(sub, low, row)) for row in h)
         if not vf_eq(ws.mode, upg, envelope_p, scale=ws.scale):
             return CheckResult(name, False, f"u_plus not greatest solution below {u.tag}")
     return CheckResult(name, True)
@@ -1212,15 +1220,10 @@ def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
 
 def _check_phi_orbit_identity(ws: _Workspace) -> CheckResult:
     name = "barrier.potential_orbit_identity"
-    inst = ws.inst
-    for x in range(inst.n):
-        cur = ws.p[x]
-        for k in range(1, 5):
-            cur = tuple(
-                min(cur[z] + ws.c[z][y] for z in range(inst.n)) + ws.a
-                for y in range(inst.n)
-            )
-            if not vf_eq(ws.mode, cur, ws.phi_table(k)[x], scale=ws.scale):
+    orbit = ws.orbit(ws.p, 4, forward=False)
+    for x in range(ws.inst.n):
+        for k, table in enumerate(orbit, 1):
+            if not vf_eq(ws.mode, table[x], ws.phi_table(k)[x], scale=ws.scale):
                 return CheckResult(name, False, f"row {x} order {k}")
     return CheckResult(name, True)
 
@@ -1392,14 +1395,11 @@ def _check_strict_pattern(ws: _Workspace) -> CheckResult:
             return CheckResult(name, False, f"{u.tag}: not dominated")
         verts, edges = aubry_chain_sets(inst, ws.crit, u)
         strict = set(strict_pairs(inst, ws.crit, u2))
-        expected_tight = set(edges)
-        for x in range(inst.n):
-            for y in range(inst.n):
-                pair = (x, y)
-                if pair in expected_tight and pair in strict:
-                    return CheckResult(name, False, f"{u.tag}: strict on edge {pair}")
-                if pair not in expected_tight and pair not in strict:
-                    return CheckResult(name, False, f"{u.tag}: tight off edges {pair}")
+        tight = set(edges)
+        pair = ws.first_pair(lambda x, y: ((x, y) in strict) == ((x, y) in tight))
+        if pair is not None:
+            what = "strict on edge" if pair in strict else "tight off edges"
+            return CheckResult(name, False, f"{u.tag}: {what} {pair}")
         for x in verts:
             if not ws.mode.eq(u2.values[x], u.values[x], scale=ws.scale):
                 return CheckResult(name, False, f"{u.tag}: changed on Aubry point {x}")
@@ -1411,14 +1411,11 @@ def _check_max_strict_pattern(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     u1 = ws.max_strict()
     strict = set(strict_pairs(inst, ws.crit, u1))
-    zero_edges = set(ws.scan.zero_edges)
-    for x in range(inst.n):
-        for y in range(inst.n):
-            pair = (x, y)
-            if pair in zero_edges and pair in strict:
-                return CheckResult(name, False, f"strict on global edge {pair}")
-            if pair not in zero_edges and pair not in strict:
-                return CheckResult(name, False, f"not strict off edges at {pair}")
+    tight = set(ws.scan.zero_edges)
+    pair = ws.first_pair(lambda x, y: ((x, y) in strict) == ((x, y) in tight))
+    if pair is not None:
+        what = "strict on global edge" if pair in strict else "not strict off edges at"
+        return CheckResult(name, False, f"{what} {pair}")
     return CheckResult(name, True)
 
 

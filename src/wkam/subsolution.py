@@ -33,7 +33,7 @@ from .core import (
     as_value_function,
     from_grid,
 )
-from .critical import CriticalData, is_dominated
+from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError
 from .potential import mane_potential, potential_grid
 
@@ -66,8 +66,7 @@ def is_calibrated(
 ) -> bool:
     """Exact test of the calibration identity along the chain."""
     ch = _as_chain(inst, chain)
-    if not is_dominated(inst, u, crit.alpha0).ok:
-        raise InputError("function is not dominated at the critical constant")
+    _dominated_grid(inst, crit, u)
     pts = ch.points
     steps = len(pts) - 1
     total = u.values[pts[0]] + steps * crit.alpha0

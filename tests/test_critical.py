@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,16 @@ from wkam import (
     is_dominated,
     lax_oleinik_neg,
     make_instance,
+    mane_potential,
     solve_subsolution,
 )
+from wkam.barrier import limits_grid
 from wkam.models import gen_constant, gen_fk, gen_random, fk_potential_well
+from wkam.numbers import EXACT, Mode
+from wkam.subsolution import is_calibrated
 from wkam.oracle import enum_cycles, subsolution_sampler
+
+FLOAT = Mode("float", 1e-9)
 
 
 def test_constant_instance_alpha0():
@@ -83,6 +90,82 @@ def test_T_preserves_domination(t2):
         img = lax_oleinik_neg(t2, u)
         shifted = as_value_function(t2, [v + crit.alpha0 for v in img.values])
         assert is_dominated(t2, shifted, crit.alpha0).ok
+
+
+def _violations(inst, u, alpha):
+    """Every pair (x, y), in row-major order, with u(y) - u(x) > c(x, y) +
+    alpha: Fractions in exact mode, Mode.le on the same operands in float
+    mode."""
+    mode, scale = inst.mode, inst.value_scale()
+    return [
+        (x, y)
+        for x in range(inst.n)
+        for y in range(inst.n)
+        if not mode.le(u[y] - u[x], inst.cost[x][y] + alpha, scale=scale)
+    ]
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_domination_witness_is_first_in_row_major_order(mode):
+    rng = Random(7)
+    many_in_row = many_rows = False
+    for seed in range(40):
+        n = 2 + seed % 5
+        inst = gen_random(n, seed, -2, 2, mode=mode)
+        alpha = critical_value(inst).alpha0
+        if mode.exact:
+            u = [F(rng.randint(-12, 12), 4) for _ in range(n)]
+        else:
+            u = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+        bad = _violations(inst, u, alpha)
+        res = is_dominated(inst, as_value_function(inst, u), alpha)
+        assert (res.ok, res.witness) == (not bad, bad[0] if bad else None)
+        first_row = [p for p in bad if p[0] == (bad[0][0] if bad else None)]
+        many_in_row |= len(first_row) >= 2
+        many_rows |= len({x for x, _ in bad}) >= 2
+    assert many_in_row and many_rows
+
+
+def test_float_domination_decided_within_the_band():
+    # u(1) - u(0) sits at c(0, 1) + alpha0 plus k tenths of the tolerance
+    # band: inside the band it is dominated, past it the pair (0, 1) fails,
+    # and the orbit limits and the calibration test agree with is_dominated.
+    inst = gen_random(3, 4, -2.0, 2.0, mode=FLOAT)
+    crit = critical_value(inst)
+    base = [0.0] + [crit.reduced[0][y] for y in (1, 2)]
+    base[2] = min(base[2], base[1] + crit.reduced[1][2])
+    band = FLOAT.tolerance * max(1.0, abs(base[1]), float(inst.value_scale()))
+    assert is_dominated(inst, as_value_function(inst, base), crit.alpha0).ok
+    for k in (-20, 5, 9, 11, 20):
+        u = as_value_function(inst, [base[0], base[1] + k * band / 10, base[2]])
+        res = is_dominated(inst, u, crit.alpha0)
+        assert res.ok == (k <= 9)
+        assert res.witness == (None if res.ok else (0, 1))
+        if res.ok:
+            limits_grid(inst, crit, u)
+            is_calibrated(inst, crit, u, (0, 1))
+        else:
+            with pytest.raises(InputError, match="not dominated"):
+                limits_grid(inst, crit, u)
+            with pytest.raises(InputError, match="not dominated"):
+                is_calibrated(inst, crit, u, (0, 1))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
+def test_limits_and_calibration_reject_non_dominated(mode):
+    inst = gen_random(4, 2, -2, 2, mode=mode)
+    crit = critical_value(inst)
+    phi_row = mane_potential(inst, crit).entries[0]
+    limits_grid(inst, crit, as_value_function(inst, phi_row))
+    bump = F(1, 3) if mode.exact else 1 / 3
+    for y in range(1, 4):
+        u = as_value_function(inst, [v + bump * (x == y) for x, v in enumerate(phi_row)])
+        res = is_dominated(inst, u, crit.alpha0)
+        assert not res.ok and res.witness[1] == y
+        with pytest.raises(InputError, match="not dominated"):
+            limits_grid(inst, crit, u)
+        with pytest.raises(InputError, match="not dominated"):
+            is_calibrated(inst, crit, u, (0, y))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,8 +1,13 @@
 import gc
 from fractions import Fraction as F
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wkam.oracle as oracle
 
 from wkam import (
     SizeGuardError,
@@ -16,6 +21,7 @@ from wkam.models import gen_constant, gen_random
 from wkam.numbers import INF, Mode
 from wkam.oracle import (
     ATTAINING_CAP,
+    _Workspace,
     cycle_scan,
     enum_cycles,
     enum_walks,
@@ -358,3 +364,143 @@ def test_verify_all_negative_control_witnesses_pinned(t3):
         ("barrier.triangle_and_floor", "triangle at (0,3,0)"),
         ("barrier.chain_splitting_suite", "h left split m=1 (1,3,0)"),
     ]
+
+
+# --- whole-table checks -----------------------------------------------------------
+
+_WORKSPACES = {}
+
+
+def _workspace(n, mode):
+    """A verify_all workspace on an n-point instance, for its mode and scale."""
+    key = (n, mode.kind)
+    if key not in _WORKSPACES:
+        lo, hi = (-2, 2) if mode.exact else (-2.0, 2.0)
+        _WORKSPACES[key] = _Workspace(gen_random(n, n, lo, hi, mode=mode), 0, 2, None, None)
+    return _WORKSPACES[key]
+
+
+def _naive_first_violation(ws, *ineqs):
+    """The loops the table checks replace: x, y, z, then the inequality."""
+    pts = range(ws.inst.n)
+    for x, y, z in product(pts, pts, pts):
+        for i, (lhs, a, b, s) in enumerate(ineqs):
+            if not ws.mode.le(lhs[x][z], a[x][y] + b[y][z] + s, scale=ws.scale):
+                return x, y, z, i
+    return None
+
+
+def _square(draw, n, cell):
+    flat = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_violation_matches_triple_scan_on_int_tables(data):
+    n = data.draw(st.integers(1, 5))
+    cell = st.integers(-6, 6)
+    lhs, a, b = (_square(data.draw, n, cell) for _ in range(3))
+    shift = data.draw(st.sampled_from([0, -3, 2]))
+    ws = _workspace(n, Mode())
+    ineq = (lhs, a, b, shift)
+    assert ws.first_violation(ineq) == _naive_first_violation(ws, ineq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_violation_matches_triple_scan_within_the_float_band(data):
+    # Each lhs(x, z) sits within +-2 tolerance bands of the right-hand side
+    # at a drawn y, so rows pass and fail at the edge of the band.
+    ws = _workspace(data.draw(st.integers(1, 5)), Mode("float", 1e-9))
+    n, tol = ws.inst.n, ws.mode.tolerance
+    cell = st.floats(-3.0, 3.0, allow_nan=False)
+    a, b = (_square(data.draw, n, cell) for _ in range(2))
+    s = data.draw(st.sampled_from([0, 0.75, -1.3]))
+    lhs = []
+    for x in range(n):
+        row = []
+        for z in range(n):
+            y = data.draw(st.integers(0, n - 1))
+            t = a[x][y] + b[y][z] + s
+            d = data.draw(st.floats(-2.0, 2.0))
+            row.append(t + d * tol * max(1.0, abs(t), abs(ws.scale)))
+        lhs.append(tuple(row))
+    ineq = (tuple(lhs), a, b, s)
+    assert ws.first_violation(ineq) == _naive_first_violation(ws, ineq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_h_splits_interleave_right_before_left(data):
+    # the chain-splitting suite decides both h splits of one m in one scan
+    n = data.draw(st.integers(1, 4))
+    h, cm = (_square(data.draw, n, st.integers(-4, 4)) for _ in range(2))
+    shift = data.draw(st.integers(-2, 2))
+    cm_shift = tuple(tuple(v + shift for v in row) for row in cm)
+    ws = _workspace(n, Mode())
+    ineqs = ((h, h, cm, shift), (h, cm_shift, h, 0))
+    assert ws.first_violation(*ineqs) == _naive_first_violation(ws, *ineqs)
+
+
+def test_h_split_tie_names_the_right_split():
+    zero = ((0, 0), (0, 0))
+    early, late = ((0, 1), (0, 0)), ((0, 0), (0, 1))
+    ws = _workspace(2, Mode())
+    # both splits fail first at (0, 0, 1): the right split is named
+    assert ws.first_violation((early, zero, zero, 0), (early, zero, zero, 0)) == (0, 0, 1, 0)
+    # the right split fails first at (1, 0, 1), after the left one
+    assert ws.first_violation((late, zero, zero, 0), (early, zero, zero, 0)) == (0, 0, 1, 1)
+
+
+def test_verify_all_makes_each_table_product_once(monkeypatch):
+    # Passing verify_all at n = 10 computes each min-plus product it needs
+    # once: the raw and phi powers, the liminf powers, the nine products of
+    # the semigroup law, and 61 products for the whole-table checks.
+    inst = gen_random(10, 1, -2, 2)
+    workspaces = []
+    init = oracle._Workspace.__init__
+
+    def keep(self, *args):
+        init(self, *args)
+        workspaces.append(self)
+
+    monkeypatch.setattr(oracle._Workspace, "__init__", keep)
+    counted = []
+    product_ = oracle.minplus_product
+    monkeypatch.setattr(oracle, "minplus_product", lambda a, b: counted.append(1) or product_(a, b))
+    assert verify_all(inst, seed=1).ok
+    (ws,) = workspaces
+    monkeypatch.undo()
+    liminf = liminf_barrier_bounded(inst, ws.crit, ws.horizon).powers_used - 1
+    tables = 44 + 1 + 1 + 4 + 11  # chain splits, two triangles, orbit identity, vanishing
+    need = len(ws._raw_powers) - 1 + len(ws._phi_tables) - 1 + liminf + 9 + tables
+    assert len(counted) <= need
+
+
+@pytest.mark.parametrize("mode", [Mode(), Mode("float", 1e-9)], ids=["exact", "float"])
+def test_chain_splitting_suite_compares_rows_not_entries(monkeypatch, mode):
+    # A passing chain-splitting suite makes at most one product per
+    # inequality of the paper (44) and, in exact mode, no entrywise Mode.le
+    # call: a loop over (x, y, z) would make 88 n^3 of them.
+    lo, hi = (-2, 2) if mode.exact else (-2.0, 2.0)
+    ws = _Workspace(gen_random(10, 2, lo, hi, mode=mode), 2, 20, None, None)
+    ws.phi_table(8)
+    ws.raw_power(4)
+    counts = {"products": 0, "le": 0}
+    product_, le = oracle.minplus_product, Mode.le
+
+    def counted_product(a, b):
+        counts["products"] += 1
+        return product_(a, b)
+
+    def counted_le(self, *args, **kwargs):
+        counts["le"] += 1
+        return le(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "minplus_product", counted_product)
+    monkeypatch.setattr(Mode, "le", counted_le)
+    assert oracle._check_hh_suite(ws, ws.h).passed
+    assert counts["products"] <= 44
+    # float mode compares the n^2 entries of each of the 88 inequalities
+    assert counts["le"] == (0 if mode.exact else 88 * 10 * 10)
