@@ -982,7 +982,7 @@ def _check_potential_axioms(ws: _Workspace) -> CheckResult:
                 return CheckResult(name, False, f"upper bound at ({x},{y})")
     hit = ws.first_violation((p, p, p, 0))
     if hit is not None:
-        return CheckResult(name, False, "triangle at ({},{},{})".format(*hit))
+        return CheckResult(name, False, "triangle at ({},{},{})".format(*hit[:3]))
     return CheckResult(name, True)
 
 
@@ -1127,7 +1127,7 @@ def _check_barrier_triangle(ws: _Workspace, h: Matrix) -> CheckResult:
     if floor is not None and (hit is None or floor <= hit[:2]):
         return CheckResult(name, False, "h < phi at ({},{})".format(*floor))
     if hit is not None:
-        return CheckResult(name, False, "triangle at ({},{},{})".format(*hit))
+        return CheckResult(name, False, "triangle at ({},{},{})".format(*hit[:3]))
     return CheckResult(name, True)
 
 
@@ -1135,7 +1135,7 @@ def _check_hh_suite(ws: _Workspace, h: Matrix) -> CheckResult:
     name = "barrier.chain_splitting_suite"
 
     def fail(what: str, hit: tuple) -> CheckResult:
-        return CheckResult(name, False, "{} ({},{},{})".format(what, *hit))
+        return CheckResult(name, False, "{} ({},{},{})".format(what, *hit[:3]))
 
     for m in range(1, 5):
         cm = ws.raw_power(m)

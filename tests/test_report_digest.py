@@ -10,7 +10,7 @@ The float instance ``random:6:1`` fails ``barrier.matches_liminf_oracle``
 (the liminf oracle does not stabilize within its horizon); its digest pins
 that known failure as it stands.
 
-Run ``python tests/test_report_digest.py`` to print the digests.
+``PYTHONPATH=src python tests/test_report_digest.py`` prints the digests.
 """
 
 from __future__ import annotations
