@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
+from itertools import chain, count
 from operator import add, le, sub
 from typing import Iterator, Optional, Sequence
 
@@ -61,6 +61,7 @@ from .core import (
     ValueFunction,
     from_grid,
     grid_operands,
+    grid_scale,
     kleene_plus,
     lax_oleinik_neg,
     lax_oleinik_pos,
@@ -382,7 +383,8 @@ def representation_check(
 
     S never exceeds the barrier; equality is attained rowwise when u ranges
     over the tail-potential rows and N covers the stabilization index.  Both
-    orbits run on the grid of the costs refined to u's denominators.
+    orbits run on the grid of the costs refined to the denominators of u and
+    of the barrier, and S is compared with the barrier on that grid.
     """
     if N < 1:
         raise InputError("horizon must be >= 1")
@@ -390,7 +392,8 @@ def representation_check(
         bar = peierls_barrier(inst, crit)
     mode = inst.mode
     scale = inst.value_scale()
-    D, start, c = grid_operands(inst, u, crit.scale)
+    h = bar.h.entries
+    D, start, c = grid_operands(inst, u, grid_scale(mode, chain.from_iterable(h), crit.scale))
     (a,) = to_grid(mode, (crit.alpha0,), D)
     cols = tuple(zip(*c))
     hi = lo = neg_it = pos_it = start
@@ -399,12 +402,9 @@ def representation_check(
         pos_it = [-min(map(sub, row, pos_it)) - a for row in c]
         hi = list(map(max, hi, neg_it))
         lo = list(map(min, lo, pos_it))
-    S = tuple(from_grid(mode, [hy - lx for hy in hi], D) for lx in lo)
-    ok = all(
-        mode.le(sv, hv, scale=scale)
-        for srow, hrow in zip(S, bar.h.entries)
-        for sv, hv in zip(srow, hrow)
-    )
+    rows = [[hy - lx for hy in hi] for lx in lo]
+    ok = all(vf_le(mode, row, to_grid(mode, hrow, D), scale=scale) for row, hrow in zip(rows, h))
+    S = tuple(from_grid(mode, row, D) for row in rows)
     return RepresentationResult(matrix=S, ok=ok)
 
 

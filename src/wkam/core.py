@@ -247,11 +247,6 @@ def kleene_plus(a: Matrix) -> Matrix:
     return _freeze(d)
 
 
-def transpose(a: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # the integer grid
 # ---------------------------------------------------------------------------
@@ -300,7 +295,7 @@ def reverse_cost(inst: CostInstance) -> CostInstance:
     return CostInstance(
         n=inst.n,
         labels=inst.labels,
-        cost=transpose(inst.cost),
+        cost=tuple(zip(*inst.cost)),
         mode=inst.mode,
         metric=inst.metric,
         total=inst.total,

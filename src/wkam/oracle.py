@@ -5,15 +5,13 @@ scale.  The simple cycles are scanned from the costs alone (with exact
 integer-scaled weights in exact mode), least vertex first.  Per least
 vertex, a forward subset DP over (vertex set, last vertex) holds the number
 of paths and the least path total; it gives the cycle count, the per-vertex
-minimum reduced weight and the least mean.  A depth-first search visits the
-cycles in preorder, each path's cycle before its extensions' cycles, for
-the capped list of cycles attaining the least mean and for the zero-cycle
-vertices and edges.  It descends into a child only where a suffix subset DP
-leaves room for a cycle that ties the least mean or has reduced weight
-zero.  Chain costs come from recursive enumeration, the barrier from the
-eventual periodicity of reduced min-plus powers, and the per-function Aubry
-sets from reachability in the tight-edge graph.  A failed check always
-carries a concrete witness.
+minimum reduced weight and the least mean.  Given alpha0, a depth-first
+search over the paths from the least vertex finds the vertices and edges of
+the zero cycles; it descends into a child only where a suffix subset DP
+leaves room for a cycle of reduced weight zero.  Chain costs come from
+recursive enumeration, the barrier from the eventual periodicity of reduced
+min-plus powers, and the per-function Aubry sets from reachability in the
+tight-edge graph.  A failed check always carries a concrete witness.
 
 The harness computes on the integer grid of ``core``.  ``verify_all`` puts
 the costs, alpha0, the powers and tables it compares, the barrier under test
@@ -79,7 +77,6 @@ from .subsolution import (
 
 CYCLE_GUARD = 10
 WALK_GUARD = 6
-ATTAINING_CAP = 64
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -97,8 +94,6 @@ class CycleScan:
     instance."""
 
     min_mean: Value
-    attaining: tuple[tuple[int, ...], ...]  # capped; see attaining_count
-    attaining_count: int
     cycle_count: int
     zero_vertices: tuple[int, ...] = ()
     zero_edges: tuple[tuple[int, int], ...] = ()
@@ -163,47 +158,40 @@ def _closings(w: list, m: int, members: list) -> tuple[int, list[Value]]:
     return count, cyc_min
 
 
-def _children(w: list, m: int, members: list, shifts: list, exact: bool) -> list[tuple]:
+def _children(w: list, m: int, members: list, a: Value, z: Value) -> list[tuple]:
     """Suffix subset DP: the search's child table below root m.
 
-    For a shift (s, c, z), C(i, R) is the least sum of w * s - c over the
-    edges of a path from vertex m + 1 + i through a subset of R back to m
-    (bits as in ``_closings``).  A path from m that ends at m + 1 + i with
-    total acc and leaves R unvisited has k - |R| edges, so every cycle
-    below it has a shifted sum above z when
-    acc > ((k - |R|) * c - C(i, R) + z) / s.  The skip limit lim[R][i] is
-    the largest of these bounds over the shifts (floored in exact mode,
-    where acc is an integer), and -INF where no path closes.
+    C(i, R) is the least sum of the reduced weights w + a over the edges of
+    a path from vertex m + 1 + i through a subset of R back to m (bits as in
+    ``_closings``).  A path from m that ends at m + 1 + i with total acc and
+    leaves R unvisited has k - |R| edges, so every cycle below it has a
+    reduced weight above z when acc > (k - |R|) * -a - C(i, R) + z: that
+    bound is the skip limit lim[R][i], and -INF where no path closes.
 
     Return kids[S]: (vertex, S without it, skip limit) for each member of
     S in increasing order from which a path closes."""
     k = len(w) - 1 - m
     full = 1 << k
+    sub = [[None if x is None else x + a for x in row[m + 1:]] for row in w[m + 1:]]
+    back = [INF if row[m] is None else row[m] + a for row in w[m + 1:]]
+    least: list[list[Value]] = [[INF] * k for _ in range(full)]
     lim: list[list[Value]] = [[-INF] * k for _ in range(full)]
-    for s, c, z in shifts:
-        sub = [[None if x is None else x * s - c for x in row[m + 1:]] for row in w[m + 1:]]
-        back = [INF if row[m] is None else row[m] * s - c for row in w[m + 1:]]
-        least: list[list[Value]] = [[INF] * k for _ in range(full)]
-        for R in range(full):
-            inside = members[R]
-            edges = k - len(inside)
-            for i in members[full - 1 ^ R]:
-                low = back[i]
-                row = sub[i]
-                for j in inside:
-                    x = row[j]
-                    if x is not None:
-                        x += least[R ^ 1 << j][j]
-                        if x < low:
-                            low = x
-                if low == INF:
-                    continue
-                least[R][i] = low
-                q = edges * c - low + z
-                if exact:
-                    q //= s
-                if q > lim[R][i]:
-                    lim[R][i] = q
+    for R in range(full):
+        inside = members[R]
+        edges = k - len(inside)
+        for i in members[full - 1 ^ R]:
+            low = back[i]
+            row = sub[i]
+            for j in inside:
+                x = row[j]
+                if x is not None:
+                    x += least[R ^ 1 << j][j]
+                    if x < low:
+                        low = x
+            if low == INF:
+                continue
+            least[R][i] = low
+            lim[R][i] = edges * -a - low + z
     return [
         tuple(
             (m + 1 + i, S ^ 1 << i, lim[S ^ 1 << i][i])
@@ -215,49 +203,34 @@ def _children(w: list, m: int, members: list, shifts: list, exact: bool) -> list
 
 
 def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
-    """Scan all simple cycles; track the minimum mean and, when alpha0 is
+    """Scan all simple cycles for the least mean and, when alpha0 is
     supplied, the zero-reduced-weight structure.
 
     A forward subset DP per least vertex m (``_closings``) gives
-    ``cycle_count``, the per-vertex minimum reduced weight (least total
-    plus L * alpha0 over the vertex sets through the vertex) and the least
-    mean, with no cycle closed one by one.
+    ``cycle_count``, the least mean (least total over length, over the
+    vertex sets) and the per-vertex minimum reduced weight (least total
+    plus L * alpha0 over the vertex sets through the vertex), with no cycle
+    closed one by one.  Without alpha0 the scan ends there.
 
-    The capped ``attaining`` list and the zero vertices and edges come from
-    one depth-first search per m that extends the path m, p1, ... by the
-    remaining vertices in increasing order.  It visits cycles in preorder:
-    a parent closes each child's cycle just before it descends.  It skips a
-    child when the suffix subset DP of ``_children`` proves that no cycle
-    below it has a mean within the band of the least mean or a reduced
-    weight within the band of zero.  Skipped cycles come before the final
-    best or can never tie it, so ``attaining`` and its order are those of
-    the full search.  Exact mode skips only cycles of larger mean and
-    positive reduced weight; float mode widens both bands by a relative
-    margin that covers the rounding of the sums and of the slow path.
-
-    Fast path: a cycle of length L can improve or tie the best mean only if
-    its total is at most thr[L], so one comparison passes every other
-    cycle.  Exact mode has thr[L] = floor(best_s * L / best_len), exactly
-    total * best_len <= best_s * L; float mode widens L * (mean + band) by
-    a relative margin, so rounding can only send extra cycles to the slow
-    path.  The slow path makes the full comparison (new best, exact tie,
-    float tie-in within the band of the current best, the capped
-    ``attaining`` list) and recomputes thr when the best mean changes.
-
-    Every cycle closed below the node where v joined the path runs through
-    v and the edge into v, so the zero vertices and edges are aggregated as
-    each subtree returns.  Exact mode scales all weights to integers on the
-    grid of ``core``, so every comparison is integer arithmetic.
+    The zero vertices and edges come from one depth-first search per m
+    that extends the path m, p1, ... by the remaining vertices in
+    increasing order and closes each path back to m.  It skips a child
+    when the suffix subset DP of ``_children`` proves that no cycle below
+    it has a reduced weight within the band of zero: exact mode skips only
+    cycles of positive reduced weight, and float mode widens the band by a
+    relative margin that covers the rounding of the sums.  Every cycle
+    closed below the node where v joined the path runs through v and the
+    edge into v, so the zero vertices and edges are aggregated as each
+    subtree returns.  Exact mode scales all weights to integers on the grid
+    of ``core``, so every comparison is integer arithmetic.
     """
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
     mode = inst.mode
-    exact = mode.exact
     extra = () if alpha0 is None else (alpha0,)
     D = grid_scale(mode, extra, inst.cost_grid()[0])
     w_grid = [[None if is_inf(v) else v for v in row] for row in inst.cost_at(D)]
     a_grid = 0 if alpha0 is None else to_grid(mode, extra, D)[0]
-    band = 0 if exact else mode.tolerance * float(inst.value_scale())
     members = _members(n - 1)
 
     count = 0
@@ -279,84 +252,49 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
                     vmin[v] = red
     if count == 0:
         raise SizeGuardError("instance has no cycle")
+    (min_mean,) = from_grid(mode, (low_s,), low_len * D)
+    if alpha0 is None:  # the zero structure is relative to alpha0
+        return CycleScan(min_mean, cycle_count=count, vertex_min_reduced=(INF,) * n)
 
-    # Skip shifts (s, c, z) for ``_children``: the search keeps every cycle
-    # with sum(w * s - c) <= z for some shift.  In float mode the margin
-    # ``slack`` (2^-30 of the magnitudes) is above the rounding of a sum of
-    # n + 1 terms and of the slow path's cross products (2^-52 relative),
-    # even summed over the 1.2e6 cycles of a desk-size instance.
-    if exact:
-        slack = 0
-        shifts = [(low_len, low_s, 0)]
+    # The search keeps every cycle whose reduced weight is at most
+    # band + slack.  In float mode the suffix DP and the search add the
+    # weights and alpha0 in different orders; the margin ``slack`` (2^-30 of
+    # the magnitudes) is above the rounding of a sum of n + 1 terms (2^-52
+    # relative), even summed over the 1.2e6 cycles of a desk-size instance.
+    if mode.exact:
+        band = slack = 0
     else:
+        band = mode.tolerance * float(inst.value_scale())
         wabs = max(abs(x) for row in w_grid for x in row if x is not None)
         slack = (wabs + abs(a_grid) + band) * 2.0**-30
-        shifts = [(1, low_s / low_len + band + slack, 0)]
-    if alpha0 is not None:
-        shifts.append((1, -a_grid, band + slack))
-
-    best_s: Value = INF
-    best_len = 1
-    thr: list[Value] = [INF] * (n + 1)
-    attaining: list[tuple[int, ...]] = []
-    attaining_count = 0
     zeros = 0
     zero_v: set[int] = set()
     zero_e: set[tuple[int, int]] = set()
-    path = [0] * n
-
-    def settle(total, L: int) -> None:
-        """Slow path for the cycle path[:L] with the given total."""
-        nonlocal best_s, best_len, attaining, attaining_count
-        lhs, rhs = total * best_len, best_s * L
-        if lhs < rhs:
-            best_s, best_len = total, L
-            attaining = [tuple(path[:L])]
-            attaining_count = 1
-            if exact:
-                thr[:] = [best_s * k // best_len for k in range(n + 1)]
-            else:
-                mean = best_s / best_len
-                top = mean + band + (abs(mean) + band) * 2.0**-40
-                thr[:] = [k * top for k in range(n + 1)]
-        elif lhs == rhs or (
-            not exact and abs(total / L - best_s / best_len) <= band
-        ):
-            attaining_count += 1
-            if len(attaining) < ATTAINING_CAP:
-                attaining.append(tuple(path[:L]))
 
     def visit(v: int, acc, L: int, children) -> None:
-        """Close and scan the children of the path path[:L], which ends at
+        """Close and scan the children of a path of L vertices that ends at
         v with total acc; ``children`` holds each next vertex with the mask
         of the vertices left after it and its skip limit.  A subtree holds
         a zero cycle iff it moved the ``zeros`` count."""
         nonlocal zeros
         row = rows[v]
         L1 = L + 1
-        t = thr[L1]
         a = L1 * a_grid  # alpha0 * L1 on the grid
         for nxt, sub, lim in children:
             w = row[nxt]
             if w is None:
                 continue
             acc1 = acc + w
-            if acc1 > lim:  # no cycle below can tie the least mean or be zero
+            if acc1 > lim:  # no cycle below has reduced weight near zero
                 continue
             z = zeros
             w = close[nxt]
             if w is not None:
-                total = acc1 + w
-                if total <= t:
-                    path[L] = nxt
-                    settle(total, L1)
-                    t = thr[L1]
-                red = total + a
+                red = acc1 + w + a
                 if red <= band and red >= -band:  # |red| <= band
                     zeros += 1
                     zero_e.add((nxt, m))
             if sub:
-                path[L] = nxt
                 visit(nxt, acc1, L1, kids[sub])
             if zeros != z:
                 zero_v.add(nxt)
@@ -367,17 +305,12 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
     rows = [*w_grid, [0] * n]
     for m in range(n):
         close = [row[m] for row in rows]
-        kids = _children(w_grid, m, members, shifts, exact)
+        kids = _children(w_grid, m, members, a_grid, band + slack)
         visit(n, 0, 0, ((m, len(kids) - 1, INF),))
         zero_e.discard((n, m))
     del visit  # break the closure's reference to itself: it holds ``kids``
-    (min_mean,) = from_grid(mode, (best_s,), best_len * D)
-    if alpha0 is None:  # the zero structure is relative to alpha0
-        zero_v, zero_e, vmin = set(), set(), [INF] * n
     return CycleScan(
         min_mean=min_mean,
-        attaining=tuple(attaining),
-        attaining_count=attaining_count,
         cycle_count=count,
         zero_vertices=tuple(sorted(zero_v)),
         zero_edges=tuple(sorted(zero_e)),
@@ -386,7 +319,7 @@ def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
 
 
 def enum_cycles(inst: CostInstance) -> CycleScan:
-    """Minimum simple-cycle mean with the attaining cycles (capped list)."""
+    """Minimum simple-cycle mean and cycle count, with no zero structure."""
     return cycle_scan(inst, alpha0=None)
 
 
@@ -663,7 +596,7 @@ class _Workspace:
         self.samples = subsolution_sampler(
             inst, self.crit, seed, samples, phi=self.phi, bar=self.bar
         )
-        self.horizon = horizon or 4 * inst.n * inst.n + 8
+        self.horizon = 4 * inst.n * inst.n + 8 if horizon is None else horizon
         self.rng = Random(seed + 1)
         claimed = self.bar.h.entries
         if barrier_override is not None:

@@ -9,7 +9,7 @@ with the one-pass scan but the order in which cycles are visited.
 from typing import Callable, Optional
 
 from wkam.numbers import INF, SizeGuardError, Value, is_inf
-from wkam.oracle import ATTAINING_CAP, CycleScan
+from wkam.oracle import CycleScan
 
 
 def iter_simple_cycles(n: int, weight: Callable[[int, int], Optional[Value]]):
@@ -49,7 +49,7 @@ def naive_cycle_scan(inst, alpha0: Optional[Value] = None) -> CycleScan:
 
     tol_band = 0.0 if mode.exact else mode.tolerance * float(inst.value_scale())
     best_s, best_len = None, 1
-    attaining, attaining_count, count = [], 0, 0
+    count = 0
     zero_v, zero_e = set(), set()
     vmin = [INF] * inst.n
     for cyc, total in iter_simple_cycles(inst.n, weight):
@@ -57,13 +57,6 @@ def naive_cycle_scan(inst, alpha0: Optional[Value] = None) -> CycleScan:
         L = len(cyc)
         if best_s is None or total * best_len < best_s * L:
             best_s, best_len = total, L
-            attaining, attaining_count = [cyc], 1
-        elif total * best_len == best_s * L or (
-            not mode.exact and abs(total / L - best_s / best_len) <= tol_band
-        ):
-            attaining_count += 1
-            if len(attaining) < ATTAINING_CAP:
-                attaining.append(cyc)
         if alpha0 is not None:
             red = total + L * alpha0
             for v in cyc:
@@ -75,8 +68,6 @@ def naive_cycle_scan(inst, alpha0: Optional[Value] = None) -> CycleScan:
         raise SizeGuardError("instance has no cycle")
     return CycleScan(
         min_mean=best_s / best_len,
-        attaining=tuple(attaining),
-        attaining_count=attaining_count,
         cycle_count=count,
         zero_vertices=tuple(sorted(zero_v)),
         zero_edges=tuple(sorted(zero_e)),

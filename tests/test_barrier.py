@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -391,6 +392,22 @@ def test_representation_constant():
     rep = representation_check(inst, crit, as_value_function(inst, [0, 0]), 3, bar=bar)
     assert rep.ok
     assert rep.matrix == bar.h.entries  # S attains h here
+
+
+def test_representation_foreign_barrier_stays_exact():
+    # S attains h here, so a barrier 1/7 lower at one entry must fail and
+    # one 1/7 higher must pass, though no cost or value has a 7 in its
+    # denominator.
+    inst = gen_constant(2, F(2))
+    crit, bar = crit_bar(inst)
+    u = as_value_function(inst, [0, 0])
+    for shift, ok in ((F(-1, 7), False), (F(1, 7), True)):
+        h = [list(row) for row in bar.h.entries]
+        h[0][1] += shift
+        foreign = replace(bar, h=replace(bar.h, entries=tuple(map(tuple, h))))
+        rep = representation_check(inst, crit, u, 3, bar=foreign)
+        assert rep.ok is ok
+        assert rep.matrix == bar.h.entries
 
 
 def test_representation_t2_row_attained(t2):

@@ -217,6 +217,13 @@ def test_verify_with_tiny_horizon_exits_3(capsys, t2_file):
     assert any("liminf" in c["name"] or "liminf" in c["witness"] for c in bad)
 
 
+def test_verify_with_zero_horizon_exits_2(capsys, t2_file):
+    # 0 is an explicit horizon, not the default: it is refused like 1
+    code, _, err = run(capsys, "verify", "--in", t2_file, "--horizon", "0")
+    assert code == 2
+    assert "N >= 2" in err
+
+
 def test_float_tol_flag(capsys, t2_file):
     code, out, _ = run(capsys, "critical", "--in", t2_file, "--tol", "1e-6")
     assert code == 0

@@ -20,7 +20,6 @@ from wkam import (
 from wkam.models import gen_constant, gen_random
 from wkam.numbers import INF, Mode
 from wkam.oracle import (
-    ATTAINING_CAP,
     _Workspace,
     cycle_scan,
     enum_cycles,
@@ -46,13 +45,11 @@ def test_enum_cycles_t2(t2):
     scan = enum_cycles(t2)
     assert scan.cycle_count == 3
     assert scan.min_mean == F(1, 2)
-    assert scan.attaining == ((0, 1),)
 
 
 def test_enum_cycles_t3(t3):
     scan = enum_cycles(t3)
     assert scan.min_mean == 0
-    assert scan.attaining == ((0, 1),)
 
 
 def test_enum_cycles_guard():
@@ -197,19 +194,6 @@ def test_verify_all_guard():
         verify_all(gen_constant(11, 1))
 
 
-def test_cycle_scan_caps_attaining_list():
-    # Every cycle of a constant instance ties, so the list is capped and
-    # its head is the search order: least vertex first, then the path
-    # extended in increasing index order, each node closing before its
-    # children.
-    inst = gen_constant(6, F(1))
-    scan = cycle_scan(inst)
-    assert scan.cycle_count == scan.attaining_count == 415
-    assert len(scan.attaining) == ATTAINING_CAP
-    assert scan.attaining[:4] == ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3))
-    assert scan.min_mean == F(1)
-
-
 def test_cycle_scan_is_exhaustive_at_the_desk_limit():
     # A total instance on 10 vertices has sum_k C(10, k) (k - 1)! simple
     # cycles, and the scan must count every one of them.
@@ -217,19 +201,29 @@ def test_cycle_scan_is_exhaustive_at_the_desk_limit():
 
 
 def test_cycle_scan_worst_case_skips_nothing():
-    # Every cycle of a constant instance has the least mean and, at
-    # alpha0 = -1, reduced weight zero, so the search can skip no child:
-    # all 1,112,083 cycles attain, in search order, and every vertex and
-    # edge lies on a zero cycle.
+    # Every cycle of a constant instance has reduced weight zero at
+    # alpha0 = -1, so the search can skip no child: it closes all
+    # 1,112,083 cycles, and every vertex and edge lies on a zero cycle.
     n = 10
     scan = cycle_scan(gen_constant(n, F(1)), alpha0=F(-1))
-    assert scan.cycle_count == scan.attaining_count == 1_112_083
-    assert len(scan.attaining) == ATTAINING_CAP
-    assert scan.attaining[:5] == ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4))
-    assert scan.attaining[9:11] == (tuple(range(10)), (0, 1, 2, 3, 4, 5, 6, 7, 9))
+    assert scan.cycle_count == 1_112_083
+    assert scan.min_mean == F(1)
     assert scan.zero_vertices == tuple(range(n))
     assert scan.zero_edges == tuple((i, j) for i in range(n) for j in range(n))
     assert scan.vertex_min_reduced == (0,) * n
+
+
+def test_cycle_scan_without_alpha0_runs_no_search(monkeypatch):
+    # The zero structure is relative to alpha0, so without it the subset
+    # DP answers alone: no child table is built and no search runs.
+    def forbidden(*args):
+        raise AssertionError("search ran without alpha0")
+
+    monkeypatch.setattr(oracle, "_children", forbidden)
+    scan = cycle_scan(gen_random(6, 0, -2, 2))
+    assert scan.cycle_count == 415
+    assert (scan.zero_vertices, scan.zero_edges) == ((), ())
+    assert scan.vertex_min_reduced == (INF,) * 6
 
 
 def test_cycle_scan_leaves_no_reference_cycle():
@@ -263,8 +257,8 @@ def _sparse(n: int, seed: int, mode: Mode):
 
 def _jitter(inst, seed: int, noise: float):
     """The costs as floats, each moved by noise below the tolerance band:
-    cycles that tie exactly on the grid now have means that differ inside
-    the band, so only the float tie-in makes them attain."""
+    cycles that tie exactly on the grid now have means and reduced weights
+    that differ inside the band, so only the band makes them zero."""
     rng = Random(seed)
     cost = [[float(v) + rng.uniform(-noise, noise) for v in row] for row in inst.cost]
     return make_instance(cost, mode=Mode("float"))
@@ -277,8 +271,8 @@ _SCAN_KINDS = {
     "float-wide": lambda n, s: gen_random(n, s, -100, 100, mode=Mode("float")),
     "float-near-tie": lambda n, s: _jitter(gen_random(n, s, -2, 2), s, 1e-11),
     # every cycle ties on the grid, and the noise is half the band (1e-9 *
-    # value_scale = 1e-9 * n): means differ by more than the search's
-    # rounding margin but still tie
+    # value_scale = 1e-9 * n): reduced weights differ by more than the
+    # search's rounding margin but stay inside the band
     "float-band-tie": lambda n, s: _jitter(gen_constant(n, 1), s, 5e-10 * n),
     "sparse-exact": lambda n, s: _sparse(n, s, Mode()),
     "sparse-float": lambda n, s: _sparse(n, s, Mode("float")),
@@ -289,9 +283,8 @@ _SCAN_KINDS = {
 
 def _scan_alphas(inst):
     """None and alpha0 = crit; below n = 8 also crit + 1/3 and crit - 1/3
-    (n = 8 bounds the reference's run time).  The search skips by both the
-    least mean and alpha0, and a low alpha0 makes reduced weights
-    negative."""
+    (n = 8 bounds the reference's run time).  The search skips by alpha0,
+    and a low alpha0 makes reduced weights negative."""
     crit = critical_value(inst).alpha0
     if inst.n >= 8:
         return (None, crit)
@@ -304,8 +297,6 @@ def test_cycle_scan_matches_naive_reference(kind):
     fields = (
         "min_mean",
         "cycle_count",
-        "attaining",
-        "attaining_count",
         "zero_vertices",
         "zero_edges",
         "vertex_min_reduced",
