@@ -9,15 +9,10 @@ brute-force oracle harness validating every structural identity.
 from .barrier import (
     AubryData,
     BarrierData,
-    ConjugateReport,
     aubry,
     barrier_closed_form,
-    conjugate_check,
-    inf_solutions,
     is_weak_kam,
-    min_formula_check,
     peierls_barrier,
-    representation_check,
     u_minus,
     u_plus,
     weak_kam_neg,

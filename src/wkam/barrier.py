@@ -1,26 +1,32 @@
 """Peierls barrier, weak KAM solutions, Aubry sets, and sub-solution limits.
 
+This module holds only what the solver computes.  The paper's barrier
+identities (the n-step min formulas, the orbit bound with its attainment on
+the rows of phi_1, the idempotent alternation of the limits) are checks, and
+``oracle.verify_all`` decides them on the tables of its own integer grid.
+
 The Peierls barrier ``h(x, y)`` is the limiting reduced cost of long chains
 from x to y.  With ``phi_1`` the Kleene plus of the reduced matrix
 ``r = c + alpha0`` and ``A = {a : phi_1(a, a) = 0}`` the Aubry vertices,
 
-    ``h(x, y) = min_{a in A} phi_1(x, a) + phi_1(a, y)``.
+    ``h(x, y) = min_{a in A} phi_1(x, a) + phi_1(a, y)``,
 
-A walk through A costs at least h and, padded with zero cycles at A,
-reaches h at every length.  So with ``S`` the reduced matrix on the points
-``B`` off A and ``G_j = S^(j-1) S^+`` the least weight of a walk of at least
-j edges inside B, the tail potentials are ``phi_j = min(h, G_j)`` on B x B
-and h elsewhere.  The transient ``iterations_to_fix``, the least k with
+one min-plus product of the columns and the rows of ``phi_1`` at A.  A walk
+through A costs at least h and, padded with zero cycles at A, reaches h at
+every length.  So with ``S`` the reduced matrix on the points ``B`` off A
+and ``G_j = S^(j-1) S^+`` the least weight of a walk of at least j edges
+inside B, the tail potentials are ``phi_j = min(h, G_j)`` on B x B and h
+elsewhere.  The transient ``iterations_to_fix``, the least k with
 ``phi_{1+k} = h``, is the least k with ``G_{k+1} >= h`` on B x B (0 when B
 is empty); ``G_j`` is nondecreasing in j, so doubling and binary lifting
 find it with O(log k) min-plus products.  h costs O(n^2 |A|) on top of
 ``phi_1``, which ``CriticalData`` holds once; the transient is computed on
 the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
 that never read it never pay for it.  The closed form, the transient and
-the orbits run on the integer kernel of ``CriticalData`` (see ``core``);
-``h`` becomes ``Fraction`` only when it is returned.  Rows of ``h`` are
-fixed points of ``T- + alpha0`` (negative weak KAM solutions); negated
-columns are fixed points of ``T+ - alpha0`` (positive solutions).
+the orbit walk run on the integer kernel of ``CriticalData`` (see
+``core``); ``h`` becomes ``Fraction`` only when it is returned.  Rows of
+``h`` are fixed points of ``T- + alpha0`` (negative weak KAM solutions);
+negated columns are fixed points of ``T+ - alpha0`` (positive solutions).
 
 The projected Aubry set is the zero diagonal of the barrier; the edge Aubry
 set collects the ordered pairs closing a zero-reduced-weight circuit,
@@ -50,9 +56,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import count
 from operator import add, le, sub
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .core import (
     CostInstance,
@@ -60,18 +66,15 @@ from .core import (
     PotentialTable,
     ValueFunction,
     from_grid,
-    grid_operands,
-    grid_scale,
     kleene_plus,
     lax_oleinik_neg,
     lax_oleinik_pos,
     minplus_product,
     to_grid,
     vf_eq,
-    vf_le,
 )
 from .critical import CriticalData, _dominated_grid
-from .numbers import ConstructionError, InputError, SizeGuardError, Value, neg
+from .numbers import ConstructionError, InputError, SizeGuardError, neg
 from .potential import jump_F, potential_grid
 
 # Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
@@ -112,6 +115,29 @@ def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
     inst.require_total("Peierls barrier")
     h = barrier_closed_form(inst, crit)
     return BarrierData(PotentialTable(entries=h, kind="barrier", alpha0=crit.alpha0), inst, crit)
+
+
+def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
+    """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
+    Aubry vertices being the zero set of the phi_1 diagonal; phi_1 is the
+    Kleene plus held on ``crit``."""
+    inst.require_total("tail potential")
+    e = crit.kernel_plus()
+    mode = inst.mode
+    verts = aubry_vertices(inst, e)
+    to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
+    h = minplus_product(to_a, [e[a] for a in verts])
+    return tuple(from_grid(mode, row, crit.scale) for row in h)
+
+
+def aubry_vertices(inst: CostInstance, p: Matrix) -> list[int]:
+    """The Aubry vertices: the zero set of the diagonal of
+    P = ``crit.kernel_plus()``."""
+    scale = inst.value_scale()
+    verts = [x for x in range(inst.n) if inst.mode.is_zero(p[x][x], scale=scale)]
+    if not verts:
+        raise ConstructionError("no Aubry vertex found for the closed form")
+    return verts
 
 
 def _transient(inst: CostInstance, crit: CriticalData, h: Matrix) -> int:
@@ -198,29 +224,6 @@ def is_weak_kam(
 # normalized orbits and limits
 # ---------------------------------------------------------------------------
 
-def orbit_neg(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction
-) -> list[tuple[Value, ...]]:
-    """Iterates u, T-u + a0, T-^2 u + 2 a0, ... up to u_minus."""
-    return _orbit(inst, crit, u, forward=False)
-
-
-def orbit_pos(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction
-) -> list[tuple[Value, ...]]:
-    """Iterates u, T+u - a0, T+^2 u - 2 a0, ... up to u_plus."""
-    return _orbit(inst, crit, u, forward=True)
-
-
-def _orbit(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction, forward: bool
-) -> list[tuple[Value, ...]]:
-    D, start, lo, hi = limits_grid(inst, crit, u)
-    walk = orbit_walk(inst, crit, D, start, hi if forward else lo, forward)
-    next(walk)
-    return [tuple(u.values)] + [from_grid(inst.mode, v, D) for v in walk]
-
-
 def limits_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple:
     """Check that u is dominated; then D, u, u_minus and u_plus on the
     kernel's grid refined to u's denominators, by the closed forms."""
@@ -285,180 +288,3 @@ def u_plus(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> ValueFun
     D, _, _, hi = limits_grid(inst, crit, u)
     tag = f"u_plus[{u.tag}]" if u.tag else "u_plus"
     return ValueFunction(from_grid(inst.mode, hi, D), tag=tag)
-
-
-# ---------------------------------------------------------------------------
-# conjugation calculus
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConjugateReport:
-    """Outcome of the alternating-limit calculus on a dominated function."""
-
-    u_minus: ValueFunction
-    u_minus_plus: ValueFunction
-    u_minus_plus_minus: ValueFunction
-    u_minus_plus_minus_plus: ValueFunction
-    idempotent: bool            # u_-+ == u_-+-+
-    lower_bound_holds: bool     # T+ T- u <= u
-    upper_bound_holds: bool     # T- T+ u >= u
-    composite_idempotent: bool  # (T- T+)^2 u == (T- T+) u
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.idempotent
-            and self.lower_bound_holds
-            and self.upper_bound_holds
-            and self.composite_idempotent
-        )
-
-
-def conjugate_check(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction
-) -> ConjugateReport:
-    """Compute u_-, u_-+, u_-+- and u_-+-+ and verify the limit identities."""
-    mode = inst.mode
-    scale = inst.value_scale()
-    um = u_minus(inst, crit, u)
-    ump = u_plus(inst, crit, um)
-    umpm = u_minus(inst, crit, ump)
-    umpmp = u_plus(inst, crit, umpm)
-    idem = vf_eq(mode, ump.values, umpmp.values, scale=scale)
-
-    tm = lax_oleinik_neg(inst, u)
-    tptm = lax_oleinik_pos(inst, tm)
-    lower = vf_le(mode, tptm.values, u.values, scale=scale)
-    tp = lax_oleinik_pos(inst, u)
-    tmtp = lax_oleinik_neg(inst, tp)
-    upper = vf_le(mode, u.values, tmtp.values, scale=scale)
-    twice = lax_oleinik_neg(inst, lax_oleinik_pos(inst, tmtp))
-    comp = vf_eq(mode, twice.values, tmtp.values, scale=scale)
-    return ConjugateReport(
-        u_minus=um,
-        u_minus_plus=ump,
-        u_minus_plus_minus=umpm,
-        u_minus_plus_minus_plus=umpmp,
-        idempotent=idem,
-        lower_bound_holds=lower,
-        upper_bound_holds=upper,
-        composite_idempotent=comp,
-    )
-
-
-def inf_solutions(
-    inst: CostInstance, crit: CriticalData, solutions: Sequence[ValueFunction]
-) -> ValueFunction:
-    """Pointwise minimum of negative solutions, itself a negative solution."""
-    if not solutions:
-        raise InputError("need at least one solution")
-    for w in solutions:
-        if not is_weak_kam(inst, crit, w, "negative"):
-            raise InputError("input is not a negative weak KAM solution")
-    vals = tuple(min(w.values[i] for w in solutions) for i in range(inst.n))
-    out = ValueFunction(vals, tag="inf_solutions")
-    if not is_weak_kam(inst, crit, out, "negative"):
-        raise ConstructionError("pointwise min of solutions failed the fixed-point test")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# barrier identities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RepresentationResult:
-    matrix: Matrix
-    ok: bool
-
-
-def representation_check(
-    inst: CostInstance,
-    crit: CriticalData,
-    u: ValueFunction,
-    N: int,
-    bar: Optional[BarrierData] = None,
-) -> RepresentationResult:
-    """Orbit bound S(x,y) = max_{n,m <= N} T-^n u(y) - T+^m u(x) + (n+m) a0.
-
-    S never exceeds the barrier; equality is attained rowwise when u ranges
-    over the tail-potential rows and N covers the stabilization index.  Both
-    orbits run on the grid of the costs refined to the denominators of u and
-    of the barrier, and S is compared with the barrier on that grid.
-    """
-    if N < 1:
-        raise InputError("horizon must be >= 1")
-    if bar is None:
-        bar = peierls_barrier(inst, crit)
-    mode = inst.mode
-    scale = inst.value_scale()
-    h = bar.h.entries
-    D, start, c = grid_operands(inst, u, grid_scale(mode, chain.from_iterable(h), crit.scale))
-    (a,) = to_grid(mode, (crit.alpha0,), D)
-    cols = tuple(zip(*c))
-    hi = lo = neg_it = pos_it = start
-    for _ in range(N):
-        neg_it = [min(map(add, neg_it, col)) + a for col in cols]
-        pos_it = [-min(map(sub, row, pos_it)) - a for row in c]
-        hi = list(map(max, hi, neg_it))
-        lo = list(map(min, lo, pos_it))
-    rows = [[hy - lx for hy in hi] for lx in lo]
-    ok = all(vf_le(mode, row, to_grid(mode, hrow, D), scale=scale) for row, hrow in zip(rows, h))
-    S = tuple(from_grid(mode, row, D) for row in rows)
-    return RepresentationResult(matrix=S, ok=ok)
-
-
-def min_formula_check(
-    inst: CostInstance, crit: CriticalData, bar: BarrierData, n: int
-) -> bool:
-    """Both n-step splittings of the barrier:
-
-    h(x,y) = min_z h(x,z) + c_n(z,y) + n a0 = min_z c_n(x,z) + n a0 + h(z,y).
-
-    Both sides are computed on the grid of the barrier and the kernel.
-    """
-    if n < 1:
-        raise InputError("step count must be >= 1")
-    mode = inst.mode
-    scale = inst.value_scale()
-    D, h, _ = potential_grid(inst, crit, bar.h)
-    c = cn = inst.cost_at(D)
-    for _ in range(n - 1):
-        cn = minplus_product(cn, c)
-    (a,) = to_grid(mode, (crit.alpha0,), D)
-    shift = n * a
-    cols, hcols = tuple(zip(*cn)), tuple(zip(*h))
-    for hrow, crow in zip(h, cn):
-        for hxy, ccol, hcol in zip(hrow, cols, hcols):
-            right = min(map(add, hrow, ccol)) + shift
-            left = min(map(add, crow, hcol)) + shift
-            if not mode.eq(hxy, right, scale=scale):
-                return False
-            if not mode.eq(hxy, left, scale=scale):
-                return False
-    return True
-
-
-def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
-    """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
-    Aubry vertices being the zero set of the phi_1 diagonal; phi_1 is the
-    Kleene plus held on ``crit``."""
-    inst.require_total("tail potential")
-    e = crit.kernel_plus()
-    mode = inst.mode
-    verts = aubry_vertices(inst, e)
-    to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
-    from_a = list(zip(*(e[a] for a in verts)))  # phi_1(a, y), one tuple per y
-    return tuple(
-        from_grid(mode, [min(map(add, xa, ay)) for ay in from_a], crit.scale) for xa in to_a
-    )
-
-
-def aubry_vertices(inst: CostInstance, p: Matrix) -> list[int]:
-    """The Aubry vertices: the zero set of the diagonal of
-    P = ``crit.kernel_plus()``."""
-    scale = inst.value_scale()
-    verts = [x for x in range(inst.n) if inst.mode.is_zero(p[x][x], scale=scale)]
-    if not verts:
-        raise ConstructionError("no Aubry vertex found for the closed form")
-    return verts

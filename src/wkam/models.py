@@ -30,7 +30,7 @@ from pathlib import Path
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
-from .core import CostInstance, ValueFunction, make_instance
+from .core import CostInstance, ValueFunction, make_instance, minplus_product
 from .numbers import (
     EXACT,
     InputError,
@@ -176,20 +176,8 @@ def check_length_space(
     hops = [ [row[:] for row in best] ]
     for _ in range(max_bound):
         prev = hops[-1]
-        cur = [row[:] for row in prev]
-        for x in range(n):
-            for z in range(n):
-                pz = prev[x][z]
-                if pz == INF_:
-                    continue
-                for y in range(n):
-                    w = step[z][y]
-                    if w == INF_:
-                        continue
-                    cand = pz + w
-                    if cand < cur[x][y]:
-                        cur[x][y] = cand
-        hops.append(cur)
+        ext = minplus_product(prev, step)
+        hops.append([list(map(min, row, erow)) for row, erow in zip(prev, ext)])
     chains: dict[tuple[int, int], tuple[int, ...]] = {}
     failures = []
     for x in range(n):
@@ -383,10 +371,14 @@ def instance_from_dict(doc: dict) -> CostInstance:
     metric_doc = doc.get("metric")
     metric = None
     if metric_doc is not None:
+        if not isinstance(metric_doc, list) or not all(isinstance(r, list) for r in metric_doc):
+            raise InputError("metric must be a matrix")
         metric = [[parse_value(v, mode) for v in row] for row in metric_doc]
         if any(is_inf(v) for row in metric for v in row):
             raise InputError("metric entries must be finite")
     labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError("labels must be a list")
     return make_instance(cost, labels=labels, mode=mode, metric=metric)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Union
 
 Value = Union[Fraction, float, int]
@@ -65,8 +66,10 @@ class Mode:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "float"):
             raise InputError(f"unknown mode {self.kind!r}")
-        if self.kind == "float" and not self.tolerance > 0:
-            raise InputError("float mode needs tolerance > 0")
+        tol = self.tolerance
+        real = isinstance(tol, Real) and not isinstance(tol, bool)
+        if self.kind == "float" and not (real and tol > 0):
+            raise InputError("float mode needs a real tolerance > 0")
         object.__setattr__(self, "exact", self.kind == "exact")
 
     def coerce(self, x: Value) -> Value:

@@ -21,6 +21,14 @@ identity compares integers; float mode runs the same code with D = 1.
 witness text.  An inequality lhs <= a (x) b + s over X x X x X is decided
 row by row against one min-plus product; only a failing row is scanned
 entry by entry, for the first witness (x, y, z) of the loop it replaces.
+
+The barrier identities of the paper are decided here, on the same tables:
+the min formulas h = h (x) c_n + n alpha0 = c_n (x) h + n alpha0 against
+the cached products of h with the raw powers, the orbit bound
+S(x, y) = max_k T-^k u(y) + k alpha0 - min_k T+^k u(x) + k alpha0 <= h from
+whole-table orbits of the samples and of the rows of phi_1 (which attain h
+on their own row), and the alternation of u_minus and u_plus, which
+``barrier`` computes in closed form.
 """
 
 from __future__ import annotations
@@ -36,12 +44,8 @@ from .barrier import (
     AubryData,
     BarrierData,
     aubry,
-    conjugate_check,
-    inf_solutions,
     is_weak_kam,
     peierls_barrier,
-    representation_check,
-    min_formula_check,
     u_minus,
     u_plus,
     weak_kam_neg,
@@ -608,7 +612,8 @@ class _Workspace:
         self.r = self.crit.kernel_at(D)
         self.p = self.grid(self.phi.entries)
         self.h = self.grid(self.bar.h.entries)
-        self.h_claimed = self.grid(claimed)
+        # the barrier itself when there is no override, so products are shared
+        self.h_claimed = self.h if barrier_override is None else self.grid(claimed)
         self.grid_samples = [to_grid(mode, u.values, D) for u in self.samples]
         self._raw_powers: dict[int, Matrix] = {1: self.c}
         self._phi_tables: dict[int, Matrix] = {1: self.grid(self.phi1.entries)}
@@ -701,8 +706,8 @@ def verify_all(
     """Run every structural identity against one instance.
 
     ``barrier_override`` substitutes a foreign matrix for the computed
-    barrier in the barrier-identity checks (negative-control hook: a
-    corrupted matrix must fail with a witness).
+    barrier in the closed-form, triangle and chain-splitting checks
+    (negative-control hook: a corrupted matrix must fail with a witness).
     """
     _guard(inst.n, CYCLE_GUARD, "verify_all")
     inst.require_total("verify_all")
@@ -1096,29 +1101,42 @@ def _check_hh_suite(ws: _Workspace, h: Matrix) -> CheckResult:
 
 
 def _check_min_formula(ws: _Workspace) -> CheckResult:
+    # h = h (x) c_n + n a0 = c_n (x) h + n a0
     name = "barrier.min_formula"
+    h = ws.h
     for n_ in range(1, 4):
-        if not min_formula_check(ws.inst, ws.crit, ws.bar, n_):
-            return CheckResult(name, False, f"n={n_}")
+        cn, shift = ws.raw_power(n_), n_ * ws.a
+        for prod in (ws.product(h, cn), ws.product(cn, h)):
+            if not all(
+                vf_eq(ws.mode, hrow, [v + shift for v in row], scale=ws.scale)
+                for hrow, row in zip(h, prod)
+            ):
+                return CheckResult(name, False, f"n={n_}")
     return CheckResult(name, True)
 
 
 def _check_representation(ws: _Workspace) -> CheckResult:
+    # S(x, y) = max_{k <= N} T-^k u(y) + k a0 - min_{k <= N} T+^k u(x) + k a0
+    # never exceeds h, and the rows u of phi_1 attain h on row x of their S.
     name = "barrier.orbit_representation"
-    inst = ws.inst
-    for u in ws.samples[:10]:
-        rep = representation_check(inst, ws.crit, u, 6, bar=ws.bar)
-        if not rep.ok:
+    mode, scale, h = ws.mode, ws.scale, ws.h
+
+    def bounds(table: Matrix, N: int) -> list[tuple[list, list]]:
+        """(hi, lo) of the orbits of each row of table, iterates 0..N."""
+        ups = zip(table, *ws.orbit(table, N, forward=False))
+        downs = zip(table, *ws.orbit(table, N, forward=True))
+        return [(list(map(max, *up)), list(map(min, *down))) for up, down in zip(ups, downs)]
+
+    def below(hi: list, lo: list) -> bool:
+        return all(vf_le(mode, [v - lx for v in hi], row, scale=scale) for lx, row in zip(lo, h))
+
+    for u, (hi, lo) in zip(ws.samples, bounds(tuple(ws.grid_samples[:10]), 6)):
+        if not below(hi, lo):
             return CheckResult(name, False, f"S > h for {u.tag}")
-    N = max(1, ws.bar.iterations_to_fix)
-    for x in range(inst.n):
-        rep = representation_check(
-            inst, ws.crit, ValueFunction(ws.phi1.entries[x]), N, bar=ws.bar
-        )
-        if not rep.ok:
+    for x, (hi, lo) in enumerate(bounds(ws.phi_table(1), max(1, ws.bar.iterations_to_fix))):
+        if not below(hi, lo):
             return CheckResult(name, False, f"S > h for phi1 row {x}")
-        row = rep.matrix[x]
-        if not vf_eq(ws.mode, row, ws.bar.h.entries[x], scale=ws.scale):
+        if not vf_eq(mode, [v - lo[x] for v in hi], h[x], scale=scale):
             return CheckResult(name, False, f"no attainment in row {x}")
     return CheckResult(name, True)
 
@@ -1162,17 +1180,28 @@ def _check_phi_orbit_identity(ws: _Workspace) -> CheckResult:
 
 
 def _check_conjugation(ws: _Workspace) -> CheckResult:
+    # u_-+ = u_-+-+; T+ T- u <= u <= T- T+ u; (T- T+)^2 u = (T- T+) u
     name = "barrier.conjugation_idempotent"
+    inst, crit, mode, scale = ws.inst, ws.crit, ws.mode, ws.scale
     for u in ws.samples[:10]:
-        rep = conjugate_check(ws.inst, ws.crit, u)
-        if not rep.ok:
-            return CheckResult(name, False, f"{u.tag}")
-    # the pointwise min of negative solutions is again one
-    rows = [weak_kam_neg(ws.bar, x) for x in range(ws.inst.n)]
-    try:
-        inf_solutions(ws.inst, ws.crit, rows)
-    except Exception as exc:  # pragma: no cover - witness path
-        return CheckResult(name, False, f"inf of solutions: {exc}")
+        ump = u_plus(inst, crit, u_minus(inst, crit, u))
+        umpmp = u_plus(inst, crit, u_minus(inst, crit, ump))
+        down_up = lax_oleinik_pos(inst, lax_oleinik_neg(inst, u))
+        up_down = lax_oleinik_neg(inst, lax_oleinik_pos(inst, u))
+        twice = lax_oleinik_neg(inst, lax_oleinik_pos(inst, up_down))
+        if not (
+            vf_eq(mode, ump.values, umpmp.values, scale=scale)
+            and vf_le(mode, down_up.values, u.values, scale=scale)
+            and vf_le(mode, u.values, up_down.values, scale=scale)
+            and vf_eq(mode, twice.values, up_down.values, scale=scale)
+        ):
+            return CheckResult(name, False, u.tag)
+    # the pointwise min of the negative solutions h(x, .) is again one
+    low = tuple(map(min, zip(*ws.h)))
+    (image,) = ws.orbit((low,), 1, forward=False)
+    if not vf_eq(mode, image[0], low, scale=scale):
+        what = "pointwise min of solutions failed the fixed-point test"
+        return CheckResult(name, False, f"inf of solutions: {what}")
     return CheckResult(name, True)
 
 

@@ -3,6 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 from wkam import make_instance
+from wkam.barrier import limits_grid, orbit_walk
+from wkam.core import from_grid
+
+
+def orbit(inst, crit, u, forward=False):
+    """The normalized orbit of u up to its limit: u, T-u + alpha0, ... up to
+    u_minus, or with ``forward`` u, T+u - alpha0, ... up to u_plus."""
+    D, start, lo, hi = limits_grid(inst, crit, u)
+    walk = orbit_walk(inst, crit, D, start, hi if forward else lo, forward)
+    return [from_grid(inst.mode, v, D) for v in walk]
 
 
 @pytest.fixture

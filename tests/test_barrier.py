@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,23 +11,18 @@ from wkam import (
     as_value_function,
     aubry,
     barrier_closed_form,
-    conjugate_check,
     critical_value,
-    inf_solutions,
     is_dominated,
     is_weak_kam,
     lax_oleinik_neg,
     make_instance,
-    min_formula_check,
     peierls_barrier,
-    representation_check,
     solve_subsolution,
     u_minus,
     u_plus,
     weak_kam_neg,
     weak_kam_pos,
 )
-from wkam.barrier import orbit_neg, orbit_pos
 from wkam.models import gen_constant, gen_random
 from wkam.numbers import Mode
 from wkam.oracle import (
@@ -36,9 +30,12 @@ from wkam.oracle import (
     enum_zero_cycles,
     liminf_barrier_bounded,
     subsolution_sampler,
+    verify_all,
 )
 from wkam.potential import mane_potential, phi_n
 from wkam.subsolution import aubry_of, max_strict_subsolution
+
+from conftest import orbit
 
 
 def crit_bar(inst):
@@ -246,10 +243,10 @@ def test_float_u_plus_answers_past_4n_squared():
     eu = as_value_function(exact, [F(-7, 12), F(17, 12)])
     eup = u_plus(exact, ecrit, eu)
     assert is_weak_kam(exact, ecrit, eup, "positive")
-    assert len(orbit_pos(exact, ecrit, eu)) - 1 == 19
+    assert len(orbit(exact, ecrit, eu, forward=True)) - 1 == 19
     scale = inst.value_scale()
     assert all(mode.eq(a, float(b), scale=scale) for a, b in zip(up.values, eup.values))
-    hist = orbit_pos(inst, crit, u)
+    hist = orbit(inst, crit, u, forward=True)
     assert len(hist) - 1 > 16
     assert all(mode.eq(a, b, scale=scale) for a, b in zip(hist[-1], up.values))
 
@@ -278,12 +275,12 @@ def test_orbits_monotone_and_solutions():
         crit = critical_value(inst)
         scale = inst.value_scale()
         for u in subsolution_sampler(inst, crit, seed=3, count=10):
-            hist = orbit_neg(inst, crit, u)
+            hist = orbit(inst, crit, u)
             for a, b in zip(hist, hist[1:]):
                 assert all(mode.le(x, y, scale=scale) for x, y in zip(a, b))
             um = u_minus(inst, crit, u)
             assert is_weak_kam(inst, crit, um, "negative")
-            hist_p = orbit_pos(inst, crit, u)
+            hist_p = orbit(inst, crit, u, forward=True)
             for a, b in zip(hist_p, hist_p[1:]):
                 assert all(mode.le(y, x, scale=scale) for x, y in zip(a, b))
             up = u_plus(inst, crit, u)
@@ -317,16 +314,14 @@ def test_limits_are_enveloping_solutions():
         assert up.values == envelope_p
 
 
-# --- conjugation -------------------------------------------------------------------
+# --- conjugation and the barrier identities ------------------------------------------
 
 def test_conjugate_solution_fixed(t2):
     from wkam import lax_oleinik_pos as tp, lax_oleinik_neg as tm
 
     crit, bar = crit_bar(t2)
     h_a = weak_kam_neg(bar, 0)
-    rep = conjugate_check(t2, crit, h_a)
-    assert rep.ok
-    assert rep.u_minus.values == h_a.values
+    assert u_minus(t2, crit, h_a).values == h_a.values
     # n-fold down-up round trip recovers a negative solution exactly
     v = h_a
     for _ in range(3):
@@ -336,115 +331,21 @@ def test_conjugate_solution_fixed(t2):
     assert v.values == h_a.values
 
 
-def test_conjugate_constant():
-    inst = gen_constant(2, F(1))
-    crit = critical_value(inst)
-    rep = conjugate_check(inst, crit, as_value_function(inst, [0, 0]))
-    assert rep.ok
-    for fn in (rep.u_minus, rep.u_minus_plus, rep.u_minus_plus_minus, rep.u_minus_plus_minus_plus):
-        assert fn.values == (0, 0)
-
-
-def test_conjugate_t3_chain(t3):
-    crit = critical_value(t3)
-    u = solve_subsolution(t3, crit.alpha0).u
-    rep = conjugate_check(t3, crit, u)
-    assert rep.ok
-    assert rep.u_minus_plus.values == rep.u_minus_plus_minus_plus.values
-
-
-# --- inf of solutions ----------------------------------------------------------------
-
-def test_inf_single(t2):
-    crit, bar = crit_bar(t2)
-    h_a = weak_kam_neg(bar, 0)
-    assert inf_solutions(t2, crit, [h_a]).values == h_a.values
-
-
-def test_inf_pair_t2(t2):
-    crit, bar = crit_bar(t2)
-    rows = [weak_kam_neg(bar, 0), weak_kam_neg(bar, 1)]
-    out = inf_solutions(t2, crit, rows)
-    assert out.values == tuple(min(a, b) for a, b in zip(rows[0].values, rows[1].values))
-    assert is_weak_kam(t2, crit, out, "negative")
-
-
-def test_inf_with_shifted_copy(t2):
-    crit, bar = crit_bar(t2)
-    h_a = weak_kam_neg(bar, 0)
-    shifted = ValueFunction(tuple(v + 1 for v in h_a.values))
-    assert inf_solutions(t2, crit, [h_a, shifted]).values == h_a.values
-
-
-def test_inf_rejects_empty_and_non_solution(t2):
-    crit = critical_value(t2)
-    with pytest.raises(InputError):
-        inf_solutions(t2, crit, [])
-    with pytest.raises(InputError):
-        inf_solutions(t2, crit, [as_value_function(t2, [0, 0])])
-
-
-# --- representation and min formulas ---------------------------------------------------
-
-def test_representation_constant():
-    inst = gen_constant(2, F(2))
-    crit, bar = crit_bar(inst)
-    rep = representation_check(inst, crit, as_value_function(inst, [0, 0]), 3, bar=bar)
-    assert rep.ok
-    assert rep.matrix == bar.h.entries  # S attains h here
-
-
-def test_representation_foreign_barrier_stays_exact():
-    # S attains h here, so a barrier 1/7 lower at one entry must fail and
-    # one 1/7 higher must pass, though no cost or value has a 7 in its
-    # denominator.
-    inst = gen_constant(2, F(2))
-    crit, bar = crit_bar(inst)
-    u = as_value_function(inst, [0, 0])
-    for shift, ok in ((F(-1, 7), False), (F(1, 7), True)):
-        h = [list(row) for row in bar.h.entries]
-        h[0][1] += shift
-        foreign = replace(bar, h=replace(bar.h, entries=tuple(map(tuple, h))))
-        rep = representation_check(inst, crit, u, 3, bar=foreign)
-        assert rep.ok is ok
-        assert rep.matrix == bar.h.entries
-
-
-def test_representation_t2_row_attained(t2):
-    crit, bar = crit_bar(t2)
-    h_a = weak_kam_neg(bar, 0)
-    rep = representation_check(t2, crit, h_a, 4, bar=bar)
-    assert rep.ok
-    assert rep.matrix[0] == bar.h.entries[0]
-
-
-def test_representation_sampled_bound():
-    inst = gen_random(5, 19, -2, 2)
-    crit, bar = crit_bar(inst)
-    for u in subsolution_sampler(inst, crit, seed=4, count=20):
-        rep = representation_check(inst, crit, u, 6, bar=bar)
-        assert rep.ok
-
-
-def test_representation_attained_by_phi1_rows():
-    inst = gen_random(6, 8, -2, 2)
-    crit, bar = crit_bar(inst)
-    phi1 = phi_n(inst, crit, 1)
-    N = max(1, bar.iterations_to_fix)
-    for x in range(inst.n):
-        rep = representation_check(inst, crit, ValueFunction(phi1.entries[x]), N, bar=bar)
-        assert rep.ok
-        assert rep.matrix[x] == bar.h.entries[x]
-
-
-def test_min_formula_examples(t2, t3):
-    inst = gen_constant(2, F(3))
-    crit, bar = crit_bar(inst)
-    assert min_formula_check(inst, crit, bar, 1)
-    crit2, bar2 = crit_bar(t2)
-    assert min_formula_check(t2, crit2, bar2, 1)
-    crit3, bar3 = crit_bar(t3)
-    assert min_formula_check(t3, crit3, bar3, 3)
+@pytest.mark.parametrize("which", ["constant:1", "constant:2", "constant:3", "t2", "t3"])
+def test_verify_all_passes_the_barrier_identities(request, which):
+    # the min formulas, the orbit bound with its attainment on the phi_1
+    # rows, and the alternating limits with the pointwise min of solutions
+    if which.startswith("constant:"):
+        inst = gen_constant(2, F(which[len("constant:"):]))
+    else:
+        inst = request.getfixturevalue(which)
+    passed = {c.name: c.passed for c in verify_all(inst).checks}
+    for name in (
+        "barrier.min_formula",
+        "barrier.orbit_representation",
+        "barrier.conjugation_idempotent",
+    ):
+        assert passed[name], name
 
 
 # --- per-function Aubry sets vs chains ----------------------------------------------

@@ -53,6 +53,26 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "float", "tolerance": "x", "cost": [[0]]},
+        {"mode": "float", "tolerance": None, "cost": [[0]]},
+        {"mode": "float", "tolerance": True, "cost": [[0]]},
+        {"cost": [[0]], "labels": 5},
+        {"cost": [[0, 1], [1, 0]], "metric": 7},
+        {"cost": [[0, 1], [1, 0]], "metric": [[0, 1], 5]},
+    ],
+    ids=["tolerance-str", "tolerance-null", "tolerance-bool", "labels", "metric", "metric-row"],
+)
+def test_malformed_fields_exit_2(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "critical", "--in", str(p))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_oversize_verify_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--gen", "constant:11:1")
     assert code == 2

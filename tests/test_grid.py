@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 from wkam import make_instance
-from wkam.barrier import orbit_neg, orbit_pos, peierls_barrier, representation_check
+from wkam.barrier import peierls_barrier
 from wkam.core import (
     ValueFunction,
     from_grid,
@@ -33,6 +33,8 @@ from wkam.models import gen_random
 from wkam.numbers import EXACT, INF, InputError, Mode
 from wkam.potential import jump_F, jump_f, mane_potential, phi_n
 from wkam.subsolution import max_strict_subsolution, uniform_subsolution_mix
+
+from conftest import orbit
 
 
 def _mixed(n: int, seed: int):
@@ -188,8 +190,8 @@ def test_orbits_off_the_grid_match_fraction_reference(idx):
     # entry has a denominator 11, which divides no scale the instance has.
     u = tuple((a + b) / 2 + F(1, 11) for a, b in zip(phi[0], phi[-1]))
     assert all(v.denominator % 11 == 0 for v in u)
-    for forward, orbit in ((False, orbit_neg), (True, orbit_pos)):
-        got = orbit(inst, crit, ValueFunction(u))
+    for forward in (False, True):
+        got = orbit(inst, crit, ValueFunction(u), forward)
         want = _ref_orbit(inst, crit, u, forward)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -235,27 +237,6 @@ def test_domination_off_the_grid_matches_fraction_reference(idx):
             assert (got.ok, got.witness) == want
             outcomes.add(want[0])
     assert outcomes == {True, False}
-
-
-@pytest.mark.parametrize("idx", range(len(CORPUS)))
-def test_representation_off_the_grid_matches_fraction_reference(idx):
-    inst = CORPUS[idx]
-    crit = critical_value(inst)
-    bar = peierls_barrier(inst, crit)
-    phi = _ref_mane(inst, crit)
-    u = tuple((a + b) / 2 + F(1, 11) for a, b in zip(phi[0], phi[-1]))
-    N = 6
-    neg, pos = [u], [u]
-    for _ in range(N):
-        neg.append(tuple(v + crit.alpha0 for v in _ref_neg(inst, neg[-1])))
-        pos.append(tuple(v - crit.alpha0 for v in _ref_pos(inst, pos[-1])))
-    hi = [max(it[y] for it in neg) for y in range(inst.n)]
-    lo = [min(it[x] for it in pos) for x in range(inst.n)]
-    S = tuple(tuple(hy - lx for hy in hi) for lx in lo)
-    rep = representation_check(inst, crit, ValueFunction(u), N, bar=bar)
-    _same(rep.matrix, S)
-    below = all(s <= h for srow, hrow in zip(S, bar.h.entries) for s, h in zip(srow, hrow))
-    assert rep.ok == below
 
 
 def test_sparse_costs_keep_their_errors():

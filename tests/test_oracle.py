@@ -357,6 +357,50 @@ def test_verify_all_negative_control_witnesses_pinned(t3):
     ]
 
 
+def _nudged(h, x, y, units):
+    """h with entry (x, y) moved by ``units`` grid units."""
+    rows = [list(row) for row in h]
+    rows[x][y] += units
+    return tuple(map(tuple, rows))
+
+
+def test_barrier_identities_fail_on_a_nudged_barrier():
+    # The min formulas and the orbit bound read ws.h: one grid unit off at
+    # one entry, each names its first failure.
+    ws = _Workspace(gen_random(5, 2, -2, 2), 2, 20, None, None)
+    h = ws.h
+    cases = [
+        ((4, 1, -1), "n=1", "S > h for sample[2:7]"),
+        ((0, 3, -1), "n=1", "S > h for phi1 row 0"),
+        ((2, 4, 1), "n=1", "no attainment in row 2"),
+    ]
+    for nudge, min_formula, representation in cases:
+        ws.h = _nudged(h, *nudge)
+        assert oracle._check_min_formula(ws) == oracle.CheckResult(
+            "barrier.min_formula", False, min_formula
+        )
+        assert oracle._check_representation(ws) == oracle.CheckResult(
+            "barrier.orbit_representation", False, representation
+        )
+    ws.h = h
+    assert oracle._check_min_formula(ws).passed
+    assert oracle._check_representation(ws).passed
+
+
+def test_conjugation_fails_on_a_shifted_u_plus(monkeypatch):
+    ws = _Workspace(gen_random(5, 2, -2, 2), 2, 20, None, None)
+    assert oracle._check_conjugation(ws).passed
+    u_plus = oracle.u_plus
+
+    def shifted(inst, crit, u):
+        return oracle.ValueFunction(tuple(v + 1 for v in u_plus(inst, crit, u).values))
+
+    monkeypatch.setattr(oracle, "u_plus", shifted)
+    assert oracle._check_conjugation(ws) == oracle.CheckResult(
+        "barrier.conjugation_idempotent", False, "sample[2:0]"
+    )
+
+
 # --- whole-table checks -----------------------------------------------------------
 
 _WORKSPACES = {}
@@ -447,7 +491,10 @@ def test_h_split_tie_names_the_right_split():
 def test_verify_all_makes_each_table_product_once(monkeypatch):
     # Passing verify_all at n = 10 computes each min-plus product it needs
     # once: the raw and phi powers, the liminf powers, the nine products of
-    # the semigroup law, and 61 products for the whole-table checks.
+    # the semigroup law, 61 products for the whole-table checks, six for the
+    # min formulas, the two orbits of the samples (6 steps) and of phi_1
+    # (the transient, at least 1) for the orbit bound, and one step of the
+    # pointwise min of the barrier rows.
     inst = gen_random(10, 1, -2, 2)
     workspaces = []
     init = oracle._Workspace.__init__
@@ -465,6 +512,7 @@ def test_verify_all_makes_each_table_product_once(monkeypatch):
     monkeypatch.undo()
     liminf = liminf_barrier_bounded(inst, ws.crit, ws.horizon).powers_used - 1
     tables = 44 + 1 + 1 + 4 + 11  # chain splits, two triangles, orbit identity, vanishing
+    tables += 6 + 2 * 6 + 2 * max(1, ws.bar.iterations_to_fix) + 1
     need = len(ws._raw_powers) - 1 + len(ws._phi_tables) - 1 + liminf + 9 + tables
     assert len(counted) <= need
 
