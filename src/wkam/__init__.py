@@ -61,7 +61,6 @@ from .numbers import (
 )
 from .oracle import (
     OracleReport,
-    enum_cycles,
     enum_walks,
     enum_zero_cycles,
     liminf_barrier_bounded,

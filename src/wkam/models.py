@@ -377,8 +377,10 @@ def instance_from_dict(doc: dict) -> CostInstance:
         if any(is_inf(v) for row in metric for v in row):
             raise InputError("metric entries must be finite")
     labels = doc.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise InputError("labels must be a list")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(s, str) for s in labels)
+    ):
+        raise InputError("labels must be a list of strings")
     return make_instance(cost, labels=labels, mode=mode, metric=metric)
 
 

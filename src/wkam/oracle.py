@@ -4,11 +4,13 @@ Everything here recomputes solver outputs by a different route at desk
 scale.  The simple cycles are scanned from the costs alone (with exact
 integer-scaled weights in exact mode), least vertex first.  Per least
 vertex, a forward subset DP over (vertex set, last vertex) holds the number
-of paths and the least path total; it gives the cycle count, the per-vertex
-minimum reduced weight and the least mean.  Given alpha0, a depth-first
-search over the paths from the least vertex finds the vertices and edges of
-the zero cycles; it descends into a child only where a suffix subset DP
-leaves room for a cycle of reduced weight zero.  Chain costs come from
+of paths and the least path total; it gives the cycle count and the least
+mean.  At the scan's own alpha = -(least mean) no cycle is negative, so the
+zero cycles are the least ones: the per-vertex minimum reduced weight comes
+from the same totals, and a backward subset DP of least reduced returns
+gives, through each DP state and edge, the least reduced weight of the
+cycles that run through it, hence the vertices and edges of the zero
+cycles, with no cycle listed.  Chain costs come from
 recursive enumeration, the barrier from the eventual periodicity of reduced
 min-plus powers, and the per-function Aubry sets from reachability in the
 tight-edge graph.  A failed check always carries a concrete witness.
@@ -94,14 +96,14 @@ def _guard(n: int, limit: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class CycleScan:
-    """The least mean and zero structure over all simple cycles of an
-    instance."""
+    """The least mean over all simple cycles of an instance and, at
+    alpha = -min_mean, the zero structure."""
 
     min_mean: Value
     cycle_count: int
-    zero_vertices: tuple[int, ...] = ()
-    zero_edges: tuple[tuple[int, int], ...] = ()
-    vertex_min_reduced: tuple[Value, ...] = ()
+    zero_vertices: tuple[int, ...]
+    zero_edges: tuple[tuple[int, int], ...]
+    vertex_min_reduced: tuple[Value, ...]
 
 
 def _members(k: int) -> list[tuple[int, ...]]:
@@ -109,15 +111,16 @@ def _members(k: int) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
 
 
-def _closings(w: list, m: int, members: list) -> tuple[int, list[Value]]:
+def _closings(w: list, m: int, members: list) -> tuple[int, list, list[Value]]:
     """Forward subset DP over the cycles whose least vertex is m.
 
-    Bit i of a mask S stands for vertex m + 1 + i.  Return the number of
-    these cycles and, for each S, the least total of the cycles on the
-    vertex set {m} + S.  Per (S, last vertex) the DP keeps the least path
-    total from m and the number of paths.  Totals are the search's left-fold sums, and
-    fl(x + w) is monotone in x, so in float mode too the least total is
-    the least of the cycles' own totals."""
+    Bit i of a mask S stands for vertex m + 1 + i.  Per (S, i) the DP keeps
+    tot[S][i], the least total of the paths from m through the vertices of
+    S that end at m + 1 + i, and the number of these paths.  Return the
+    number of cycles, tot, and for each S the least total of the cycles on
+    the vertex set {m} + S.  Totals are left-fold sums along the path, and
+    fl(x + w) is monotone in x, so in float mode too the least total is the
+    least of the cycles' own totals."""
     k = len(w) - 1 - m
     full = 1 << k
     sub = [row[m + 1:] for row in w[m + 1:]]
@@ -159,178 +162,132 @@ def _closings(w: list, m: int, members: list) -> tuple[int, list[Value]]:
                     num[T][j] += p
         count += c
         cyc_min[S] = low
-    return count, cyc_min
+    return count, tot, cyc_min
 
 
-def _children(w: list, m: int, members: list, a: Value, z: Value) -> list[tuple]:
-    """Suffix subset DP: the search's child table below root m.
+def _zero_edges(
+    w: list, m: int, members: list, tot: list, f: int, a: Value, band: Value
+) -> set[tuple[int, int]]:
+    """The edges of the zero cycles whose least vertex is m.
 
-    C(i, R) is the least sum of the reduced weights w + a over the edges of
-    a path from vertex m + 1 + i through a subset of R back to m (bits as in
-    ``_closings``).  A path from m that ends at m + 1 + i with total acc and
-    leaves R unvisited has k - |R| edges, so every cycle below it has a
-    reduced weight above z when acc > (k - |R|) * -a - C(i, R) + z: that
-    bound is the skip limit lim[R][i], and -INF where no path closes.
-
-    Return kids[S]: (vertex, S without it, skip limit) for each member of
-    S in increasing order from which a path closes."""
+    The reduced weights are r = w * f + a, with f the ratio of the grids
+    and a the scan's alpha, so no cycle is negative.  A backward subset DP
+    gives least[R][i], the least reduced weight of a path from m + 1 + i
+    through a subset of R back to m (bits as in ``_closings``).  The paths
+    to (S, i) weigh at least pre = tot[S][i] * f + |S| a.  With rest the
+    vertices not in S, the least cycle through (S, i) weighs
+    pre + least[rest][i], and the least one that goes on by the edge (i, j)
+    weighs pre + (r(i, j) + least[rest - j][j]); the edge is zero when that
+    is at most band.  least[rest][i] is the least of r(i, m) and the
+    computed r(i, j) + least[rest - j][j], and fl(pre + t) is monotone in
+    t, so no edge sum is below its state's: a state skipped for its own sum
+    drops no edge within the band."""
     k = len(w) - 1 - m
-    full = 1 << k
-    sub = [[None if x is None else x + a for x in row[m + 1:]] for row in w[m + 1:]]
-    back = [INF if row[m] is None else row[m] + a for row in w[m + 1:]]
-    least: list[list[Value]] = [[INF] * k for _ in range(full)]
-    lim: list[list[Value]] = [[-INF] * k for _ in range(full)]
-    for R in range(full):
-        inside = members[R]
-        edges = k - len(inside)
-        for i in members[full - 1 ^ R]:
-            low = back[i]
-            row = sub[i]
-            for j in inside:
+    top = (1 << k) - 1
+    sub = [[None if x is None else x * f + a for x in row[m + 1:]] for row in w[m + 1:]]
+    back = [INF if row[m] is None else row[m] * f + a for row in w[m + 1:]]
+    least: list[list[Value]] = [[INF] * k for _ in range(top + 1)]
+    for R in range(top + 1):
+        for i in members[top ^ R]:
+            low, row = back[i], sub[i]
+            for j in members[R]:
                 x = row[j]
                 if x is not None:
                     x += least[R ^ 1 << j][j]
                     if x < low:
                         low = x
-            if low == INF:
-                continue
             least[R][i] = low
-            lim[R][i] = edges * -a - low + z
-    return [
-        tuple(
-            (m + 1 + i, S ^ 1 << i, lim[S ^ 1 << i][i])
-            for i in members[S]
-            if lim[S ^ 1 << i][i] != -INF
-        )
-        for S in range(full)
-    ]
+    edges = set()
+    x = w[m][m]
+    if x is not None and x * f + a <= band:
+        edges.add((m, m))
+    for j, x in enumerate(w[m][m + 1:]):
+        if x is not None and x * f + a + least[top ^ 1 << j][j] <= band:
+            edges.add((m, m + 1 + j))
+    for S in range(1, top + 1):
+        rest = top ^ S
+        shift = len(members[S]) * a
+        for i in members[S]:
+            pre = tot[S][i] * f + shift
+            if pre + least[rest][i] > band:  # no zero cycle runs through (S, i)
+                continue
+            v = m + 1 + i
+            if pre + back[i] <= band:
+                edges.add((v, m))
+            row = sub[i]
+            for j in members[rest]:
+                x = row[j]
+                if x is not None and pre + (x + least[rest ^ 1 << j][j]) <= band:
+                    edges.add((v, m + 1 + j))
+    return edges
 
 
-def cycle_scan(inst: CostInstance, alpha0: Optional[Value] = None) -> CycleScan:
-    """Scan all simple cycles for the least mean and, when alpha0 is
-    supplied, the zero-reduced-weight structure.
+def cycle_scan(inst: CostInstance) -> CycleScan:
+    """Scan all simple cycles for the least mean and the zero structure.
 
     A forward subset DP per least vertex m (``_closings``) gives
-    ``cycle_count``, the least mean (least total over length, over the
-    vertex sets) and the per-vertex minimum reduced weight (least total
-    plus L * alpha0 over the vertex sets through the vertex), with no cycle
-    closed one by one.  Without alpha0 the scan ends there.
-
-    The zero vertices and edges come from one depth-first search per m
-    that extends the path m, p1, ... by the remaining vertices in
-    increasing order and closes each path back to m.  It skips a child
-    when the suffix subset DP of ``_children`` proves that no cycle below
-    it has a reduced weight within the band of zero: exact mode skips only
-    cycles of positive reduced weight, and float mode widens the band by a
-    relative margin that covers the rounding of the sums.  Every cycle
-    closed below the node where v joined the path runs through v and the
-    edge into v, so the zero vertices and edges are aggregated as each
-    subtree returns.  Exact mode scales all weights to integers on the grid
-    of ``core``, so every comparison is integer arithmetic.
+    ``cycle_count`` and the least mean, the least total over length over
+    the vertex sets, with no cycle closed one by one.  The zero structure is
+    taken at the scan's own alpha = -min_mean, where no simple cycle is
+    negative, so a cycle is zero iff it is least: ``vertex_min_reduced`` is
+    the least total plus L * alpha over the vertex sets through the vertex,
+    and a backward subset DP per m (``_zero_edges``) finds the edges of the
+    zero cycles from the least reduced weight through each DP state and
+    edge.  The zero vertices are the ends of the zero edges.  Float mode
+    counts as zero what is within the tolerance band.  Exact mode scales
+    the costs and alpha to integers on the grid of ``core``, so every
+    comparison is integer arithmetic.
     """
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
     mode = inst.mode
-    extra = () if alpha0 is None else (alpha0,)
-    D = grid_scale(mode, extra, inst.cost_grid()[0])
-    w_grid = [[None if is_inf(v) else v for v in row] for row in inst.cost_at(D)]
-    a_grid = 0 if alpha0 is None else to_grid(mode, extra, D)[0]
+    D0, grid = inst.cost_grid()
+    w = [[None if is_inf(v) else v for v in row] for row in grid]
     members = _members(n - 1)
 
     count = 0
-    vmin: list[Value] = [INF] * n
     low_s: Value = INF  # the least mean is low_s / low_len
     low_len = 1
+    dps = []
     for m in range(n):
-        c, cyc_min = _closings(w_grid, m, members)
+        c, tot, cyc_min = _closings(w, m, members)
         count += c
+        dps.append((tot, cyc_min))
         for S, low in enumerate(cyc_min):
-            if low == INF:
-                continue
             L = len(members[S]) + 1
             if low * low_len < low_s * L:
                 low_s, low_len = low, L
-            red = low + L * a_grid
+    if count == 0:
+        raise SizeGuardError("instance has no cycle")
+    (min_mean,) = from_grid(mode, (low_s,), low_len * D0)
+
+    # the costs and alpha = -min_mean on one grid D, as in critical_value
+    D = grid_scale(mode, (min_mean,), D0)
+    (a,) = to_grid(mode, (-min_mean,), D)
+    f = D // D0
+    band = 0 if mode.exact else mode.tolerance * float(inst.value_scale())
+    zero_e: set[tuple[int, int]] = set()
+    vmin: list[Value] = [INF] * n
+    for m, (tot, cyc_min) in enumerate(dps):
+        zero_e |= _zero_edges(w, m, members, tot, f, a, band)
+        for S, low in enumerate(cyc_min):
+            red = low * f + (len(members[S]) + 1) * a
             for v in (m, *(m + 1 + i for i in members[S])):
                 if red < vmin[v]:
                     vmin[v] = red
-    if count == 0:
-        raise SizeGuardError("instance has no cycle")
-    (min_mean,) = from_grid(mode, (low_s,), low_len * D)
-    if alpha0 is None:  # the zero structure is relative to alpha0
-        return CycleScan(min_mean, cycle_count=count, vertex_min_reduced=(INF,) * n)
-
-    # The search keeps every cycle whose reduced weight is at most
-    # band + slack.  In float mode the suffix DP and the search add the
-    # weights and alpha0 in different orders; the margin ``slack`` (2^-30 of
-    # the magnitudes) is above the rounding of a sum of n + 1 terms (2^-52
-    # relative), even summed over the 1.2e6 cycles of a desk-size instance.
-    if mode.exact:
-        band = slack = 0
-    else:
-        band = mode.tolerance * float(inst.value_scale())
-        wabs = max(abs(x) for row in w_grid for x in row if x is not None)
-        slack = (wabs + abs(a_grid) + band) * 2.0**-30
-    zeros = 0
-    zero_v: set[int] = set()
-    zero_e: set[tuple[int, int]] = set()
-
-    def visit(v: int, acc, L: int, children) -> None:
-        """Close and scan the children of a path of L vertices that ends at
-        v with total acc; ``children`` holds each next vertex with the mask
-        of the vertices left after it and its skip limit.  A subtree holds
-        a zero cycle iff it moved the ``zeros`` count."""
-        nonlocal zeros
-        row = rows[v]
-        L1 = L + 1
-        a = L1 * a_grid  # alpha0 * L1 on the grid
-        for nxt, sub, lim in children:
-            w = row[nxt]
-            if w is None:
-                continue
-            acc1 = acc + w
-            if acc1 > lim:  # no cycle below has reduced weight near zero
-                continue
-            z = zeros
-            w = close[nxt]
-            if w is not None:
-                red = acc1 + w + a
-                if red <= band and red >= -band:  # |red| <= band
-                    zeros += 1
-                    zero_e.add((nxt, m))
-            if sub:
-                visit(nxt, acc1, L1, kids[sub])
-            if zeros != z:
-                zero_v.add(nxt)
-                zero_e.add((v, nxt))
-
-    # A virtual vertex n enters each root m at cost 0 with no skip limit,
-    # so the path (m,) and its loop are closed like every other path.
-    rows = [*w_grid, [0] * n]
-    for m in range(n):
-        close = [row[m] for row in rows]
-        kids = _children(w_grid, m, members, a_grid, band + slack)
-        visit(n, 0, 0, ((m, len(kids) - 1, INF),))
-        zero_e.discard((n, m))
-    del visit  # break the closure's reference to itself: it holds ``kids``
     return CycleScan(
         min_mean=min_mean,
         cycle_count=count,
-        zero_vertices=tuple(sorted(zero_v)),
+        zero_vertices=tuple(sorted({v for e in zero_e for v in e})),
         zero_edges=tuple(sorted(zero_e)),
         vertex_min_reduced=from_grid(mode, vmin, D),
     )
 
 
-def enum_cycles(inst: CostInstance) -> CycleScan:
-    """Minimum simple-cycle mean and cycle count, with no zero structure."""
-    return cycle_scan(inst, alpha0=None)
-
-
-def enum_zero_cycles(inst: CostInstance, crit: CriticalData) -> AubryData:
+def enum_zero_cycles(inst: CostInstance) -> AubryData:
     """Reference Aubry data: vertices and edges on zero-reduced simple
     cycles; jumps are the per-vertex minimum reduced cycle weight."""
-    scan = cycle_scan(inst, alpha0=crit.alpha0)
+    scan = cycle_scan(inst)
     return AubryData(
         vertices=scan.zero_vertices,
         edges=scan.zero_edges,
@@ -596,7 +553,7 @@ class _Workspace:
         self.f = jump_f(inst, self.crit, phi=self.phi)
         self.bar = peierls_barrier(inst, self.crit)
         self.aub = aubry(inst, self.crit, self.bar, phi=self.phi)
-        self.scan = cycle_scan(inst, alpha0=self.crit.alpha0)
+        self.scan = cycle_scan(inst)
         self.samples = subsolution_sampler(
             inst, self.crit, seed, samples, phi=self.phi, bar=self.bar
         )

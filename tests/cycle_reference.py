@@ -3,7 +3,7 @@
 Every simple cycle is yielded as its own tuple with its own total, and the
 scan's fields are accumulated cycle by cycle on the instance's own values
 (``Fraction`` or float, no integer grid), so the reference shares nothing
-with the one-pass scan but the order in which cycles are visited.
+with the scan's subset DPs.
 """
 
 from typing import Callable, Optional
@@ -38,37 +38,39 @@ def iter_simple_cycles(n: int, weight: Callable[[int, int], Optional[Value]]):
         yield from rec(m, 0)
 
 
-def naive_cycle_scan(inst, alpha0: Optional[Value] = None) -> CycleScan:
-    """``cycle_scan`` computed one cycle at a time: each cycle's vertices
-    and edges are walked to update the zero structure and the minima."""
+def naive_cycle_scan(inst) -> CycleScan:
+    """``cycle_scan`` computed one cycle at a time: the cycles are listed
+    once, the least mean is taken over them, and at alpha = -(least mean)
+    each cycle's vertices and edges are walked to update the zero structure
+    and the minima."""
     mode = inst.mode
     cost = inst.cost
 
     def weight(i, j):
         return None if is_inf(cost[i][j]) else cost[i][j]
 
+    cycles = list(iter_simple_cycles(inst.n, weight))
+    if not cycles:
+        raise SizeGuardError("instance has no cycle")
+    best_s, best_len = cycles[0][1], len(cycles[0][0])
+    for cyc, total in cycles:
+        if total * best_len < best_s * len(cyc):
+            best_s, best_len = total, len(cyc)
+    min_mean = best_s / best_len
+    alpha = -min_mean
     tol_band = 0.0 if mode.exact else mode.tolerance * float(inst.value_scale())
-    best_s, best_len = None, 1
-    count = 0
     zero_v, zero_e = set(), set()
     vmin = [INF] * inst.n
-    for cyc, total in iter_simple_cycles(inst.n, weight):
-        count += 1
-        L = len(cyc)
-        if best_s is None or total * best_len < best_s * L:
-            best_s, best_len = total, L
-        if alpha0 is not None:
-            red = total + L * alpha0
-            for v in cyc:
-                vmin[v] = min(vmin[v], red)
-            if red == 0 if mode.exact else abs(red) <= tol_band:
-                zero_v.update(cyc)
-                zero_e.update(zip(cyc, cyc[1:] + cyc[:1]))
-    if best_s is None:
-        raise SizeGuardError("instance has no cycle")
+    for cyc, total in cycles:
+        red = total + len(cyc) * alpha
+        for v in cyc:
+            vmin[v] = min(vmin[v], red)
+        if red == 0 if mode.exact else abs(red) <= tol_band:
+            zero_v.update(cyc)
+            zero_e.update(zip(cyc, cyc[1:] + cyc[:1]))
     return CycleScan(
-        min_mean=best_s / best_len,
-        cycle_count=count,
+        min_mean=min_mean,
+        cycle_count=len(cycles),
         zero_vertices=tuple(sorted(zero_v)),
         zero_edges=tuple(sorted(zero_e)),
         vertex_min_reduced=tuple(vmin),

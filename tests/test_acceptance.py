@@ -67,7 +67,7 @@ class Bundle:
 
     @cached_property
     def scan(self):
-        return cycle_scan(self.inst, alpha0=self.crit.alpha0)
+        return cycle_scan(self.inst)
 
     @cached_property
     def phi(self):

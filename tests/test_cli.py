@@ -59,11 +59,26 @@ def test_malformed_file_exits_2(capsys, tmp_path):
         {"mode": "float", "tolerance": "x", "cost": [[0]]},
         {"mode": "float", "tolerance": None, "cost": [[0]]},
         {"mode": "float", "tolerance": True, "cost": [[0]]},
+        {"mode": "float", "tolerance": 1, "cost": [[0]]},
+        {"mode": "float", "tolerance": 2, "cost": [[0]]},
+        {"mode": "float", "tolerance": float("inf"), "cost": [[0]]},
         {"cost": [[0]], "labels": 5},
+        {"cost": [[0, 1], [1, 0]], "labels": ["a", ["b"]]},
         {"cost": [[0, 1], [1, 0]], "metric": 7},
         {"cost": [[0, 1], [1, 0]], "metric": [[0, 1], 5]},
     ],
-    ids=["tolerance-str", "tolerance-null", "tolerance-bool", "labels", "metric", "metric-row"],
+    ids=[
+        "tolerance-str",
+        "tolerance-null",
+        "tolerance-bool",
+        "tolerance-1",
+        "tolerance-2",
+        "tolerance-inf",
+        "labels",
+        "label-not-str",
+        "metric",
+        "metric-row",
+    ],
 )
 def test_malformed_fields_exit_2(capsys, tmp_path, doc):
     p = tmp_path / "bad.json"
@@ -130,9 +145,9 @@ def test_subsolution_slow_orbit_exits_0(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     inst = load(p)
-    alpha0 = -cycle_scan(inst).min_mean
-    assert doc["alpha0"] == alpha0
-    tight = set(cycle_scan(inst, alpha0).zero_edges)
+    scan = cycle_scan(inst)
+    assert doc["alpha0"] == -scan.min_mean
+    tight = set(scan.zero_edges)
     expected = [
         [inst.labels[x], inst.labels[y]]
         for x in range(inst.n)

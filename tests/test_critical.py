@@ -19,7 +19,7 @@ from wkam.barrier import limits_grid
 from wkam.models import gen_constant, gen_fk, gen_random, fk_potential_well
 from wkam.numbers import EXACT, Mode
 from wkam.subsolution import is_calibrated
-from wkam.oracle import enum_cycles, subsolution_sampler
+from wkam.oracle import cycle_scan, subsolution_sampler
 
 FLOAT = Mode("float", 1e-9)
 
@@ -35,7 +35,7 @@ def test_constant_instance_alpha0():
 
 
 def test_t2_alpha0_and_witness(t2):
-    scan = enum_cycles(t2)  # oracle first: cycles are {a}:2, {b}:3, {a,b}:1/2
+    scan = cycle_scan(t2)  # oracle first: cycles are {a}:2, {b}:3, {a,b}:1/2
     assert scan.min_mean == F(1, 2)
     crit = critical_value(t2)
     assert crit.alpha0 == F(-1, 2)
@@ -52,7 +52,7 @@ def test_alpha0_matches_cycle_oracle_on_random_instances():
     for seed in range(30):
         n = (seed % 6) + 1
         inst = gen_random(n, seed, -2, 2)
-        assert critical_value(inst).alpha0 == -enum_cycles(inst).min_mean
+        assert critical_value(inst).alpha0 == -cycle_scan(inst).min_mean
 
 
 def test_alpha0_lower_bound_from_self_loops():
@@ -255,11 +255,9 @@ def test_graph_mode_disjoint_cycles():
 )
 def test_alpha0_matches_oracle_varied_denominators(cost):
     # exercises the oracle's integer scaling across mixed denominators
-    from wkam.oracle import enum_cycles as oracle_cycles
-
     inst = make_instance(cost)
     crit = critical_value(inst)
-    assert crit.alpha0 == -oracle_cycles(inst).min_mean
+    assert crit.alpha0 == -cycle_scan(inst).min_mean
     total = sum(
         inst.cost[a][b]
         for a, b in zip(crit.witness_cycle, crit.witness_cycle[1:] + crit.witness_cycle[:1])

@@ -71,15 +71,14 @@ def test_gen_fk_single_well_aubry():
     inst = gen_fk(8, 1, fk_potential_well(8, 0))
     crit = critical_value(inst)
     assert crit.alpha0 == 0
-    ref = enum_zero_cycles(inst, crit)
+    ref = enum_zero_cycles(inst)
     assert ref.vertices == (0,)
 
 
 def test_gen_fk_zero_coupling_two_wells():
     V = [0, 1, 0, 1]
     inst = gen_fk(4, 0, V)
-    crit = critical_value(inst)
-    ref = enum_zero_cycles(inst, crit)
+    ref = enum_zero_cycles(inst)
     assert 0 in ref.vertices and 2 in ref.vertices
 
 

@@ -68,6 +68,10 @@ def test_mode_validation():
         Mode("decimal")
     with pytest.raises(InputError):
         Mode("float", 0.0)
+    with pytest.raises(InputError):
+        Mode("float", 1.0)
+    with pytest.raises(InputError):
+        Mode("float", float("inf"))
 
 
 def test_parse_and_format_round_trip():

@@ -22,7 +22,6 @@ from wkam.numbers import INF, Mode
 from wkam.oracle import (
     _Workspace,
     cycle_scan,
-    enum_cycles,
     enum_walks,
     enum_zero_cycles,
     liminf_barrier_bounded,
@@ -36,25 +35,25 @@ from cycle_reference import naive_cycle_scan
 # --- cycle enumeration ------------------------------------------------------------
 
 def test_enum_cycles_constant():
-    scan = enum_cycles(gen_constant(3, F(2)))
+    scan = cycle_scan(gen_constant(3, F(2)))
     assert scan.min_mean == F(2)
     assert scan.cycle_count == 8  # 3 loops + 3 two-cycles + 2 three-cycles
 
 
 def test_enum_cycles_t2(t2):
-    scan = enum_cycles(t2)
+    scan = cycle_scan(t2)
     assert scan.cycle_count == 3
     assert scan.min_mean == F(1, 2)
 
 
 def test_enum_cycles_t3(t3):
-    scan = enum_cycles(t3)
+    scan = cycle_scan(t3)
     assert scan.min_mean == 0
 
 
 def test_enum_cycles_guard():
     with pytest.raises(SizeGuardError):
-        enum_cycles(gen_constant(11, 1))
+        cycle_scan(gen_constant(11, 1))
 
 
 # --- walk enumeration ----------------------------------------------------------------
@@ -124,24 +123,20 @@ def test_liminf_matches_barrier_on_randoms():
 # --- zero-cycle reference -----------------------------------------------------------------
 
 def test_zero_cycles_constant_everything():
-    inst = gen_constant(3, F(1))
-    crit = critical_value(inst)
-    ref = enum_zero_cycles(inst, crit)
+    ref = enum_zero_cycles(gen_constant(3, F(1)))
     assert ref.vertices == (0, 1, 2)
     assert len(ref.edges) == 9
     assert all(v == 0 for v in ref.jumps.values)
 
 
 def test_zero_cycles_t2(t2):
-    crit = critical_value(t2)
-    ref = enum_zero_cycles(t2, crit)
+    ref = enum_zero_cycles(t2)
     assert ref.vertices == (0, 1)
     assert ref.edges == ((0, 1), (1, 0))
 
 
 def test_zero_cycles_t3_excludes_c(t3):
-    crit = critical_value(t3)
-    ref = enum_zero_cycles(t3, crit)
+    ref = enum_zero_cycles(t3)
     assert ref.vertices == (0, 1)
     assert 2 not in ref.vertices
     assert ref.jumps.values[2] == F(9)
@@ -200,12 +195,12 @@ def test_cycle_scan_is_exhaustive_at_the_desk_limit():
     assert cycle_scan(gen_random(10, 0, -2, 2)).cycle_count == 1_112_083
 
 
-def test_cycle_scan_worst_case_skips_nothing():
-    # Every cycle of a constant instance has reduced weight zero at
-    # alpha0 = -1, so the search can skip no child: it closes all
-    # 1,112,083 cycles, and every vertex and edge lies on a zero cycle.
+def test_cycle_scan_all_cycles_zero():
+    # Every cycle of a constant instance has the least mean, so at the
+    # scan's alpha = -1 all 1,112,083 are zero and no DP state is pruned:
+    # every vertex and edge lies on a zero cycle.
     n = 10
-    scan = cycle_scan(gen_constant(n, F(1)), alpha0=F(-1))
+    scan = cycle_scan(gen_constant(n, F(1)))
     assert scan.cycle_count == 1_112_083
     assert scan.min_mean == F(1)
     assert scan.zero_vertices == tuple(range(n))
@@ -213,32 +208,18 @@ def test_cycle_scan_worst_case_skips_nothing():
     assert scan.vertex_min_reduced == (0,) * n
 
 
-def test_cycle_scan_without_alpha0_runs_no_search(monkeypatch):
-    # The zero structure is relative to alpha0, so without it the subset
-    # DP answers alone: no child table is built and no search runs.
-    def forbidden(*args):
-        raise AssertionError("search ran without alpha0")
-
-    monkeypatch.setattr(oracle, "_children", forbidden)
-    scan = cycle_scan(gen_random(6, 0, -2, 2))
-    assert scan.cycle_count == 415
-    assert (scan.zero_vertices, scan.zero_edges) == ((), ())
-    assert scan.vertex_min_reduced == (INF,) * 6
-
-
 def test_cycle_scan_leaves_no_reference_cycle():
-    # A recursive closure refers to itself; left so, it keeps the scan's
-    # child tables until a full collection, and the peak RSS of repeated
-    # verify_all calls grows.
+    # Garbage in a reference cycle (a recursive closure, say) keeps the
+    # scan's DP tables until a full collection, and the peak RSS of
+    # repeated verify_all calls grows.
     inst = gen_random(6, 0, -2, 2)
-    for alpha0 in (None, critical_value(inst).alpha0):
-        gc.collect()
-        gc.disable()
-        try:
-            cycle_scan(inst, alpha0=alpha0)
-            assert gc.collect() == 0, f"alpha0={alpha0}"
-        finally:
-            gc.enable()
+    gc.collect()
+    gc.disable()
+    try:
+        cycle_scan(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _sparse(n: int, seed: int, mode: Mode):
@@ -271,25 +252,14 @@ _SCAN_KINDS = {
     "float-wide": lambda n, s: gen_random(n, s, -100, 100, mode=Mode("float")),
     "float-near-tie": lambda n, s: _jitter(gen_random(n, s, -2, 2), s, 1e-11),
     # every cycle ties on the grid, and the noise is half the band (1e-9 *
-    # value_scale = 1e-9 * n): reduced weights differ by more than the
-    # search's rounding margin but stay inside the band
+    # value_scale = 1e-9 * n): reduced weights differ by far more than the
+    # rounding of the sums but stay inside the band
     "float-band-tie": lambda n, s: _jitter(gen_constant(n, 1), s, 5e-10 * n),
     "sparse-exact": lambda n, s: _sparse(n, s, Mode()),
     "sparse-float": lambda n, s: _sparse(n, s, Mode("float")),
     "constant-exact": lambda n, s: gen_constant(n, F((1, 0, -2)[s])),
     "constant-float": lambda n, s: gen_constant(n, (1, 0, -2)[s], mode=Mode("float")),
 }
-
-
-def _scan_alphas(inst):
-    """None and alpha0 = crit; below n = 8 also crit + 1/3 and crit - 1/3
-    (n = 8 bounds the reference's run time).  The search skips by alpha0,
-    and a low alpha0 makes reduced weights negative."""
-    crit = critical_value(inst).alpha0
-    if inst.n >= 8:
-        return (None, crit)
-    third = F(1, 3) if inst.mode.exact else 1 / 3
-    return (None, crit, crit + third, crit - third)
 
 
 @pytest.mark.parametrize("kind", sorted(_SCAN_KINDS))
@@ -304,13 +274,10 @@ def test_cycle_scan_matches_naive_reference(kind):
     for n in range(1, 9):
         for seed in range(3):
             inst = _SCAN_KINDS[kind](n, seed)
-            for alpha0 in _scan_alphas(inst):
-                got = cycle_scan(inst, alpha0=alpha0)
-                want = naive_cycle_scan(inst, alpha0=alpha0)
-                for f in fields:
-                    assert getattr(got, f) == getattr(want, f), (
-                        f"{kind} n={n} seed={seed} alpha0={alpha0}: {f}"
-                    )
+            got = cycle_scan(inst)
+            want = naive_cycle_scan(inst)
+            for f in fields:
+                assert getattr(got, f) == getattr(want, f), f"{kind} n={n} seed={seed}: {f}"
 
 
 def test_liminf_rejects_tiny_horizon(t2):
@@ -329,9 +296,9 @@ def test_float_alpha0_close_to_exact():
     exact = gen_random(6, 12, -2, 2)
     approx = gen_random(6, 12, -2.0, 2.0, mode=Mode("float", 1e-9))
     # different draws (uniform vs grid), so compare each to its own oracle
-    assert critical_value(exact).alpha0 == -enum_cycles(exact).min_mean
+    assert critical_value(exact).alpha0 == -cycle_scan(exact).min_mean
     a_f = critical_value(approx).alpha0
-    assert abs(a_f - (-enum_cycles(approx).min_mean)) <= 1e-9 * 64
+    assert abs(a_f - (-cycle_scan(approx).min_mean)) <= 1e-9 * 64
 
 
 def test_verify_all_negative_control_witnesses_pinned(t3):

@@ -74,7 +74,7 @@ def test_phi_n_constant():
 
 def test_phi1_diagonal_t2(t2):
     crit = critical_value(t2)
-    scan = cycle_scan(t2, alpha0=crit.alpha0)  # oracle: min reduced cycle per point
+    scan = cycle_scan(t2)  # oracle: min reduced cycle per point
     table = phi_n(t2, crit, 1)
     assert scan.vertex_min_reduced == (F(0), F(0))
     assert table.entries[0][0] == 0
@@ -141,7 +141,7 @@ def test_jumps_t2(t2):
 
 def test_jump_t3_positive_off_aubry(t3):
     crit = critical_value(t3)
-    scan = cycle_scan(t3, alpha0=crit.alpha0)
+    scan = cycle_scan(t3)
     assert 2 not in scan.zero_vertices  # oracle: no zero cycle through c
     Fv = jump_F(t3, crit)
     assert Fv.values[0] == 0 and Fv.values[1] == 0

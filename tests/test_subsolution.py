@@ -176,7 +176,7 @@ def test_max_strict_t2(t2):
 
 def test_max_strict_t3(t3):
     crit = critical_value(t3)
-    ref = enum_zero_cycles(t3, crit)
+    ref = enum_zero_cycles(t3)
     u1 = max_strict_subsolution(t3, crit)
     strict = set(strict_pairs(t3, crit, u1))
     expected = {
@@ -189,7 +189,7 @@ def test_max_strict_t3(t3):
 def test_max_strict_dichotomy_off_aubry(t3):
     crit = critical_value(t3)
     u1 = max_strict_subsolution(t3, crit)
-    ref = enum_zero_cycles(t3, crit)
+    ref = enum_zero_cycles(t3)
     for x in range(3):
         if x in ref.vertices:
             continue
@@ -205,7 +205,7 @@ def test_mix_pins_global_aubry_set():
         crit = critical_value(inst)
         mix = uniform_subsolution_mix(inst, crit)
         assert is_dominated(inst, mix, crit.alpha0).ok
-        ref = enum_zero_cycles(inst, crit)
+        ref = enum_zero_cycles(inst)
         assert aubry_of(inst, crit, mix) == ref.vertices
 
 
