@@ -69,7 +69,6 @@ from .oracle import (
 )
 from .potential import jump_F, jump_f, mane_potential, phi_n
 from .subsolution import (
-    Chain,
     aubry_of,
     is_calibrated,
     max_strict_subsolution,

@@ -24,9 +24,10 @@ find it with O(log k) min-plus products.  h costs O(n^2 |A|) on top of
 the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
 that never read it never pay for it.  The closed form, the transient and
 the orbit walk run on the integer kernel of ``CriticalData`` (see
-``core``); ``h`` becomes ``Fraction`` only when it is returned.  Rows of
-``h`` are fixed points of ``T- + alpha0`` (negative weak KAM solutions);
-negated columns are fixed points of ``T+ - alpha0`` (positive solutions).
+``core``); ``h`` is a table on the kernel's grid, read as values only
+through its ``entries``.  Rows of ``h`` are fixed points of ``T- + alpha0``
+(negative weak KAM solutions); negated columns are fixed points of
+``T+ - alpha0`` (positive solutions).
 
 The projected Aubry set is the zero diagonal of the barrier; the edge Aubry
 set collects the ordered pairs closing a zero-reduced-weight circuit,
@@ -54,6 +55,7 @@ that has not settled when it has made them raises it then.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -70,12 +72,11 @@ from .core import (
     lax_oleinik_neg,
     lax_oleinik_pos,
     minplus_product,
-    to_grid,
     vf_eq,
 )
 from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError, SizeGuardError, neg
-from .potential import jump_F, potential_grid
+from .potential import jump_F
 
 # Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
 # n = 2, 6103 at n = 256.  Measured with CPython 3.11 on one core of a
@@ -97,7 +98,7 @@ class BarrierData:
 
     @cached_property
     def iterations_to_fix(self) -> int:
-        return _transient(self._inst, self._crit, self.h.entries)
+        return _transient(self._inst, self._crit, self.h)
 
 
 @dataclass(frozen=True)
@@ -113,40 +114,40 @@ def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
     """Barrier by the Aubry closed form; its transient is computed on first
     read."""
     inst.require_total("Peierls barrier")
-    h = barrier_closed_form(inst, crit)
-    return BarrierData(PotentialTable(entries=h, kind="barrier", alpha0=crit.alpha0), inst, crit)
+    return BarrierData(barrier_closed_form(inst, crit), inst, crit)
 
 
-def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> Matrix:
+def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTable:
     """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
     Aubry vertices being the zero set of the phi_1 diagonal; phi_1 is the
     Kleene plus held on ``crit``."""
     inst.require_total("tail potential")
-    e = crit.kernel_plus()
-    mode = inst.mode
-    verts = aubry_vertices(inst, e)
+    p = crit.kernel_plus()
+    e = p.grid
+    verts = aubry_vertices(inst, p)
     to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
-    h = minplus_product(to_a, [e[a] for a in verts])
-    return tuple(from_grid(mode, row, crit.scale) for row in h)
+    return PotentialTable(minplus_product(to_a, [e[a] for a in verts]), p.scale, p.mode)
 
 
-def aubry_vertices(inst: CostInstance, p: Matrix) -> list[int]:
+def aubry_vertices(inst: CostInstance, p: PotentialTable) -> list[int]:
     """The Aubry vertices: the zero set of the diagonal of
     P = ``crit.kernel_plus()``."""
     scale = inst.value_scale()
-    verts = [x for x in range(inst.n) if inst.mode.is_zero(p[x][x], scale=scale)]
+    g = p.grid
+    verts = [x for x in range(inst.n) if inst.mode.is_zero(g[x][x], scale=scale)]
     if not verts:
         raise ConstructionError("no Aubry vertex found for the closed form")
     return verts
 
 
-def _transient(inst: CostInstance, crit: CriticalData, h: Matrix) -> int:
+def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
     """Least k >= 0 with G_{k+1} >= h on B x B (see the module docstring)."""
     mode = inst.mode
     scale = inst.value_scale()
-    off = [x for x in range(inst.n) if not mode.is_zero(h[x][x], scale=scale)]
-    s = tuple(tuple(crit.kernel[x][y] for y in off) for x in off)
-    hb = [to_grid(mode, [h[x][y] for y in off], crit.scale) for x in off]
+    r, hg = crit.kernel.grid, h.at(crit.kernel.scale)
+    off = [x for x in range(inst.n) if not mode.is_zero(hg[x][x], scale=scale)]
+    s = tuple(tuple(r[x][y] for y in off) for x in off)
+    hb = [[hg[x][y] for y in off] for x in off]
 
     def reached(g: Matrix) -> bool:
         return all(
@@ -183,7 +184,8 @@ def aubry(
     """
     mode = inst.mode
     scale = inst.value_scale()
-    _, h, r = potential_grid(inst, crit, bar.h)
+    D = math.lcm(bar.h.scale, crit.kernel.scale)
+    h, r = bar.h.at(D), crit.kernel.at(D)
     vertices = tuple(x for x in range(inst.n) if mode.is_zero(h[x][x], scale=scale))
     edges = tuple(
         (x, y)
@@ -229,8 +231,9 @@ def limits_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tup
     kernel's grid refined to u's denominators, by the closed forms."""
     inst.require_total("orbit limits")
     D, start = _dominated_grid(inst, crit, u)
-    m, p = D // crit.scale, crit.kernel_plus()
-    ua = [(start[a], a) for a in aubry_vertices(inst, p)]
+    P = crit.kernel_plus()
+    m, p = D // P.scale, P.grid
+    ua = [(start[a], a) for a in aubry_vertices(inst, P)]
     lo = [min(v + p[a][y] * m for v, a in ua) for y in range(inst.n)]
     hi = [max(v - row[a] * m for v, a in ua) for row in p]
     return D, start, lo, hi
@@ -244,7 +247,8 @@ def orbit_walk(
     the work limit of the module docstring are checked on the call, before
     any step."""
     mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
-    m, p, r = D // crit.scale, crit.kernel_plus(), crit.kernel_at(D)
+    P = crit.kernel_plus()
+    m, p, r = D // P.scale, P.grid, crit.kernel.at(D)
     loops = [p[x][x] * m for x in range(inst.n) if not mode.is_zero(p[x][x], scale=scale)]
     gap = max(map(abs, map(sub, limit, start)))
     budget = len(loops) * int(-(-gap // min(loops))) if gap > 0 and loops else 0

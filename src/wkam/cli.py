@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +24,7 @@ from .barrier import aubry, peierls_barrier, weak_kam_neg
 from .core import CostInstance, make_instance
 from .critical import critical_value
 from .models import gen_constant, gen_fk, gen_random, fk_potential_well, load
-from .numbers import InputError, Mode, format_value, is_inf, parse_value, value_str
+from .numbers import InputError, Mode, format_value, parse_value, value_str
 from .oracle import verify_all
 from .potential import jump_F, jump_f, mane_potential, phi_n
 from .subsolution import max_strict_subsolution, strict_pairs, uniform_subsolution_mix
@@ -85,6 +84,8 @@ def _parse_gen(spec: str, mode: Mode) -> CostInstance:
             if len(parts) != 4:
                 raise InputError("fk spec is fk:m:lambda:potential")
             m = int(parts[1])
+            if m < 1:
+                raise InputError("need m >= 1")
             lam = parse_value(parts[2], mode)
             pspec = parts[3]
             if pspec == "zero":
@@ -104,19 +105,7 @@ def _parse_gen(spec: str, mode: Mode) -> CostInstance:
 def _with_mode(inst: CostInstance, mode: Mode) -> CostInstance:
     if mode.kind == inst.mode.kind and mode.tolerance == inst.mode.tolerance:
         return inst
-
-    def conv(v):
-        if is_inf(v):
-            return v
-        return Fraction(v) if mode.exact else float(v)
-
-    cost = [[conv(v) for v in row] for row in inst.cost]
-    metric = (
-        [[conv(v) for v in row] for row in inst.metric]
-        if inst.metric is not None
-        else None
-    )
-    return make_instance(cost, labels=inst.labels, mode=mode, metric=metric)
+    return make_instance(inst.cost, labels=inst.labels, mode=mode, metric=inst.metric)
 
 
 def _load_instance(args) -> CostInstance:

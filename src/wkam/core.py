@@ -19,11 +19,13 @@ the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
 ``v * D`` and ``from_grid`` maps back to ``Fraction(k, D)``.  Scaling by a
 positive constant preserves sums and order, so min-plus results on the grid
 are bit-identical to the ``Fraction`` ones, and ``Fraction`` appears only at
-the public API.  Each instance holds its costs on their own grid ``D0``
-(``CostInstance.cost_grid``); an input that needs a finer grid ``D``
-multiplies them by ``D // D0``.  Float mode has no grid: ``D = 1``,
-``to_grid`` is the identity, ``from_grid`` divides by ``D`` and the held
-matrix is the cost matrix itself, so both modes run the same code.
+the public API.  Every matrix the solver makes is a ``PotentialTable``: the
+matrix on its own grid ``scale``, turned into values only when its
+``entries`` are read.  Each instance holds its costs that way
+(``CostInstance.cost_grid``); an input that needs a finer grid ``D`` reads
+``table.at(D)``, the grid times ``D // scale``.  Float mode has no grid:
+``D = 1``, ``to_grid`` is the identity, ``from_grid`` divides by ``D`` and
+the held matrix is the cost matrix itself, so both modes run the same code.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import add, eq, le, sub
 from typing import Iterable, Optional, Sequence
 
-from .numbers import EXACT, InputError, Mode, Value, is_inf
+from .numbers import EXACT, INF, InputError, Mode, Value, is_inf
 
 Matrix = tuple[tuple[Value, ...], ...]
 
@@ -62,9 +64,7 @@ class CostInstance:
     total: bool = field(default=True)
 
     _value_scale: Optional[Value] = field(default=None, init=False, repr=False, compare=False)
-    _grid: Optional[tuple[int, Matrix]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _grid: Optional[PotentialTable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Give every instance dict the key from the start.  CPython keeps
@@ -77,16 +77,17 @@ class CostInstance:
     def value_scale(self) -> Value:
         """n * max|c| over finite entries; tolerance scale for walk sums.
 
-        Computed on the first call and kept on the instance."""
+        Read off the held grid on the first call and kept on the instance."""
         if self._value_scale is None:
-            finite = [abs(v) for row in self.cost for v in row if not is_inf(v)]
-            top = max(finite) if finite else 0
+            t = self.cost_grid()
+            top = max((abs(v) for row in t.grid for v in row if v != INF), default=0)
+            (top,) = from_grid(self.mode, (top,), t.scale)
             object.__setattr__(self, "_value_scale", self.n * max(top, 1))
         return self._value_scale
 
-    def cost_grid(self) -> tuple[int, Matrix]:
-        """D0, the least common denominator of the costs, with the costs
-        times D0 (float mode: 1 and the cost matrix itself).
+    def cost_grid(self) -> PotentialTable:
+        """The costs on their own grid D0, the least common denominator of
+        the costs (float mode: 1, and the grid is the cost matrix itself).
 
         Computed on the first call and kept on the instance."""
         if self._grid is None:
@@ -94,14 +95,8 @@ class CostInstance:
             g = self.cost
             if self.mode.exact:
                 g = tuple(to_grid(self.mode, row, D0) for row in g)
-            object.__setattr__(self, "_grid", (D0, g))
+            object.__setattr__(self, "_grid", PotentialTable(g, D0, self.mode))
         return self._grid
-
-    def cost_at(self, D: int) -> Matrix:
-        """The costs on the finer grid D, a multiple of D0."""
-        D0, g = self.cost_grid()
-        m = D // D0
-        return g if m == 1 else tuple(tuple(v * m for v in row) for row in g)
 
     def require_total(self, op: str) -> None:
         if not self.total:
@@ -127,18 +122,25 @@ class ValueFunction:
 
 @dataclass(frozen=True)
 class PotentialTable:
-    """Matrix-valued potential with a provenance kind.
+    """An n x n matrix held on the integer grid: ``grid`` is the matrix
+    times ``scale`` (float mode: scale 1 and the matrix itself).
 
-    ``kind`` is one of ``phi`` (Mane potential), ``phi_n`` (tail potential of
-    order ``order``), ``c_n`` (n-step chain cost, ``order`` steps) or
-    ``barrier`` (Peierls barrier).  ``alpha0`` records the critical constant
-    baked into the entries, ``None`` for raw chain costs.
+    ``entries`` is the matrix, converted on its first read and kept; the
+    solver computes with ``grid`` and ``at(D)`` only.
     """
 
-    entries: Matrix
-    kind: str
-    alpha0: Optional[Value] = None
-    order: Optional[int] = None
+    grid: Matrix
+    scale: int
+    mode: Mode
+
+    @cached_property
+    def entries(self) -> Matrix:
+        return tuple(from_grid(self.mode, row, self.scale) for row in self.grid)
+
+    def at(self, D: int) -> Matrix:
+        """The matrix times D, a multiple of ``scale``."""
+        m = D // self.scale
+        return self.grid if m == 1 else tuple(tuple(v * m for v in row) for row in self.grid)
 
     def row(self, x: int, tag: str = "") -> ValueFunction:
         return ValueFunction(self.entries[x], tag=tag)
@@ -324,10 +326,11 @@ def cost_power(inst: CostInstance, n: int) -> PotentialTable:
     """
     if n < 1:
         raise InputError("chain cost is defined for step count >= 1")
-    acc = inst.cost
+    t = inst.cost_grid()
+    acc = t.grid
     for _ in range(n - 1):
-        acc = minplus_product(acc, inst.cost)
-    return PotentialTable(entries=acc, kind="c_n", alpha0=None, order=n)
+        acc = minplus_product(acc, t.grid)
+    return PotentialTable(acc, t.scale, inst.mode)
 
 
 def grid_operands(
@@ -341,8 +344,9 @@ def grid_operands(
         raise InputError("value function must be finite everywhere")
     mode = inst.mode
     vals = [mode.coerce(v) for v in u.values]
-    D = grid_scale(mode, vals, math.lcm(base, inst.cost_grid()[0]))
-    return D, to_grid(mode, vals, D), inst.cost_at(D)
+    t = inst.cost_grid()
+    D = grid_scale(mode, vals, math.lcm(base, t.scale))
+    return D, to_grid(mode, vals, D), t.at(D)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ an infeasible alpha yields a negative-cycle witness instead.
 
 Everything here runs on the integer grid of ``core``.  Karp runs on the
 costs the instance holds on their own grid ``D0`` and compares cycle means
-by cross-multiplication; ``critical_value`` then stores the scale ``D``, a
-common denominator of the costs and alpha0, with the integer kernel
-``(c + alpha0) * D`` that the solver modules compute with (float mode:
-``D = 1`` and the kernel is the reduced matrix itself).
+by cross-multiplication; ``critical_value`` then holds the reduced matrix
+``c + alpha0`` as a table on a grid ``D``, a common denominator of the costs
+and alpha0: the integer kernel ``(c + alpha0) * D`` that the solver modules
+compute with (float mode: ``D = 1`` and the kernel is the reduced matrix
+itself).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 from .core import (
     CostInstance,
     Matrix,
+    PotentialTable,
     ValueFunction,
     as_value_function,
     from_grid,
@@ -45,33 +47,31 @@ class CriticalData:
     """Critical constant with a witness cycle and the reduced cost matrix.
 
     ``witness_cycle`` is a simple cycle (vertex indices, closing edge
-    implied) whose mean cost equals ``-alpha0``; ``reduced`` is
-    ``c + alpha0``, which has no negative cycle and at least one zero cycle.
-    ``kernel`` is ``reduced * scale`` on the integer grid of ``core``.
-    ``kernel_plus()`` is its Kleene plus P, held once per object: phi_1, the
-    Mane potential, the Aubry vertices and the closed-form barrier all read
-    the same P.
+    implied) whose mean cost equals ``-alpha0``.  ``kernel`` is the reduced
+    matrix ``c + alpha0``, which has no negative cycle and at least one zero
+    cycle, as a table on the integer grid of ``core``; ``reduced`` is its
+    entries.  ``kernel_plus()`` is its Kleene plus P, held once per object:
+    phi_1, the Mane potential, the Aubry vertices and the closed-form
+    barrier all read the same P.
     """
 
     alpha0: Value
     witness_cycle: tuple[int, ...]
-    reduced: Matrix
-    scale: int
-    kernel: Matrix
-    _plus: Optional[Matrix] = field(default=None, init=False, repr=False, compare=False)
+    kernel: PotentialTable
+    _plus: Optional[PotentialTable] = field(default=None, init=False, repr=False, compare=False)
 
-    def kernel_plus(self) -> Matrix:
+    @property
+    def reduced(self) -> Matrix:
+        return self.kernel.entries
+
+    def kernel_plus(self) -> PotentialTable:
         """P = kleene_plus(kernel), phi_1 on the kernel's grid.
 
         Computed on the first call and kept on the object."""
         if self._plus is None:
-            object.__setattr__(self, "_plus", kleene_plus(self.kernel))
+            k = self.kernel
+            object.__setattr__(self, "_plus", PotentialTable(kleene_plus(k.grid), k.scale, k.mode))
         return self._plus
-
-    def kernel_at(self, D: int) -> Matrix:
-        """The kernel on the finer grid D, a multiple of ``scale``."""
-        m = D // self.scale
-        return self.kernel if m == 1 else tuple(tuple(v * m for v in row) for row in self.kernel)
 
 
 class DominationResult(NamedTuple):
@@ -96,15 +96,14 @@ def critical_value(inst: CostInstance) -> CriticalData:
         for x in range(n):
             if all(is_inf(v) for v in inst.cost[x]):
                 raise InputError(f"point {inst.labels[x]} has out-degree 0")
-    D0, grid = inst.cost_grid()
-    total, length = _karp_min_cycle_mean(grid)
-    (alpha0,) = from_grid(mode, (-total,), length * D0)
-    D = grid_scale(mode, (alpha0,), D0)
+    t = inst.cost_grid()
+    total, length = _karp_min_cycle_mean(t.grid)
+    (alpha0,) = from_grid(mode, (-total,), length * t.scale)
+    D = grid_scale(mode, (alpha0,), t.scale)
     (a,) = to_grid(mode, (alpha0,), D)
-    kernel = tuple(tuple(v + a for v in row) for row in inst.cost_at(D))
-    reduced = tuple(from_grid(mode, row, D) for row in kernel)
+    kernel = tuple(tuple(v + a for v in row) for row in t.at(D))
     witness = _zero_cycle(inst, kernel)
-    return CriticalData(alpha0, witness, reduced, D, kernel)
+    return CriticalData(alpha0, witness, PotentialTable(kernel, D, mode))
 
 
 def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
@@ -215,21 +214,22 @@ def is_dominated(
     mode = inst.mode
     alpha = mode.coerce(alpha)
     values = [mode.coerce(v) for v in u.values]
-    D = grid_scale(mode, chain(values, (alpha,)), inst.cost_grid()[0])
+    t = inst.cost_grid()
+    D = grid_scale(mode, chain(values, (alpha,)), t.scale)
     (a,) = to_grid(mode, (alpha,), D)
-    hit = _undominated(mode, to_grid(mode, values, D), inst.cost_at(D), a, inst.value_scale())
+    hit = _undominated(mode, to_grid(mode, values, D), t.at(D), a, inst.value_scale())
     return DominationResult(hit is None, hit)
 
 
 def _dominated_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple[int, list]:
     """D and u * D on the kernel's grid refined to u's denominators, after
-    checking u against ``crit.kernel_at(D)``, (c + alpha0) * D: InputError
+    checking u against ``crit.kernel.at(D)``, (c + alpha0) * D: InputError
     unless u is dominated at alpha0."""
     mode = inst.mode
     vals = [mode.coerce(v) for v in u.values]
-    D = grid_scale(mode, vals, crit.scale)
+    D = grid_scale(mode, vals, crit.kernel.scale)
     start = list(to_grid(mode, vals, D))
-    if _undominated(mode, start, crit.kernel_at(D), 0, inst.value_scale()) is not None:
+    if _undominated(mode, start, crit.kernel.at(D), 0, inst.value_scale()) is not None:
         raise InputError("function is not dominated at the critical constant")
     return D, start
 
@@ -269,9 +269,10 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
     n = inst.n
     mode = inst.mode
     alpha = mode.coerce(alpha)
-    D = grid_scale(mode, (alpha,), inst.cost_grid()[0])
+    t = inst.cost_grid()
+    D = grid_scale(mode, (alpha,), t.scale)
     (a,) = to_grid(mode, (alpha,), D)
-    w = tuple(tuple(v + a for v in row) for row in inst.cost_at(D))
+    w = tuple(tuple(v + a for v in row) for row in t.at(D))
     dist, pred = _bellman_ford(w)
     margin = 0 if mode.exact else mode.tolerance * float(inst.value_scale())
     for u in range(n):

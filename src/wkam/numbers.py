@@ -88,7 +88,10 @@ class Mode:
                     raise InputError("NaN is not a value")
                 return Fraction(x)
             raise InputError(f"cannot use {type(x).__name__} in exact mode")
-        xf = float(x)
+        try:
+            xf = float(x)
+        except OverflowError as exc:
+            raise InputError("value beyond float range") from exc
         if math.isnan(xf):
             raise InputError("NaN is not a value")
         return xf
@@ -141,11 +144,13 @@ def parse_value(text: object, mode: Mode) -> Value:
             f = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad numeric string {text!r}") from exc
-        return f if mode.exact else float(f)
+        return mode.coerce(f)
     if isinstance(text, bool) or not isinstance(text, (int, float)):
         raise InputError(f"bad numeric entry {text!r}")
     if isinstance(text, float) and math.isnan(text):
         raise InputError("NaN entry rejected")
+    if isinstance(text, float) and math.isinf(text):
+        raise InputError('non-finite number rejected (a missing edge is the string "inf")')
     return mode.coerce(text)
 
 

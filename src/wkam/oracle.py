@@ -241,8 +241,9 @@ def cycle_scan(inst: CostInstance) -> CycleScan:
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
     mode = inst.mode
-    D0, grid = inst.cost_grid()
-    w = [[None if is_inf(v) else v for v in row] for row in grid]
+    t = inst.cost_grid()
+    D0 = t.scale
+    w = [[None if is_inf(v) else v for v in row] for row in t.grid]
     members = _members(n - 1)
 
     count = 0
@@ -346,11 +347,11 @@ def liminf_barrier_bounded(inst: CostInstance, crit: CriticalData, N: int) -> Li
     inst.require_total("liminf oracle")
     mode = inst.mode
     scale = inst.value_scale()
-    red = crit.kernel
+    red = crit.kernel.grid
 
     def window_min(window: list[Matrix]) -> Matrix:
         return tuple(
-            from_grid(mode, map(min, zip(*(w[i] for w in window))), crit.scale)
+            from_grid(mode, map(min, zip(*(w[i] for w in window))), crit.kernel.scale)
             for i in range(inst.n)
         )
 
@@ -380,7 +381,7 @@ def tight_graph(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> lis
     """Adjacency of the edges where domination is tight for u."""
     mode = inst.mode
     scale = inst.value_scale()
-    D, g, c = grid_operands(inst, u, crit.scale)
+    D, g, c = grid_operands(inst, u, crit.kernel.scale)
     (a0,) = to_grid(mode, (crit.alpha0,), D)
     adj: list[list[int]] = [[] for _ in range(inst.n)]
     for a in range(inst.n):
@@ -559,27 +560,24 @@ class _Workspace:
         )
         self.horizon = 4 * inst.n * inst.n + 8 if horizon is None else horizon
         self.rng = Random(seed + 1)
-        claimed = self.bar.h.entries
+        values = chain.from_iterable(u.values for u in self.samples)
+        claimed = None
         if barrier_override is not None:
             claimed = tuple(tuple(mode.coerce(v) for v in row) for row in barrier_override)
-        values = chain(chain.from_iterable(u.values for u in self.samples), *claimed)
-        self.D = D = grid_scale(mode, values, self.crit.scale)
+            values = chain(values, *claimed)
+        self.D = D = grid_scale(mode, values, self.crit.kernel.scale)
         (self.a,) = to_grid(mode, (self.crit.alpha0,), D)
-        self.c = inst.cost_at(D)
-        self.r = self.crit.kernel_at(D)
-        self.p = self.grid(self.phi.entries)
-        self.h = self.grid(self.bar.h.entries)
+        self.c = inst.cost_grid().at(D)
+        self.r = self.crit.kernel.at(D)
+        self.p = self.phi.at(D)
+        self.h = self.bar.h.at(D)
         # the barrier itself when there is no override, so products are shared
-        self.h_claimed = self.h if barrier_override is None else self.grid(claimed)
+        self.h_claimed = self.h if claimed is None else tuple(to_grid(mode, r, D) for r in claimed)
         self.grid_samples = [to_grid(mode, u.values, D) for u in self.samples]
         self._raw_powers: dict[int, Matrix] = {1: self.c}
-        self._phi_tables: dict[int, Matrix] = {1: self.grid(self.phi1.entries)}
+        self._phi_tables: dict[int, Matrix] = {1: self.phi1.at(D)}
         self._products: dict[tuple[int, int], tuple[Matrix, Matrix, Matrix]] = {}
         self._max_strict: Optional[ValueFunction] = None
-
-    def grid(self, m: Matrix) -> Matrix:
-        """A matrix whose denominators divide D, times D."""
-        return tuple(to_grid(self.mode, row, self.D) for row in m)
 
     def raw_power(self, k: int) -> Matrix:
         """c^k times D."""

@@ -23,20 +23,11 @@ instance.
 
 from __future__ import annotations
 
-from itertools import chain
+import math
 from operator import add
 from typing import Optional
 
-from .core import (
-    CostInstance,
-    Matrix,
-    PotentialTable,
-    ValueFunction,
-    from_grid,
-    grid_scale,
-    minplus_product,
-    to_grid,
-)
+from .core import CostInstance, PotentialTable, ValueFunction, from_grid, minplus_product
 from .critical import CriticalData
 from .numbers import InputError
 
@@ -45,41 +36,32 @@ def phi_n(inst: CostInstance, crit: CriticalData, n: int) -> PotentialTable:
     """Tail potential of order n >= 1.
 
     phi_1 is the least reduced walk weight with >= 1 edge: the Kleene plus
-    of the reduced matrix, which has no negative cycle, held on ``crit``.
-    Higher orders follow by min-plus products with the reduced matrix, which
-    realises the row recursion T-(row) + alpha0.  All of it runs on the
-    integer kernel.
+    of the reduced matrix, which has no negative cycle, held on ``crit`` and
+    returned as it is.  Higher orders follow by min-plus products with the
+    reduced matrix, which realises the row recursion T-(row) + alpha0.  All
+    of it runs on the integer kernel.
     """
     if n < 1:
         raise InputError("tail potential is defined for order >= 1")
     inst.require_total("tail potential")
-    g = crit.kernel_plus()
+    p = crit.kernel_plus()
+    if n == 1:
+        return p
+    g = p.grid
     for _ in range(n - 1):
-        g = minplus_product(g, crit.kernel)
-    entries = tuple(from_grid(inst.mode, row, crit.scale) for row in g)
-    return PotentialTable(entries=entries, kind="phi_n", alpha0=crit.alpha0, order=n)
-
-
-def potential_grid(
-    inst: CostInstance, crit: CriticalData, phi: PotentialTable
-) -> tuple[int, Matrix, Matrix]:
-    """(D, phi * D, kernel * D) on a grid D fine enough for both tables."""
-    mode = inst.mode
-    D = grid_scale(mode, chain.from_iterable(phi.entries), crit.scale)
-    p = tuple(to_grid(mode, row, D) for row in phi.entries)
-    return D, p, crit.kernel_at(D)
+        g = minplus_product(g, crit.kernel.grid)
+    return PotentialTable(g, p.scale, p.mode)
 
 
 def mane_potential(inst: CostInstance, crit: CriticalData) -> PotentialTable:
     """Mane potential: phi_1 off the diagonal, zero on it."""
     inst.require_total("Mane potential")
-    base = phi_n(inst, crit, 1).entries
-    zero = inst.mode.coerce(0)
-    entries = tuple(
-        tuple(zero if i == j else v for j, v in enumerate(row))
-        for i, row in enumerate(base)
+    p = crit.kernel_plus()
+    zero = 0 if p.mode.exact else 0.0
+    grid = tuple(
+        tuple(zero if i == j else v for j, v in enumerate(row)) for i, row in enumerate(p.grid)
     )
-    return PotentialTable(entries=entries, kind="phi", alpha0=crit.alpha0)
+    return PotentialTable(grid, p.scale, p.mode)
 
 
 def jump_F(
@@ -90,7 +72,8 @@ def jump_F(
     """Backward jump F(x) = T-(phi_x)(x) + alpha0; nonnegative."""
     if phi is None:
         phi = mane_potential(inst, crit)
-    D, p, r = potential_grid(inst, crit, phi)
+    D = math.lcm(phi.scale, crit.kernel.scale)
+    p, r = phi.at(D), crit.kernel.at(D)
     vals = [min(map(add, p[x], rcol)) for x, rcol in enumerate(zip(*r))]
     return ValueFunction(from_grid(inst.mode, vals, D), tag="F")
 
@@ -107,6 +90,7 @@ def jump_f(
     """
     if phi is None:
         phi = mane_potential(inst, crit)
-    D, p, r = potential_grid(inst, crit, phi)
+    D = math.lcm(phi.scale, crit.kernel.scale)
+    p, r = phi.at(D), crit.kernel.at(D)
     vals = [-min(map(add, pcol, r[x])) for x, pcol in enumerate(zip(*p))]
     return ValueFunction(from_grid(inst.mode, vals, D), tag="f")

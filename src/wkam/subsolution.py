@@ -23,8 +23,8 @@ limit, and never the iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
+from typing import Sequence
 
 from .barrier import aubry_vertices, limits_grid, orbit_walk
 from .core import (
@@ -35,39 +35,21 @@ from .core import (
 )
 from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError
-from .potential import mane_potential, potential_grid
-
-
-@dataclass(frozen=True)
-class Chain:
-    """A finite sequence of point indices (at least two)."""
-
-    points: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
-            raise InputError("a chain needs at least two points")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def _as_chain(inst: CostInstance, chain: object) -> Chain:
-    if not isinstance(chain, Chain):
-        chain = Chain(tuple(chain))  # type: ignore[arg-type]
-    for p in chain.points:
-        if not 0 <= p < inst.n:
-            raise InputError(f"chain point {p} out of range")
-    return chain
+from .potential import mane_potential
 
 
 def is_calibrated(
-    inst: CostInstance, crit: CriticalData, u: ValueFunction, chain: object
+    inst: CostInstance, crit: CriticalData, u: ValueFunction, chain: Sequence[int]
 ) -> bool:
-    """Exact test of the calibration identity along the chain."""
-    ch = _as_chain(inst, chain)
+    """Exact test of the calibration identity along the chain, a sequence
+    of at least two point indices."""
+    pts = tuple(chain)
+    if len(pts) < 2:
+        raise InputError("a chain needs at least two points")
+    for p in pts:
+        if not 0 <= p < inst.n:
+            raise InputError(f"chain point {p} out of range")
     _dominated_grid(inst, crit, u)
-    pts = ch.points
     steps = len(pts) - 1
     total = u.values[pts[0]] + steps * crit.alpha0
     for a, b in zip(pts, pts[1:]):
@@ -147,9 +129,9 @@ def strict_pairs(
 
 def uniform_subsolution_mix(inst: CostInstance, crit: CriticalData) -> ValueFunction:
     """Average of all potential rows, each normalized to vanish at point 0."""
-    D, p, _ = potential_grid(inst, crit, mane_potential(inst, crit))
-    rows = [[v - row[0] for v in row] for row in p]
-    vals = from_grid(inst.mode, [sum(col) for col in zip(*rows)], D * len(rows))
+    phi = mane_potential(inst, crit)
+    rows = [[v - row[0] for v in row] for row in phi.grid]
+    vals = from_grid(inst.mode, [sum(col) for col in zip(*rows)], phi.scale * len(rows))
     return as_value_function(inst, vals, tag="potential_mix")
 
 

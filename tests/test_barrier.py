@@ -91,7 +91,7 @@ def test_float_barrier_answers_and_matches_exact():
             inst = gen_random(n, seed, -2, 2, mode=fmode)
             crit, bar = crit_bar(inst)
             exact = make_instance([[F(v) for v in row] for row in inst.cost])
-            eh = barrier_closed_form(exact, critical_value(exact))
+            eh = barrier_closed_form(exact, critical_value(exact)).entries
             scale = inst.value_scale()
             for row, erow in zip(bar.h.entries, eh):
                 for v, ev in zip(row, erow):

@@ -66,6 +66,9 @@ def test_malformed_file_exits_2(capsys, tmp_path):
         {"cost": [[0, 1], [1, 0]], "labels": ["a", ["b"]]},
         {"cost": [[0, 1], [1, 0]], "metric": 7},
         {"cost": [[0, 1], [1, 0]], "metric": [[0, 1], 5]},
+        # json writes and reads a non-finite number as Infinity; only the
+        # string "inf" is a missing edge
+        {"cost": [[float("inf"), 0], [0, 0]]},
     ],
     ids=[
         "tolerance-str",
@@ -78,6 +81,7 @@ def test_malformed_file_exits_2(capsys, tmp_path):
         "label-not-str",
         "metric",
         "metric-row",
+        "cost-non-finite",
     ],
 )
 def test_malformed_fields_exit_2(capsys, tmp_path, doc):
@@ -99,6 +103,29 @@ def test_bad_generator_exits_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "critical", "--gen", "constant:x:2")
     assert code == 2
+    code, _, err = run(capsys, "critical", "--gen", "fk:0:1:well@3")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ('{"mode": "float", "cost": [["1e400", 0], [0, 0]]}', []),
+        ('{"cost": [["1e400", 0], [0, 0]]}', ["--mode", "float"]),
+        ('{"cost": [[1e400, 0], [0, 0]]}', []),
+        (None, ["--mode", "float", "--gen", "constant:2:1e400"]),
+    ],
+    ids=["float-file", "exact-file-as-float", "json-number", "float-gen"],
+)
+def test_values_beyond_float_range_exit_2(capsys, tmp_path, text, argv):
+    if text is not None:
+        p = tmp_path / "big.json"
+        p.write_text(text)
+        argv = ["--in", str(p), *argv]
+    code, _, err = run(capsys, "critical", *argv)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_aubry_t3(capsys, t3_file):

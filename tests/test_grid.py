@@ -61,7 +61,7 @@ def _corpus():
         inst = _mixed(3 + seed % 5, seed)
         crit = critical_value(inst)
         d0 = grid_scale(EXACT, (v for row in inst.cost for v in row))
-        if len(crit.witness_cycle) > 1 and crit.scale != d0:
+        if len(crit.witness_cycle) > 1 and crit.kernel.scale != d0:
             out.append(inst)
         seed += 1
     return out
@@ -156,7 +156,7 @@ def test_corpus_leaves_the_cost_grid():
 def test_grid_matches_fraction_reference(idx):
     inst = CORPUS[idx]
     crit = critical_value(inst)
-    assert crit.kernel == tuple(to_grid(EXACT, row, crit.scale) for row in crit.reduced)
+    assert crit.kernel.grid == tuple(to_grid(EXACT, row, crit.kernel.scale) for row in crit.reduced)
     phi1 = _ref_phi1(crit)
     _same(phi_n(inst, crit, 1).entries, phi1)
     phi3 = minplus_product(minplus_product(phi1, crit.reduced), crit.reduced)
@@ -283,11 +283,12 @@ def test_float_operators_equal_by_repr():
 
 def test_cost_grid_held_once():
     inst = CORPUS[0]
-    D0, g = inst.cost_grid()
-    assert D0 == grid_scale(EXACT, chain.from_iterable(inst.cost)) == 210
-    assert g == tuple(to_grid(EXACT, row, D0) for row in inst.cost)
-    assert inst.cost_grid()[1] is g
-    assert inst.cost_at(2 * D0) == tuple(tuple(2 * v for v in row) for row in g)
+    t = inst.cost_grid()
+    assert t.scale == grid_scale(EXACT, chain.from_iterable(inst.cost)) == 210
+    assert t.grid == tuple(to_grid(EXACT, row, t.scale) for row in inst.cost)
+    assert inst.cost_grid() is t
+    assert t.at(t.scale) is t.grid
+    assert t.at(2 * t.scale) == tuple(tuple(2 * v for v in row) for row in t.grid)
     flt = gen_random(4, 0, -2.0, 2.0, mode=Mode("float"))
-    assert flt.cost_grid() == (1, flt.cost)
-    assert flt.cost_grid()[1] is flt.cost
+    assert flt.cost_grid().scale == 1
+    assert flt.cost_grid().grid is flt.cost

@@ -6,11 +6,14 @@ the barrier's transient runs only when ``iterations_to_fix`` is read.
 These tests count the Kleene plus calls on the n x n kernel and the
 transient searches made by every CLI subcommand, by ``verify`` and by the
 library pipeline, and check the lazy transient against values computed
-when it was still eager.
+when it was still eager.  Every solver matrix stays a table on the integer
+grid, so they also count the n x n tables turned into values: only what a
+command prints is converted.
 """
 
 import sys
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
@@ -26,11 +29,13 @@ FLOAT = Mode("float", 1e-9)
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The matrices passed to kleene_plus, wherever wkam binds it, and the
-    number of transient searches."""
-    rec = {"plus": [], "transient": 0}
+    """The matrices passed to kleene_plus, wherever wkam binds it, the
+    number of transient searches and the sizes of the tables whose entries
+    were converted."""
+    rec = {"plus": [], "transient": 0, "converted": []}
     kleene_plus = wkam.core.kleene_plus
     transient = wkam.barrier._transient
+    convert = wkam.core.PotentialTable.entries.func
 
     def counted_plus(a):
         rec["plus"].append(a)
@@ -44,6 +49,14 @@ def calls(monkeypatch):
         if name.startswith("wkam") and getattr(mod, "kleene_plus", None) is kleene_plus:
             monkeypatch.setattr(mod, "kleene_plus", counted_plus)
     monkeypatch.setattr(wkam.barrier, "_transient", counted_transient)
+
+    def counted_entries(table):
+        rec["converted"].append(len(table.grid))
+        return convert(table)
+
+    entries = cached_property(counted_entries)
+    entries.__set_name__(wkam.core.PotentialTable, "entries")
+    monkeypatch.setattr(wkam.core.PotentialTable, "entries", entries)
     return rec
 
 
@@ -51,6 +64,18 @@ def _kernel_plus_count(rec, n):
     # the transient's Kleene plus acts on the off-Aubry block, which is
     # smaller than n because the Aubry set is never empty
     return sum(1 for a in rec["plus"] if len(a) == n)
+
+
+# n x n tables each subcommand converts to values: only those it prints
+CONVERTED = {
+    "critical": 1,  # the reduced matrix
+    "potential": 2,  # phi and phi_1
+    "barrier": 1,  # h
+    "aubry": 0,
+    "subsolution": 0,
+    "subsolution --check": 0,
+    "plotdata": 1,  # h, for its diagonal and row 0
+}
 
 
 @pytest.mark.parametrize(
@@ -72,6 +97,7 @@ def test_cli_subcommand_solves_once(calls, capsys, argv, kernel_plus, transient)
     assert code == 0
     assert _kernel_plus_count(calls, 24) == kernel_plus
     assert calls["transient"] == transient
+    assert calls["converted"].count(24) == CONVERTED[" ".join(argv)]
 
 
 def test_verify_solves_once_per_instance(calls, capsys):
@@ -99,6 +125,17 @@ def test_library_pipeline_solves_once(calls, mode):
     wkam.max_strict_subsolution(inst, crit)
     assert _kernel_plus_count(calls, 8) == 1
     assert calls["transient"] == 0
+    assert calls["converted"] == []
+
+
+def test_tables_are_shared_and_converted_once(calls):
+    inst = gen_random(8, 3, -2, 2)
+    crit = critical_value(inst)
+    assert wkam.phi_n(inst, crit, 1) is crit.kernel_plus()
+    phi = wkam.mane_potential(inst, crit)
+    first = phi.entries
+    assert phi.entries is first
+    assert calls["converted"] == [8]
 
 
 def test_transient_runs_once_on_first_read(calls):

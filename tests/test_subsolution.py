@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from wkam import (
-    Chain,
     InputError,
     ValueFunction,
     as_value_function,
@@ -25,10 +24,10 @@ from wkam.oracle import aubry_chain_sets, enum_zero_cycles, subsolution_sampler
 
 
 def test_chain_validation(t2):
-    with pytest.raises(InputError):
-        Chain((0,))
     crit = critical_value(t2)
     u = as_value_function(t2, [0, 0])
+    with pytest.raises(InputError):
+        is_calibrated(t2, crit, u, (0,))
     with pytest.raises(InputError):
         is_calibrated(t2, crit, u, (0, 5))
 
