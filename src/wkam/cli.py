@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .barrier import aubry, peierls_barrier, weak_kam_neg
-from .core import CostInstance, make_instance
+from .core import CostInstance, from_grid, make_instance
 from .critical import critical_value
 from .models import gen_constant, gen_fk, gen_random, fk_potential_well, load
 from .numbers import InputError, Mode, format_value, parse_value, value_str
@@ -36,6 +36,16 @@ EXIT_VERIFY = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    src = common.add_mutually_exclusive_group(required=True)
+    src.add_argument("--in", dest="infile", metavar="PATH", help="instance JSON file")
+    src.add_argument("--gen", dest="genspec", metavar="SPEC", help="generator spec")
+    common.add_argument("--out", dest="outfile", metavar="PATH", default=None)
+    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    common.add_argument("--mode", choices=("exact", "float"), default=None)
+    common.add_argument("--tol", type=float, default=None, help="float-mode tolerance")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--horizon", type=int, default=None, metavar="N")
     p = argparse.ArgumentParser(prog="wkam", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name, helptext in [
@@ -47,16 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "run the full brute-force property harness"),
         ("plotdata", "per-point table for plotting (metric instances)"),
     ]:
-        q = sub.add_parser(name, help=helptext)
-        src = q.add_mutually_exclusive_group(required=True)
-        src.add_argument("--in", dest="infile", metavar="PATH", help="instance JSON file")
-        src.add_argument("--gen", dest="genspec", metavar="SPEC", help="generator spec")
-        q.add_argument("--out", dest="outfile", metavar="PATH", default=None)
-        q.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        q.add_argument("--mode", choices=("exact", "float"), default=None)
-        q.add_argument("--tol", type=float, default=None, help="float-mode tolerance")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--horizon", type=int, default=None, metavar="N")
+        q = sub.add_parser(name, help=helptext, parents=[common])
         if name == "subsolution":
             q.add_argument("--check", action="store_true", help="verify the strict pattern")
     return p
@@ -304,7 +305,7 @@ def cmd_verify(args) -> int:
 
 def cmd_plotdata(args) -> int:
     inst = _load_instance(args)
-    if inst.metric is None:
+    if inst.metric_grid is None:
         raise InputError("plotdata needs a metric instance (e.g. --gen fk:...)")
     crit = critical_value(inst)
     phi = mane_potential(inst, crit)
@@ -317,11 +318,13 @@ def cmd_plotdata(args) -> int:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(("point", "V", "F", "f", "h_xx", "in_aubry", "h_row0"))
     verts = set(aub.vertices)
+    t = inst.cost_grid
+    V = from_grid(inst.mode, [row[x] for x, row in enumerate(t.grid)], t.scale)
     for x in range(inst.n):
         w.writerow(
             (
                 inst.labels[x],
-                value_str(inst.cost[x][x]),
+                value_str(V[x]),
                 value_str(F.values[x]),
                 value_str(f.values[x]),
                 value_str(bar.h.entries[x][x]),

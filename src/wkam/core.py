@@ -21,11 +21,14 @@ positive constant preserves sums and order, so min-plus results on the grid
 are bit-identical to the ``Fraction`` ones, and ``Fraction`` appears only at
 the public API.  Every matrix the solver makes is a ``PotentialTable``: the
 matrix on its own grid ``scale``, turned into values only when its
-``entries`` are read.  Each instance holds its costs that way
-(``CostInstance.cost_grid``); an input that needs a finer grid ``D`` reads
+``entries`` are read.  Each instance is built that way: it holds its costs
+(``CostInstance.cost_grid``) and its metric on their least grids, the
+generators compute those grids in integers, and ``CostInstance.cost`` is
+converted only when read.  An input that needs a finer grid ``D`` reads
 ``table.at(D)``, the grid times ``D // scale``.  Float mode has no grid:
-``D = 1``, ``to_grid`` is the identity, ``from_grid`` divides by ``D`` and
-the held matrix is the cost matrix itself, so both modes run the same code.
+``D = 1``, ``to_grid`` is the identity, ``from_grid`` divides by ``D``, and a
+table holds its float values as its grid and returns that grid as its
+``entries``, so both modes run the same code.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ def _freeze(rows: Sequence[Sequence[Value]]) -> Matrix:
 class CostInstance:
     """Finite point set with a total (or sparse) cost matrix.
 
+    The costs, and the metric when there is one, are held as tables on
+    their own grids: ``cost_grid`` is the cost matrix times D0, the least
+    common denominator of the costs (float mode: 1, and the grid is the
+    cost matrix itself).  ``cost`` and ``metric`` are the matrices, converted
+    on their first read.
+
     ``total`` is true iff every cost entry is finite; the structural theorems
     of this package (critical constants, potentials, barriers) require total
     instances.  ``+inf`` entries are a sparse-graph convenience only.
@@ -58,45 +67,31 @@ class CostInstance:
 
     n: int
     labels: tuple[str, ...]
-    cost: Matrix
+    cost_grid: PotentialTable
     mode: Mode = EXACT
-    metric: Optional[Matrix] = None
+    metric_grid: Optional[PotentialTable] = None
     total: bool = field(default=True)
 
     _value_scale: Optional[Value] = field(default=None, init=False, repr=False, compare=False)
-    _grid: Optional[PotentialTable] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # Give every instance dict the key from the start.  CPython keeps
-        # instance dicts key-sharing only while later keys fit the layout
-        # made at construction; filling in both cached fields afterwards
-        # turns each dict into a full table (464 bytes, not 128), and a
-        # float batch holds thousands of instances.
-        object.__setattr__(self, "_grid", None)
+    @property
+    def cost(self) -> Matrix:
+        return self.cost_grid.entries
+
+    @property
+    def metric(self) -> Optional[Matrix]:
+        return None if self.metric_grid is None else self.metric_grid.entries
 
     def value_scale(self) -> Value:
         """n * max|c| over finite entries; tolerance scale for walk sums.
 
         Read off the held grid on the first call and kept on the instance."""
         if self._value_scale is None:
-            t = self.cost_grid()
+            t = self.cost_grid
             top = max((abs(v) for row in t.grid for v in row if v != INF), default=0)
             (top,) = from_grid(self.mode, (top,), t.scale)
             object.__setattr__(self, "_value_scale", self.n * max(top, 1))
         return self._value_scale
-
-    def cost_grid(self) -> PotentialTable:
-        """The costs on their own grid D0, the least common denominator of
-        the costs (float mode: 1, and the grid is the cost matrix itself).
-
-        Computed on the first call and kept on the instance."""
-        if self._grid is None:
-            D0 = grid_scale(self.mode, chain.from_iterable(self.cost))
-            g = self.cost
-            if self.mode.exact:
-                g = tuple(to_grid(self.mode, row, D0) for row in g)
-            object.__setattr__(self, "_grid", PotentialTable(g, D0, self.mode))
-        return self._grid
 
     def require_total(self, op: str) -> None:
         if not self.total:
@@ -135,6 +130,8 @@ class PotentialTable:
 
     @cached_property
     def entries(self) -> Matrix:
+        if not self.mode.exact:
+            return self.grid  # a float grid holds the values themselves
         return tuple(from_grid(self.mode, row, self.scale) for row in self.grid)
 
     def at(self, D: int) -> Matrix:
@@ -161,15 +158,31 @@ def make_instance(
     given) symmetry, zero diagonal, nonnegativity and the triangle
     inequality over all triples.
     """
-    n = len(cost)
+    return _instance(
+        _table(mode, cost), labels, None if metric is None else _table(mode, metric)
+    )
+
+
+def _table(mode: Mode, rows: Sequence[Sequence[Value]]) -> PotentialTable:
+    """The coerced matrix on its own grid, the least common denominator."""
+    vals = [[mode.coerce(v) for v in row] for row in rows]
+    D = grid_scale(mode, chain.from_iterable(vals))
+    return PotentialTable(tuple(to_grid(mode, row, D) for row in vals), D, mode)
+
+
+def _instance(
+    cost: PotentialTable,
+    labels: Optional[Sequence[str]] = None,
+    metric: Optional[PotentialTable] = None,
+) -> CostInstance:
+    """Check and freeze an instance whose tables are on their least grids
+    (float mode: hold floats at scale 1); ``make_instance``'s checks."""
+    n = len(cost.grid)
     if n < 1:
         raise InputError("instance needs at least one point")
-    rows = []
-    for row in cost:
+    for row in cost.grid:
         if len(row) != n:
             raise InputError(f"cost matrix is not square ({len(row)} != {n})")
-        rows.append(tuple(mode.coerce(v) for v in row))
-    cmat = tuple(rows)
     if labels is None:
         labels = _default_labels(n)
     else:
@@ -178,13 +191,10 @@ def make_instance(
             raise InputError("label count does not match point count")
         if len(set(labels)) != n:
             raise InputError("labels must be unique")
-    mmat: Optional[Matrix] = None
     if metric is not None:
-        if len(metric) != n or any(len(r) != n for r in metric):
+        g = metric.grid
+        if len(g) != n or any(len(r) != n for r in g):
             raise InputError("metric matrix is not n x n")
-        mmat = _freeze([[mode.coerce(v) for v in r] for r in metric])
-        D = grid_scale(mode, chain.from_iterable(mmat))
-        g = [to_grid(mode, row, D) for row in mmat]
         for i, row in enumerate(g):
             if row[i] != 0:
                 raise InputError(f"metric diagonal must be zero at {i}")
@@ -194,16 +204,21 @@ def make_instance(
                 if dij != g[j][i]:
                     raise InputError(f"metric not symmetric at ({i},{j})")
         # Symmetry makes column j equal to row j, so each (i, j) is one
-        # C-level scan over k; the loop below names the first violating k.
+        # C-level scan over k, and a violation at (i, j) is one at (j, i):
+        # pairs j > i suffice, and the first violation in row-major order
+        # has i < j.  The loop below names the first violating k.
         for i, row in enumerate(g):
-            for j, dij in enumerate(row):
+            for j in range(i + 1, n):
+                dij = row[j]
                 if dij > min(map(add, row, g[j])):
                     k = next(k for k in range(n) if dij > row[k] + g[j][k])
                     raise InputError(
                         f"metric violates triangle inequality at ({i},{k},{j})"
                     )
-    total = not any(is_inf(v) for row in cmat for v in row)
-    return CostInstance(n=n, labels=labels, cost=cmat, mode=mode, metric=mmat, total=total)
+    total = not any(is_inf(v) for row in cost.grid for v in row)
+    return CostInstance(
+        n=n, labels=labels, cost_grid=cost, mode=cost.mode, metric_grid=metric, total=total
+    )
 
 
 @lru_cache(maxsize=None)
@@ -294,12 +309,13 @@ def lax_oleinik_neg(inst: CostInstance, u: ValueFunction) -> ValueFunction:
 
 def reverse_cost(inst: CostInstance) -> CostInstance:
     """Transpose the cost matrix; everything else is preserved."""
+    t = inst.cost_grid
     return CostInstance(
         n=inst.n,
         labels=inst.labels,
-        cost=tuple(zip(*inst.cost)),
+        cost_grid=PotentialTable(tuple(zip(*t.grid)), t.scale, t.mode),
         mode=inst.mode,
-        metric=inst.metric,
+        metric_grid=inst.metric_grid,
         total=inst.total,
     )
 
@@ -326,7 +342,7 @@ def cost_power(inst: CostInstance, n: int) -> PotentialTable:
     """
     if n < 1:
         raise InputError("chain cost is defined for step count >= 1")
-    t = inst.cost_grid()
+    t = inst.cost_grid
     acc = t.grid
     for _ in range(n - 1):
         acc = minplus_product(acc, t.grid)
@@ -344,7 +360,7 @@ def grid_operands(
         raise InputError("value function must be finite everywhere")
     mode = inst.mode
     vals = [mode.coerce(v) for v in u.values]
-    t = inst.cost_grid()
+    t = inst.cost_grid
     D = grid_scale(mode, vals, math.lcm(base, t.scale))
     return D, to_grid(mode, vals, D), t.at(D)
 

@@ -90,13 +90,12 @@ class SubsolutionResult(NamedTuple):
 
 def critical_value(inst: CostInstance) -> CriticalData:
     """Smallest alpha admitting a dominated function, with witness cycle."""
-    n = inst.n
     mode = inst.mode
+    t = inst.cost_grid
     if not inst.total:
-        for x in range(n):
-            if all(is_inf(v) for v in inst.cost[x]):
+        for x, row in enumerate(t.grid):
+            if all(is_inf(v) for v in row):
                 raise InputError(f"point {inst.labels[x]} has out-degree 0")
-    t = inst.cost_grid()
     total, length = _karp_min_cycle_mean(t.grid)
     (alpha0,) = from_grid(mode, (-total,), length * t.scale)
     D = grid_scale(mode, (alpha0,), t.scale)
@@ -214,7 +213,7 @@ def is_dominated(
     mode = inst.mode
     alpha = mode.coerce(alpha)
     values = [mode.coerce(v) for v in u.values]
-    t = inst.cost_grid()
+    t = inst.cost_grid
     D = grid_scale(mode, chain(values, (alpha,)), t.scale)
     (a,) = to_grid(mode, (alpha,), D)
     hit = _undominated(mode, to_grid(mode, values, D), t.at(D), a, inst.value_scale())
@@ -269,7 +268,7 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
     n = inst.n
     mode = inst.mode
     alpha = mode.coerce(alpha)
-    t = inst.cost_grid()
+    t = inst.cost_grid
     D = grid_scale(mode, (alpha,), t.scale)
     (a,) = to_grid(mode, (alpha,), D)
     w = tuple(tuple(v + a for v in row) for row in t.at(D))

@@ -26,11 +26,22 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
-from .core import CostInstance, ValueFunction, make_instance, minplus_product
+from .core import (
+    CostInstance,
+    PotentialTable,
+    ValueFunction,
+    _freeze,
+    _instance,
+    grid_scale,
+    make_instance,
+    minplus_product,
+    to_grid,
+)
 from .numbers import (
     EXACT,
     InputError,
@@ -49,7 +60,9 @@ def gen_constant(n: int, k: Value, mode: Mode = EXACT) -> CostInstance:
     if n < 1:
         raise InputError("need n >= 1")
     kk = mode.coerce(k)
-    return make_instance([[kk] * n for _ in range(n)], mode=mode)
+    D = grid_scale(mode, (kk,))
+    row = to_grid(mode, (kk,), D) * n
+    return _instance(PotentialTable((row,) * n, D, mode))
 
 
 def gen_random(
@@ -62,19 +75,31 @@ def gen_random(
     """
     if n < 1:
         raise InputError("need n >= 1")
+    lo, hi = mode.coerce(lo), mode.coerce(hi)
     if not lo <= hi:
         raise InputError("need lo <= hi")
+    if is_inf(hi) or is_inf(hi - lo):
+        raise InputError("range [lo, hi] must be finite and within the float range")
     rng = Random(seed)
-    if mode.exact:
-        q = RANDOM_DENOMINATOR
-        a = math.ceil(Fraction(lo) * q)
-        b = math.floor(Fraction(hi) * q)
-        if a > b:
-            raise InputError("range [lo, hi] contains no representable entry")
-        cost = [[Fraction(rng.randint(a, b), q) for _ in range(n)] for _ in range(n)]
-    else:
-        cost = [[rng.uniform(float(lo), float(hi)) for _ in range(n)] for _ in range(n)]
-    return make_instance(cost, mode=mode)
+    if not mode.exact:
+        cost = [[rng.uniform(lo, hi) for _ in range(n)] for _ in range(n)]
+        return _instance(_least_grid(mode, cost))
+    q = RANDOM_DENOMINATOR
+    a = math.ceil(lo * q)
+    b = math.floor(hi * q)
+    if a > b:
+        raise InputError("range [lo, hi] contains no representable entry")
+    draws = [[rng.randint(a, b) for _ in range(n)] for _ in range(n)]
+    return _instance(_least_grid(mode, draws, q))
+
+
+def _least_grid(mode: Mode, rows: list[list], D: int = 1) -> PotentialTable:
+    """The matrix rows / D, for integer rows, as a table on its least grid;
+    float mode takes float rows at scale 1."""
+    if not mode.exact:
+        return PotentialTable(_freeze(rows), 1, mode)
+    g = math.gcd(D, *chain.from_iterable(rows))
+    return PotentialTable(tuple(tuple(v // g for v in row) for row in rows), D // g, mode)
 
 
 def circle_metric(m: int) -> list[list[int]]:
@@ -92,7 +117,9 @@ def gen_fk(
 
     Cost c(x, y) = lam * d(x, y)^2 + V(y) with d the arc-step circle
     distance.  V must be nonnegative with minimum zero, so the critical
-    constant is zero and the zero set of V meets the Aubry set.
+    constant is zero and the zero set of V meets the Aubry set.  Exact mode
+    computes lam * D * d^2 + V * D in integers on D, the least common
+    denominator of lam and V.
     """
     if m < 1:
         raise InputError("need m >= 1")
@@ -107,12 +134,14 @@ def gen_fk(
     if min(V) != 0:
         raise InputError("potential must attain 0")
     d = circle_metric(m)
-    cost = [[lam * (d[i][j] ** 2) + V[j] for j in range(m)] for i in range(m)]
-    return make_instance(
-        cost,
-        labels=[str(i) for i in range(m)],
-        mode=mode,
-        metric=d,
+    D = grid_scale(mode, (lam, *V))
+    (lg,) = to_grid(mode, (lam,), D)
+    vg = to_grid(mode, V, D)
+    cost = [[lg * (dij**2) + v for dij, v in zip(row, vg)] for row in d]
+    if not mode.exact:
+        d = [list(map(float, row)) for row in d]
+    return _instance(
+        _least_grid(mode, cost, D), [str(i) for i in range(m)], _least_grid(mode, d)
     )
 
 
@@ -328,7 +357,7 @@ def check_apriori(
 
 
 def _need_metric(inst: CostInstance) -> None:
-    if inst.metric is None:
+    if inst.metric_grid is None:
         raise InputError("instance carries no metric")
 
 

@@ -75,8 +75,11 @@ class Mode:
         object.__setattr__(self, "exact", self.kind == "exact")
 
     def coerce(self, x: Value) -> Value:
-        """Bring a finite number into this mode's representation."""
+        """Bring a number into this mode's representation: +inf stays +inf
+        and -inf raises."""
         if is_inf(x):
+            if x < 0:
+                raise InputError("-inf is not a value")
             return INF
         if self.exact:
             if isinstance(x, Fraction):

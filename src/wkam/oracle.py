@@ -241,7 +241,7 @@ def cycle_scan(inst: CostInstance) -> CycleScan:
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
     mode = inst.mode
-    t = inst.cost_grid()
+    t = inst.cost_grid
     D0 = t.scale
     w = [[None if is_inf(v) else v for v in row] for row in t.grid]
     members = _members(n - 1)
@@ -567,7 +567,7 @@ class _Workspace:
             values = chain(values, *claimed)
         self.D = D = grid_scale(mode, values, self.crit.kernel.scale)
         (self.a,) = to_grid(mode, (self.crit.alpha0,), D)
-        self.c = inst.cost_grid().at(D)
+        self.c = inst.cost_grid.at(D)
         self.r = self.crit.kernel.at(D)
         self.p = self.phi.at(D)
         self.h = self.bar.h.at(D)
@@ -712,7 +712,7 @@ def verify_all(
     run(_check_strict_pattern(ws))
     run(_check_max_strict_pattern(ws))
 
-    if inst.metric is not None:
+    if inst.metric_grid is not None:
         run(_check_lipschitz(ws))
         run(_check_apriori(ws))
 

@@ -32,6 +32,8 @@ from .core import (
     ValueFunction,
     as_value_function,
     from_grid,
+    grid_scale,
+    to_grid,
 )
 from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError
@@ -115,16 +117,21 @@ def _strictify(
 def strict_pairs(
     inst: CostInstance, crit: CriticalData, u: ValueFunction
 ) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs where the domination inequality is strict for u."""
+    """Ordered pairs where the domination inequality is strict for u.
+
+    Compared on the kernel's grid refined to u's denominators, against
+    ``crit.kernel.at(D)``, (c + alpha0) * D."""
     mode = inst.mode
+    vals = [mode.coerce(v) for v in u.values]
+    D = grid_scale(mode, vals, crit.kernel.scale)
+    vals = to_grid(mode, vals, D)
     scale = inst.value_scale()
-    out = []
-    for x in range(inst.n):
-        for y in range(inst.n):
-            bound = inst.cost[x][y] + crit.alpha0
-            if mode.lt(u.values[y] - u.values[x], bound, scale=scale):
-                out.append((x, y))
-    return tuple(out)
+    return tuple(
+        (x, y)
+        for x, (ux, row) in enumerate(zip(vals, crit.kernel.at(D)))
+        for y, (uy, k) in enumerate(zip(vals, row))
+        if mode.lt(uy - ux, k, scale=scale)
+    )
 
 
 def uniform_subsolution_mix(inst: CostInstance, crit: CriticalData) -> ValueFunction:

@@ -111,15 +111,8 @@ def test_barrier_above_potential_and_triangle():
 
 
 def test_barrier_requires_total():
-    inst = gen_constant(2, 1)
-    sparse = type(inst)(
-        n=2,
-        labels=inst.labels,
-        cost=((F(1), float("inf")), (F(1), F(1))),
-        mode=inst.mode,
-        metric=None,
-        total=False,
-    )
+    sparse = make_instance([[F(1), float("inf")], [F(1), F(1)]])
+    assert not sparse.total
     crit = critical_value(sparse)
     with pytest.raises(InputError):
         peierls_barrier(sparse, crit)

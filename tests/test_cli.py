@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wkam.cli import main
+from wkam.cli import _COMMANDS, _build_parser, main
 from wkam.models import dumps
 
 
@@ -106,6 +106,43 @@ def test_bad_generator_exits_2(capsys):
     code, _, err = run(capsys, "critical", "--gen", "fk:0:1:well@3")
     assert code == 2
     assert err.startswith("error:")
+    for argv in (["random:2:0:0:inf"], ["random:2:0:-1e308:1e308", "--mode", "float"]):
+        code, _, err = run(capsys, "critical", "--gen", *argv)
+        assert code == 2
+        assert "range [lo, hi]" in err
+
+
+# every option but the source and subsolution's --check
+COMMON = ["--out", "o.json", "--format", "csv", "--mode", "float",
+          "--tol", "1e-6", "--seed", "3", "--horizon", "5"]
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_every_subcommand_takes_the_common_options(capsys, name):
+    parser = _build_parser()
+    args = vars(parser.parse_args([name, "--gen", "constant:2:1", *COMMON]))
+    assert args.pop("check", False) is False
+    assert args == {
+        "command": name,
+        "infile": None,
+        "genspec": "constant:2:1",
+        "outfile": "o.json",
+        "fmt": "csv",
+        "mode": "float",
+        "tol": 1e-6,
+        "seed": 3,
+        "horizon": 5,
+    }
+    assert parser.parse_args([name, "--in", "x.json"]).infile == "x.json"
+    if name == "subsolution":
+        assert parser.parse_args([name, "--in", "x.json", "--check"]).check
+    else:
+        with pytest.raises(SystemExit):
+            parser.parse_args([name, "--in", "x.json", "--check"])
+    for bad in ([name], [name, "--gen", "g", "--in", "f"]):  # exactly one source
+        with pytest.raises(SystemExit):
+            parser.parse_args(bad)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +17,7 @@ from wkam import (
     reverse_cost,
 )
 from wkam.core import minplus_product
+from wkam.numbers import Mode, parse_value
 from wkam.models import gen_constant
 from wkam.oracle import enum_walks
 
@@ -49,6 +52,32 @@ def test_metric_validation():
     ]
     with pytest.raises(InputError):
         make_instance([[F(0)] * 3 for _ in range(3)], metric=bad_triangle)
+
+
+@pytest.mark.parametrize(
+    "metric, where",
+    [
+        ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], "(0,1,2)"),
+        ([[0, 5, 1, 1], [5, 0, 1, 9], [1, 1, 0, 1], [1, 9, 1, 0]], "(0,2,1)"),
+    ],
+)
+def test_triangle_violation_names_first_triple(metric, where):
+    # the scan covers pairs j > i only; the first violation it names is
+    # the first in row-major order over all pairs
+    n = len(metric)
+    with pytest.raises(InputError, match=re.escape(f"triangle inequality at {where}")):
+        make_instance([[0] * n] * n, metric=metric)
+
+
+@pytest.mark.parametrize("mode", [Mode("exact"), Mode("float")], ids=["exact", "float"])
+def test_negative_infinity_refused(mode):
+    with pytest.raises(InputError, match="-inf"):
+        make_instance([[-math.inf, 0], [0, 0]], mode=mode)
+    with pytest.raises(InputError, match="-inf"):
+        make_instance([[0, 0], [0, 0]], mode=mode, metric=[[0, -math.inf], [-math.inf, 0]])
+    for inf in (math.inf, parse_value("inf", mode)):  # a missing edge
+        inst = make_instance([[inf, 0], [0, 0]], mode=mode)
+        assert not inst.total and inst.cost[0][0] == math.inf
 
 
 # --- backward operator -------------------------------------------------------

@@ -16,9 +16,11 @@ from random import Random
 
 import pytest
 
-from wkam import make_instance
+from wkam import cost_power, make_instance, reverse_cost
 from wkam.barrier import peierls_barrier
+from wkam.cli import main
 from wkam.core import (
+    PotentialTable,
     ValueFunction,
     from_grid,
     grid_scale,
@@ -29,7 +31,7 @@ from wkam.core import (
     to_grid,
 )
 from wkam.critical import critical_value, is_dominated
-from wkam.models import gen_random
+from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import EXACT, INF, InputError, Mode
 from wkam.potential import jump_F, jump_f, mane_potential, phi_n
 from wkam.subsolution import max_strict_subsolution, uniform_subsolution_mix
@@ -283,12 +285,46 @@ def test_float_operators_equal_by_repr():
 
 def test_cost_grid_held_once():
     inst = CORPUS[0]
-    t = inst.cost_grid()
+    t = inst.cost_grid
     assert t.scale == grid_scale(EXACT, chain.from_iterable(inst.cost)) == 210
     assert t.grid == tuple(to_grid(EXACT, row, t.scale) for row in inst.cost)
-    assert inst.cost_grid() is t
     assert t.at(t.scale) is t.grid
     assert t.at(2 * t.scale) == tuple(tuple(2 * v for v in row) for row in t.grid)
     flt = gen_random(4, 0, -2.0, 2.0, mode=Mode("float"))
-    assert flt.cost_grid().scale == 1
-    assert flt.cost_grid().grid is flt.cost
+    assert flt.cost_grid.scale == 1
+    assert flt.cost_grid.grid is flt.cost
+
+
+def test_float_tables_hold_floats(monkeypatch, capsys):
+    # a float table's entries are its grid, so the grid must hold the
+    # values themselves: floats, never ints, at scale 1
+    made = []
+    init = PotentialTable.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(PotentialTable, "__init__", recorded)
+    flt = Mode("float", 1e-9)
+    for inst in (
+        gen_random(6, 1, -2, 2, mode=flt),
+        gen_fk(6, 1, fk_potential_well(6, 2), mode=flt),
+        gen_constant(3, 1, mode=flt),
+        make_instance([[1, 2], [3, 0]], mode=flt, metric=[[0, 1], [1, 0]]),
+    ):
+        crit = critical_value(inst)
+        mane_potential(inst, crit)
+        peierls_barrier(inst, crit).iterations_to_fix
+        phi_n(inst, crit, 3)
+        max_strict_subsolution(inst, crit)
+        reverse_cost(inst)
+        cost_power(inst, 2)
+    for sub in ("critical", "potential", "barrier", "aubry", "subsolution", "plotdata"):
+        assert main([sub, "--gen", "fk:6:1:well@1", "--mode", "float"]) == 0
+    capsys.readouterr()
+    assert len(made) > 40
+    for t in made:
+        assert t.scale == 1
+        assert all(type(v) is float for row in t.grid for v in row)
+        assert t.entries is t.grid

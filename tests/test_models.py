@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -14,6 +16,7 @@ from wkam import (
     lipschitz_constants,
     lipschitz_large_check,
     load,
+    make_instance,
     save,
 )
 from wkam.models import (
@@ -25,7 +28,7 @@ from wkam.models import (
     growth_C,
     loads,
 )
-from wkam.numbers import Mode
+from wkam.numbers import EXACT, Mode
 from wkam.oracle import enum_zero_cycles, subsolution_sampler
 
 
@@ -54,6 +57,62 @@ def test_gen_random_deterministic():
 def test_gen_random_rejects_bad_range():
     with pytest.raises(InputError):
         gen_random(3, 0, 2, -2)
+    for lo, hi, mode in [(0, float("inf"), EXACT), (-1e308, 1e308, Mode("float"))]:
+        with pytest.raises(InputError, match="range"):
+            gen_random(2, 0, lo, hi, mode=mode)
+
+
+FLOAT = Mode("float", 1e-9)
+
+
+def _same_instance(inst, ref):
+    assert inst == ref
+    assert repr(inst.cost) == repr(ref.cost)
+    assert repr(inst.metric) == repr(ref.metric)
+    assert inst.cost_grid.grid == ref.cost_grid.grid
+    assert inst.cost_grid.scale == ref.cost_grid.scale
+    assert inst.value_scale() == ref.value_scale()
+    assert (inst.total, inst.labels) == (ref.total, ref.labels)
+
+
+def _random_values(n, seed, lo, hi, mode):
+    # the values gen_random drew when it built Fractions and floats
+    rng = Random(seed)
+    if not mode.exact:
+        return [[rng.uniform(float(lo), float(hi)) for _ in range(n)] for _ in range(n)]
+    a, b = math.ceil(F(lo) * 4), math.floor(F(hi) * 4)
+    return [[F(rng.randint(a, b), 4) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("mode", [Mode("exact"), FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("lo, hi", [(-2, 2), (F(-5, 3), F(7, 2)), (F(1, 3), F(5, 6)), (0, 0)])
+def test_gen_random_equals_make_instance(mode, lo, hi):
+    for n in range(1, 9):
+        for seed in (0, 1, 7, 123):
+            ref = make_instance(_random_values(n, seed, lo, hi, mode), mode=mode)
+            _same_instance(gen_random(n, seed, lo, hi, mode=mode), ref)
+
+
+@pytest.mark.parametrize("mode", [Mode("exact"), FLOAT], ids=["exact", "float"])
+@pytest.mark.parametrize("lam", [1, F(3, 2)])
+def test_gen_fk_equals_make_instance(mode, lam):
+    for m in range(1, 10):
+        pots = [[0] * m, fk_potential_well(m, m // 2)]
+        pots.append([F(k % 3, 2 + k % 5) for k in range(m)])
+        for pot in pots:
+            lm, V = mode.coerce(lam), [mode.coerce(v) for v in pot]
+            d = circle_metric(m)
+            cost = [[lm * (d[i][j] ** 2) + V[j] for j in range(m)] for i in range(m)]
+            ref = make_instance(cost, [str(i) for i in range(m)], mode, metric=d)
+            _same_instance(gen_fk(m, lam, pot, mode=mode), ref)
+
+
+@pytest.mark.parametrize("mode", [Mode("exact"), FLOAT], ids=["exact", "float"])
+def test_gen_constant_equals_make_instance(mode):
+    for n in (1, 2, 5):
+        for k in (0, 3, F(-7, 6), F(1, 3), float("inf")):
+            ref = make_instance([[k] * n for _ in range(n)], mode=mode)
+            _same_instance(gen_constant(n, k, mode=mode), ref)
 
 
 def test_gen_fk_basic():
@@ -136,15 +195,8 @@ def test_length_space_bad_args():
 # --- growth constants ----------------------------------------------------------------
 
 def test_growth_constants_constant_cost():
-    inst = gen_constant(2, F(5))
-    inst = type(inst)(
-        n=2,
-        labels=inst.labels,
-        cost=inst.cost,
-        mode=inst.mode,
-        metric=((F(0), F(1)), (F(1), F(0))),
-        total=True,
-    )
+    base = gen_constant(2, F(5))
+    inst = make_instance(base.cost, base.labels, base.mode, metric=[[0, 1], [1, 0]])
     assert growth_A(inst, 1) == F(5)
     assert growth_C(inst, 0) == F(-5)
 
@@ -211,14 +263,7 @@ def test_apriori_radius_bounds_argmins():
 def test_apriori_degenerate_slope_passes():
     # constant cost with a metric: all dominated functions are constant
     base = gen_constant(2, F(5))
-    inst = type(base)(
-        n=2,
-        labels=base.labels,
-        cost=base.cost,
-        mode=base.mode,
-        metric=((F(0), F(1)), (F(1), F(0))),
-        total=True,
-    )
+    inst = make_instance(base.cost, base.labels, base.mode, metric=[[0, 1], [1, 0]])
     crit = critical_value(inst)
     assert apriori_radius(inst, crit.alpha0, B=1, K=1) is None
     u = as_value_function(inst, [2, 2])

@@ -7,8 +7,8 @@ These tests count the Kleene plus calls on the n x n kernel and the
 transient searches made by every CLI subcommand, by ``verify`` and by the
 library pipeline, and check the lazy transient against values computed
 when it was still eager.  Every solver matrix stays a table on the integer
-grid, so they also count the n x n tables turned into values: only what a
-command prints is converted.
+grid, and so do each instance's costs and metric, so they also count the
+n x n tables turned into values: only what a command prints is converted.
 """
 
 import sys
@@ -66,7 +66,9 @@ def _kernel_plus_count(rec, n):
     return sum(1 for a in rec["plus"] if len(a) == n)
 
 
-# n x n tables each subcommand converts to values: only those it prints
+# n x n tables each subcommand converts to values: only those it prints.
+# The instance's cost and metric are tables too, and no subcommand here
+# converts them: plotdata reads V off the cost grid's diagonal.
 CONVERTED = {
     "critical": 1,  # the reduced matrix
     "potential": 2,  # phi and phi_1
@@ -136,6 +138,8 @@ def test_tables_are_shared_and_converted_once(calls):
     first = phi.entries
     assert phi.entries is first
     assert calls["converted"] == [8]
+    assert inst.cost is inst.cost
+    assert calls["converted"] == [8, 8]
 
 
 def test_transient_runs_once_on_first_read(calls):
