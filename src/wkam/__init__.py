@@ -23,7 +23,6 @@ from .core import (
     PotentialTable,
     ValueFunction,
     as_value_function,
-    constant_function,
     cost_power,
     lax_oleinik_neg,
     lax_oleinik_pos,
@@ -61,7 +60,6 @@ from .numbers import (
 )
 from .oracle import (
     OracleReport,
-    enum_walks,
     enum_zero_cycles,
     liminf_barrier_bounded,
     subsolution_sampler,

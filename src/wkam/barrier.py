@@ -67,15 +67,16 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
-    from_grid,
+    backward,
+    forward,
+    grid_operands,
     kleene_plus,
-    lax_oleinik_neg,
-    lax_oleinik_pos,
     minplus_product,
+    to_grid,
     vf_eq,
 )
 from .critical import CriticalData, _dominated_grid
-from .numbers import ConstructionError, InputError, SizeGuardError, neg
+from .numbers import ConstructionError, InputError, SizeGuardError
 from .potential import jump_F
 
 # Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
@@ -204,22 +205,23 @@ def weak_kam_neg(bar: BarrierData, x: int) -> ValueFunction:
 
 def weak_kam_pos(bar: BarrierData, x: int) -> ValueFunction:
     """Negated column x of the barrier: a positive weak KAM solution."""
-    return ValueFunction(tuple(neg(v) for v in bar.h.col(x)), tag=f"h_col[{x}]")
+    h = bar.h
+    return ValueFunction.on_grid([-row[x] for row in h.grid], h.scale, h.mode, f"h_col[{x}]")
 
 
 def is_weak_kam(
     inst: CostInstance, crit: CriticalData, u: ValueFunction, sign: str
 ) -> bool:
-    """Fixed-point test: u = T-(u) + alpha0 (negative) or T+(u) - alpha0."""
+    """Fixed-point test: u = T-(u) + alpha0 (negative) or T+(u) - alpha0,
+    on the kernel's grid refined to u's scale."""
+    if sign not in ("negative", "positive"):
+        raise InputError(f"sign must be 'negative' or 'positive', got {sign!r}")
     mode = inst.mode
-    scale = inst.value_scale()
-    if sign == "negative":
-        img = lax_oleinik_neg(inst, u)
-        return vf_eq(mode, tuple(v + crit.alpha0 for v in img.values), u.values, scale=scale)
-    if sign == "positive":
-        img = lax_oleinik_pos(inst, u)
-        return vf_eq(mode, tuple(v - crit.alpha0 for v in img.values), u.values, scale=scale)
-    raise InputError(f"sign must be 'negative' or 'positive', got {sign!r}")
+    D, vals, cost = grid_operands(inst, u, crit.kernel.scale)
+    (a,) = to_grid(mode, (crit.alpha0,), D)
+    neg = sign == "negative"
+    img = [v + a for v in backward(vals, cost)] if neg else [v - a for v in forward(vals, cost)]
+    return vf_eq(mode, img, vals, scale=inst.value_scale())
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +285,10 @@ def orbit_walk(
 def u_minus(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> ValueFunction:
     """The least negative weak KAM solution above u, by the closed form."""
     D, _, lo, _ = limits_grid(inst, crit, u)
-    tag = f"u_minus[{u.tag}]" if u.tag else "u_minus"
-    return ValueFunction(from_grid(inst.mode, lo, D), tag=tag)
+    return ValueFunction.on_grid(lo, D, inst.mode, f"u_minus[{u.tag}]" if u.tag else "u_minus")
 
 
 def u_plus(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> ValueFunction:
     """The greatest positive weak KAM solution below u, by the closed form."""
     D, _, _, hi = limits_grid(inst, crit, u)
-    tag = f"u_plus[{u.tag}]" if u.tag else "u_plus"
-    return ValueFunction(from_grid(inst.mode, hi, D), tag=tag)
+    return ValueFunction.on_grid(hi, D, inst.mode, f"u_plus[{u.tag}]" if u.tag else "u_plus")

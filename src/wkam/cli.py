@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .barrier import aubry, peierls_barrier, weak_kam_neg
-from .core import CostInstance, from_grid, make_instance
+from .core import CostInstance, PotentialTable, _instance, from_grid, make_instance
 from .critical import critical_value
 from .models import gen_constant, gen_fk, gen_random, fk_potential_well, load
 from .numbers import InputError, Mode, format_value, parse_value, value_str
@@ -104,9 +104,25 @@ def _parse_gen(spec: str, mode: Mode) -> CostInstance:
 
 
 def _with_mode(inst: CostInstance, mode: Mode) -> CostInstance:
-    if mode.kind == inst.mode.kind and mode.tolerance == inst.mode.tolerance:
+    """The instance in another mode, built from the grids it holds: float
+    to exact coerces every value; to float maps each exact grid entry k to
+    k / D, which rounds correctly, as float(Fraction(k, D)) does."""
+    if mode == inst.mode:
         return inst
-    return make_instance(inst.cost, labels=inst.labels, mode=mode, metric=inst.metric)
+    if mode.exact:
+        metric = None if inst.metric_grid is None else inst.metric_grid.grid
+        return make_instance(inst.cost_grid.grid, inst.labels, mode, metric)
+
+    def retable(t: PotentialTable) -> PotentialTable:
+        if not t.mode.exact:
+            return PotentialTable(t.grid, 1, mode)
+        try:
+            return PotentialTable(tuple(tuple(k / t.scale for k in row) for row in t.grid), 1, mode)
+        except OverflowError as exc:
+            raise InputError("value beyond float range") from exc
+
+    metric = None if inst.metric_grid is None else retable(inst.metric_grid)
+    return _instance(retable(inst.cost_grid), inst.labels, metric)
 
 
 def _load_instance(args) -> CostInstance:

@@ -19,22 +19,21 @@ the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
 ``v * D`` and ``from_grid`` maps back to ``Fraction(k, D)``.  Scaling by a
 positive constant preserves sums and order, so min-plus results on the grid
 are bit-identical to the ``Fraction`` ones, and ``Fraction`` appears only at
-the public API.  Every matrix the solver makes is a ``PotentialTable``: the
-matrix on its own grid ``scale``, turned into values only when its
-``entries`` are read.  Each instance is built that way: it holds its costs
-(``CostInstance.cost_grid``) and its metric on their least grids, the
-generators compute those grids in integers, and ``CostInstance.cost`` is
-converted only when read.  An input that needs a finer grid ``D`` reads
-``table.at(D)``, the grid times ``D // scale``.  Float mode has no grid:
-``D = 1``, ``to_grid`` is the identity, ``from_grid`` divides by ``D``, and a
-table holds its float values as its grid and returns that grid as its
-``entries``, so both modes run the same code.
+the public API.  Every matrix the solver makes is a ``PotentialTable`` and
+every vector a ``ValueFunction``: held on its own grid ``scale``, turned
+into values only when its ``entries`` or ``values`` are read.  Each
+instance holds its costs (``CostInstance.cost_grid``) and its metric that
+way, on their least grids, which the generators compute in integers.  An
+input that needs a finer grid ``D`` reads ``at(D)``, the grid times
+``D // scale``.  Float mode has no grid: ``D = 1``, ``to_grid`` is the
+identity, ``from_grid`` divides by ``D``, and a table or vector holds its
+float values as its grid, so both modes run the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -98,21 +97,80 @@ class CostInstance:
             raise InputError(f"{op} requires a total instance (no +inf costs)")
 
 
-@dataclass(frozen=True)
 class ValueFunction:
-    """One value per point, with a free-form provenance tag."""
+    """One value per point, with a free-form provenance tag.
 
-    values: tuple[Value, ...]
-    tag: str = ""
+    Held the way ``PotentialTable`` holds a matrix: ``grid`` is the vector
+    times ``scale`` in ``mode`` (float mode: scale 1 and the values
+    themselves), and ``values`` is converted on its first read and kept.
+    ``on_grid`` builds from a grid.  ``ValueFunction(values, tag=...)``
+    holds the values; ``grid_in`` puts them on their least grid on its first
+    call, which sets ``grid``, ``scale`` and ``mode``.  Equality and hashing
+    go by values and tag.
+    """
+
+    __slots__ = ("tag", "grid", "scale", "mode", "_values")
+
+    def __init__(self, values: Iterable[Value], tag: str = "") -> None:
+        self._values, self.tag = tuple(values), tag
+        self.grid = self.scale = self.mode = None
+
+    @classmethod
+    def on_grid(cls, grid: Sequence, scale: int, mode: Mode, tag: str = "") -> ValueFunction:
+        """The vector grid / scale, held on its least grid; float mode
+        divides at once and holds the quotients at scale 1."""
+        u = cls.__new__(cls)
+        u.tag, u.mode, u._values = tag, mode, None
+        if not mode.exact:
+            scale, grid = 1, tuple(k / scale for k in grid)
+            u._values = grid
+        elif scale > 1 and INF not in grid and (g := math.gcd(scale, *grid)) > 1:
+            scale, grid = scale // g, tuple(k // g for k in grid)
+        u.grid, u.scale = tuple(grid), scale
+        return u
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = from_grid(self.mode, self.grid, self.scale)
+        return self._values
+
+    def grid_in(self, mode: Mode) -> tuple[tuple, int]:
+        """The grid and its scale in ``mode`` (exact or float)."""
+        if self.mode is not None and self.mode.exact == mode.exact:
+            return self.grid, self.scale
+        vals = [mode.coerce(v) for v in self.values]
+        D = grid_scale(mode, vals)
+        grid = to_grid(mode, vals, D)
+        if self.mode is None:
+            self.grid, self.scale, self.mode = grid, D, mode
+        return grid, D
+
+    def at(self, mode: Mode, D: int) -> tuple:
+        """The vector times D, a multiple of its scale in ``mode``."""
+        grid, scale = self.grid_in(mode)
+        m = D // scale
+        return grid if m == 1 else tuple(v * m for v in grid)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValueFunction):
+            return NotImplemented
+        return self.values == other.values and self.tag == other.tag
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.tag))
+
+    def __repr__(self) -> str:
+        return f"ValueFunction(values={self.values!r}, tag={self.tag!r})"
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.grid if self._values is None else self._values)
 
     def __getitem__(self, i: int) -> Value:
         return self.values[i]
 
     def is_finite(self) -> bool:
-        return not any(is_inf(v) for v in self.values)
+        return not any(is_inf(v) for v in (self.grid if self._values is None else self._values))
 
 
 @dataclass(frozen=True)
@@ -140,10 +198,7 @@ class PotentialTable:
         return self.grid if m == 1 else tuple(tuple(v * m for v in row) for row in self.grid)
 
     def row(self, x: int, tag: str = "") -> ValueFunction:
-        return ValueFunction(self.entries[x], tag=tag)
-
-    def col(self, y: int) -> tuple[Value, ...]:
-        return tuple(row[y] for row in self.entries)
+        return ValueFunction.on_grid(self.grid[x], self.scale, self.mode, tag)
 
 
 def make_instance(
@@ -234,10 +289,6 @@ def as_value_function(inst: CostInstance, values: Sequence[Value], tag: str = ""
     return ValueFunction(tuple(inst.mode.coerce(v) for v in values), tag=tag)
 
 
-def constant_function(inst: CostInstance, k: Value, tag: str = "const") -> ValueFunction:
-    return as_value_function(inst, [k] * inst.n, tag=tag)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -294,6 +345,12 @@ def from_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
     return tuple(k if isinstance(k, float) else Fraction(k, D) for k in values)
 
 
+def ratio(mode: Mode, v: Value) -> tuple[Value, Value]:
+    """(p, q) with v = p / q: integers in exact mode, so that v meets a grid
+    in integers; (v, 1) in float mode and for +inf, which computes as v."""
+    return (v.numerator, v.denominator) if mode.exact and not is_inf(v) else (v, 1)
+
+
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
@@ -301,37 +358,39 @@ def from_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
 def lax_oleinik_neg(inst: CostInstance, u: ValueFunction) -> ValueFunction:
     """Backward operator: result(x) = min_y u(y) + c(y, x)."""
     D, vals, cost = grid_operands(inst, u)
+    tag = f"T-[{u.tag}]" if u.tag else "T-"
+    return ValueFunction.on_grid(backward(vals, cost), D, inst.mode, tag)
+
+
+def backward(vals: Sequence[Value], cost: Matrix) -> list:
+    """min_y vals(y) + cost(y, x) for each x, vals and cost on one grid."""
     out = [min(map(add, vals, col)) for col in zip(*cost)]
-    if any(is_inf(v) for v in out):
+    if INF in out:
         raise InputError("backward update produced +inf (a point has no incoming edge)")
-    return ValueFunction(from_grid(inst.mode, out, D), tag=f"T-[{u.tag}]" if u.tag else "T-")
+    return out
 
 
 def reverse_cost(inst: CostInstance) -> CostInstance:
     """Transpose the cost matrix; everything else is preserved."""
     t = inst.cost_grid
-    return CostInstance(
-        n=inst.n,
-        labels=inst.labels,
-        cost_grid=PotentialTable(tuple(zip(*t.grid)), t.scale, t.mode),
-        mode=inst.mode,
-        metric_grid=inst.metric_grid,
-        total=inst.total,
-    )
+    return replace(inst, cost_grid=PotentialTable(tuple(zip(*t.grid)), t.scale, t.mode))
 
 
 def lax_oleinik_pos(inst: CostInstance, u: ValueFunction) -> ValueFunction:
-    """Forward operator: result(x) = max_y u(y) - c(x, y).
-
-    Computed as -min_y (c(x, y) - u(y)), so a +inf cost never wins and float
-    results, signed zeros included, equal those of the reversal identity.
-    """
+    """Forward operator: result(x) = max_y u(y) - c(x, y)."""
     D, vals, cost = grid_operands(inst, u)
+    tag = f"T+[{u.tag}]" if u.tag else "T+"
+    return ValueFunction.on_grid(forward(vals, cost), D, inst.mode, tag)
+
+
+def forward(vals: Sequence[Value], cost: Matrix) -> list:
+    """max_y vals(y) - cost(x, y) for each x, on one grid, computed as
+    -min_y (cost(x, y) - vals(y)): a +inf cost never wins and float
+    results, signed zeros included, equal those of the reversal identity."""
     low = [min(map(sub, row, vals)) for row in cost]
-    if any(is_inf(v) for v in low):
+    if INF in low:
         raise InputError("forward update produced -inf (a point has no outgoing edge)")
-    out = from_grid(inst.mode, [-v for v in low], D)
-    return ValueFunction(out, tag=f"T+[{u.tag}]" if u.tag else "T+")
+    return [-v for v in low]
 
 
 def cost_power(inst: CostInstance, n: int) -> PotentialTable:
@@ -353,16 +412,14 @@ def grid_operands(
     inst: CostInstance, u: ValueFunction, base: int = 1
 ) -> tuple[int, tuple, Matrix]:
     """Check u, then put u and the costs on one grid D, the least multiple
-    of ``base`` and of the costs' D0 that u needs: (D, u * D, c * D)."""
-    if len(u.values) != inst.n:
-        raise InputError(f"function length {len(u.values)} != {inst.n} points")
+    of ``base``, of the costs' D0 and of u's scale: (D, u * D, c * D)."""
+    if len(u) != inst.n:
+        raise InputError(f"function length {len(u)} != {inst.n} points")
     if not u.is_finite():
         raise InputError("value function must be finite everywhere")
-    mode = inst.mode
-    vals = [mode.coerce(v) for v in u.values]
     t = inst.cost_grid
-    D = grid_scale(mode, vals, math.lcm(base, t.scale))
-    return D, to_grid(mode, vals, D), t.at(D)
+    D = math.lcm(base, t.scale, u.grid_in(inst.mode)[1])
+    return D, u.at(inst.mode, D), t.at(D)
 
 
 # ---------------------------------------------------------------------------

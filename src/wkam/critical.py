@@ -23,8 +23,8 @@ itself).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -33,7 +33,6 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
-    as_value_function,
     from_grid,
     grid_scale,
     kleene_plus,
@@ -212,22 +211,20 @@ def is_dominated(
     """Check u(y) - u(x) <= c(x, y) + alpha for all pairs; witness on failure."""
     mode = inst.mode
     alpha = mode.coerce(alpha)
-    values = [mode.coerce(v) for v in u.values]
     t = inst.cost_grid
-    D = grid_scale(mode, chain(values, (alpha,)), t.scale)
+    D = grid_scale(mode, (alpha,), math.lcm(t.scale, u.grid_in(mode)[1]))
     (a,) = to_grid(mode, (alpha,), D)
-    hit = _undominated(mode, to_grid(mode, values, D), t.at(D), a, inst.value_scale())
+    hit = _undominated(mode, u.at(mode, D), t.at(D), a, inst.value_scale())
     return DominationResult(hit is None, hit)
 
 
 def _dominated_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple[int, list]:
-    """D and u * D on the kernel's grid refined to u's denominators, after
+    """D and u * D on the kernel's grid refined to u's scale, after
     checking u against ``crit.kernel.at(D)``, (c + alpha0) * D: InputError
     unless u is dominated at alpha0."""
     mode = inst.mode
-    vals = [mode.coerce(v) for v in u.values]
-    D = grid_scale(mode, vals, crit.kernel.scale)
-    start = list(to_grid(mode, vals, D))
+    D = math.lcm(crit.kernel.scale, u.grid_in(mode)[1])
+    start = list(u.at(mode, D))
     if _undominated(mode, start, crit.kernel.at(D), 0, inst.value_scale()) is not None:
         raise InputError("function is not dominated at the critical constant")
     return D, start
@@ -281,7 +278,7 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
             if dist[u] + w[u][v] < dist[v] - margin:
                 pred[v] = u
                 return SubsolutionResult(False, None, _trace_cycle(pred, v, n))
-    u_fn = as_value_function(inst, from_grid(mode, dist, D), tag=f"subsolution(alpha={alpha})")
+    u_fn = ValueFunction.on_grid(dist, D, mode, f"subsolution(alpha={alpha})")
     return SubsolutionResult(True, u_fn, None)
 
 

@@ -37,9 +37,11 @@ from .core import (
     ValueFunction,
     _freeze,
     _instance,
+    from_grid,
     grid_scale,
     make_instance,
     minplus_product,
+    ratio,
     to_grid,
 )
 from .numbers import (
@@ -262,27 +264,26 @@ def _reconstruct_chain(step, hops, x, y, bound) -> tuple[int, ...]:
 def growth_C(inst: CostInstance, k: Value) -> Value:
     """Tight super-linearity defect: C(k) = max over pairs of k*d - c."""
     _need_metric(inst)
-    vals = []
-    for x in range(inst.n):
-        for y in range(inst.n):
-            if is_inf(inst.cost[x][y]):
-                continue
-            vals.append(k * inst.metric[x][y] - inst.cost[x][y])
-    return max(vals)
+    mode = inst.mode
+    p, q = ratio(mode, mode.coerce(k))
+    t, d = inst.cost_grid, inst.metric_grid
+    E = math.lcm(t.scale, d.scale)
+    pairs = zip(chain.from_iterable(t.at(E)), chain.from_iterable(d.at(E)))
+    top = max(p * dv - q * cv for cv, dv in pairs if not is_inf(cv))
+    return from_grid(mode, (top,), q * E)[0]
 
 
 def growth_A(inst: CostInstance, R: Value) -> Value:
     """Tight uniform bound: A(R) = max cost over pairs within distance R."""
     _need_metric(inst)
-    vals = [
-        inst.cost[x][y]
-        for x in range(inst.n)
-        for y in range(inst.n)
-        if inst.metric[x][y] <= R and not is_inf(inst.cost[x][y])
-    ]
+    mode = inst.mode
+    p, q = ratio(mode, mode.coerce(R))
+    t, d = inst.cost_grid, inst.metric_grid
+    pairs = zip(chain.from_iterable(t.grid), chain.from_iterable(d.grid))
+    vals = [cv for cv, dv in pairs if dv * q <= p * d.scale and not is_inf(cv)]
     if not vals:
         raise InputError(f"no pair within distance {R}")
-    return max(vals)
+    return from_grid(mode, (max(vals),), t.scale)[0]
 
 
 class LipschitzResult(NamedTuple):
@@ -293,14 +294,18 @@ class LipschitzResult(NamedTuple):
 def lipschitz_large_check(
     inst: CostInstance, u: ValueFunction, k: Value, b: Value
 ) -> LipschitzResult:
-    """Check |u(x) - u(y)| <= k*d(x,y) + b over all pairs."""
+    """Check |u(x) - u(y)| <= k*d(x,y) + b over all pairs, on one grid E."""
     _need_metric(inst)
     mode = inst.mode
+    k, b = mode.coerce(k), mode.coerce(b)
+    d = inst.metric_grid
+    E = grid_scale(mode, (b,), math.lcm(u.grid_in(mode)[1], d.scale * grid_scale(mode, (k,))))
+    (kk,), (bb,) = to_grid(mode, (k,), E // d.scale), to_grid(mode, (b,), E)
+    g = u.at(mode, E)
     scale = inst.value_scale()
-    for x in range(inst.n):
-        for y in range(inst.n):
-            gap = abs(u.values[x] - u.values[y])
-            if not mode.le(gap, k * inst.metric[x][y] + b, scale=scale):
+    for x, drow in enumerate(d.grid):
+        for y, dv in enumerate(drow):
+            if not mode.le(abs(g[x] - g[y]), kk * dv + bb, scale=scale):
                 return LipschitzResult(False, (x, y))
     return LipschitzResult(True, None)
 
@@ -338,22 +343,20 @@ def check_apriori(
 ) -> AprioriResult:
     """Every point's backward-update argmin sits within the a-priori radius."""
     _need_metric(inst)
-    D = apriori_radius(inst, alpha, B, K)
-    if D is None:
+    R = apriori_radius(inst, alpha, B, K)
+    if R is None:
         return AprioriResult(True, None, None)
-    for x in range(inst.n):
-        best = None
-        arg = None
-        for y in range(inst.n):
-            if is_inf(inst.cost[y][x]):
-                continue
-            v = u.values[y] + inst.cost[y][x]
-            if best is None or v < best:
-                best = v
-                arg = y
-        if arg is not None and inst.metric[x][arg] > D:
-            return AprioriResult(False, D, (x, arg))
-    return AprioriResult(True, D, None)
+    mode = inst.mode
+    p, q = ratio(mode, R)
+    t, d = inst.cost_grid, inst.metric_grid
+    E = math.lcm(t.scale, u.grid_in(mode)[1])
+    vals = u.at(mode, E)
+    for x, col in enumerate(zip(*t.at(E))):
+        ys = (y for y in range(inst.n) if not is_inf(col[y]))
+        arg = min(ys, key=lambda y: vals[y] + col[y], default=None)
+        if arg is not None and d.grid[x][arg] * q > p * d.scale:
+            return AprioriResult(False, R, (x, arg))
+    return AprioriResult(True, R, None)
 
 
 def _need_metric(inst: CostInstance) -> None:

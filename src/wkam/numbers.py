@@ -47,13 +47,6 @@ def is_inf(x: Value) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
-def neg(x: Value) -> Value:
-    """Negate a finite value; negating +inf would create -inf and raises."""
-    if is_inf(x):
-        raise InputError("cannot negate +inf (-inf is unrepresentable)")
-    return -x
-
-
 @dataclass(frozen=True)
 class Mode:
     """Numeric mode: ``exact`` (rational) or ``float`` (tolerance eps)."""

@@ -10,17 +10,17 @@ zero cycles are the least ones: the per-vertex minimum reduced weight comes
 from the same totals, and a backward subset DP of least reduced returns
 gives, through each DP state and edge, the least reduced weight of the
 cycles that run through it, hence the vertices and edges of the zero
-cycles, with no cycle listed.  Chain costs come from
-recursive enumeration, the barrier from the eventual periodicity of reduced
-min-plus powers, and the per-function Aubry sets from reachability in the
-tight-edge graph.  A failed check always carries a concrete witness.
+cycles, with no cycle listed.  The barrier comes from the eventual
+periodicity of reduced min-plus powers, and the per-function Aubry sets from
+reachability in the tight-edge graph.  A failed check always carries a
+concrete witness.
 
-The harness computes on the integer grid of ``core``.  ``verify_all`` puts
-the costs, alpha0, the powers and tables it compares, the barrier under test
-and the sampled functions on one common denominator, so each entrywise
-identity compares integers; float mode runs the same code with D = 1.
-``Fraction`` remains only in the values public functions return and in
-witness text.  An inequality lhs <= a (x) b + s over X x X x X is decided
+The harness computes on the integer grid of ``core``: the tables on the
+kernel's grid (refined to a claimed barrier), what meets the samples on the
+samples' finer grid, and the value functions the solver returns on their
+own grids, so each identity compares integers; float mode runs the same code
+with D = 1.  ``Fraction`` remains in witness text and a few scalars.  An
+inequality lhs <= a (x) b + s over X x X x X is decided
 row by row against one min-plus product; only a failing row is scanned
 entry by entry, for the first witness (x, y, z) of the loop it replaces.
 
@@ -35,6 +35,7 @@ on their own row), and the alternation of u_minus and u_plus, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -64,6 +65,7 @@ from .core import (
     lax_oleinik_neg,
     lax_oleinik_pos,
     minplus_product,
+    ratio,
     reverse_cost,
     to_grid,
     vf_eq,
@@ -82,7 +84,11 @@ from .subsolution import (
 )
 
 CYCLE_GUARD = 10
-WALK_GUARD = 6
+# Most entry additions the liminf oracle may make without a horizon (n^3 a
+# power): 125000 powers at n = 2 and 1000 at n = 10, which take about 1.3 s
+# and 0.2 s with CPython 3.11 on one core of a 2-vCPU VM.  (At n = 1 the
+# reduced matrix is [[0]], whose powers repeat at once.)
+_LIMINF_WORK_LIMIT = 10**6
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -296,81 +302,70 @@ def enum_zero_cycles(inst: CostInstance) -> AubryData:
     )
 
 
-def enum_walks(inst: CostInstance, x: int, y: int, n: int) -> Value:
-    """n-step chain cost by bare recursive enumeration (small sizes only)."""
-    _guard(inst.n, WALK_GUARD, "walk enumeration")
-    _guard(n, WALK_GUARD, "walk enumeration length")
-    if n < 1:
-        raise SizeGuardError("walk length must be >= 1")
-    cost = inst.cost
-    best: list[Value] = [INF]
-
-    def rec(v: int, steps: int, acc: Value) -> None:
-        if steps == n:
-            if v == y and acc < best[0]:
-                best[0] = acc
-            return
-        for z in range(inst.n):
-            w = cost[v][z]
-            if is_inf(w):
-                continue
-            rec(z, steps + 1, acc + w)
-
-    rec(x, 0, inst.mode.coerce(0))
-    return best[0]
-
-
 # ---------------------------------------------------------------------------
 # liminf of reduced powers
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LiminfReport:
-    matrix: Matrix
+    table: PotentialTable
     stabilized: bool
-    transient: int = 0
     period: int = 0
     powers_used: int = 0
 
+    @property
+    def matrix(self) -> Matrix:
+        return self.table.entries
 
-def liminf_barrier_bounded(inst: CostInstance, crit: CriticalData, N: int) -> LiminfReport:
+
+def liminf_barrier_bounded(
+    inst: CostInstance, crit: CriticalData, N: Optional[int] = None
+) -> LiminfReport:
     """Tail-minimum of reduced powers, with explicit stabilization.
 
-    The reduced matrix powers R^k, taken on the kernel's integer grid,
-    become eventually periodic; once a repeat R^(t) = R^(t+p) is seen, the
-    limiting tail minimum is the entrywise min over one full period, which
-    is exactly the barrier.  Without a repeat within N powers the report is
-    flagged unstabilized and carries the minimum over the last window.
+    The reduced matrix powers R^1, R^2, ..., taken on the kernel's integer
+    grid, become eventually periodic, R^(t+p) = R^t from a transient t on;
+    the limiting tail minimum, the entrywise min over one period, is exactly
+    the barrier.  Brent's cycle detection (1980) finds the period p with two
+    powers and a running minimum held: when the hare meets the tortoise, its
+    powers since the tortoise last moved make up one period.  A horizon N
+    asks for the first repeat R^(t+p) within N powers: the search stops at
+    3N powers, which reach every such repeat, and a second pass finds t;
+    without one the report is flagged unstabilized and carries the last
+    power.  Without a horizon, the search may take ``_LIMINF_WORK_LIMIT / n^3``
+    powers and raises ``SizeGuardError`` when it has taken them.
     """
-    if N < 2:
+    if N is not None and N < 2:
         raise SizeGuardError("need N >= 2")
     inst.require_total("liminf oracle")
-    mode = inst.mode
-    scale = inst.value_scale()
-    red = crit.kernel.grid
+    mode, scale, red, D = inst.mode, inst.value_scale(), crit.kernel.grid, crit.kernel.scale
 
-    def window_min(window: list[Matrix]) -> Matrix:
-        return tuple(
-            from_grid(mode, map(min, zip(*(w[i] for w in window))), crit.kernel.scale)
-            for i in range(inst.n)
-        )
+    def same(a: Matrix, b: Matrix) -> bool:
+        return all(vf_eq(mode, x, y, scale=scale) for x, y in zip(a, b))
 
-    powers: list[Matrix] = [red]
-    for k in range(1, N):
-        nxt = minplus_product(powers[-1], red)
-        for t, old in enumerate(powers):
-            if all(vf_eq(mode, ra, rb, scale=scale) for ra, rb in zip(old, nxt)):
-                period = (k + 1) - (t + 1)
-                return LiminfReport(
-                    matrix=window_min(powers[t : t + period]),
-                    stabilized=True,
-                    transient=t + 1,
-                    period=period,
-                    powers_used=k + 1,
-                )
-        powers.append(nxt)
-    window = powers[max(0, len(powers) - inst.n) :]
-    return LiminfReport(matrix=window_min(window), stabilized=False, powers_used=len(powers))
+    limit = 3 * N if N is not None else max(2, _LIMINF_WORK_LIMIT // inst.n**3)
+    tortoise = hare = red
+    power, period, used, low = 1, 0, 1, red
+    while not (period and same(tortoise, hare)):
+        if used == limit:
+            if N is None:
+                what = f"found no repeat in {limit} powers at n = {inst.n}"
+                raise SizeGuardError(f"liminf oracle {what}")
+            return LiminfReport(PotentialTable(hare, D, mode), False, powers_used=used)
+        if period == power:
+            tortoise, power, period = hare, 2 * power, 0
+        hare, period, used = minplus_product(hare, red), period + 1, used + 1
+        low = hare if period == 1 else tuple(tuple(map(min, a, b)) for a, b in zip(low, hare))
+    if N is not None:  # the least t with R^t = R^(t+p)
+        a, b, t = red, red, 1
+        for _ in range(period):
+            b = minplus_product(b, red)
+        while not same(a, b):
+            a, b, t = minplus_product(a, red), minplus_product(b, red), t + 1
+        used += period + 2 * (t - 1)
+        if t + period > N:
+            return LiminfReport(PotentialTable(b, D, mode), False, powers_used=used)
+    return LiminfReport(PotentialTable(low, D, mode), True, period, used)
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +374,13 @@ def liminf_barrier_bounded(inst: CostInstance, crit: CriticalData, N: int) -> Li
 
 def tight_graph(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> list[list[int]]:
     """Adjacency of the edges where domination is tight for u."""
-    mode = inst.mode
-    scale = inst.value_scale()
+    mode, scale, pts = inst.mode, inst.value_scale(), range(inst.n)
     D, g, c = grid_operands(inst, u, crit.kernel.scale)
     (a0,) = to_grid(mode, (crit.alpha0,), D)
-    adj: list[list[int]] = [[] for _ in range(inst.n)]
-    for a in range(inst.n):
-        for b in range(inst.n):
-            r = c[a][b]
-            if is_inf(r):
-                continue
-            if mode.eq(g[b] - g[a], r + a0, scale=scale):
-                adj[a].append(b)
-    return adj
+    return [
+        [b for b in pts if not is_inf(c[a][b]) and mode.eq(g[b] - g[a], c[a][b] + a0, scale=scale)]
+        for a in pts
+    ]
 
 
 def aubry_chain_sets(
@@ -411,27 +400,10 @@ def aubry_chain_sets(
     for a in range(n):
         for b in adj[a]:
             radj[b].append(a)
-    on_cycle = [False] * n
-    for s in range(n):
-        seen = [False] * n
-        stack = list(adj[s])
-        while stack:
-            v = stack.pop()
-            if v == s:
-                on_cycle[s] = True
-                break
-            if seen[v]:
-                continue
-            seen[v] = True
-            stack.extend(adj[v])
-    from_cycle = _reach([v for v in range(n) if on_cycle[v]], adj, n)
-    to_cycle = _reach([v for v in range(n) if on_cycle[v]], radj, n)
+    on_cycle = [v for v in range(n) if _reach(adj[v], adj, n)[v]]
+    from_cycle, to_cycle = _reach(on_cycle, adj, n), _reach(on_cycle, radj, n)
     vertices = tuple(v for v in range(n) if from_cycle[v] and to_cycle[v])
-    edges = []
-    for a in range(n):
-        for b in adj[a]:
-            if from_cycle[a] and to_cycle[b]:
-                edges.append((a, b))
+    edges = ((a, b) for a in range(n) for b in adj[a] if from_cycle[a] and to_cycle[b])
     return vertices, tuple(sorted(edges))
 
 
@@ -464,38 +436,31 @@ def subsolution_sampler(
     """Seeded dominated functions: random positive mixes of potential rows,
     barrier rows and the Bellman-Ford sub-solution, plus a constant."""
     rng = Random(seed)
+    mode = inst.mode
     if phi is None:
         phi = mane_potential(inst, crit)
     if bar is None:
         bar = peierls_barrier(inst, crit)
-    base: list[tuple[Value, ...]] = []
-    for x in range(inst.n):
-        base.append(phi.entries[x])
-        base.append(bar.h.entries[x])
+    base = [t.row(x) for x in range(inst.n) for t in (phi, bar.h)]
     sol = solve_subsolution(inst, crit.alpha0)
     if sol.feasible and sol.u is not None:
-        base.append(sol.u.values)
+        base.append(sol.u)
+    D = math.lcm(*(u.grid_in(mode)[1] for u in base))  # integer weights, one division
+    cols = list(zip(*(u.at(mode, D) for u in base)))
     out = []
-    exact = inst.mode.exact
-    if exact:  # base columns on one grid D: integer weights, one division
-        D = grid_scale(inst.mode, chain.from_iterable(base))
-        cols = list(zip(*(to_grid(inst.mode, b, D) for b in base)))
     for k in range(count):
         raw = [rng.randint(0, 3) for _ in base]
         if sum(raw) == 0:
             raw[rng.randrange(len(raw))] = 1
         total = sum(raw)
-        if exact:
-            shift = Fraction(rng.randint(-8, 8), 4)
-            vals = [Fraction(sum(map(mul, raw, col)), D * total) + shift for col in cols]
+        if mode.exact:  # the mix plus a shift of s / 4
+            s, scale = rng.randint(-8, 8), 4 * D * total
+            grid = [4 * sum(map(mul, raw, col)) + s * D * total for col in cols]
         else:
-            weights = [r / total for r in raw]
+            weights, scale = [r / total for r in raw], 1
             shift = rng.uniform(-2.0, 2.0)
-            vals = [
-                sum(w * b[i] for w, b in zip(weights, base)) + shift
-                for i in range(inst.n)
-            ]
-        out.append(ValueFunction(tuple(vals), tag=f"sample[{seed}:{k}]"))
+            grid = [sum(w * b for w, b in zip(weights, col)) + shift for col in cols]
+        out.append(ValueFunction.on_grid(grid, scale, mode, f"sample[{seed}:{k}]"))
     return out
 
 
@@ -527,12 +492,15 @@ class _Workspace:
     """Everything verify_all needs, computed once.
 
     The tables the checks compare entrywise live on one integer grid D (see
-    ``core``): the least common multiple of the denominators of the costs,
-    alpha0, the samples and the barrier under test.  ``c``, ``r``, ``p``
-    and ``h`` are the cost, reduced, Mane potential and barrier matrices
-    times D, ``a`` is alpha0 times D and ``grid_samples`` the samples times
-    D.  Float mode has D = 1, so both modes run the same checks.  ``rev``
-    is the reversed instance, shared by the reversal and jump checks.
+    ``core``): the kernel's grid, refined to the denominators of a claimed
+    barrier.  ``c``, ``r``, ``p`` and ``h`` are the cost, reduced, Mane
+    potential and barrier matrices times D, ``a`` is alpha0 times D, and
+    the raw powers and the phi tables are on D too.  The checks that take
+    samples compare on the finer grid Ds, D refined to the samples' scales:
+    ``grid_samples`` are the samples times Ds, ``fine(t)`` is a table t of D
+    times Ds / D, and ``grids`` puts value functions on one grid.  Float
+    mode has D = Ds = 1, so both modes run the same checks.  ``rev`` is the
+    reversed instance, shared by the reversal and jump checks.
     """
 
     def __init__(
@@ -558,14 +526,12 @@ class _Workspace:
         self.samples = subsolution_sampler(
             inst, self.crit, seed, samples, phi=self.phi, bar=self.bar
         )
-        self.horizon = 4 * inst.n * inst.n + 8 if horizon is None else horizon
+        self.horizon = horizon
         self.rng = Random(seed + 1)
-        values = chain.from_iterable(u.values for u in self.samples)
         claimed = None
         if barrier_override is not None:
             claimed = tuple(tuple(mode.coerce(v) for v in row) for row in barrier_override)
-            values = chain(values, *claimed)
-        self.D = D = grid_scale(mode, values, self.crit.kernel.scale)
+        self.D = D = grid_scale(mode, chain.from_iterable(claimed or ()), self.crit.kernel.scale)
         (self.a,) = to_grid(mode, (self.crit.alpha0,), D)
         self.c = inst.cost_grid.at(D)
         self.r = self.crit.kernel.at(D)
@@ -573,7 +539,8 @@ class _Workspace:
         self.h = self.bar.h.at(D)
         # the barrier itself when there is no override, so products are shared
         self.h_claimed = self.h if claimed is None else tuple(to_grid(mode, r, D) for r in claimed)
-        self.grid_samples = [to_grid(mode, u.values, D) for u in self.samples]
+        self.Ds = math.lcm(D, *(u.grid_in(mode)[1] for u in self.samples))
+        self.grid_samples = [u.at(mode, self.Ds) for u in self.samples]
         self._raw_powers: dict[int, Matrix] = {1: self.c}
         self._phi_tables: dict[int, Matrix] = {1: self.phi1.at(D)}
         self._products: dict[tuple[int, int], tuple[Matrix, Matrix, Matrix]] = {}
@@ -606,6 +573,17 @@ class _Workspace:
             self._products[key] = (a, b, minplus_product(a, b))
         return self._products[key][2]
 
+    def fine(self, t: Matrix) -> Matrix:
+        """A table t of D times Ds / D; it follows a table that replaces h."""
+        m = self.Ds // self.D
+        return t if m == 1 else tuple(tuple(v * m for v in row) for row in t)
+
+    def grids(self, *fns: ValueFunction) -> tuple:
+        """(E, alpha0 * E, u * E for each u) for E the least multiple of D
+        and of the scales of ``fns``."""
+        E = math.lcm(self.D, *(u.grid_in(self.mode)[1] for u in fns))
+        return (E, self.a * (E // self.D), *(u.at(self.mode, E) for u in fns))
+
     def first_pair(self, bad: Callable[[int, int], bool]) -> Optional[tuple[int, int]]:
         """The first pair (x, y), in row-major order, with bad(x, y)."""
         pts = range(self.inst.n)
@@ -631,17 +609,19 @@ class _Workspace:
                             return x, y, z, i
         return None
 
-    def orbit(self, table: Matrix, steps: int, forward: bool) -> list[Matrix]:
+    def orbit(self, table: Matrix, steps: int, forward: bool, fine: bool = False) -> list[Matrix]:
         """Iterates 1..steps of u -> T- u + alpha0, or with ``forward`` of
-        u -> T+ u - alpha0, on every row u of ``table``, one min-plus product
-        per step: T- u = u (x) c and T+ u (w) = -((-u) (x) c^T)(w)."""
-        a, cT, out = self.a, tuple(zip(*self.c)), []
+        u -> T+ u - alpha0, on every row u of ``table`` (of Ds with ``fine``,
+        else of D), one min-plus product per step: T- u = u (x) c and
+        T+ u (w) = -((-u) (x) c^T)(w)."""
+        c, a = (self.fine(self.c), self.a * (self.Ds // self.D)) if fine else (self.c, self.a)
+        cT, out = tuple(zip(*c)), []
         for _ in range(steps):
             if forward:
                 low = minplus_product(tuple(tuple(-v for v in row) for row in table), cT)
                 table = tuple(tuple(-v - a for v in row) for row in low)
             else:
-                table = tuple(tuple(v + a for v in row) for row in minplus_product(table, self.c))
+                table = tuple(tuple(v + a for v in row) for row in minplus_product(table, c))
             out.append(table)
         return out
 
@@ -649,6 +629,20 @@ class _Workspace:
         if self._max_strict is None:
             self._max_strict = max_strict_subsolution(self.inst, self.crit)
         return self._max_strict
+
+
+def _shift(ws: _Workspace, u: ValueFunction, k: Value) -> ValueFunction:
+    """u + k, on u's grid refined to k's denominator."""
+    p, q = ratio(ws.mode, k)
+    E, _, g = ws.grids(u)
+    return ValueFunction.on_grid([q * v + p * E for v in g], q * E, ws.mode)
+
+
+def _mix(ws: _Workspace, u: ValueFunction, v: ValueFunction, t: Value, q: int) -> ValueFunction:
+    """(t u + (q - t) v) / q: with t = k / q in exact mode, or a float t and
+    q = 1, the convex mix (t/q) u + (1 - t/q) v."""
+    E, _, gu, gv = ws.grids(u, v)
+    return ValueFunction.on_grid([t * a + (q - t) * b for a, b in zip(gu, gv)], q * E, ws.mode)
 
 
 def verify_all(
@@ -667,60 +661,13 @@ def verify_all(
     _guard(inst.n, CYCLE_GUARD, "verify_all")
     inst.require_total("verify_all")
     ws = _Workspace(inst, seed, samples, horizon, barrier_override)
-    checks: list[CheckResult] = []
-    run = checks.append
-
-    run(_check_semigroup_law(ws))
-    run(_check_monotonicity(ws))
-    run(_check_constant_commutation(ws))
-    run(_check_reversal(ws))
-
-    run(_check_alpha0_vs_cycles(ws))
-    run(_check_witness_cycle(ws))
-    run(_check_alpha0_lower_bound(ws))
-    run(_check_T_preserves_domination(ws))
-    run(_check_convexity(ws))
-    run(_check_subsolution_feasibility(ws))
-
-    run(_check_potential_axioms(ws))
-    run(_check_sup_representation(ws))
-    run(_check_phi_vs_phi1(ws))
-    run(_check_phi_recursion(ws))
-    run(_check_vanish(ws))
-    run(_check_iterated_vanish(ws))
-    run(_check_rows_cols_dominated(ws))
-    run(_check_jumps(ws))
-
-    run(_check_barrier_fixed_points(ws))
-    run(_check_barrier_vs_liminf(ws))
-    run(_check_barrier_closed_form(ws, ws.h_claimed))
-    run(_check_barrier_triangle(ws, ws.h_claimed))
-    run(_check_hh_suite(ws, ws.h_claimed))
-    run(_check_min_formula(ws))
-    run(_check_representation(ws))
-    run(_check_u_limits_extremal(ws))
-    run(_check_phi_orbit_identity(ws))
-    run(_check_conjugation(ws))
-    run(_check_lemma_quadruple(ws))
-    run(_check_aubry_invariance(ws))
-    run(_check_aubry_four_way(ws))
-
-    run(_check_strict_dichotomy(ws))
-    run(_check_tightness_propagates(ws))
-    run(_check_convex_calibration(ws))
-    run(_check_in_between(ws))
-    run(_check_strict_pattern(ws))
-    run(_check_max_strict_pattern(ws))
-
-    if inst.metric_grid is not None:
-        run(_check_lipschitz(ws))
-        run(_check_apriori(ws))
-
+    metric = _METRIC_CHECKS if inst.metric_grid is not None else ()
+    checks = tuple(check(ws) for check in _CHECKS + metric)
     summary = (
         f"n={inst.n} mode={inst.mode.kind} total={inst.total} "
         f"alpha0={ws.crit.alpha0} aubry={[inst.labels[v] for v in ws.aub.vertices]}"
     )
-    return OracleReport(summary=summary, checks=tuple(checks))
+    return OracleReport(summary=summary, checks=checks)
 
 
 # --- tropical ---------------------------------------------------------------
@@ -745,12 +692,12 @@ def _check_monotonicity(ws: _Workspace) -> CheckResult:
     for u in ws.samples[:5]:
         bump = [abs(ws.rng.randint(0, 4)) for _ in range(inst.n)]
         if inst.mode.exact:
-            v = ValueFunction(tuple(a + Fraction(d, 2) for a, d in zip(u.values, bump)))
+            E, _, g = ws.grids(u)
+            v = ValueFunction.on_grid([2 * a + d * E for a, d in zip(g, bump)], 2 * E, ws.mode)
         else:
             v = ValueFunction(tuple(a + d / 2 for a, d in zip(u.values, bump)))
-        tu = lax_oleinik_neg(inst, u)
-        tv = lax_oleinik_neg(inst, v)
-        if not vf_le(ws.mode, tu.values, tv.values, scale=ws.scale):
+        _, _, tu, tv = ws.grids(lax_oleinik_neg(inst, u), lax_oleinik_neg(inst, v))
+        if not vf_le(ws.mode, tu, tv, scale=ws.scale):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
 
@@ -760,10 +707,9 @@ def _check_constant_commutation(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     k = Fraction(7, 4) if inst.mode.exact else 1.75
     for u in ws.samples[:5]:
-        shifted = ValueFunction(tuple(v + k for v in u.values))
-        lhs = lax_oleinik_neg(inst, shifted).values
-        rhs = tuple(v + k for v in lax_oleinik_neg(inst, u).values)
-        if not vf_eq(ws.mode, lhs, rhs, scale=ws.scale):
+        lhs = lax_oleinik_neg(inst, _shift(ws, u, k))
+        rhs = _shift(ws, lax_oleinik_neg(inst, u), k)
+        if not vf_eq(ws.mode, *ws.grids(lhs, rhs)[2:], scale=ws.scale):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
 
@@ -772,10 +718,10 @@ def _check_reversal(ws: _Workspace) -> CheckResult:
     name = "tropical.reversal_identity"
     inst = ws.inst
     for u in ws.samples[:5]:
-        direct = lax_oleinik_pos(inst, u).values
-        neg_u = ValueFunction(tuple(-v for v in u.values))
-        via_reversal = tuple(-v for v in lax_oleinik_neg(ws.rev, neg_u).values)
-        if not vf_eq(ws.mode, direct, via_reversal, scale=ws.scale):
+        E, _, g = ws.grids(u)
+        neg_u = ValueFunction.on_grid([-v for v in g], E, ws.mode)
+        _, _, direct, via = ws.grids(lax_oleinik_pos(inst, u), lax_oleinik_neg(ws.rev, neg_u))
+        if not vf_eq(ws.mode, direct, [-v for v in via], scale=ws.scale):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
 
@@ -791,20 +737,19 @@ def _check_alpha0_vs_cycles(ws: _Workspace) -> CheckResult:
 def _check_witness_cycle(ws: _Workspace) -> CheckResult:
     name = "critical.witness_cycle_mean"
     cyc = ws.crit.witness_cycle
-    total = ws.inst.mode.coerce(0)
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        total = total + ws.inst.cost[a][b]
-    mean = total / len(cyc)
+    total = sum(ws.c[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    (mean,) = from_grid(ws.mode, (total,), len(cyc) * ws.D)
     ok = ws.mode.eq(mean, -ws.crit.alpha0, scale=ws.scale)
     return CheckResult(name, ok, "" if ok else f"cycle {cyc} mean {mean}")
 
 
 def _check_alpha0_lower_bound(ws: _Workspace) -> CheckResult:
     name = "critical.alpha0_lower_bound"
-    inst = ws.inst
-    bound = max(-inst.cost[x][x] for x in range(inst.n) if not is_inf(inst.cost[x][x]))
-    ok = ws.mode.le(bound, ws.crit.alpha0, scale=ws.scale)
-    return CheckResult(name, ok, "" if ok else f"alpha0 {ws.crit.alpha0} < {bound}")
+    bound = max(-row[x] for x, row in enumerate(ws.c) if not is_inf(row[x]))
+    if ws.mode.le(bound, ws.a, scale=ws.scale):
+        return CheckResult(name, True)
+    (bound,) = from_grid(ws.mode, (bound,), ws.D)
+    return CheckResult(name, False, f"alpha0 {ws.crit.alpha0} < {bound}")
 
 
 def _check_T_preserves_domination(ws: _Workspace) -> CheckResult:
@@ -813,8 +758,7 @@ def _check_T_preserves_domination(ws: _Workspace) -> CheckResult:
     for u in ws.samples:
         if not is_dominated(inst, u, ws.crit.alpha0).ok:
             return CheckResult(name, False, f"sampler produced non-dominated {u.tag}")
-        img = lax_oleinik_neg(inst, u)
-        shifted = ValueFunction(tuple(v + ws.crit.alpha0 for v in img.values))
+        shifted = _shift(ws, lax_oleinik_neg(inst, u), ws.crit.alpha0)
         res = is_dominated(inst, shifted, ws.crit.alpha0)
         if not res.ok:
             return CheckResult(name, False, f"{u.tag} -> pair {res.witness}")
@@ -826,16 +770,8 @@ def _check_convexity(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     pairs = list(zip(ws.samples, ws.samples[1:]))[:10]
     for u, v in pairs:
-        if inst.mode.exact:
-            t = Fraction(ws.rng.randint(1, 7), 8)
-            one = Fraction(1)
-        else:
-            t = ws.rng.uniform(0.1, 0.9)
-            one = 1.0
-        mix = ValueFunction(
-            tuple(t * a + (one - t) * b for a, b in zip(u.values, v.values))
-        )
-        res = is_dominated(inst, mix, ws.crit.alpha0)
+        t, q = (ws.rng.randint(1, 7), 8) if inst.mode.exact else (ws.rng.uniform(0.1, 0.9), 1)
+        res = is_dominated(inst, _mix(ws, u, v, t, q), ws.crit.alpha0)
         if not res.ok:
             return CheckResult(name, False, f"{u.tag}+{v.tag} pair {res.witness}")
     return CheckResult(name, True)
@@ -852,11 +788,9 @@ def _check_subsolution_feasibility(ws: _Workspace) -> CheckResult:
     if below.feasible:
         return CheckResult(name, False, "feasible below alpha0")
     cyc = below.negative_cycle
-    total = sum(
-        inst.cost[a][b] + ws.crit.alpha0 - one
-        for a, b in zip(cyc, cyc[1:] + cyc[:1])
-    )
+    total = sum(ws.c[a][b] + ws.a - ws.D for a, b in zip(cyc, cyc[1:] + cyc[:1]))
     if not ws.mode.lt(total, 0, scale=ws.scale):
+        (total,) = from_grid(ws.mode, (total,), ws.D)
         return CheckResult(name, False, f"witness cycle {cyc} not negative: {total}")
     return CheckResult(name, True)
 
@@ -882,19 +816,18 @@ def _check_potential_axioms(ws: _Workspace) -> CheckResult:
 def _check_sup_representation(ws: _Workspace) -> CheckResult:
     name = "potential.sup_representation"
     inst = ws.inst
-    p = ws.p
+    p = ws.fine(ws.p)
     for u, g in zip(ws.samples, ws.grid_samples):
         hit = ws.first_pair(lambda x, y: not ws.mode.le(g[y] - g[x], p[x][y], scale=ws.scale))
         if hit is not None:
             return CheckResult(name, False, "{} at ({},{})".format(u.tag, *hit))
-    # any function below the potential in increments is dominated
+    # any function below the potential in increments is dominated: the
+    # envelope min_x r(x) + phi(x, .) of r on the quarter grid (float: r)
+    q = 4 if inst.mode.exact else 1
     for _ in range(5):
-        if inst.mode.exact:
-            r = [Fraction(ws.rng.randint(-8, 8), 4) for _ in range(inst.n)]
-        else:
-            r = [ws.rng.uniform(-2, 2) for _ in range(inst.n)]
-        v = ValueFunction(tuple(min(map(add, r, col)) for col in zip(*ws.phi.entries)))
-        res = is_dominated(inst, v, ws.crit.alpha0)
+        r = [ws.rng.randint(-8, 8) if q == 4 else ws.rng.uniform(-2, 2) for _ in range(inst.n)]
+        env = [min(q * pv + rv * ws.D for rv, pv in zip(r, col)) for col in zip(*ws.p)]
+        res = is_dominated(inst, ValueFunction.on_grid(env, q * ws.D, ws.mode), ws.crit.alpha0)
         if not res.ok:
             return CheckResult(name, False, f"phi-envelope not dominated at {res.witness}")
     return CheckResult(name, True)
@@ -902,13 +835,13 @@ def _check_sup_representation(ws: _Workspace) -> CheckResult:
 
 def _check_phi_vs_phi1(ws: _Workspace) -> CheckResult:
     name = "potential.phi_matches_phi1"
-    inst = ws.inst
-    for x in range(inst.n):
-        for y in range(inst.n):
+    p1 = ws.phi_table(1)
+    for x in range(ws.inst.n):
+        for y in range(ws.inst.n):
             if x == y:
-                if ws.mode.lt(ws.phi1.entries[x][x], 0, scale=ws.scale):
+                if ws.mode.lt(p1[x][x], 0, scale=ws.scale):
                     return CheckResult(name, False, f"phi1 diag negative at {x}")
-            elif not ws.mode.eq(ws.phi.entries[x][y], ws.phi1.entries[x][y], scale=ws.scale):
+            elif not ws.mode.eq(ws.p[x][y], p1[x][y], scale=ws.scale):
                 return CheckResult(name, False, f"off-diagonal at ({x},{y})")
     return CheckResult(name, True)
 
@@ -946,12 +879,11 @@ def _check_iterated_vanish(ws: _Workspace) -> CheckResult:
 
 def _check_rows_cols_dominated(ws: _Workspace) -> CheckResult:
     name = "potential.rows_and_columns_dominated"
-    inst = ws.inst
+    inst, phi = ws.inst, ws.phi
     for x in range(inst.n):
-        row = ValueFunction(ws.phi.entries[x])
-        if not is_dominated(inst, row, ws.crit.alpha0).ok:
+        if not is_dominated(inst, phi.row(x), ws.crit.alpha0).ok:
             return CheckResult(name, False, f"row {x}")
-        col = ValueFunction(tuple(-v for v in ws.phi.col(x)))
+        col = ValueFunction.on_grid([-row[x] for row in phi.grid], phi.scale, phi.mode)
         if not is_dominated(inst, col, ws.crit.alpha0).ok:
             return CheckResult(name, False, f"column {x}")
     return CheckResult(name, True)
@@ -959,15 +891,14 @@ def _check_rows_cols_dominated(ws: _Workspace) -> CheckResult:
 
 def _check_jumps(ws: _Workspace) -> CheckResult:
     name = "potential.jump_signs_and_reversal"
-    inst = ws.inst
-    for x in range(inst.n):
-        if ws.mode.lt(ws.F.values[x], 0, scale=ws.scale):
+    _, _, F, f = ws.grids(ws.F, ws.f)
+    for x in range(ws.inst.n):
+        if ws.mode.lt(F[x], 0, scale=ws.scale):
             return CheckResult(name, False, f"F({x}) < 0")
-        if ws.mode.lt(0, ws.f.values[x], scale=ws.scale):
+        if ws.mode.lt(0, f[x], scale=ws.scale):
             return CheckResult(name, False, f"f({x}) > 0")
-    rF = jump_F(ws.rev, critical_value(ws.rev))
-    flipped = tuple(-v for v in rF.values)
-    if not vf_eq(ws.mode, ws.f.values, flipped, scale=ws.scale):
+    _, _, f, rF = ws.grids(ws.f, jump_F(ws.rev, critical_value(ws.rev)))
+    if not vf_eq(ws.mode, f, [-v for v in rF], scale=ws.scale):
         return CheckResult(name, False, "f != -F(reversed)")
     return CheckResult(name, True)
 
@@ -990,17 +921,18 @@ def _check_barrier_vs_liminf(ws: _Workspace) -> CheckResult:
     rep = liminf_barrier_bounded(ws.inst, ws.crit, ws.horizon)
     if not rep.stabilized:
         return CheckResult(name, False, "liminf oracle did not stabilize")
-    h = ws.bar.h.entries
-    hit = ws.first_pair(lambda i, j: not ws.mode.eq(h[i][j], rep.matrix[i][j], scale=ws.scale))
+    h, low = ws.h, rep.table.at(ws.D)
+    hit = ws.first_pair(lambda i, j: not ws.mode.eq(h[i][j], low[i][j], scale=ws.scale))
     if hit is not None:
         return CheckResult(name, False, "at ({},{})".format(*hit))
     return CheckResult(name, True)
 
 
-def _check_barrier_closed_form(ws: _Workspace, h: Matrix) -> CheckResult:
+def _check_barrier_closed_form(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
     # h comes from the Aubry closed form; the tail recursion checks it on its
     # own: h = phi_{1+k} for the reported transient k, and phi_k != h.
     name = "barrier.closed_form_via_aubry"
+    h = ws.h_claimed if h is None else h
     k = ws.bar.iterations_to_fix
     for x, (row, hrow) in enumerate(zip(ws.phi_table(1 + k), h)):
         if not vf_eq(ws.mode, row, hrow, scale=ws.scale):
@@ -1012,9 +944,10 @@ def _check_barrier_closed_form(ws: _Workspace, h: Matrix) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _check_barrier_triangle(ws: _Workspace, h: Matrix) -> CheckResult:
+def _check_barrier_triangle(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
     # the floor at (x, y) is checked before the triangles at (x, y, z)
     name = "barrier.triangle_and_floor"
+    h = ws.h_claimed if h is None else h
     hit = ws.first_violation((h, h, h, 0))
     floor = ws.first_pair(lambda x, y: not ws.mode.le(ws.p[x][y], h[x][y], scale=ws.scale))
     if floor is not None and (hit is None or floor <= hit[:2]):
@@ -1024,8 +957,9 @@ def _check_barrier_triangle(ws: _Workspace, h: Matrix) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _check_hh_suite(ws: _Workspace, h: Matrix) -> CheckResult:
+def _check_hh_suite(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
     name = "barrier.chain_splitting_suite"
+    h = ws.h_claimed if h is None else h
 
     def fail(what: str, hit: tuple) -> CheckResult:
         return CheckResult(name, False, "{} ({},{},{})".format(what, *hit[:3]))
@@ -1076,20 +1010,20 @@ def _check_representation(ws: _Workspace) -> CheckResult:
     name = "barrier.orbit_representation"
     mode, scale, h = ws.mode, ws.scale, ws.h
 
-    def bounds(table: Matrix, N: int) -> list[tuple[list, list]]:
+    def bounds(table: Matrix, N: int, fine: bool = False) -> list[tuple[list, list]]:
         """(hi, lo) of the orbits of each row of table, iterates 0..N."""
-        ups = zip(table, *ws.orbit(table, N, forward=False))
-        downs = zip(table, *ws.orbit(table, N, forward=True))
+        ups = zip(table, *ws.orbit(table, N, False, fine))
+        downs = zip(table, *ws.orbit(table, N, True, fine))
         return [(list(map(max, *up)), list(map(min, *down))) for up, down in zip(ups, downs)]
 
-    def below(hi: list, lo: list) -> bool:
+    def below(hi: list, lo: list, h: Matrix) -> bool:
         return all(vf_le(mode, [v - lx for v in hi], row, scale=scale) for lx, row in zip(lo, h))
 
-    for u, (hi, lo) in zip(ws.samples, bounds(tuple(ws.grid_samples[:10]), 6)):
-        if not below(hi, lo):
+    for u, (hi, lo) in zip(ws.samples, bounds(tuple(ws.grid_samples[:10]), 6, fine=True)):
+        if not below(hi, lo, ws.fine(h)):
             return CheckResult(name, False, f"S > h for {u.tag}")
     for x, (hi, lo) in enumerate(bounds(ws.phi_table(1), max(1, ws.bar.iterations_to_fix))):
-        if not below(hi, lo):
+        if not below(hi, lo, h):
             return CheckResult(name, False, f"S > h for phi1 row {x}")
         if not vf_eq(mode, [v - lo[x] for v in hi], h[x], scale=scale):
             return CheckResult(name, False, f"no attainment in row {x}")
@@ -1098,28 +1032,28 @@ def _check_representation(ws: _Workspace) -> CheckResult:
 
 def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
     name = "barrier.limits_are_extremal"
-    inst = ws.inst
-    h = ws.h
+    inst, mode, scale = ws.inst, ws.mode, ws.scale
+    h = ws.fine(ws.h)
     for u, g in zip(ws.samples[:10], ws.grid_samples):
         um = u_minus(inst, ws.crit, u)
-        umg = to_grid(ws.mode, um.values, ws.D)
-        if not vf_le(ws.mode, g, umg, scale=ws.scale):
+        umg = um.at(mode, ws.Ds)
+        if not vf_le(mode, g, umg, scale=scale):
             return CheckResult(name, False, f"u_minus below u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, um, "negative"):
             return CheckResult(name, False, f"u_minus not a solution for {u.tag}")
         lift = [max(map(sub, g, row)) for row in h]  # max_t g(t) - h(x, t)
         envelope = tuple(min(map(add, col, lift)) for col in zip(*h))
-        if not vf_eq(ws.mode, umg, envelope, scale=ws.scale):
+        if not vf_eq(mode, umg, envelope, scale=scale):
             return CheckResult(name, False, f"u_minus not least solution above {u.tag}")
         up = u_plus(inst, ws.crit, u)
-        upg = to_grid(ws.mode, up.values, ws.D)
-        if not vf_le(ws.mode, upg, g, scale=ws.scale):
+        upg = up.at(mode, ws.Ds)
+        if not vf_le(mode, upg, g, scale=scale):
             return CheckResult(name, False, f"u_plus above u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, up, "positive"):
             return CheckResult(name, False, f"u_plus not a solution for {u.tag}")
         low = [min(map(add, g, col)) for col in zip(*h)]  # min_s g(s) + h(s, x)
         envelope_p = tuple(max(map(sub, low, row)) for row in h)
-        if not vf_eq(ws.mode, upg, envelope_p, scale=ws.scale):
+        if not vf_eq(mode, upg, envelope_p, scale=scale):
             return CheckResult(name, False, f"u_plus not greatest solution below {u.tag}")
     return CheckResult(name, True)
 
@@ -1144,11 +1078,12 @@ def _check_conjugation(ws: _Workspace) -> CheckResult:
         down_up = lax_oleinik_pos(inst, lax_oleinik_neg(inst, u))
         up_down = lax_oleinik_neg(inst, lax_oleinik_pos(inst, u))
         twice = lax_oleinik_neg(inst, lax_oleinik_pos(inst, up_down))
+        _, _, g, g1, g2, du, ud, tw = ws.grids(u, ump, umpmp, down_up, up_down, twice)
         if not (
-            vf_eq(mode, ump.values, umpmp.values, scale=scale)
-            and vf_le(mode, down_up.values, u.values, scale=scale)
-            and vf_le(mode, u.values, up_down.values, scale=scale)
-            and vf_eq(mode, twice.values, up_down.values, scale=scale)
+            vf_eq(mode, g1, g2, scale=scale)
+            and vf_le(mode, du, g, scale=scale)
+            and vf_le(mode, g, ud, scale=scale)
+            and vf_eq(mode, tw, ud, scale=scale)
         ):
             return CheckResult(name, False, u.tag)
     # the pointwise min of the negative solutions h(x, .) is again one
@@ -1175,8 +1110,7 @@ def _check_aubry_invariance(ws: _Workspace) -> CheckResult:
     name = "barrier.aubry_set_invariant_under_T"
     inst = ws.inst
     for u in ws.samples[:8]:
-        img = lax_oleinik_neg(inst, u)
-        tu = ValueFunction(tuple(v + ws.crit.alpha0 for v in img.values))
+        tu = _shift(ws, lax_oleinik_neg(inst, u), ws.crit.alpha0)
         if aubry_of(inst, ws.crit, u) != aubry_of(inst, ws.crit, tu):
             return CheckResult(name, False, f"{u.tag}")
     return CheckResult(name, True)
@@ -1184,16 +1118,12 @@ def _check_aubry_invariance(ws: _Workspace) -> CheckResult:
 
 def _check_aubry_four_way(ws: _Workspace) -> CheckResult:
     name = "barrier.aubry_four_way_equality"
-    inst = ws.inst
-    h = ws.bar.h.entries
-    by_h = tuple(x for x in range(inst.n) if ws.mode.is_zero(h[x][x], scale=ws.scale))
-    by_F = tuple(
-        x for x in range(inst.n) if ws.mode.is_zero(ws.F.values[x], scale=ws.scale)
-    )
+    inst, mode, scale = ws.inst, ws.mode, ws.scale
+    by_h = tuple(x for x in range(inst.n) if mode.is_zero(ws.h[x][x], scale=scale))
+    _, _, F = ws.grids(ws.F)
+    by_F = tuple(x for x in range(inst.n) if mode.is_zero(F[x], scale=scale))
     by_kam = tuple(
-        x
-        for x in range(inst.n)
-        if is_weak_kam(inst, ws.crit, ValueFunction(ws.phi.entries[x]), "negative")
+        x for x in range(inst.n) if is_weak_kam(inst, ws.crit, ws.phi.row(x), "negative")
     )
     by_cycles = ws.scan.zero_vertices
     if not (by_h == by_F == by_kam == by_cycles):
@@ -1220,29 +1150,27 @@ def _check_strict_dichotomy(ws: _Workspace) -> CheckResult:
     u1 = ws.max_strict()
     if not is_dominated(inst, u1, ws.crit.alpha0).ok:
         return CheckResult(name, False, "constructed function not dominated")
-    backward = lax_oleinik_neg(inst, u1).values
-    forward = lax_oleinik_pos(inst, u1).values
+    _, a, g, back, fwd = ws.grids(u1, lax_oleinik_neg(inst, u1), lax_oleinik_pos(inst, u1))
     for x in range(inst.n):
         if x in ws.aub.vertices:
             continue
-        tneg = backward[x] + ws.crit.alpha0
-        tpos = forward[x] - ws.crit.alpha0
-        if not ws.mode.lt(u1.values[x], tneg, scale=ws.scale):
+        if not ws.mode.lt(g[x], back[x] + a, scale=ws.scale):
             return CheckResult(name, False, f"backward slack missing at {x}")
-        if not ws.mode.lt(tpos, u1.values[x], scale=ws.scale):
+        if not ws.mode.lt(fwd[x] - a, g[x], scale=ws.scale):
             return CheckResult(name, False, f"forward slack missing at {x}")
     return CheckResult(name, True)
 
 
 def _check_tightness_propagates(ws: _Workspace) -> CheckResult:
     name = "subsolution.tight_pair_forces_fixed_point"
-    inst = ws.inst
+    inst, mode, scale = ws.inst, ws.mode, ws.scale
+    c, a = ws.fine(ws.c), ws.a * (ws.Ds // ws.D)
     for u, g in zip(ws.samples[:10], ws.grid_samples):
-        timg = to_grid(ws.mode, lax_oleinik_neg(inst, u).values, ws.D)
+        timg = lax_oleinik_neg(inst, u).at(mode, ws.Ds)
         for x in range(inst.n):
             for y in range(inst.n):
-                tight = ws.mode.eq(g[x] - g[y], ws.c[y][x] + ws.a, scale=ws.scale)
-                if tight and not ws.mode.eq(g[x], timg[x] + ws.a, scale=ws.scale):
+                tight = mode.eq(g[x] - g[y], c[y][x] + a, scale=scale)
+                if tight and not mode.eq(g[x], timg[x] + a, scale=scale):
                     return CheckResult(name, False, f"{u.tag} at ({y},{x})")
     return CheckResult(name, True)
 
@@ -1252,15 +1180,8 @@ def _check_convex_calibration(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     crit = ws.crit
     for u, v in list(zip(ws.samples, ws.samples[1:]))[:6]:
-        if inst.mode.exact:
-            t = Fraction(ws.rng.randint(1, 3), 4)
-            one = Fraction(1)
-        else:
-            t = ws.rng.uniform(0.25, 0.75)
-            one = 1.0
-        mix = ValueFunction(
-            tuple(t * a + (one - t) * b for a, b in zip(u.values, v.values))
-        )
+        t, q = (ws.rng.randint(1, 3), 4) if inst.mode.exact else (ws.rng.uniform(0.25, 0.75), 1)
+        mix = _mix(ws, u, v, t, q)
         adj = tight_graph(inst, crit, mix)
         chains = []
         for a in range(inst.n):
@@ -1277,29 +1198,20 @@ def _check_convex_calibration(ws: _Workspace) -> CheckResult:
 
 
 def _check_in_between(ws: _Workspace) -> CheckResult:
+    # u + t (T u - u) for the shifted images T- u + a0 and T+ u - a0, with t
+    # on the quarter grid (float: a float t and q = 1)
     name = "subsolution.in_between"
-    inst = ws.inst
+    inst, mode = ws.inst, ws.mode
+    q = 4 if mode.exact else 1
     for u in ws.samples[:8]:
-        upper = tuple(
-            v + ws.crit.alpha0 for v in lax_oleinik_neg(inst, u).values
-        )
-        lower = tuple(
-            v - ws.crit.alpha0 for v in lax_oleinik_pos(inst, u).values
-        )
-        if inst.mode.exact:
-            ts = [Fraction(ws.rng.randint(0, 4), 4) for _ in range(inst.n)]
-        else:
-            ts = [ws.rng.uniform(0, 1) for _ in range(inst.n)]
-        mid_up = ValueFunction(
-            tuple(a + t * (b - a) for a, b, t in zip(u.values, upper, ts))
-        )
-        if not is_dominated(inst, mid_up, ws.crit.alpha0).ok:
-            return CheckResult(name, False, f"{u.tag} upper mix")
-        mid_dn = ValueFunction(
-            tuple(a + t * (b - a) for a, b, t in zip(u.values, lower, ts))
-        )
-        if not is_dominated(inst, mid_dn, ws.crit.alpha0).ok:
-            return CheckResult(name, False, f"{u.tag} lower mix")
+        E, a, g, up, lo = ws.grids(u, lax_oleinik_neg(inst, u), lax_oleinik_pos(inst, u))
+        ts = [ws.rng.randint(0, 4) if mode.exact else ws.rng.uniform(0, 1) for _ in g]
+        for what, img, s in (("upper", up, a), ("lower", lo, -a)):
+            mid = ValueFunction.on_grid(
+                [q * x + t * (b + s - x) for x, b, t in zip(g, img, ts)], q * E, mode
+            )
+            if not is_dominated(inst, mid, ws.crit.alpha0).ok:
+                return CheckResult(name, False, f"{u.tag} {what} mix")
     return CheckResult(name, True)
 
 
@@ -1317,8 +1229,9 @@ def _check_strict_pattern(ws: _Workspace) -> CheckResult:
         if pair is not None:
             what = "strict on edge" if pair in strict else "tight off edges"
             return CheckResult(name, False, f"{u.tag}: {what} {pair}")
+        _, _, g2, g = ws.grids(u2, u)
         for x in verts:
-            if not ws.mode.eq(u2.values[x], u.values[x], scale=ws.scale):
+            if not ws.mode.eq(g2[x], g[x], scale=ws.scale):
                 return CheckResult(name, False, f"{u.tag}: changed on Aubry point {x}")
     return CheckResult(name, True)
 
@@ -1339,9 +1252,8 @@ def _check_max_strict_pattern(ws: _Workspace) -> CheckResult:
 # --- models ------------------------------------------------------------------
 
 def _metric_B_K(inst: CostInstance) -> tuple[Value, Value]:
-    diam = max(
-        inst.metric[x][y] for x in range(inst.n) for y in range(inst.n)
-    )
+    t = inst.metric_grid
+    (diam,) = from_grid(inst.mode, (max(map(max, t.grid)),), t.scale)
     one = Fraction(1) if inst.mode.exact else 1.0
     return one, diam if diam > 0 else one
 
@@ -1367,3 +1279,20 @@ def _check_apriori(ws: _Workspace) -> CheckResult:
         if not res.ok:
             return CheckResult(name, False, f"{u.tag} at {res.witness} (D={res.radius})")
     return CheckResult(name, True)
+
+
+# every check, in report order; the metric checks run on metric instances
+_CHECKS = (
+    _check_semigroup_law, _check_monotonicity, _check_constant_commutation, _check_reversal,
+    _check_alpha0_vs_cycles, _check_witness_cycle, _check_alpha0_lower_bound,
+    _check_T_preserves_domination, _check_convexity, _check_subsolution_feasibility,
+    _check_potential_axioms, _check_sup_representation, _check_phi_vs_phi1,
+    _check_phi_recursion, _check_vanish, _check_iterated_vanish, _check_rows_cols_dominated,
+    _check_jumps, _check_barrier_fixed_points, _check_barrier_vs_liminf,
+    _check_barrier_closed_form, _check_barrier_triangle, _check_hh_suite, _check_min_formula,
+    _check_representation, _check_u_limits_extremal, _check_phi_orbit_identity,
+    _check_conjugation, _check_lemma_quadruple, _check_aubry_invariance, _check_aubry_four_way,
+    _check_strict_dichotomy, _check_tightness_propagates, _check_convex_calibration,
+    _check_in_between, _check_strict_pattern, _check_max_strict_pattern,
+)
+_METRIC_CHECKS = (_check_lipschitz, _check_apriori)

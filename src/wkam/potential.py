@@ -27,7 +27,7 @@ import math
 from operator import add
 from typing import Optional
 
-from .core import CostInstance, PotentialTable, ValueFunction, from_grid, minplus_product
+from .core import CostInstance, PotentialTable, ValueFunction, minplus_product
 from .critical import CriticalData
 from .numbers import InputError
 
@@ -75,7 +75,7 @@ def jump_F(
     D = math.lcm(phi.scale, crit.kernel.scale)
     p, r = phi.at(D), crit.kernel.at(D)
     vals = [min(map(add, p[x], rcol)) for x, rcol in enumerate(zip(*r))]
-    return ValueFunction(from_grid(inst.mode, vals, D), tag="F")
+    return ValueFunction.on_grid(vals, D, inst.mode, "F")
 
 
 def jump_f(
@@ -93,4 +93,4 @@ def jump_f(
     D = math.lcm(phi.scale, crit.kernel.scale)
     p, r = phi.at(D), crit.kernel.at(D)
     vals = [-min(map(add, pcol, r[x])) for x, pcol in enumerate(zip(*p))]
-    return ValueFunction(from_grid(inst.mode, vals, D), tag="f")
+    return ValueFunction.on_grid(vals, D, inst.mode, "f")

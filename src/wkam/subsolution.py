@@ -23,18 +23,12 @@ limit, and never the iterates.
 
 from __future__ import annotations
 
+import math
 from operator import add
 from typing import Sequence
 
 from .barrier import aubry_vertices, limits_grid, orbit_walk
-from .core import (
-    CostInstance,
-    ValueFunction,
-    as_value_function,
-    from_grid,
-    grid_scale,
-    to_grid,
-)
+from .core import CostInstance, ValueFunction, to_grid
 from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError
 from .potential import mane_potential
@@ -51,12 +45,14 @@ def is_calibrated(
     for p in pts:
         if not 0 <= p < inst.n:
             raise InputError(f"chain point {p} out of range")
-    _dominated_grid(inst, crit, u)
-    steps = len(pts) - 1
-    total = u.values[pts[0]] + steps * crit.alpha0
-    for a, b in zip(pts, pts[1:]):
-        total = total + inst.cost[a][b]
-    return inst.mode.eq(u.values[pts[-1]], total, scale=inst.value_scale())
+    D, vals = _dominated_grid(inst, crit, u)
+    t = inst.cost_grid
+    m = D // t.scale
+    (a,) = to_grid(inst.mode, (crit.alpha0,), D)
+    total = vals[pts[0]] + (len(pts) - 1) * a
+    for x, y in zip(pts, pts[1:]):
+        total = total + t.grid[x][y] * m
+    return inst.mode.eq(vals[pts[-1]], total, scale=inst.value_scale())
 
 
 def aubry_of(
@@ -110,8 +106,8 @@ def _strictify(
     N = max(1, *steps)
     for k, last in zip(steps, lasts):
         total = [t + (N - k) * v for t, v in zip(total, last)]
-    vals = from_grid(inst.mode, total, D * (2 * N + 1))
-    return as_value_function(inst, vals, tag=f"strict[{u.tag}]" if u.tag else "strict")
+    tag = f"strict[{u.tag}]" if u.tag else "strict"
+    return ValueFunction.on_grid(total, D * (2 * N + 1), inst.mode, tag)
 
 
 def strict_pairs(
@@ -122,9 +118,8 @@ def strict_pairs(
     Compared on the kernel's grid refined to u's denominators, against
     ``crit.kernel.at(D)``, (c + alpha0) * D."""
     mode = inst.mode
-    vals = [mode.coerce(v) for v in u.values]
-    D = grid_scale(mode, vals, crit.kernel.scale)
-    vals = to_grid(mode, vals, D)
+    D = math.lcm(crit.kernel.scale, u.grid_in(mode)[1])
+    vals = u.at(mode, D)
     scale = inst.value_scale()
     return tuple(
         (x, y)
@@ -138,8 +133,8 @@ def uniform_subsolution_mix(inst: CostInstance, crit: CriticalData) -> ValueFunc
     """Average of all potential rows, each normalized to vanish at point 0."""
     phi = mane_potential(inst, crit)
     rows = [[v - row[0] for v in row] for row in phi.grid]
-    vals = from_grid(inst.mode, [sum(col) for col in zip(*rows)], phi.scale * len(rows))
-    return as_value_function(inst, vals, tag="potential_mix")
+    total = [sum(col) for col in zip(*rows)]
+    return ValueFunction.on_grid(total, phi.scale * len(rows), inst.mode, "potential_mix")
 
 
 def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunction:

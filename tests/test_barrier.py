@@ -201,11 +201,9 @@ def test_u_minus_of_solution_is_itself(t2):
 
 
 def test_u_minus_constant():
-    from wkam import constant_function
-
     inst = gen_constant(2, F(3))
     crit = critical_value(inst)
-    u = constant_function(inst, 0)
+    u = as_value_function(inst, [0, 0])
     assert u_minus(inst, crit, u).values == (0, 0)
 
 

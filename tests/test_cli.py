@@ -316,6 +316,17 @@ def test_verify_with_tiny_horizon_exits_3(capsys, t2_file):
     assert any("liminf" in c["name"] or "liminf" in c["witness"] for c in bad)
 
 
+def test_verify_long_transient_never_fails_a_check(capsys, tmp_path):
+    # the reduced powers of this instance repeat only after a transient of
+    # about 2 * 10^5; the liminf oracle refuses it at its work limit with a
+    # typed error (exit 2), as it may, but never fails the correct answer
+    p = tmp_path / "slow.json"
+    p.write_text('{"cost": [[0, 1000], [1000, "1/100"]]}')
+    code, _, err = run(capsys, "verify", "--in", str(p))
+    assert code in (0, 2), err
+    assert code == 0 or "liminf oracle found no repeat" in err
+
+
 def test_verify_with_zero_horizon_exits_2(capsys, t2_file):
     # 0 is an explicit horizon, not the default: it is refused like 1
     code, _, err = run(capsys, "verify", "--in", t2_file, "--horizon", "0")

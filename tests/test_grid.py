@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 from wkam import cost_power, make_instance, reverse_cost
-from wkam.barrier import peierls_barrier
+from wkam.barrier import peierls_barrier, u_minus, u_plus, weak_kam_neg, weak_kam_pos
 from wkam.cli import main
 from wkam.core import (
     PotentialTable,
@@ -30,9 +30,10 @@ from wkam.core import (
     minplus_product,
     to_grid,
 )
-from wkam.critical import critical_value, is_dominated
+from wkam.critical import critical_value, is_dominated, solve_subsolution
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import EXACT, INF, InputError, Mode
+from wkam.oracle import subsolution_sampler
 from wkam.potential import jump_F, jump_f, mane_potential, phi_n
 from wkam.subsolution import max_strict_subsolution, uniform_subsolution_mix
 
@@ -175,7 +176,8 @@ def test_grid_matches_fraction_reference(idx):
     )
     _same(jump_F(inst, crit, phi=phi).values, F_ref)
     f_ref = tuple(
-        _ref_pos(inst, tuple(-v for v in phi.col(x)))[x] - crit.alpha0 for x in range(inst.n)
+        _ref_pos(inst, tuple(-row[x] for row in phi.entries))[x] - crit.alpha0
+        for x in range(inst.n)
     )
     _same(jump_f(inst, crit).values, f_ref)
     mix = uniform_subsolution_mix(inst, crit)
@@ -328,3 +330,53 @@ def test_float_tables_hold_floats(monkeypatch, capsys):
         assert t.scale == 1
         assert all(type(v) is float for row in t.grid for v in row)
         assert t.entries is t.grid
+
+
+def test_value_function_on_the_grid_equals_one_from_values():
+    # a vector is held like a table: on its least grid, converted on read
+    by_grid = ValueFunction.on_grid((3, -6, 0, 9), 12, EXACT, tag="u")
+    by_values = ValueFunction((F(1, 4), F(-1, 2), F(0), F(3, 4)), tag="u")
+    assert (by_grid.grid, by_grid.scale) == ((1, -2, 0, 3), 4)
+    assert by_values.grid is None
+    assert by_grid == by_values and hash(by_grid) == hash(by_values)
+    assert repr(by_grid) == repr(by_values)
+    assert by_values.grid_in(EXACT) == ((1, -2, 0, 3), 4)
+    assert by_values.grid == (1, -2, 0, 3) and by_values.scale == 4
+    assert by_values.at(EXACT, 8) == (2, -4, 0, 6)
+    assert all(type(v) is F for v in by_grid.values)
+    assert by_grid != ValueFunction.on_grid((3, -6, 0, 9), 12, EXACT, tag="v")
+    # the operators return grid-held functions equal to value-held ones
+    inst = CORPUS[0]
+    for op in (lax_oleinik_neg, lax_oleinik_pos):
+        img = op(inst, by_values)
+        assert img._values is None
+        again = ValueFunction(img.values, tag=img.tag)
+        assert img == again and hash(img) == hash(again) and repr(img) == repr(again)
+        assert all(type(v) is F for v in img.values)
+
+
+def test_float_vectors_hold_floats():
+    flt = Mode("float", 1e-9)
+    half = ValueFunction.on_grid([1, 0, -3], 2, flt)
+    assert half.values == (0.5, 0.0, -1.5) and half.scale == 1 and half.grid is half.values
+    for inst in (gen_random(6, 1, -2, 2, mode=flt), gen_fk(6, 1, [0, 1, 4, 9, 4, 1], mode=flt)):
+        crit = critical_value(inst)
+        bar = peierls_barrier(inst, crit)
+        u = uniform_subsolution_mix(inst, crit)
+        made = [
+            u,
+            max_strict_subsolution(inst, crit),
+            jump_F(inst, crit),
+            jump_f(inst, crit),
+            lax_oleinik_neg(inst, u),
+            lax_oleinik_pos(inst, u),
+            u_minus(inst, crit, u),
+            u_plus(inst, crit, u),
+            weak_kam_neg(bar, 1),
+            weak_kam_pos(bar, 1),
+            solve_subsolution(inst, crit.alpha0).u,
+            *subsolution_sampler(inst, crit, 0, 3),
+        ]
+        for v in made:
+            assert v.scale == 1 and v.grid is v.values, v.tag
+            assert all(type(x) is float for x in v.values), v.tag

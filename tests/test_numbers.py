@@ -9,7 +9,6 @@ from wkam.numbers import (
     Mode,
     format_value,
     is_inf,
-    neg,
     parse_value,
 )
 
@@ -30,11 +29,6 @@ def test_nan_rejected():
         EXACT.coerce(float("nan"))
     with pytest.raises(InputError):
         parse_value(float("nan"), EXACT)
-
-
-def test_neg_inf_unrepresentable():
-    with pytest.raises(InputError):
-        neg(INF)
 
 
 def test_inf_is_absorbing_under_min_plus():

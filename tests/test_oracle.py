@@ -22,7 +22,6 @@ from wkam.numbers import INF, Mode
 from wkam.oracle import (
     _Workspace,
     cycle_scan,
-    enum_walks,
     enum_zero_cycles,
     liminf_barrier_bounded,
     subsolution_sampler,
@@ -30,6 +29,7 @@ from wkam.oracle import (
 )
 
 from cycle_reference import naive_cycle_scan
+from walk_reference import enum_walks
 
 
 # --- cycle enumeration ------------------------------------------------------------
@@ -333,11 +333,13 @@ def _nudged(h, x, y, units):
 
 def test_barrier_identities_fail_on_a_nudged_barrier():
     # The min formulas and the orbit bound read ws.h: one grid unit off at
-    # one entry, each names its first failure.
+    # one entry, each names its first failure.  ws.h is on the kernel's grid
+    # D = 4; the samples' orbits compare with its view on their finer grid.
     ws = _Workspace(gen_random(5, 2, -2, 2), 2, 20, None, None)
     h = ws.h
+    assert ws.D == 4
     cases = [
-        ((4, 1, -1), "n=1", "S > h for sample[2:7]"),
+        ((4, 1, -1), "n=1", "S > h for sample[2:2]"),
         ((0, 3, -1), "n=1", "S > h for phi1 row 0"),
         ((2, 4, 1), "n=1", "no attainment in row 2"),
     ]

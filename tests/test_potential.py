@@ -16,7 +16,9 @@ from wkam import (
     reverse_cost,
 )
 from wkam.models import gen_constant, gen_random
-from wkam.oracle import cycle_scan, enum_walks, subsolution_sampler
+from wkam.oracle import cycle_scan, subsolution_sampler
+
+from walk_reference import enum_walks
 
 
 def reduced_walk_min(inst, crit, x, y, max_len=6):
@@ -227,5 +229,5 @@ def test_rows_and_columns_dominated():
     phi = mane_potential(inst, crit)
     for x in range(5):
         assert is_dominated(inst, ValueFunction(phi.entries[x]), crit.alpha0).ok
-        col = ValueFunction(tuple(-v for v in phi.col(x)))
+        col = ValueFunction(tuple(-row[x] for row in phi.entries))
         assert is_dominated(inst, col, crit.alpha0).ok

@@ -6,9 +6,11 @@ instances n = 1..10 in exact and float mode, circle-grid instances with
 three wells, and corrupted barriers that must fail with their witnesses.
 A rewrite of a check's loops must leave every digest unchanged.
 
-The float instance ``random:6:1`` fails ``barrier.matches_liminf_oracle``
-(the liminf oracle does not stabilize within its horizon); its digest pins
-that known failure as it stands.
+The float instance ``random:6:1`` passes every check: its reduced powers
+first repeat at R^196 = R^199, which the liminf oracle finds by Brent's
+cycle detection.  Its digest was re-recorded when that search replaced a
+fixed horizon of 4n^2 + 8 = 152 powers, within which the oracle did not
+stabilize and ``barrier.matches_liminf_oracle`` failed.
 
 ``PYTHONPATH=src python tests/test_report_digest.py`` prints the digests.
 """
@@ -132,7 +134,7 @@ DIGESTS = {
     'float random:5:1': 'e2cea999cda22198a07085b3fc26c21ed526079f15f3f6f313a770d4af3d2d44',
     'float random:5:2': '270e0d8365c5597b38532776f908cf589ac1c83b559c14889aa913d494aa6e47',
     'float random:6:0': '4829e448a16917a84689785d16ef8a524d4811c49d390a9691ce4c8f0e04fa55',
-    'float random:6:1': 'bf5facd8677f512812f51a7cf7127a799f49930fa33f201323923d7f86e8edf5',
+    'float random:6:1': 'dff8c15d2a3c3eb33933fa9ec954ce12622af4e4a519d30e447d7288d6f42440',
     'float random:6:2': '5171f7d9c59e465b8e89252b0f9f0f6208c3ffad9894d8c7b015654e3b4fd5d7',
     'float random:7:0': 'e0450e770d4c99edda9e5ed4821b8bb9b8a906e76d781a176be6916cd4897052',
     'float random:7:1': 'ef8bf5f65c76dd06acec0e0fcd198397f56d254a053b98cf311a89b126aed0c7',

@@ -12,8 +12,10 @@ n x n tables turned into values: only what a command prints is converted.
 """
 
 import sys
+from fractions import Fraction
 from fractions import Fraction as F
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from wkam.cli import main
 from wkam.models import fk_potential_well
 
 FLOAT = Mode("float", 1e-9)
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 @pytest.fixture
@@ -112,6 +115,45 @@ def test_verify_solves_once_per_instance(calls, capsys):
     assert len(kernels) == 2
     assert kernels[0] is not kernels[1]
     assert calls["transient"] == 1
+    # the oracle compares on the grids: no table, the instance's cost and
+    # metric among them, is turned into values
+    assert calls["converted"].count(8) == 0
+
+
+def test_mode_change_retables_the_grids(calls, capsys):
+    # --in with a differing --mode builds the float tables from the exact
+    # grids, k / D per entry, and converts none of them
+    assert main(["aubry", "--in", str(INSTANCES / "fk8_well.json"), "--mode", "float"]) == 0
+    by_file = capsys.readouterr().out
+    assert calls["converted"] == []
+    assert main(["aubry", "--gen", "fk:8:1:well@0", "--mode", "float"]) == 0
+    assert capsys.readouterr().out == by_file
+
+
+# Fraction constructions in one verify_all before vectors were held on the
+# grid; today the two runs construct 183 and 24
+FRACTIONS = [
+    ("fk:10:1:well@3", lambda: gen_fk(10, 1, fk_potential_well(10, 3)), 5, 14262),
+    ("random:10:11:-2:2", lambda: gen_random(10, 11, -2, 2), 11, 7488),
+]
+
+
+@pytest.mark.parametrize(
+    "make, seed, before", [f[1:] for f in FRACTIONS], ids=[f[0] for f in FRACTIONS]
+)
+def test_verify_all_constructs_few_fractions(monkeypatch, make, seed, before):
+    inst = make()
+    made = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert wkam.verify_all(inst, seed=seed).ok
+    monkeypatch.undo()
+    assert made[0] <= before // 3
 
 
 @pytest.mark.parametrize("mode", [wkam.EXACT, FLOAT], ids=["exact", "float"])
