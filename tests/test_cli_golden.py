@@ -4,7 +4,8 @@ Each case runs ``wkam.cli.main`` in process and compares the exit code and
 the sha256 of stdout with ``cli_golden.json``.  The sources are the checked-in
 ``instances/*.json``, a circle-grid generator spec with mixed denominators
 (3, 5 and 7) and an inline instance whose witness cycle has three points, so
-that alpha0 = 4/9 brings a denominator of its own.
+that alpha0 = 4/9 brings a denominator of its own.  Every case runs in exact
+mode and again with ``--mode float``, whose stdout pins the float arithmetic.
 
 Re-record (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -62,6 +63,7 @@ def _cases(tmp: Path) -> dict[str, list[str]]:
                 cases[key] = [sub[0], *source, *sub[1:], "--format", fmt]
         if name.startswith(("fk", "gen:fk")):
             cases[f"{name} plotdata"] = ["plotdata", *source]
+    cases.update({f"{key} --mode float": [*argv, "--mode", "float"] for key, argv in cases.items()})
     return cases
 
 
