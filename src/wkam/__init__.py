@@ -23,7 +23,6 @@ from .core import (
     PotentialTable,
     ValueFunction,
     as_value_function,
-    cost_power,
     lax_oleinik_neg,
     lax_oleinik_pos,
     make_instance,

@@ -39,12 +39,14 @@ solutions ``u_minus >= u`` and ``u_plus <= u``.  As ``h(a, .) = phi_1(a, .)``
 and ``h(., a) = phi_1(., a)`` for a in A, both are closed forms, O(n |A|):
 
     ``u_minus(y) = min_{a in A} u(a) + phi_1(a, y)``,
-    ``u_plus(x) = max_{a in A} u(a) - phi_1(x, a)``.
+    ``u_plus(x) = max_{a in A} u(a) - phi_1(x, a)``,
 
-Only averaging needs the iterates (see ``subsolution``): ``orbit_walk``
-steps to the known limit.  With ``m = |B|``, ``delta' = min_{x in B}
-phi_1(x, x) > 0`` (at most the weight of any cycle inside B) and ``S`` the
-largest gap between u and the limit, it takes at most
+``core.minplus_row`` of u on A with the rows of phi_1 at A, and
+``core.forward`` with its columns at A.  Only averaging needs the iterates
+(see ``subsolution``): ``orbit_walk`` steps to the known limit with the
+same kernels.  With ``m = |B|``, ``delta' = min_{x in B} phi_1(x, x) > 0``
+(at most the weight of any cycle inside B) and ``S`` the largest gap
+between u and the limit, it takes at most
 ``m * ceil(S / delta')`` steps, none when ``S = 0``, and an overrun raises
 ``ConstructionError``.  As one step moves ``v(x)`` by at most ``r(x, x)``,
 it also takes at least ``max_x ceil(|limit(x) - u(x)| / r(x, x))`` steps.
@@ -59,7 +61,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
-from operator import add, le, sub
+from operator import le, sub
 from typing import Iterator, Optional
 
 from .core import (
@@ -72,6 +74,7 @@ from .core import (
     grid_operands,
     kleene_plus,
     minplus_product,
+    minplus_row,
     to_grid,
     vf_eq,
 )
@@ -234,20 +237,20 @@ def limits_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tup
     inst.require_total("orbit limits")
     D, start = _dominated_grid(inst, crit, u)
     P = crit.kernel_plus()
-    m, p = D // P.scale, P.grid
-    ua = [(start[a], a) for a in aubry_vertices(inst, P)]
-    lo = [min(v + p[a][y] * m for v, a in ua) for y in range(inst.n)]
-    hi = [max(v - row[a] * m for v, a in ua) for row in p]
+    verts, m, p = aubry_vertices(inst, P), D // P.scale, P.grid
+    ua = [start[a] for a in verts]
+    lo = minplus_row(ua, zip(*([v * m for v in p[a]] for a in verts)))
+    hi = forward(ua, [[row[a] * m for a in verts] for row in p])
     return D, start, lo, hi
 
 
 def orbit_walk(
-    inst: CostInstance, crit: CriticalData, D: int, start: list, limit: list, forward: bool
+    inst: CostInstance, crit: CriticalData, D: int, start: list, limit: list, positive: bool
 ) -> Iterator[list]:
-    """Iterates of the normalized orbit of ``start`` on the grid D, up to the
-    first that reaches ``limit`` (float mode: its band).  The step bounds and
-    the work limit of the module docstring are checked on the call, before
-    any step."""
+    """Iterates of the normalized orbit of ``start`` on the grid D, by
+    ``T+ - alpha0`` if ``positive`` else ``T- + alpha0``, up to the first
+    that reaches ``limit`` (float mode: its band).  The step bounds and the
+    work limit of the module docstring are checked before any step."""
     mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
     P = crit.kernel_plus()
     m, p, r = D // P.scale, P.grid, crit.kernel.at(D)
@@ -262,7 +265,7 @@ def orbit_walk(
     if need > allowed:
         raise SizeGuardError(f"orbit needs at least {need} steps, over {allowed} at n = {inst.n}")
     stop = min(budget, allowed)
-    cols = tuple(zip(*r))
+    cols = None if positive else tuple(zip(*r))
 
     def walk():
         cur = start
@@ -274,10 +277,7 @@ def orbit_walk(
                 raise ConstructionError(f"orbit overran its budget of {budget} steps")
             if k == stop:
                 raise SizeGuardError(f"orbit did not settle in {stop} steps at n = {inst.n}")
-            if forward:
-                cur = [max(map(sub, cur, row)) for row in r]
-            else:
-                cur = [min(map(add, cur, col)) for col in cols]
+            cur = forward(cur, r) if positive else minplus_row(cur, cols)
 
     return walk()
 

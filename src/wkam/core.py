@@ -7,12 +7,14 @@ point ``y``.  The two value-update operators are
     ``T-(u)(x) = min_y  u(y) + c(y, x)``   (backward / min-plus)
     ``T+(u)(x) = max_y  u(y) - c(x, y)``   (forward  / max-plus)
 
-Both public operators evaluate their formula directly on the integer grid
-below, and so do the solver's orbits and jumps; the reversal identity
-``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not used to
-compute ``T+``.  N-step chain costs are min-plus matrix powers.  All
-operations are pure functions of immutable inputs and deterministic (ties
-in argmins break to the lowest point index).
+Every min-plus loop of the solver is a kernel here: ``minplus_row`` (a row
+times a matrix given by its columns; ``minplus_product`` is one per row),
+``minplus_diag`` (the diagonal of a product) and ``kleene_plus`` (the
+closure).  ``backward`` is ``T-`` by ``minplus_row``, and ``forward`` is
+``T+`` as its max-plus dual ``-min_y (c(x, y) - u(y))``; the reversal
+identity ``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not
+used to compute ``T+``.  All operations are pure functions of immutable
+inputs and deterministic (ties in argmins break to the lowest point index).
 
 Exact mode computes on an integer grid: with ``D`` a common denominator of
 the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, eq, le, sub
+from operator import add, eq, le
 from typing import Iterable, Optional, Sequence
 
 from .numbers import EXACT, INF, InputError, Mode, Value, is_inf
@@ -293,10 +295,21 @@ def as_value_function(inst: CostInstance, values: Sequence[Value], tag: str = ""
 # kernels
 # ---------------------------------------------------------------------------
 
+def minplus_row(vals: Sequence[Value], cols: Iterable[Sequence[Value]]) -> list:
+    """The row ``vals`` times the matrix with columns ``cols``: entry y is
+    min_z vals(z) + cols[y][z]; a walker takes its columns once."""
+    return [min(map(add, vals, col)) for col in cols]
+
+
 def minplus_product(a: Matrix, b: Matrix) -> Matrix:
     """Min-plus matrix product: entry (x,y) = min_z a(x,z) + b(z,y)."""
     cols = tuple(zip(*b))
-    return tuple(tuple(min(map(add, arow, col)) for col in cols) for arow in a)
+    return tuple(tuple(minplus_row(arow, cols)) for arow in a)
+
+
+def minplus_diag(a: Matrix, b: Matrix) -> list:
+    """The diagonal of a (x) b: entry x is min_z a(x,z) + b(z,x)."""
+    return [min(map(add, arow, bcol)) for arow, bcol in zip(a, zip(*b))]
 
 
 def kleene_plus(a: Matrix) -> Matrix:
@@ -364,7 +377,7 @@ def lax_oleinik_neg(inst: CostInstance, u: ValueFunction) -> ValueFunction:
 
 def backward(vals: Sequence[Value], cost: Matrix) -> list:
     """min_y vals(y) + cost(y, x) for each x, vals and cost on one grid."""
-    out = [min(map(add, vals, col)) for col in zip(*cost)]
+    out = minplus_row(vals, zip(*cost))
     if INF in out:
         raise InputError("backward update produced +inf (a point has no incoming edge)")
     return out
@@ -385,27 +398,13 @@ def lax_oleinik_pos(inst: CostInstance, u: ValueFunction) -> ValueFunction:
 
 def forward(vals: Sequence[Value], cost: Matrix) -> list:
     """max_y vals(y) - cost(x, y) for each x, on one grid, computed as
-    -min_y (cost(x, y) - vals(y)): a +inf cost never wins and float
-    results, signed zeros included, equal those of the reversal identity."""
-    low = [min(map(sub, row, vals)) for row in cost]
+    -min_y (cost(x, y) + (-vals(y))), the row -vals times cost transposed:
+    a +inf cost never wins and float results, signed zeros included, equal
+    those of the reversal identity."""
+    low = minplus_row([-v for v in vals], cost)
     if INF in low:
         raise InputError("forward update produced -inf (a point has no outgoing edge)")
     return [-v for v in low]
-
-
-def cost_power(inst: CostInstance, n: int) -> PotentialTable:
-    """n-step chain cost: entry (x,y) = min over length-n chains x -> y.
-
-    Computed as the n-fold min-plus power of the cost matrix; n = 0 is
-    rejected (chain costs start at one step).
-    """
-    if n < 1:
-        raise InputError("chain cost is defined for step count >= 1")
-    t = inst.cost_grid
-    acc = t.grid
-    for _ in range(n - 1):
-        acc = minplus_product(acc, t.grid)
-    return PotentialTable(acc, t.scale, inst.mode)
 
 
 def grid_operands(

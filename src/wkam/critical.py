@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -36,6 +36,7 @@ from .core import (
     from_grid,
     grid_scale,
     kleene_plus,
+    minplus_row,
     to_grid,
 )
 from .numbers import INF, InputError, Mode, Value, is_inf
@@ -118,7 +119,7 @@ def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
     cols = tuple(zip(*cost))
     levels = [[INF] * n, [0] * n]  # one edge: source -> v at weight 0
     for _ in range(2, big + 1):
-        levels.append([min(map(add, levels[-1], col)) for col in cols])
+        levels.append(minplus_row(levels[-1], cols))
     top = levels[big]
     best: Optional[tuple[Value, int]] = None
     for v in range(n):

@@ -1162,16 +1162,18 @@ def _check_strict_dichotomy(ws: _Workspace) -> CheckResult:
 
 
 def _check_tightness_propagates(ws: _Workspace) -> CheckResult:
+    # every critical sub-solution is tight on the Aubry edges, never empty
     name = "subsolution.tight_pair_forces_fixed_point"
-    inst, mode, scale = ws.inst, ws.mode, ws.scale
+    inst, mode, scale, pts = ws.inst, ws.mode, ws.scale, range(ws.inst.n)
     c, a = ws.fine(ws.c), ws.a * (ws.Ds // ws.D)
     for u, g in zip(ws.samples[:10], ws.grid_samples):
         timg = lax_oleinik_neg(inst, u).at(mode, ws.Ds)
-        for x in range(inst.n):
-            for y in range(inst.n):
-                tight = mode.eq(g[x] - g[y], c[y][x] + a, scale=scale)
-                if tight and not mode.eq(g[x], timg[x] + a, scale=scale):
-                    return CheckResult(name, False, f"{u.tag} at ({y},{x})")
+        tight = [(x, y) for x in pts for y in pts if mode.eq(g[x] - g[y], c[y][x] + a, scale=scale)]
+        if not tight:
+            return CheckResult(name, False, f"{u.tag} has no tight pair")
+        for x, y in tight:
+            if not mode.eq(g[x], timg[x] + a, scale=scale):
+                return CheckResult(name, False, f"{u.tag} at ({y},{x})")
     return CheckResult(name, True)
 
 

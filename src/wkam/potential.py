@@ -15,19 +15,18 @@ fixed points:
     ``f(x) = T+(phi^x)(x) - alpha0``   (<= 0, zero exactly on the Aubry set)
 
 where ``phi_x = phi(x, .)`` and ``phi^x = -phi(., x)``.  With
-``r = c + alpha0`` they read ``F(x) = min_z phi(x, z) + r(z, x)`` and
-``f(x) = -min_y phi(y, x) + r(x, y)``, which is how they are computed: on the
-integer kernel of ``CriticalData`` (see ``core``), with no transposed
-instance.
+``r = c + alpha0`` they are diagonals of min-plus products, ``F`` of
+``phi (x) r`` and ``-f`` of ``r (x) phi``, which is how they are computed:
+with ``core.minplus_diag`` on the integer kernel of ``CriticalData``, with
+no transposed instance.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
 from typing import Optional
 
-from .core import CostInstance, PotentialTable, ValueFunction, minplus_product
+from .core import CostInstance, PotentialTable, ValueFunction, minplus_diag, minplus_product
 from .critical import CriticalData
 from .numbers import InputError
 
@@ -74,8 +73,7 @@ def jump_F(
         phi = mane_potential(inst, crit)
     D = math.lcm(phi.scale, crit.kernel.scale)
     p, r = phi.at(D), crit.kernel.at(D)
-    vals = [min(map(add, p[x], rcol)) for x, rcol in enumerate(zip(*r))]
-    return ValueFunction.on_grid(vals, D, inst.mode, "F")
+    return ValueFunction.on_grid(minplus_diag(p, r), D, inst.mode, "F")
 
 
 def jump_f(
@@ -86,11 +84,10 @@ def jump_f(
     """Forward jump f(x) = T+(phi^x)(x) - alpha0; nonpositive.
 
     phi^x is the negated column of the potential, so
-    f(x) = -min_y phi(y, x) + r(x, y), read straight off the kernel rows.
+    f(x) = -min_y r(x, y) + phi(y, x), the negated diagonal of r (x) phi.
     """
     if phi is None:
         phi = mane_potential(inst, crit)
     D = math.lcm(phi.scale, crit.kernel.scale)
     p, r = phi.at(D), crit.kernel.at(D)
-    vals = [-min(map(add, pcol, r[x])) for x, pcol in enumerate(zip(*p))]
-    return ValueFunction.on_grid(vals, D, inst.mode, "f")
+    return ValueFunction.on_grid([-v for v in minplus_diag(r, p)], D, inst.mode, "f")

@@ -95,7 +95,7 @@ def _strictify(
 ) -> ValueFunction:
     """One running sum per walk, padded with its last iterate to N steps,
     then one division; the iterates are never kept."""
-    walks = [orbit_walk(inst, crit, D, start, lim, fwd) for lim, fwd in ((lo, False), (hi, True))]
+    walks = [orbit_walk(inst, crit, D, start, lim, pos) for lim, pos in ((lo, False), (hi, True))]
     total, steps, lasts = list(start), [], []
     for walk in walks:
         last, k = next(walk), 0

@@ -4,7 +4,7 @@ import pytest
 
 from wkam import make_instance
 from wkam.barrier import limits_grid, orbit_walk
-from wkam.core import from_grid
+from wkam.core import PotentialTable, from_grid, minplus_product
 
 
 def orbit(inst, crit, u, forward=False):
@@ -13,6 +13,16 @@ def orbit(inst, crit, u, forward=False):
     D, start, lo, hi = limits_grid(inst, crit, u)
     walk = orbit_walk(inst, crit, D, start, hi if forward else lo, forward)
     return [from_grid(inst.mode, v, D) for v in walk]
+
+
+def power(inst, n):
+    """The n-step chain costs c^n (n >= 1): n - 1 min-plus products of the
+    cost table, as a table on its grid."""
+    t = inst.cost_grid
+    g = t.grid
+    for _ in range(n - 1):
+        g = minplus_product(g, t.grid)
+    return PotentialTable(g, t.scale, t.mode)
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from wkam import (
     InputError,
     ValueFunction,
     as_value_function,
-    cost_power,
     lax_oleinik_neg,
     lax_oleinik_pos,
     make_instance,
@@ -20,6 +19,7 @@ from wkam.core import minplus_product
 from wkam.numbers import Mode, parse_value
 from wkam.models import gen_constant
 
+from conftest import power
 from walk_reference import enum_walks
 
 
@@ -154,35 +154,30 @@ def test_reversal_identity_bit_exact(t2):
 
 # --- chain costs -------------------------------------------------------------
 
-def test_cost_power_constant():
+def test_minplus_power_constant():
     inst = gen_constant(3, F(3, 2))
     for n in (1, 2, 5):
-        table = cost_power(inst, n)
+        table = power(inst, n)
         assert all(v == n * F(3, 2) for row in table.entries for v in row)
 
 
-def test_cost_power_t2_matches_enumeration(t2):
-    c2 = cost_power(t2, 2)
+def test_minplus_power_t2_matches_enumeration(t2):
+    c2 = power(t2, 2)
     assert c2.entries[0][0] == F(1)
     assert c2.entries[0][1] == F(2)
     for n in range(1, 7):
-        table = cost_power(t2, n)
+        table = power(t2, n)
         for x in range(2):
             for y in range(2):
                 assert table.entries[x][y] == enum_walks(t2, x, y, n)
-
-
-def test_cost_power_rejects_zero(t2):
-    with pytest.raises(InputError):
-        cost_power(t2, 0)
 
 
 def test_semigroup_law(t2):
     # chain costs split over intermediate lengths
     for n in range(1, 6):
         for m in range(1, 6):
-            whole = cost_power(t2, n + m).entries
-            split = minplus_product(cost_power(t2, n).entries, cost_power(t2, m).entries)
+            whole = power(t2, n + m).entries
+            split = minplus_product(power(t2, n).entries, power(t2, m).entries)
             assert whole == split
 
 
@@ -220,21 +215,22 @@ def test_constant_commutation(cost, uvals, k):
     )
 
 
-def test_cost_power_graph_mode_absorbs_missing_edges():
+def test_minplus_power_graph_mode_absorbs_missing_edges():
     inf = float("inf")
     inst = make_instance([[inf, F(1)], [F(2), inf]])
     assert not inst.total
-    c2 = cost_power(inst, 2)
+    c2 = power(inst, 2)
     # two-step walks exist only loop-wise: a->b->a and b->a->b
     assert c2.entries == ((F(3), inf), (inf, F(3)))
 
 
 def test_operations_do_not_mutate_inputs(t2):
     u = vf(t2, [0, 0])
-    before_cost = t2.cost
+    before_cost, before_grid = t2.cost, t2.cost_grid.grid
     before_u = u.values
     lax_oleinik_neg(t2, u)
     lax_oleinik_pos(t2, u)
-    cost_power(t2, 3)
+    power(t2, 3)
     assert t2.cost == before_cost
+    assert t2.cost_grid.grid == before_grid
     assert u.values == before_u

@@ -16,8 +16,17 @@ from random import Random
 
 import pytest
 
-from wkam import cost_power, make_instance, reverse_cost
-from wkam.barrier import peierls_barrier, u_minus, u_plus, weak_kam_neg, weak_kam_pos
+from wkam import make_instance, reverse_cost
+from wkam.barrier import (
+    aubry_vertices,
+    limits_grid,
+    orbit_walk,
+    peierls_barrier,
+    u_minus,
+    u_plus,
+    weak_kam_neg,
+    weak_kam_pos,
+)
 from wkam.cli import main
 from wkam.core import (
     PotentialTable,
@@ -37,7 +46,7 @@ from wkam.oracle import subsolution_sampler
 from wkam.potential import jump_F, jump_f, mane_potential, phi_n
 from wkam.subsolution import max_strict_subsolution, uniform_subsolution_mix
 
-from conftest import orbit
+from conftest import orbit, power
 
 
 def _mixed(n: int, seed: int):
@@ -283,6 +292,22 @@ def test_float_operators_equal_by_repr():
     zeros, neg_zeros = ValueFunction((0.0,) * 3), ValueFunction((-0.0,) * 3)
     assert repr(lax_oleinik_pos(signed, zeros).values) == "(-0.0, 0.0, -0.0)"
     assert repr(lax_oleinik_neg(signed, neg_zeros).values) == "(0.0, -0.0, 0.0)"
+    # u_plus and a forward orbit step are max-plus products in T+'s form
+    # -min(c - u): against phi_1's columns at the Aubry vertices, and against
+    # the reduced matrix.  Each has a zero entry, so the sign is pinned.
+    inst = gen_fk(6, 1, fk_potential_well(6, 2), mode=flt)
+    crit = critical_value(inst)
+    p, r, pts = crit.kernel_plus().grid, crit.reduced, range(inst.n)
+    verts = aubry_vertices(inst, crit.kernel_plus())
+    u = weak_kam_neg(peierls_barrier(inst, crit), verts[0])
+    want = tuple(-min(p[x][a] - u[a] for a in verts) for x in pts)
+    assert repr(u_plus(inst, crit, u).values) == repr(want)
+    D, start, _, hi = limits_grid(inst, crit, u)
+    walk = orbit_walk(inst, crit, D, start, hi, True)
+    assert next(walk) == start
+    step = tuple(-min(r[x][y] - u[y] for y in pts) for x in pts)
+    assert repr(tuple(next(walk))) == repr(step)
+    assert "-0.0" in repr(want) and "-0.0" in repr(step)
 
 
 def test_cost_grid_held_once():
@@ -321,7 +346,7 @@ def test_float_tables_hold_floats(monkeypatch, capsys):
         phi_n(inst, crit, 3)
         max_strict_subsolution(inst, crit)
         reverse_cost(inst)
-        cost_power(inst, 2)
+        power(inst, 2)
     for sub in ("critical", "potential", "barrier", "aubry", "subsolution", "plotdata"):
         assert main([sub, "--gen", "fk:6:1:well@1", "--mode", "float"]) == 0
     capsys.readouterr()

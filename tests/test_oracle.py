@@ -11,7 +11,6 @@ import wkam.oracle as oracle
 
 from wkam import (
     SizeGuardError,
-    cost_power,
     critical_value,
     is_dominated,
     make_instance,
@@ -28,6 +27,7 @@ from wkam.oracle import (
     verify_all,
 )
 
+from conftest import power
 from cycle_reference import naive_cycle_scan
 from walk_reference import enum_walks
 
@@ -60,7 +60,7 @@ def test_enum_cycles_guard():
 
 def test_enum_walks_matches_power_t2(t2):
     for n in range(1, 7):
-        table = cost_power(t2, n)
+        table = power(t2, n)
         for x in range(2):
             for y in range(2):
                 assert enum_walks(t2, x, y, n) == table.entries[x][y]
@@ -367,6 +367,19 @@ def test_conjugation_fails_on_a_shifted_u_plus(monkeypatch):
     monkeypatch.setattr(oracle, "u_plus", shifted)
     assert oracle._check_conjugation(ws) == oracle.CheckResult(
         "barrier.conjugation_idempotent", False, "sample[2:0]"
+    )
+
+
+def test_tightness_check_fails_without_a_tight_pair(monkeypatch):
+    # The samples are on Ds = 4655851200 and the costs on D = 4.  Left on D,
+    # the costs make no pair tight, which no critical sub-solution allows:
+    # the Aubry edges are tight for each of them.
+    ws = _Workspace(gen_random(5, 2, -2, 2), 2, 20, None, None)
+    assert (ws.D, ws.Ds) == (4, 4655851200)
+    assert oracle._check_tightness_propagates(ws).passed
+    monkeypatch.setattr(_Workspace, "fine", lambda self, t: t)
+    assert oracle._check_tightness_propagates(ws) == oracle.CheckResult(
+        "subsolution.tight_pair_forces_fixed_point", False, "sample[2:0] has no tight pair"
     )
 
 

@@ -2,7 +2,7 @@
 
 ``enum_walks`` enumerates every walk of exactly n steps by bare recursion
 on the instance's own values (``Fraction`` or float, no integer grid), so
-it shares nothing with the min-plus powers of ``cost_power`` and
+it shares nothing with the min-plus powers of the cost table and
 ``phi_n`` that the tests check against it.
 """
 
