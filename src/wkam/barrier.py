@@ -13,13 +13,25 @@ from x to y.  With ``phi_1`` the Kleene plus of the reduced matrix
 
 one min-plus product of the columns and the rows of ``phi_1`` at A.  A walk
 through A costs at least h and, padded with zero cycles at A, reaches h at
-every length.  So with ``S`` the reduced matrix on the points ``B`` off A
-and ``G_j = S^(j-1) S^+`` the least weight of a walk of at least j edges
-inside B, the tail potentials are ``phi_j = min(h, G_j)`` on B x B and h
-elsewhere.  The transient ``iterations_to_fix``, the least k with
-``phi_{1+k} = h``, is the least k with ``G_{k+1} >= h`` on B x B (0 when B
-is empty); ``G_j`` is nondecreasing in j, so doubling and binary lifting
-find it with O(log k) min-plus products.  h costs O(n^2 |A|) on top of
+every length.  So with ``S`` the reduced matrix on the points ``B`` off A,
+the tail potential ``phi_j`` is h except where a walk of at least j edges
+inside B weighs less, and the transient ``iterations_to_fix``, the least k
+with ``phi_{1+k} = h``, is the least k past which no walk inside B weighs
+less than h (0 when B is empty).  Such walks end: as
+``h(x, y) <= phi_1(x, w) + h(w, y)``, a walk x -> w inside B of weight v
+extends to one below h iff ``v + m(x, w) < 0``, with
+``m(x, w) = min_y phi_1(w, y) - h(x, y)`` on B, one min-plus product (float
+mode keeps ``Mode.le``'s band: w stays iff some y fails
+``le(h(x, y), v + phi_1(w, y))``).  The front of x at length j holds those
+w, each with the least weight of a j-edge walk to it, which is exact, as
+the least walk to a front entry has its prefixes on fronts.  k is the least
+j whose fronts are all empty.  The search advances every front by a step
+``S^L`` (one ``minplus_row`` per row, over the front's rows of ``S^L``); it
+squares the step once the walk has made ``|B|^3`` entry updates since the
+last squaring, the price of one product, and after the first advance that
+empties every front it lifts j back with the smaller powers.  So a long
+transient takes at most ``2 + ceil(log2 k)`` products, a short one about
+one, and none is a Kleene plus.  h costs O(n^2 |A|) on top of
 ``phi_1``, which ``CriticalData`` holds once; the transient is computed on
 the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
 that never read it never pay for it.  The closed form, the transient and
@@ -61,7 +73,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
-from operator import le, sub
+from operator import add, le, sub
 from typing import Iterator, Optional
 
 from .core import (
@@ -72,14 +84,13 @@ from .core import (
     backward,
     forward,
     grid_operands,
-    kleene_plus,
     minplus_product,
     minplus_row,
     to_grid,
     vf_eq,
 )
 from .critical import CriticalData, _dominated_grid
-from .numbers import ConstructionError, InputError, SizeGuardError
+from .numbers import INF, ConstructionError, InputError, SizeGuardError
 from .potential import jump_F
 
 # Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
@@ -145,33 +156,67 @@ def aubry_vertices(inst: CostInstance, p: PotentialTable) -> list[int]:
 
 
 def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
-    """Least k >= 0 with G_{k+1} >= h on B x B (see the module docstring)."""
-    mode = inst.mode
-    scale = inst.value_scale()
-    r, hg = crit.kernel.grid, h.at(crit.kernel.scale)
+    """Least j whose fronts are all empty (see the module docstring)."""
+    mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
+    r, p, hg = crit.kernel.grid, crit.kernel_plus().grid, h.at(crit.kernel.scale)
     off = [x for x in range(inst.n) if not mode.is_zero(hg[x][x], scale=scale)]
+    b = len(off)
+    if not b:
+        return 0
     s = tuple(tuple(r[x][y] for y in off) for x in off)
+    pb = [[p[x][y] for y in off] for x in off]
     hb = [[hg[x][y] for y in off] for x in off]
+    # m(x, w) = min_y P(w, y) - h(x, y), the product of -h_B and P_B transposed
+    m = minplus_product(tuple(tuple(-v for v in row) for row in hb), tuple(zip(*pb)))
 
-    def reached(g: Matrix) -> bool:
-        return all(
-            mode.le(hv, gv, scale=scale) for hrow, grow in zip(hb, g) for hv, gv in zip(hrow, grow)
+    # Float mode keeps w iff some y fails le(h(x, y), v + P(w, y)).  As
+    # Mode.le's band is at least tol * |scale|, such a w has v + m(x, w)
+    # below -tol * |scale|; half of it is the cut, which leaves room for
+    # rounding.  The y of the widest gap h(x, y) - P(w, y) is tried first.
+    cut = 0 if exact else -mode.tolerance * max(1.0, abs(scale)) / 2
+
+    def fails(hx: list, v, pw: list) -> bool:
+        gaps = list(map(sub, hx, pw))
+        y = gaps.index(max(gaps))
+        return not mode.le(hx[y], v + pw[y], scale=scale) or not all(
+            mode.le(a, v + q, scale=scale) for a, q in zip(hx, pw)
         )
 
-    g = kleene_plus(s)  # G_1
-    if reached(g):
+    def front(x: int, row: list) -> tuple[list, list]:
+        """The entries w of row x with v = row[w] + m(x, w) < 0, and in
+        float mode with some y failing ``le(h(x, y), v + P(w, y))``."""
+        ws = [w for w, t in enumerate(map(add, row, m[x])) if t < cut]
+        if not exact:
+            ws = [w for w in ws if fails(hb[x], row[w], pb[w])]
+        return ws, [row[w] for w in ws]
+
+    def advance(fronts: list, q: Matrix) -> Optional[list]:
+        """The fronts a walk of q's length further on, or None if all are empty."""
+        out = [
+            front(x, minplus_row(vs, zip(*(q[w] for w in ws)))) if ws else ([], [])
+            for x, (ws, vs) in enumerate(fronts)
+        ]
+        return out if any(ws for ws, _ in out) else None
+
+    fronts = [front(x, [INF] * x + [0] + [INF] * (b - 1 - x)) for x in range(b)]  # j = 0
+    if not any(ws for ws, _ in fronts):
         return 0
-    # Invariant: g = G_j falls short of h, j = 2^i and powers[t] = S^(2^t).
-    j, powers = 1, [s]
-    while not reached(nxt := minplus_product(powers[-1], g)):
-        g, j = nxt, 2 * j
-        powers.append(minplus_product(powers[-1], powers[-1]))
-    # G_(2j) reaches h; lift j to the longest length that still falls short.
+    # Invariant: the fronts at length j are not all empty and powers[t] = S^(2^t);
+    # the step is squared once the walk has made |B|^3 entry updates, the
+    # price of the squaring, since the last one.
+    j, powers, work = 0, [s], 0
+    while (nxt := advance(fronts, powers[-1])) is not None:
+        work += b * sum(len(ws) for ws, _ in fronts)
+        fronts, j = nxt, j + (1 << (len(powers) - 1))
+        if work >= b**3:
+            powers.append(minplus_product(powers[-1], powers[-1]))
+            work = 0
+    # the fronts empty within the last step; lift j to the longest length
+    # whose fronts are not all empty
     for i in range(len(powers) - 2, -1, -1):
-        cand = minplus_product(powers[i], g)
-        if not reached(cand):
-            g, j = cand, j + (1 << i)
-    return j
+        if (nxt := advance(fronts, powers[i])) is not None:
+            fronts, j = nxt, j + (1 << i)
+    return j + 1
 
 
 def aubry(
@@ -265,10 +310,12 @@ def orbit_walk(
     if need > allowed:
         raise SizeGuardError(f"orbit needs at least {need} steps, over {allowed} at n = {inst.n}")
     stop = min(budget, allowed)
-    cols = None if positive else tuple(zip(*r))
+    # T+ v - alpha0 = -((-v) (x) r^T): a positive walk holds the negated
+    # iterate and steps on the rows of r, a negative one on its columns
+    cols = r if positive else tuple(zip(*r))
 
     def walk():
-        cur = start
+        cur, low = start, [-v for v in start] if positive else start
         for k in count():
             yield cur
             if cur == limit if exact else all(map(le, map(abs, map(sub, cur, limit)), band)):
@@ -277,7 +324,8 @@ def orbit_walk(
                 raise ConstructionError(f"orbit overran its budget of {budget} steps")
             if k == stop:
                 raise SizeGuardError(f"orbit did not settle in {stop} steps at n = {inst.n}")
-            cur = forward(cur, r) if positive else minplus_row(cur, cols)
+            low = minplus_row(low, cols)
+            cur = [-v for v in low] if positive else low
 
     return walk()
 

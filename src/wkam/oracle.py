@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, mul, sub
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .barrier import (
     AubryData,
@@ -89,6 +89,9 @@ CYCLE_GUARD = 10
 # and 0.2 s with CPython 3.11 on one core of a 2-vCPU VM.  (At n = 1 the
 # reduced matrix is [[0]], whose powers repeat at once.)
 _LIMINF_WORK_LIMIT = 10**6
+# phi tables _Workspace keeps: orders 1..8 are the ones the chain-splitting
+# suite compares
+_PHI_KEPT = 8
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -555,12 +558,21 @@ class _Workspace:
         return self._raw_powers[k]
 
     def phi_table(self, k: int) -> Matrix:
-        """phi_k times D."""
-        m = max(self._phi_tables)
-        while m < k:
-            self._phi_tables[m + 1] = minplus_product(self._phi_tables[m], self.r)
-            m += 1
-        return self._phi_tables[k]
+        """phi_k times D.  The orders up to ``_PHI_KEPT`` are kept; a higher
+        order is walked to from the highest order kept below it, and of the
+        orders past ``_PHI_KEPT`` only the last two walked stay (the
+        closed-form check compares phi_(1+k) with phi_k for the transient k)."""
+        tables = self._phi_tables
+        if k not in tables:
+            m = max(t for t in tables if t < k)
+            table = tables[m]
+            for t in [t for t in tables if t > _PHI_KEPT]:
+                del tables[t]
+            for m in range(m + 1, k + 1):
+                table = minplus_product(table, self.r)
+                if m <= _PHI_KEPT or m >= k - 1:
+                    tables[m] = table
+        return tables[k]
 
     def product(self, a: Matrix, b: Matrix) -> Matrix:
         """a (x) b, held for the last eight pairs of tables (with the pair, so
@@ -609,21 +621,22 @@ class _Workspace:
                             return x, y, z, i
         return None
 
-    def orbit(self, table: Matrix, steps: int, forward: bool, fine: bool = False) -> list[Matrix]:
+    def orbit(
+        self, table: Matrix, steps: int, forward: bool, fine: bool = False
+    ) -> Iterator[Matrix]:
         """Iterates 1..steps of u -> T- u + alpha0, or with ``forward`` of
         u -> T+ u - alpha0, on every row u of ``table`` (of Ds with ``fine``,
         else of D), one min-plus product per step: T- u = u (x) c and
         T+ u (w) = -((-u) (x) c^T)(w)."""
         c, a = (self.fine(self.c), self.a * (self.Ds // self.D)) if fine else (self.c, self.a)
-        cT, out = tuple(zip(*c)), []
+        cT = tuple(zip(*c))
         for _ in range(steps):
             if forward:
                 low = minplus_product(tuple(tuple(-v for v in row) for row in table), cT)
                 table = tuple(tuple(-v - a for v in row) for row in low)
             else:
                 table = tuple(tuple(v + a for v in row) for row in minplus_product(table, c))
-            out.append(table)
-        return out
+            yield table
 
     def max_strict(self) -> ValueFunction:
         if self._max_strict is None:
@@ -868,7 +881,7 @@ def _check_vanish(ws: _Workspace) -> CheckResult:
 
 def _check_iterated_vanish(ws: _Workspace) -> CheckResult:
     name = "potential.iterated_forward_vanish"
-    orbits = [ws.orbit(start, 5, forward=True) for start in (ws.phi_table(1), ws.p)]
+    orbits = [list(ws.orbit(start, 5, forward=True)) for start in (ws.phi_table(1), ws.p)]
     for x in range(ws.inst.n):
         for orbit in orbits:
             for m, table in enumerate(orbit, 1):
@@ -1010,11 +1023,15 @@ def _check_representation(ws: _Workspace) -> CheckResult:
     name = "barrier.orbit_representation"
     mode, scale, h = ws.mode, ws.scale, ws.h
 
-    def bounds(table: Matrix, N: int, fine: bool = False) -> list[tuple[list, list]]:
-        """(hi, lo) of the orbits of each row of table, iterates 0..N."""
-        ups = zip(table, *ws.orbit(table, N, False, fine))
-        downs = zip(table, *ws.orbit(table, N, True, fine))
-        return [(list(map(max, *up)), list(map(min, *down))) for up, down in zip(ups, downs)]
+    def bounds(table: Matrix, N: int, fine: bool = False) -> list[tuple]:
+        """(hi, lo) of the orbits of each row of table, iterates 0..N, as a
+        running max and min: no iterate is kept past its step."""
+        hi = lo = table
+        for up in ws.orbit(table, N, False, fine):
+            hi = [list(map(max, a, b)) for a, b in zip(hi, up)]
+        for down in ws.orbit(table, N, True, fine):
+            lo = [list(map(min, a, b)) for a, b in zip(lo, down)]
+        return list(zip(hi, lo))
 
     def below(hi: list, lo: list, h: Matrix) -> bool:
         return all(vf_le(mode, [v - lx for v in hi], row, scale=scale) for lx, row in zip(lo, h))
@@ -1060,7 +1077,7 @@ def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
 
 def _check_phi_orbit_identity(ws: _Workspace) -> CheckResult:
     name = "barrier.potential_orbit_identity"
-    orbit = ws.orbit(ws.p, 4, forward=False)
+    orbit = list(ws.orbit(ws.p, 4, forward=False))
     for x in range(ws.inst.n):
         for k, table in enumerate(orbit, 1):
             if not vf_eq(ws.mode, table[x], ws.phi_table(k)[x], scale=ws.scale):
@@ -1162,7 +1179,9 @@ def _check_strict_dichotomy(ws: _Workspace) -> CheckResult:
 
 
 def _check_tightness_propagates(ws: _Workspace) -> CheckResult:
-    # every critical sub-solution is tight on the Aubry edges, never empty
+    # every sample is dominated, u(x) - u(y) <= c(y, x) + alpha0, and tight
+    # on the Aubry edges (the cycle scan's zero edges, never empty); a tight
+    # pair (x, y), the step y -> x, makes x a fixed point of T- + alpha0
     name = "subsolution.tight_pair_forces_fixed_point"
     inst, mode, scale, pts = ws.inst, ws.mode, ws.scale, range(ws.inst.n)
     c, a = ws.fine(ws.c), ws.a * (ws.Ds // ws.D)
@@ -1171,6 +1190,12 @@ def _check_tightness_propagates(ws: _Workspace) -> CheckResult:
         tight = [(x, y) for x in pts for y in pts if mode.eq(g[x] - g[y], c[y][x] + a, scale=scale)]
         if not tight:
             return CheckResult(name, False, f"{u.tag} has no tight pair")
+        over = ws.first_pair(lambda y, x: not mode.le(g[x] - g[y], c[y][x] + a, scale=scale))
+        if over is not None:
+            return CheckResult(name, False, "{} not dominated at ({},{})".format(u.tag, *over))
+        loose = next(((y, x) for y, x in ws.scan.zero_edges if (x, y) not in tight), None)
+        if loose is not None:
+            return CheckResult(name, False, f"{u.tag} not tight on Aubry edge {loose}")
         for x, y in tight:
             if not mode.eq(g[x], timg[x] + a, scale=scale):
                 return CheckResult(name, False, f"{u.tag} at ({y},{x})")

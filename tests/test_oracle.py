@@ -16,7 +16,7 @@ from wkam import (
     make_instance,
     peierls_barrier,
 )
-from wkam.models import gen_constant, gen_random
+from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import INF, Mode
 from wkam.oracle import (
     _Workspace,
@@ -381,6 +381,21 @@ def test_tightness_check_fails_without_a_tight_pair(monkeypatch):
     assert oracle._check_tightness_propagates(ws) == oracle.CheckResult(
         "subsolution.tight_pair_forces_fixed_point", False, "sample[2:0] has no tight pair"
     )
+
+
+def test_tightness_check_fails_off_the_aubry_edges(monkeypatch):
+    # On a circle grid the costs sit on D = 1 and the samples on a far finer
+    # Ds.  Left on D, the costs still make the loop at the well tight, which
+    # is each sample's only tight pair and the only Aubry edge here, so the
+    # tight sets come out right; the samples are not dominated by those costs.
+    inst = gen_fk(10, 1, fk_potential_well(10, 3))
+    ws = _Workspace(inst, 5, 20, None, None)
+    assert (ws.D, ws.Ds) == (1, 45213661452960)
+    assert oracle._check_tightness_propagates(ws).passed
+    monkeypatch.setattr(_Workspace, "fine", lambda self, t: t)
+    res = oracle._check_tightness_propagates(ws)
+    assert not res.passed
+    assert res.witness == "sample[5:0] not dominated at (0,6)"
 
 
 # --- whole-table checks -----------------------------------------------------------

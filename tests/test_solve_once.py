@@ -64,9 +64,10 @@ def calls(monkeypatch):
 
 
 def _kernel_plus_count(rec, n):
-    # the transient's Kleene plus acts on the off-Aubry block, which is
-    # smaller than n because the Aubry set is never empty
-    return sum(1 for a in rec["plus"] if len(a) == n)
+    # the n x n kernel's Kleene plus is the only one wkam makes: the
+    # transient walks pruned fronts and calls none
+    assert all(len(a) == n for a in rec["plus"])
+    return len(rec["plus"])
 
 
 # n x n tables each subcommand converts to values: only those it prints.
@@ -188,9 +189,11 @@ def test_transient_runs_once_on_first_read(calls):
     inst = gen_fk(24, 1, fk_potential_well(24, 0))
     bar = peierls_barrier(inst, critical_value(inst))
     assert calls["transient"] == 0
+    plus = len(calls["plus"])
     assert bar.iterations_to_fix == 8
     assert bar.iterations_to_fix == 8
     assert calls["transient"] == 1
+    assert len(calls["plus"]) == plus  # the transient makes no Kleene plus
 
 
 def _slow():
