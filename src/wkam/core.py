@@ -10,11 +10,13 @@ point ``y``.  The two value-update operators are
 Every min-plus loop of the solver is a kernel here: ``minplus_row`` (a row
 times a matrix given by its columns; ``minplus_product`` is one per row),
 ``minplus_diag`` (the diagonal of a product) and ``kleene_plus`` (the
-closure).  ``backward`` is ``T-`` by ``minplus_row``, and ``forward`` is
-``T+`` as its max-plus dual ``-min_y (c(x, y) - u(y))``; the reversal
-identity ``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not
-used to compute ``T+``.  All operations are pure functions of immutable
-inputs and deterministic (ties in argmins break to the lowest point index).
+closure), but ``critical._bellman_ford``, which relaxes in place: a Jacobi
+round of ``minplus_row`` would give other float potentials.  ``backward``
+is ``T-`` by ``minplus_row``, and ``forward`` is ``T+`` as its max-plus
+dual ``-min_y (c(x, y) - u(y))``; the reversal identity
+``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not used to
+compute ``T+``.  All operations are pure functions of immutable inputs and
+deterministic (ties in argmins break to the lowest point index).
 
 Exact mode computes on an integer grid: with ``D`` a common denominator of
 the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
@@ -249,33 +251,37 @@ def _instance(
         if len(set(labels)) != n:
             raise InputError("labels must be unique")
     if metric is not None:
-        g = metric.grid
-        if len(g) != n or any(len(r) != n for r in g):
+        if len(metric.grid) != n or any(len(r) != n for r in metric.grid):
             raise InputError("metric matrix is not n x n")
-        for i, row in enumerate(g):
-            if row[i] != 0:
-                raise InputError(f"metric diagonal must be zero at {i}")
-            for j, dij in enumerate(row):
-                if is_inf(dij) or dij < 0:
-                    raise InputError(f"metric entry ({i},{j}) must be finite >= 0")
-                if dij != g[j][i]:
-                    raise InputError(f"metric not symmetric at ({i},{j})")
-        # Symmetry makes column j equal to row j, so each (i, j) is one
-        # C-level scan over k, and a violation at (i, j) is one at (j, i):
-        # pairs j > i suffice, and the first violation in row-major order
-        # has i < j.  The loop below names the first violating k.
-        for i, row in enumerate(g):
-            for j in range(i + 1, n):
-                dij = row[j]
-                if dij > min(map(add, row, g[j])):
-                    k = next(k for k in range(n) if dij > row[k] + g[j][k])
-                    raise InputError(
-                        f"metric violates triangle inequality at ({i},{k},{j})"
-                    )
+        check_metric(metric.grid)
     total = not any(is_inf(v) for row in cost.grid for v in row)
     return CostInstance(
         n=n, labels=labels, cost_grid=cost, mode=cost.mode, metric_grid=metric, total=total
     )
+
+
+def check_metric(g: Matrix) -> None:
+    """InputError unless the square matrix ``g`` (a metric on one grid) has
+    a zero diagonal, finite nonnegative symmetric entries and the triangle
+    inequality over all triples."""
+    for i, row in enumerate(g):
+        if row[i] != 0:
+            raise InputError(f"metric diagonal must be zero at {i}")
+        for j, dij in enumerate(row):
+            if is_inf(dij) or dij < 0:
+                raise InputError(f"metric entry ({i},{j}) must be finite >= 0")
+            if dij != g[j][i]:
+                raise InputError(f"metric not symmetric at ({i},{j})")
+    # Symmetry makes column j equal to row j, so each (i, j) is one
+    # C-level scan over k, and a violation at (i, j) is one at (j, i):
+    # pairs j > i suffice, and the first violation in row-major order
+    # has i < j.  The loop below names the first violating k.
+    for i, row in enumerate(g):
+        for j in range(i + 1, len(g)):
+            dij = row[j]
+            if dij > min(map(add, row, g[j])):
+                k = next(k for k in range(len(g)) if dij > row[k] + g[j][k])
+                raise InputError(f"metric violates triangle inequality at ({i},{k},{j})")
 
 
 @lru_cache(maxsize=None)

@@ -185,24 +185,34 @@ def _bellman_ford(weights: Matrix) -> tuple[list[Value], list[Optional[int]]]:
 
 
 def _first_cycle(adj: list[list[int]], n: int) -> Optional[tuple[int, ...]]:
-    for start in range(n):
-        path = [start]
-        onpath = {start}
-        iters = [iter(adj[start])]
-        while iters:
-            try:
-                nxt = next(iters[-1])
-            except StopIteration:
-                iters.pop()
-                onpath.discard(path.pop())
-                continue
-            if nxt == start:
-                return tuple(path)
-            if nxt in onpath or nxt < start:
-                continue
-            path.append(nxt)
-            onpath.add(nxt)
-            iters.append(iter(adj[nxt]))
+    """The cycle a depth-first search finds first, trying starts and then
+    successors (``adj`` lists are ascending) in order, through points above
+    the start.  It starts at the least point s on a cycle, and each step
+    takes the least successor that is s or still reaches s through points
+    above s off the path: one backward search per step, O(n * edges).
+    """
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for u, vs in enumerate(adj):
+        for v in vs:
+            radj[v].append(u)
+    for s in range(n):
+        if not adj[s] or adj[s][-1] < s:
+            continue  # no successor the search could take
+        path, seen = [s], {s}
+        while s not in adj[path[-1]]:
+            reach, todo = set(), [s]
+            while todo:
+                for u in radj[todo.pop()]:
+                    if u > s and u not in seen and u not in reach:
+                        reach.add(u)
+                        todo.append(u)
+            y = next((y for y in adj[path[-1]] if y in reach), None)
+            if y is None:  # only at the start: s lies on no cycle
+                break
+            path.append(y)
+            seen.add(y)
+        else:
+            return tuple(path)
     return None
 
 

@@ -8,6 +8,10 @@ The metric validators implement the coarse length-space machinery: a metric
 space is a B-length space at scale K when every pair is joined by a chain of
 steps of length at most K whose total length is at most B times the
 distance; such a chain can always be thinned to at most 2*B*d/K + 1 steps.
+So no hop cap is needed to decide it: one Floyd closure q of the step graph
+(the pairs within distance K, weighted by distance, on the metric's integer
+grid) gives every pair's least chain length, a pair passes iff
+q(x, y) <= B*d(x, y), and a least path, thinned, is its witness chain.
 Dominated functions on such spaces are Lipschitz in the large,
 ``|u(x)-u(y)| <= k d(x,y) + b`` with
 
@@ -37,15 +41,18 @@ from .core import (
     ValueFunction,
     _freeze,
     _instance,
+    _table,
+    check_metric,
     from_grid,
     grid_scale,
+    kleene_plus,
     make_instance,
-    minplus_product,
     ratio,
     to_grid,
 )
 from .numbers import (
     EXACT,
+    INF,
     InputError,
     Mode,
     Value,
@@ -173,88 +180,64 @@ def check_length_space(
     K: Value,
     mode: Mode = EXACT,
 ) -> LengthSpaceReport:
-    """Search, pair by pair, for chains certifying the (B, K) length bound.
+    """Decide, pair by pair, whether chains certify the (B, K) length bound.
 
-    Dynamic programming over the step graph (edges of length <= K, weighted
-    by length) gives the least total length among chains of at most j hops;
-    a pair passes when some chain within the thinning bound
-    2*B*d(x,y)/K + 1 has total length <= B*d(x,y).  Thinning guarantees the
-    hop cap loses nothing.
+    One Kleene plus q of the step graph decides every pair (see the module
+    docstring).  The thinning bound needs the triangle inequality, so the
+    matrix is checked to be a metric first.  A witness chain walks a least
+    path to its target and is thinned as it goes.
     """
     n = len(metric)
     if n < 1 or any(len(r) != n for r in metric):
         raise InputError("metric matrix is not square")
-    B = mode.coerce(B)
-    K = mode.coerce(K)
-    if B < 1 or K <= 0:
-        raise InputError("need B >= 1 and K > 0")
-    d = [[mode.coerce(v) for v in row] for row in metric]
-    INF_ = float("inf")
-    step = [
-        [d[i][j] if d[i][j] <= K else INF_ for j in range(n)] for i in range(n)
-    ]
-    bounds = {}
-    max_bound = 0
-    for x in range(n):
-        for y in range(n):
-            bound = math.floor(2 * B * d[x][y] / K + 1)
-            bounds[(x, y)] = bound
-            max_bound = max(max_bound, bound)
-    # best[j][x][y]: least total length using at most j hops; parent for paths
-    best = [[INF_] * n for _ in range(n)]
-    for i in range(n):
-        best[i][i] = 0
-    hops = [ [row[:] for row in best] ]
-    for _ in range(max_bound):
-        prev = hops[-1]
-        ext = minplus_product(prev, step)
-        hops.append([list(map(min, row, erow)) for row, erow in zip(prev, ext)])
+    B, K = mode.coerce(B), mode.coerce(K)
+    if is_inf(B) or B < 1 or K <= 0:
+        raise InputError("need a finite B >= 1 and K > 0")
+    t = _table(mode, metric)
+    check_metric(t.grid)
+    d = t.grid
+    (pb, qb), (pk, qk) = ratio(mode, B), ratio(mode, K)
+    kg = pk * t.scale  # d <= K iff d * scale * qk <= kg
+    step = tuple(tuple(v if v * qk <= kg else INF for v in row) for row in d)
+    q = kleene_plus(step)
+    bound = math.floor(2 * B * from_grid(mode, (max(map(max, d)),), t.scale)[0] / K + 1)
+    # hop[y][x], the next point after x on a least path to y.  Points settle
+    # in the order of q(x, y) (q is symmetric: q[y][x]), each on the least z
+    # of least step(x, z) + q(z, y) among settled points a step away, so no
+    # walk loops.  Exactly, every z with q(z, y) < q(x, y) settles first and
+    # that least is q(x, y).  A float sum can swallow a short step and leave
+    # a point with no settled neighbour yet: it goes to the back of the line,
+    # which moves on, as steps join every point of finite q(x, y) to y.
+    steps = [[(z, s) for z, s in enumerate(row) if s != INF] for row in step]
+    hop = []
+    for y, qy in enumerate(q):
+        hy = [None] * n
+        hy[y] = y
+        todo = sorted((x for x, v in enumerate(qy) if v != INF and x != y), key=qy.__getitem__)
+        for x in todo:
+            near = [(s + qy[z], z) for z, s in steps[x] if hy[z] is not None]
+            if near:
+                hy[x] = min(near)[1]
+            else:
+                todo.append(x)
+        hop.append(hy)
     chains: dict[tuple[int, int], tuple[int, ...]] = {}
     failures = []
-    for x in range(n):
-        for y in range(n):
-            bound = bounds[(x, y)]
-            total = hops[bound][x][y]
-            if total != INF_ and mode.le(total, B * d[x][y]):
-                chains[(x, y)] = _reconstruct_chain(step, hops, x, y, bound)
+    for x, (qrow, drow) in enumerate(zip(q, d)):
+        for y, (qv, dv) in enumerate(zip(qrow, drow)):
+            if mode.le(qb * qv, pb * dv):
+                # walk the least path to y, thinned as it goes: a point
+                # is dropped while its neighbours lie within K
+                out, cur, hy = [x], x, hop[y]
+                while cur != y:
+                    z = hy[cur]
+                    if cur != x and d[out[-1]][z] * qk > kg:
+                        out.append(cur)
+                    cur = z
+                chains[(x, y)] = tuple(out) if x == y else (*out, y)
             else:
                 failures.append((x, y))
-    return LengthSpaceReport(
-        B=B,
-        K=K,
-        ok=not failures,
-        witness_chains=chains,
-        max_chain_length_bound=max_bound,
-        failures=tuple(failures),
-    )
-
-
-def _reconstruct_chain(step, hops, x, y, bound) -> tuple[int, ...]:
-    n = len(step)
-    inf = float("inf")
-    chain = [y]
-    j = bound
-    cur = y
-    while cur != x and j > 0:
-        target = hops[j][x][cur]
-        if hops[j - 1][x][cur] == target:  # same value with fewer hops
-            j -= 1
-            continue
-        for z in range(n):
-            pz = hops[j - 1][x][z]
-            w = step[z][cur]
-            if pz != inf and w != inf and pz + w == target:
-                chain.append(z)
-                cur = z
-                break
-        j -= 1
-    chain.reverse()
-    # drop zero-length repeats so witness steps are genuine moves
-    out = [chain[0]]
-    for p in chain[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return tuple(out)
+    return LengthSpaceReport(B, K, not failures, chains, bound, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ _LIMINF_WORK_LIMIT = 10**6
 # phi tables _Workspace keeps: orders 1..8 are the ones the chain-splitting
 # suite compares
 _PHI_KEPT = 8
+_SAMPLES = 20  # dominated functions verify_all draws for its sample checks
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -661,7 +662,6 @@ def _mix(ws: _Workspace, u: ValueFunction, v: ValueFunction, t: Value, q: int) -
 def verify_all(
     inst: CostInstance,
     seed: int = 0,
-    samples: int = 20,
     horizon: Optional[int] = None,
     barrier_override: Optional[Matrix] = None,
 ) -> OracleReport:
@@ -673,7 +673,7 @@ def verify_all(
     """
     _guard(inst.n, CYCLE_GUARD, "verify_all")
     inst.require_total("verify_all")
-    ws = _Workspace(inst, seed, samples, horizon, barrier_override)
+    ws = _Workspace(inst, seed, _SAMPLES, horizon, barrier_override)
     metric = _METRIC_CHECKS if inst.metric_grid is not None else ()
     checks = tuple(check(ws) for check in _CHECKS + metric)
     summary = (

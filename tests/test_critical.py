@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from random import Random
 
@@ -15,11 +16,15 @@ from wkam import (
     mane_potential,
     solve_subsolution,
 )
+import wkam.critical as critical
 from wkam.barrier import limits_grid
+from wkam.critical import _first_cycle
 from wkam.models import gen_constant, gen_fk, gen_random, fk_potential_well
 from wkam.numbers import EXACT, Mode
 from wkam.subsolution import is_calibrated
 from wkam.oracle import cycle_scan, subsolution_sampler
+
+from first_cycle_reference import reference_first_cycle
 
 FLOAT = Mode("float", 1e-9)
 
@@ -278,3 +283,41 @@ def test_single_point_full_pipeline():
     bar = peierls_barrier(inst, crit)
     assert bar.h.entries == ((F(0),),)
     assert aubry(inst, crit, bar).vertices == (0,)
+
+
+# --- the witness cycle ---------------------------------------------------------
+
+def test_first_cycle_equals_depth_first_search_on_random_digraphs():
+    rng = Random(11)
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        adj = [[v for v in range(n) if rng.random() < p] for _ in range(n)]
+        assert _first_cycle(adj, n) == reference_first_cycle(adj, n), adj
+
+
+def test_witness_cycle_equals_depth_first_search_on_solver_instances(monkeypatch):
+    modes = (EXACT, FLOAT)
+    insts = [gen_random(n, s, -2, 2, mode=m) for n in (3, 8, 14) for s in range(4) for m in modes]
+    insts += [
+        gen_fk(n, 1, fk_potential_well(n, c), mode=m) for n in (5, 12) for c in range(n) for m in modes
+    ]
+    got = [critical_value(inst).witness_cycle for inst in insts]
+    monkeypatch.setattr(critical, "_first_cycle", reference_first_cycle)
+    assert got == [critical_value(inst).witness_cycle for inst in insts]
+
+
+def test_witness_cycle_in_polynomial_time():
+    # every pair u < v lies on a cycle of mean 1/2 and the only zero cycle
+    # is the loop at n - 1; the depth-first search walked every simple path
+    # of the tight graph from point 0, its time doubling with each point
+    n = 40
+    cost = [[u - v + (u > v) for v in range(n)] for u in range(n)]
+    for u in range(n):
+        cost[u][u] = 1
+    cost[n - 1][n - 1] = 0
+    inst = make_instance(cost)
+    start = time.perf_counter()
+    crit = critical_value(inst)
+    assert time.perf_counter() - start < 1
+    assert (crit.alpha0, crit.witness_cycle) == (0, (n - 1,))

@@ -15,7 +15,7 @@ from wkam import (
     phi_n,
     reverse_cost,
 )
-from wkam.models import gen_constant, gen_random
+from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.oracle import cycle_scan, subsolution_sampler
 
 from walk_reference import enum_walks
@@ -231,3 +231,18 @@ def test_rows_and_columns_dominated():
         assert is_dominated(inst, ValueFunction(phi.entries[x]), crit.alpha0).ok
         col = ValueFunction(tuple(-row[x] for row in phi.entries))
         assert is_dominated(inst, col, crit.alpha0).ok
+
+
+def test_exact_jumps_are_the_kleene_plus_diagonal():
+    # F(x) = min_y phi(x, y) + r(y, x) is the least closed walk through x,
+    # the diagonal of P = kernel_plus(); f is minus it.  (Float mode agrees
+    # only up to rounding, so the solver keeps minplus_diag.)
+    ranges = ((-2, 2), (0, 3))
+    insts = [gen_random(n, seed, lo, hi) for n in range(1, 9) for seed in range(5) for lo, hi in ranges]
+    insts += [gen_fk(m, 1, fk_potential_well(m, c)) for m in (4, 7) for c in range(m)]
+    for inst in insts:
+        crit = critical_value(inst)
+        P = crit.kernel_plus().entries
+        diag = tuple(P[x][x] for x in range(inst.n))
+        assert jump_F(inst, crit).values == diag
+        assert jump_f(inst, crit).values == tuple(-v for v in diag)

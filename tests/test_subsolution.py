@@ -19,7 +19,8 @@ from wkam import (
     uniform_subsolution_mix,
     weak_kam_neg,
 )
-from wkam.models import gen_constant, gen_random
+from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
+from wkam.numbers import Mode
 from wkam.oracle import aubry_chain_sets, enum_zero_cycles, subsolution_sampler
 
 
@@ -253,3 +254,23 @@ def test_tight_pair_forces_fixed_point():
             for y in range(5):
                 if u.values[x] - u.values[y] == inst.cost[y][x] + crit.alpha0:
                     assert u.values[x] == timg[x] + crit.alpha0
+
+
+# --- the potential-row mix is already maximally strict ------------------------------
+
+def test_potential_row_mix_is_strict_exactly_off_the_aubry_edges():
+    # the mix u* itself, not only its strictification, is strict at every
+    # pair but the Aubry edges (the oracle's zero-cycle edges)
+    insts = [
+        gen_random(n, seed, lo, hi, mode=mode)
+        for mode in (Mode("exact"), Mode("float", 1e-9))
+        for n in range(1, 9)
+        for seed in range(4)
+        for lo, hi in ((-2, 2), (0, 3), (-100, 100))
+    ]
+    insts += [gen_fk(m, 1, fk_potential_well(m, c)) for m in (3, 6, 9) for c in range(m)]
+    for inst in insts:
+        crit = critical_value(inst)
+        edges = set(enum_zero_cycles(inst).edges)
+        off = {(x, y) for x in range(inst.n) for y in range(inst.n)} - edges
+        assert set(strict_pairs(inst, crit, uniform_subsolution_mix(inst, crit))) == off
