@@ -4,7 +4,10 @@ Each case runs ``wkam.cli.main`` in process and compares the exit code and
 the sha256 of stdout with ``cli_golden.json``.  The sources are the checked-in
 ``instances/*.json``, a circle-grid generator spec with mixed denominators
 (3, 5 and 7) and an inline instance whose witness cycle has three points, so
-that alpha0 = 4/9 brings a denominator of its own.  Every case runs in exact
+that alpha0 = 4/9 brings a denominator of its own, and a sparse inline
+instance: ``critical`` prints "inf" and fractions off a grid of scale 30,
+and every subcommand that needs a total instance (or, for ``plotdata``, a
+metric) exits 2 with empty stdout.  Every case runs in exact
 mode and again with ``--mode float``, whose stdout pins the float arithmetic.
 
 Re-record (only when an output change is intended) with
@@ -34,6 +37,7 @@ MIXED_DOC = {
         [1, "2/3", "3/5", 2],
     ]
 }
+SPARSE_DOC = {"cost": [["1/3", "inf", 2], [1, "-1/2", "inf"], ["inf", "2/5", 0]]}
 SUBCOMMANDS = (
     ("critical",),
     ("potential",),
@@ -51,6 +55,9 @@ def _sources(tmp: Path) -> dict[str, list[str]]:
     mixed = tmp / "mixed.json"
     mixed.write_text(json.dumps(MIXED_DOC), encoding="utf-8")
     src["mixed_cycle3.json"] = ["--in", str(mixed)]
+    sparse = tmp / "sparse.json"
+    sparse.write_text(json.dumps(SPARSE_DOC), encoding="utf-8")
+    src["sparse.json"] = ["--in", str(sparse)]
     return src
 
 
@@ -61,7 +68,7 @@ def _cases(tmp: Path) -> dict[str, list[str]]:
             for fmt in ("json", "csv"):
                 key = f"{name} {' '.join(sub)} --format {fmt}"
                 cases[key] = [sub[0], *source, *sub[1:], "--format", fmt]
-        if name.startswith(("fk", "gen:fk")):
+        if name.startswith(("fk", "gen:fk", "sparse")):
             cases[f"{name} plotdata"] = ["plotdata", *source]
     cases.update({f"{key} --mode float": [*argv, "--mode", "float"] for key, argv in cases.items()})
     return cases
