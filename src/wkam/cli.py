@@ -17,14 +17,15 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
 from .barrier import aubry, peierls_barrier, weak_kam_neg
-from .core import CostInstance, PotentialTable, _instance, from_grid, make_instance
+from .core import CostInstance, PotentialTable, ValueFunction, _instance, format_grid, make_instance
 from .critical import critical_value
 from .models import gen_constant, gen_fk, gen_random, fk_potential_well, load
-from .numbers import InputError, Mode, format_value, parse_value, value_str
+from .numbers import InputError, Mode, format_value, formatted_str, parse_value, value_str
 from .oracle import verify_all
 from .potential import jump_F, jump_f, mane_potential, phi_n
 from .subsolution import max_strict_subsolution, strict_pairs, uniform_subsolution_mix
@@ -35,7 +36,9 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it as it is."""
     common = argparse.ArgumentParser(add_help=False)
     src = common.add_mutually_exclusive_group(required=True)
     src.add_argument("--in", dest="infile", metavar="PATH", help="instance JSON file")
@@ -147,8 +150,29 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fmt_matrix(mat) -> list:
-    return [[format_value(v) for v in row] for row in mat]
+def _fmt_matrix(t: PotentialTable) -> list:
+    return [format_grid(t.mode, row, t.scale) for row in t.grid]
+
+
+def _fmt_vector(u: ValueFunction) -> list:
+    return format_grid(u.mode, u.grid, u.scale)
+
+
+def _fmt_diag(t: PotentialTable) -> list:
+    return format_grid(t.mode, [row[x] for x, row in enumerate(t.grid)], t.scale)
+
+
+def _matrix_rows(tag: str, labels: tuple, mat: list) -> list[tuple]:
+    """Long-CSV rows of a formatted matrix, row by row."""
+    return [
+        (tag, labels[x], labels[y], formatted_str(v))
+        for x, row in enumerate(mat)
+        for y, v in enumerate(row)
+    ]
+
+
+def _vector_rows(tag: str, labels: tuple, vec: list) -> list[tuple]:
+    return [(tag, labels[x], "", formatted_str(v)) for x, v in enumerate(vec)]
 
 
 def _long_csv(rows: list[tuple]) -> str:
@@ -164,21 +188,14 @@ def cmd_critical(args) -> int:
     inst = _load_instance(args)
     crit = critical_value(inst)
     cycle = [inst.labels[i] for i in crit.witness_cycle]
+    reduced = _fmt_matrix(crit.kernel)
     if args.fmt == "json":
-        doc = {
-            "alpha0": format_value(crit.alpha0),
-            "witness_cycle": cycle,
-            "reduced": _fmt_matrix(crit.reduced),
-        }
+        doc = {"alpha0": format_value(crit.alpha0), "witness_cycle": cycle, "reduced": reduced}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
         rows.append(("witness_cycle", "", "", "->".join(cycle)))
-        for x in range(inst.n):
-            for y in range(inst.n):
-                rows.append(
-                    ("reduced", inst.labels[x], inst.labels[y], value_str(crit.reduced[x][y]))
-                )
+        rows += _matrix_rows("reduced", inst.labels, reduced)
         _emit(args, _long_csv(rows))
     return EXIT_OK
 
@@ -190,24 +207,17 @@ def cmd_potential(args) -> int:
     phi1 = phi_n(inst, crit, 1)
     F = jump_F(inst, crit, phi=phi)
     f = jump_f(inst, crit, phi=phi)
+    mats = {"phi": _fmt_matrix(phi), "phi1": _fmt_matrix(phi1)}
+    vecs = {"F": _fmt_vector(F), "f": _fmt_vector(f)}
     if args.fmt == "json":
-        doc = {
-            "alpha0": format_value(crit.alpha0),
-            "phi": _fmt_matrix(phi.entries),
-            "phi1": _fmt_matrix(phi1.entries),
-            "F": [format_value(v) for v in F.values],
-            "f": [format_value(v) for v in f.values],
-        }
+        doc = {"alpha0": format_value(crit.alpha0), **mats, **vecs}
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
-        for tag, mat in (("phi", phi.entries), ("phi1", phi1.entries)):
-            for x in range(inst.n):
-                for y in range(inst.n):
-                    rows.append((tag, inst.labels[x], inst.labels[y], value_str(mat[x][y])))
-        for tag, fn in (("F", F), ("f", f)):
-            for x in range(inst.n):
-                rows.append((tag, inst.labels[x], "", value_str(fn.values[x])))
+        for tag, mat in mats.items():
+            rows += _matrix_rows(tag, inst.labels, mat)
+        for tag, vec in vecs.items():
+            rows += _vector_rows(tag, inst.labels, vec)
         _emit(args, _long_csv(rows))
     return EXIT_OK
 
@@ -216,10 +226,11 @@ def cmd_barrier(args) -> int:
     inst = _load_instance(args)
     crit = critical_value(inst)
     bar = peierls_barrier(inst, crit)
+    h = _fmt_matrix(bar.h)
     if args.fmt == "json":
         doc = {
             "alpha0": format_value(crit.alpha0),
-            "h": _fmt_matrix(bar.h.entries),
+            "h": h,
             "finite": True,
             "iterations_to_fix": bar.iterations_to_fix,
         }
@@ -227,9 +238,7 @@ def cmd_barrier(args) -> int:
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
         rows.append(("iterations_to_fix", "", "", str(bar.iterations_to_fix)))
-        for x in range(inst.n):
-            for y in range(inst.n):
-                rows.append(("h", inst.labels[x], inst.labels[y], value_str(bar.h.entries[x][y])))
+        rows += _matrix_rows("h", inst.labels, h)
         _emit(args, _long_csv(rows))
     return EXIT_OK
 
@@ -239,12 +248,13 @@ def cmd_aubry(args) -> int:
     crit = critical_value(inst)
     bar = peierls_barrier(inst, crit)
     aub = aubry(inst, crit, bar)
+    F = _fmt_vector(aub.jumps)
     if args.fmt == "json":
         doc = {
             "alpha0": format_value(crit.alpha0),
             "vertices": [inst.labels[v] for v in aub.vertices],
             "edges": [[inst.labels[a], inst.labels[b]] for a, b in aub.edges],
-            "F": [format_value(v) for v in aub.jumps.values],
+            "F": F,
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
@@ -253,8 +263,7 @@ def cmd_aubry(args) -> int:
             rows.append(("vertex", inst.labels[v], "", ""))
         for a, b in aub.edges:
             rows.append(("edge", inst.labels[a], inst.labels[b], ""))
-        for x in range(inst.n):
-            rows.append(("F", inst.labels[x], "", value_str(aub.jumps.values[x])))
+        rows += _vector_rows("F", inst.labels, F)
         _emit(args, _long_csv(rows))
     return EXIT_OK
 
@@ -267,8 +276,8 @@ def cmd_subsolution(args) -> int:
     pairs = strict_pairs(inst, crit, u1)
     doc = {
         "alpha0": format_value(crit.alpha0),
-        "u_star": [format_value(v) for v in mix.values],
-        "u1": [format_value(v) for v in u1.values],
+        "u_star": _fmt_vector(mix),
+        "u1": _fmt_vector(u1),
         "strict_pairs": [[inst.labels[a], inst.labels[b]] for a, b in pairs],
     }
     if args.check:
@@ -283,9 +292,8 @@ def cmd_subsolution(args) -> int:
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
-        for tag, vals in (("u_star", mix.values), ("u1", u1.values)):
-            for x in range(inst.n):
-                rows.append((tag, inst.labels[x], "", value_str(vals[x])))
+        for tag in ("u_star", "u1"):
+            rows += _vector_rows(tag, inst.labels, doc[tag])
         for a, b in pairs:
             rows.append(("strict", inst.labels[a], inst.labels[b], ""))
         if args.check:
@@ -334,18 +342,15 @@ def cmd_plotdata(args) -> int:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(("point", "V", "F", "f", "h_xx", "in_aubry", "h_row0"))
     verts = set(aub.vertices)
-    t = inst.cost_grid
-    V = from_grid(inst.mode, [row[x] for x, row in enumerate(t.grid)], t.scale)
+    cols = [_fmt_diag(inst.cost_grid), _fmt_vector(F), _fmt_vector(f), _fmt_diag(bar.h)]
+    h_row0 = _fmt_vector(h0)
     for x in range(inst.n):
         w.writerow(
             (
                 inst.labels[x],
-                value_str(V[x]),
-                value_str(F.values[x]),
-                value_str(f.values[x]),
-                value_str(bar.h.entries[x][x]),
+                *(formatted_str(col[x]) for col in cols),
                 1 if x in verts else 0,
-                value_str(h0.values[x]),
+                formatted_str(h_row0[x]),
             )
         )
     _emit(args, buf.getvalue())

@@ -29,9 +29,11 @@ into values only when its ``entries`` or ``values`` are read.  Each
 instance holds its costs (``CostInstance.cost_grid``) and its metric that
 way, on their least grids, which the generators compute in integers.  An
 input that needs a finer grid ``D`` reads ``at(D)``, the grid times
-``D // scale``.  Float mode has no grid: ``D = 1``, ``to_grid`` is the
-identity, ``from_grid`` divides by ``D``, and a table or vector holds its
-float values as its grid, so both modes run the same code.
+``D // scale``.  Output is printed off the grid too: ``format_grid`` gives
+the JSON form of each ``from_grid`` value without making it.  Float mode
+has no grid: ``D = 1``, ``to_grid`` is the identity, ``from_grid`` divides
+by ``D``, and a table or vector holds its float values as its grid, so both
+modes run the same code.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from itertools import chain
 from operator import add, eq, le
 from typing import Iterable, Optional, Sequence
 
-from .numbers import EXACT, INF, InputError, Mode, Value, is_inf
+from .numbers import EXACT, INF, InputError, Mode, Value, format_value, is_inf
 
 Matrix = tuple[tuple[Value, ...], ...]
 
@@ -253,17 +255,17 @@ def _instance(
     if metric is not None:
         if len(metric.grid) != n or any(len(r) != n for r in metric.grid):
             raise InputError("metric matrix is not n x n")
-        check_metric(metric.grid)
-    total = not any(is_inf(v) for row in cost.grid for v in row)
+        check_metric(metric.grid, metric.mode)
+    total = not any(INF in row for row in cost.grid)
     return CostInstance(
         n=n, labels=labels, cost_grid=cost, mode=cost.mode, metric_grid=metric, total=total
     )
 
 
-def check_metric(g: Matrix) -> None:
+def check_metric(g: Matrix, mode: Mode = EXACT) -> None:
     """InputError unless the square matrix ``g`` (a metric on one grid) has
     a zero diagonal, finite nonnegative symmetric entries and the triangle
-    inequality over all triples."""
+    inequality over all triples, in float mode within ``Mode.le``'s band."""
     for i, row in enumerate(g):
         if row[i] != 0:
             raise InputError(f"metric diagonal must be zero at {i}")
@@ -275,13 +277,17 @@ def check_metric(g: Matrix) -> None:
     # Symmetry makes column j equal to row j, so each (i, j) is one
     # C-level scan over k, and a violation at (i, j) is one at (j, i):
     # pairs j > i suffice, and the first violation in row-major order
-    # has i < j.  The loop below names the first violating k.
+    # has i < j.  The loop below names the first violating k; in float
+    # mode only a violation beyond Mode.le's band counts, so the scan's
+    # may all fall inside it.
     for i, row in enumerate(g):
         for j in range(i + 1, len(g)):
             dij = row[j]
             if dij > min(map(add, row, g[j])):
-                k = next(k for k in range(len(g)) if dij > row[k] + g[j][k])
-                raise InputError(f"metric violates triangle inequality at ({i},{k},{j})")
+                gj = g[j]
+                k = next((k for k in range(len(g)) if not mode.le(dij, row[k] + gj[k])), None)
+                if k is not None:
+                    raise InputError(f"metric violates triangle inequality at ({i},{k},{j})")
 
 
 @lru_cache(maxsize=None)
@@ -362,6 +368,24 @@ def from_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
     if not mode.exact:
         return tuple(k / D for k in values)
     return tuple(k if isinstance(k, float) else Fraction(k, D) for k in values)
+
+
+def format_grid(mode: Mode, values: Iterable[Value], D: int) -> list:
+    """``format_value`` of each value ``from_grid`` gives, made with no
+    Fraction: in exact mode +inf is "inf", and k / D reduced by gcd(k, D)
+    is an int or "p/q"."""
+    if not mode.exact:
+        return [format_value(k / D) for k in values]
+    if D == 1:
+        return ["inf" if isinstance(k, float) else k for k in values]
+    out = []
+    for k in values:
+        if isinstance(k, float):
+            out.append("inf")
+        else:
+            g = math.gcd(k, D)
+            out.append(k // g if g == D else f"{k // g}/{D // g}")
+    return out
 
 
 def ratio(mode: Mode, v: Value) -> tuple[Value, Value]:

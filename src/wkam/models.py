@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import add
 from pathlib import Path
 from random import Random
 from typing import NamedTuple, Optional, Sequence
@@ -108,12 +109,25 @@ def _least_grid(mode: Mode, rows: list[list], D: int = 1) -> PotentialTable:
     if not mode.exact:
         return PotentialTable(_freeze(rows), 1, mode)
     g = math.gcd(D, *chain.from_iterable(rows))
+    if g == 1:
+        return PotentialTable(_freeze(rows), D, mode)
     return PotentialTable(tuple(tuple(v // g for v in row) for row in rows), D // g, mode)
 
 
 def circle_metric(m: int) -> list[list[int]]:
     """Arc-step distance on m equispaced circle points (one step = 1)."""
-    return [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)]
+    return _rotations(_circle_row(m))
+
+
+def _circle_row(m: int) -> list[int]:
+    """Row 0 of the circle metric: d(0, k) = min(k, m - k)."""
+    return [min(k, m - k) for k in range(m)]
+
+
+def _rotations(row: list) -> list[list]:
+    """The circulant matrix of ``row``: row i is ``row`` turned right by
+    i, so entry (i, j) is row[(j - i) mod m]."""
+    return [row[-i:] + row[:-i] for i in range(len(row))]
 
 
 def gen_fk(
@@ -142,22 +156,23 @@ def gen_fk(
         raise InputError("potential values must be finite and >= 0")
     if min(V) != 0:
         raise InputError("potential must attain 0")
-    d = circle_metric(m)
+    base = _circle_row(m)
     D = grid_scale(mode, (lam, *V))
     (lg,) = to_grid(mode, (lam,), D)
     vg = to_grid(mode, V, D)
-    cost = [[lg * (dij**2) + v for dij, v in zip(row, vg)] for row in d]
+    cost = [list(map(add, row, vg)) for row in _rotations([lg * k * k for k in base])]
     if not mode.exact:
-        d = [list(map(float, row)) for row in d]
+        base = list(map(float, base))
     return _instance(
-        _least_grid(mode, cost, D), [str(i) for i in range(m)], _least_grid(mode, d)
+        _least_grid(mode, cost, D), [str(i) for i in range(m)], _least_grid(mode, _rotations(base))
     )
 
 
 def fk_potential_well(m: int, center: int = 0) -> list[Value]:
     """Single-well potential: squared circle distance to the center point."""
-    d = circle_metric(m)
-    return [Fraction(d[center][j] ** 2) for j in range(m)]
+    c = range(m)[center]  # the metric's row index: IndexError outside it
+    base = _circle_row(m)
+    return [Fraction(k * k) for k in base[-c:] + base[:-c]]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +209,7 @@ def check_length_space(
     if is_inf(B) or B < 1 or K <= 0:
         raise InputError("need a finite B >= 1 and K > 0")
     t = _table(mode, metric)
-    check_metric(t.grid)
+    check_metric(t.grid, mode)
     d = t.grid
     (pb, qb), (pk, qk) = ratio(mode, B), ratio(mode, K)
     kg = pk * t.scale  # d <= K iff d * scale * qk <= kg

@@ -163,5 +163,9 @@ def format_value(x: Value) -> object:
 
 def value_str(x: Value) -> str:
     """Plain-text form used by the CLI and CSV output."""
-    v = format_value(x)
+    return formatted_str(format_value(x))
+
+
+def formatted_str(v: object) -> str:
+    """The plain text of a ``format_value`` result."""
     return v if isinstance(v, str) else repr(v)

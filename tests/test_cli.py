@@ -112,6 +112,19 @@ def test_bad_generator_exits_2(capsys):
         assert "range [lo, hi]" in err
 
 
+def test_two_calls_build_the_parser_once(capsys):
+    _build_parser.cache_clear()
+    code, with_check, _ = run(capsys, "subsolution", "--gen", "constant:2:1", "--check")
+    assert code == 0
+    code, plain, _ = run(capsys, "subsolution", "--gen", "constant:2:1")
+    assert code == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the shared parser keeps no option of the call before
+    assert "strict_matches_aubry_complement" in json.loads(with_check)
+    assert "strict_matches_aubry_complement" not in json.loads(plain)
+
+
 # every option but the source and subsolution's --check
 COMMON = ["--out", "o.json", "--format", "csv", "--mode", "float",
           "--tol", "1e-6", "--seed", "3", "--horizon", "5"]

@@ -15,7 +15,7 @@ from wkam import (
     make_instance,
     reverse_cost,
 )
-from wkam.core import minplus_product
+from wkam.core import check_metric, minplus_product
 from wkam.numbers import Mode, parse_value
 from wkam.models import gen_constant
 
@@ -68,6 +68,34 @@ def test_triangle_violation_names_first_triple(metric, where):
     n = len(metric)
     with pytest.raises(InputError, match=re.escape(f"triangle inequality at {where}")):
         make_instance([[0] * n] * n, metric=metric)
+
+
+LINE = [[0, F(1, 10), F(8, 10)], [F(1, 10), 0, F(7, 10)], [F(8, 10), F(7, 10), 0]]
+
+
+def test_float_metric_holds_within_the_band():
+    # 0.1 + 0.7 = 0.7999999999999999 < 0.8 in floats: the line metric is a
+    # metric in both modes
+    cost = [[0] * 3] * 3
+    assert make_instance(cost, metric=LINE).metric == tuple(map(tuple, LINE))
+    inst = make_instance(cost, mode=Mode("float"), metric=LINE)
+    assert inst.metric == ((0.0, 0.1, 0.8), (0.1, 0.0, 0.7), (0.8, 0.7, 0.0))
+    check_metric(tuple(tuple(float(v) for v in row) for row in LINE), Mode("float"))
+
+
+@pytest.mark.parametrize("mode", [Mode("exact"), Mode("float")], ids=["exact", "float"])
+def test_metric_off_by_more_than_the_band_raises(mode):
+    bad = [[0, 0.1, 0.801], [0.1, 0, 0.7], [0.801, 0.7, 0]]
+    with pytest.raises(InputError, match=re.escape("triangle inequality at (0,1,2)")):
+        make_instance([[0] * 3] * 3, mode=mode, metric=bad)
+    # exact mode keeps its exact comparison: a triangle missed by 1e-12
+    tight = [[0, F(1, 10), F(8, 10) + F(1, 10**12)], [F(1, 10), 0, F(7, 10)]]
+    tight.append([tight[0][2], F(7, 10), 0])
+    if mode.exact:
+        with pytest.raises(InputError, match=re.escape("triangle inequality at (0,1,2)")):
+            make_instance([[0] * 3] * 3, metric=tight)
+    else:
+        make_instance([[0] * 3] * 3, mode=mode, metric=tight)
 
 
 @pytest.mark.parametrize("mode", [Mode("exact"), Mode("float")], ids=["exact", "float"])

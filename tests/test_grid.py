@@ -15,6 +15,8 @@ from itertools import chain
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkam import make_instance, reverse_cost
 from wkam.barrier import (
@@ -31,6 +33,7 @@ from wkam.cli import main
 from wkam.core import (
     PotentialTable,
     ValueFunction,
+    format_grid,
     from_grid,
     grid_scale,
     kleene_plus,
@@ -41,7 +44,7 @@ from wkam.core import (
 )
 from wkam.critical import critical_value, is_dominated, solve_subsolution
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
-from wkam.numbers import EXACT, INF, InputError, Mode
+from wkam.numbers import EXACT, INF, InputError, Mode, format_value, formatted_str, value_str
 from wkam.oracle import subsolution_sampler
 from wkam.potential import jump_F, jump_f, mane_potential, phi_n
 from wkam.subsolution import max_strict_subsolution, uniform_subsolution_mix
@@ -221,6 +224,52 @@ def test_grid_helpers_round_trip():
     assert grid_scale(flt, (0.5, 0.25)) == 1
     assert to_grid(flt, (0.5, INF), 1) == (0.5, INF)
     assert from_grid(flt, (3.0, 1), 2) == (1.5, 0.5)
+
+
+@st.composite
+def _exact_rows(draw):
+    D = draw(st.one_of(st.just(1), st.integers(1, 10**12)))
+    k = st.integers(-(2**70), 2**70)
+    entry = st.one_of(k, k.map(lambda q: q * D), st.just(0), st.just(INF))
+    return D, draw(st.lists(entry, max_size=8))
+
+
+_float_rows = st.tuples(
+    st.sampled_from([1, 2, 10]),
+    st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0), st.just(INF)),
+        max_size=8,
+    ),
+)
+
+
+def _same_format(mode, D, row):
+    # the printed form of each grid value, with the types and signed zeros
+    # of format_value and the CSV text of value_str
+    got = format_grid(mode, row, D)
+    want = [format_value(v) for v in from_grid(mode, row, D)]
+    assert repr(got) == repr(want)
+    assert [formatted_str(v) for v in got] == [value_str(v) for v in from_grid(mode, row, D)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_exact_rows())
+def test_format_grid_equals_format_value_of_from_grid(case):
+    _same_format(EXACT, *case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_float_rows)
+def test_float_format_grid_equals_format_value_of_from_grid(case):
+    _same_format(Mode("float"), *case)
+
+
+def test_format_grid_reduces_by_the_gcd():
+    assert format_grid(EXACT, [25, -9, 0, 30, INF, 2**65 * 30], 30) == [
+        "5/6", "-3/10", 0, 1, "inf", 2**65,
+    ]
+    assert format_grid(EXACT, [7, INF], 1) == [7, "inf"]
+    assert format_grid(Mode("float"), [-0.0, INF, 0.5], 1) == [-0.0, "inf", 0.5]
 
 
 @pytest.mark.parametrize("idx", range(len(CORPUS)))

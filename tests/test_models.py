@@ -107,6 +107,54 @@ def test_gen_fk_equals_make_instance(mode, lam):
             _same_instance(gen_fk(m, lam, pot, mode=mode), ref)
 
 
+def _circle_comprehension(m):
+    # circle_metric as an m x m comprehension, before it rotated one row
+    return [[min(abs(i - j), m - abs(i - j)) for j in range(m)] for i in range(m)]
+
+
+def test_circle_metric_rotates_the_comprehension():
+    for m in range(1, 41):
+        d = _circle_comprehension(m)
+        assert circle_metric(m) == d
+        for c in range(-m, m):  # a negative centre counts from the end
+            assert fk_potential_well(m, c) == [F(d[c][j] ** 2) for j in range(m)]
+        for c in (m, m + 3):
+            with pytest.raises(IndexError):
+                fk_potential_well(m, c)
+
+
+def _least(mode, rows, D=1):
+    # gen_fk's grids as it built them: entry by entry, then divided by the
+    # gcd of D and every entry
+    if not mode.exact:
+        return tuple(tuple(row) for row in rows)
+    g = math.gcd(D, *(v for row in rows for v in row))
+    return tuple(tuple(v // g for v in row) for row in rows), D // g
+
+
+@pytest.mark.parametrize("mode", [Mode("exact"), FLOAT], ids=["exact", "float"])
+def test_gen_fk_grids_equal_the_entrywise_build(mode):
+    rng = Random(4)
+    for m in range(1, 41):
+        d = _circle_comprehension(m)
+        well = [F(d[0][j] ** 2) for j in range(m)]
+        pot = [F(rng.randrange(9), rng.choice([1, 2, 3, 7])) for _ in range(m)]
+        pot[rng.randrange(m)] = 0
+        for lam, V in ((1, well), (F(2, 3), pot), (0, [0] * m)):
+            inst = gen_fk(m, lam, V, mode=mode)
+            lm, Vm = mode.coerce(lam), [mode.coerce(v) for v in V]
+            if mode.exact:
+                D = math.lcm(lm.denominator, *(v.denominator for v in Vm))
+                cost = [[int(lm * D) * dij**2 + int(v * D) for dij, v in zip(row, Vm)] for row in d]
+                assert (inst.cost_grid.grid, inst.cost_grid.scale) == _least(mode, cost, D)
+                assert (inst.metric_grid.grid, inst.metric_grid.scale) == _least(mode, d)
+            else:
+                cost = [[lm * dij**2 + v for dij, v in zip(row, Vm)] for row in d]
+                assert repr(inst.cost_grid.grid) == repr(_least(mode, cost))
+                fd = [[float(dij) for dij in row] for row in d]
+                assert repr(inst.metric_grid.grid) == repr(_least(mode, fd))
+
+
 @pytest.mark.parametrize("mode", [Mode("exact"), FLOAT], ids=["exact", "float"])
 def test_gen_constant_equals_make_instance(mode):
     for n in (1, 2, 5):

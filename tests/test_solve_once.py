@@ -8,7 +8,8 @@ transient searches made by every CLI subcommand, by ``verify`` and by the
 library pipeline, and check the lazy transient against values computed
 when it was still eager.  Every solver matrix stays a table on the integer
 grid, and so do each instance's costs and metric, so they also count the
-n x n tables turned into values: only what a command prints is converted.
+tables and vectors turned into values: a command prints off the grid and
+converts none.
 """
 
 import sys
@@ -34,8 +35,8 @@ INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 def calls(monkeypatch):
     """The matrices passed to kleene_plus, wherever wkam binds it, the
     number of transient searches and the sizes of the tables whose entries
-    were converted."""
-    rec = {"plus": [], "transient": 0, "converted": []}
+    and of the vectors whose values were converted."""
+    rec = {"plus": [], "transient": 0, "converted": [], "vectors": []}
     kleene_plus = wkam.core.kleene_plus
     transient = wkam.barrier._transient
     convert = wkam.core.PotentialTable.entries.func
@@ -60,6 +61,14 @@ def calls(monkeypatch):
     entries = cached_property(counted_entries)
     entries.__set_name__(wkam.core.PotentialTable, "entries")
     monkeypatch.setattr(wkam.core.PotentialTable, "entries", entries)
+    values = wkam.core.ValueFunction.values.fget
+
+    def counted_values(u):
+        if u._values is None:
+            rec["vectors"].append(len(u.grid))
+        return values(u)
+
+    monkeypatch.setattr(wkam.core.ValueFunction, "values", property(counted_values))
     return rec
 
 
@@ -68,20 +77,6 @@ def _kernel_plus_count(rec, n):
     # transient walks pruned fronts and calls none
     assert all(len(a) == n for a in rec["plus"])
     return len(rec["plus"])
-
-
-# n x n tables each subcommand converts to values: only those it prints.
-# The instance's cost and metric are tables too, and no subcommand here
-# converts them: plotdata reads V off the cost grid's diagonal.
-CONVERTED = {
-    "critical": 1,  # the reduced matrix
-    "potential": 2,  # phi and phi_1
-    "barrier": 1,  # h
-    "aubry": 0,
-    "subsolution": 0,
-    "subsolution --check": 0,
-    "plotdata": 1,  # h, for its diagonal and row 0
-}
 
 
 @pytest.mark.parametrize(
@@ -103,7 +98,10 @@ def test_cli_subcommand_solves_once(calls, capsys, argv, kernel_plus, transient)
     assert code == 0
     assert _kernel_plus_count(calls, 24) == kernel_plus
     assert calls["transient"] == transient
-    assert calls["converted"].count(24) == CONVERTED[" ".join(argv)]
+    # every table and vector is printed off its grid, the instance's cost
+    # and metric included (plotdata reads V off the cost grid's diagonal)
+    assert calls["converted"] == []
+    assert calls["vectors"] == []
 
 
 def test_verify_solves_once_per_instance(calls, capsys):
