@@ -10,8 +10,10 @@ point ``y``.  The two value-update operators are
 Every min-plus loop of the solver is a kernel here: ``minplus_row`` (a row
 times a matrix given by its columns; ``minplus_product`` is one per row),
 ``minplus_diag`` (the diagonal of a product) and ``kleene_plus`` (the
-closure), but ``critical._bellman_ford``, which relaxes in place: a Jacobi
-round of ``minplus_row`` would give other float potentials.  ``backward``
+closure), but ``critical._relax``, one Bellman-Ford round that relaxes in
+place: a Jacobi round of ``minplus_row`` would give other float potentials.
+That round serves ``critical._bellman_ford`` and the exact search for the
+critical constant.  ``backward``
 is ``T-`` by ``minplus_row``, and ``forward`` is ``T+`` as its max-plus
 dual ``-min_y (c(x, y) - u(y))``; the reversal identity
 ``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not used to

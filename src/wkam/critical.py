@@ -4,21 +4,28 @@ A function ``u`` is alpha-dominated when ``u(y) - u(x) <= c(x, y) + alpha``
 for every ordered pair.  Summing that inequality around any cycle forces
 ``alpha >= -(cycle mean)``, so the smallest feasible constant is
 
-    ``alpha0 = -(minimum mean over simple cycles)``,
+    ``alpha0 = -(minimum mean over simple cycles)``.
 
-computed here with Karp's recurrence on the (super-source augmented)
-digraph.  Feasible sub-solutions at a given alpha are shortest-path
-potentials for the shifted weights ``c + alpha`` from a virtual source
-connected to every point at weight zero (difference-constraint feasibility);
-an infeasible alpha yields a negative-cycle witness instead.
+Exact mode finds that mean by a search (``_least_cycle_mean``): it takes the
+mean p/q of a real cycle and certifies it by Bellman-Ford rounds on the
+weights ``c * q - p``, or improves it by a cycle of their predecessor
+graph; past n + 1 rounds Karp's recurrence answers, each missing edge
+priced above every finite cycle mean.  Float mode runs Karp,
+whose float quotient its outputs pin.  Feasible sub-solutions at a given
+alpha are shortest-path potentials for the shifted weights ``c + alpha``
+from a virtual source connected to every point at weight zero
+(difference-constraint feasibility); an infeasible alpha yields a
+negative-cycle witness instead.  Every relaxation here is one Gauss-Seidel
+round (``_relax``) over the finite edges, so an int beyond the float range
+never meets +inf there.
 
-Everything here runs on the integer grid of ``core``.  Karp runs on the
-costs the instance holds on their own grid ``D0`` and compares cycle means
-by cross-multiplication; ``critical_value`` then holds the reduced matrix
-``c + alpha0`` as a table on a grid ``D``, a common denominator of the costs
-and alpha0: the integer kernel ``(c + alpha0) * D`` that the solver modules
-compute with (float mode: ``D = 1`` and the kernel is the reduced matrix
-itself).
+Everything here runs on the integer grid of ``core``.  The search and Karp
+run on the costs the instance holds on their own grid ``D0`` and compare
+cycle means by cross-multiplication; ``critical_value`` then holds the
+reduced matrix ``c + alpha0`` as a table on a grid ``D``, a common
+denominator of the costs and alpha0: the integer kernel
+``(c + alpha0) * D`` that the solver modules compute with (float mode:
+``D = 1`` and the kernel is the reduced matrix itself).
 """
 
 from __future__ import annotations
@@ -39,7 +46,11 @@ from .core import (
     minplus_row,
     to_grid,
 )
-from .numbers import INF, InputError, Mode, Value, is_inf
+from .numbers import INF, ConstructionError, InputError, Mode, Value, is_inf
+
+# the finite edges as (targets, weights): u's edges end at targets[u] with
+# weights[u]; targets None: every row is dense, weights the matrix itself
+Edges = tuple[Optional[list[list[int]]], Sequence[Sequence[Value]]]
 
 
 @dataclass(frozen=True)
@@ -96,17 +107,114 @@ def critical_value(inst: CostInstance) -> CriticalData:
         for x, row in enumerate(t.grid):
             if all(is_inf(v) for v in row):
                 raise InputError(f"point {inst.labels[x]} has out-degree 0")
-    total, length = _karp_min_cycle_mean(t.grid)
+    if mode.exact:
+        total, length = _least_cycle_mean(t.grid, inst.total)
+    else:
+        total, length = _karp_min_cycle_mean(t.grid)
     (alpha0,) = from_grid(mode, (-total,), length * t.scale)
     D = grid_scale(mode, (alpha0,), t.scale)
     (a,) = to_grid(mode, (alpha0,), D)
-    kernel = tuple(tuple(v + a for v in row) for row in t.at(D))
+    kernel = _shifted(t.at(D), a)
     witness = _zero_cycle(inst, kernel)
     return CriticalData(alpha0, witness, PotentialTable(kernel, D, mode))
 
 
+def _shifted(rows: Matrix, a: Value) -> Matrix:
+    """rows + a entrywise, +inf kept as +inf, which an int beyond the float
+    range cannot meet."""
+    return tuple(tuple(v if v == INF else v + a for v in row) for row in rows)
+
+
+def _finite_edges(rows: Matrix, total: bool) -> Edges:
+    """The finite edges of a matrix, targets ascending; a ``total`` matrix
+    is its own weights, with no copy."""
+    if total:
+        return None, rows
+    targets = [[v for v, w in enumerate(row) if w != INF] for row in rows]
+    return targets, [[row[v] for v in ends] for row, ends in zip(rows, targets)]
+
+
+def _rows(edges: Edges):
+    """For each point u in turn, the (v, weight) pairs of its finite edges."""
+    targets, weights = edges
+    return map(enumerate, weights) if targets is None else map(zip, targets, weights)
+
+
+def _least_cycle_mean(cost: Matrix, total: bool) -> tuple[int, int]:
+    """The least cycle mean of an integer matrix, as (cycle total, length).
+
+    The candidate p/q is always the mean of a real cycle: first the least
+    finite self-loop or, when there is none, the best cycle of the graph
+    that keeps each point's cheapest out-edge.  Bellman-Ford rounds on
+    w = c * q - p over the finite edges, from a virtual source, then
+    certify it: a round that changes nothing leaves potentials under which
+    every cycle has w-weight >= 0.  After a round that changes something,
+    any cycle of the predecessor graph has negative w-weight (Cherkassky
+    and Goldberg, 1999), so its mean, below p/q, becomes the candidate and
+    the rounds restart.  n + 1 rounds in all, as many as Karp has levels,
+    bound the search; past them Karp answers, on ``_priced`` costs unless
+    the matrix is ``total``.
+    """
+    n = len(cost)
+    edges = _finite_edges(cost, total)
+    p, q = min(row[x] for x, row in enumerate(cost)), 1
+    if p == INF:  # no finite self-loop: each point's cheapest out-edge
+        cheapest = [row.index(min(row)) for row in cost]
+        p, q = _best_cycle(cheapest, lambda x: cost[x][cheapest[x]])
+    rounds = 0
+    while True:
+        w = (edges[0], [[c * q - p for c in ws] for ws in edges[1]])
+        dist: list[Value] = [0] * n
+        pred: list[Optional[int]] = [None] * n
+        while True:
+            if rounds > n:
+                return _karp_min_cycle_mean(cost if total else _priced(cost))
+            rounds += 1
+            if not _relax(dist, pred, w):
+                return p, q
+            found = _best_cycle(pred, lambda y: cost[pred[y]][y])
+            if found is not None:
+                break
+        s, k = found
+        if s * q >= p * k:
+            raise ConstructionError("predecessor cycle does not lower the cycle mean")
+        g = math.gcd(s, k)
+        p, q = s // g, k // g
+
+
+def _best_cycle(ptr: Sequence[Optional[int]], weight) -> Optional[tuple[int, int]]:
+    """The least mean, as (total, length), over the cycles of the graph in
+    which each point x has at most one pointer ptr[x]; ``weight(x)`` is the
+    cost of the edge that x's pointer stands for.  None without a cycle."""
+    mark = [0] * len(ptr)
+    best: Optional[tuple[int, int]] = None
+    for s in range(len(ptr)):
+        path, x = [], s
+        while x is not None and not mark[x]:
+            mark[x] = s + 1
+            path.append(x)
+            x = ptr[x]
+        if x is not None and mark[x] == s + 1:  # the walk closed on itself
+            cyc = path[path.index(x):]
+            total = sum(weight(y) for y in cyc)
+            if best is None or total * best[1] < best[0] * len(cyc):
+                best = (total, len(cyc))
+    return best
+
+
+def _priced(cost: Matrix) -> Matrix:
+    """cost with each +inf replaced by 2 * n * B + 1, B the largest finite
+    |entry|.  A cycle through such an edge has a mean above B, so above the
+    least finite cycle's (each point keeps a finite out-edge), and the least
+    cycle mean is unchanged; Karp's levels then meet no +inf."""
+    big = 2 * len(cost) * max(abs(v) for row in cost for v in row if v != INF) + 1
+    return tuple(tuple(big if v == INF else v for v in row) for row in cost)
+
+
 def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
-    """Karp's recurrence with a virtual source feeding every point at 0.
+    """Karp's recurrence with a virtual source feeding every point at 0:
+    float mode's least cycle mean, and exact mode's past the search's
+    round budget.
 
     D[k][v] is the least weight of a walk with exactly k edges from the
     source; the minimum cycle mean is min_v max_k (D[N][v]-D[k][v])/(N-k)
@@ -145,43 +253,54 @@ def _zero_cycle(inst: CostInstance, kernel: Matrix) -> tuple[int, ...]:
     Shortest-path potentials p for the reduced weights make every
     zero-reduced cycle live inside the tight subgraph p(v) = p(u) + r(u,v);
     a DFS scanning vertices and successors in ascending index returns the
-    first (hence lexicographically least) cycle.
+    first (hence lexicographically least) cycle.  Exact mode decides each
+    tight pair with one integer comparison, float mode within the band.
     """
-    n = inst.n
     mode = inst.mode
-    scale = inst.value_scale()
-    pot, _ = _bellman_ford(kernel)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            r = kernel[u][v]
-            if not is_inf(r) and mode.eq(pot[u] + r, pot[v], scale=scale):
-                adj[u].append(v)
-    cyc = _first_cycle(adj, n)
+    edges = _finite_edges(kernel, inst.total)
+    pot, _ = _bellman_ford(edges)
+    if mode.exact:
+        adj = [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in zip(pot, _rows(edges))]
+    else:
+        scale = inst.value_scale()
+        adj = [
+            [v for v, r in pairs if mode.eq(pu + r, pot[v], scale=scale)]
+            for pu, pairs in zip(pot, _rows(edges))
+        ]
+    cyc = _first_cycle(adj, inst.n)
     if cyc is None:
         raise RuntimeError("no zero-reduced cycle found in tight subgraph")
     return cyc
 
 
-def _bellman_ford(weights: Matrix) -> tuple[list[Value], list[Optional[int]]]:
+def _bellman_ford(edges: Edges) -> tuple[list[Value], list[Optional[int]]]:
     """Distances from a virtual source at weight 0 to every point, with
-    predecessors; at most n relaxation rounds."""
-    n = len(weights)
+    predecessors, over the finite edges; at most n relaxation rounds."""
+    n = len(edges[1])
     dist: list[Value] = [0] * n
     pred: list[Optional[int]] = [None] * n
     for _ in range(n):
-        changed = False
-        for u, row in enumerate(weights):
-            du = dist[u]
-            for v, w in enumerate(row):
-                cand = du + w
-                if cand < dist[v]:
-                    dist[v] = cand
-                    pred[v] = u
-                    changed = True
-        if not changed:
+        if not _relax(dist, pred, edges):
             break
     return dist, pred
+
+
+def _relax(dist: list[Value], pred: list[Optional[int]], edges: Edges) -> bool:
+    """One Gauss-Seidel round, in place: each finite edge (u, v, w), in
+    row-major order, lowers dist[v] to dist[u] + w and sets pred[v] = u.
+    True when some distance fell.  The only relaxation loop outside
+    ``core``: a Jacobi round of ``minplus_row`` gives other float
+    potentials."""
+    changed = False
+    for u, pairs in enumerate(_rows(edges)):
+        du = dist[u]
+        for v, w in pairs:
+            cand = du + w
+            if cand < dist[v]:
+                dist[v] = cand
+                pred[v] = u
+                changed = True
+    return changed
 
 
 def _first_cycle(adj: list[list[int]], n: int) -> Optional[tuple[int, ...]]:
@@ -279,14 +398,12 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
     t = inst.cost_grid
     D = grid_scale(mode, (alpha,), t.scale)
     (a,) = to_grid(mode, (alpha,), D)
-    w = tuple(tuple(v + a for v in row) for row in t.at(D))
-    dist, pred = _bellman_ford(w)
+    edges = _finite_edges(_shifted(t.at(D), a), inst.total)
+    dist, pred = _bellman_ford(edges)
     margin = 0 if mode.exact else mode.tolerance * float(inst.value_scale())
-    for u in range(n):
-        for v in range(n):
-            if is_inf(w[u][v]):
-                continue
-            if dist[u] + w[u][v] < dist[v] - margin:
+    for u, pairs in enumerate(_rows(edges)):
+        for v, w in pairs:
+            if dist[u] + w < dist[v] - margin:
                 pred[v] = u
                 return SubsolutionResult(False, None, _trace_cycle(pred, v, n))
     u_fn = ValueFunction.on_grid(dist, D, mode, f"subsolution(alpha={alpha})")

@@ -178,6 +178,52 @@ def test_values_beyond_float_range_exit_2(capsys, tmp_path, text, argv):
     assert err.startswith("error:")
 
 
+# -10**309 as a JSON integer beside a missing edge: an int beyond the float
+# range must never meet +inf, so each call answers or names the input
+_BEYOND_FLOAT_SPARSE = '{"cost": [[-1%s, "inf"], [0, 0]]}' % ("0" * 309)
+
+
+@pytest.fixture
+def beyond_float_sparse_file(tmp_path):
+    p = tmp_path / "beyond.json"
+    p.write_text(_BEYOND_FLOAT_SPARSE)
+    return str(p)
+
+
+def test_critical_beyond_float_range_with_a_missing_edge_exits_0(capsys, beyond_float_sparse_file):
+    code, out, err = run(capsys, "critical", "--in", beyond_float_sparse_file)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["alpha0"] == 10**309
+    assert doc["witness_cycle"] == ["p0"]
+    assert doc["reduced"] == [[0, "inf"], [10**309, 10**309]]
+
+
+def test_critical_past_the_round_budget_beyond_float_range_exits_0(capsys, tmp_path):
+    # the search spends its n + 1 rounds here and Karp answers
+    p = tmp_path / "budget.json"
+    big = "9" + "0" * 309
+    p.write_text('{"cost": [["inf", "inf", 0], [-8%s, "inf", "inf"], [%s, %s, "inf"]]}' % (big[1:], big, big))
+    code, out, err = run(capsys, "critical", "--in", str(p))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["alpha0"] == "-%d/3" % 10**309
+    assert doc["witness_cycle"] == ["p0", "p2", "p1"]
+
+
+@pytest.mark.parametrize("name", ["potential", "barrier", "aubry", "subsolution", "verify"])
+def test_beyond_float_range_with_a_missing_edge_exits_2_as_non_total(capsys, beyond_float_sparse_file, name):
+    code, out, err = run(capsys, name, "--in", beyond_float_sparse_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "requires a total instance" in err
+
+
+def test_plotdata_beyond_float_range_with_a_missing_edge_exits_2(capsys, beyond_float_sparse_file):
+    code, out, err = run(capsys, "plotdata", "--in", beyond_float_sparse_file)
+    assert (code, out) == (2, "")
+    assert "needs a metric instance" in err
+
+
 def test_aubry_t3(capsys, t3_file):
     code, out, _ = run(capsys, "aubry", "--in", t3_file)
     assert code == 0

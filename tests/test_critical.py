@@ -20,7 +20,7 @@ import wkam.critical as critical
 from wkam.barrier import limits_grid
 from wkam.critical import _first_cycle
 from wkam.models import gen_constant, gen_fk, gen_random, fk_potential_well
-from wkam.numbers import EXACT, Mode
+from wkam.numbers import EXACT, ConstructionError, Mode
 from wkam.subsolution import is_calibrated
 from wkam.oracle import cycle_scan, subsolution_sampler
 
@@ -321,3 +321,160 @@ def test_witness_cycle_in_polynomial_time():
     crit = critical_value(inst)
     assert time.perf_counter() - start < 1
     assert (crit.alpha0, crit.witness_cycle) == (0, (n - 1,))
+
+
+# --- the least cycle mean: certified search against Karp ----------------------
+
+def _search_and_karp(inst):
+    """The least cycle mean by the search and by Karp, as Fractions."""
+    t = inst.cost_grid
+    found = critical._least_cycle_mean(t.grid, inst.total)
+    total, length = critical._karp_min_cycle_mean(t.grid)
+    return F(*found) / t.scale, F(total, length * t.scale)
+
+
+def _counting(monkeypatch, name):
+    """Wrap critical.<name> so that each call adds one to the returned list."""
+    calls = []
+    real = getattr(critical, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(critical, name, counted)
+    return calls
+
+
+_COSTS = {
+    "quarter": st.integers(min_value=-12, max_value=12).map(lambda k: F(k, 4)),
+    "hundred": st.integers(min_value=-100, max_value=100).map(F),
+    "mixed": st.fractions(min_value=-5, max_value=5, max_denominator=9),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_COSTS)).flatmap(
+    lambda kind: st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(_COSTS[kind], min_size=n * n, max_size=n * n)
+    )
+))
+def test_search_equals_karp_on_exact_instances(flat):
+    n = round(len(flat) ** 0.5)
+    inst = make_instance([flat[i * n:(i + 1) * n] for i in range(n)])
+    search, karp = _search_and_karp(inst)
+    assert search == karp
+    assert critical_value(inst).alpha0 == -karp
+
+
+def test_search_equals_karp_on_sparse_instances():
+    rng, inf = Random(22), float("inf")
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.15, 0.3, 0.6))
+        cost = [
+            [F(rng.randint(-20, 20), rng.randint(1, 3)) if rng.random() < p else inf for _ in range(n)]
+            for _ in range(n)
+        ]
+        for row in cost:  # every point keeps an out-edge
+            if all(v == inf for v in row):
+                row[rng.randrange(n)] = F(rng.randint(-20, 20))
+        inst = make_instance(cost)
+        search, karp = _search_and_karp(inst)
+        assert search == karp, cost
+        assert critical_value(inst).alpha0 == -karp
+        total, length = critical._karp_min_cycle_mean(critical._priced(inst.cost_grid.grid))
+        assert F(total, length * inst.cost_grid.scale) == karp, cost
+
+
+def test_search_equals_karp_on_fk_and_constant_instances():
+    for m in range(3, 33):
+        for c in range(m):
+            search, karp = _search_and_karp(gen_fk(m, 1, fk_potential_well(m, c)))
+            assert search == karp, (m, c)
+    for n in (1, 2, 5, 9):
+        for k in (F(0), F(-7, 3), F(5)):
+            search, karp = _search_and_karp(gen_constant(n, k))
+            assert search == karp == k
+
+
+def test_search_past_its_round_budget_asks_karp(monkeypatch):
+    # found by trying gen_random(4, seed, -100, 100) for seed = 0, 1, ...:
+    # the self-loop start and the cycles read off the predecessor graph
+    # spend the n + 1 = 5 rounds before one is certified
+    inst = gen_random(4, 8, -100, 100)
+    karp = _counting(monkeypatch, "_karp_min_cycle_mean")
+    rounds = _counting(monkeypatch, "_relax")
+    g = inst.cost_grid.grid
+    critical._least_cycle_mean(g, True)
+    assert (len(karp), len(rounds)) == (1, 5)
+    assert critical_value(inst).alpha0 == -cycle_scan(inst).min_mean == 75
+
+
+def test_karp_past_the_round_budget_meets_no_inf(monkeypatch):
+    # found by trying sparse random 2..4-point instances, seeds 0, 1, ...:
+    # a restart, then the budget is spent; Karp answers on the priced
+    # costs, where the raw ones add 9 * 10**309 to +inf
+    big, inf = 10**309, float("inf")
+    inst = make_instance([[inf, inf, 0], [-8 * big, inf, inf], [9 * big, 9 * big, inf]])
+    karp = _counting(monkeypatch, "_karp_min_cycle_mean")
+    crit = critical_value(inst)
+    assert len(karp) == 1
+    assert crit.alpha0 == F(-big, 3) and crit.witness_cycle == (0, 2, 1)
+
+
+@pytest.mark.parametrize("n", [24, 64, 128])
+def test_fk_well_is_certified_in_one_round(monkeypatch, n):
+    inst = gen_fk(n, 1, fk_potential_well(n, 0))
+    karp = _counting(monkeypatch, "_karp_min_cycle_mean")
+    rounds = _counting(monkeypatch, "_relax")
+    g = inst.cost_grid.grid
+    assert critical._least_cycle_mean(g, True) == (0, 1)
+    assert (len(karp), len(rounds)) == (0, 1)
+
+
+def test_random_256_finishes_within_its_round_budget(monkeypatch):
+    inst = gen_random(256, 0, -100, 100)
+    karp = _counting(monkeypatch, "_karp_min_cycle_mean")
+    rounds = _counting(monkeypatch, "_relax")
+    g = inst.cost_grid.grid
+    p, q = critical._least_cycle_mean(g, True)
+    assert not karp and len(rounds) <= 257
+    # no cycle is lower: reduced by the mean, the costs have potentials;
+    # and the witness cycle has that mean
+    alpha0 = F(-p, q * inst.cost_grid.scale)
+    assert solve_subsolution(inst, alpha0).feasible
+    cyc = critical_value(inst).witness_cycle
+    assert sum(inst.cost[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1])) == -alpha0 * len(cyc)
+
+
+def test_search_refuses_a_cycle_that_does_not_lower_the_mean(monkeypatch):
+    # the termination argument: each new candidate lies strictly below the
+    # last; a predecessor cycle that does not is a construction fault
+    inst = gen_random(24, 0, -100, 100)
+    g = inst.cost_grid.grid
+    monkeypatch.setattr(critical, "_best_cycle", lambda ptr, weight: (10**6, 1))
+    with pytest.raises(ConstructionError, match="does not lower"):
+        critical._least_cycle_mean(g, True)
+
+
+def test_float_mode_never_calls_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("float mode ran the exact search")
+
+    monkeypatch.setattr(critical, "_least_cycle_mean", refuse)
+    karp = _counting(monkeypatch, "_karp_min_cycle_mean")
+    insts = [gen_random(n, s, -2, 2, mode=FLOAT) for n in (1, 4, 9) for s in range(3)]
+    insts.append(gen_fk(12, 1, fk_potential_well(12, 5), mode=FLOAT))
+    for inst in insts:
+        critical_value(inst)
+    assert len(karp) == len(insts)
+
+
+def test_tight_pairs_at_values_beyond_the_float_range():
+    # the reduced row of point 1 is 10**309 twice; the search relaxes and
+    # the kernel shifts finite edges only, so no int meets +inf
+    inst = make_instance([[-10**309, float("inf")], [0, 0]])
+    crit = critical_value(inst)
+    assert crit.alpha0 == 10**309 and crit.witness_cycle == (0,)
+    assert crit.kernel.grid == ((0, float("inf")), (10**309, 10**309))
