@@ -41,9 +41,11 @@ through its ``entries``.  Rows of ``h`` are fixed points of ``T- + alpha0``
 (negative weak KAM solutions); negated columns are fixed points of
 ``T+ - alpha0`` (positive solutions).
 
-The projected Aubry set is the zero diagonal of the barrier; the edge Aubry
-set collects the ordered pairs closing a zero-reduced-weight circuit,
-``c(x,y) + alpha0 + h(y,x) = 0``.
+The projected Aubry set A is the zero diagonal of ``phi_1`` (so of the
+barrier too), decided in one place, ``aubry_vertices``: the closed form,
+the transient, the Aubry sets and the orbit walk all read A from it.  The
+edge Aubry set collects the ordered pairs closing a zero-reduced-weight
+circuit, ``c(x,y) + alpha0 + h(y,x) = 0``.
 
 For a dominated u, the normalized orbits ``T-^k u + k alpha0`` (nondecreasing)
 and ``T+^k u - k alpha0`` (nonincreasing) stabilize to the enveloping
@@ -69,7 +71,6 @@ that has not settled when it has made them raises it then.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -90,7 +91,7 @@ from .core import (
     vf_eq,
 )
 from .critical import CriticalData, _dominated_grid
-from .numbers import INF, ConstructionError, InputError, SizeGuardError
+from .numbers import ConstructionError, InputError, SizeGuardError
 from .potential import jump_F
 
 # Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
@@ -146,7 +147,7 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTabl
 
 def aubry_vertices(inst: CostInstance, p: PotentialTable) -> list[int]:
     """The Aubry vertices: the zero set of the diagonal of
-    P = ``crit.kernel_plus()``."""
+    P = ``crit.kernel_plus()``, the solver's one test of A."""
     scale = inst.value_scale()
     g = p.grid
     verts = [x for x in range(inst.n) if inst.mode.is_zero(g[x][x], scale=scale)]
@@ -158,8 +159,9 @@ def aubry_vertices(inst: CostInstance, p: PotentialTable) -> list[int]:
 def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
     """Least j whose fronts are all empty (see the module docstring)."""
     mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
-    r, p, hg = crit.kernel.grid, crit.kernel_plus().grid, h.at(crit.kernel.scale)
-    off = [x for x in range(inst.n) if not mode.is_zero(hg[x][x], scale=scale)]
+    r, P, hg = crit.kernel.grid, crit.kernel_plus(), h.grid
+    p, verts = P.grid, set(aubry_vertices(inst, P))
+    off = [x for x in range(inst.n) if x not in verts]
     b = len(off)
     if not b:
         return 0
@@ -198,7 +200,11 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
         ]
         return out if any(ws for ws, _ in out) else None
 
-    fronts = [front(x, [INF] * x + [0] + [INF] * (b - 1 - x)) for x in range(b)]  # j = 0
+    # j = 0: the empty walk at x, kept as ``front`` keeps an entry
+    fronts = [
+        ([x], [0]) if m[x][x] < cut and (exact or fails(hb[x], 0, pb[x])) else ([], [])
+        for x in range(b)
+    ]
     if not any(ws for ws, _ in fronts):
         return 0
     # Invariant: the fronts at length j are not all empty and powers[t] = S^(2^t);
@@ -225,25 +231,24 @@ def aubry(
     bar: BarrierData,
     phi: Optional[PotentialTable] = None,
 ) -> AubryData:
-    """Aubry sets read off the barrier.
+    """Aubry sets read off the Kleene plus P and the barrier.
 
-    x is an Aubry vertex iff h(x, x) = 0; the ordered pair (x, y) is an
-    Aubry edge iff the step x -> y closes a zero-reduced circuit:
-    c(x, y) + alpha0 + h(y, x) = 0.
+    The Aubry vertices are ``aubry_vertices``, the zero set of P's
+    diagonal; the ordered pair (x, y) is an Aubry edge iff the step
+    x -> y closes a zero-reduced circuit: c(x, y) + alpha0 + h(y, x) = 0.
+    The jumps are F = diag(P).  ``phi`` is not read.
     """
     mode = inst.mode
     scale = inst.value_scale()
-    D = math.lcm(bar.h.scale, crit.kernel.scale)
-    h, r = bar.h.at(D), crit.kernel.at(D)
-    vertices = tuple(x for x in range(inst.n) if mode.is_zero(h[x][x], scale=scale))
+    h, r = bar.h.grid, crit.kernel.grid  # h is on the kernel's grid
+    vertices = tuple(aubry_vertices(inst, crit.kernel_plus()))
     edges = tuple(
         (x, y)
         for x in range(inst.n)
         for y in range(inst.n)
         if mode.is_zero(r[x][y] + h[y][x], scale=scale)
     )
-    jumps = jump_F(inst, crit, phi=phi)
-    return AubryData(vertices=vertices, edges=edges, jumps=jumps)
+    return AubryData(vertices=vertices, edges=edges, jumps=jump_F(inst, crit))
 
 
 def weak_kam_neg(bar: BarrierData, x: int) -> ValueFunction:
@@ -299,7 +304,8 @@ def orbit_walk(
     mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
     P = crit.kernel_plus()
     m, p, r = D // P.scale, P.grid, crit.kernel.at(D)
-    loops = [p[x][x] * m for x in range(inst.n) if not mode.is_zero(p[x][x], scale=scale)]
+    verts = set(aubry_vertices(inst, P))
+    loops = [p[x][x] * m for x in range(inst.n) if x not in verts]
     gap = max(map(abs, map(sub, limit, start)))
     budget = len(loops) * int(-(-gap // min(loops))) if gap > 0 and loops else 0
     band = [0] * inst.n if exact else [mode.tolerance * max(1.0, abs(v), abs(scale)) for v in limit]

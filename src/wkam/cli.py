@@ -205,8 +205,8 @@ def cmd_potential(args) -> int:
     crit = critical_value(inst)
     phi = mane_potential(inst, crit)
     phi1 = phi_n(inst, crit, 1)
-    F = jump_F(inst, crit, phi=phi)
-    f = jump_f(inst, crit, phi=phi)
+    F = jump_F(inst, crit)
+    f = jump_f(inst, crit)
     mats = {"phi": _fmt_matrix(phi), "phi1": _fmt_matrix(phi1)}
     vecs = {"F": _fmt_vector(F), "f": _fmt_vector(f)}
     if args.fmt == "json":
@@ -332,11 +332,10 @@ def cmd_plotdata(args) -> int:
     if inst.metric_grid is None:
         raise InputError("plotdata needs a metric instance (e.g. --gen fk:...)")
     crit = critical_value(inst)
-    phi = mane_potential(inst, crit)
-    F = jump_F(inst, crit, phi=phi)
-    f = jump_f(inst, crit, phi=phi)
+    F = jump_F(inst, crit)
+    f = jump_f(inst, crit)
     bar = peierls_barrier(inst, crit)
-    aub = aubry(inst, crit, bar, phi=phi)
+    aub = aubry(inst, crit, bar)
     h0 = weak_kam_neg(bar, 0)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

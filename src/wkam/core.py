@@ -8,17 +8,16 @@ point ``y``.  The two value-update operators are
     ``T+(u)(x) = max_y  u(y) - c(x, y)``   (forward  / max-plus)
 
 Every min-plus loop of the solver is a kernel here: ``minplus_row`` (a row
-times a matrix given by its columns; ``minplus_product`` is one per row),
-``minplus_diag`` (the diagonal of a product) and ``kleene_plus`` (the
-closure), but ``critical._relax``, one Bellman-Ford round that relaxes in
-place: a Jacobi round of ``minplus_row`` would give other float potentials.
-That round serves ``critical._bellman_ford`` and the exact search for the
-critical constant.  ``backward``
-is ``T-`` by ``minplus_row``, and ``forward`` is ``T+`` as its max-plus
-dual ``-min_y (c(x, y) - u(y))``; the reversal identity
-``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not used to
-compute ``T+``.  All operations are pure functions of immutable inputs and
-deterministic (ties in argmins break to the lowest point index).
+times a matrix given by its columns; ``minplus_product`` is one per row)
+and ``kleene_plus`` (the closure, whose diagonal holds the jumps), but
+``critical._relax``, one Bellman-Ford round that relaxes in place: a Jacobi
+round of ``minplus_row`` would give other float potentials.  That round
+serves ``critical._bellman_ford`` and the exact search for the critical
+constant.  ``backward`` is ``T-`` by ``minplus_row``, and ``forward`` is
+``T+`` as its max-plus dual ``-min_y (c(x, y) - u(y))``; the reversal
+identity ``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not
+used to compute ``T+``.  All operations are pure functions of immutable
+inputs and deterministic (ties in argmins break to the lowest point index).
 
 Exact mode computes on an integer grid: with ``D`` a common denominator of
 the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
@@ -319,11 +318,6 @@ def minplus_product(a: Matrix, b: Matrix) -> Matrix:
     """Min-plus matrix product: entry (x,y) = min_z a(x,z) + b(z,y)."""
     cols = tuple(zip(*b))
     return tuple(tuple(minplus_row(arow, cols)) for arow in a)
-
-
-def minplus_diag(a: Matrix, b: Matrix) -> list:
-    """The diagonal of a (x) b: entry x is min_z a(x,z) + b(z,x)."""
-    return [min(map(add, arow, bcol)) for arow, bcol in zip(a, zip(*b))]
 
 
 def kleene_plus(a: Matrix) -> Matrix:

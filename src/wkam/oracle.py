@@ -522,10 +522,10 @@ class _Workspace:
         self.crit = critical_value(inst)
         self.phi1 = phi_n(inst, self.crit, 1)
         self.phi = mane_potential(inst, self.crit)
-        self.F = jump_F(inst, self.crit, phi=self.phi)
-        self.f = jump_f(inst, self.crit, phi=self.phi)
+        self.F = jump_F(inst, self.crit)
+        self.f = jump_f(inst, self.crit)
         self.bar = peierls_barrier(inst, self.crit)
-        self.aub = aubry(inst, self.crit, self.bar, phi=self.phi)
+        self.aub = aubry(inst, self.crit, self.bar)
         self.scan = cycle_scan(inst)
         self.samples = subsolution_sampler(
             inst, self.crit, seed, samples, phi=self.phi, bar=self.bar

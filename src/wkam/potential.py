@@ -15,18 +15,18 @@ fixed points:
     ``f(x) = T+(phi^x)(x) - alpha0``   (<= 0, zero exactly on the Aubry set)
 
 where ``phi_x = phi(x, .)`` and ``phi^x = -phi(., x)``.  With
-``r = c + alpha0`` they are diagonals of min-plus products, ``F`` of
-``phi (x) r`` and ``-f`` of ``r (x) phi``, which is how they are computed:
-with ``core.minplus_diag`` on the integer kernel of ``CriticalData``, with
-no transposed instance.
+``r = c + alpha0``, ``F(x) = min_y phi(x, y) + r(y, x)`` is the least
+closed walk through x, and so is ``-f(x)``: both are the diagonal of the
+Kleene plus ``P = phi_1`` that ``CriticalData`` holds, which is how they are
+read, in both modes, with no product and no transposed instance.  The same
+diagonal decides the Aubry set (``barrier.aubry_vertices``).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
-from .core import CostInstance, PotentialTable, ValueFunction, minplus_diag, minplus_product
+from .core import CostInstance, PotentialTable, ValueFunction, minplus_product
 from .critical import CriticalData
 from .numbers import InputError
 
@@ -68,12 +68,11 @@ def jump_F(
     crit: CriticalData,
     phi: Optional[PotentialTable] = None,
 ) -> ValueFunction:
-    """Backward jump F(x) = T-(phi_x)(x) + alpha0; nonnegative."""
-    if phi is None:
-        phi = mane_potential(inst, crit)
-    D = math.lcm(phi.scale, crit.kernel.scale)
-    p, r = phi.at(D), crit.kernel.at(D)
-    return ValueFunction.on_grid(minplus_diag(p, r), D, inst.mode, "F")
+    """Backward jump F(x) = T-(phi_x)(x) + alpha0, the diagonal of
+    P = ``crit.kernel_plus()``; nonnegative.  ``phi`` is not read."""
+    inst.require_total("jumps")
+    p = crit.kernel_plus()
+    return ValueFunction.on_grid([row[x] for x, row in enumerate(p.grid)], p.scale, p.mode, "F")
 
 
 def jump_f(
@@ -81,13 +80,11 @@ def jump_f(
     crit: CriticalData,
     phi: Optional[PotentialTable] = None,
 ) -> ValueFunction:
-    """Forward jump f(x) = T+(phi^x)(x) - alpha0; nonpositive.
+    """Forward jump f(x) = T+(phi^x)(x) - alpha0 = -F(x); nonpositive.
 
     phi^x is the negated column of the potential, so
-    f(x) = -min_y r(x, y) + phi(y, x), the negated diagonal of r (x) phi.
-    """
-    if phi is None:
-        phi = mane_potential(inst, crit)
-    D = math.lcm(phi.scale, crit.kernel.scale)
-    p, r = phi.at(D), crit.kernel.at(D)
-    return ValueFunction.on_grid([-v for v in minplus_diag(r, p)], D, inst.mode, "f")
+    f(x) = -min_y r(x, y) + phi(y, x), minus the least closed walk through
+    x.  ``phi`` is not read."""
+    inst.require_total("jumps")
+    p = crit.kernel_plus()
+    return ValueFunction.on_grid([-row[x] for x, row in enumerate(p.grid)], p.scale, p.mode, "f")

@@ -79,7 +79,7 @@ class Bundle:
 
     @cached_property
     def F(self):
-        return jump_F(self.inst, self.crit, phi=self.phi)
+        return jump_F(self.inst, self.crit)
 
     @cached_property
     def bar(self):
@@ -87,7 +87,7 @@ class Bundle:
 
     @cached_property
     def aub(self):
-        return aubry(self.inst, self.crit, self.bar, phi=self.phi)
+        return aubry(self.inst, self.crit, self.bar)
 
     def phi_table(self, k: int):
         if 1 not in self._phi_tables:

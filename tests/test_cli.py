@@ -224,6 +224,24 @@ def test_plotdata_beyond_float_range_with_a_missing_edge_exits_2(capsys, beyond_
     assert "needs a metric instance" in err
 
 
+# a total instance with entries beyond the float range: the transient's
+# first fronts never meet +inf, so the barrier and the oracle answer
+_BEYOND_FLOAT_TOTAL = "[[3, -B, 1, B], [-2, B, B, B], [3, 1, B, 0], [3, -B, 0, 3]]".replace("B", "1" + "0" * 309)
+
+
+@pytest.mark.parametrize("name", ["barrier", "verify"])
+def test_beyond_float_range_total_barrier_and_verify_exit_0(capsys, tmp_path, name):
+    p = tmp_path / "beyond_total.json"
+    p.write_text('{"cost": %s}' % _BEYOND_FLOAT_TOTAL)
+    code, out, err = run(capsys, name, "--in", str(p))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if name == "barrier":
+        assert doc["iterations_to_fix"] == 2
+    else:
+        assert all(c["passed"] for c in doc["checks"])
+
+
 def test_aubry_t3(capsys, t3_file):
     code, out, _ = run(capsys, "aubry", "--in", t3_file)
     assert code == 0
@@ -308,6 +326,20 @@ def test_potential_output(capsys, t2_file):
     assert code == 0
     assert doc["phi"][0][1] == "-1/2"
     assert doc["F"] == [0, 0]
+
+
+def test_float_potential_prints_jumps_on_the_phi1_diagonal(capsys, tmp_path):
+    # the inline three-point-cycle instance of the CLI goldens: float F is
+    # the diagonal of the printed phi1, and f is -F, to the last bit
+    p = tmp_path / "mixed.json"
+    p.write_text(json.dumps({"cost": [
+        ["1/3", "-2/5", 3, 2], ["5/7", "1/2", "-1/3", 4], ["-3/5", 2, 1, "1/7"], [1, "2/3", "3/5", 2],
+    ]}))
+    code, out, _ = run(capsys, "potential", "--in", str(p), "--mode", "float")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(map(repr, doc["F"])) == [repr(row[x]) for x, row in enumerate(doc["phi1"])]
+    assert list(map(repr, doc["f"])) == [repr(-v) for v in doc["F"]]
 
 
 def test_subsolution_check(capsys, t3_file):

@@ -186,7 +186,7 @@ def test_grid_matches_fraction_reference(idx):
         min(phi.entries[x][z] + inst.cost[z][x] for z in range(inst.n)) + crit.alpha0
         for x in range(inst.n)
     )
-    _same(jump_F(inst, crit, phi=phi).values, F_ref)
+    _same(jump_F(inst, crit).values, F_ref)
     f_ref = tuple(
         _ref_pos(inst, tuple(-row[x] for row in phi.entries))[x] - crit.alpha0
         for x in range(inst.n)

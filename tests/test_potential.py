@@ -11,11 +11,13 @@ from wkam import (
     jump_f,
     lax_oleinik_neg,
     lax_oleinik_pos,
+    make_instance,
     mane_potential,
     phi_n,
     reverse_cost,
 )
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
+from wkam.numbers import INF, Mode
 from wkam.oracle import cycle_scan, subsolution_sampler
 
 from walk_reference import enum_walks
@@ -235,14 +237,28 @@ def test_rows_and_columns_dominated():
 
 def test_exact_jumps_are_the_kleene_plus_diagonal():
     # F(x) = min_y phi(x, y) + r(y, x) is the least closed walk through x,
-    # the diagonal of P = kernel_plus(); f is minus it.  (Float mode agrees
-    # only up to rounding, so the solver keeps minplus_diag.)
-    ranges = ((-2, 2), (0, 3))
-    insts = [gen_random(n, seed, lo, hi) for n in range(1, 9) for seed in range(5) for lo, hi in ranges]
-    insts += [gen_fk(m, 1, fk_potential_well(m, c)) for m in (4, 7) for c in range(m)]
-    for inst in insts:
-        crit = critical_value(inst)
-        P = crit.kernel_plus().entries
-        diag = tuple(P[x][x] for x in range(inst.n))
-        assert jump_F(inst, crit).values == diag
-        assert jump_f(inst, crit).values == tuple(-v for v in diag)
+    # the diagonal of P = kernel_plus(); f is minus it.  Both modes read
+    # them off P, so float F is P's diagonal bit for bit (repr tells -0.0
+    # from 0.0) and a printed F, f and phi1 never contradict each other.
+    for mode in (Mode("exact"), Mode("float", 1e-9)):
+        insts = [
+            gen_random(n, seed, lo, hi, mode=mode)
+            for n in range(1, 9)
+            for seed in range(5)
+            for lo, hi in ((-2, 2), (0, 3))
+        ]
+        insts += [gen_fk(m, 1, fk_potential_well(m, c), mode=mode) for m in (4, 7) for c in range(m)]
+        for inst in insts:
+            crit = critical_value(inst)
+            P = crit.kernel_plus().entries
+            Fv, fv = jump_F(inst, crit).values, jump_f(inst, crit).values
+            assert list(map(repr, Fv)) == [repr(P[x][x]) for x in range(inst.n)]
+            assert list(map(repr, fv)) == [repr(-v) for v in Fv]
+
+
+@pytest.mark.parametrize("jump", [jump_F, jump_f], ids=["F", "f"])
+def test_jumps_need_a_total_instance(jump):
+    sparse = make_instance([[F(1, 3), INF], [F(2, 5), F(1, 7)]])
+    crit = critical_value(sparse)
+    with pytest.raises(InputError, match="jumps requires a total instance"):
+        jump(sparse, crit)

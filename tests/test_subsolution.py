@@ -19,6 +19,7 @@ from wkam import (
     uniform_subsolution_mix,
     weak_kam_neg,
 )
+from wkam.barrier import aubry_vertices, limits_grid, orbit_walk
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import Mode
 from wkam.oracle import aubry_chain_sets, enum_zero_cycles, subsolution_sampler
@@ -274,3 +275,32 @@ def test_potential_row_mix_is_strict_exactly_off_the_aubry_edges():
         edges = set(enum_zero_cycles(inst).edges)
         off = {(x, y) for x in range(inst.n) for y in range(inst.n)} - edges
         assert set(strict_pairs(inst, crit, uniform_subsolution_mix(inst, crit))) == off
+
+
+# --- the mix's backward walk is the walks inside B, capped by u_minus ----------------
+
+def test_mix_backward_walk_is_the_walks_off_the_aubry_set_capped_by_u_minus():
+    # with A the Aubry vertices, B the rest, S the reduced matrix on B and
+    # g_k(y) = min over x in B of u(x) + S^k(x, y): the k-th iterate of the
+    # backward walk from the mix u is u on A and min(u_minus, g_k) on B
+    insts = [
+        gen_random(n, seed, lo, hi)
+        for n in range(2, 9)
+        for seed in range(12)
+        for lo, hi in ((-2, 2), (-100, 100))
+    ]
+    insts += [gen_fk(m, 1, fk_potential_well(m, c)) for m in (3, 5, 8) for c in range(m)]
+    iterates = 0
+    for inst in insts:
+        crit = critical_value(inst)
+        D, u, lo, _ = limits_grid(inst, crit, uniform_subsolution_mix(inst, crit))
+        A = aubry_vertices(inst, crit.kernel_plus())
+        B = [x for x in range(inst.n) if x not in A]
+        r = crit.kernel.at(D)
+        g = {y: u[y] for y in B}  # g_0 = u on B
+        for v in orbit_walk(inst, crit, D, u, lo, False):
+            assert [v[a] for a in A] == [u[a] for a in A]
+            assert [v[y] for y in B] == [min(lo[y], g[y]) for y in B]
+            g = {y: min(g[x] + r[x][y] for x in B) for y in B}
+            iterates += 1
+    assert (len(insts), iterates) == (184, 1075)
