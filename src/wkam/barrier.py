@@ -42,10 +42,13 @@ through its ``entries``.  Rows of ``h`` are fixed points of ``T- + alpha0``
 ``T+ - alpha0`` (positive solutions).
 
 The projected Aubry set A is the zero diagonal of ``phi_1`` (so of the
-barrier too), decided in one place, ``aubry_vertices``: the closed form,
-the transient, the Aubry sets and the orbit walk all read A from it.  The
-edge Aubry set collects the ordered pairs closing a zero-reduced-weight
-circuit, ``c(x,y) + alpha0 + h(y,x) = 0``.
+barrier too), decided once per ``CriticalData`` and kept on it, next to
+the P it is read from: the closed form, the transient, the Aubry sets, the
+limits, the orbit walk and the strict sub-solution all read
+``crit.aubry_vertices(inst)``.  The edge Aubry set collects the ordered
+pairs closing a zero-reduced-weight circuit, ``c(x,y) + alpha0 + h(y,x) = 0``.
+Float mode decides these zero tests, like the transient's band tests, a
+row at a time with ``numbers.Band``.
 
 For a dominated u, the normalized orbits ``T-^k u + k alpha0`` (nondecreasing)
 and ``T+^k u - k alpha0`` (nonincreasing) stabilize to the enveloping
@@ -91,7 +94,7 @@ from .core import (
     vf_eq,
 )
 from .critical import CriticalData, _dominated_grid
-from .numbers import ConstructionError, InputError, SizeGuardError
+from .numbers import Band, ConstructionError, InputError, SizeGuardError
 from .potential import jump_F
 
 # Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
@@ -140,27 +143,16 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTabl
     inst.require_total("tail potential")
     p = crit.kernel_plus()
     e = p.grid
-    verts = aubry_vertices(inst, p)
+    verts = crit.aubry_vertices(inst)
     to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
     return PotentialTable(minplus_product(to_a, [e[a] for a in verts]), p.scale, p.mode)
 
 
-def aubry_vertices(inst: CostInstance, p: PotentialTable) -> list[int]:
-    """The Aubry vertices: the zero set of the diagonal of
-    P = ``crit.kernel_plus()``, the solver's one test of A."""
-    scale = inst.value_scale()
-    g = p.grid
-    verts = [x for x in range(inst.n) if inst.mode.is_zero(g[x][x], scale=scale)]
-    if not verts:
-        raise ConstructionError("no Aubry vertex found for the closed form")
-    return verts
-
-
 def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
     """Least j whose fronts are all empty (see the module docstring)."""
-    mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
-    r, P, hg = crit.kernel.grid, crit.kernel_plus(), h.grid
-    p, verts = P.grid, set(aubry_vertices(inst, P))
+    exact = inst.mode.exact
+    r, p, hg = crit.kernel.grid, crit.kernel_plus().grid, h.grid
+    verts = set(crit.aubry_vertices(inst))
     off = [x for x in range(inst.n) if x not in verts]
     b = len(off)
     if not b:
@@ -174,22 +166,16 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
     # Float mode keeps w iff some y fails le(h(x, y), v + P(w, y)).  As
     # Mode.le's band is at least tol * |scale|, such a w has v + m(x, w)
     # below -tol * |scale|; half of it is the cut, which leaves room for
-    # rounding.  The y of the widest gap h(x, y) - P(w, y) is tried first.
-    cut = 0 if exact else -mode.tolerance * max(1.0, abs(scale)) / 2
-
-    def fails(hx: list, v, pw: list) -> bool:
-        gaps = list(map(sub, hx, pw))
-        y = gaps.index(max(gaps))
-        return not mode.le(hx[y], v + pw[y], scale=scale) or not all(
-            mode.le(a, v + q, scale=scale) for a, q in zip(hx, pw)
-        )
+    # rounding.
+    band = Band(inst.mode, inst.value_scale())
+    cut = 0 if exact else -band.zero / 2
 
     def front(x: int, row: list) -> tuple[list, list]:
         """The entries w of row x with v = row[w] + m(x, w) < 0, and in
         float mode with some y failing ``le(h(x, y), v + P(w, y))``."""
         ws = [w for w, t in enumerate(map(add, row, m[x])) if t < cut]
         if not exact:
-            ws = [w for w in ws if fails(hb[x], row[w], pb[w])]
+            ws = _failing(band, hb[x], pb, ws, [row[w] for w in ws])
         return ws, [row[w] for w in ws]
 
     def advance(fronts: list, q: Matrix) -> Optional[list]:
@@ -202,7 +188,7 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
 
     # j = 0: the empty walk at x, kept as ``front`` keeps an entry
     fronts = [
-        ([x], [0]) if m[x][x] < cut and (exact or fails(hb[x], 0, pb[x])) else ([], [])
+        ([x], [0]) if m[x][x] < cut and (exact or _failing(band, hb[x], pb, [x], [0])) else ([], [])
         for x in range(b)
     ]
     if not any(ws for ws, _ in fronts):
@@ -225,6 +211,19 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
     return j + 1
 
 
+def _failing(band: Band, hx: list, pb: list, ws: list, vs: list) -> list:
+    """The w in ws, at weights vs, with some y failing
+    ``le(hx[y], v + pb[w][y])`` in ``band``.  The y of the widest gap
+    hx[y] - pb[w][y] is tried first, for every w in one band test."""
+    ys = [g.index(max(g)) for g in (list(map(sub, hx, pb[w])) for w in ws)]
+    first = band.le([hx[y] for y in ys], [v + pb[w][y] for w, v, y in zip(ws, vs, ys)])
+    return [
+        w
+        for w, v, ok in zip(ws, vs, first)
+        if not ok or not all(band.le(hx, [v + q for q in pb[w]]))
+    ]
+
+
 def aubry(
     inst: CostInstance,
     crit: CriticalData,
@@ -233,22 +232,19 @@ def aubry(
 ) -> AubryData:
     """Aubry sets read off the Kleene plus P and the barrier.
 
-    The Aubry vertices are ``aubry_vertices``, the zero set of P's
+    The Aubry vertices are ``crit.aubry_vertices``, the zero set of P's
     diagonal; the ordered pair (x, y) is an Aubry edge iff the step
     x -> y closes a zero-reduced circuit: c(x, y) + alpha0 + h(y, x) = 0.
     The jumps are F = diag(P).  ``phi`` is not read.
     """
-    mode = inst.mode
-    scale = inst.value_scale()
-    h, r = bar.h.grid, crit.kernel.grid  # h is on the kernel's grid
-    vertices = tuple(aubry_vertices(inst, crit.kernel_plus()))
+    band = Band(inst.mode, inst.value_scale())
+    # row x of r plus column x of h, which is on the kernel's grid
     edges = tuple(
         (x, y)
-        for x in range(inst.n)
-        for y in range(inst.n)
-        if mode.is_zero(r[x][y] + h[y][x], scale=scale)
+        for x, (row, hcol) in enumerate(zip(crit.kernel.grid, zip(*bar.h.grid)))
+        for y in band.zeros(map(add, row, hcol))
     )
-    return AubryData(vertices=vertices, edges=edges, jumps=jump_F(inst, crit))
+    return AubryData(vertices=crit.aubry_vertices(inst), edges=edges, jumps=jump_F(inst, crit))
 
 
 def weak_kam_neg(bar: BarrierData, x: int) -> ValueFunction:
@@ -287,7 +283,7 @@ def limits_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tup
     inst.require_total("orbit limits")
     D, start = _dominated_grid(inst, crit, u)
     P = crit.kernel_plus()
-    verts, m, p = aubry_vertices(inst, P), D // P.scale, P.grid
+    verts, m, p = crit.aubry_vertices(inst), D // P.scale, P.grid
     ua = [start[a] for a in verts]
     lo = minplus_row(ua, zip(*([v * m for v in p[a]] for a in verts)))
     hi = forward(ua, [[row[a] * m for a in verts] for row in p])
@@ -304,7 +300,7 @@ def orbit_walk(
     mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
     P = crit.kernel_plus()
     m, p, r = D // P.scale, P.grid, crit.kernel.at(D)
-    verts = set(aubry_vertices(inst, P))
+    verts = set(crit.aubry_vertices(inst))
     loops = [p[x][x] * m for x in range(inst.n) if x not in verts]
     gap = max(map(abs, map(sub, limit, start)))
     budget = len(loops) * int(-(-gap // min(loops))) if gap > 0 and loops else 0
@@ -322,10 +318,19 @@ def orbit_walk(
 
     def walk():
         cur, low = start, [-v for v in start] if positive else start
+        # float mode: an entry outside its band at the last full check; the
+        # walk has not settled while it stays outside
+        j = 0
         for k in count():
             yield cur
-            if cur == limit if exact else all(map(le, map(abs, map(sub, cur, limit)), band)):
-                return
+            if exact:
+                if cur == limit:
+                    return
+            elif abs(cur[j] - limit[j]) <= band[j]:
+                out = map(le, map(abs, map(sub, cur, limit)), band)
+                j = next((x for x, ok in enumerate(out) if not ok), None)
+                if j is None:
+                    return
             if k == budget:
                 raise ConstructionError(f"orbit overran its budget of {budget} steps")
             if k == stop:

@@ -47,7 +47,7 @@ from itertools import chain
 from operator import add, eq, le
 from typing import Iterable, Optional, Sequence
 
-from .numbers import EXACT, INF, InputError, Mode, Value, format_value, is_inf
+from .numbers import EXACT, INF, Band, InputError, Mode, Value, format_value, is_inf
 
 Matrix = tuple[tuple[Value, ...], ...]
 
@@ -452,12 +452,12 @@ def grid_operands(
 # ---------------------------------------------------------------------------
 
 def vf_le(mode: Mode, u: Sequence[Value], v: Sequence[Value], scale: Value = 1) -> bool:
-    if mode.exact:  # Mode.le without a call per entry
+    if mode.exact:  # Mode.le with no call per entry, stopping at the first failure
         return all(map(le, u, v))
-    return all(mode.le(a, b, scale=scale) for a, b in zip(u, v))
+    return all(Band(mode, scale).le(u, v))
 
 
 def vf_eq(mode: Mode, u: Sequence[Value], v: Sequence[Value], scale: Value = 1) -> bool:
     if mode.exact:
         return all(map(eq, u, v))
-    return all(mode.eq(a, b, scale=scale) for a, b in zip(u, v))
+    return all(Band(mode, scale).eq(u, v))

@@ -46,7 +46,7 @@ from .core import (
     minplus_row,
     to_grid,
 )
-from .numbers import INF, ConstructionError, InputError, Mode, Value, is_inf
+from .numbers import INF, Band, ConstructionError, InputError, Mode, Value, is_inf
 
 # the finite edges as (targets, weights): u's edges end at targets[u] with
 # weights[u]; targets None: every row is dense, weights the matrix itself
@@ -63,13 +63,15 @@ class CriticalData:
     cycle, as a table on the integer grid of ``core``; ``reduced`` is its
     entries.  ``kernel_plus()`` is its Kleene plus P, held once per object:
     phi_1, the Mane potential, the Aubry vertices and the closed-form
-    barrier all read the same P.
+    barrier all read the same P.  ``aubry_vertices(inst)``, the zero set of
+    P's diagonal, is decided once and held the same way.
     """
 
     alpha0: Value
     witness_cycle: tuple[int, ...]
     kernel: PotentialTable
     _plus: Optional[PotentialTable] = field(default=None, init=False, repr=False, compare=False)
+    _aubry: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def reduced(self) -> Matrix:
@@ -83,6 +85,23 @@ class CriticalData:
             k = self.kernel
             object.__setattr__(self, "_plus", PotentialTable(kleene_plus(k.grid), k.scale, k.mode))
         return self._plus
+
+    def aubry_vertices(self, inst: CostInstance) -> tuple[int, ...]:
+        """The Aubry vertices A of ``inst``, whose critical data this is.
+
+        Decided by ``_aubry_set`` on the first call and kept on the object."""
+        if self._aubry is None:
+            object.__setattr__(self, "_aubry", _aubry_set(inst, self.kernel_plus()))
+        return self._aubry
+
+
+def _aubry_set(inst: CostInstance, p: PotentialTable) -> tuple[int, ...]:
+    """The zero set of the diagonal of P = ``kernel_plus()``, in float mode
+    within the band: the solver's one test of A."""
+    verts = Band(inst.mode, inst.value_scale()).zeros([row[x] for x, row in enumerate(p.grid)])
+    if not verts:
+        raise ConstructionError("no Aubry vertex found for the closed form")
+    return tuple(verts)
 
 
 class DominationResult(NamedTuple):
@@ -220,7 +239,8 @@ def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
     source; the minimum cycle mean is min_v max_k (D[N][v]-D[k][v])/(N-k)
     over finite entries, N being the augmented vertex count.  Means are
     kept as (total, length) pairs and compared by cross-multiplication,
-    so integer weights stay integers.
+    so integer weights stay integers.  A level holds +inf or finite values
+    only, so ``== INF`` tests for a missing walk.
     """
     n = len(cost)
     big = n + 1  # vertices 0..n-1 plus source n
@@ -231,11 +251,11 @@ def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
     top = levels[big]
     best: Optional[tuple[Value, int]] = None
     for v in range(n):
-        if is_inf(top[v]):
+        if top[v] == INF:
             continue
         worst: Optional[tuple[Value, int]] = None
         for k in range(big):
-            if is_inf(levels[k][v]):
+            if levels[k][v] == INF:
                 continue
             num, den = top[v] - levels[k][v], big - k
             if worst is None or num * worst[1] > worst[0] * den:
@@ -250,27 +270,34 @@ def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
 def _zero_cycle(inst: CostInstance, kernel: Matrix) -> tuple[int, ...]:
     """Deterministic simple cycle of zero reduced weight.
 
-    Shortest-path potentials p for the reduced weights make every
-    zero-reduced cycle live inside the tight subgraph p(v) = p(u) + r(u,v);
+    Every zero-reduced cycle lives inside the tight subgraph (``_tight``);
     a DFS scanning vertices and successors in ascending index returns the
-    first (hence lexicographically least) cycle.  Exact mode decides each
-    tight pair with one integer comparison, float mode within the band.
+    first (hence lexicographically least) cycle.
     """
-    mode = inst.mode
-    edges = _finite_edges(kernel, inst.total)
-    pot, _ = _bellman_ford(edges)
-    if mode.exact:
-        adj = [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in zip(pot, _rows(edges))]
-    else:
-        scale = inst.value_scale()
-        adj = [
-            [v for v, r in pairs if mode.eq(pu + r, pot[v], scale=scale)]
-            for pu, pairs in zip(pot, _rows(edges))
-        ]
-    cyc = _first_cycle(adj, inst.n)
+    cyc = _first_cycle(_tight(inst, kernel), inst.n)
     if cyc is None:
         raise RuntimeError("no zero-reduced cycle found in tight subgraph")
     return cyc
+
+
+def _tight(inst: CostInstance, kernel: Matrix) -> list[list[int]]:
+    """The tight subgraph p(v) = p(u) + r(u, v) as ascending successor
+    lists, p the shortest-path potentials of the finite edges of the
+    reduced weights r.  Exact mode decides each pair with one integer
+    comparison, float mode a row at a time within the band."""
+    edges = _finite_edges(kernel, inst.total)
+    pot, _ = _bellman_ford(edges)
+    if inst.mode.exact:
+        return [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in zip(pot, _rows(edges))]
+    band = Band(inst.mode, inst.value_scale())
+    targets, weights = edges
+    adj = []
+    for u, (pu, ws) in enumerate(zip(pot, weights)):
+        ends = range(len(ws)) if targets is None else targets[u]
+        heads = pot if targets is None else [pot[v] for v in ends]
+        tight = band.eq([pu + w for w in ws], heads)
+        adj.append([v for v, ok in zip(ends, tight) if ok])
+    return adj
 
 
 def _bellman_ford(edges: Edges) -> tuple[list[Value], list[Optional[int]]]:
@@ -369,18 +396,20 @@ def _undominated(
     ``vals``, ``cost`` and ``a`` are on one grid.  Exact mode decides each
     row with one reduction, max_y (vals[y] - cost[x][y]) <= vals[x] + a, and
     scans the entries of a failing row only, for the witness; float mode
-    compares entry by entry within the tolerance band."""
+    decides each row within the tolerance band, where a missing edge
+    (c = +inf) always passes."""
     if mode.exact:
         for x, row in enumerate(cost):
             top = vals[x] + a
             if max(map(sub, vals, row)) > top:
                 return x, next(y for y, (v, c) in enumerate(zip(vals, row)) if v - c > top)
         return None
+    band = Band(mode, scale)
     for x, row in enumerate(cost):
         ux = vals[x]
-        for y, c in enumerate(row):
-            if not is_inf(c) and not mode.le(vals[y] - ux, c + a, scale=scale):
-                return x, y
+        ok = band.le([v - ux for v in vals], [c + a for c in row])
+        if not all(ok):
+            return x, ok.index(False)
     return None
 
 

@@ -11,6 +11,11 @@ never rounds; it is the reference for all equality-based identities.  Float
 mode compares with a relative-absolute hybrid tolerance and accepts an
 optional *scale* so that accumulated sums (walks of length up to n) can widen
 the absolute band.
+
+``Mode`` decides one pair of values per call.  The solver decides whole rows
+with ``Band``, which takes ``S = max(1, |scale|)`` and ``t = tol * S`` once
+and gives ``Mode``'s answer for every entry with builtins alone (see
+``Band`` for why each threshold is exactly ``Mode``'s).
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite, isinf
 from numbers import Real
-from typing import Union
+from operator import eq, le, lt
+from typing import Iterable, Sequence, Union
 
 Value = Union[Fraction, float, int]
 
@@ -49,7 +56,15 @@ def is_inf(x: Value) -> bool:
 
 @dataclass(frozen=True)
 class Mode:
-    """Numeric mode: ``exact`` (rational) or ``float`` (tolerance eps)."""
+    """Numeric mode: ``exact`` (rational) or ``float`` (tolerance eps).
+
+    In float mode, with ``S = max(1, |scale|)``, two finite values a and b
+    are within the band when ``|a - b| <= tol * max(S, |a|, |b|)``; ``le``
+    and ``lt`` widen and narrow b by the same width, and ``is_zero(a)``
+    reduces to ``|a| <= tol * S`` (see ``Band``).  When a or b is infinite
+    (of either sign), ``eq`` holds iff both are, ``le`` iff b is, and
+    ``lt`` iff a is not.
+    """
 
     kind: str = "exact"
     tolerance: float = 1e-9
@@ -128,6 +143,104 @@ class Mode:
 
 
 EXACT = Mode("exact")
+
+
+class Band:
+    """``Mode``'s tests over whole rows, one threshold per call.
+
+    ``Band(mode, scale)`` takes ``S = max(1, |scale|)`` and ``t = tol * S``
+    once, as ``floor`` and ``zero``.  ``zeros`` gives the indices of the
+    entries that ``is_zero`` accepts; ``eq``, ``le`` and ``lt`` give
+    ``Mode``'s answer for each pair of entries of two sequences, with
+    builtins and no method call per entry.  In exact mode t is 0 and the
+    tests are ``==``, ``<=`` and ``<``.
+
+    Each answer is bit for bit ``Mode``'s, for 0 < tol < 1:
+
+    * ``is_zero(a)`` is ``|a| <= t``.  When ``|a| <= S``, ``Mode``'s
+      ``max(1, |a|, |scale|)`` is S.  When ``|a| > S``, both reject:
+      t <= S < |a|, and as tol <= 1 - 2^-53, the exact ``tol * |a|`` is at
+      most ``|a| - |a| * 2^-53``, which rounds to a float below ``|a|``.
+    * ``eq``, ``le`` and ``lt`` take the width ``tol * max(S, |a|, |b|)``.
+      ``max`` rounds nothing, so it is the number that ``Mode``'s
+      ``max(1, |a|, |b|, |scale|)`` is and the product is the same float;
+      when |a| and |b| are at most S, it is t.  As the width is positive
+      and rounding is monotone, a == b and a <= b pass ``eq`` and ``le``,
+      and a >= b fails ``lt``, with no width.
+    * Two rows whose sums are not finite (an infinite entry, or an
+      overflow) are decided entry by entry by ``Mode``'s rules for
+      infinities.
+    """
+
+    __slots__ = ("exact", "tol", "floor", "zero")
+
+    def __init__(self, mode: Mode, scale: Value) -> None:
+        self.exact = mode.exact
+        if self.exact:
+            self.tol = self.floor = self.zero = 0
+        else:
+            self.tol = mode.tolerance
+            self.floor = max(1.0, abs(scale))
+            self.zero = self.tol * self.floor
+
+    def zeros(self, row: Iterable[Value]) -> list[int]:
+        """The indices of the entries within the band of 0."""
+        t = self.zero
+        return [i for i, a in enumerate(row) if -t <= a <= t]
+
+    def eq(self, u: Sequence[Value], v: Sequence[Value]) -> list[bool]:
+        """``Mode.eq(a, b, scale)`` for each pair of entries."""
+        if self.exact:
+            return list(map(eq, u, v))
+        tol, S, t = self.tol, self.floor, self.zero
+        if isfinite(sum(u) + sum(v)):
+            return [
+                a == b
+                or (
+                    -t <= a - b <= t
+                    if -S <= a <= S and -S <= b <= S
+                    else abs(a - b) <= tol * max(S, abs(a), abs(b))
+                )
+                for a, b in zip(u, v)
+            ]
+        return [
+            isinf(a) and isinf(b)
+            if isinf(a) or isinf(b)
+            else abs(a - b) <= tol * max(S, abs(a), abs(b))
+            for a, b in zip(u, v)
+        ]
+
+    def le(self, u: Sequence[Value], v: Sequence[Value]) -> list[bool]:
+        """``Mode.le(a, b, scale)`` for each pair of entries."""
+        if self.exact:
+            return list(map(le, u, v))
+        tol, S, t = self.tol, self.floor, self.zero
+        if isfinite(sum(u) + sum(v)):
+            return [
+                a <= b
+                or a <= b + (t if -S <= a <= S and -S <= b <= S else tol * max(S, abs(a), abs(b)))
+                for a, b in zip(u, v)
+            ]
+        return [
+            isinf(b) or not isinf(a) and a <= b + tol * max(S, abs(a), abs(b))
+            for a, b in zip(u, v)
+        ]
+
+    def lt(self, u: Sequence[Value], v: Sequence[Value]) -> list[bool]:
+        """``Mode.lt(a, b, scale)`` for each pair of entries."""
+        if self.exact:
+            return list(map(lt, u, v))
+        tol, S, t = self.tol, self.floor, self.zero
+        if isfinite(sum(u) + sum(v)):
+            return [
+                a < b
+                and a < b - (t if -S <= a <= S and -S <= b <= S else tol * max(S, abs(a), abs(b)))
+                for a, b in zip(u, v)
+            ]
+        return [
+            not isinf(a) and (isinf(b) or a < b - tol * max(S, abs(a), abs(b)))
+            for a, b in zip(u, v)
+        ]
 
 
 def parse_value(text: object, mode: Mode) -> Value:

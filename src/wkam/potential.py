@@ -19,7 +19,7 @@ where ``phi_x = phi(x, .)`` and ``phi^x = -phi(., x)``.  With
 closed walk through x, and so is ``-f(x)``: both are the diagonal of the
 Kleene plus ``P = phi_1`` that ``CriticalData`` holds, which is how they are
 read, in both modes, with no product and no transposed instance.  The same
-diagonal decides the Aubry set (``barrier.aubry_vertices``).
+diagonal decides the Aubry set (``CriticalData.aubry_vertices``).
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ def mane_potential(inst: CostInstance, crit: CriticalData) -> PotentialTable:
     """Mane potential: phi_1 off the diagonal, zero on it."""
     inst.require_total("Mane potential")
     p = crit.kernel_plus()
-    zero = 0 if p.mode.exact else 0.0
-    grid = tuple(
-        tuple(zero if i == j else v for j, v in enumerate(row)) for i, row in enumerate(p.grid)
-    )
+    zero = (0,) if p.mode.exact else (0.0,)
+    grid = tuple(row[:i] + zero + row[i + 1:] for i, row in enumerate(p.grid))
     return PotentialTable(grid, p.scale, p.mode)
 
 

@@ -27,10 +27,10 @@ import math
 from operator import add
 from typing import Sequence
 
-from .barrier import aubry_vertices, limits_grid, orbit_walk
+from .barrier import limits_grid, orbit_walk
 from .core import CostInstance, ValueFunction, to_grid
 from .critical import CriticalData, _dominated_grid
-from .numbers import ConstructionError, InputError
+from .numbers import Band, ConstructionError, InputError
 from .potential import mane_potential
 
 
@@ -66,13 +66,9 @@ def aubry_of(
 def _fixed_points(
     inst: CostInstance, start: list, lo: list, hi: list
 ) -> tuple[int, ...]:
-    mode = inst.mode
-    scale = inst.value_scale()
-    return tuple(
-        x
-        for x, (v, a, b) in enumerate(zip(start, lo, hi))
-        if mode.eq(a, v, scale=scale) and mode.eq(b, v, scale=scale)
-    )
+    band = Band(inst.mode, inst.value_scale())
+    fixed = zip(band.eq(lo, start), band.eq(hi, start))
+    return tuple(x for x, (minus, plus) in enumerate(fixed) if minus and plus)
 
 
 def strict_subsolution(
@@ -120,12 +116,12 @@ def strict_pairs(
     mode = inst.mode
     D = math.lcm(crit.kernel.scale, u.grid_in(mode)[1])
     vals = u.at(mode, D)
-    scale = inst.value_scale()
+    band = Band(mode, inst.value_scale())
     return tuple(
         (x, y)
         for x, (ux, row) in enumerate(zip(vals, crit.kernel.at(D)))
-        for y, (uy, k) in enumerate(zip(vals, row))
-        if mode.lt(uy - ux, k, scale=scale)
+        for y, strict in enumerate(band.lt([uy - ux for uy in vals], row))
+        if strict
     )
 
 
@@ -148,7 +144,7 @@ def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunct
     the two walks of the strictification.
     """
     mix = uniform_subsolution_mix(inst, crit)
-    global_vertices = tuple(aubry_vertices(inst, crit.kernel_plus()))
+    global_vertices = crit.aubry_vertices(inst)
     D, start, lo, hi = limits_grid(inst, crit, mix)
     mix_vertices = _fixed_points(inst, start, lo, hi)
     if mix_vertices != global_vertices:

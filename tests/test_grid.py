@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from wkam import make_instance, reverse_cost
 from wkam.barrier import (
-    aubry_vertices,
     limits_grid,
     orbit_walk,
     peierls_barrier,
@@ -347,7 +346,7 @@ def test_float_operators_equal_by_repr():
     inst = gen_fk(6, 1, fk_potential_well(6, 2), mode=flt)
     crit = critical_value(inst)
     p, r, pts = crit.kernel_plus().grid, crit.reduced, range(inst.n)
-    verts = aubry_vertices(inst, crit.kernel_plus())
+    verts = crit.aubry_vertices(inst)
     u = weak_kam_neg(peierls_barrier(inst, crit), verts[0])
     want = tuple(-min(p[x][a] - u[a] for a in verts) for x in pts)
     assert repr(u_plus(inst, crit, u).values) == repr(want)

@@ -17,7 +17,7 @@ from wkam import (
     peierls_barrier,
 )
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
-from wkam.numbers import INF, Mode
+from wkam.numbers import INF, Band, Mode
 from wkam.oracle import (
     _Workspace,
     cycle_scan,
@@ -517,14 +517,14 @@ def test_verify_all_makes_each_table_product_once(monkeypatch):
 @pytest.mark.parametrize("mode", [Mode(), Mode("float", 1e-9)], ids=["exact", "float"])
 def test_chain_splitting_suite_compares_rows_not_entries(monkeypatch, mode):
     # A passing chain-splitting suite makes at most one product per
-    # inequality of the paper (44) and, in exact mode, no entrywise Mode.le
-    # call: a loop over (x, y, z) would make 88 n^3 of them.
+    # inequality of the paper (44) and no entrywise Mode.le call: a loop over
+    # (x, y, z) would make 88 n^3 of them.
     lo, hi = (-2, 2) if mode.exact else (-2.0, 2.0)
     ws = _Workspace(gen_random(10, 2, lo, hi, mode=mode), 2, 20, None, None)
     ws.phi_table(8)
     ws.raw_power(4)
-    counts = {"products": 0, "le": 0}
-    product_, le = oracle.minplus_product, Mode.le
+    counts = {"products": 0, "le": 0, "entries": 0}
+    product_, le, row_le = oracle.minplus_product, Mode.le, Band.le
 
     def counted_product(a, b):
         counts["products"] += 1
@@ -534,9 +534,15 @@ def test_chain_splitting_suite_compares_rows_not_entries(monkeypatch, mode):
         counts["le"] += 1
         return le(self, *args, **kwargs)
 
+    def counted_row_le(self, u, v):
+        counts["entries"] += len(u)
+        return row_le(self, u, v)
+
     monkeypatch.setattr(oracle, "minplus_product", counted_product)
     monkeypatch.setattr(Mode, "le", counted_le)
+    monkeypatch.setattr(Band, "le", counted_row_le)
     assert oracle._check_hh_suite(ws, ws.h).passed
     assert counts["products"] <= 44
-    # float mode compares the n^2 entries of each of the 88 inequalities
-    assert counts["le"] == (0 if mode.exact else 88 * 10 * 10)
+    # float mode compares the n^2 entries of each of the 88 inequalities, a
+    # row at a time
+    assert (counts["le"], counts["entries"]) == (0, 0 if mode.exact else 88 * 10 * 10)

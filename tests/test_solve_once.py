@@ -1,8 +1,9 @@
 """Each instance is solved once.
 
 ``CriticalData`` holds P = kleene_plus(kernel), from which phi_1, the Mane
-potential, F, the Aubry vertices and the closed-form barrier follow, and
-the barrier's transient runs only when ``iterations_to_fix`` is read.
+potential, F and the closed-form barrier follow, and the Aubry vertices,
+decided once from P's diagonal; the barrier's transient runs only when
+``iterations_to_fix`` is read.
 These tests count the Kleene plus calls on the n x n kernel and the
 transient searches made by every CLI subcommand, by ``verify`` and by the
 library pipeline, and check the lazy transient against values computed
@@ -23,6 +24,7 @@ import pytest
 import wkam
 import wkam.barrier
 import wkam.core
+import wkam.critical
 from wkam import Mode, critical_value, gen_fk, gen_random, make_instance, peierls_barrier
 from wkam.cli import main
 from wkam.models import fk_potential_well
@@ -169,6 +171,31 @@ def test_library_pipeline_solves_once(calls, mode):
     assert _kernel_plus_count(calls, 8) == 1
     assert calls["transient"] == 0
     assert calls["converted"] == []
+
+
+@pytest.mark.parametrize("mode", [wkam.EXACT, FLOAT], ids=["exact", "float"])
+def test_aubry_vertices_decided_once_per_critical_data(monkeypatch, mode):
+    # the float-random pipeline reads A in the closed form, the Aubry sets,
+    # the limits, the two orbit walks and the strict sub-solution's check
+    decided = []
+    aubry_set = wkam.critical._aubry_set
+
+    def counted(inst, p):
+        decided.append(p)
+        return aubry_set(inst, p)
+
+    monkeypatch.setattr(wkam.critical, "_aubry_set", counted)
+    for seed in range(3):
+        inst = gen_random(8, seed, -2, 2, mode=mode)
+        crit = critical_value(inst)
+        phi = wkam.mane_potential(inst, crit)
+        wkam.jump_F(inst, crit, phi=phi)
+        wkam.jump_f(inst, crit, phi=phi)
+        bar = peierls_barrier(inst, crit)
+        assert wkam.aubry(inst, crit, bar, phi=phi).vertices is crit.aubry_vertices(inst)
+        wkam.max_strict_subsolution(inst, crit)
+        assert decided == [crit.kernel_plus()]
+        decided.clear()
 
 
 def test_tables_are_shared_and_converted_once(calls):

@@ -19,7 +19,7 @@ from wkam import (
     uniform_subsolution_mix,
     weak_kam_neg,
 )
-from wkam.barrier import aubry_vertices, limits_grid, orbit_walk
+from wkam.barrier import limits_grid, orbit_walk
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import Mode
 from wkam.oracle import aubry_chain_sets, enum_zero_cycles, subsolution_sampler
@@ -294,7 +294,7 @@ def test_mix_backward_walk_is_the_walks_off_the_aubry_set_capped_by_u_minus():
     for inst in insts:
         crit = critical_value(inst)
         D, u, lo, _ = limits_grid(inst, crit, uniform_subsolution_mix(inst, crit))
-        A = aubry_vertices(inst, crit.kernel_plus())
+        A = crit.aubry_vertices(inst)
         B = [x for x in range(inst.n) if x not in A]
         r = crit.kernel.at(D)
         g = {y: u[y] for y in B}  # g_0 = u on B
