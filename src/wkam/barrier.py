@@ -11,7 +11,14 @@ from x to y.  With ``phi_1`` the Kleene plus of the reduced matrix
 
     ``h(x, y) = min_{a in A} phi_1(x, a) + phi_1(a, y)``,
 
-one min-plus product of the columns and the rows of ``phi_1`` at A.  A walk
+one min-plus product of the columns and the rows of ``phi_1`` at A.  For a
+and b in one Aubry class, ``phi_1(a, b) + phi_1(b, a) = 0``, and the
+triangle inequality of ``phi_1`` then gives
+``phi_1(x, a) + phi_1(a, y) = phi_1(x, b) + phi_1(b, y)``: exact mode takes
+the minimum over the least vertex of each class, the classes being the
+components of the tight graph that hold Aubry vertices (see ``critical``).
+Float mode takes it over all of A, as its tight graph is decided within
+the tolerance band and cannot name the classes exactly.  A walk
 through A costs at least h and, padded with zero cycles at A, reaches h at
 every length.  So with ``S`` the reduced matrix on the points ``B`` off A,
 the tail potential ``phi_j`` is h except where a walk of at least j edges
@@ -31,8 +38,9 @@ squares the step once the walk has made ``|B|^3`` entry updates since the
 last squaring, the price of one product, and after the first advance that
 empties every front it lifts j back with the smaller powers.  So a long
 transient takes at most ``2 + ceil(log2 k)`` products, a short one about
-one, and none is a Kleene plus.  h costs O(n^2 |A|) on top of
-``phi_1``, which ``CriticalData`` holds once; the transient is computed on
+one, and none is a Kleene plus.  h costs O(n^2 * classes) on top of
+``phi_1`` in exact mode, O(n^2 |A|) in float mode, and ``CriticalData``
+holds ``phi_1`` once; the transient is computed on
 the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
 that never read it never pay for it.  The closed form, the transient and
 the orbit walk run on the integer kernel of ``CriticalData`` (see
@@ -61,7 +69,10 @@ and ``h(., a) = phi_1(., a)`` for a in A, both are closed forms, O(n |A|):
 ``core.minplus_row`` of u on A with the rows of phi_1 at A, and
 ``core.forward`` with its columns at A.  Only averaging needs the iterates
 (see ``subsolution``): ``orbit_walk`` steps to the known limit with the
-same kernels.  With ``m = |B|``, ``delta' = min_{x in B} phi_1(x, x) > 0``
+same kernels.  The orbits are monotone and the limit is their bound, so
+a point that has reached its limit keeps it: an exact step computes only
+the points not at their limit yet, n entries each.  With ``m = |B|``,
+``delta' = min_{x in B} phi_1(x, x) > 0``
 (at most the weight of any cycle inside B) and ``S`` the largest gap
 between u and the limit, it takes at most
 ``m * ceil(S / delta')`` steps, none when ``S = 0``, and an overrun raises
@@ -139,11 +150,13 @@ def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
 def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTable:
     """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
     Aubry vertices being the zero set of the phi_1 diagonal; phi_1 is the
-    Kleene plus held on ``crit``."""
+    Kleene plus held on ``crit``.  Exact mode takes one vertex per Aubry
+    class (``crit.class_leaders``), as every vertex of a class gives the
+    same sum."""
     inst.require_total("tail potential")
     p = crit.kernel_plus()
     e = p.grid
-    verts = crit.aubry_vertices(inst)
+    verts = crit.class_leaders(inst)
     to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
     return PotentialTable(minplus_product(to_a, [e[a] for a in verts]), p.scale, p.mode)
 
@@ -318,13 +331,15 @@ def orbit_walk(
 
     def walk():
         cur, low = start, [-v for v in start] if positive else start
-        # float mode: an entry outside its band at the last full check; the
-        # walk has not settled while it stays outside
+        # exact mode: the points not yet at their limit, the only entries a
+        # step changes; float mode: an entry outside its band at the last
+        # full check, the walk not settled while it stays outside
+        todo = [x for x, (v, w) in enumerate(zip(start, limit)) if v != w] if exact else None
         j = 0
         for k in count():
             yield cur
             if exact:
-                if cur == limit:
+                if not todo:
                     return
             elif abs(cur[j] - limit[j]) <= band[j]:
                 out = map(le, map(abs, map(sub, cur, limit)), band)
@@ -335,8 +350,15 @@ def orbit_walk(
                 raise ConstructionError(f"orbit overran its budget of {budget} steps")
             if k == stop:
                 raise SizeGuardError(f"orbit did not settle in {stop} steps at n = {inst.n}")
-            low = minplus_row(low, cols)
+            if exact:
+                step, low = minplus_row(low, map(cols.__getitem__, todo)), list(low)
+                for y, v in zip(todo, step):
+                    low[y] = v
+            else:
+                low = minplus_row(low, cols)
             cur = [-v for v in low] if positive else low
+            if exact:
+                todo = [y for y in todo if cur[y] != limit[y]]
 
     return walk()
 

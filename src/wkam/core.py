@@ -8,8 +8,10 @@ point ``y``.  The two value-update operators are
     ``T+(u)(x) = max_y  u(y) - c(x, y)``   (forward  / max-plus)
 
 Every min-plus loop of the solver is a kernel here: ``minplus_row`` (a row
-times a matrix given by its columns; ``minplus_product`` is one per row)
-and ``kleene_plus`` (the closure, whose diagonal holds the jumps), but
+times a matrix given by its columns; ``minplus_product`` is one per row,
+or folds the rows of a thin right factor) and ``kleene_plus`` (the closure,
+whose diagonal holds the jumps; on packed rows for a matrix of nonnegative
+ints), but
 ``critical._relax``, one Bellman-Ford round that relaxes in place: a Jacobi
 round of ``minplus_row`` would give other float potentials.  That round
 serves ``critical._bellman_ford`` and the exact search for the critical
@@ -40,6 +42,8 @@ modes run the same code.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -315,9 +319,26 @@ def minplus_row(vals: Sequence[Value], cols: Iterable[Sequence[Value]]) -> list:
 
 
 def minplus_product(a: Matrix, b: Matrix) -> Matrix:
-    """Min-plus matrix product: entry (x,y) = min_z a(x,z) + b(z,y)."""
+    """Min-plus matrix product: entry (x,y) = min_z a(x,z) + b(z,y).
+
+    A thin product, whose inner dimension k is at most a quarter of b's
+    width, folds the rows of b into each row, as ``kleene_plus`` does, in
+    place of one ``min`` per entry; a later z replaces the running entry
+    only when strictly less, as in ``min``, so both forms give the same
+    floats, signed zeros included."""
+    if b and 4 * len(b) <= len(b[0]):
+        return tuple(_folded_row(arow, b) for arow in a)
     cols = tuple(zip(*b))
     return tuple(tuple(minplus_row(arow, cols)) for arow in a)
+
+
+def _folded_row(arow: Sequence[Value], b: Matrix) -> tuple:
+    """min_z arow(z) + b(z, y) for each y, folding the rows of b in order."""
+    a0, *rest = arow
+    out = [a0 + w for w in b[0]]
+    for az, bz in zip(rest, b[1:]):
+        out = [s if (s := az + w) < v else v for v, w in zip(out, bz)]
+    return tuple(out)
 
 
 def kleene_plus(a: Matrix) -> Matrix:
@@ -325,8 +346,13 @@ def kleene_plus(a: Matrix) -> Matrix:
 
     Floyd-Warshall started from ``a`` itself, so the diagonal holds the least
     closed walk through each point.  Exact only when ``a`` has no negative
-    cycle, which the reduced matrix guarantees.
+    cycle, which the reduced matrix guarantees.  A matrix of nonnegative
+    ints, such as the condensed kernel of ``critical``, takes the same
+    loop on packed rows (``_packed_plus``) and gives the same ints.
     """
+    flat = list(chain.from_iterable(a))
+    if flat and set(map(type, flat)) == {int} and min(flat) >= 0 and 2 * max(flat) < 2**63:
+        return _packed_plus(a, max(flat))
     d = [list(row) for row in a]
     for k in range(len(d)):
         dk = d[k]
@@ -334,6 +360,36 @@ def kleene_plus(a: Matrix) -> Matrix:
             rk = row[k]
             d[i] = [v if v <= (s := rk + w) else s for v, w in zip(row, dk)]
     return _freeze(d)
+
+
+# array typecodes by item size in bytes
+_FIELD_CODES = {array(t).itemsize: t for t in "QLIHB"}
+
+
+def _packed_plus(a: Matrix, top: int) -> Matrix:
+    """``kleene_plus`` of a matrix of ints in [0, top], ``2 * top < 2**63``,
+    each row packed into one int of fixed-width fields, so that a pivot
+    updates a whole row with a few int operations in place of a loop over
+    its entries.
+
+    Entries only decrease from at most ``top``, so every sum d(i, k) +
+    d(k, y) is below ``2 * top`` and fits a field below its top bit, which
+    guards the field: ``(row | guard) - s`` keeps it set exactly where
+    d(i, y) >= s, without borrowing from the next field.  Fields are whole
+    bytes, so that ``array`` packs and unpacks the rows."""
+    size = next(s for s in (1, 2, 4, 8) if (2 * top).bit_length() < 8 * s)
+    code, w = _FIELD_CODES[size], 8 * size
+    order, n = sys.byteorder, len(a)
+    ones = int.from_bytes(array(code, [1] * n).tobytes(), order)
+    guard, field = ones << (w - 1), (1 << w) - 1
+    rows = [int.from_bytes(array(code, row).tobytes(), order) for row in a]
+    for k in range(n):
+        dk, at = rows[k], w * k
+        for i, row in enumerate(rows):
+            s = ((row >> at) & field) * ones + dk  # d(i, k) + d(k, y) in field y
+            t = ((row | guard) - s) & guard  # guard bits where d(i, y) >= s
+            rows[i] = row ^ ((row ^ s) & (t - (t >> (w - 1))))  # s there
+    return tuple(tuple(memoryview(row.to_bytes(size * n, order)).cast(code)) for row in rows)
 
 
 # ---------------------------------------------------------------------------

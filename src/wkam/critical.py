@@ -26,13 +26,31 @@ reduced matrix ``c + alpha0`` as a table on a grid ``D``, a common
 denominator of the costs and alpha0: the integer kernel
 ``(c + alpha0) * D`` that the solver modules compute with (float mode:
 ``D = 1`` and the kernel is the reduced matrix itself).
+
+The witness cycle is read off the tight graph of the kernel r: the edges
+with ``pot(y) = pot(x) + r(x, y)``, ``pot`` the Bellman-Ford potentials.
+Exact mode keeps both on ``CriticalData`` and computes the Kleene plus P
+of r on the tight graph's strongly connected components (Tarjan, 1972).
+With ``r'(x, y) = r(x, y) + pot(x) - pot(y) >= 0``, zero on tight edges,
+``C(Ci, Cj)`` is the least r' over the edges from Ci to Cj; then
+``P(x, y) = C+(Cx, Cy) - pot(x) + pot(y)``, C+ the Kleene plus of the
+c x c matrix C, whose entries are nonnegative ints, so that
+``core.kleene_plus`` runs on packed rows.  This is exact: inside a
+component of two or more points tight walks of r'-weight 0 join any two
+points, so a walk of C realises its weight in r', and every zero cycle
+of r lies in one component.  The
+condensation runs only when some component has two points (c < n); when
+none has, P is the Kleene plus of r itself.  The components also give
+the Aubry classes (``CriticalData.class_leaders``).  Float mode decides
+its tight graph within the tolerance band, and weights shifted by float
+potentials round otherwise than r, so float P stays the Kleene plus of r.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -64,26 +82,41 @@ class CriticalData:
     entries.  ``kernel_plus()`` is its Kleene plus P, held once per object:
     phi_1, the Mane potential, the Aubry vertices and the closed-form
     barrier all read the same P.  ``aubry_vertices(inst)``, the zero set of
-    P's diagonal, is decided once and held the same way.
+    P's diagonal, is decided once and held the same way.  Exact mode also
+    holds the kernel's Bellman-Ford potentials ``_pot`` and its tight
+    successor lists ``_tight``, from which ``kernel_plus()`` condenses the
+    kernel and keeps each point's component in ``_comp`` (see the module
+    docstring); float mode holds None in all three.
     """
 
     alpha0: Value
     witness_cycle: tuple[int, ...]
     kernel: PotentialTable
+    _pot: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    _tight: Optional[list[list[int]]] = field(default=None, repr=False, compare=False)
     _plus: Optional[PotentialTable] = field(default=None, init=False, repr=False, compare=False)
     _aubry: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _comp: Optional[list[int]] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def reduced(self) -> Matrix:
         return self.kernel.entries
 
     def kernel_plus(self) -> PotentialTable:
-        """P = kleene_plus(kernel), phi_1 on the kernel's grid.
+        """P = kleene_plus(kernel), phi_1 on the kernel's grid; in exact mode
+        through the condensed tight graph when a component has two points.
 
         Computed on the first call and kept on the object."""
         if self._plus is None:
             k = self.kernel
-            object.__setattr__(self, "_plus", PotentialTable(kleene_plus(k.grid), k.scale, k.mode))
+            plus = None
+            if self._tight is not None:  # exact mode
+                comp, c = _components(self._tight)
+                object.__setattr__(self, "_comp", comp)
+                if c < len(comp):
+                    plus = _condensed_plus(k.grid, self._pot, comp, c)
+            plus = PotentialTable(plus or kleene_plus(k.grid), k.scale, k.mode)
+            object.__setattr__(self, "_plus", plus)
         return self._plus
 
     def aubry_vertices(self, inst: CostInstance) -> tuple[int, ...]:
@@ -93,6 +126,18 @@ class CriticalData:
         if self._aubry is None:
             object.__setattr__(self, "_aubry", _aubry_set(inst, self.kernel_plus()))
         return self._aubry
+
+    def class_leaders(self, inst: CostInstance) -> tuple[int, ...]:
+        """The least vertex of each Aubry class in exact mode, the classes
+        being the tight components that hold Aubry vertices; in float mode
+        every Aubry vertex."""
+        verts = self.aubry_vertices(inst)
+        if self._comp is None:
+            return verts
+        first: dict[int, int] = {}
+        for a in verts:
+            first.setdefault(self._comp[a], a)
+        return tuple(first.values())
 
 
 def _aubry_set(inst: CostInstance, p: PotentialTable) -> tuple[int, ...]:
@@ -134,8 +179,12 @@ def critical_value(inst: CostInstance) -> CriticalData:
     D = grid_scale(mode, (alpha0,), t.scale)
     (a,) = to_grid(mode, (alpha0,), D)
     kernel = _shifted(t.at(D), a)
-    witness = _zero_cycle(inst, kernel)
-    return CriticalData(alpha0, witness, PotentialTable(kernel, D, mode))
+    pot, adj = _tight(inst, kernel)
+    table = PotentialTable(kernel, D, mode)
+    witness = _zero_cycle(adj)
+    if mode.exact:
+        return CriticalData(alpha0, witness, table, pot, adj)
+    return CriticalData(alpha0, witness, table)
 
 
 def _shifted(rows: Matrix, a: Value) -> Matrix:
@@ -267,28 +316,29 @@ def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
     return best
 
 
-def _zero_cycle(inst: CostInstance, kernel: Matrix) -> tuple[int, ...]:
+def _zero_cycle(adj: list[list[int]]) -> tuple[int, ...]:
     """Deterministic simple cycle of zero reduced weight.
 
-    Every zero-reduced cycle lives inside the tight subgraph (``_tight``);
-    a DFS scanning vertices and successors in ascending index returns the
-    first (hence lexicographically least) cycle.
+    Every zero-reduced cycle lives inside the tight subgraph ``adj``
+    (``_tight``); a DFS scanning vertices and successors in ascending index
+    returns the first (hence lexicographically least) cycle.
     """
-    cyc = _first_cycle(_tight(inst, kernel), inst.n)
+    cyc = _first_cycle(adj, len(adj))
     if cyc is None:
         raise RuntimeError("no zero-reduced cycle found in tight subgraph")
     return cyc
 
 
-def _tight(inst: CostInstance, kernel: Matrix) -> list[list[int]]:
-    """The tight subgraph p(v) = p(u) + r(u, v) as ascending successor
-    lists, p the shortest-path potentials of the finite edges of the
-    reduced weights r.  Exact mode decides each pair with one integer
+def _tight(inst: CostInstance, kernel: Matrix) -> tuple[list[Value], list[list[int]]]:
+    """The shortest-path potentials p of the finite edges of the reduced
+    weights r, and the tight subgraph p(v) = p(u) + r(u, v) as ascending
+    successor lists.  Exact mode decides each pair with one integer
     comparison, float mode a row at a time within the band."""
     edges = _finite_edges(kernel, inst.total)
     pot, _ = _bellman_ford(edges)
     if inst.mode.exact:
-        return [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in zip(pot, _rows(edges))]
+        rows = zip(pot, _rows(edges))
+        return pot, [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in rows]
     band = Band(inst.mode, inst.value_scale())
     targets, weights = edges
     adj = []
@@ -297,7 +347,70 @@ def _tight(inst: CostInstance, kernel: Matrix) -> list[list[int]]:
         heads = pot if targets is None else [pot[v] for v in ends]
         tight = band.eq([pu + w for w in ws], heads)
         adj.append([v for v, ok in zip(ends, tight) if ok])
-    return adj
+    return pot, adj
+
+
+def _components(adj: list[list[int]]) -> tuple[list[int], int]:
+    """The strongly connected components of the graph with successor lists
+    ``adj`` (Tarjan, 1972), in O(points + edges): each point's component
+    index, and their count."""
+    n = len(adj)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    seen = c = 0
+    for s in range(n):
+        if index[s] >= 0:
+            continue
+        index[s] = low[s] = seen
+        seen += 1
+        stack.append(s)
+        work = [(s, iter(adj[s]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] < 0:  # descend into w, resume v's successors after
+                    index[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0:  # w is on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] == index[v]:  # v roots a component: pop it
+                    while True:
+                        w = stack.pop()
+                        comp[w] = c
+                        if w == v:
+                            break
+                    c += 1
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+    return comp, c
+
+
+def _condensed_plus(r: Matrix, pot: Sequence[int], comp: Sequence[int], c: int) -> Matrix:
+    """kleene_plus(r) for a total integer kernel r, as
+    P(x, y) = C+(Cx, Cy) - pot(x) + pot(y), with C the least
+    r(x, y) + pot(x) - pot(y) between the c components (module docstring).
+    C takes the least of the member rows of each component, then of the
+    member columns."""
+    members: list[list[int]] = [[] for _ in range(c)]
+    for x, i in enumerate(comp):
+        members[i].append(x)
+    shifted = [[v + px - py for v, py in zip(row, pot)] for row, px in zip(r, pot)]
+    rows = [_least([shifted[x] for x in xs]) for xs in members]
+    cols = list(zip(*rows))
+    cond = tuple(zip(*(_least([cols[y] for y in ys]) for ys in members)))
+    lifted = [list(map(add, map(row.__getitem__, comp), pot)) for row in kleene_plus(cond)]
+    return tuple(tuple(map((-px).__add__, lifted[i])) for i, px in zip(comp, pot))
+
+
+def _least(vectors: list) -> Sequence[int]:
+    """The entrywise least of one or more vectors."""
+    return vectors[0] if len(vectors) == 1 else list(map(min, *vectors))
 
 
 def _bellman_ford(edges: Edges) -> tuple[list[Value], list[Optional[int]]]:

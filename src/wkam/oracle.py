@@ -504,7 +504,11 @@ class _Workspace:
     ``grid_samples`` are the samples times Ds, ``fine(t)`` is a table t of D
     times Ds / D, and ``grids`` puts value functions on one grid.  Float
     mode has D = Ds = 1, so both modes run the same checks.  ``rev`` is the
-    reversed instance, shared by the reversal and jump checks.
+    reversed instance, shared by the reversal and jump checks.  A sample
+    that is not dominated at alpha0 can only come from a faulty solver
+    table; ``refused`` keeps its tag for ``critical.T_preserves_domination``
+    to report, and ``samples`` holds the others, which the solver functions
+    that the other checks call accept.
     """
 
     def __init__(
@@ -527,9 +531,10 @@ class _Workspace:
         self.bar = peierls_barrier(inst, self.crit)
         self.aub = aubry(inst, self.crit, self.bar)
         self.scan = cycle_scan(inst)
-        self.samples = subsolution_sampler(
-            inst, self.crit, seed, samples, phi=self.phi, bar=self.bar
-        )
+        drawn = subsolution_sampler(inst, self.crit, seed, samples, phi=self.phi, bar=self.bar)
+        ok = [is_dominated(inst, u, self.crit.alpha0).ok for u in drawn]
+        self.samples = [u for u, keep in zip(drawn, ok) if keep]
+        self.refused = [u.tag for u, keep in zip(drawn, ok) if not keep]
         self.horizon = horizon
         self.rng = Random(seed + 1)
         claimed = None
@@ -768,9 +773,9 @@ def _check_alpha0_lower_bound(ws: _Workspace) -> CheckResult:
 def _check_T_preserves_domination(ws: _Workspace) -> CheckResult:
     name = "critical.T_preserves_domination"
     inst = ws.inst
+    if ws.refused:
+        return CheckResult(name, False, f"sampler produced non-dominated {ws.refused[0]}")
     for u in ws.samples:
-        if not is_dominated(inst, u, ws.crit.alpha0).ok:
-            return CheckResult(name, False, f"sampler produced non-dominated {u.tag}")
         shifted = _shift(ws, lax_oleinik_neg(inst, u), ws.crit.alpha0)
         res = is_dominated(inst, shifted, ws.crit.alpha0)
         if not res.ok:

@@ -93,7 +93,7 @@ def test_tight_subgraph_matches(data, sparse):
     kernel = square(
         data, inst, lambda x, y: INF if x != y and data.draw(missing) else near(data, inst, 0.0)
     )
-    assert _tight(inst, kernel) == ref.tight(inst, kernel)
+    assert _tight(inst, kernel)[1] == ref.tight(inst, kernel)
 
 
 @CASES

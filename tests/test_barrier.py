@@ -285,6 +285,34 @@ def test_orbits_monotone_and_solutions():
                 assert all(mode.eq(a, b, scale=scale) for a, b in zip(last, lim))
 
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 24), st.integers(0, 10**6), st.integers(0, 3))
+def test_exact_walk_gives_the_full_steps(n, seed, sample):
+    # an exact step computes only the points off their limit; every iterate
+    # must still be the full T- + alpha0 (T+ - alpha0) step of the last one
+    from wkam.barrier import limits_grid, orbit_walk
+    from wkam.subsolution import uniform_subsolution_mix
+
+    inst = gen_random(n, seed, -2, 2)
+    crit = critical_value(inst)
+    u = uniform_subsolution_mix(inst, crit)
+    if sample:
+        u = list(subsolution_sampler(inst, crit, seed=seed, count=sample))[-1]
+    D, start, lo, hi = limits_grid(inst, crit, u)
+    r = crit.kernel.at(D)
+    pts = range(n)
+    for limit, positive in ((lo, False), (hi, True)):
+        walk = list(orbit_walk(inst, crit, D, start, limit, positive))
+        assert list(walk[0]) == list(start) and list(walk[-1]) == list(limit)
+        for v, w in zip(walk, walk[1:]):
+            if positive:
+                want = [max(v[z] - r[x][z] for z in pts) for x in pts]
+            else:
+                want = [min(v[z] + r[z][y] for z in pts) for y in pts]
+            assert list(w) == want
+
+
 def test_limits_are_enveloping_solutions():
     inst = gen_random(5, 47, -2, 2)
     crit, bar = crit_bar(inst)

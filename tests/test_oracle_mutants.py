@@ -13,7 +13,11 @@ The mutants:
 - ``vertex_dropped``: the first Aubry vertex dropped;
 - ``edge_dropped``: the first Aubry edge dropped;
 - ``non_edge_added``: the first pair (x, y), in lexicographic order, that
-  is not an Aubry edge, added.
+  is not an Aubry edge, added;
+- ``P_low``: P(0, 1), the Kleene plus of the kernel as ``phi_n(inst, crit,
+  1)`` returns it, one unit low (one step of the kernel's grid; 1e-3 in
+  float);
+- ``h_high``: h(0, 1) of the barrier one unit high.
 """
 
 from dataclasses import replace
@@ -22,7 +26,8 @@ from fractions import Fraction
 import pytest
 
 import wkam.oracle as oracle
-from wkam.core import ValueFunction, make_instance
+from wkam.barrier import BarrierData
+from wkam.core import PotentialTable, ValueFunction, make_instance
 from wkam.models import fk_potential_well, gen_fk, gen_random
 from wkam.numbers import Mode
 
@@ -36,6 +41,25 @@ INSTANCES = {
 JUMPS = "potential.jump_signs_and_reversal"
 FOUR_WAY = "barrier.aubry_four_way_equality"
 DICHOTOMY = "subsolution.strict_dichotomy"
+# the checks that P_low fails on every instance, and on two more on some
+P_CHECKS = {
+    "potential.phi_matches_phi1",
+    "barrier.chain_splitting_suite",
+    "barrier.potential_orbit_identity",
+}
+P_MORE = {"barrier.closed_form_via_aubry", "barrier.orbit_representation"}
+# the checks that h_high fails on every instance; on two the sampler also
+# mixes the barrier row it breaks into a function that is not dominated
+H_CHECKS = {
+    "barrier.closed_form_via_aubry",
+    "barrier.triangle_and_floor",
+    "barrier.chain_splitting_suite",
+    "barrier.min_formula",
+    "barrier.rows_columns_are_solutions",
+    "barrier.orbit_representation",
+    "barrier.matches_liminf_oracle",
+}
+SAMPLER = "critical.T_preserves_domination"
 
 # mutant -> instance -> failing checks, the same in both modes
 KILLS = {
@@ -44,6 +68,18 @@ KILLS = {
     "vertex_dropped": {name: {FOUR_WAY, DICHOTOMY} for name in INSTANCES},
     "edge_dropped": {name: {FOUR_WAY} for name in INSTANCES},
     "non_edge_added": {name: {FOUR_WAY} for name in INSTANCES},
+    "P_low": {
+        "random:5:3": P_CHECKS,
+        "random:6:7": P_CHECKS | P_MORE,
+        "random:4:1": P_CHECKS,
+        "fk:6:1:well@2": P_CHECKS | P_MORE,
+    },
+    "h_high": {
+        "random:5:3": H_CHECKS | {SAMPLER},
+        "random:6:7": H_CHECKS | {SAMPLER},
+        "random:4:1": H_CHECKS,
+        "fk:6:1:well@2": H_CHECKS,
+    },
 }
 
 
@@ -74,6 +110,33 @@ def _edit_aubry(change):
     return mutant
 
 
+def _bump(table, units):
+    """The table with entry (0, 1) moved by ``units`` steps of its grid
+    (1e-3 in float)."""
+    grid = [list(row) for row in table.grid]
+    grid[0][1] += units if table.mode.exact else units * 1e-3
+    return PotentialTable(tuple(map(tuple, grid)), table.scale, table.mode)
+
+
+def _low_phi1():
+    solver = oracle.phi_n
+
+    def mutant(inst, crit, n):
+        p = solver(inst, crit, n)
+        return _bump(p, -1) if n == 1 else p
+
+    return mutant
+
+
+def _high_h():
+    solver = oracle.peierls_barrier
+
+    def mutant(inst, crit):
+        return BarrierData(_bump(solver(inst, crit).h, 1), inst, crit)
+
+    return mutant
+
+
 def _add_non_edge(inst, aub):
     pairs = ((x, y) for x in range(inst.n) for y in range(inst.n))
     return replace(aub, edges=aub.edges + (next(p for p in pairs if p not in aub.edges),))
@@ -85,6 +148,8 @@ MUTANTS = {
     "vertex_dropped": ("aubry", lambda: _edit_aubry(lambda _, a: replace(a, vertices=a.vertices[1:]))),
     "edge_dropped": ("aubry", lambda: _edit_aubry(lambda _, a: replace(a, edges=a.edges[1:]))),
     "non_edge_added": ("aubry", lambda: _edit_aubry(_add_non_edge)),
+    "P_low": ("phi_n", _low_phi1),
+    "h_high": ("peierls_barrier", _high_h),
 }
 
 

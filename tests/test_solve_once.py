@@ -4,9 +4,10 @@
 potential, F and the closed-form barrier follow, and the Aubry vertices,
 decided once from P's diagonal; the barrier's transient runs only when
 ``iterations_to_fix`` is read.
-These tests count the Kleene plus calls on the n x n kernel and the
-transient searches made by every CLI subcommand, by ``verify`` and by the
-library pipeline, and check the lazy transient against values computed
+These tests count the Kleene plus calls, one per ``CriticalData`` (of the
+kernel, or in exact mode of its condensed tight graph), and the transient
+searches made by every CLI subcommand, by ``verify`` and by the library
+pipeline, and check the lazy transient against values computed
 when it was still eager.  Every solver matrix stays a table on the integer
 grid, and so do each instance's costs and metric, so they also count the
 tables and vectors turned into values: a command prints off the grid and
@@ -36,16 +37,25 @@ INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 @pytest.fixture
 def calls(monkeypatch):
     """The matrices passed to kleene_plus, wherever wkam binds it, the
+    Kleene plus calls made by each ``CriticalData`` that computed its P, the
     number of transient searches and the sizes of the tables whose entries
     and of the vectors whose values were converted."""
-    rec = {"plus": [], "transient": 0, "converted": [], "vectors": []}
+    rec = {"plus": [], "per_crit": [], "transient": 0, "converted": [], "vectors": []}
     kleene_plus = wkam.core.kleene_plus
+    kernel_plus = wkam.critical.CriticalData.kernel_plus
     transient = wkam.barrier._transient
     convert = wkam.core.PotentialTable.entries.func
 
     def counted_plus(a):
         rec["plus"].append(a)
         return kleene_plus(a)
+
+    def counted_kernel_plus(crit):
+        fresh, before = crit._plus is None, len(rec["plus"])
+        p = kernel_plus(crit)
+        if fresh:
+            rec["per_crit"].append(len(rec["plus"]) - before)
+        return p
 
     def counted_transient(*args):
         rec["transient"] += 1
@@ -54,6 +64,7 @@ def calls(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("wkam") and getattr(mod, "kleene_plus", None) is kleene_plus:
             monkeypatch.setattr(mod, "kleene_plus", counted_plus)
+    monkeypatch.setattr(wkam.critical.CriticalData, "kernel_plus", counted_kernel_plus)
     monkeypatch.setattr(wkam.barrier, "_transient", counted_transient)
 
     def counted_entries(table):
@@ -74,10 +85,11 @@ def calls(monkeypatch):
     return rec
 
 
-def _kernel_plus_count(rec, n):
-    # the n x n kernel's Kleene plus is the only one wkam makes: the
-    # transient walks pruned fronts and calls none
-    assert all(len(a) == n for a in rec["plus"])
+def _kernel_plus_count(rec):
+    # each CriticalData makes one Kleene plus, and they are the only ones
+    # wkam makes: the transient walks pruned fronts and calls none
+    assert rec["per_crit"] == [1] * len(rec["per_crit"])
+    assert len(rec["plus"]) == len(rec["per_crit"])
     return len(rec["plus"])
 
 
@@ -98,7 +110,7 @@ def test_cli_subcommand_solves_once(calls, capsys, argv, kernel_plus, transient)
     code = main([argv[0], "--gen", "fk:24:1:well@0", *argv[1:]])
     capsys.readouterr()
     assert code == 0
-    assert _kernel_plus_count(calls, 24) == kernel_plus
+    assert _kernel_plus_count(calls) == kernel_plus
     assert calls["transient"] == transient
     # every table and vector is printed off its grid, the instance's cost
     # and metric included (plotdata reads V off the cost grid's diagonal)
@@ -114,6 +126,7 @@ def test_verify_solves_once_per_instance(calls, capsys):
     # potential.jump_signs_and_reversal solves on its own
     kernels = [a for a in calls["plus"] if len(a) == 8]
     assert len(kernels) == 2
+    assert _kernel_plus_count(calls) == 2
     assert kernels[0] is not kernels[1]
     assert calls["transient"] == 1
     # the oracle compares on the grids: no table, the instance's cost and
@@ -168,7 +181,7 @@ def test_library_pipeline_solves_once(calls, mode):
     bar = peierls_barrier(inst, crit)
     wkam.aubry(inst, crit, bar, phi=phi)
     wkam.max_strict_subsolution(inst, crit)
-    assert _kernel_plus_count(calls, 8) == 1
+    assert _kernel_plus_count(calls) == 1
     assert calls["transient"] == 0
     assert calls["converted"] == []
 
@@ -196,6 +209,16 @@ def test_aubry_vertices_decided_once_per_critical_data(monkeypatch, mode):
         wkam.max_strict_subsolution(inst, crit)
         assert decided == [crit.kernel_plus()]
         decided.clear()
+
+
+def test_exact_kernel_plus_condenses_the_tight_graph(calls):
+    # random:128:0:-2:2 has 127 Aubry vertices in one class: the Kleene plus
+    # is one of the 2 x 2 condensed matrix, not of the 128 x 128 kernel
+    inst = gen_random(128, 0, -2, 2)
+    crit = critical_value(inst)
+    assert len(crit.class_leaders(inst)) == 1
+    assert [len(a) for a in calls["plus"]] == [2]
+    assert _kernel_plus_count(calls) == 1
 
 
 def test_tables_are_shared_and_converted_once(calls):
