@@ -1,9 +1,10 @@
 """Discrete weak KAM solver on finite cost instances.
 
-Exact (rational) or tolerance-based float arithmetic over min-plus algebra:
-critical constants by minimum mean cycle, Mane potentials, Peierls barriers,
-weak KAM solutions, Aubry sets, strict critical sub-solutions, and a
-brute-force oracle harness validating every structural identity.
+Exact min-plus arithmetic, on rationals or, in float mode, on the values of
+doubles with each output rounded once: critical constants by minimum mean
+cycle, Mane potentials, Peierls barriers, weak KAM solutions, Aubry sets,
+strict critical sub-solutions, and a brute-force oracle harness validating
+every structural identity.
 """
 
 from .barrier import (

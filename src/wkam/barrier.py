@@ -14,11 +14,10 @@ from x to y.  With ``phi_1`` the Kleene plus of the reduced matrix
 one min-plus product of the columns and the rows of ``phi_1`` at A.  For a
 and b in one Aubry class, ``phi_1(a, b) + phi_1(b, a) = 0``, and the
 triangle inequality of ``phi_1`` then gives
-``phi_1(x, a) + phi_1(a, y) = phi_1(x, b) + phi_1(b, y)``: exact mode takes
-the minimum over the least vertex of each class, the classes being the
+``phi_1(x, a) + phi_1(a, y) = phi_1(x, b) + phi_1(b, y)``: the minimum is
+taken over the least vertex of each class, the classes being the
 components of the tight graph that hold Aubry vertices (see ``critical``).
-Float mode takes it over all of A, as its tight graph is decided within
-the tolerance band and cannot name the classes exactly.  A walk
+A walk
 through A costs at least h and, padded with zero cycles at A, reaches h at
 every length.  So with ``S`` the reduced matrix on the points ``B`` off A,
 the tail potential ``phi_j`` is h except where a walk of at least j edges
@@ -27,9 +26,8 @@ with ``phi_{1+k} = h``, is the least k past which no walk inside B weighs
 less than h (0 when B is empty).  Such walks end: as
 ``h(x, y) <= phi_1(x, w) + h(w, y)``, a walk x -> w inside B of weight v
 extends to one below h iff ``v + m(x, w) < 0``, with
-``m(x, w) = min_y phi_1(w, y) - h(x, y)`` on B, one min-plus product (float
-mode keeps ``Mode.le``'s band: w stays iff some y fails
-``le(h(x, y), v + phi_1(w, y))``).  The front of x at length j holds those
+``m(x, w) = min_y phi_1(w, y) - h(x, y)`` on B, one min-plus product.
+The front of x at length j holds those
 w, each with the least weight of a j-edge walk to it, which is exact, as
 the least walk to a front entry has its prefixes on fronts.  k is the least
 j whose fronts are all empty.  The search advances every front by a step
@@ -39,8 +37,8 @@ last squaring, the price of one product, and after the first advance that
 empties every front it lifts j back with the smaller powers.  So a long
 transient takes at most ``2 + ceil(log2 k)`` products, a short one about
 one, and none is a Kleene plus.  h costs O(n^2 * classes) on top of
-``phi_1`` in exact mode, O(n^2 |A|) in float mode, and ``CriticalData``
-holds ``phi_1`` once; the transient is computed on
+``phi_1``, and ``CriticalData`` holds ``phi_1`` once; the transient is
+computed on
 the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
 that never read it never pay for it.  The closed form, the transient and
 the orbit walk run on the integer kernel of ``CriticalData`` (see
@@ -55,8 +53,8 @@ the P it is read from: the closed form, the transient, the Aubry sets, the
 limits, the orbit walk and the strict sub-solution all read
 ``crit.aubry_vertices(inst)``.  The edge Aubry set collects the ordered
 pairs closing a zero-reduced-weight circuit, ``c(x,y) + alpha0 + h(y,x) = 0``.
-Float mode decides these zero tests, like the transient's band tests, a
-row at a time with ``numbers.Band``.
+Every one of these tests is exact, in float mode too: it runs on the dyadic
+values of the doubles (see ``core``).
 
 For a dominated u, the normalized orbits ``T-^k u + k alpha0`` (nondecreasing)
 and ``T+^k u - k alpha0`` (nonincreasing) stabilize to the enveloping
@@ -70,7 +68,7 @@ and ``h(., a) = phi_1(., a)`` for a in A, both are closed forms, O(n |A|):
 ``core.forward`` with its columns at A.  Only averaging needs the iterates
 (see ``subsolution``): ``orbit_walk`` steps to the known limit with the
 same kernels.  The orbits are monotone and the limit is their bound, so
-a point that has reached its limit keeps it: an exact step computes only
+a point that has reached its limit keeps it: a step computes only
 the points not at their limit yet, n entries each.  With ``m = |B|``,
 ``delta' = min_{x in B} phi_1(x, x) > 0``
 (at most the weight of any cycle inside B) and ``S`` the largest gap
@@ -88,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
-from operator import add, le, sub
+from operator import add, sub
 from typing import Iterator, Optional
 
 from .core import (
@@ -101,11 +99,9 @@ from .core import (
     grid_operands,
     minplus_product,
     minplus_row,
-    to_grid,
-    vf_eq,
 )
 from .critical import CriticalData, _dominated_grid
-from .numbers import Band, ConstructionError, InputError, SizeGuardError
+from .numbers import ConstructionError, InputError, SizeGuardError
 from .potential import jump_F
 
 # Most entry updates an orbit walk may make (n^2 a step): 10^8 steps at
@@ -150,9 +146,9 @@ def peierls_barrier(inst: CostInstance, crit: CriticalData) -> BarrierData:
 def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTable:
     """h(x,y) = min over Aubry vertices a of phi_1(x,a) + phi_1(a,y), the
     Aubry vertices being the zero set of the phi_1 diagonal; phi_1 is the
-    Kleene plus held on ``crit``.  Exact mode takes one vertex per Aubry
-    class (``crit.class_leaders``), as every vertex of a class gives the
-    same sum."""
+    Kleene plus held on ``crit``.  It takes one vertex per Aubry class
+    (``crit.class_leaders``), as every vertex of a class gives the same
+    sum."""
     inst.require_total("tail potential")
     p = crit.kernel_plus()
     e = p.grid
@@ -163,7 +159,6 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTabl
 
 def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
     """Least j whose fronts are all empty (see the module docstring)."""
-    exact = inst.mode.exact
     r, p, hg = crit.kernel.grid, crit.kernel_plus().grid, h.grid
     verts = set(crit.aubry_vertices(inst))
     off = [x for x in range(inst.n) if x not in verts]
@@ -176,19 +171,9 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
     # m(x, w) = min_y P(w, y) - h(x, y), the product of -h_B and P_B transposed
     m = minplus_product(tuple(tuple(-v for v in row) for row in hb), tuple(zip(*pb)))
 
-    # Float mode keeps w iff some y fails le(h(x, y), v + P(w, y)).  As
-    # Mode.le's band is at least tol * |scale|, such a w has v + m(x, w)
-    # below -tol * |scale|; half of it is the cut, which leaves room for
-    # rounding.
-    band = Band(inst.mode, inst.value_scale())
-    cut = 0 if exact else -band.zero / 2
-
     def front(x: int, row: list) -> tuple[list, list]:
-        """The entries w of row x with v = row[w] + m(x, w) < 0, and in
-        float mode with some y failing ``le(h(x, y), v + P(w, y))``."""
-        ws = [w for w, t in enumerate(map(add, row, m[x])) if t < cut]
-        if not exact:
-            ws = _failing(band, hb[x], pb, ws, [row[w] for w in ws])
+        """The entries w of row x with v = row[w] + m(x, w) < 0."""
+        ws = [w for w, t in enumerate(map(add, row, m[x])) if t < 0]
         return ws, [row[w] for w in ws]
 
     def advance(fronts: list, q: Matrix) -> Optional[list]:
@@ -200,10 +185,7 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
         return out if any(ws for ws, _ in out) else None
 
     # j = 0: the empty walk at x, kept as ``front`` keeps an entry
-    fronts = [
-        ([x], [0]) if m[x][x] < cut and (exact or _failing(band, hb[x], pb, [x], [0])) else ([], [])
-        for x in range(b)
-    ]
+    fronts = [([x], [0]) if m[x][x] < 0 else ([], []) for x in range(b)]
     if not any(ws for ws, _ in fronts):
         return 0
     # Invariant: the fronts at length j are not all empty and powers[t] = S^(2^t);
@@ -224,19 +206,6 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
     return j + 1
 
 
-def _failing(band: Band, hx: list, pb: list, ws: list, vs: list) -> list:
-    """The w in ws, at weights vs, with some y failing
-    ``le(hx[y], v + pb[w][y])`` in ``band``.  The y of the widest gap
-    hx[y] - pb[w][y] is tried first, for every w in one band test."""
-    ys = [g.index(max(g)) for g in (list(map(sub, hx, pb[w])) for w in ws)]
-    first = band.le([hx[y] for y in ys], [v + pb[w][y] for w, v, y in zip(ws, vs, ys)])
-    return [
-        w
-        for w, v, ok in zip(ws, vs, first)
-        if not ok or not all(band.le(hx, [v + q for q in pb[w]]))
-    ]
-
-
 def aubry(
     inst: CostInstance,
     crit: CriticalData,
@@ -250,12 +219,12 @@ def aubry(
     x -> y closes a zero-reduced circuit: c(x, y) + alpha0 + h(y, x) = 0.
     The jumps are F = diag(P).  ``phi`` is not read.
     """
-    band = Band(inst.mode, inst.value_scale())
     # row x of r plus column x of h, which is on the kernel's grid
     edges = tuple(
         (x, y)
         for x, (row, hcol) in enumerate(zip(crit.kernel.grid, zip(*bar.h.grid)))
-        for y in band.zeros(map(add, row, hcol))
+        for y, v in enumerate(map(add, row, hcol))
+        if v == 0
     )
     return AubryData(vertices=crit.aubry_vertices(inst), edges=edges, jumps=jump_F(inst, crit))
 
@@ -278,12 +247,11 @@ def is_weak_kam(
     on the kernel's grid refined to u's scale."""
     if sign not in ("negative", "positive"):
         raise InputError(f"sign must be 'negative' or 'positive', got {sign!r}")
-    mode = inst.mode
     D, vals, cost = grid_operands(inst, u, crit.kernel.scale)
-    (a,) = to_grid(mode, (crit.alpha0,), D)
+    a = crit.alpha_at(D)
     neg = sign == "negative"
     img = [v + a for v in backward(vals, cost)] if neg else [v - a for v in forward(vals, cost)]
-    return vf_eq(mode, img, vals, scale=inst.value_scale())
+    return img == list(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +263,18 @@ def limits_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tup
     kernel's grid refined to u's denominators, by the closed forms."""
     inst.require_total("orbit limits")
     D, start = _dominated_grid(inst, crit, u)
+    return (D, start, *_limits(inst, crit, D, start))
+
+
+def _limits(inst: CostInstance, crit: CriticalData, D: int, start: list) -> tuple[list, list]:
+    """u_minus and u_plus of a dominated u, given as ``start`` = u * D on a
+    multiple D of the kernel's grid, by the closed forms."""
     P = crit.kernel_plus()
     verts, m, p = crit.aubry_vertices(inst), D // P.scale, P.grid
     ua = [start[a] for a in verts]
     lo = minplus_row(ua, zip(*([v * m for v in p[a]] for a in verts)))
     hi = forward(ua, [[row[a] * m for a in verts] for row in p])
-    return D, start, lo, hi
+    return lo, hi
 
 
 def orbit_walk(
@@ -308,19 +282,17 @@ def orbit_walk(
 ) -> Iterator[list]:
     """Iterates of the normalized orbit of ``start`` on the grid D, by
     ``T+ - alpha0`` if ``positive`` else ``T- + alpha0``, up to the first
-    that reaches ``limit`` (float mode: its band).  The step bounds and the
-    work limit of the module docstring are checked before any step."""
-    mode, scale, exact = inst.mode, inst.value_scale(), inst.mode.exact
+    that reaches ``limit``.  The step bounds and the work limit of the
+    module docstring are checked before any step."""
     P = crit.kernel_plus()
-    m, p, r = D // P.scale, P.grid, crit.kernel.at(D)
+    m, p, r = D // P.scale, P.grid, crit.kernel_at(D)
     verts = set(crit.aubry_vertices(inst))
     loops = [p[x][x] * m for x in range(inst.n) if x not in verts]
     gap = max(map(abs, map(sub, limit, start)))
-    budget = len(loops) * int(-(-gap // min(loops))) if gap > 0 and loops else 0
-    band = [0] * inst.n if exact else [mode.tolerance * max(1.0, abs(v), abs(scale)) for v in limit]
-    rest = [abs(w - v) - t for v, w, t in zip(start, limit, band)]
+    budget = len(loops) * -(-gap // min(loops)) if gap > 0 and loops else 0
+    rest = [abs(w - v) for v, w in zip(start, limit)]
     # one step moves v(x) by at most r(x, x), so the walk takes at least need steps
-    need = max((int(-(-d // r[x][x])) for x, d in enumerate(rest) if d > 0 < r[x][x]), default=0)
+    need = max((-(-d // r[x][x]) for x, d in enumerate(rest) if d > 0 < r[x][x]), default=0)
     allowed = _WALK_WORK_LIMIT // (inst.n * inst.n)
     if need > allowed:
         raise SizeGuardError(f"orbit needs at least {need} steps, over {allowed} at n = {inst.n}")
@@ -331,34 +303,21 @@ def orbit_walk(
 
     def walk():
         cur, low = start, [-v for v in start] if positive else start
-        # exact mode: the points not yet at their limit, the only entries a
-        # step changes; float mode: an entry outside its band at the last
-        # full check, the walk not settled while it stays outside
-        todo = [x for x, (v, w) in enumerate(zip(start, limit)) if v != w] if exact else None
-        j = 0
+        # the points not yet at their limit, the only entries a step changes
+        todo = [x for x, (v, w) in enumerate(zip(start, limit)) if v != w]
         for k in count():
             yield cur
-            if exact:
-                if not todo:
-                    return
-            elif abs(cur[j] - limit[j]) <= band[j]:
-                out = map(le, map(abs, map(sub, cur, limit)), band)
-                j = next((x for x, ok in enumerate(out) if not ok), None)
-                if j is None:
-                    return
+            if not todo:
+                return
             if k == budget:
                 raise ConstructionError(f"orbit overran its budget of {budget} steps")
             if k == stop:
                 raise SizeGuardError(f"orbit did not settle in {stop} steps at n = {inst.n}")
-            if exact:
-                step, low = minplus_row(low, map(cols.__getitem__, todo)), list(low)
-                for y, v in zip(todo, step):
-                    low[y] = v
-            else:
-                low = minplus_row(low, cols)
+            step, low = minplus_row(low, map(cols.__getitem__, todo)), list(low)
+            for y, v in zip(todo, step):
+                low[y] = v
             cur = [-v for v in low] if positive else low
-            if exact:
-                todo = [y for y in todo if cur[y] != limit[y]]
+            todo = [y for y in todo if cur[y] != limit[y]]
 
     return walk()
 

@@ -22,7 +22,15 @@ from pathlib import Path
 from typing import Optional
 
 from .barrier import aubry, peierls_barrier, weak_kam_neg
-from .core import CostInstance, PotentialTable, ValueFunction, _instance, format_grid, make_instance
+from .core import (
+    CostInstance,
+    PotentialTable,
+    ValueFunction,
+    _instance,
+    format_grid,
+    from_grid,
+    grid_table,
+)
 from .critical import critical_value
 from .models import gen_constant, gen_fk, gen_random, fk_potential_well, load
 from .numbers import InputError, Mode, format_value, formatted_str, parse_value, value_str
@@ -107,25 +115,19 @@ def _parse_gen(spec: str, mode: Mode) -> CostInstance:
 
 
 def _with_mode(inst: CostInstance, mode: Mode) -> CostInstance:
-    """The instance in another mode, built from the grids it holds: float
-    to exact coerces every value; to float maps each exact grid entry k to
-    k / D, which rounds correctly, as float(Fraction(k, D)) does."""
+    """The instance in another mode, re-gridded from the grids it holds: a
+    float instance's dyadic grid is exact already, and to float each exact
+    value is rounded to the nearest double, read off the grid as k / D."""
     if mode == inst.mode:
         return inst
-    if mode.exact:
-        metric = None if inst.metric_grid is None else inst.metric_grid.grid
-        return make_instance(inst.cost_grid.grid, inst.labels, mode, metric)
 
-    def retable(t: PotentialTable) -> PotentialTable:
-        if not t.mode.exact:
-            return PotentialTable(t.grid, 1, mode)
-        try:
-            return PotentialTable(tuple(tuple(k / t.scale for k in row) for row in t.grid), 1, mode)
-        except OverflowError as exc:
-            raise InputError("value beyond float range") from exc
+    def regrid(t: PotentialTable) -> PotentialTable:
+        if mode.exact or not t.mode.exact:
+            return PotentialTable(t.grid, t.scale, mode)
+        return grid_table(mode, [from_grid(mode, row, t.scale) for row in t.grid])
 
-    metric = None if inst.metric_grid is None else retable(inst.metric_grid)
-    return _instance(retable(inst.cost_grid), inst.labels, metric)
+    metric = None if inst.metric_grid is None else regrid(inst.metric_grid)
+    return _instance(regrid(inst.cost_grid), inst.labels, metric)
 
 
 def _load_instance(args) -> CostInstance:

@@ -11,17 +11,16 @@ Every min-plus loop of the solver is a kernel here: ``minplus_row`` (a row
 times a matrix given by its columns; ``minplus_product`` is one per row,
 or folds the rows of a thin right factor) and ``kleene_plus`` (the closure,
 whose diagonal holds the jumps; on packed rows for a matrix of nonnegative
-ints), but
-``critical._relax``, one Bellman-Ford round that relaxes in place: a Jacobi
-round of ``minplus_row`` would give other float potentials.  That round
-serves ``critical._bellman_ford`` and the exact search for the critical
-constant.  ``backward`` is ``T-`` by ``minplus_row``, and ``forward`` is
+ints), but ``critical._relax``, one Bellman-Ford round that relaxes in
+place, whose predecessors the search for the critical constant reads: a
+Jacobi round of ``minplus_row`` would set others.  That round serves
+``critical._bellman_ford`` and the search.  ``backward`` is ``T-`` by ``minplus_row``, and ``forward`` is
 ``T+`` as its max-plus dual ``-min_y (c(x, y) - u(y))``; the reversal
 identity ``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not
 used to compute ``T+``.  All operations are pure functions of immutable
 inputs and deterministic (ties in argmins break to the lowest point index).
 
-Exact mode computes on an integer grid: with ``D`` a common denominator of
+Both modes compute on an integer grid: with ``D`` a common denominator of
 the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
 ``v * D`` and ``from_grid`` maps back to ``Fraction(k, D)``.  Scaling by a
 positive constant preserves sums and order, so min-plus results on the grid
@@ -33,10 +32,18 @@ instance holds its costs (``CostInstance.cost_grid``) and its metric that
 way, on their least grids, which the generators compute in integers.  An
 input that needs a finer grid ``D`` reads ``at(D)``, the grid times
 ``D // scale``.  Output is printed off the grid too: ``format_grid`` gives
-the JSON form of each ``from_grid`` value without making it.  Float mode
-has no grid: ``D = 1``, ``to_grid`` is the identity, ``from_grid`` divides
-by ``D``, and a table or vector holds its float values as its grid, so both
-modes run the same code.
+the JSON form of each ``from_grid`` value without making it.
+
+Float mode is the same code on the inputs' doubles: every double is a
+dyadic rational, so an instance of doubles sits on the grid of the largest
+denominator of its entries, a power of two, and the solver computes on it
+exactly (``gen_random``'s doubles are put on it when the instance is first
+solved, ``PotentialTable.of_doubles``).  Only ``from_grid`` differs: it returns ``k / D``, which Python
+rounds correctly, so each value is rounded to a double once, when it is
+read.  Exact arithmetic has no -0.0, so 0 is read as 0.0.  A double's
+denominator is at most 2^1074, so D has at most 1075 bits on the inputs'
+grid (a double as small as 1e-300 next to 1 gives 2^1049), and the
+solver's ints stay that long: no input is refused for its grid.
 """
 
 from __future__ import annotations
@@ -47,11 +54,11 @@ from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import add, eq, le
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
-from .numbers import EXACT, INF, Band, InputError, Mode, Value, format_value, is_inf
+from .numbers import EXACT, INF, InputError, Mode, Value, format_value, is_inf
 
 Matrix = tuple[tuple[Value, ...], ...]
 
@@ -66,9 +73,9 @@ class CostInstance:
 
     The costs, and the metric when there is one, are held as tables on
     their own grids: ``cost_grid`` is the cost matrix times D0, the least
-    common denominator of the costs (float mode: 1, and the grid is the
-    cost matrix itself).  ``cost`` and ``metric`` are the matrices, converted
-    on their first read.
+    common denominator of the costs (in float mode, of their doubles).
+    ``cost`` and ``metric`` are the matrices, read off the grids on each
+    read: an instance holds its grids only.
 
     ``total`` is true iff every cost entry is finite; the structural theorems
     of this package (critical constants, potentials, barriers) require total
@@ -86,14 +93,15 @@ class CostInstance:
 
     @property
     def cost(self) -> Matrix:
-        return self.cost_grid.entries
+        return _read(self.cost_grid)
 
     @property
     def metric(self) -> Optional[Matrix]:
-        return None if self.metric_grid is None else self.metric_grid.entries
+        return None if self.metric_grid is None else _read(self.metric_grid)
 
     def value_scale(self) -> Value:
-        """n * max|c| over finite entries; tolerance scale for walk sums.
+        """n * max|c| over finite entries: the scale of the band of the
+        Lipschitz-in-the-large check in float mode.
 
         Read off the held grid on the first call and kept on the instance."""
         if self._value_scale is None:
@@ -112,8 +120,8 @@ class ValueFunction:
     """One value per point, with a free-form provenance tag.
 
     Held the way ``PotentialTable`` holds a matrix: ``grid`` is the vector
-    times ``scale`` in ``mode`` (float mode: scale 1 and the values
-    themselves), and ``values`` is converted on its first read and kept.
+    times ``scale``, and ``values`` is read off it in ``mode`` on its first
+    read and kept.
     ``on_grid`` builds from a grid.  ``ValueFunction(values, tag=...)``
     holds the values; ``grid_in`` puts them on their least grid on its first
     call, which sets ``grid``, ``scale`` and ``mode``.  Equality and hashing
@@ -128,14 +136,10 @@ class ValueFunction:
 
     @classmethod
     def on_grid(cls, grid: Sequence, scale: int, mode: Mode, tag: str = "") -> ValueFunction:
-        """The vector grid / scale, held on its least grid; float mode
-        divides at once and holds the quotients at scale 1."""
+        """The vector grid / scale, held on its least grid."""
         u = cls.__new__(cls)
         u.tag, u.mode, u._values = tag, mode, None
-        if not mode.exact:
-            scale, grid = 1, tuple(k / scale for k in grid)
-            u._values = grid
-        elif scale > 1 and INF not in grid and (g := math.gcd(scale, *grid)) > 1:
+        if scale > 1 and INF not in grid and (g := math.gcd(scale, *grid)) > 1:
             scale, grid = scale // g, tuple(k // g for k in grid)
         u.grid, u.scale = tuple(grid), scale
         return u
@@ -147,18 +151,16 @@ class ValueFunction:
         return self._values
 
     def grid_in(self, mode: Mode) -> tuple[tuple, int]:
-        """The grid and its scale in ``mode`` (exact or float)."""
-        if self.mode is not None and self.mode.exact == mode.exact:
-            return self.grid, self.scale
-        vals = [mode.coerce(v) for v in self.values]
-        D = grid_scale(mode, vals)
-        grid = to_grid(mode, vals, D)
-        if self.mode is None:
-            self.grid, self.scale, self.mode = grid, D, mode
-        return grid, D
+        """The grid and its scale; values given without one are coerced in
+        ``mode`` and put on their least grid on the first call."""
+        if self.grid is None:
+            vals = [mode.coerce(v) for v in self.values]
+            self.scale = D = grid_scale(vals)
+            self.grid, self.mode = to_grid(vals, D), mode
+        return self.grid, self.scale
 
     def at(self, mode: Mode, D: int) -> tuple:
-        """The vector times D, a multiple of its scale in ``mode``."""
+        """The vector times D, a multiple of its scale."""
         grid, scale = self.grid_in(mode)
         m = D // scale
         return grid if m == 1 else tuple(v * m for v in grid)
@@ -187,21 +189,39 @@ class ValueFunction:
 @dataclass(frozen=True)
 class PotentialTable:
     """An n x n matrix held on the integer grid: ``grid`` is the matrix
-    times ``scale`` (float mode: scale 1 and the matrix itself).
+    times ``scale``.
 
-    ``entries`` is the matrix, converted on its first read and kept; the
-    solver computes with ``grid`` and ``at(D)`` only.
+    ``entries`` is the matrix, read off the grid in ``mode`` on its first
+    read and kept; the solver computes with ``grid`` and ``at(D)`` only.
     """
 
     grid: Matrix
     scale: int
     mode: Mode
 
+    @classmethod
+    def of_doubles(cls, rows: list[list[float]], mode: Mode) -> PotentialTable:
+        """A table of finite doubles, put on their grid (``grid_table``) on
+        the first read of its ``grid`` or ``scale``: a generated instance
+        pays for the ints when it is first solved.  The doubles are dropped
+        then, so the table never holds both."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "mode", mode)
+        object.__setattr__(t, "_doubles", rows)
+        return t
+
+    def __getattr__(self, name: str):
+        # only a table made by of_doubles lacks its grid and scale
+        if name not in ("grid", "scale") or "_doubles" not in self.__dict__:
+            raise AttributeError(name)
+        t = grid_table(self.mode, self.__dict__.pop("_doubles"))
+        object.__setattr__(self, "grid", t.grid)
+        object.__setattr__(self, "scale", t.scale)
+        return getattr(t, name)
+
     @cached_property
     def entries(self) -> Matrix:
-        if not self.mode.exact:
-            return self.grid  # a float grid holds the values themselves
-        return tuple(from_grid(self.mode, row, self.scale) for row in self.grid)
+        return _read(self)
 
     def at(self, D: int) -> Matrix:
         """The matrix times D, a multiple of ``scale``."""
@@ -210,6 +230,11 @@ class PotentialTable:
 
     def row(self, x: int, tag: str = "") -> ValueFunction:
         return ValueFunction.on_grid(self.grid[x], self.scale, self.mode, tag)
+
+
+def _read(t: PotentialTable) -> Matrix:
+    """The matrix a table holds, read off its grid in its mode."""
+    return tuple(from_grid(t.mode, row, t.scale) for row in t.grid)
 
 
 def make_instance(
@@ -231,9 +256,22 @@ def make_instance(
 
 def _table(mode: Mode, rows: Sequence[Sequence[Value]]) -> PotentialTable:
     """The coerced matrix on its own grid, the least common denominator."""
-    vals = [[mode.coerce(v) for v in row] for row in rows]
-    D = grid_scale(mode, chain.from_iterable(vals))
-    return PotentialTable(tuple(to_grid(mode, row, D) for row in vals), D, mode)
+    return grid_table(mode, [[mode.coerce(v) for v in row] for row in rows])
+
+
+def grid_table(mode: Mode, rows: Sequence[Sequence[Value]]) -> PotentialTable:
+    """A matrix of Fractions, ints or doubles (and +inf) as a table on its
+    least grid.  Finite doubles take a shortcut with no Python loop: their
+    grid D is their largest denominator, a power of two, by which each of
+    them scales exactly in float arithmetic."""
+    try:
+        D = max(map(itemgetter(1), map(float.as_integer_ratio, chain.from_iterable(rows))))
+        f = float(D)
+        grid = tuple(tuple(map(int, map(mul, row, repeat(f)))) for row in rows)
+    except (TypeError, ValueError, OverflowError):  # not all finite doubles
+        D = grid_scale(chain.from_iterable(rows))
+        grid = tuple(to_grid(row, D) for row in rows)
+    return PotentialTable(grid, D, mode)
 
 
 def _instance(
@@ -241,8 +279,8 @@ def _instance(
     labels: Optional[Sequence[str]] = None,
     metric: Optional[PotentialTable] = None,
 ) -> CostInstance:
-    """Check and freeze an instance whose tables are on their least grids
-    (float mode: hold floats at scale 1); ``make_instance``'s checks."""
+    """Check and freeze an instance whose tables are on their least grids;
+    ``make_instance``'s checks."""
     n = len(cost.grid)
     if n < 1:
         raise InputError("instance needs at least one point")
@@ -260,17 +298,18 @@ def _instance(
     if metric is not None:
         if len(metric.grid) != n or any(len(r) != n for r in metric.grid):
             raise InputError("metric matrix is not n x n")
-        check_metric(metric.grid, metric.mode)
+        check_metric(metric.grid, metric.mode, metric.scale)
     total = not any(INF in row for row in cost.grid)
     return CostInstance(
         n=n, labels=labels, cost_grid=cost, mode=cost.mode, metric_grid=metric, total=total
     )
 
 
-def check_metric(g: Matrix, mode: Mode = EXACT) -> None:
-    """InputError unless the square matrix ``g`` (a metric on one grid) has
-    a zero diagonal, finite nonnegative symmetric entries and the triangle
-    inequality over all triples, in float mode within ``Mode.le``'s band."""
+def check_metric(g: Matrix, mode: Mode = EXACT, scale: int = 1) -> None:
+    """InputError unless the square matrix ``g`` (a metric times ``scale``)
+    has a zero diagonal, finite nonnegative symmetric entries and the
+    triangle inequality over all triples, in float mode within ``Mode.le``'s
+    band, whose floor of 1 is ``scale`` on the grid."""
     for i, row in enumerate(g):
         if row[i] != 0:
             raise InputError(f"metric diagonal must be zero at {i}")
@@ -290,7 +329,9 @@ def check_metric(g: Matrix, mode: Mode = EXACT) -> None:
             dij = row[j]
             if dij > min(map(add, row, g[j])):
                 gj = g[j]
-                k = next((k for k in range(len(g)) if not mode.le(dij, row[k] + gj[k])), None)
+                k = next(
+                    (k for k in range(len(g)) if not mode.le(dij, row[k] + gj[k], scale)), None
+                )
                 if k is not None:
                     raise InputError(f"metric violates triangle inequality at ({i},{k},{j})")
 
@@ -325,7 +366,7 @@ def minplus_product(a: Matrix, b: Matrix) -> Matrix:
     width, folds the rows of b into each row, as ``kleene_plus`` does, in
     place of one ``min`` per entry; a later z replaces the running entry
     only when strictly less, as in ``min``, so both forms give the same
-    floats, signed zeros included."""
+    entries."""
     if b and 4 * len(b) <= len(b[0]):
         return tuple(_folded_row(arow, b) for arow in a)
     cols = tuple(zip(*b))
@@ -396,30 +437,35 @@ def _packed_plus(a: Matrix, top: int) -> Matrix:
 # the integer grid
 # ---------------------------------------------------------------------------
 
-def grid_scale(mode: Mode, values: Iterable[Value], base: int = 1) -> int:
+def grid_scale(values: Iterable[Value], base: int = 1) -> int:
     """Least multiple D of ``base`` with v * D an integer for every finite
-    value; 1 in float mode."""
-    if not mode.exact:
-        return 1
-    return math.lcm(base, *{v.denominator for v in values if not isinstance(v, float)})
+    value (Fractions, ints or doubles)."""
+    return math.lcm(base, *{v.as_integer_ratio()[1] for v in values if v != INF})
 
 
-def to_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
-    """v * D for each value (integers in exact mode); +inf stays +inf.
+def to_grid(values: Iterable[Value], D: int) -> tuple:
+    """v * D for each value, as integers; +inf stays +inf.
 
     D must be a multiple of every denominator, as ``grid_scale`` gives."""
-    if not mode.exact:
-        return tuple(values)
-    return tuple(
-        v if isinstance(v, float) else v.numerator * (D // v.denominator) for v in values
-    )
+    out = []
+    for v in values:
+        if v == INF:
+            out.append(v)
+        else:
+            p, q = v.as_integer_ratio()
+            out.append(p * (D // q))
+    return tuple(out)
 
 
 def from_grid(mode: Mode, values: Iterable[Value], D: int) -> tuple:
-    """k / D for each grid value: a Fraction in exact mode; +inf stays +inf."""
-    if not mode.exact:
+    """k / D for each grid value, read in ``mode``: a Fraction in exact
+    mode, the nearest double in float mode; +inf stays +inf."""
+    if mode.exact:
+        return tuple(k if isinstance(k, float) else Fraction(k, D) for k in values)
+    try:
         return tuple(k / D for k in values)
-    return tuple(k if isinstance(k, float) else Fraction(k, D) for k in values)
+    except OverflowError as exc:
+        raise InputError("value beyond float range") from exc
 
 
 def format_grid(mode: Mode, values: Iterable[Value], D: int) -> list:
@@ -427,7 +473,7 @@ def format_grid(mode: Mode, values: Iterable[Value], D: int) -> list:
     Fraction: in exact mode +inf is "inf", and k / D reduced by gcd(k, D)
     is an int or "p/q"."""
     if not mode.exact:
-        return [format_value(k / D) for k in values]
+        return [format_value(v) for v in from_grid(mode, values, D)]
     if D == 1:
         return ["inf" if isinstance(k, float) else k for k in values]
     out = []
@@ -440,10 +486,10 @@ def format_grid(mode: Mode, values: Iterable[Value], D: int) -> list:
     return out
 
 
-def ratio(mode: Mode, v: Value) -> tuple[Value, Value]:
-    """(p, q) with v = p / q: integers in exact mode, so that v meets a grid
-    in integers; (v, 1) in float mode and for +inf, which computes as v."""
-    return (v.numerator, v.denominator) if mode.exact and not is_inf(v) else (v, 1)
+def ratio(v: Value) -> tuple[Value, Value]:
+    """(p, q) with v = p / q in integers, so that v meets a grid in
+    integers; (v, 1) for +inf, which computes as v."""
+    return (v, 1) if is_inf(v) else v.as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +526,8 @@ def lax_oleinik_pos(inst: CostInstance, u: ValueFunction) -> ValueFunction:
 
 def forward(vals: Sequence[Value], cost: Matrix) -> list:
     """max_y vals(y) - cost(x, y) for each x, on one grid, computed as
-    -min_y (cost(x, y) + (-vals(y))), the row -vals times cost transposed:
-    a +inf cost never wins and float results, signed zeros included, equal
-    those of the reversal identity."""
+    -min_y (cost(x, y) + (-vals(y))), the row -vals times cost transposed,
+    where a +inf cost never wins."""
     low = minplus_row([-v for v in vals], cost)
     if INF in low:
         raise InputError("forward update produced -inf (a point has no outgoing edge)")
@@ -501,19 +546,3 @@ def grid_operands(
     t = inst.cost_grid
     D = math.lcm(base, t.scale, u.grid_in(inst.mode)[1])
     return D, u.at(inst.mode, D), t.at(D)
-
-
-# ---------------------------------------------------------------------------
-# small vector helpers shared by the solver modules
-# ---------------------------------------------------------------------------
-
-def vf_le(mode: Mode, u: Sequence[Value], v: Sequence[Value], scale: Value = 1) -> bool:
-    if mode.exact:  # Mode.le with no call per entry, stopping at the first failure
-        return all(map(le, u, v))
-    return all(Band(mode, scale).le(u, v))
-
-
-def vf_eq(mode: Mode, u: Sequence[Value], v: Sequence[Value], scale: Value = 1) -> bool:
-    if mode.exact:
-        return all(map(eq, u, v))
-    return all(Band(mode, scale).eq(u, v))

@@ -6,31 +6,31 @@ for every ordered pair.  Summing that inequality around any cycle forces
 
     ``alpha0 = -(minimum mean over simple cycles)``.
 
-Exact mode finds that mean by a search (``_least_cycle_mean``): it takes the
-mean p/q of a real cycle and certifies it by Bellman-Ford rounds on the
-weights ``c * q - p``, or improves it by a cycle of their predecessor
-graph; past n + 1 rounds Karp's recurrence answers, each missing edge
-priced above every finite cycle mean.  Float mode runs Karp,
-whose float quotient its outputs pin.  Feasible sub-solutions at a given
-alpha are shortest-path potentials for the shifted weights ``c + alpha``
-from a virtual source connected to every point at weight zero
-(difference-constraint feasibility); an infeasible alpha yields a
-negative-cycle witness instead.  Every relaxation here is one Gauss-Seidel
-round (``_relax``) over the finite edges, so an int beyond the float range
-never meets +inf there.
+A search finds that mean (``_least_cycle_mean``): it takes the mean p/q
+of a real cycle and certifies it by Bellman-Ford rounds on the weights
+``c * q - p``, or improves it by a cycle of their predecessor graph; past
+n + 1 rounds Karp's recurrence answers, each missing edge priced above
+every finite cycle mean.  Float mode runs the same search on the dyadic
+values of its doubles and rounds alpha0 once, when it is read.
 
-Everything here runs on the integer grid of ``core``.  The search and Karp
-run on the costs the instance holds on their own grid ``D0`` and compare
-cycle means by cross-multiplication; ``critical_value`` then holds the
-reduced matrix ``c + alpha0`` as a table on a grid ``D``, a common
-denominator of the costs and alpha0: the integer kernel
-``(c + alpha0) * D`` that the solver modules compute with (float mode:
-``D = 1`` and the kernel is the reduced matrix itself).
+Feasible sub-solutions at a given alpha are shortest-path potentials for
+the shifted weights ``c + alpha`` from a virtual source connected to every
+point at weight zero (difference-constraint feasibility); an infeasible
+alpha yields a negative-cycle witness instead.  Every relaxation here is
+one Gauss-Seidel round (``_relax``) over the finite edges, so an int beyond
+the float range never meets +inf there.
+
+Everything here runs on the integer grid of ``core``, in both modes.  The
+search and Karp run on the costs the instance holds on their own grid
+``D0`` and compare cycle means by cross-multiplication; ``critical_value``
+then holds the reduced matrix ``c + alpha0`` as a table on a grid ``D``, a
+common denominator of the costs and alpha0: the integer kernel
+``(c + alpha0) * D`` that the solver modules compute with.
 
 The witness cycle is read off the tight graph of the kernel r: the edges
 with ``pot(y) = pot(x) + r(x, y)``, ``pot`` the Bellman-Ford potentials.
-Exact mode keeps both on ``CriticalData`` and computes the Kleene plus P
-of r on the tight graph's strongly connected components (Tarjan, 1972).
+``CriticalData`` keeps both and computes the Kleene plus P of r on the
+tight graph's strongly connected components (Tarjan, 1972).
 With ``r'(x, y) = r(x, y) + pot(x) - pot(y) >= 0``, zero on tight edges,
 ``C(Ci, Cj)`` is the least r' over the edges from Ci to Cj; then
 ``P(x, y) = C+(Cx, Cy) - pot(x) + pot(y)``, C+ the Kleene plus of the
@@ -41,15 +41,15 @@ points, so a walk of C realises its weight in r', and every zero cycle
 of r lies in one component.  The
 condensation runs only when some component has two points (c < n); when
 none has, P is the Kleene plus of r itself.  The components also give
-the Aubry classes (``CriticalData.class_leaders``).  Float mode decides
-its tight graph within the tolerance band, and weights shifted by float
-potentials round otherwise than r, so float P stays the Kleene plus of r.
+the Aubry classes (``CriticalData.class_leaders``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -64,7 +64,7 @@ from .core import (
     minplus_row,
     to_grid,
 )
-from .numbers import INF, Band, ConstructionError, InputError, Mode, Value, is_inf
+from .numbers import EXACT, INF, ConstructionError, InputError, Value, is_inf
 
 # the finite edges as (targets, weights): u's edges end at targets[u] with
 # weights[u]; targets None: every row is dense, weights the matrix itself
@@ -79,44 +79,67 @@ class CriticalData:
     implied) whose mean cost equals ``-alpha0``.  ``kernel`` is the reduced
     matrix ``c + alpha0``, which has no negative cycle and at least one zero
     cycle, as a table on the integer grid of ``core``; ``reduced`` is its
-    entries.  ``kernel_plus()`` is its Kleene plus P, held once per object:
-    phi_1, the Mane potential, the Aubry vertices and the closed-form
-    barrier all read the same P.  ``aubry_vertices(inst)``, the zero set of
-    P's diagonal, is decided once and held the same way.  Exact mode also
-    holds the kernel's Bellman-Ford potentials ``_pot`` and its tight
-    successor lists ``_tight``, from which ``kernel_plus()`` condenses the
-    kernel and keeps each point's component in ``_comp`` (see the module
-    docstring); float mode holds None in all three.
+    entries, and ``alpha_grid`` is alpha0 on that grid, an integer.
+    ``alpha0`` is read off it in the kernel's mode: exact, or rounded once
+    to a double; ``alpha0_exact`` and ``alpha_at(D)`` are exact in both.
+    ``kernel_plus()`` is its Kleene plus P, held once per object: phi_1,
+    the Mane potential, the Aubry vertices and the closed-form barrier all
+    read the same P.  ``aubry_vertices(inst)``, the zero set of P's
+    diagonal, is decided once and held the same way.  ``_pot`` holds the
+    kernel's Bellman-Ford potentials and ``_tight`` its tight successor
+    lists, from which ``kernel_plus()`` condenses the kernel and keeps each
+    point's component in ``_comp`` (see the module docstring).
     """
 
-    alpha0: Value
+    alpha_grid: int
     witness_cycle: tuple[int, ...]
     kernel: PotentialTable
-    _pot: Optional[list[int]] = field(default=None, repr=False, compare=False)
-    _tight: Optional[list[list[int]]] = field(default=None, repr=False, compare=False)
+    _pot: list[int] = field(repr=False, compare=False)
+    _tight: list[list[int]] = field(repr=False, compare=False)
     _plus: Optional[PotentialTable] = field(default=None, init=False, repr=False, compare=False)
     _aubry: Optional[tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
     _comp: Optional[list[int]] = field(default=None, init=False, repr=False, compare=False)
+    _at: Optional[tuple[int, Matrix]] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def alpha0(self) -> Value:
+        (value,) = from_grid(self.kernel.mode, (self.alpha_grid,), self.kernel.scale)
+        return value
+
+    @property
+    def alpha0_exact(self) -> Fraction:
+        """alpha0 as a Fraction, in both modes."""
+        return Fraction(self.alpha_grid, self.kernel.scale)
+
+    def alpha_at(self, D: int) -> int:
+        """alpha0 times D, a multiple of the kernel's scale."""
+        return self.alpha_grid * (D // self.kernel.scale)
+
+    def kernel_at(self, D: int) -> Matrix:
+        """``kernel.at(D)``, (c + alpha0) * D; the last one made is kept, so
+        that the steps of one construction on one grid share it."""
+        if self._at is None or self._at[0] != D:
+            object.__setattr__(self, "_at", (D, self.kernel.at(D)))
+        return self._at[1]
 
     @property
     def reduced(self) -> Matrix:
         return self.kernel.entries
 
     def kernel_plus(self) -> PotentialTable:
-        """P = kleene_plus(kernel), phi_1 on the kernel's grid; in exact mode
-        through the condensed tight graph when a component has two points.
+        """P = kleene_plus(kernel), phi_1 on the kernel's grid, through the
+        condensed tight graph when a component has two points.
 
         Computed on the first call and kept on the object."""
         if self._plus is None:
             k = self.kernel
-            plus = None
-            if self._tight is not None:  # exact mode
-                comp, c = _components(self._tight)
-                object.__setattr__(self, "_comp", comp)
-                if c < len(comp):
-                    plus = _condensed_plus(k.grid, self._pot, comp, c)
-            plus = PotentialTable(plus or kleene_plus(k.grid), k.scale, k.mode)
-            object.__setattr__(self, "_plus", plus)
+            comp, c = _components(self._tight)
+            object.__setattr__(self, "_comp", comp)
+            if c < len(comp):
+                plus = _condensed_plus(k.grid, self._pot, comp, c)
+            else:
+                plus = kleene_plus(k.grid)
+            object.__setattr__(self, "_plus", PotentialTable(plus, k.scale, k.mode))
         return self._plus
 
     def aubry_vertices(self, inst: CostInstance) -> tuple[int, ...]:
@@ -128,12 +151,9 @@ class CriticalData:
         return self._aubry
 
     def class_leaders(self, inst: CostInstance) -> tuple[int, ...]:
-        """The least vertex of each Aubry class in exact mode, the classes
-        being the tight components that hold Aubry vertices; in float mode
-        every Aubry vertex."""
+        """The least vertex of each Aubry class, the classes being the tight
+        components that hold Aubry vertices."""
         verts = self.aubry_vertices(inst)
-        if self._comp is None:
-            return verts
         first: dict[int, int] = {}
         for a in verts:
             first.setdefault(self._comp[a], a)
@@ -141,9 +161,9 @@ class CriticalData:
 
 
 def _aubry_set(inst: CostInstance, p: PotentialTable) -> tuple[int, ...]:
-    """The zero set of the diagonal of P = ``kernel_plus()``, in float mode
-    within the band: the solver's one test of A."""
-    verts = Band(inst.mode, inst.value_scale()).zeros([row[x] for x, row in enumerate(p.grid)])
+    """The zero set of the diagonal of P = ``kernel_plus()``: the solver's
+    one test of A."""
+    verts = [x for x, row in enumerate(p.grid) if row[x] == 0]
     if not verts:
         raise ConstructionError("no Aubry vertex found for the closed form")
     return tuple(verts)
@@ -165,26 +185,18 @@ class SubsolutionResult(NamedTuple):
 
 def critical_value(inst: CostInstance) -> CriticalData:
     """Smallest alpha admitting a dominated function, with witness cycle."""
-    mode = inst.mode
     t = inst.cost_grid
     if not inst.total:
         for x, row in enumerate(t.grid):
             if all(is_inf(v) for v in row):
                 raise InputError(f"point {inst.labels[x]} has out-degree 0")
-    if mode.exact:
-        total, length = _least_cycle_mean(t.grid, inst.total)
-    else:
-        total, length = _karp_min_cycle_mean(t.grid)
-    (alpha0,) = from_grid(mode, (-total,), length * t.scale)
-    D = grid_scale(mode, (alpha0,), t.scale)
-    (a,) = to_grid(mode, (alpha0,), D)
+    total, length = _least_cycle_mean(t.grid, inst.total)
+    alpha0 = Fraction(-total, length * t.scale)
+    D = grid_scale((alpha0,), t.scale)
+    (a,) = to_grid((alpha0,), D)
     kernel = _shifted(t.at(D), a)
     pot, adj = _tight(inst, kernel)
-    table = PotentialTable(kernel, D, mode)
-    witness = _zero_cycle(adj)
-    if mode.exact:
-        return CriticalData(alpha0, witness, table, pot, adj)
-    return CriticalData(alpha0, witness, table)
+    return CriticalData(a, _zero_cycle(adj), PotentialTable(kernel, D, inst.mode), pot, adj)
 
 
 def _shifted(rows: Matrix, a: Value) -> Matrix:
@@ -281,8 +293,7 @@ def _priced(cost: Matrix) -> Matrix:
 
 def _karp_min_cycle_mean(cost: Matrix) -> tuple[Value, int]:
     """Karp's recurrence with a virtual source feeding every point at 0:
-    float mode's least cycle mean, and exact mode's past the search's
-    round budget.
+    the least cycle mean past the search's round budget.
 
     D[k][v] is the least weight of a walk with exactly k edges from the
     source; the minimum cycle mean is min_v max_k (D[N][v]-D[k][v])/(N-k)
@@ -332,22 +343,11 @@ def _zero_cycle(adj: list[list[int]]) -> tuple[int, ...]:
 def _tight(inst: CostInstance, kernel: Matrix) -> tuple[list[Value], list[list[int]]]:
     """The shortest-path potentials p of the finite edges of the reduced
     weights r, and the tight subgraph p(v) = p(u) + r(u, v) as ascending
-    successor lists.  Exact mode decides each pair with one integer
-    comparison, float mode a row at a time within the band."""
+    successor lists, each pair decided by one integer comparison."""
     edges = _finite_edges(kernel, inst.total)
     pot, _ = _bellman_ford(edges)
-    if inst.mode.exact:
-        rows = zip(pot, _rows(edges))
-        return pot, [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in rows]
-    band = Band(inst.mode, inst.value_scale())
-    targets, weights = edges
-    adj = []
-    for u, (pu, ws) in enumerate(zip(pot, weights)):
-        ends = range(len(ws)) if targets is None else targets[u]
-        heads = pot if targets is None else [pot[v] for v in ends]
-        tight = band.eq([pu + w for w in ws], heads)
-        adj.append([v for v, ok in zip(ends, tight) if ok])
-    return pot, adj
+    rows = zip(pot, _rows(edges))
+    return pot, [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in rows]
 
 
 def _components(adj: list[list[int]]) -> tuple[list[int], int]:
@@ -429,8 +429,7 @@ def _relax(dist: list[Value], pred: list[Optional[int]], edges: Edges) -> bool:
     """One Gauss-Seidel round, in place: each finite edge (u, v, w), in
     row-major order, lowers dist[v] to dist[u] + w and sets pred[v] = u.
     True when some distance fell.  The only relaxation loop outside
-    ``core``: a Jacobi round of ``minplus_row`` gives other float
-    potentials."""
+    ``core``: a Jacobi round of ``minplus_row`` sets other predecessors."""
     changed = False
     for u, pairs in enumerate(_rows(edges)):
         du = dist[u]
@@ -478,51 +477,44 @@ def _first_cycle(adj: list[list[int]], n: int) -> Optional[tuple[int, ...]]:
 def is_dominated(
     inst: CostInstance, u: ValueFunction, alpha: Value
 ) -> DominationResult:
-    """Check u(y) - u(x) <= c(x, y) + alpha for all pairs; witness on failure."""
+    """Check u(y) - u(x) <= c(x, y) + alpha for all pairs; witness on failure.
+
+    alpha is taken at its exact value in both modes."""
     mode = inst.mode
-    alpha = mode.coerce(alpha)
+    alpha = EXACT.coerce(alpha)
     t = inst.cost_grid
-    D = grid_scale(mode, (alpha,), math.lcm(t.scale, u.grid_in(mode)[1]))
-    (a,) = to_grid(mode, (alpha,), D)
-    hit = _undominated(mode, u.at(mode, D), t.at(D), a, inst.value_scale())
+    D = grid_scale((alpha,), math.lcm(t.scale, u.grid_in(mode)[1]))
+    (a,) = to_grid((alpha,), D)
+    hit = _undominated(u.at(mode, D), t.at(D), a)
     return DominationResult(hit is None, hit)
 
 
-def _dominated_grid(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> tuple[int, list]:
+def _dominated_grid(
+    inst: CostInstance, crit: CriticalData, u: ValueFunction, fault: type = InputError
+) -> tuple[int, list]:
     """D and u * D on the kernel's grid refined to u's scale, after
-    checking u against ``crit.kernel.at(D)``, (c + alpha0) * D: InputError
+    checking u against ``crit.kernel_at(D)``, (c + alpha0) * D: ``fault``
     unless u is dominated at alpha0."""
     mode = inst.mode
     D = math.lcm(crit.kernel.scale, u.grid_in(mode)[1])
     start = list(u.at(mode, D))
-    if _undominated(mode, start, crit.kernel.at(D), 0, inst.value_scale()) is not None:
-        raise InputError("function is not dominated at the critical constant")
+    if _undominated(start, crit.kernel_at(D), 0) is not None:
+        raise fault("function is not dominated at the critical constant")
     return D, start
 
 
-def _undominated(
-    mode: Mode, vals: Sequence[Value], cost: Matrix, a: Value, scale: Value
-) -> Optional[tuple[int, int]]:
+def _undominated(vals: Sequence[Value], cost: Matrix, a: Value) -> Optional[tuple[int, int]]:
     """The first pair (x, y), in row-major order, with
     vals[y] - vals[x] > cost[x][y] + a, or None when vals is dominated.
 
-    ``vals``, ``cost`` and ``a`` are on one grid.  Exact mode decides each
-    row with one reduction, max_y (vals[y] - cost[x][y]) <= vals[x] + a, and
-    scans the entries of a failing row only, for the witness; float mode
-    decides each row within the tolerance band, where a missing edge
-    (c = +inf) always passes."""
-    if mode.exact:
-        for x, row in enumerate(cost):
-            top = vals[x] + a
-            if max(map(sub, vals, row)) > top:
-                return x, next(y for y, (v, c) in enumerate(zip(vals, row)) if v - c > top)
-        return None
-    band = Band(mode, scale)
+    ``vals``, ``cost`` and ``a`` are on one grid.  Each row is decided with
+    one reduction, max_y (vals[y] - cost[x][y]) <= vals[x] + a, where a
+    missing edge (c = +inf) always passes, and the entries of a failing row
+    only are scanned, for the witness."""
     for x, row in enumerate(cost):
-        ux = vals[x]
-        ok = band.le([v - ux for v in vals], [c + a for c in row])
-        if not all(ok):
-            return x, ok.index(False)
+        top = vals[x] + a
+        if max(map(sub, vals, row)) > top:
+            return x, next(y for y, (v, c) in enumerate(zip(vals, row)) if v - c > top)
     return None
 
 
@@ -533,22 +525,21 @@ def solve_subsolution(inst: CostInstance, alpha: Value) -> SubsolutionResult:
     every point: converged distances d satisfy d(y) <= d(x) + c(x,y) + alpha,
     which is exactly domination.  A relaxation surviving n rounds exposes a
     cycle of negative shifted weight, i.e. alpha below the critical constant.
+    alpha is taken at its exact value in both modes.
     """
     n = inst.n
-    mode = inst.mode
-    alpha = mode.coerce(alpha)
+    alpha = EXACT.coerce(alpha)
     t = inst.cost_grid
-    D = grid_scale(mode, (alpha,), t.scale)
-    (a,) = to_grid(mode, (alpha,), D)
+    D = grid_scale((alpha,), t.scale)
+    (a,) = to_grid((alpha,), D)
     edges = _finite_edges(_shifted(t.at(D), a), inst.total)
     dist, pred = _bellman_ford(edges)
-    margin = 0 if mode.exact else mode.tolerance * float(inst.value_scale())
     for u, pairs in enumerate(_rows(edges)):
         for v, w in pairs:
-            if dist[u] + w < dist[v] - margin:
+            if dist[u] + w < dist[v]:
                 pred[v] = u
                 return SubsolutionResult(False, None, _trace_cycle(pred, v, n))
-    u_fn = ValueFunction.on_grid(dist, D, mode, f"subsolution(alpha={alpha})")
+    u_fn = ValueFunction.on_grid(dist, D, inst.mode, f"subsolution(alpha={alpha})")
     return SubsolutionResult(True, u_fn, None)
 
 

@@ -40,12 +40,14 @@ from .core import (
     CostInstance,
     PotentialTable,
     ValueFunction,
+    _default_labels,
     _freeze,
     _instance,
     _table,
     check_metric,
     from_grid,
     grid_scale,
+    grid_table,
     kleene_plus,
     make_instance,
     ratio,
@@ -70,8 +72,8 @@ def gen_constant(n: int, k: Value, mode: Mode = EXACT) -> CostInstance:
     if n < 1:
         raise InputError("need n >= 1")
     kk = mode.coerce(k)
-    D = grid_scale(mode, (kk,))
-    row = to_grid(mode, (kk,), D) * n
+    D = grid_scale((kk,))
+    row = to_grid((kk,), D) * n
     return _instance(PotentialTable((row,) * n, D, mode))
 
 
@@ -81,7 +83,8 @@ def gen_random(
     """Seed-deterministic random instance with entries in [lo, hi].
 
     Exact mode draws rationals on the 1/4 grid so that downstream exact
-    arithmetic stays cheap; float mode draws uniform floats.
+    arithmetic stays cheap; float mode draws uniform doubles, put on their
+    dyadic grid when the instance is first solved.
     """
     if n < 1:
         raise InputError("need n >= 1")
@@ -92,8 +95,11 @@ def gen_random(
         raise InputError("range [lo, hi] must be finite and within the float range")
     rng = Random(seed)
     if not mode.exact:
-        cost = [[rng.uniform(lo, hi) for _ in range(n)] for _ in range(n)]
-        return _instance(_least_grid(mode, cost))
+        # rng.uniform(lo, hi) written out: the same doubles, with no call
+        # each; they are finite, so the instance is total
+        rnd, width = rng.random, hi - lo
+        cost = [[lo + width * rnd() for _ in range(n)] for _ in range(n)]
+        return CostInstance(n, _default_labels(n), PotentialTable.of_doubles(cost, mode), mode)
     q = RANDOM_DENOMINATOR
     a = math.ceil(lo * q)
     b = math.floor(hi * q)
@@ -104,10 +110,7 @@ def gen_random(
 
 
 def _least_grid(mode: Mode, rows: list[list], D: int = 1) -> PotentialTable:
-    """The matrix rows / D, for integer rows, as a table on its least grid;
-    float mode takes float rows at scale 1."""
-    if not mode.exact:
-        return PotentialTable(_freeze(rows), 1, mode)
+    """The matrix rows / D, for integer rows, as a table on its least grid."""
     g = math.gcd(D, *chain.from_iterable(rows))
     if g == 1:
         return PotentialTable(_freeze(rows), D, mode)
@@ -140,9 +143,10 @@ def gen_fk(
 
     Cost c(x, y) = lam * d(x, y)^2 + V(y) with d the arc-step circle
     distance.  V must be nonnegative with minimum zero, so the critical
-    constant is zero and the zero set of V meets the Aubry set.  Exact mode
+    constant is zero and the zero set of V meets the Aubry set.  It
     computes lam * D * d^2 + V * D in integers on D, the least common
-    denominator of lam and V.
+    denominator of lam and V; float mode takes the doubles of lam and V and
+    rounds each cost once, so that the instance holds doubles.
     """
     if m < 1:
         raise InputError("need m >= 1")
@@ -157,15 +161,14 @@ def gen_fk(
     if min(V) != 0:
         raise InputError("potential must attain 0")
     base = _circle_row(m)
-    D = grid_scale(mode, (lam, *V))
-    (lg,) = to_grid(mode, (lam,), D)
-    vg = to_grid(mode, V, D)
-    cost = [list(map(add, row, vg)) for row in _rotations([lg * k * k for k in base])]
+    D = grid_scale((lam, *V))
+    (lg,) = to_grid((lam,), D)
+    vg = to_grid(V, D)
+    rows = [list(map(add, row, vg)) for row in _rotations([lg * k * k for k in base])]
+    cost = _least_grid(mode, rows, D)
     if not mode.exact:
-        base = list(map(float, base))
-    return _instance(
-        _least_grid(mode, cost, D), [str(i) for i in range(m)], _least_grid(mode, _rotations(base))
-    )
+        cost = grid_table(mode, cost.entries)
+    return _instance(cost, [str(i) for i in range(m)], _least_grid(mode, _rotations(base)))
 
 
 def fk_potential_well(m: int, center: int = 0) -> list[Value]:
@@ -209,9 +212,9 @@ def check_length_space(
     if is_inf(B) or B < 1 or K <= 0:
         raise InputError("need a finite B >= 1 and K > 0")
     t = _table(mode, metric)
-    check_metric(t.grid, mode)
+    check_metric(t.grid, mode, t.scale)
     d = t.grid
-    (pb, qb), (pk, qk) = ratio(mode, B), ratio(mode, K)
+    (pb, qb), (pk, qk) = ratio(B), ratio(K)
     kg = pk * t.scale  # d <= K iff d * scale * qk <= kg
     step = tuple(tuple(v if v * qk <= kg else INF for v in row) for row in d)
     q = kleene_plus(step)
@@ -220,9 +223,9 @@ def check_length_space(
     # in the order of q(x, y) (q is symmetric: q[y][x]), each on the least z
     # of least step(x, z) + q(z, y) among settled points a step away, so no
     # walk loops.  Exactly, every z with q(z, y) < q(x, y) settles first and
-    # that least is q(x, y).  A float sum can swallow a short step and leave
-    # a point with no settled neighbour yet: it goes to the back of the line,
-    # which moves on, as steps join every point of finite q(x, y) to y.
+    # that least is q(x, y).  A step of length 0 can leave a point with no
+    # settled neighbour yet: it goes to the back of the line, which moves
+    # on, as steps join every point of finite q(x, y) to y.
     steps = [[(z, s) for z, s in enumerate(row) if s != INF] for row in step]
     hop = []
     for y, qy in enumerate(q):
@@ -240,7 +243,7 @@ def check_length_space(
     failures = []
     for x, (qrow, drow) in enumerate(zip(q, d)):
         for y, (qv, dv) in enumerate(zip(qrow, drow)):
-            if mode.le(qb * qv, pb * dv):
+            if mode.le(qb * qv, pb * dv, qb * t.scale):
                 # walk the least path to y, thinned as it goes: a point
                 # is dropped while its neighbours lie within K
                 out, cur, hy = [x], x, hop[y]
@@ -263,7 +266,7 @@ def growth_C(inst: CostInstance, k: Value) -> Value:
     """Tight super-linearity defect: C(k) = max over pairs of k*d - c."""
     _need_metric(inst)
     mode = inst.mode
-    p, q = ratio(mode, mode.coerce(k))
+    p, q = ratio(mode.coerce(k))
     t, d = inst.cost_grid, inst.metric_grid
     E = math.lcm(t.scale, d.scale)
     pairs = zip(chain.from_iterable(t.at(E)), chain.from_iterable(d.at(E)))
@@ -275,7 +278,7 @@ def growth_A(inst: CostInstance, R: Value) -> Value:
     """Tight uniform bound: A(R) = max cost over pairs within distance R."""
     _need_metric(inst)
     mode = inst.mode
-    p, q = ratio(mode, mode.coerce(R))
+    p, q = ratio(mode.coerce(R))
     t, d = inst.cost_grid, inst.metric_grid
     pairs = zip(chain.from_iterable(t.grid), chain.from_iterable(d.grid))
     vals = [cv for cv, dv in pairs if dv * q <= p * d.scale and not is_inf(cv)]
@@ -292,15 +295,16 @@ class LipschitzResult(NamedTuple):
 def lipschitz_large_check(
     inst: CostInstance, u: ValueFunction, k: Value, b: Value
 ) -> LipschitzResult:
-    """Check |u(x) - u(y)| <= k*d(x,y) + b over all pairs, on one grid E."""
+    """Check |u(x) - u(y)| <= k*d(x,y) + b over all pairs, on one grid E,
+    in float mode within ``Mode.le``'s band."""
     _need_metric(inst)
     mode = inst.mode
     k, b = mode.coerce(k), mode.coerce(b)
     d = inst.metric_grid
-    E = grid_scale(mode, (b,), math.lcm(u.grid_in(mode)[1], d.scale * grid_scale(mode, (k,))))
-    (kk,), (bb,) = to_grid(mode, (k,), E // d.scale), to_grid(mode, (b,), E)
+    E = grid_scale((b,), math.lcm(u.grid_in(mode)[1], d.scale * grid_scale((k,))))
+    (kk,), (bb,) = to_grid((k,), E // d.scale), to_grid((b,), E)
     g = u.at(mode, E)
-    scale = inst.value_scale()
+    scale = inst.value_scale() * E
     for x, drow in enumerate(d.grid):
         for y, dv in enumerate(drow):
             if not mode.le(abs(g[x] - g[y]), kk * dv + bb, scale=scale):
@@ -345,7 +349,7 @@ def check_apriori(
     if R is None:
         return AprioriResult(True, None, None)
     mode = inst.mode
-    p, q = ratio(mode, R)
+    p, q = ratio(R)
     t, d = inst.cost_grid, inst.metric_grid
     E = math.lcm(t.scale, u.grid_in(mode)[1])
     vals = u.at(mode, E)

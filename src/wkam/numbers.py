@@ -6,16 +6,15 @@ absorbing element of min-plus arithmetic (``inf + r = inf``,
 ``min(inf, r) = r``); ``-inf`` is unrepresentable and any operation that
 would produce it raises.
 
-Two numeric modes exist.  Exact mode keeps every finite value a Fraction and
-never rounds; it is the reference for all equality-based identities.  Float
-mode compares with a relative-absolute hybrid tolerance and accepts an
-optional *scale* so that accumulated sums (walks of length up to n) can widen
-the absolute band.
-
-``Mode`` decides one pair of values per call.  The solver decides whole rows
-with ``Band``, which takes ``S = max(1, |scale|)`` and ``t = tol * S`` once
-and gives ``Mode``'s answer for every entry with builtins alone (see
-``Band`` for why each threshold is exactly ``Mode``'s).
+Two numeric modes exist, and the solver computes exactly in both.  Exact
+mode reads every input as a Fraction and prints rationals.  Float mode
+means doubles in, exact in between, each output rounded once: ``coerce``
+rounds each input to a double, whose exact (dyadic) value the solver then
+uses on the integer grid of ``core``, and ``core.from_grid`` rounds each
+value it reads off that grid to the nearest double.  The mode's tolerance
+governs only ``Mode.le``, the banded order of the metric checks of
+``models`` (the triangle inequality, the length-space bound and
+Lipschitz-in-the-large).
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, isinf
 from numbers import Real
-from operator import eq, le, lt
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 Value = Union[Fraction, float, int]
 
@@ -58,17 +55,14 @@ def is_inf(x: Value) -> bool:
 class Mode:
     """Numeric mode: ``exact`` (rational) or ``float`` (tolerance eps).
 
-    In float mode, with ``S = max(1, |scale|)``, two finite values a and b
-    are within the band when ``|a - b| <= tol * max(S, |a|, |b|)``; ``le``
-    and ``lt`` widen and narrow b by the same width, and ``is_zero(a)``
-    reduces to ``|a| <= tol * S`` (see ``Band``).  When a or b is infinite
-    (of either sign), ``eq`` holds iff both are, ``le`` iff b is, and
-    ``lt`` iff a is not.
+    In float mode, with ``S = max(1, |scale|)``, ``le(a, b)`` holds when
+    ``a <= b + tol * max(S, |a|, |b|)``; an infinite b passes and an
+    infinite a below a finite b fails.
     """
 
     kind: str = "exact"
     tolerance: float = 1e-9
-    # kind == "exact", stored once: hot loops read it on every call
+    # kind == "exact", stored once: from_grid and coerce read it per call
     exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -76,8 +70,7 @@ class Mode:
             raise InputError(f"unknown mode {self.kind!r}")
         tol = self.tolerance
         real = isinstance(tol, Real) and not isinstance(tol, bool)
-        # verify_all's row test needs tol < 1; from 2 up, le and eq hold for
-        # every finite pair
+        # from 2 up, le holds for every finite pair
         if self.kind == "float" and not (real and 0 < tol < 1):
             raise InputError("float mode needs a real tolerance in (0, 1)")
         object.__setattr__(self, "exact", self.kind == "exact")
@@ -110,13 +103,6 @@ class Mode:
     def _band(self, a: Value, b: Value, scale: Value) -> float:
         return self.tolerance * max(1.0, abs(a), abs(b), abs(scale))
 
-    def eq(self, a: Value, b: Value, scale: Value = 1) -> bool:
-        if self.exact:
-            return a == b
-        if is_inf(a) or is_inf(b):
-            return is_inf(a) and is_inf(b)
-        return abs(a - b) <= self._band(a, b, scale)
-
     def le(self, a: Value, b: Value, scale: Value = 1) -> bool:
         if self.exact:
             return a <= b
@@ -126,121 +112,8 @@ class Mode:
             return False
         return a <= b + self._band(a, b, scale)
 
-    def lt(self, a: Value, b: Value, scale: Value = 1) -> bool:
-        """Strict comparison: in float mode, strictly below the band."""
-        if self.exact:
-            return a < b
-        if is_inf(a):
-            return False
-        if is_inf(b):
-            return True
-        return a < b - self._band(a, b, scale)
-
-    def is_zero(self, a: Value, scale: Value = 1) -> bool:
-        if self.exact:
-            return a == 0
-        return not is_inf(a) and abs(a) <= self._band(a, 0, scale)
-
 
 EXACT = Mode("exact")
-
-
-class Band:
-    """``Mode``'s tests over whole rows, one threshold per call.
-
-    ``Band(mode, scale)`` takes ``S = max(1, |scale|)`` and ``t = tol * S``
-    once, as ``floor`` and ``zero``.  ``zeros`` gives the indices of the
-    entries that ``is_zero`` accepts; ``eq``, ``le`` and ``lt`` give
-    ``Mode``'s answer for each pair of entries of two sequences, with
-    builtins and no method call per entry.  In exact mode t is 0 and the
-    tests are ``==``, ``<=`` and ``<``.
-
-    Each answer is bit for bit ``Mode``'s, for 0 < tol < 1:
-
-    * ``is_zero(a)`` is ``|a| <= t``.  When ``|a| <= S``, ``Mode``'s
-      ``max(1, |a|, |scale|)`` is S.  When ``|a| > S``, both reject:
-      t <= S < |a|, and as tol <= 1 - 2^-53, the exact ``tol * |a|`` is at
-      most ``|a| - |a| * 2^-53``, which rounds to a float below ``|a|``.
-    * ``eq``, ``le`` and ``lt`` take the width ``tol * max(S, |a|, |b|)``.
-      ``max`` rounds nothing, so it is the number that ``Mode``'s
-      ``max(1, |a|, |b|, |scale|)`` is and the product is the same float;
-      when |a| and |b| are at most S, it is t.  As the width is positive
-      and rounding is monotone, a == b and a <= b pass ``eq`` and ``le``,
-      and a >= b fails ``lt``, with no width.
-    * Two rows whose sums are not finite (an infinite entry, or an
-      overflow) are decided entry by entry by ``Mode``'s rules for
-      infinities.
-    """
-
-    __slots__ = ("exact", "tol", "floor", "zero")
-
-    def __init__(self, mode: Mode, scale: Value) -> None:
-        self.exact = mode.exact
-        if self.exact:
-            self.tol = self.floor = self.zero = 0
-        else:
-            self.tol = mode.tolerance
-            self.floor = max(1.0, abs(scale))
-            self.zero = self.tol * self.floor
-
-    def zeros(self, row: Iterable[Value]) -> list[int]:
-        """The indices of the entries within the band of 0."""
-        t = self.zero
-        return [i for i, a in enumerate(row) if -t <= a <= t]
-
-    def eq(self, u: Sequence[Value], v: Sequence[Value]) -> list[bool]:
-        """``Mode.eq(a, b, scale)`` for each pair of entries."""
-        if self.exact:
-            return list(map(eq, u, v))
-        tol, S, t = self.tol, self.floor, self.zero
-        if isfinite(sum(u) + sum(v)):
-            return [
-                a == b
-                or (
-                    -t <= a - b <= t
-                    if -S <= a <= S and -S <= b <= S
-                    else abs(a - b) <= tol * max(S, abs(a), abs(b))
-                )
-                for a, b in zip(u, v)
-            ]
-        return [
-            isinf(a) and isinf(b)
-            if isinf(a) or isinf(b)
-            else abs(a - b) <= tol * max(S, abs(a), abs(b))
-            for a, b in zip(u, v)
-        ]
-
-    def le(self, u: Sequence[Value], v: Sequence[Value]) -> list[bool]:
-        """``Mode.le(a, b, scale)`` for each pair of entries."""
-        if self.exact:
-            return list(map(le, u, v))
-        tol, S, t = self.tol, self.floor, self.zero
-        if isfinite(sum(u) + sum(v)):
-            return [
-                a <= b
-                or a <= b + (t if -S <= a <= S and -S <= b <= S else tol * max(S, abs(a), abs(b)))
-                for a, b in zip(u, v)
-            ]
-        return [
-            isinf(b) or not isinf(a) and a <= b + tol * max(S, abs(a), abs(b))
-            for a, b in zip(u, v)
-        ]
-
-    def lt(self, u: Sequence[Value], v: Sequence[Value]) -> list[bool]:
-        """``Mode.lt(a, b, scale)`` for each pair of entries."""
-        if self.exact:
-            return list(map(lt, u, v))
-        tol, S, t = self.tol, self.floor, self.zero
-        if isfinite(sum(u) + sum(v)):
-            return [
-                a < b
-                and a < b - (t if -S <= a <= S and -S <= b <= S else tol * max(S, abs(a), abs(b)))
-                for a, b in zip(u, v)
-            ]
-        return [
-            not isinf(a) and (isinf(b) or a < b - tol * max(S, abs(a), abs(b)))
-            for a, b in zip(u, v)
-        ]
 
 
 def parse_value(text: object, mode: Mode) -> Value:

@@ -2,7 +2,7 @@
 
 Everything here recomputes solver outputs by a different route at desk
 scale.  The simple cycles are scanned from the costs alone (with exact
-integer-scaled weights in exact mode), least vertex first.  Per least
+integer-scaled weights), least vertex first.  Per least
 vertex, a forward subset DP over (vertex set, last vertex) holds the number
 of paths and the least path total; it gives the cycle count and the least
 mean.  At the scan's own alpha = -(least mean) no cycle is negative, so the
@@ -18,9 +18,9 @@ concrete witness.
 The harness computes on the integer grid of ``core``: the tables on the
 kernel's grid (refined to a claimed barrier), what meets the samples on the
 samples' finer grid, and the value functions the solver returns on their
-own grids, so each identity compares integers; float mode runs the same code
-with D = 1.  ``Fraction`` remains in witness text and a few scalars.  An
-inequality lhs <= a (x) b + s over X x X x X is decided
+own grids, so each identity compares integers exactly, in float mode on the
+dyadic values of the doubles.  ``Fraction`` remains in witness text and a
+few scalars.  An inequality lhs <= a (x) b + s over X x X x X is decided
 row by row against one min-plus product; only a failing row is scanned
 entry by entry, for the first witness (x, y, z) of the loop it replaces.
 
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, eq, le, mul, sub
 from random import Random
 from typing import Callable, Iterator, Optional
 
@@ -68,12 +68,10 @@ from .core import (
     ratio,
     reverse_cost,
     to_grid,
-    vf_eq,
-    vf_le,
 )
 from .critical import CriticalData, critical_value, is_dominated, solve_subsolution
 from .models import check_apriori, lipschitz_constants, lipschitz_large_check
-from .numbers import INF, InputError, SizeGuardError, Value, is_inf
+from .numbers import INF, ConstructionError, InputError, SizeGuardError, Value, is_inf
 from .potential import jump_F, jump_f, mane_potential, phi_n
 from .subsolution import (
     aubry_of,
@@ -128,9 +126,7 @@ def _closings(w: list, m: int, members: list) -> tuple[int, list, list[Value]]:
     tot[S][i], the least total of the paths from m through the vertices of
     S that end at m + 1 + i, and the number of these paths.  Return the
     number of cycles, tot, and for each S the least total of the cycles on
-    the vertex set {m} + S.  Totals are left-fold sums along the path, and
-    fl(x + w) is monotone in x, so in float mode too the least total is the
-    least of the cycles' own totals."""
+    the vertex set {m} + S."""
     k = len(w) - 1 - m
     full = 1 << k
     sub = [row[m + 1:] for row in w[m + 1:]]
@@ -139,13 +135,13 @@ def _closings(w: list, m: int, members: list) -> tuple[int, list, list[Value]]:
     num = [[0] * k for _ in range(full)]
     for i, x in enumerate(w[m][m + 1:]):
         if x is not None:
-            tot[1 << i][i] = 0 + x  # the fold starts at 0: -0.0 becomes 0.0
+            tot[1 << i][i] = x
             num[1 << i][i] = 1
     x = w[m][m]
     count = 0 if x is None else 1
     cyc_min: list[Value] = [INF] * full
     if x is not None:
-        cyc_min[0] = 0 + x
+        cyc_min[0] = x
     for S in range(1, full):
         tS, nS = tot[S], num[S]
         outside = members[full - 1 ^ S]
@@ -176,7 +172,7 @@ def _closings(w: list, m: int, members: list) -> tuple[int, list, list[Value]]:
 
 
 def _zero_edges(
-    w: list, m: int, members: list, tot: list, f: int, a: Value, band: Value
+    w: list, m: int, members: list, tot: list, f: int, a: Value
 ) -> set[tuple[int, int]]:
     """The edges of the zero cycles whose least vertex is m.
 
@@ -188,10 +184,9 @@ def _zero_edges(
     vertices not in S, the least cycle through (S, i) weighs
     pre + least[rest][i], and the least one that goes on by the edge (i, j)
     weighs pre + (r(i, j) + least[rest - j][j]); the edge is zero when that
-    is at most band.  least[rest][i] is the least of r(i, m) and the
-    computed r(i, j) + least[rest - j][j], and fl(pre + t) is monotone in
-    t, so no edge sum is below its state's: a state skipped for its own sum
-    drops no edge within the band."""
+    is 0.  least[rest][i] is the least of r(i, m) and r(i, j) +
+    least[rest - j][j], so no edge sum is below its state's: a state
+    skipped for its own sum drops no zero edge."""
     k = len(w) - 1 - m
     top = (1 << k) - 1
     sub = [[None if x is None else x * f + a for x in row[m + 1:]] for row in w[m + 1:]]
@@ -209,25 +204,25 @@ def _zero_edges(
             least[R][i] = low
     edges = set()
     x = w[m][m]
-    if x is not None and x * f + a <= band:
+    if x is not None and x * f + a <= 0:
         edges.add((m, m))
     for j, x in enumerate(w[m][m + 1:]):
-        if x is not None and x * f + a + least[top ^ 1 << j][j] <= band:
+        if x is not None and x * f + a + least[top ^ 1 << j][j] <= 0:
             edges.add((m, m + 1 + j))
     for S in range(1, top + 1):
         rest = top ^ S
         shift = len(members[S]) * a
         for i in members[S]:
             pre = tot[S][i] * f + shift
-            if pre + least[rest][i] > band:  # no zero cycle runs through (S, i)
+            if pre + least[rest][i] > 0:  # no zero cycle runs through (S, i)
                 continue
             v = m + 1 + i
-            if pre + back[i] <= band:
+            if pre + back[i] <= 0:
                 edges.add((v, m))
             row = sub[i]
             for j in members[rest]:
                 x = row[j]
-                if x is not None and pre + (x + least[rest ^ 1 << j][j]) <= band:
+                if x is not None and pre + (x + least[rest ^ 1 << j][j]) <= 0:
                     edges.add((v, m + 1 + j))
     return edges
 
@@ -243,10 +238,9 @@ def cycle_scan(inst: CostInstance) -> CycleScan:
     the least total plus L * alpha over the vertex sets through the vertex,
     and a backward subset DP per m (``_zero_edges``) finds the edges of the
     zero cycles from the least reduced weight through each DP state and
-    edge.  The zero vertices are the ends of the zero edges.  Float mode
-    counts as zero what is within the tolerance band.  Exact mode scales
-    the costs and alpha to integers on the grid of ``core``, so every
-    comparison is integer arithmetic.
+    edge.  The zero vertices are the ends of the zero edges.  The costs and
+    alpha are scaled to integers on the grid of ``core``, so every
+    comparison is integer arithmetic; ``min_mean`` is exact in both modes.
     """
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
@@ -270,17 +264,16 @@ def cycle_scan(inst: CostInstance) -> CycleScan:
                 low_s, low_len = low, L
     if count == 0:
         raise SizeGuardError("instance has no cycle")
-    (min_mean,) = from_grid(mode, (low_s,), low_len * D0)
+    min_mean = Fraction(low_s, low_len * D0)
 
     # the costs and alpha = -min_mean on one grid D, as in critical_value
-    D = grid_scale(mode, (min_mean,), D0)
-    (a,) = to_grid(mode, (-min_mean,), D)
+    D = grid_scale((min_mean,), D0)
+    (a,) = to_grid((-min_mean,), D)
     f = D // D0
-    band = 0 if mode.exact else mode.tolerance * float(inst.value_scale())
     zero_e: set[tuple[int, int]] = set()
     vmin: list[Value] = [INF] * n
     for m, (tot, cyc_min) in enumerate(dps):
-        zero_e |= _zero_edges(w, m, members, tot, f, a, band)
+        zero_e |= _zero_edges(w, m, members, tot, f, a)
         for S, low in enumerate(cyc_min):
             red = low * f + (len(members[S]) + 1) * a
             for v in (m, *(m + 1 + i for i in members[S])):
@@ -342,15 +335,11 @@ def liminf_barrier_bounded(
     if N is not None and N < 2:
         raise SizeGuardError("need N >= 2")
     inst.require_total("liminf oracle")
-    mode, scale, red, D = inst.mode, inst.value_scale(), crit.kernel.grid, crit.kernel.scale
-
-    def same(a: Matrix, b: Matrix) -> bool:
-        return all(vf_eq(mode, x, y, scale=scale) for x, y in zip(a, b))
-
+    mode, red, D = inst.mode, crit.kernel.grid, crit.kernel.scale
     limit = 3 * N if N is not None else max(2, _LIMINF_WORK_LIMIT // inst.n**3)
     tortoise = hare = red
     power, period, used, low = 1, 0, 1, red
-    while not (period and same(tortoise, hare)):
+    while not (period and tortoise == hare):
         if used == limit:
             if N is None:
                 what = f"found no repeat in {limit} powers at n = {inst.n}"
@@ -364,7 +353,7 @@ def liminf_barrier_bounded(
         a, b, t = red, red, 1
         for _ in range(period):
             b = minplus_product(b, red)
-        while not same(a, b):
+        while a != b:
             a, b, t = minplus_product(a, red), minplus_product(b, red), t + 1
         used += period + 2 * (t - 1)
         if t + period > N:
@@ -378,13 +367,10 @@ def liminf_barrier_bounded(
 
 def tight_graph(inst: CostInstance, crit: CriticalData, u: ValueFunction) -> list[list[int]]:
     """Adjacency of the edges where domination is tight for u."""
-    mode, scale, pts = inst.mode, inst.value_scale(), range(inst.n)
+    pts = range(inst.n)
     D, g, c = grid_operands(inst, u, crit.kernel.scale)
-    (a0,) = to_grid(mode, (crit.alpha0,), D)
-    return [
-        [b for b in pts if not is_inf(c[a][b]) and mode.eq(g[b] - g[a], c[a][b] + a0, scale=scale)]
-        for a in pts
-    ]
+    a0 = crit.alpha_at(D)
+    return [[b for b in pts if not is_inf(c[a][b]) and g[b] - g[a] == c[a][b] + a0] for a in pts]
 
 
 def aubry_chain_sets(
@@ -396,7 +382,7 @@ def aubry_chain_sets(
     through a point (or edge) exists iff the point is reachable from a tight
     cycle and reaches a tight cycle.
     """
-    if not is_dominated(inst, u, crit.alpha0).ok:
+    if not is_dominated(inst, u, crit.alpha0_exact).ok:
         raise InputError("chain oracle needs a dominated function")
     n = inst.n
     adj = tight_graph(inst, crit, u)
@@ -438,7 +424,8 @@ def subsolution_sampler(
     bar: Optional[BarrierData] = None,
 ) -> list[ValueFunction]:
     """Seeded dominated functions: random positive mixes of potential rows,
-    barrier rows and the Bellman-Ford sub-solution, plus a constant."""
+    barrier rows and the Bellman-Ford sub-solution, plus a shift of s / 4,
+    with integer weights and one division."""
     rng = Random(seed)
     mode = inst.mode
     if phi is None:
@@ -446,7 +433,7 @@ def subsolution_sampler(
     if bar is None:
         bar = peierls_barrier(inst, crit)
     base = [t.row(x) for x in range(inst.n) for t in (phi, bar.h)]
-    sol = solve_subsolution(inst, crit.alpha0)
+    sol = solve_subsolution(inst, crit.alpha0_exact)
     if sol.feasible and sol.u is not None:
         base.append(sol.u)
     D = math.lcm(*(u.grid_in(mode)[1] for u in base))  # integer weights, one division
@@ -457,13 +444,8 @@ def subsolution_sampler(
         if sum(raw) == 0:
             raw[rng.randrange(len(raw))] = 1
         total = sum(raw)
-        if mode.exact:  # the mix plus a shift of s / 4
-            s, scale = rng.randint(-8, 8), 4 * D * total
-            grid = [4 * sum(map(mul, raw, col)) + s * D * total for col in cols]
-        else:
-            weights, scale = [r / total for r in raw], 1
-            shift = rng.uniform(-2.0, 2.0)
-            grid = [sum(w * b for w, b in zip(weights, col)) + shift for col in cols]
+        s, scale = rng.randint(-8, 8), 4 * D * total
+        grid = [4 * sum(map(mul, raw, col)) + s * D * total for col in cols]
         out.append(ValueFunction.on_grid(grid, scale, mode, f"sample[{seed}:{k}]"))
     return out
 
@@ -502,8 +484,9 @@ class _Workspace:
     the raw powers and the phi tables are on D too.  The checks that take
     samples compare on the finer grid Ds, D refined to the samples' scales:
     ``grid_samples`` are the samples times Ds, ``fine(t)`` is a table t of D
-    times Ds / D, and ``grids`` puts value functions on one grid.  Float
-    mode has D = Ds = 1, so both modes run the same checks.  ``rev`` is the
+    times Ds / D, and ``grids`` puts value functions on one grid.  ``alpha``
+    is alpha0 exactly, which the solver functions that take a constant
+    get, in float mode too.  ``rev`` is the
     reversed instance, shared by the reversal and jump checks.  A sample
     that is not dominated at alpha0 can only come from a faulty solver
     table; ``refused`` keeps its tag for ``critical.T_preserves_domination``
@@ -522,8 +505,8 @@ class _Workspace:
         self.inst = inst
         self.rev = reverse_cost(inst)
         self.mode = mode = inst.mode
-        self.scale = inst.value_scale()
         self.crit = critical_value(inst)
+        self.alpha = self.crit.alpha0_exact
         self.phi1 = phi_n(inst, self.crit, 1)
         self.phi = mane_potential(inst, self.crit)
         self.F = jump_F(inst, self.crit)
@@ -532,7 +515,7 @@ class _Workspace:
         self.aub = aubry(inst, self.crit, self.bar)
         self.scan = cycle_scan(inst)
         drawn = subsolution_sampler(inst, self.crit, seed, samples, phi=self.phi, bar=self.bar)
-        ok = [is_dominated(inst, u, self.crit.alpha0).ok for u in drawn]
+        ok = [is_dominated(inst, u, self.alpha).ok for u in drawn]
         self.samples = [u for u, keep in zip(drawn, ok) if keep]
         self.refused = [u.tag for u, keep in zip(drawn, ok) if not keep]
         self.horizon = horizon
@@ -540,20 +523,20 @@ class _Workspace:
         claimed = None
         if barrier_override is not None:
             claimed = tuple(tuple(mode.coerce(v) for v in row) for row in barrier_override)
-        self.D = D = grid_scale(mode, chain.from_iterable(claimed or ()), self.crit.kernel.scale)
-        (self.a,) = to_grid(mode, (self.crit.alpha0,), D)
+        self.D = D = grid_scale(chain.from_iterable(claimed or ()), self.crit.kernel.scale)
+        self.a = self.crit.alpha_at(D)
         self.c = inst.cost_grid.at(D)
         self.r = self.crit.kernel.at(D)
         self.p = self.phi.at(D)
         self.h = self.bar.h.at(D)
         # the barrier itself when there is no override, so products are shared
-        self.h_claimed = self.h if claimed is None else tuple(to_grid(mode, r, D) for r in claimed)
+        self.h_claimed = self.h if claimed is None else tuple(to_grid(r, D) for r in claimed)
         self.Ds = math.lcm(D, *(u.grid_in(mode)[1] for u in self.samples))
         self.grid_samples = [u.at(mode, self.Ds) for u in self.samples]
         self._raw_powers: dict[int, Matrix] = {1: self.c}
         self._phi_tables: dict[int, Matrix] = {1: self.phi1.at(D)}
         self._products: dict[tuple[int, int], tuple[Matrix, Matrix, Matrix]] = {}
-        self._max_strict: Optional[ValueFunction] = None
+        self._max_strict: Optional[ValueFunction | ConstructionError] = None
 
     def raw_power(self, k: int) -> Matrix:
         """c^k times D."""
@@ -612,18 +595,17 @@ class _Workspace:
         ``ineqs`` (lhs, a, b, s), lhs[x][z] <= a[x][y] + b[y][z] + s, fails.
 
         Row x holds for all y iff it holds against row x of a (x) b, the least
-        right-hand side: fl(t + s) is monotone in t, and b + band(b) is
-        nondecreasing in b as the tolerance is below 1.  Only a failing row is
-        scanned entry by entry, for the witness."""
-        mode, scale, pts = self.mode, self.scale, range(self.inst.n)
+        right-hand side.  Only a failing row is scanned entry by entry, for
+        the witness."""
+        pts = range(self.inst.n)
         rows = [(lhs, self.product(a, b), s) for lhs, a, b, s in ineqs]
         for x in pts:
-            if all(vf_le(mode, lhs[x], [t + s for t in prod[x]], scale) for lhs, prod, s in rows):
+            if all(all(map(le, lhs[x], [t + s for t in prod[x]])) for lhs, prod, s in rows):
                 continue
             for y in pts:
                 for z in pts:
                     for i, (lhs, a, b, s) in enumerate(ineqs):
-                        if not mode.le(lhs[x][z], a[x][y] + b[y][z] + s, scale=scale):
+                        if not lhs[x][z] <= a[x][y] + b[y][z] + s:
                             return x, y, z, i
         return None
 
@@ -644,22 +626,27 @@ class _Workspace:
                 table = tuple(tuple(v + a for v in row) for row in minplus_product(table, c))
             yield table
 
-    def max_strict(self) -> ValueFunction:
+    def max_strict(self) -> ValueFunction | ConstructionError:
+        """The solver's maximally strict sub-solution, or the
+        ``ConstructionError`` it raised, which the checks that read it
+        report."""
         if self._max_strict is None:
-            self._max_strict = max_strict_subsolution(self.inst, self.crit)
+            try:
+                self._max_strict = max_strict_subsolution(self.inst, self.crit)
+            except ConstructionError as exc:
+                self._max_strict = exc
         return self._max_strict
 
 
 def _shift(ws: _Workspace, u: ValueFunction, k: Value) -> ValueFunction:
     """u + k, on u's grid refined to k's denominator."""
-    p, q = ratio(ws.mode, k)
+    p, q = ratio(k)
     E, _, g = ws.grids(u)
     return ValueFunction.on_grid([q * v + p * E for v in g], q * E, ws.mode)
 
 
-def _mix(ws: _Workspace, u: ValueFunction, v: ValueFunction, t: Value, q: int) -> ValueFunction:
-    """(t u + (q - t) v) / q: with t = k / q in exact mode, or a float t and
-    q = 1, the convex mix (t/q) u + (1 - t/q) v."""
+def _mix(ws: _Workspace, u: ValueFunction, v: ValueFunction, t: int, q: int) -> ValueFunction:
+    """(t u + (q - t) v) / q, the convex mix (t/q) u + (1 - t/q) v."""
     E, _, gu, gv = ws.grids(u, v)
     return ValueFunction.on_grid([t * a + (q - t) * b for a, b in zip(gu, gv)], q * E, ws.mode)
 
@@ -698,7 +685,7 @@ def _check_semigroup_law(ws: _Workspace) -> CheckResult:
         for b in range(1, top + 1):
             lhs = ws.raw_power(a + b)
             rhs = minplus_product(ws.raw_power(a), ws.raw_power(b))
-            hit = ws.first_pair(lambda i, j: not ws.mode.eq(lhs[i][j], rhs[i][j], scale=ws.scale))
+            hit = ws.first_pair(lambda i, j: lhs[i][j] != rhs[i][j])
             if hit is not None:
                 return CheckResult(name, False, "n={} m={} at ({},{})".format(a, b, *hit))
     return CheckResult(name, True)
@@ -709,13 +696,10 @@ def _check_monotonicity(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     for u in ws.samples[:5]:
         bump = [abs(ws.rng.randint(0, 4)) for _ in range(inst.n)]
-        if inst.mode.exact:
-            E, _, g = ws.grids(u)
-            v = ValueFunction.on_grid([2 * a + d * E for a, d in zip(g, bump)], 2 * E, ws.mode)
-        else:
-            v = ValueFunction(tuple(a + d / 2 for a, d in zip(u.values, bump)))
+        E, _, g = ws.grids(u)
+        v = ValueFunction.on_grid([2 * a + d * E for a, d in zip(g, bump)], 2 * E, ws.mode)
         _, _, tu, tv = ws.grids(lax_oleinik_neg(inst, u), lax_oleinik_neg(inst, v))
-        if not vf_le(ws.mode, tu, tv, scale=ws.scale):
+        if not all(map(le, tu, tv)):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
 
@@ -723,11 +707,11 @@ def _check_monotonicity(ws: _Workspace) -> CheckResult:
 def _check_constant_commutation(ws: _Workspace) -> CheckResult:
     name = "tropical.constant_commutation"
     inst = ws.inst
-    k = Fraction(7, 4) if inst.mode.exact else 1.75
+    k = Fraction(7, 4)
     for u in ws.samples[:5]:
         lhs = lax_oleinik_neg(inst, _shift(ws, u, k))
         rhs = _shift(ws, lax_oleinik_neg(inst, u), k)
-        if not vf_eq(ws.mode, *ws.grids(lhs, rhs)[2:], scale=ws.scale):
+        if not all(map(eq, *ws.grids(lhs, rhs)[2:])):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
 
@@ -739,7 +723,7 @@ def _check_reversal(ws: _Workspace) -> CheckResult:
         E, _, g = ws.grids(u)
         neg_u = ValueFunction.on_grid([-v for v in g], E, ws.mode)
         _, _, direct, via = ws.grids(lax_oleinik_pos(inst, u), lax_oleinik_neg(ws.rev, neg_u))
-        if not vf_eq(ws.mode, direct, [-v for v in via], scale=ws.scale):
+        if not all(map(eq, direct, [-v for v in via])):
             return CheckResult(name, False, f"sample {u.tag}")
     return CheckResult(name, True)
 
@@ -748,26 +732,25 @@ def _check_reversal(ws: _Workspace) -> CheckResult:
 
 def _check_alpha0_vs_cycles(ws: _Workspace) -> CheckResult:
     name = "critical.alpha0_vs_cycle_oracle"
-    ok = ws.mode.eq(ws.crit.alpha0, -ws.scan.min_mean, scale=ws.scale)
-    return CheckResult(name, ok, "" if ok else f"{ws.crit.alpha0} vs {-ws.scan.min_mean}")
+    ok = ws.alpha == -ws.scan.min_mean
+    return CheckResult(name, ok, "" if ok else f"{ws.alpha} vs {-ws.scan.min_mean}")
 
 
 def _check_witness_cycle(ws: _Workspace) -> CheckResult:
     name = "critical.witness_cycle_mean"
     cyc = ws.crit.witness_cycle
     total = sum(ws.c[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-    (mean,) = from_grid(ws.mode, (total,), len(cyc) * ws.D)
-    ok = ws.mode.eq(mean, -ws.crit.alpha0, scale=ws.scale)
-    return CheckResult(name, ok, "" if ok else f"cycle {cyc} mean {mean}")
+    if total == -len(cyc) * ws.a:
+        return CheckResult(name, True)
+    return CheckResult(name, False, f"cycle {cyc} mean {Fraction(total, len(cyc) * ws.D)}")
 
 
 def _check_alpha0_lower_bound(ws: _Workspace) -> CheckResult:
     name = "critical.alpha0_lower_bound"
     bound = max(-row[x] for x, row in enumerate(ws.c) if not is_inf(row[x]))
-    if ws.mode.le(bound, ws.a, scale=ws.scale):
+    if bound <= ws.a:
         return CheckResult(name, True)
-    (bound,) = from_grid(ws.mode, (bound,), ws.D)
-    return CheckResult(name, False, f"alpha0 {ws.crit.alpha0} < {bound}")
+    return CheckResult(name, False, f"alpha0 {ws.alpha} < {Fraction(bound, ws.D)}")
 
 
 def _check_T_preserves_domination(ws: _Workspace) -> CheckResult:
@@ -776,8 +759,8 @@ def _check_T_preserves_domination(ws: _Workspace) -> CheckResult:
     if ws.refused:
         return CheckResult(name, False, f"sampler produced non-dominated {ws.refused[0]}")
     for u in ws.samples:
-        shifted = _shift(ws, lax_oleinik_neg(inst, u), ws.crit.alpha0)
-        res = is_dominated(inst, shifted, ws.crit.alpha0)
+        shifted = _shift(ws, lax_oleinik_neg(inst, u), ws.alpha)
+        res = is_dominated(inst, shifted, ws.alpha)
         if not res.ok:
             return CheckResult(name, False, f"{u.tag} -> pair {res.witness}")
     return CheckResult(name, True)
@@ -788,8 +771,7 @@ def _check_convexity(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     pairs = list(zip(ws.samples, ws.samples[1:]))[:10]
     for u, v in pairs:
-        t, q = (ws.rng.randint(1, 7), 8) if inst.mode.exact else (ws.rng.uniform(0.1, 0.9), 1)
-        res = is_dominated(inst, _mix(ws, u, v, t, q), ws.crit.alpha0)
+        res = is_dominated(inst, _mix(ws, u, v, ws.rng.randint(1, 7), 8), ws.alpha)
         if not res.ok:
             return CheckResult(name, False, f"{u.tag}+{v.tag} pair {res.witness}")
     return CheckResult(name, True)
@@ -798,18 +780,17 @@ def _check_convexity(ws: _Workspace) -> CheckResult:
 def _check_subsolution_feasibility(ws: _Workspace) -> CheckResult:
     name = "critical.subsolution_feasibility"
     inst = ws.inst
-    at = solve_subsolution(inst, ws.crit.alpha0)
-    if not at.feasible or not is_dominated(inst, at.u, ws.crit.alpha0).ok:
+    at = solve_subsolution(inst, ws.alpha)
+    if not at.feasible or not is_dominated(inst, at.u, ws.alpha).ok:
         return CheckResult(name, False, "infeasible at alpha0")
-    one = Fraction(1) if inst.mode.exact else 1.0
-    below = solve_subsolution(inst, ws.crit.alpha0 - one)
+    below = solve_subsolution(inst, ws.alpha - 1)
     if below.feasible:
         return CheckResult(name, False, "feasible below alpha0")
     cyc = below.negative_cycle
     total = sum(ws.c[a][b] + ws.a - ws.D for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-    if not ws.mode.lt(total, 0, scale=ws.scale):
-        (total,) = from_grid(ws.mode, (total,), ws.D)
-        return CheckResult(name, False, f"witness cycle {cyc} not negative: {total}")
+    if not total < 0:
+        what = f"witness cycle {cyc} not negative: {Fraction(total, ws.D)}"
+        return CheckResult(name, False, what)
     return CheckResult(name, True)
 
 
@@ -820,10 +801,10 @@ def _check_potential_axioms(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     p = ws.p
     for x in range(inst.n):
-        if not ws.mode.is_zero(p[x][x], scale=ws.scale):
+        if p[x][x] != 0:
             return CheckResult(name, False, f"diagonal at {x}")
         for y in range(inst.n):
-            if not ws.mode.le(p[x][y], ws.c[x][y] + ws.a, scale=ws.scale):
+            if not p[x][y] <= ws.c[x][y] + ws.a:
                 return CheckResult(name, False, f"upper bound at ({x},{y})")
     hit = ws.first_violation((p, p, p, 0))
     if hit is not None:
@@ -836,16 +817,15 @@ def _check_sup_representation(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     p = ws.fine(ws.p)
     for u, g in zip(ws.samples, ws.grid_samples):
-        hit = ws.first_pair(lambda x, y: not ws.mode.le(g[y] - g[x], p[x][y], scale=ws.scale))
+        hit = ws.first_pair(lambda x, y: not g[y] - g[x] <= p[x][y])
         if hit is not None:
             return CheckResult(name, False, "{} at ({},{})".format(u.tag, *hit))
     # any function below the potential in increments is dominated: the
-    # envelope min_x r(x) + phi(x, .) of r on the quarter grid (float: r)
-    q = 4 if inst.mode.exact else 1
+    # envelope min_x r(x) + phi(x, .) of r on the quarter grid
     for _ in range(5):
-        r = [ws.rng.randint(-8, 8) if q == 4 else ws.rng.uniform(-2, 2) for _ in range(inst.n)]
-        env = [min(q * pv + rv * ws.D for rv, pv in zip(r, col)) for col in zip(*ws.p)]
-        res = is_dominated(inst, ValueFunction.on_grid(env, q * ws.D, ws.mode), ws.crit.alpha0)
+        r = [ws.rng.randint(-8, 8) for _ in range(inst.n)]
+        env = [min(4 * pv + rv * ws.D for rv, pv in zip(r, col)) for col in zip(*ws.p)]
+        res = is_dominated(inst, ValueFunction.on_grid(env, 4 * ws.D, ws.mode), ws.alpha)
         if not res.ok:
             return CheckResult(name, False, f"phi-envelope not dominated at {res.witness}")
     return CheckResult(name, True)
@@ -857,9 +837,9 @@ def _check_phi_vs_phi1(ws: _Workspace) -> CheckResult:
     for x in range(ws.inst.n):
         for y in range(ws.inst.n):
             if x == y:
-                if ws.mode.lt(p1[x][x], 0, scale=ws.scale):
+                if p1[x][x] < 0:
                     return CheckResult(name, False, f"phi1 diag negative at {x}")
-            elif not ws.mode.eq(ws.p[x][y], p1[x][y], scale=ws.scale):
+            elif ws.p[x][y] != p1[x][y]:
                 return CheckResult(name, False, f"off-diagonal at ({x},{y})")
     return CheckResult(name, True)
 
@@ -869,7 +849,7 @@ def _check_phi_recursion(ws: _Workspace) -> CheckResult:
     for k in range(1, 4):
         step = ws.product(ws.phi_table(k), ws.c)
         for x, (row, want) in enumerate(zip(step, ws.phi_table(k + 1))):
-            if not vf_eq(ws.mode, [v + ws.a for v in row], want, scale=ws.scale):
+            if [v + ws.a for v in row] != list(want):
                 return CheckResult(name, False, f"order {k} row {x}")
     return CheckResult(name, True)
 
@@ -878,9 +858,8 @@ def _check_vanish(ws: _Workspace) -> CheckResult:
     name = "potential.forward_vanish"
     (step,) = ws.orbit(ws.phi_table(1), 1, forward=True)
     for x, row in enumerate(step):
-        if not ws.mode.is_zero(row[x], scale=ws.scale):
-            (val,) = from_grid(ws.mode, (row[x],), ws.D)
-            return CheckResult(name, False, f"x={x} value {val}")
+        if row[x] != 0:
+            return CheckResult(name, False, f"x={x} value {Fraction(row[x], ws.D)}")
     return CheckResult(name, True)
 
 
@@ -890,7 +869,7 @@ def _check_iterated_vanish(ws: _Workspace) -> CheckResult:
     for x in range(ws.inst.n):
         for orbit in orbits:
             for m, table in enumerate(orbit, 1):
-                if not ws.mode.is_zero(table[x][x], scale=ws.scale):
+                if table[x][x] != 0:
                     return CheckResult(name, False, f"x={x} m={m}")
     return CheckResult(name, True)
 
@@ -899,10 +878,10 @@ def _check_rows_cols_dominated(ws: _Workspace) -> CheckResult:
     name = "potential.rows_and_columns_dominated"
     inst, phi = ws.inst, ws.phi
     for x in range(inst.n):
-        if not is_dominated(inst, phi.row(x), ws.crit.alpha0).ok:
+        if not is_dominated(inst, phi.row(x), ws.alpha).ok:
             return CheckResult(name, False, f"row {x}")
         col = ValueFunction.on_grid([-row[x] for row in phi.grid], phi.scale, phi.mode)
-        if not is_dominated(inst, col, ws.crit.alpha0).ok:
+        if not is_dominated(inst, col, ws.alpha).ok:
             return CheckResult(name, False, f"column {x}")
     return CheckResult(name, True)
 
@@ -911,12 +890,12 @@ def _check_jumps(ws: _Workspace) -> CheckResult:
     name = "potential.jump_signs_and_reversal"
     _, _, F, f = ws.grids(ws.F, ws.f)
     for x in range(ws.inst.n):
-        if ws.mode.lt(F[x], 0, scale=ws.scale):
+        if F[x] < 0:
             return CheckResult(name, False, f"F({x}) < 0")
-        if ws.mode.lt(0, f[x], scale=ws.scale):
+        if 0 < f[x]:
             return CheckResult(name, False, f"f({x}) > 0")
     _, _, f, rF = ws.grids(ws.f, jump_F(ws.rev, critical_value(ws.rev)))
-    if not vf_eq(ws.mode, f, [-v for v in rF], scale=ws.scale):
+    if not all(map(eq, f, [-v for v in rF])):
         return CheckResult(name, False, "f != -F(reversed)")
     return CheckResult(name, True)
 
@@ -940,7 +919,7 @@ def _check_barrier_vs_liminf(ws: _Workspace) -> CheckResult:
     if not rep.stabilized:
         return CheckResult(name, False, "liminf oracle did not stabilize")
     h, low = ws.h, rep.table.at(ws.D)
-    hit = ws.first_pair(lambda i, j: not ws.mode.eq(h[i][j], low[i][j], scale=ws.scale))
+    hit = ws.first_pair(lambda i, j: h[i][j] != low[i][j])
     if hit is not None:
         return CheckResult(name, False, "at ({},{})".format(*hit))
     return CheckResult(name, True)
@@ -953,11 +932,9 @@ def _check_barrier_closed_form(ws: _Workspace, h: Optional[Matrix] = None) -> Ch
     h = ws.h_claimed if h is None else h
     k = ws.bar.iterations_to_fix
     for x, (row, hrow) in enumerate(zip(ws.phi_table(1 + k), h)):
-        if not vf_eq(ws.mode, row, hrow, scale=ws.scale):
+        if not all(map(eq, row, hrow)):
             return CheckResult(name, False, f"row {x} differs from phi_{1 + k}")
-    if k >= 1 and all(
-        vf_eq(ws.mode, row, hrow, scale=ws.scale) for row, hrow in zip(ws.phi_table(k), h)
-    ):
+    if k >= 1 and all(all(map(eq, row, hrow)) for row, hrow in zip(ws.phi_table(k), h)):
         return CheckResult(name, False, f"phi_{k} already equals h: transient {k} is not least")
     return CheckResult(name, True)
 
@@ -967,7 +944,7 @@ def _check_barrier_triangle(ws: _Workspace, h: Optional[Matrix] = None) -> Check
     name = "barrier.triangle_and_floor"
     h = ws.h_claimed if h is None else h
     hit = ws.first_violation((h, h, h, 0))
-    floor = ws.first_pair(lambda x, y: not ws.mode.le(ws.p[x][y], h[x][y], scale=ws.scale))
+    floor = ws.first_pair(lambda x, y: not ws.p[x][y] <= h[x][y])
     if floor is not None and (hit is None or floor <= hit[:2]):
         return CheckResult(name, False, "h < phi at ({},{})".format(*floor))
     if hit is not None:
@@ -1014,10 +991,7 @@ def _check_min_formula(ws: _Workspace) -> CheckResult:
     for n_ in range(1, 4):
         cn, shift = ws.raw_power(n_), n_ * ws.a
         for prod in (ws.product(h, cn), ws.product(cn, h)):
-            if not all(
-                vf_eq(ws.mode, hrow, [v + shift for v in row], scale=ws.scale)
-                for hrow, row in zip(h, prod)
-            ):
+            if not all(all(map(eq, hrow, [v + shift for v in row])) for hrow, row in zip(h, prod)):
                 return CheckResult(name, False, f"n={n_}")
     return CheckResult(name, True)
 
@@ -1026,7 +1000,7 @@ def _check_representation(ws: _Workspace) -> CheckResult:
     # S(x, y) = max_{k <= N} T-^k u(y) + k a0 - min_{k <= N} T+^k u(x) + k a0
     # never exceeds h, and the rows u of phi_1 attain h on row x of their S.
     name = "barrier.orbit_representation"
-    mode, scale, h = ws.mode, ws.scale, ws.h
+    h = ws.h
 
     def bounds(table: Matrix, N: int, fine: bool = False) -> list[tuple]:
         """(hi, lo) of the orbits of each row of table, iterates 0..N, as a
@@ -1039,7 +1013,7 @@ def _check_representation(ws: _Workspace) -> CheckResult:
         return list(zip(hi, lo))
 
     def below(hi: list, lo: list, h: Matrix) -> bool:
-        return all(vf_le(mode, [v - lx for v in hi], row, scale=scale) for lx, row in zip(lo, h))
+        return all(all(map(le, [v - lx for v in hi], row)) for lx, row in zip(lo, h))
 
     for u, (hi, lo) in zip(ws.samples, bounds(tuple(ws.grid_samples[:10]), 6, fine=True)):
         if not below(hi, lo, ws.fine(h)):
@@ -1047,35 +1021,35 @@ def _check_representation(ws: _Workspace) -> CheckResult:
     for x, (hi, lo) in enumerate(bounds(ws.phi_table(1), max(1, ws.bar.iterations_to_fix))):
         if not below(hi, lo, h):
             return CheckResult(name, False, f"S > h for phi1 row {x}")
-        if not vf_eq(mode, [v - lo[x] for v in hi], h[x], scale=scale):
+        if not all(map(eq, [v - lo[x] for v in hi], h[x])):
             return CheckResult(name, False, f"no attainment in row {x}")
     return CheckResult(name, True)
 
 
 def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
     name = "barrier.limits_are_extremal"
-    inst, mode, scale = ws.inst, ws.mode, ws.scale
+    inst, mode = ws.inst, ws.mode
     h = ws.fine(ws.h)
     for u, g in zip(ws.samples[:10], ws.grid_samples):
         um = u_minus(inst, ws.crit, u)
         umg = um.at(mode, ws.Ds)
-        if not vf_le(mode, g, umg, scale=scale):
+        if not all(map(le, g, umg)):
             return CheckResult(name, False, f"u_minus below u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, um, "negative"):
             return CheckResult(name, False, f"u_minus not a solution for {u.tag}")
         lift = [max(map(sub, g, row)) for row in h]  # max_t g(t) - h(x, t)
         envelope = tuple(min(map(add, col, lift)) for col in zip(*h))
-        if not vf_eq(mode, umg, envelope, scale=scale):
+        if not all(map(eq, umg, envelope)):
             return CheckResult(name, False, f"u_minus not least solution above {u.tag}")
         up = u_plus(inst, ws.crit, u)
         upg = up.at(mode, ws.Ds)
-        if not vf_le(mode, upg, g, scale=scale):
+        if not all(map(le, upg, g)):
             return CheckResult(name, False, f"u_plus above u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, up, "positive"):
             return CheckResult(name, False, f"u_plus not a solution for {u.tag}")
         low = [min(map(add, g, col)) for col in zip(*h)]  # min_s g(s) + h(s, x)
         envelope_p = tuple(max(map(sub, low, row)) for row in h)
-        if not vf_eq(mode, upg, envelope_p, scale=scale):
+        if not all(map(eq, upg, envelope_p)):
             return CheckResult(name, False, f"u_plus not greatest solution below {u.tag}")
     return CheckResult(name, True)
 
@@ -1085,7 +1059,7 @@ def _check_phi_orbit_identity(ws: _Workspace) -> CheckResult:
     orbit = list(ws.orbit(ws.p, 4, forward=False))
     for x in range(ws.inst.n):
         for k, table in enumerate(orbit, 1):
-            if not vf_eq(ws.mode, table[x], ws.phi_table(k)[x], scale=ws.scale):
+            if not all(map(eq, table[x], ws.phi_table(k)[x])):
                 return CheckResult(name, False, f"row {x} order {k}")
     return CheckResult(name, True)
 
@@ -1093,7 +1067,7 @@ def _check_phi_orbit_identity(ws: _Workspace) -> CheckResult:
 def _check_conjugation(ws: _Workspace) -> CheckResult:
     # u_-+ = u_-+-+; T+ T- u <= u <= T- T+ u; (T- T+)^2 u = (T- T+) u
     name = "barrier.conjugation_idempotent"
-    inst, crit, mode, scale = ws.inst, ws.crit, ws.mode, ws.scale
+    inst, crit = ws.inst, ws.crit
     for u in ws.samples[:10]:
         ump = u_plus(inst, crit, u_minus(inst, crit, u))
         umpmp = u_plus(inst, crit, u_minus(inst, crit, ump))
@@ -1102,16 +1076,16 @@ def _check_conjugation(ws: _Workspace) -> CheckResult:
         twice = lax_oleinik_neg(inst, lax_oleinik_pos(inst, up_down))
         _, _, g, g1, g2, du, ud, tw = ws.grids(u, ump, umpmp, down_up, up_down, twice)
         if not (
-            vf_eq(mode, g1, g2, scale=scale)
-            and vf_le(mode, du, g, scale=scale)
-            and vf_le(mode, g, ud, scale=scale)
-            and vf_eq(mode, tw, ud, scale=scale)
+            all(map(eq, g1, g2))
+            and all(map(le, du, g))
+            and all(map(le, g, ud))
+            and all(map(eq, tw, ud))
         ):
             return CheckResult(name, False, u.tag)
     # the pointwise min of the negative solutions h(x, .) is again one
     low = tuple(map(min, zip(*ws.h)))
     (image,) = ws.orbit((low,), 1, forward=False)
-    if not vf_eq(mode, image[0], low, scale=scale):
+    if not all(map(eq, image[0], low)):
         what = "pointwise min of solutions failed the fixed-point test"
         return CheckResult(name, False, f"inf of solutions: {what}")
     return CheckResult(name, True)
@@ -1132,7 +1106,7 @@ def _check_aubry_invariance(ws: _Workspace) -> CheckResult:
     name = "barrier.aubry_set_invariant_under_T"
     inst = ws.inst
     for u in ws.samples[:8]:
-        tu = _shift(ws, lax_oleinik_neg(inst, u), ws.crit.alpha0)
+        tu = _shift(ws, lax_oleinik_neg(inst, u), ws.alpha)
         if aubry_of(inst, ws.crit, u) != aubry_of(inst, ws.crit, tu):
             return CheckResult(name, False, f"{u.tag}")
     return CheckResult(name, True)
@@ -1140,10 +1114,10 @@ def _check_aubry_invariance(ws: _Workspace) -> CheckResult:
 
 def _check_aubry_four_way(ws: _Workspace) -> CheckResult:
     name = "barrier.aubry_four_way_equality"
-    inst, mode, scale = ws.inst, ws.mode, ws.scale
-    by_h = tuple(x for x in range(inst.n) if mode.is_zero(ws.h[x][x], scale=scale))
+    inst = ws.inst
+    by_h = tuple(x for x in range(inst.n) if ws.h[x][x] == 0)
     _, _, F = ws.grids(ws.F)
-    by_F = tuple(x for x in range(inst.n) if mode.is_zero(F[x], scale=scale))
+    by_F = tuple(x for x in range(inst.n) if F[x] == 0)
     by_kam = tuple(
         x for x in range(inst.n) if is_weak_kam(inst, ws.crit, ws.phi.row(x), "negative")
     )
@@ -1170,15 +1144,17 @@ def _check_strict_dichotomy(ws: _Workspace) -> CheckResult:
     name = "subsolution.strict_dichotomy"
     inst = ws.inst
     u1 = ws.max_strict()
-    if not is_dominated(inst, u1, ws.crit.alpha0).ok:
+    if isinstance(u1, ConstructionError):
+        return CheckResult(name, False, f"construction failed: {u1}")
+    if not is_dominated(inst, u1, ws.alpha).ok:
         return CheckResult(name, False, "constructed function not dominated")
     _, a, g, back, fwd = ws.grids(u1, lax_oleinik_neg(inst, u1), lax_oleinik_pos(inst, u1))
     for x in range(inst.n):
         if x in ws.aub.vertices:
             continue
-        if not ws.mode.lt(g[x], back[x] + a, scale=ws.scale):
+        if not g[x] < back[x] + a:
             return CheckResult(name, False, f"backward slack missing at {x}")
-        if not ws.mode.lt(fwd[x] - a, g[x], scale=ws.scale):
+        if not fwd[x] - a < g[x]:
             return CheckResult(name, False, f"forward slack missing at {x}")
     return CheckResult(name, True)
 
@@ -1188,21 +1164,21 @@ def _check_tightness_propagates(ws: _Workspace) -> CheckResult:
     # on the Aubry edges (the cycle scan's zero edges, never empty); a tight
     # pair (x, y), the step y -> x, makes x a fixed point of T- + alpha0
     name = "subsolution.tight_pair_forces_fixed_point"
-    inst, mode, scale, pts = ws.inst, ws.mode, ws.scale, range(ws.inst.n)
+    inst, pts = ws.inst, range(ws.inst.n)
     c, a = ws.fine(ws.c), ws.a * (ws.Ds // ws.D)
     for u, g in zip(ws.samples[:10], ws.grid_samples):
-        timg = lax_oleinik_neg(inst, u).at(mode, ws.Ds)
-        tight = [(x, y) for x in pts for y in pts if mode.eq(g[x] - g[y], c[y][x] + a, scale=scale)]
+        timg = lax_oleinik_neg(inst, u).at(ws.mode, ws.Ds)
+        tight = [(x, y) for x in pts for y in pts if g[x] - g[y] == c[y][x] + a]
         if not tight:
             return CheckResult(name, False, f"{u.tag} has no tight pair")
-        over = ws.first_pair(lambda y, x: not mode.le(g[x] - g[y], c[y][x] + a, scale=scale))
+        over = ws.first_pair(lambda y, x: not g[x] - g[y] <= c[y][x] + a)
         if over is not None:
             return CheckResult(name, False, "{} not dominated at ({},{})".format(u.tag, *over))
         loose = next(((y, x) for y, x in ws.scan.zero_edges if (x, y) not in tight), None)
         if loose is not None:
             return CheckResult(name, False, f"{u.tag} not tight on Aubry edge {loose}")
         for x, y in tight:
-            if not mode.eq(g[x], timg[x] + a, scale=scale):
+            if g[x] != timg[x] + a:
                 return CheckResult(name, False, f"{u.tag} at ({y},{x})")
     return CheckResult(name, True)
 
@@ -1212,8 +1188,7 @@ def _check_convex_calibration(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     crit = ws.crit
     for u, v in list(zip(ws.samples, ws.samples[1:]))[:6]:
-        t, q = (ws.rng.randint(1, 3), 4) if inst.mode.exact else (ws.rng.uniform(0.25, 0.75), 1)
-        mix = _mix(ws, u, v, t, q)
+        mix = _mix(ws, u, v, ws.rng.randint(1, 3), 4)
         adj = tight_graph(inst, crit, mix)
         chains = []
         for a in range(inst.n):
@@ -1231,18 +1206,17 @@ def _check_convex_calibration(ws: _Workspace) -> CheckResult:
 
 def _check_in_between(ws: _Workspace) -> CheckResult:
     # u + t (T u - u) for the shifted images T- u + a0 and T+ u - a0, with t
-    # on the quarter grid (float: a float t and q = 1)
+    # on the quarter grid
     name = "subsolution.in_between"
     inst, mode = ws.inst, ws.mode
-    q = 4 if mode.exact else 1
     for u in ws.samples[:8]:
         E, a, g, up, lo = ws.grids(u, lax_oleinik_neg(inst, u), lax_oleinik_pos(inst, u))
-        ts = [ws.rng.randint(0, 4) if mode.exact else ws.rng.uniform(0, 1) for _ in g]
+        ts = [ws.rng.randint(0, 4) for _ in g]
         for what, img, s in (("upper", up, a), ("lower", lo, -a)):
             mid = ValueFunction.on_grid(
-                [q * x + t * (b + s - x) for x, b, t in zip(g, img, ts)], q * E, mode
+                [4 * x + t * (b + s - x) for x, b, t in zip(g, img, ts)], 4 * E, mode
             )
-            if not is_dominated(inst, mid, ws.crit.alpha0).ok:
+            if not is_dominated(inst, mid, ws.alpha).ok:
                 return CheckResult(name, False, f"{u.tag} {what} mix")
     return CheckResult(name, True)
 
@@ -1252,7 +1226,7 @@ def _check_strict_pattern(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     for u in ws.samples[:6]:
         u2 = strict_subsolution(inst, ws.crit, u)
-        if not is_dominated(inst, u2, ws.crit.alpha0).ok:
+        if not is_dominated(inst, u2, ws.alpha).ok:
             return CheckResult(name, False, f"{u.tag}: not dominated")
         verts, edges = aubry_chain_sets(inst, ws.crit, u)
         strict = set(strict_pairs(inst, ws.crit, u2))
@@ -1263,7 +1237,7 @@ def _check_strict_pattern(ws: _Workspace) -> CheckResult:
             return CheckResult(name, False, f"{u.tag}: {what} {pair}")
         _, _, g2, g = ws.grids(u2, u)
         for x in verts:
-            if not ws.mode.eq(g2[x], g[x], scale=ws.scale):
+            if g2[x] != g[x]:
                 return CheckResult(name, False, f"{u.tag}: changed on Aubry point {x}")
     return CheckResult(name, True)
 
@@ -1272,6 +1246,8 @@ def _check_max_strict_pattern(ws: _Workspace) -> CheckResult:
     name = "subsolution.max_strict_pattern"
     inst = ws.inst
     u1 = ws.max_strict()
+    if isinstance(u1, ConstructionError):
+        return CheckResult(name, False, f"construction failed: {u1}")
     strict = set(strict_pairs(inst, ws.crit, u1))
     tight = set(ws.scan.zero_edges)
     pair = ws.first_pair(lambda x, y: ((x, y) in strict) == ((x, y) in tight))
@@ -1286,15 +1262,14 @@ def _check_max_strict_pattern(ws: _Workspace) -> CheckResult:
 def _metric_B_K(inst: CostInstance) -> tuple[Value, Value]:
     t = inst.metric_grid
     (diam,) = from_grid(inst.mode, (max(map(max, t.grid)),), t.scale)
-    one = Fraction(1) if inst.mode.exact else 1.0
-    return one, diam if diam > 0 else one
+    return 1, diam if diam > 0 else 1
 
 
 def _check_lipschitz(ws: _Workspace) -> CheckResult:
     name = "models.lipschitz_in_the_large"
     inst = ws.inst
     B, K = _metric_B_K(inst)
-    k, b = lipschitz_constants(inst, ws.crit.alpha0, B, K)
+    k, b = lipschitz_constants(inst, ws.alpha, B, K)
     for u in ws.samples[:10]:
         res = lipschitz_large_check(inst, u, k, b)
         if not res.ok:
@@ -1307,7 +1282,7 @@ def _check_apriori(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     B, K = _metric_B_K(inst)
     for u in ws.samples[:10]:
-        res = check_apriori(inst, u, ws.crit.alpha0, B, K)
+        res = check_apriori(inst, u, ws.alpha, B, K)
         if not res.ok:
             return CheckResult(name, False, f"{u.tag} at {res.witness} (D={res.radius})")
     return CheckResult(name, True)

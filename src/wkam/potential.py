@@ -56,8 +56,7 @@ def mane_potential(inst: CostInstance, crit: CriticalData) -> PotentialTable:
     """Mane potential: phi_1 off the diagonal, zero on it."""
     inst.require_total("Mane potential")
     p = crit.kernel_plus()
-    zero = (0,) if p.mode.exact else (0.0,)
-    grid = tuple(row[:i] + zero + row[i + 1:] for i, row in enumerate(p.grid))
+    grid = tuple(row[:i] + (0,) + row[i + 1:] for i, row in enumerate(p.grid))
     return PotentialTable(grid, p.scale, p.mode)
 
 

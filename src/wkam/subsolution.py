@@ -27,10 +27,10 @@ import math
 from operator import add
 from typing import Sequence
 
-from .barrier import limits_grid, orbit_walk
-from .core import CostInstance, ValueFunction, to_grid
+from .barrier import _limits, limits_grid, orbit_walk
+from .core import CostInstance, ValueFunction
 from .critical import CriticalData, _dominated_grid
-from .numbers import Band, ConstructionError, InputError
+from .numbers import ConstructionError, InputError
 from .potential import mane_potential
 
 
@@ -48,11 +48,10 @@ def is_calibrated(
     D, vals = _dominated_grid(inst, crit, u)
     t = inst.cost_grid
     m = D // t.scale
-    (a,) = to_grid(inst.mode, (crit.alpha0,), D)
-    total = vals[pts[0]] + (len(pts) - 1) * a
+    total = vals[pts[0]] + (len(pts) - 1) * crit.alpha_at(D)
     for x, y in zip(pts, pts[1:]):
         total = total + t.grid[x][y] * m
-    return inst.mode.eq(vals[pts[-1]], total, scale=inst.value_scale())
+    return vals[pts[-1]] == total
 
 
 def aubry_of(
@@ -60,15 +59,11 @@ def aubry_of(
 ) -> tuple[int, ...]:
     """Points whose normalized orbits fix u: u_minus(x) = u(x) = u_plus(x)."""
     _, start, lo, hi = limits_grid(inst, crit, u)
-    return _fixed_points(inst, start, lo, hi)
+    return _fixed_points(start, lo, hi)
 
 
-def _fixed_points(
-    inst: CostInstance, start: list, lo: list, hi: list
-) -> tuple[int, ...]:
-    band = Band(inst.mode, inst.value_scale())
-    fixed = zip(band.eq(lo, start), band.eq(hi, start))
-    return tuple(x for x, (minus, plus) in enumerate(fixed) if minus and plus)
+def _fixed_points(start: list, lo: list, hi: list) -> tuple[int, ...]:
+    return tuple(x for x, v in enumerate(start) if lo[x] == v == hi[x])
 
 
 def strict_subsolution(
@@ -112,16 +107,15 @@ def strict_pairs(
     """Ordered pairs where the domination inequality is strict for u.
 
     Compared on the kernel's grid refined to u's denominators, against
-    ``crit.kernel.at(D)``, (c + alpha0) * D."""
+    ``crit.kernel_at(D)``, (c + alpha0) * D."""
     mode = inst.mode
     D = math.lcm(crit.kernel.scale, u.grid_in(mode)[1])
     vals = u.at(mode, D)
-    band = Band(mode, inst.value_scale())
     return tuple(
         (x, y)
-        for x, (ux, row) in enumerate(zip(vals, crit.kernel.at(D)))
-        for y, strict in enumerate(band.lt([uy - ux for uy in vals], row))
-        if strict
+        for x, (ux, row) in enumerate(zip(vals, crit.kernel_at(D)))
+        for y, (uy, c) in enumerate(zip(vals, row))
+        if uy - ux < c
     )
 
 
@@ -136,17 +130,19 @@ def uniform_subsolution_mix(inst: CostInstance, crit: CriticalData) -> ValueFunc
 def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunction:
     """Sub-solution strict at every pair off the global Aubry edges.
 
-    Built by strictifying the uniform potential-row mix.  The mix must have
-    the global Aubry set as its own Aubry set; this is verified rather than
-    assumed, and a mismatch raises with both vertex sets.  The global Aubry
-    vertices, the mix and its closed-form limits are all read off the
-    Kleene plus P that ``crit`` holds; the limits serve the check and end
-    the two walks of the strictification.
+    Built by strictifying the uniform potential-row mix.  The mix must be
+    dominated and have the global Aubry set as its own Aubry set; this is
+    verified rather than assumed, and a failure, which only a faulty P can
+    cause, raises ``ConstructionError``, a mismatch with both vertex sets.
+    The global Aubry vertices, the mix and its closed-form limits are all
+    read off the Kleene plus P that ``crit`` holds; the limits serve the
+    check and end the two walks of the strictification.
     """
     mix = uniform_subsolution_mix(inst, crit)
     global_vertices = crit.aubry_vertices(inst)
-    D, start, lo, hi = limits_grid(inst, crit, mix)
-    mix_vertices = _fixed_points(inst, start, lo, hi)
+    D, start = _dominated_grid(inst, crit, mix, ConstructionError)
+    lo, hi = _limits(inst, crit, D, start)
+    mix_vertices = _fixed_points(start, lo, hi)
     if mix_vertices != global_vertices:
         raise ConstructionError(
             "potential-row mix does not pin the Aubry set: "

@@ -1,14 +1,15 @@
 """Naive reference for ``wkam.oracle.cycle_scan``.
 
 Every simple cycle is yielded as its own tuple with its own total, and the
-scan's fields are accumulated cycle by cycle on the instance's own values
-(``Fraction`` or float, no integer grid), so the reference shares nothing
-with the scan's subset DPs.
+scan's fields are accumulated cycle by cycle on the exact values of the
+costs (``Fraction``, no integer grid; a float instance's doubles at their
+dyadic values), so the reference shares nothing with the scan's subset
+DPs.  ``vertex_min_reduced`` is rounded once to doubles in float mode.
 """
 
 from typing import Callable, Optional
 
-from wkam.numbers import INF, SizeGuardError, Value, is_inf
+from wkam.numbers import EXACT, INF, SizeGuardError, Value, is_inf
 from wkam.oracle import CycleScan
 
 
@@ -44,7 +45,7 @@ def naive_cycle_scan(inst) -> CycleScan:
     each cycle's vertices and edges are walked to update the zero structure
     and the minima."""
     mode = inst.mode
-    cost = inst.cost
+    cost = [[EXACT.coerce(v) for v in row] for row in inst.cost]
 
     def weight(i, j):
         return None if is_inf(cost[i][j]) else cost[i][j]
@@ -58,14 +59,13 @@ def naive_cycle_scan(inst) -> CycleScan:
             best_s, best_len = total, len(cyc)
     min_mean = best_s / best_len
     alpha = -min_mean
-    tol_band = 0.0 if mode.exact else mode.tolerance * float(inst.value_scale())
     zero_v, zero_e = set(), set()
     vmin = [INF] * inst.n
     for cyc, total in cycles:
         red = total + len(cyc) * alpha
         for v in cyc:
             vmin[v] = min(vmin[v], red)
-        if red == 0 if mode.exact else abs(red) <= tol_band:
+        if red == 0:
             zero_v.update(cyc)
             zero_e.update(zip(cyc, cyc[1:] + cyc[:1]))
     return CycleScan(
@@ -73,5 +73,5 @@ def naive_cycle_scan(inst) -> CycleScan:
         cycle_count=len(cycles),
         zero_vertices=tuple(sorted(zero_v)),
         zero_edges=tuple(sorted(zero_e)),
-        vertex_min_reduced=tuple(vmin),
+        vertex_min_reduced=tuple(v if mode.exact or is_inf(v) else float(v) for v in vmin),
     )

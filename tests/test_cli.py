@@ -330,7 +330,8 @@ def test_potential_output(capsys, t2_file):
 
 def test_float_potential_prints_jumps_on_the_phi1_diagonal(capsys, tmp_path):
     # the inline three-point-cycle instance of the CLI goldens: float F is
-    # the diagonal of the printed phi1, and f is -F, to the last bit
+    # the diagonal of the printed phi1, and f is -F, to the last bit, with 0
+    # printed as 0.0
     p = tmp_path / "mixed.json"
     p.write_text(json.dumps({"cost": [
         ["1/3", "-2/5", 3, 2], ["5/7", "1/2", "-1/3", 4], ["-3/5", 2, 1, "1/7"], [1, "2/3", "3/5", 2],
@@ -339,7 +340,7 @@ def test_float_potential_prints_jumps_on_the_phi1_diagonal(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert list(map(repr, doc["F"])) == [repr(row[x]) for x, row in enumerate(doc["phi1"])]
-    assert list(map(repr, doc["f"])) == [repr(-v) for v in doc["F"]]
+    assert list(map(repr, doc["f"])) == [repr(0 - v) for v in doc["F"]]
 
 
 def test_subsolution_check(capsys, t3_file):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wkam import (
     InputError,
+    ValueFunction,
     as_value_function,
     critical_value,
     is_dominated,
@@ -99,15 +100,9 @@ def test_T_preserves_domination(t2):
 
 def _violations(inst, u, alpha):
     """Every pair (x, y), in row-major order, with u(y) - u(x) > c(x, y) +
-    alpha: Fractions in exact mode, Mode.le on the same operands in float
-    mode."""
-    mode, scale = inst.mode, inst.value_scale()
-    return [
-        (x, y)
-        for x in range(inst.n)
-        for y in range(inst.n)
-        if not mode.le(u[y] - u[x], inst.cost[x][y] + alpha, scale=scale)
-    ]
+    alpha, on the exact values of the operands (a double's dyadic value)."""
+    u, c, alpha = [F(v) for v in u], [[F(v) for v in row] for row in inst.cost], F(alpha)
+    return [(x, y) for x in range(inst.n) for y in range(inst.n) if u[y] - u[x] > c[x][y] + alpha]
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT], ids=["exact", "float"])
@@ -131,20 +126,20 @@ def test_domination_witness_is_first_in_row_major_order(mode):
     assert many_in_row and many_rows
 
 
-def test_float_domination_decided_within_the_band():
-    # u(1) - u(0) sits at c(0, 1) + alpha0 plus k tenths of the tolerance
-    # band: inside the band it is dominated, past it the pair (0, 1) fails,
-    # and the orbit limits and the calibration test agree with is_dominated.
+def test_float_domination_decided_exactly():
+    # u(1) - u(0) sits k steps of the kernel's grid off c(0, 1) + alpha0:
+    # float mode decides it on the exact values, so it is dominated iff
+    # k <= 0, and the orbit limits and the calibration test agree with
+    # is_dominated
     inst = gen_random(3, 4, -2.0, 2.0, mode=FLOAT)
     crit = critical_value(inst)
-    base = [0.0] + [crit.reduced[0][y] for y in (1, 2)]
-    base[2] = min(base[2], base[1] + crit.reduced[1][2])
-    band = FLOAT.tolerance * max(1.0, abs(base[1]), float(inst.value_scale()))
-    assert is_dominated(inst, as_value_function(inst, base), crit.alpha0).ok
-    for k in (-20, 5, 9, 11, 20):
-        u = as_value_function(inst, [base[0], base[1] + k * band / 10, base[2]])
-        res = is_dominated(inst, u, crit.alpha0)
-        assert res.ok == (k <= 9)
+    r, D = crit.kernel.grid, crit.kernel.scale
+    base = [0, r[0][1], min(r[0][2], r[0][1] + r[1][2])]
+    assert is_dominated(inst, ValueFunction.on_grid(base, D, FLOAT), crit.alpha0_exact).ok
+    for k in (-2, -1, 0, 1, 2):
+        u = ValueFunction.on_grid([base[0], base[1] + k, base[2]], D, FLOAT)
+        res = is_dominated(inst, u, crit.alpha0_exact)
+        assert res.ok == (k <= 0)
         assert res.witness == (None if res.ok else (0, 1))
         if res.ok:
             limits_grid(inst, crit, u)
@@ -160,12 +155,13 @@ def test_float_domination_decided_within_the_band():
 def test_limits_and_calibration_reject_non_dominated(mode):
     inst = gen_random(4, 2, -2, 2, mode=mode)
     crit = critical_value(inst)
-    phi_row = mane_potential(inst, crit).entries[0]
-    limits_grid(inst, crit, as_value_function(inst, phi_row))
-    bump = F(1, 3) if mode.exact else 1 / 3
+    phi = mane_potential(inst, crit)
+    limits_grid(inst, crit, phi.row(0))
     for y in range(1, 4):
-        u = as_value_function(inst, [v + bump * (x == y) for x, v in enumerate(phi_row)])
-        res = is_dominated(inst, u, crit.alpha0)
+        # row 0 of phi with 1/3 added at y
+        grid = [3 * v + phi.scale * (x == y) for x, v in enumerate(phi.grid[0])]
+        u = ValueFunction.on_grid(grid, 3 * phi.scale, mode)
+        res = is_dominated(inst, u, crit.alpha0_exact)
         assert not res.ok and res.witness[1] == y
         with pytest.raises(InputError, match="not dominated"):
             limits_grid(inst, crit, u)
@@ -458,17 +454,18 @@ def test_search_refuses_a_cycle_that_does_not_lower_the_mean(monkeypatch):
         critical._least_cycle_mean(g, True)
 
 
-def test_float_mode_never_calls_the_search(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("float mode ran the exact search")
-
-    monkeypatch.setattr(critical, "_least_cycle_mean", refuse)
-    karp = _counting(monkeypatch, "_karp_min_cycle_mean")
+def test_float_mode_runs_the_search(monkeypatch):
+    # float alpha0 is the exact search's on the doubles' dyadic values,
+    # rounded once; Karp answers only past the round budget, as in exact mode
+    search = _counting(monkeypatch, "_least_cycle_mean")
     insts = [gen_random(n, s, -2, 2, mode=FLOAT) for n in (1, 4, 9) for s in range(3)]
     insts.append(gen_fk(12, 1, fk_potential_well(12, 5), mode=FLOAT))
     for inst in insts:
-        critical_value(inst)
-    assert len(karp) == len(insts)
+        twin = make_instance([[F(v) for v in row] for row in inst.cost])
+        crit, exact = critical_value(inst), critical_value(twin)
+        assert crit.alpha0_exact == exact.alpha0 and crit.alpha0 == float(exact.alpha0)
+        assert crit.witness_cycle == exact.witness_cycle
+    assert len(search) == 2 * len(insts)
 
 
 def test_tight_pairs_at_values_beyond_the_float_range():

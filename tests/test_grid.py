@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 
 from wkam import make_instance, reverse_cost
 from wkam.barrier import (
-    limits_grid,
-    orbit_walk,
     peierls_barrier,
     u_minus,
     u_plus,
@@ -74,7 +72,7 @@ def _corpus():
     while len(out) < 12:
         inst = _mixed(3 + seed % 5, seed)
         crit = critical_value(inst)
-        d0 = grid_scale(EXACT, (v for row in inst.cost for v in row))
+        d0 = grid_scale((v for row in inst.cost for v in row))
         if len(crit.witness_cycle) > 1 and crit.kernel.scale != d0:
             out.append(inst)
         seed += 1
@@ -170,7 +168,7 @@ def test_corpus_leaves_the_cost_grid():
 def test_grid_matches_fraction_reference(idx):
     inst = CORPUS[idx]
     crit = critical_value(inst)
-    assert crit.kernel.grid == tuple(to_grid(EXACT, row, crit.kernel.scale) for row in crit.reduced)
+    assert crit.kernel.grid == tuple(to_grid(row, crit.kernel.scale) for row in crit.reduced)
     phi1 = _ref_phi1(crit)
     _same(phi_n(inst, crit, 1).entries, phi1)
     phi3 = minplus_product(minplus_product(phi1, crit.reduced), crit.reduced)
@@ -215,14 +213,17 @@ def test_orbits_off_the_grid_match_fraction_reference(idx):
 
 def test_grid_helpers_round_trip():
     vals = (F(1, 3), F(-5, 7), F(2), INF)
-    D = grid_scale(EXACT, vals)
+    D = grid_scale(vals)
     assert D == 21
-    assert to_grid(EXACT, vals, D) == (7, -15, 42, INF)
-    assert from_grid(EXACT, to_grid(EXACT, vals, D), D) == vals
+    assert to_grid(vals, D) == (7, -15, 42, INF)
+    assert from_grid(EXACT, to_grid(vals, D), D) == vals
+    # doubles are dyadic: their grid is the largest denominator, and
+    # float mode reads each grid value as the nearest double
+    assert grid_scale((0.5, 0.25, -3.0, INF)) == 4
+    assert to_grid((0.5, INF, -0.75), 4) == (2, INF, -3)
     flt = Mode("float")
-    assert grid_scale(flt, (0.5, 0.25)) == 1
-    assert to_grid(flt, (0.5, INF), 1) == (0.5, INF)
-    assert from_grid(flt, (3.0, 1), 2) == (1.5, 0.5)
+    assert from_grid(flt, (3, 1, 0, INF), 2) == (1.5, 0.5, 0.0, INF)
+    assert from_grid(flt, (1,), 3) == (1 / 3,)
 
 
 @st.composite
@@ -234,11 +235,8 @@ def _exact_rows(draw):
 
 
 _float_rows = st.tuples(
-    st.sampled_from([1, 2, 10]),
-    st.lists(
-        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0), st.just(INF)),
-        max_size=8,
-    ),
+    st.sampled_from([1, 2, 3, 10, 2**60]),
+    st.lists(st.one_of(st.integers(-(2**80), 2**80), st.just(0), st.just(INF)), max_size=8),
 )
 
 
@@ -268,7 +266,8 @@ def test_format_grid_reduces_by_the_gcd():
         "5/6", "-3/10", 0, 1, "inf", 2**65,
     ]
     assert format_grid(EXACT, [7, INF], 1) == [7, "inf"]
-    assert format_grid(Mode("float"), [-0.0, INF, 0.5], 1) == [-0.0, "inf", 0.5]
+    # exact arithmetic has no -0.0: float mode prints 0 as 0.0
+    assert repr(format_grid(Mode("float"), [0, INF, 1, -3], 2)) == repr([0.0, "inf", 0.5, -1.5])
 
 
 @pytest.mark.parametrize("idx", range(len(CORPUS)))
@@ -326,6 +325,9 @@ def test_sparse_costs_keep_their_errors():
 
 
 def test_float_operators_equal_by_repr():
+    # float mode computes on the dyadic values of its doubles and rounds
+    # each output once: its operators equal float() of the exact ones on
+    # the same values, by repr, so 0 is read as 0.0 and never as -0.0
     flt = Mode("float")
     signed = make_instance([[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [2.0, 0.0, -0.0]], mode=flt)
     cases = [(signed, (0.0, -0.0, 0.0)), (signed, (-0.0, 0.0, -0.0)), (signed, (0, F(1, 2), -0.0))]
@@ -334,45 +336,42 @@ def test_float_operators_equal_by_repr():
         inst = gen_random(n, n, -2.0, 2.0, mode=flt)
         cases.append((inst, tuple(rng.uniform(-3.0, 3.0) for _ in range(n))))
     for inst, u in cases:
-        v = tuple(float(x) for x in u)
-        assert repr(lax_oleinik_neg(inst, ValueFunction(u)).values) == repr(_ref_neg(inst, v))
-        assert repr(lax_oleinik_pos(inst, ValueFunction(u)).values) == repr(_ref_pos(inst, v))
-    zeros, neg_zeros = ValueFunction((0.0,) * 3), ValueFunction((-0.0,) * 3)
-    assert repr(lax_oleinik_pos(signed, zeros).values) == "(-0.0, 0.0, -0.0)"
-    assert repr(lax_oleinik_neg(signed, neg_zeros).values) == "(0.0, -0.0, 0.0)"
-    # u_plus and a forward orbit step are max-plus products in T+'s form
-    # -min(c - u): against phi_1's columns at the Aubry vertices, and against
-    # the reduced matrix.  Each has a zero entry, so the sign is pinned.
+        twin = make_instance([[F(v) for v in row] for row in inst.cost])
+        v = tuple(F(float(x)) for x in u)
+        for op, ref in ((lax_oleinik_neg, _ref_neg), (lax_oleinik_pos, _ref_pos)):
+            assert repr(op(inst, ValueFunction(u)).values) == repr(tuple(map(float, ref(twin, v))))
+    assert repr(lax_oleinik_pos(signed, ValueFunction((-0.0,) * 3)).values) == "(0.0, 0.0, 0.0)"
+    # u_plus of a barrier row of the fk well, which has zeros
     inst = gen_fk(6, 1, fk_potential_well(6, 2), mode=flt)
-    crit = critical_value(inst)
-    p, r, pts = crit.kernel_plus().grid, crit.reduced, range(inst.n)
-    verts = crit.aubry_vertices(inst)
-    u = weak_kam_neg(peierls_barrier(inst, crit), verts[0])
-    want = tuple(-min(p[x][a] - u[a] for a in verts) for x in pts)
-    assert repr(u_plus(inst, crit, u).values) == repr(want)
-    D, start, _, hi = limits_grid(inst, crit, u)
-    walk = orbit_walk(inst, crit, D, start, hi, True)
-    assert next(walk) == start
-    step = tuple(-min(r[x][y] - u[y] for y in pts) for x in pts)
-    assert repr(tuple(next(walk))) == repr(step)
-    assert "-0.0" in repr(want) and "-0.0" in repr(step)
+    twin = gen_fk(6, 1, fk_potential_well(6, 2))
+    crit, tcrit = critical_value(inst), critical_value(twin)
+    u = weak_kam_neg(peierls_barrier(inst, crit), crit.aubry_vertices(inst)[0])
+    tu = weak_kam_neg(peierls_barrier(twin, tcrit), tcrit.aubry_vertices(twin)[0])
+    up = u_plus(inst, crit, u).values
+    assert repr(up) == repr(tuple(map(float, u_plus(twin, tcrit, tu).values)))
+    assert 0.0 in up and "-0.0" not in repr(up)
 
 
 def test_cost_grid_held_once():
     inst = CORPUS[0]
     t = inst.cost_grid
-    assert t.scale == grid_scale(EXACT, chain.from_iterable(inst.cost)) == 210
-    assert t.grid == tuple(to_grid(EXACT, row, t.scale) for row in inst.cost)
+    assert t.scale == grid_scale(chain.from_iterable(inst.cost)) == 210
+    assert t.grid == tuple(to_grid(row, t.scale) for row in inst.cost)
     assert t.at(t.scale) is t.grid
     assert t.at(2 * t.scale) == tuple(tuple(2 * v for v in row) for row in t.grid)
+    # a float instance holds the doubles it drew on their dyadic grid
     flt = gen_random(4, 0, -2.0, 2.0, mode=Mode("float"))
-    assert flt.cost_grid.scale == 1
-    assert flt.cost_grid.grid is flt.cost
+    rng = Random(0)
+    drawn = tuple(tuple(rng.uniform(-2.0, 2.0) for _ in range(4)) for _ in range(4))
+    t = flt.cost_grid
+    assert t.scale == max(v.as_integer_ratio()[1] for row in drawn for v in row)
+    assert t.grid == tuple(to_grid(row, t.scale) for row in drawn)
+    assert flt.cost == drawn
 
 
 def test_float_tables_hold_floats(monkeypatch, capsys):
-    # a float table's entries are its grid, so the grid must hold the
-    # values themselves: floats, never ints, at scale 1
+    # a float table holds its exact grid, ints on the doubles' dyadic grid
+    # or a finer one, and reads floats: each entry is k / D rounded once
     made = []
     init = PotentialTable.__init__
 
@@ -400,9 +399,9 @@ def test_float_tables_hold_floats(monkeypatch, capsys):
     capsys.readouterr()
     assert len(made) > 40
     for t in made:
-        assert t.scale == 1
-        assert all(type(v) is float for row in t.grid for v in row)
-        assert t.entries is t.grid
+        assert all(type(k) is int for row in t.grid for k in row)
+        assert t.entries == tuple(tuple(k / t.scale for k in row) for row in t.grid)
+        assert all(type(v) is float for row in t.entries for v in row)
 
 
 def test_value_function_on_the_grid_equals_one_from_values():
@@ -430,8 +429,9 @@ def test_value_function_on_the_grid_equals_one_from_values():
 
 def test_float_vectors_hold_floats():
     flt = Mode("float", 1e-9)
+    # a float vector holds its exact grid and reads floats, rounded once
     half = ValueFunction.on_grid([1, 0, -3], 2, flt)
-    assert half.values == (0.5, 0.0, -1.5) and half.scale == 1 and half.grid is half.values
+    assert half.values == (0.5, 0.0, -1.5) and (half.grid, half.scale) == ((1, 0, -3), 2)
     for inst in (gen_random(6, 1, -2, 2, mode=flt), gen_fk(6, 1, [0, 1, 4, 9, 4, 1], mode=flt)):
         crit = critical_value(inst)
         bar = peierls_barrier(inst, crit)
@@ -451,5 +451,7 @@ def test_float_vectors_hold_floats():
             *subsolution_sampler(inst, crit, 0, 3),
         ]
         for v in made:
-            assert v.scale == 1 and v.grid is v.values, v.tag
+            assert all(type(k) is int for k in v.grid), v.tag
+            assert v.values == tuple(k / v.scale for k in v.grid), v.tag
+            assert all(type(x) is float for x in v.values), v.tag
             assert all(type(x) is float for x in v.values), v.tag

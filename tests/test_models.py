@@ -123,11 +123,9 @@ def test_circle_metric_rotates_the_comprehension():
                 fk_potential_well(m, c)
 
 
-def _least(mode, rows, D=1):
+def _least(rows, D=1):
     # gen_fk's grids as it built them: entry by entry, then divided by the
     # gcd of D and every entry
-    if not mode.exact:
-        return tuple(tuple(row) for row in rows)
     g = math.gcd(D, *(v for row in rows for v in row))
     return tuple(tuple(v // g for v in row) for row in rows), D // g
 
@@ -143,16 +141,17 @@ def test_gen_fk_grids_equal_the_entrywise_build(mode):
         for lam, V in ((1, well), (F(2, 3), pot), (0, [0] * m)):
             inst = gen_fk(m, lam, V, mode=mode)
             lm, Vm = mode.coerce(lam), [mode.coerce(v) for v in V]
+            assert (inst.metric_grid.grid, inst.metric_grid.scale) == _least(d)
             if mode.exact:
                 D = math.lcm(lm.denominator, *(v.denominator for v in Vm))
                 cost = [[int(lm * D) * dij**2 + int(v * D) for dij, v in zip(row, Vm)] for row in d]
-                assert (inst.cost_grid.grid, inst.cost_grid.scale) == _least(mode, cost, D)
-                assert (inst.metric_grid.grid, inst.metric_grid.scale) == _least(mode, d)
+                assert (inst.cost_grid.grid, inst.cost_grid.scale) == _least(cost, D)
             else:
-                cost = [[lm * dij**2 + v for dij, v in zip(row, Vm)] for row in d]
-                assert repr(inst.cost_grid.grid) == repr(_least(mode, cost))
+                # each cost is the exact value on the doubles, rounded once
+                cost = [[float(F(lm) * dij**2 + F(v)) for dij, v in zip(row, Vm)] for row in d]
+                assert repr(inst.cost) == repr(tuple(map(tuple, cost)))
                 fd = [[float(dij) for dij in row] for row in d]
-                assert repr(inst.metric_grid.grid) == repr(_least(mode, fd))
+                assert repr(inst.metric) == repr(tuple(map(tuple, fd)))
 
 
 @pytest.mark.parametrize("mode", [Mode("exact"), FLOAT], ids=["exact", "float"])

@@ -3,25 +3,25 @@
 Each mutant patches one solver result in ``wkam.oracle``'s namespace, so
 ``verify_all`` sees it where it reads that result, and the test pins the
 set of checks that fail on each of four desk instances, in exact mode and
-in float mode (the same instances read as floats).  A mutant must be
-killed, by the checks named here and no other, and ``verify_all`` must
-report the failure rather than raise.
+in float mode (the same instances read as doubles, which hold the same
+quarters, so float mode computes the same exact values).  A mutant must be
+killed, by the checks named here and no other, in both modes alike, and
+``verify_all`` must report the failure rather than raise.
 
-The mutants:
-- ``F_up``: F(0) one unit up (1/D on the kernel's grid D; 1e-3 in float);
-- ``f_down``: f(0) one unit down;
+The mutants, each one step 1/D of the kernel's grid D:
+- ``F_up``: F(0) one step up;
+- ``f_down``: f(0) one step down;
 - ``vertex_dropped``: the first Aubry vertex dropped;
 - ``edge_dropped``: the first Aubry edge dropped;
 - ``non_edge_added``: the first pair (x, y), in lexicographic order, that
   is not an Aubry edge, added;
-- ``P_low``: P(0, 1), the Kleene plus of the kernel as ``phi_n(inst, crit,
-  1)`` returns it, one unit low (one step of the kernel's grid; 1e-3 in
-  float);
-- ``h_high``: h(0, 1) of the barrier one unit high.
+- ``P_low``: P(0, 1), the Kleene plus that ``CriticalData`` holds and every
+  solver layer reads, one step low;
+- ``h_high``: h(0, 1) of the barrier one step high.
 """
 
+import math
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -41,13 +41,11 @@ INSTANCES = {
 JUMPS = "potential.jump_signs_and_reversal"
 FOUR_WAY = "barrier.aubry_four_way_equality"
 DICHOTOMY = "subsolution.strict_dichotomy"
-# the checks that P_low fails on every instance, and on two more on some
-P_CHECKS = {
-    "potential.phi_matches_phi1",
-    "barrier.chain_splitting_suite",
-    "barrier.potential_orbit_identity",
-}
-P_MORE = {"barrier.closed_form_via_aubry", "barrier.orbit_representation"}
+# the checks that P_low fails on every instance; a lower P breaks the
+# potential's axioms and, on random:6:7, the mix that max_strict_subsolution
+# strictifies, whose ConstructionError the two strict checks report
+P_CHECKS = {"barrier.chain_splitting_suite", "barrier.potential_orbit_identity"}
+P_AXIOMS = {"potential.axioms", "potential.rows_and_columns_dominated"}
 # the checks that h_high fails on every instance; on two the sampler also
 # mixes the barrier row it breaks into a function that is not dominated
 H_CHECKS = {
@@ -69,10 +67,19 @@ KILLS = {
     "edge_dropped": {name: {FOUR_WAY} for name in INSTANCES},
     "non_edge_added": {name: {FOUR_WAY} for name in INSTANCES},
     "P_low": {
-        "random:5:3": P_CHECKS,
-        "random:6:7": P_CHECKS | P_MORE,
+        "random:5:3": P_CHECKS | P_AXIOMS,
+        "random:6:7": P_CHECKS | P_AXIOMS | H_CHECKS | {
+            FOUR_WAY,
+            SAMPLER,
+            DICHOTOMY,
+            "potential.sup_representation",
+            "subsolution.max_strict_pattern",
+        },
         "random:4:1": P_CHECKS,
-        "fk:6:1:well@2": P_CHECKS | P_MORE,
+        "fk:6:1:well@2": P_CHECKS | P_AXIOMS | {
+            "barrier.closed_form_via_aubry",
+            "barrier.orbit_representation",
+        },
     },
     "h_high": {
         "random:5:3": H_CHECKS | {SAMPLER},
@@ -93,10 +100,10 @@ def _instance(name, mode):
 def _nudge(jump, sign):
     def mutant(inst, crit, *args, **kwargs):
         v = jump(inst, crit, *args, **kwargs)
-        unit = Fraction(1, crit.kernel.scale) if inst.mode.exact else 1e-3
-        vals = list(v.values)
-        vals[0] += sign * unit
-        return ValueFunction(vals, v.tag)
+        D = math.lcm(v.scale, crit.kernel.scale)
+        grid = list(v.at(v.mode, D))
+        grid[0] += sign * (D // crit.kernel.scale)
+        return ValueFunction.on_grid(grid, D, v.mode, v.tag)
 
     return mutant
 
@@ -111,19 +118,19 @@ def _edit_aubry(change):
 
 
 def _bump(table, units):
-    """The table with entry (0, 1) moved by ``units`` steps of its grid
-    (1e-3 in float)."""
+    """The table with entry (0, 1) moved by ``units`` steps of its grid."""
     grid = [list(row) for row in table.grid]
-    grid[0][1] += units if table.mode.exact else units * 1e-3
+    grid[0][1] += units
     return PotentialTable(tuple(map(tuple, grid)), table.scale, table.mode)
 
 
-def _low_phi1():
-    solver = oracle.phi_n
+def _low_P():
+    solver = oracle.critical_value
 
-    def mutant(inst, crit, n):
-        p = solver(inst, crit, n)
-        return _bump(p, -1) if n == 1 else p
+    def mutant(inst):
+        crit = solver(inst)
+        object.__setattr__(crit, "_plus", _bump(crit.kernel_plus(), -1))
+        return crit
 
     return mutant
 
@@ -148,7 +155,7 @@ MUTANTS = {
     "vertex_dropped": ("aubry", lambda: _edit_aubry(lambda _, a: replace(a, vertices=a.vertices[1:]))),
     "edge_dropped": ("aubry", lambda: _edit_aubry(lambda _, a: replace(a, edges=a.edges[1:]))),
     "non_edge_added": ("aubry", lambda: _edit_aubry(_add_non_edge)),
-    "P_low": ("phi_n", _low_phi1),
+    "P_low": ("critical_value", _low_P),
     "h_high": ("peierls_barrier", _high_h),
 }
 

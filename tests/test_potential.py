@@ -238,8 +238,8 @@ def test_rows_and_columns_dominated():
 def test_exact_jumps_are_the_kleene_plus_diagonal():
     # F(x) = min_y phi(x, y) + r(y, x) is the least closed walk through x,
     # the diagonal of P = kernel_plus(); f is minus it.  Both modes read
-    # them off P, so float F is P's diagonal bit for bit (repr tells -0.0
-    # from 0.0) and a printed F, f and phi1 never contradict each other.
+    # them off P, so float F is P's diagonal bit for bit and a printed F, f
+    # and phi1 never contradict each other; 0 is read as 0.0, never -0.0.
     for mode in (Mode("exact"), Mode("float", 1e-9)):
         insts = [
             gen_random(n, seed, lo, hi, mode=mode)
@@ -253,7 +253,7 @@ def test_exact_jumps_are_the_kleene_plus_diagonal():
             P = crit.kernel_plus().entries
             Fv, fv = jump_F(inst, crit).values, jump_f(inst, crit).values
             assert list(map(repr, Fv)) == [repr(P[x][x]) for x in range(inst.n)]
-            assert list(map(repr, fv)) == [repr(-v) for v in Fv]
+            assert list(map(repr, fv)) == [repr(0 - v) for v in Fv]
 
 
 @pytest.mark.parametrize("jump", [jump_F, jump_f], ids=["F", "f"])

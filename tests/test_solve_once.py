@@ -229,8 +229,10 @@ def test_tables_are_shared_and_converted_once(calls):
     first = phi.entries
     assert phi.entries is first
     assert calls["converted"] == [8]
-    assert inst.cost is inst.cost
-    assert calls["converted"] == [8, 8]
+    # an instance holds its grids only: its matrices are read off them on
+    # each read, and no solver table is converted for them
+    assert inst.cost == inst.cost and inst.cost is not inst.cost
+    assert calls["converted"] == [8]
 
 
 def test_transient_runs_once_on_first_read(calls):
@@ -267,3 +269,29 @@ EAGER = [
 def test_lazy_transient_matches_eager_value(make, k):
     inst = make()
     assert peierls_barrier(inst, critical_value(inst)).iterations_to_fix == k
+
+
+@pytest.mark.parametrize("mode", [wkam.EXACT, FLOAT], ids=["exact", "float"])
+def test_max_strict_scales_the_kernel_once(monkeypatch, mode):
+    # the domination check of the mix and both orbit walks read the kernel
+    # on the mix's grid D; CriticalData keeps the last matrix kernel_at(D)
+    # made, so the n^2 multiplications are paid once per call
+    made = []
+    at = wkam.core.PotentialTable.at
+
+    def recorded(table, D):
+        if D != table.scale:
+            made.append(D)
+        return at(table, D)
+
+    monkeypatch.setattr(wkam.core.PotentialTable, "at", recorded)
+    scaled = 0
+    for seed in range(6):
+        inst = gen_random(6, seed, -2, 2, mode=mode)
+        crit = critical_value(inst)
+        made.clear()
+        wkam.max_strict_subsolution(inst, crit)
+        # none when the mix sits on the kernel's own grid
+        assert len(made) <= 1, seed
+        scaled += len(made)
+    assert scaled >= 4

@@ -304,3 +304,25 @@ def test_mix_backward_walk_is_the_walks_off_the_aubry_set_capped_by_u_minus():
             g = {y: min(g[x] + r[x][y] for x in B) for y in B}
             iterates += 1
     assert (len(insts), iterates) == (184, 1075)
+
+
+def test_a_faulty_P_is_a_construction_fault():
+    # with P(0, 1) one grid step low on CriticalData itself, the mix of the
+    # potential rows is not dominated: only a faulty P does that, so
+    # max_strict_subsolution raises ConstructionError, not the InputError
+    # that a caller's non-dominated u gets
+    from wkam.core import PotentialTable
+    from wkam.numbers import ConstructionError, InputError
+
+    inst = gen_random(6, 7, -2, 2)
+    crit = critical_value(inst)
+    P = crit.kernel_plus()
+    low = [list(row) for row in P.grid]
+    low[0][1] -= 1
+    object.__setattr__(crit, "_plus", PotentialTable(tuple(map(tuple, low)), P.scale, P.mode))
+    with pytest.raises(ConstructionError, match="not dominated"):
+        max_strict_subsolution(inst, crit)
+    good = critical_value(inst)
+    u = uniform_subsolution_mix(inst, crit)
+    with pytest.raises(InputError, match="not dominated"):
+        limits_grid(inst, good, u)

@@ -16,17 +16,13 @@ from wkam.critical import CriticalData
 
 def reference_transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
     """Least k >= 0 with G_{k+1} >= h on B x B."""
-    mode = inst.mode
-    scale = inst.value_scale()
     r, hg = crit.kernel.grid, h.at(crit.kernel.scale)
-    off = [x for x in range(inst.n) if not mode.is_zero(hg[x][x], scale=scale)]
+    off = [x for x in range(inst.n) if hg[x][x] != 0]
     s = tuple(tuple(r[x][y] for y in off) for x in off)
     hb = [[hg[x][y] for y in off] for x in off]
 
     def reached(g: Matrix) -> bool:
-        return all(
-            mode.le(hv, gv, scale=scale) for hrow, grow in zip(hb, g) for hv, gv in zip(hrow, grow)
-        )
+        return all(hv <= gv for hrow, grow in zip(hb, g) for hv, gv in zip(hrow, grow))
 
     g = kleene_plus(s)  # G_1
     if reached(g):
