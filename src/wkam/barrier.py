@@ -1,9 +1,10 @@
 """Peierls barrier, weak KAM solutions, Aubry sets, and sub-solution limits.
 
 This module holds only what the solver computes.  The paper's barrier
-identities (the n-step min formulas, the orbit bound with its attainment on
-the rows of phi_1, the idempotent alternation of the limits) are checks, and
-``oracle.verify_all`` decides them on the tables of its own integer grid.
+identities (the rows and columns of h as solutions, the orbit bound with its
+attainment on the rows of phi_1, the idempotent alternation of the limits)
+are checks, and ``oracle.verify_all`` decides them on the tables of its own
+integer grid.
 
 The Peierls barrier ``h(x, y)`` is the limiting reduced cost of long chains
 from x to y.  With ``phi_1`` the Kleene plus of the reduced matrix
@@ -51,7 +52,7 @@ The projected Aubry set A is the zero diagonal of ``phi_1`` (so of the
 barrier too), decided once per ``CriticalData`` and kept on it, next to
 the P it is read from: the closed form, the transient, the Aubry sets, the
 limits, the orbit walk and the strict sub-solution all read
-``crit.aubry_vertices(inst)``.  The edge Aubry set collects the ordered
+``crit.aubry_vertices()``.  The edge Aubry set collects the ordered
 pairs closing a zero-reduced-weight circuit, ``c(x,y) + alpha0 + h(y,x) = 0``.
 Every one of these tests is exact, in float mode too: it runs on the dyadic
 values of the doubles (see ``core``).
@@ -152,7 +153,7 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTabl
     inst.require_total("tail potential")
     p = crit.kernel_plus()
     e = p.grid
-    verts = crit.class_leaders(inst)
+    verts = crit.class_leaders()
     to_a = [[row[a] for a in verts] for row in e]  # phi_1(x, a)
     return PotentialTable(minplus_product(to_a, [e[a] for a in verts]), p.scale, p.mode)
 
@@ -160,7 +161,7 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTabl
 def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
     """Least j whose fronts are all empty (see the module docstring)."""
     r, p, hg = crit.kernel.grid, crit.kernel_plus().grid, h.grid
-    verts = set(crit.aubry_vertices(inst))
+    verts = set(crit.aubry_vertices())
     off = [x for x in range(inst.n) if x not in verts]
     b = len(off)
     if not b:
@@ -226,7 +227,7 @@ def aubry(
         for y, v in enumerate(map(add, row, hcol))
         if v == 0
     )
-    return AubryData(vertices=crit.aubry_vertices(inst), edges=edges, jumps=jump_F(inst, crit))
+    return AubryData(vertices=crit.aubry_vertices(), edges=edges, jumps=jump_F(inst, crit))
 
 
 def weak_kam_neg(bar: BarrierData, x: int) -> ValueFunction:
@@ -270,7 +271,7 @@ def _limits(inst: CostInstance, crit: CriticalData, D: int, start: list) -> tupl
     """u_minus and u_plus of a dominated u, given as ``start`` = u * D on a
     multiple D of the kernel's grid, by the closed forms."""
     P = crit.kernel_plus()
-    verts, m, p = crit.aubry_vertices(inst), D // P.scale, P.grid
+    verts, m, p = crit.aubry_vertices(), D // P.scale, P.grid
     ua = [start[a] for a in verts]
     lo = minplus_row(ua, zip(*([v * m for v in p[a]] for a in verts)))
     hi = forward(ua, [[row[a] * m for a in verts] for row in p])
@@ -286,7 +287,7 @@ def orbit_walk(
     module docstring are checked before any step."""
     P = crit.kernel_plus()
     m, p, r = D // P.scale, P.grid, crit.kernel_at(D)
-    verts = set(crit.aubry_vertices(inst))
+    verts = set(crit.aubry_vertices())
     loops = [p[x][x] * m for x in range(inst.n) if x not in verts]
     gap = max(map(abs, map(sub, limit, start)))
     budget = len(loops) * -(-gap // min(loops)) if gap > 0 and loops else 0

@@ -534,15 +534,22 @@ def forward(vals: Sequence[Value], cost: Matrix) -> list:
     return [-v for v in low]
 
 
+def check_function(inst: CostInstance, u: ValueFunction) -> None:
+    """``InputError`` unless u holds one finite value per point of inst; the
+    public functions that take a u check it here before putting it on a
+    grid."""
+    if len(u) != inst.n:
+        raise InputError(f"function length {len(u)} != {inst.n} points")
+    if not u.is_finite():
+        raise InputError("value function must be finite everywhere")
+
+
 def grid_operands(
     inst: CostInstance, u: ValueFunction, base: int = 1
 ) -> tuple[int, tuple, Matrix]:
     """Check u, then put u and the costs on one grid D, the least multiple
     of ``base``, of the costs' D0 and of u's scale: (D, u * D, c * D)."""
-    if len(u) != inst.n:
-        raise InputError(f"function length {len(u)} != {inst.n} points")
-    if not u.is_finite():
-        raise InputError("value function must be finite everywhere")
+    check_function(inst, u)
     t = inst.cost_grid
     D = math.lcm(base, t.scale, u.grid_in(inst.mode)[1])
     return D, u.at(inst.mode, D), t.at(D)

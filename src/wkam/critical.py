@@ -58,6 +58,7 @@ from .core import (
     Matrix,
     PotentialTable,
     ValueFunction,
+    check_function,
     from_grid,
     grid_scale,
     kleene_plus,
@@ -84,7 +85,7 @@ class CriticalData:
     to a double; ``alpha0_exact`` and ``alpha_at(D)`` are exact in both.
     ``kernel_plus()`` is its Kleene plus P, held once per object: phi_1,
     the Mane potential, the Aubry vertices and the closed-form barrier all
-    read the same P.  ``aubry_vertices(inst)``, the zero set of P's
+    read the same P.  ``aubry_vertices()``, the zero set of P's
     diagonal, is decided once and held the same way.  ``_pot`` holds the
     kernel's Bellman-Ford potentials and ``_tight`` its tight successor
     lists, from which ``kernel_plus()`` condenses the kernel and keeps each
@@ -142,25 +143,25 @@ class CriticalData:
             object.__setattr__(self, "_plus", PotentialTable(plus, k.scale, k.mode))
         return self._plus
 
-    def aubry_vertices(self, inst: CostInstance) -> tuple[int, ...]:
-        """The Aubry vertices A of ``inst``, whose critical data this is.
+    def aubry_vertices(self) -> tuple[int, ...]:
+        """The Aubry vertices A of the instance whose critical data this is.
 
         Decided by ``_aubry_set`` on the first call and kept on the object."""
         if self._aubry is None:
-            object.__setattr__(self, "_aubry", _aubry_set(inst, self.kernel_plus()))
+            object.__setattr__(self, "_aubry", _aubry_set(self.kernel_plus()))
         return self._aubry
 
-    def class_leaders(self, inst: CostInstance) -> tuple[int, ...]:
+    def class_leaders(self) -> tuple[int, ...]:
         """The least vertex of each Aubry class, the classes being the tight
         components that hold Aubry vertices."""
-        verts = self.aubry_vertices(inst)
+        verts = self.aubry_vertices()
         first: dict[int, int] = {}
         for a in verts:
             first.setdefault(self._comp[a], a)
         return tuple(first.values())
 
 
-def _aubry_set(inst: CostInstance, p: PotentialTable) -> tuple[int, ...]:
+def _aubry_set(p: PotentialTable) -> tuple[int, ...]:
     """The zero set of the diagonal of P = ``kernel_plus()``: the solver's
     one test of A."""
     verts = [x for x, row in enumerate(p.grid) if row[x] == 0]
@@ -480,6 +481,7 @@ def is_dominated(
     """Check u(y) - u(x) <= c(x, y) + alpha for all pairs; witness on failure.
 
     alpha is taken at its exact value in both modes."""
+    check_function(inst, u)
     mode = inst.mode
     alpha = EXACT.coerce(alpha)
     t = inst.cost_grid
@@ -495,6 +497,7 @@ def _dominated_grid(
     """D and u * D on the kernel's grid refined to u's scale, after
     checking u against ``crit.kernel_at(D)``, (c + alpha0) * D: ``fault``
     unless u is dominated at alpha0."""
+    check_function(inst, u)
     mode = inst.mode
     D = math.lcm(crit.kernel.scale, u.grid_in(mode)[1])
     start = list(u.at(mode, D))

@@ -44,6 +44,7 @@ from .core import (
     _freeze,
     _instance,
     _table,
+    check_function,
     check_metric,
     from_grid,
     grid_scale,
@@ -298,6 +299,7 @@ def lipschitz_large_check(
     """Check |u(x) - u(y)| <= k*d(x,y) + b over all pairs, on one grid E,
     in float mode within ``Mode.le``'s band."""
     _need_metric(inst)
+    check_function(inst, u)
     mode = inst.mode
     k, b = mode.coerce(k), mode.coerce(b)
     d = inst.metric_grid
@@ -345,6 +347,7 @@ def check_apriori(
 ) -> AprioriResult:
     """Every point's backward-update argmin sits within the a-priori radius."""
     _need_metric(inst)
+    check_function(inst, u)
     R = apriori_radius(inst, alpha, B, K)
     if R is None:
         return AprioriResult(True, None, None)

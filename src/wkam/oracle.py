@@ -15,22 +15,25 @@ periodicity of reduced min-plus powers, and the per-function Aubry sets from
 reachability in the tight-edge graph.  A failed check always carries a
 concrete witness.
 
-The harness computes on the integer grid of ``core``: the tables on the
-kernel's grid (refined to a claimed barrier), what meets the samples on the
-samples' finer grid, and the value functions the solver returns on their
-own grids, so each identity compares integers exactly, in float mode on the
-dyadic values of the doubles.  ``Fraction`` remains in witness text and a
-few scalars.  An inequality lhs <= a (x) b + s over X x X x X is decided
-row by row against one min-plus product; only a failing row is scanned
-entry by entry, for the first witness (x, y, z) of the loop it replaces.
+The harness computes on one integer grid of ``core``, the kernel's grid
+refined to a claimed barrier and to the samples' scales, so each identity
+compares integers exactly, in float mode on the dyadic values of the
+doubles, and no check can compare two tables on different grids.
+``Fraction`` remains in witness text and a few scalars.  An inequality
+lhs <= a (x) b + s over X x X x X is decided row by row against one
+min-plus product; only a failing row is scanned entry by entry, for the
+first witness (x, y, z) of the loop it replaces.
 
 The barrier identities of the paper are decided here, on the same tables:
-the min formulas h = h (x) c_n + n alpha0 = c_n (x) h + n alpha0 against
-the cached products of h with the raw powers, the orbit bound
+the orbit bound
 S(x, y) = max_k T-^k u(y) + k alpha0 - min_k T+^k u(x) + k alpha0 <= h from
 whole-table orbits of the samples and of the rows of phi_1 (which attain h
 on their own row), and the alternation of u_minus and u_plus, which
-``barrier`` computes in closed form.
+``barrier`` computes in closed form.  The min formulas
+h = h (x) c_n + n alpha0 = c_n (x) h + n alpha0 are not checked apart: at
+n = 1 they say that the rows and negated columns of h are fixed points,
+which ``barrier.rows_columns_are_solutions`` checks, and the semigroup law
+carries them to every n.
 """
 
 from __future__ import annotations
@@ -477,14 +480,13 @@ class OracleReport:
 class _Workspace:
     """Everything verify_all needs, computed once.
 
-    The tables the checks compare entrywise live on one integer grid D (see
+    Everything the checks compare entrywise lives on one integer grid D (see
     ``core``): the kernel's grid, refined to the denominators of a claimed
-    barrier.  ``c``, ``r``, ``p`` and ``h`` are the cost, reduced, Mane
-    potential and barrier matrices times D, ``a`` is alpha0 times D, and
-    the raw powers and the phi tables are on D too.  The checks that take
-    samples compare on the finer grid Ds, D refined to the samples' scales:
-    ``grid_samples`` are the samples times Ds, ``fine(t)`` is a table t of D
-    times Ds / D, and ``grids`` puts value functions on one grid.  ``alpha``
+    barrier and to the scales of the samples.  ``c``, ``r``, ``p`` and ``h``
+    are the cost, reduced, Mane potential and barrier matrices times D,
+    ``a`` is alpha0 times D, ``grid_samples`` are the samples times D, and
+    the raw powers and the phi tables are on D too.  ``grids`` puts value
+    functions the solver returns on one grid with D.  ``alpha``
     is alpha0 exactly, which the solver functions that take a constant
     get, in float mode too.  ``rev`` is the
     reversed instance, shared by the reversal and jump checks.  A sample
@@ -523,7 +525,8 @@ class _Workspace:
         claimed = None
         if barrier_override is not None:
             claimed = tuple(tuple(mode.coerce(v) for v in row) for row in barrier_override)
-        self.D = D = grid_scale(chain.from_iterable(claimed or ()), self.crit.kernel.scale)
+        base = grid_scale(chain.from_iterable(claimed or ()), self.crit.kernel.scale)
+        self.D = D = math.lcm(base, *(u.grid_in(mode)[1] for u in self.samples))
         self.a = self.crit.alpha_at(D)
         self.c = inst.cost_grid.at(D)
         self.r = self.crit.kernel.at(D)
@@ -531,8 +534,7 @@ class _Workspace:
         self.h = self.bar.h.at(D)
         # the barrier itself when there is no override, so products are shared
         self.h_claimed = self.h if claimed is None else tuple(to_grid(r, D) for r in claimed)
-        self.Ds = math.lcm(D, *(u.grid_in(mode)[1] for u in self.samples))
-        self.grid_samples = [u.at(mode, self.Ds) for u in self.samples]
+        self.grid_samples = [u.at(mode, D) for u in self.samples]
         self._raw_powers: dict[int, Matrix] = {1: self.c}
         self._phi_tables: dict[int, Matrix] = {1: self.phi1.at(D)}
         self._products: dict[tuple[int, int], tuple[Matrix, Matrix, Matrix]] = {}
@@ -574,11 +576,6 @@ class _Workspace:
             self._products[key] = (a, b, minplus_product(a, b))
         return self._products[key][2]
 
-    def fine(self, t: Matrix) -> Matrix:
-        """A table t of D times Ds / D; it follows a table that replaces h."""
-        m = self.Ds // self.D
-        return t if m == 1 else tuple(tuple(v * m for v in row) for row in t)
-
     def grids(self, *fns: ValueFunction) -> tuple:
         """(E, alpha0 * E, u * E for each u) for E the least multiple of D
         and of the scales of ``fns``."""
@@ -609,14 +606,11 @@ class _Workspace:
                             return x, y, z, i
         return None
 
-    def orbit(
-        self, table: Matrix, steps: int, forward: bool, fine: bool = False
-    ) -> Iterator[Matrix]:
+    def orbit(self, table: Matrix, steps: int, forward: bool) -> Iterator[Matrix]:
         """Iterates 1..steps of u -> T- u + alpha0, or with ``forward`` of
-        u -> T+ u - alpha0, on every row u of ``table`` (of Ds with ``fine``,
-        else of D), one min-plus product per step: T- u = u (x) c and
-        T+ u (w) = -((-u) (x) c^T)(w)."""
-        c, a = (self.fine(self.c), self.a * (self.Ds // self.D)) if fine else (self.c, self.a)
+        u -> T+ u - alpha0, on every row u of ``table``, one min-plus product
+        per step: T- u = u (x) c and T+ u (w) = -((-u) (x) c^T)(w)."""
+        c, a = self.c, self.a
         cT = tuple(zip(*c))
         for _ in range(steps):
             if forward:
@@ -745,14 +739,6 @@ def _check_witness_cycle(ws: _Workspace) -> CheckResult:
     return CheckResult(name, False, f"cycle {cyc} mean {Fraction(total, len(cyc) * ws.D)}")
 
 
-def _check_alpha0_lower_bound(ws: _Workspace) -> CheckResult:
-    name = "critical.alpha0_lower_bound"
-    bound = max(-row[x] for x, row in enumerate(ws.c) if not is_inf(row[x]))
-    if bound <= ws.a:
-        return CheckResult(name, True)
-    return CheckResult(name, False, f"alpha0 {ws.alpha} < {Fraction(bound, ws.D)}")
-
-
 def _check_T_preserves_domination(ws: _Workspace) -> CheckResult:
     name = "critical.T_preserves_domination"
     inst = ws.inst
@@ -815,7 +801,7 @@ def _check_potential_axioms(ws: _Workspace) -> CheckResult:
 def _check_sup_representation(ws: _Workspace) -> CheckResult:
     name = "potential.sup_representation"
     inst = ws.inst
-    p = ws.fine(ws.p)
+    p = ws.p
     for u, g in zip(ws.samples, ws.grid_samples):
         hit = ws.first_pair(lambda x, y: not g[y] - g[x] <= p[x][y])
         if hit is not None:
@@ -844,25 +830,6 @@ def _check_phi_vs_phi1(ws: _Workspace) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _check_phi_recursion(ws: _Workspace) -> CheckResult:
-    name = "potential.tail_recursion"
-    for k in range(1, 4):
-        step = ws.product(ws.phi_table(k), ws.c)
-        for x, (row, want) in enumerate(zip(step, ws.phi_table(k + 1))):
-            if [v + ws.a for v in row] != list(want):
-                return CheckResult(name, False, f"order {k} row {x}")
-    return CheckResult(name, True)
-
-
-def _check_vanish(ws: _Workspace) -> CheckResult:
-    name = "potential.forward_vanish"
-    (step,) = ws.orbit(ws.phi_table(1), 1, forward=True)
-    for x, row in enumerate(step):
-        if row[x] != 0:
-            return CheckResult(name, False, f"x={x} value {Fraction(row[x], ws.D)}")
-    return CheckResult(name, True)
-
-
 def _check_iterated_vanish(ws: _Workspace) -> CheckResult:
     name = "potential.iterated_forward_vanish"
     orbits = [list(ws.orbit(start, 5, forward=True)) for start in (ws.phi_table(1), ws.p)]
@@ -871,18 +838,6 @@ def _check_iterated_vanish(ws: _Workspace) -> CheckResult:
             for m, table in enumerate(orbit, 1):
                 if table[x][x] != 0:
                     return CheckResult(name, False, f"x={x} m={m}")
-    return CheckResult(name, True)
-
-
-def _check_rows_cols_dominated(ws: _Workspace) -> CheckResult:
-    name = "potential.rows_and_columns_dominated"
-    inst, phi = ws.inst, ws.phi
-    for x in range(inst.n):
-        if not is_dominated(inst, phi.row(x), ws.alpha).ok:
-            return CheckResult(name, False, f"row {x}")
-        col = ValueFunction.on_grid([-row[x] for row in phi.grid], phi.scale, phi.mode)
-        if not is_dominated(inst, col, ws.alpha).ok:
-            return CheckResult(name, False, f"column {x}")
     return CheckResult(name, True)
 
 
@@ -926,7 +881,7 @@ def _check_barrier_vs_liminf(ws: _Workspace) -> CheckResult:
 
 
 def _check_barrier_closed_form(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
-    # h comes from the Aubry closed form; the tail recursion checks it on its
+    # h comes from the Aubry closed form; the phi tables check it on their
     # own: h = phi_{1+k} for the reported transient k, and phi_k != h.
     name = "barrier.closed_form_via_aubry"
     h = ws.h_claimed if h is None else h
@@ -984,39 +939,27 @@ def _check_hh_suite(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _check_min_formula(ws: _Workspace) -> CheckResult:
-    # h = h (x) c_n + n a0 = c_n (x) h + n a0
-    name = "barrier.min_formula"
-    h = ws.h
-    for n_ in range(1, 4):
-        cn, shift = ws.raw_power(n_), n_ * ws.a
-        for prod in (ws.product(h, cn), ws.product(cn, h)):
-            if not all(all(map(eq, hrow, [v + shift for v in row])) for hrow, row in zip(h, prod)):
-                return CheckResult(name, False, f"n={n_}")
-    return CheckResult(name, True)
-
-
 def _check_representation(ws: _Workspace) -> CheckResult:
     # S(x, y) = max_{k <= N} T-^k u(y) + k a0 - min_{k <= N} T+^k u(x) + k a0
     # never exceeds h, and the rows u of phi_1 attain h on row x of their S.
     name = "barrier.orbit_representation"
     h = ws.h
 
-    def bounds(table: Matrix, N: int, fine: bool = False) -> list[tuple]:
+    def bounds(table: Matrix, N: int) -> list[tuple]:
         """(hi, lo) of the orbits of each row of table, iterates 0..N, as a
         running max and min: no iterate is kept past its step."""
         hi = lo = table
-        for up in ws.orbit(table, N, False, fine):
+        for up in ws.orbit(table, N, False):
             hi = [list(map(max, a, b)) for a, b in zip(hi, up)]
-        for down in ws.orbit(table, N, True, fine):
+        for down in ws.orbit(table, N, True):
             lo = [list(map(min, a, b)) for a, b in zip(lo, down)]
         return list(zip(hi, lo))
 
     def below(hi: list, lo: list, h: Matrix) -> bool:
         return all(all(map(le, [v - lx for v in hi], row)) for lx, row in zip(lo, h))
 
-    for u, (hi, lo) in zip(ws.samples, bounds(tuple(ws.grid_samples[:10]), 6, fine=True)):
-        if not below(hi, lo, ws.fine(h)):
+    for u, (hi, lo) in zip(ws.samples, bounds(tuple(ws.grid_samples[:10]), 6)):
+        if not below(hi, lo, h):
             return CheckResult(name, False, f"S > h for {u.tag}")
     for x, (hi, lo) in enumerate(bounds(ws.phi_table(1), max(1, ws.bar.iterations_to_fix))):
         if not below(hi, lo, h):
@@ -1029,10 +972,10 @@ def _check_representation(ws: _Workspace) -> CheckResult:
 def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
     name = "barrier.limits_are_extremal"
     inst, mode = ws.inst, ws.mode
-    h = ws.fine(ws.h)
+    h = ws.h
     for u, g in zip(ws.samples[:10], ws.grid_samples):
         um = u_minus(inst, ws.crit, u)
-        umg = um.at(mode, ws.Ds)
+        umg = um.at(mode, ws.D)
         if not all(map(le, g, umg)):
             return CheckResult(name, False, f"u_minus below u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, um, "negative"):
@@ -1042,7 +985,7 @@ def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
         if not all(map(eq, umg, envelope)):
             return CheckResult(name, False, f"u_minus not least solution above {u.tag}")
         up = u_plus(inst, ws.crit, u)
-        upg = up.at(mode, ws.Ds)
+        upg = up.at(mode, ws.D)
         if not all(map(le, upg, g)):
             return CheckResult(name, False, f"u_plus above u for {u.tag}")
         if not is_weak_kam(inst, ws.crit, up, "positive"):
@@ -1165,9 +1108,9 @@ def _check_tightness_propagates(ws: _Workspace) -> CheckResult:
     # pair (x, y), the step y -> x, makes x a fixed point of T- + alpha0
     name = "subsolution.tight_pair_forces_fixed_point"
     inst, pts = ws.inst, range(ws.inst.n)
-    c, a = ws.fine(ws.c), ws.a * (ws.Ds // ws.D)
+    c, a = ws.c, ws.a
     for u, g in zip(ws.samples[:10], ws.grid_samples):
-        timg = lax_oleinik_neg(inst, u).at(ws.mode, ws.Ds)
+        timg = lax_oleinik_neg(inst, u).at(ws.mode, ws.D)
         tight = [(x, y) for x in pts for y in pts if g[x] - g[y] == c[y][x] + a]
         if not tight:
             return CheckResult(name, False, f"{u.tag} has no tight pair")
@@ -1291,15 +1234,14 @@ def _check_apriori(ws: _Workspace) -> CheckResult:
 # every check, in report order; the metric checks run on metric instances
 _CHECKS = (
     _check_semigroup_law, _check_monotonicity, _check_constant_commutation, _check_reversal,
-    _check_alpha0_vs_cycles, _check_witness_cycle, _check_alpha0_lower_bound,
-    _check_T_preserves_domination, _check_convexity, _check_subsolution_feasibility,
-    _check_potential_axioms, _check_sup_representation, _check_phi_vs_phi1,
-    _check_phi_recursion, _check_vanish, _check_iterated_vanish, _check_rows_cols_dominated,
-    _check_jumps, _check_barrier_fixed_points, _check_barrier_vs_liminf,
-    _check_barrier_closed_form, _check_barrier_triangle, _check_hh_suite, _check_min_formula,
-    _check_representation, _check_u_limits_extremal, _check_phi_orbit_identity,
-    _check_conjugation, _check_lemma_quadruple, _check_aubry_invariance, _check_aubry_four_way,
-    _check_strict_dichotomy, _check_tightness_propagates, _check_convex_calibration,
-    _check_in_between, _check_strict_pattern, _check_max_strict_pattern,
+    _check_alpha0_vs_cycles, _check_witness_cycle, _check_T_preserves_domination,
+    _check_convexity, _check_subsolution_feasibility, _check_potential_axioms,
+    _check_sup_representation, _check_phi_vs_phi1, _check_iterated_vanish, _check_jumps,
+    _check_barrier_fixed_points, _check_barrier_vs_liminf, _check_barrier_closed_form,
+    _check_barrier_triangle, _check_hh_suite, _check_representation, _check_u_limits_extremal,
+    _check_phi_orbit_identity, _check_conjugation, _check_lemma_quadruple,
+    _check_aubry_invariance, _check_aubry_four_way, _check_strict_dichotomy,
+    _check_tightness_propagates, _check_convex_calibration, _check_in_between,
+    _check_strict_pattern, _check_max_strict_pattern,
 )
 _METRIC_CHECKS = (_check_lipschitz, _check_apriori)

@@ -28,7 +28,7 @@ from operator import add
 from typing import Sequence
 
 from .barrier import _limits, limits_grid, orbit_walk
-from .core import CostInstance, ValueFunction
+from .core import CostInstance, ValueFunction, check_function
 from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError
 from .potential import mane_potential
@@ -108,6 +108,7 @@ def strict_pairs(
 
     Compared on the kernel's grid refined to u's denominators, against
     ``crit.kernel_at(D)``, (c + alpha0) * D."""
+    check_function(inst, u)
     mode = inst.mode
     D = math.lcm(crit.kernel.scale, u.grid_in(mode)[1])
     vals = u.at(mode, D)
@@ -139,7 +140,7 @@ def max_strict_subsolution(inst: CostInstance, crit: CriticalData) -> ValueFunct
     check and end the two walks of the strictification.
     """
     mix = uniform_subsolution_mix(inst, crit)
-    global_vertices = crit.aubry_vertices(inst)
+    global_vertices = crit.aubry_vertices()
     D, start = _dominated_grid(inst, crit, mix, ConstructionError)
     lo, hi = _limits(inst, crit, D, start)
     mix_vertices = _fixed_points(start, lo, hi)

@@ -345,15 +345,14 @@ def test_conjugate_solution_fixed(t2):
 
 @pytest.mark.parametrize("which", ["constant:1", "constant:2", "constant:3", "t2", "t3"])
 def test_verify_all_passes_the_barrier_identities(request, which):
-    # the min formulas, the orbit bound with its attainment on the phi_1
-    # rows, and the alternating limits with the pointwise min of solutions
+    # the orbit bound with its attainment on the phi_1 rows, and the
+    # alternating limits with the pointwise min of solutions
     if which.startswith("constant:"):
         inst = gen_constant(2, F(which[len("constant:"):]))
     else:
         inst = request.getfixturevalue(which)
     passed = {c.name: c.passed for c in verify_all(inst).checks}
     for name in (
-        "barrier.min_formula",
         "barrier.orbit_representation",
         "barrier.conjugation_idempotent",
     ):

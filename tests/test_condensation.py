@@ -38,7 +38,7 @@ def _check(inst):
     crit = critical_value(inst)
     p = crit.kernel_plus().grid
     assert p == kleene_plus(crit.kernel.grid)
-    verts = crit.aubry_vertices(inst)
+    verts = crit.aubry_vertices()
     pts = range(inst.n)
     full = tuple(tuple(min(row[a] + p[a][y] for a in verts) for y in pts) for row in p)
     assert barrier_closed_form(inst, crit).grid == full
@@ -70,8 +70,8 @@ def test_constant_instance_is_one_class():
     for n in (1, 2, 7, 16):
         inst = gen_constant(n, Fraction(-3, 2))
         crit = _check(inst)
-        assert crit.aubry_vertices(inst) == tuple(range(n))
-        assert crit.class_leaders(inst) == (0,)
+        assert crit.aubry_vertices() == tuple(range(n))
+        assert crit.class_leaders() == (0,)
 
 
 def test_random_instance_condenses():
@@ -79,8 +79,8 @@ def test_random_instance_condenses():
     inst = gen_random(32, 1, -2, 2)
     crit = _check(inst)
     assert len(set(crit._comp)) < inst.n
-    assert len(crit.aubry_vertices(inst)) == 11
-    assert len(crit.class_leaders(inst)) == 3
+    assert len(crit.aubry_vertices()) == 11
+    assert len(crit.class_leaders()) == 3
 
 
 

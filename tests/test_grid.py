@@ -345,8 +345,8 @@ def test_float_operators_equal_by_repr():
     inst = gen_fk(6, 1, fk_potential_well(6, 2), mode=flt)
     twin = gen_fk(6, 1, fk_potential_well(6, 2))
     crit, tcrit = critical_value(inst), critical_value(twin)
-    u = weak_kam_neg(peierls_barrier(inst, crit), crit.aubry_vertices(inst)[0])
-    tu = weak_kam_neg(peierls_barrier(twin, tcrit), tcrit.aubry_vertices(twin)[0])
+    u = weak_kam_neg(peierls_barrier(inst, crit), crit.aubry_vertices()[0])
+    tu = weak_kam_neg(peierls_barrier(twin, tcrit), tcrit.aubry_vertices()[0])
     up = u_plus(inst, crit, u).values
     assert repr(up) == repr(tuple(map(float, u_plus(twin, tcrit, tu).values)))
     assert 0.0 in up and "-0.0" not in repr(up)

@@ -1,16 +1,42 @@
-"""Every typed input error of the instance constructors and the metric
-machinery: the library raises InputError, and the CLI exits 2 where an
-argument or a file can reach it."""
+"""Every typed input error of the instance constructors, the metric
+machinery and the functions that take a value function: the library raises
+InputError, and the CLI exits 2 where an argument or a file can reach it."""
 
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from wkam import InputError, as_value_function, check_apriori, critical_value, make_instance
+from wkam import (
+    InputError,
+    ValueFunction,
+    as_value_function,
+    aubry_of,
+    check_apriori,
+    critical_value,
+    is_calibrated,
+    is_dominated,
+    is_weak_kam,
+    lax_oleinik_neg,
+    lax_oleinik_pos,
+    lipschitz_large_check,
+    make_instance,
+    strict_pairs,
+    strict_subsolution,
+    u_minus,
+    u_plus,
+)
 from wkam.cli import EXIT_INPUT, _parse_gen, main
-from wkam.models import gen_constant, gen_fk, gen_random, growth_A, instance_from_dict
+from wkam.models import (
+    fk_potential_well,
+    gen_constant,
+    gen_fk,
+    gen_random,
+    growth_A,
+    instance_from_dict,
+)
 from wkam.numbers import EXACT
+from wkam.oracle import aubry_chain_sets, tight_graph
 
 COST2 = [[0, 1], [1, 0]]
 LINE3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -73,3 +99,39 @@ def test_apriori_check_fails_with_a_witness():
     res = check_apriori(inst, u, alpha, 1, 1)
     assert (res.ok, res.witness) == (False, (0, 2))
     assert res.radius == F(5, 2)
+
+
+# every public function that takes a value function u, as (instance, call):
+# the constant costs dominate every constant u, and the circle grid carries
+# the metric that the two models checks need
+_CONST = gen_constant(3, 0)
+_FK = gen_fk(4, 1, fk_potential_well(4, 0))
+TAKES_U = {
+    "lax_oleinik_neg": (_CONST, lambda inst, crit, u: lax_oleinik_neg(inst, u)),
+    "lax_oleinik_pos": (_CONST, lambda inst, crit, u: lax_oleinik_pos(inst, u)),
+    "is_dominated": (_CONST, lambda inst, crit, u: is_dominated(inst, u, crit.alpha0)),
+    "is_weak_kam": (_CONST, lambda inst, crit, u: is_weak_kam(inst, crit, u, "negative")),
+    "u_minus": (_CONST, u_minus),
+    "u_plus": (_CONST, u_plus),
+    "aubry_of": (_CONST, aubry_of),
+    "is_calibrated": (_CONST, lambda inst, crit, u: is_calibrated(inst, crit, u, (0, 1))),
+    "strict_subsolution": (_CONST, strict_subsolution),
+    "strict_pairs": (_CONST, strict_pairs),
+    "tight_graph": (_CONST, tight_graph),
+    "aubry_chain_sets": (_CONST, aubry_chain_sets),
+    "lipschitz_large_check": (
+        _FK, lambda inst, crit, u: lipschitz_large_check(inst, u, 1, 1)
+    ),
+    "check_apriori": (_FK, lambda inst, crit, u: check_apriori(inst, u, crit.alpha0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("offset", [-1, 1], ids=["n-1", "n+1"])
+@pytest.mark.parametrize("name", sorted(TAKES_U))
+def test_function_of_the_wrong_length_is_refused(name, offset):
+    inst, call = TAKES_U[name]
+    crit = critical_value(inst)
+    call(inst, crit, ValueFunction((F(0),) * inst.n))  # the right length passes
+    u = ValueFunction((F(0),) * (inst.n + offset))
+    with pytest.raises(InputError, match=f"^function length {inst.n + offset} != {inst.n} points$"):
+        call(inst, crit, u)

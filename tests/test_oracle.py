@@ -331,27 +331,24 @@ def _nudged(h, x, y, units):
 
 
 def test_barrier_identities_fail_on_a_nudged_barrier():
-    # The min formulas and the orbit bound read ws.h: one grid unit off at
-    # one entry, each names its first failure.  ws.h is on the kernel's grid
-    # D = 4; the samples' orbits compare with its view on their finer grid.
+    # The orbit bound reads ws.h: one step of the kernel's grid (1/4) off at
+    # one entry, it names its first failure.  ws.h is on the workspace's one
+    # grid D, which the samples' scales refine.
     ws = _Workspace(gen_random(5, 2, -2, 2), 2, 20, None, None)
     h = ws.h
-    assert ws.D == 4
+    step = ws.D // ws.crit.kernel.scale
+    assert ws.crit.kernel.scale == 4
     cases = [
-        ((4, 1, -1), "n=1", "S > h for sample[2:2]"),
-        ((0, 3, -1), "n=1", "S > h for phi1 row 0"),
-        ((2, 4, 1), "n=1", "no attainment in row 2"),
+        ((4, 1, -step), "S > h for sample[2:2]"),
+        ((0, 3, -step), "S > h for phi1 row 0"),
+        ((2, 4, step), "no attainment in row 2"),
     ]
-    for nudge, min_formula, representation in cases:
-        ws.h = _nudged(h, *nudge)
-        assert oracle._check_min_formula(ws) == oracle.CheckResult(
-            "barrier.min_formula", False, min_formula
-        )
+    for (x, y, units), representation in cases:
+        ws.h = _nudged(h, x, y, units)
         assert oracle._check_representation(ws) == oracle.CheckResult(
             "barrier.orbit_representation", False, representation
         )
     ws.h = h
-    assert oracle._check_min_formula(ws).passed
     assert oracle._check_representation(ws).passed
 
 
@@ -369,32 +366,19 @@ def test_conjugation_fails_on_a_shifted_u_plus(monkeypatch):
     )
 
 
-def test_tightness_check_fails_without_a_tight_pair(monkeypatch):
-    # The samples are on Ds = 4655851200 and the costs on D = 4.  Left on D,
-    # the costs make no pair tight, which no critical sub-solution allows:
-    # the Aubry edges are tight for each of them.
-    ws = _Workspace(gen_random(5, 2, -2, 2), 2, 20, None, None)
-    assert (ws.D, ws.Ds) == (4, 4655851200)
+@pytest.mark.parametrize(
+    "inst, seed",
+    [(gen_random(5, 2, -2, 2), 2), (gen_fk(10, 1, fk_potential_well(10, 3)), 5)],
+    ids=["random:5:2", "fk:10:1:well@3"],
+)
+def test_tightness_check_compares_on_the_one_grid(inst, seed):
+    # The samples meet the costs on the workspace's one grid D, a multiple
+    # of the kernel's scale and of every sample's scale; on both instances
+    # the samples' scales are far finer than the kernel's.
+    ws = _Workspace(inst, seed, 20, None, None)
+    assert all(ws.D % u.grid_in(ws.mode)[1] == 0 for u in ws.samples)
+    assert ws.D % ws.crit.kernel.scale == 0 and ws.D > ws.crit.kernel.scale
     assert oracle._check_tightness_propagates(ws).passed
-    monkeypatch.setattr(_Workspace, "fine", lambda self, t: t)
-    assert oracle._check_tightness_propagates(ws) == oracle.CheckResult(
-        "subsolution.tight_pair_forces_fixed_point", False, "sample[2:0] has no tight pair"
-    )
-
-
-def test_tightness_check_fails_off_the_aubry_edges(monkeypatch):
-    # On a circle grid the costs sit on D = 1 and the samples on a far finer
-    # Ds.  Left on D, the costs still make the loop at the well tight, which
-    # is each sample's only tight pair and the only Aubry edge here, so the
-    # tight sets come out right; the samples are not dominated by those costs.
-    inst = gen_fk(10, 1, fk_potential_well(10, 3))
-    ws = _Workspace(inst, 5, 20, None, None)
-    assert (ws.D, ws.Ds) == (1, 45213661452960)
-    assert oracle._check_tightness_propagates(ws).passed
-    monkeypatch.setattr(_Workspace, "fine", lambda self, t: t)
-    res = oracle._check_tightness_propagates(ws)
-    assert not res.passed
-    assert res.witness == "sample[5:0] not dominated at (0,6)"
 
 
 # --- whole-table checks -----------------------------------------------------------
@@ -464,10 +448,10 @@ def test_h_split_tie_names_the_right_split():
 def test_verify_all_makes_each_table_product_once(monkeypatch):
     # Passing verify_all at n = 10 computes each min-plus product it needs
     # once: the raw and phi powers, the liminf powers, the nine products of
-    # the semigroup law, 61 products for the whole-table checks, six for the
-    # min formulas, the two orbits of the samples (6 steps) and of phi_1
-    # (the transient, at least 1) for the orbit bound, and one step of the
-    # pointwise min of the barrier rows.
+    # the semigroup law, 60 products for the whole-table checks, the two
+    # orbits of the samples (6 steps) and of phi_1 (the transient, at least
+    # 1) for the orbit bound, and one step of the pointwise min of the
+    # barrier rows.
     inst = gen_random(10, 1, -2, 2)
     workspaces = []
     init = oracle._Workspace.__init__
@@ -484,8 +468,8 @@ def test_verify_all_makes_each_table_product_once(monkeypatch):
     (ws,) = workspaces
     monkeypatch.undo()
     liminf = liminf_barrier_bounded(inst, ws.crit, ws.horizon).powers_used - 1
-    tables = 44 + 1 + 1 + 4 + 11  # chain splits, two triangles, orbit identity, vanishing
-    tables += 6 + 2 * 6 + 2 * max(1, ws.bar.iterations_to_fix) + 1
+    tables = 44 + 1 + 1 + 4 + 10  # chain splits, two triangles, orbit identity, vanishing
+    tables += 2 * 6 + 2 * max(1, ws.bar.iterations_to_fix) + 1
     need = len(ws._raw_powers) - 1 + len(ws._phi_tables) - 1 + liminf + 9 + tables
     assert len(counted) <= need
 

@@ -16,6 +16,13 @@ The float digests were re-recorded when float mode became exact mode on the
 dyadic values of its doubles: in the 14 that moved, only the last digits of
 alpha0 in the report's summary changed, to the correctly rounded value.
 
+All 67 digests were re-recorded when five checks whose identities follow
+from checks that stay left the report (``critical.alpha0_lower_bound``,
+``potential.tail_recursion``, ``potential.forward_vanish``,
+``potential.rows_and_columns_dominated`` and ``barrier.min_formula``): each
+report equals the one before with those five entries dropped, its summary
+included.
+
 ``PYTHONPATH=src python tests/test_report_digest.py`` prints the digests.
 """
 
@@ -90,75 +97,75 @@ def report_digest(case: str) -> str:
     return hashlib.sha256(repr(CORPUS[case]()).encode()).hexdigest()
 
 
-# recorded before verify_all compared whole tables
+# re-recorded when the five checks above left the report
 DIGESTS = {
-    'exact random:1:0': '0d38fbf622a23a68353e17ed0ace98c1f16b2ce9bbb0a683c78250af0e1bbeed',
-    'exact random:1:1': 'd999c0b568fb375b09faa28b6133f74d217a7ab45ee191b47e682dad8ac70d31',
-    'exact random:1:2': 'c9dcc0237d22ffa4c837e2484c2447b9ca81a89b045c195ef6780e1ab2eff748',
-    'exact random:2:0': '0a788622e65082c6d207a9dbd0adb037a888ee46be016c68ee7135964867b310',
-    'exact random:2:1': '1205f07c6c6f0b1119d88719de949d7c1447347be7e5f6737ec0682d94dc2c56',
-    'exact random:2:2': 'fef45ec66358453b839f05023560a45c4990161ed8a48367d909353545839778',
-    'exact random:3:0': '77c0ad5a1c99b95479c70bfccdc2fb7464bbee24d50b6e64ca9618bb23207296',
-    'exact random:3:1': '939345c53253ed527e3339b97d629c4018fdb3f448ce1ca3e828a936ed64a46c',
-    'exact random:3:2': '6748900da809a94de422e9a433d546f4d621ea8063db4265bae9d1b391dbdf7d',
-    'exact random:4:0': '6a59d8fed418a56600f056ccb87ea034bbbf58ee08815b67837f827ffdcdfda0',
-    'exact random:4:1': 'a5f163f4d5a293b3bc40887f6a6169e2ec740131d95bd21eae0d19ef2736a485',
-    'exact random:4:2': '232a8b90c06340007fc32e87a0a382cded9904e455c12da4a8c5ff2a3f38dcb4',
-    'exact random:5:0': '06a39c491abb36bad87a9780ede1525065a1b4ce23e48b6576ac980c4d5b6254',
-    'exact random:5:1': 'fab429f38101d4776433390d6d645d9ce7e6af681da7cb84ce22e106b3e0a6b9',
-    'exact random:5:2': '0d706649733c88afa2f5bd8e0f69d10ce984f0f9b2c5359612492943ddf1473e',
-    'exact random:6:0': '21e59ce931e1d55c31b36a7ec4eb399330af7ace481b5d6fd3afc62191f5e3c7',
-    'exact random:6:1': 'adad2ecbf2873d4f355b9036d170ba3f82994c0441ae1ebefe380fe549d13ff4',
-    'exact random:6:2': 'dbb0130c07dcc3bc1bb25e646d0a42c308e75116f838827dabe4f4810d3ea103',
-    'exact random:7:0': '9b4875fd19fcecee6c44b1a6fcdacc5f99b209f9d7e2dee8e54a6fe5a27facb6',
-    'exact random:7:1': '25e7db6b85ff66b80a4747f1ae203e999c01b29d3e2d89b7d919391a573c3cbb',
-    'exact random:7:2': 'b286c90c76002f66399225eae116ea475c6a39d6b66e008c8d59442581f1fef9',
-    'exact random:8:0': '1b5a9f3651f6e8148cea432697bbd374160c8783ad49382df360f961620482e1',
-    'exact random:8:1': '3c7e90cb60391c478e458993e1df40281bd64d15835f8fb31e52302e6e3f6f3c',
-    'exact random:8:2': '8238ab2c22791720077436396ce258d0632d90f7ea07cfa42fd48cd4317f5803',
-    'exact random:9:0': 'c3fe8d67e473d8d0cdd9ecfb5ab9c0f37583c9167c25fe0140b3185b74b074ea',
-    'exact random:9:1': '2a7fed061977fe218bef02f612a60f0284420af56492837bdacb506214abf268',
-    'exact random:9:2': '0e028d639ea010edfcef72b7e39de0c9ae75c1159a5b16fc09eb80cf384527d4',
-    'exact random:10:0': 'd2e8182a855405f1476a9312be2723c403cadb5ade55c8a56225ef18f448afee',
-    'exact random:10:1': 'd34a16adb580184d412879028054b1699852cd7d0471b704b8faa142bf44bb2b',
-    'exact random:10:2': '075f874924dfddd9d95bba976b0ff6b14022dce8aac819c5c7a721a9edd3a737',
-    'float random:1:0': '7b6b4bf977cb28450e906b2185a7b211c21760456c2c73d046dccd77b3a32c73',
-    'float random:1:1': '6e92ac6a2128483989aded7d9377e8ab0ccd59f5fe1047a069931f6c506a986b',
-    'float random:1:2': 'fadafd52e290a94eb342227adbdce40702784acc52c672933cf2cb85bee8b86d',
-    'float random:2:0': '21492753e8a4e4d111a93b8bfb85bae2a87c321dea7dbf7c53a78a43830bd365',
-    'float random:2:1': 'ad77de6232b58075071107d05a62da5d33bc4cabb12c1471417ae75102cb075d',
-    'float random:2:2': '43ecc78396b2b2a2e30f3fddc993476076a8b81149b47f5f31c981e692f61bdc',
-    'float random:3:0': '24652f8749cb95f0faed2edac203e62dcbc59806c11cfe8502136893d54a3bf5',
-    'float random:3:1': '95ad76d9eac7ca03213fa9ef07aaef45d092a7869a4c623c98fa23ba634148ab',
-    'float random:3:2': '5e9b094e2ce2bf8d180ebafc9df95d150d6a3b6a43b32ca27b116a3f563fcc93',
-    'float random:4:0': 'a22d0332f9ca49f55c3f6dde96d10c87061d9386cb22161fde8b518c8a5237ca',
-    'float random:4:1': '9a587ff53adddc0867bea1bc7726d5b7c3e582f592a837d446fa643f533ae2a7',
-    'float random:4:2': '2e3ef492c32dede2dfb0b69592aa05c3b8a04e18126289e92d8ffd033b112e2f',
-    'float random:5:0': '6bad28a25e1caa0c823fa37fdbeda62c8ddd3a64cbb301fb9a0db07ee6a7cefe',
-    'float random:5:1': 'e2cea999cda22198a07085b3fc26c21ed526079f15f3f6f313a770d4af3d2d44',
-    'float random:5:2': '270e0d8365c5597b38532776f908cf589ac1c83b559c14889aa913d494aa6e47',
-    'float random:6:0': '4829e448a16917a84689785d16ef8a524d4811c49d390a9691ce4c8f0e04fa55',
-    'float random:6:1': 'd4948e8632fb6627eeab5490a39f53da7d2e47ebfda20e0c2b164685b33d3941',
-    'float random:6:2': 'f816838e232726136fc84cc4e2960fee8aa4bd1934542ac3b59b5b85e493fff4',
-    'float random:7:0': '723510f60f8f52593ea2f9a1977f0e7d8a5d239b3d7ae8dbb7923fd87bcfe4e8',
-    'float random:7:1': '820d6b7111f2b8a03ef0ec6bf1681735bc5431fba451fb5f227ae5d44724c51f',
-    'float random:7:2': 'c97832d0f2381fee1afc5163ac74723721e8cd58ec18c78d5eb80a92a0c9dc3d',
-    'float random:8:0': 'fbf01d26b3a110c3c5b89d90459d8963a4bb3ffe9288a14e964c12d73f699fca',
-    'float random:8:1': '83f6401d009a510446880e044b38077112dc2daf27655fb50c04107fba36aa50',
-    'float random:8:2': '1ff6713e1f5670adf6b6a46a29351149d1fc437ac59bfabed16940b2f24fcc30',
-    'float random:9:0': '6bdf8512148f724b4cffe9c48aba6542a0110fc3ba3b16f87f82d86fad32061f',
-    'float random:9:1': '6e1c39c8ccabed5d99ead0e62c0c1121f4f35dc7e05ef0d1f34e96fce406bb5d',
-    'float random:9:2': 'b015759c5eed22245f0aca424d0b2fed00e057680834220d44698314a30b44ae',
-    'float random:10:0': '0f4663f475b2c03866ace6a111953bf36f669c13363bd08c1bd393864d015f79',
-    'float random:10:1': 'b661b9efd8fdfd2a2fa9ef1b23dbaea009d5d57840ee176ab9826f949ce127d6',
-    'float random:10:2': '382b2fde2f472a0ed3fe17ce2d8150fbc72cfdc5eb5464afcb0a553b7cd58aa9',
-    'fk:10:1:well@0': '94cb2cb777d9970f794a85931dcfcefd8ddd271da7e7969d673902c70a095ac5',
-    'fk:10:1:well@3': 'ff844ae70c8851ef4b3df8736285afa4c942ef305f78cc6d20314c9887e0db23',
-    'fk:10:1:well@7': '8487df0b0ef6bad19b886ff214871dc1c344c4bba6e65bc981fb732d1c21c2d1',
-    'override t2': 'f664ac6dd48c44174f8f7ca77a42180121547f63aed4d65b38ed720d7f3c45e8',
-    'override t3': '7547f2549e4cd77fe72b1573e5a744d7da70d0d52ed3ef73ce340d80e7550e47',
-    'override random:5:2 off grid': 'eee3429e97361b4a3bf41e942ce87ffbb2318a69bce9f6f436cc21478ffe6568',
-    'override float random:5:3': '638b49dad9fd853da84a51ed642f6999047982d7b65750f9eae85a8c6891c2da',
+    'exact random:1:0': '2bd241a6b461978dbe0f3bcf168ee88ed3e6406948cf52412ee3ad78b7676012',
+    'exact random:1:1': 'f4ab68d7c16f2bfaf335110eae0ded0b39695508d8352b4b6ac06a158d0fb7e8',
+    'exact random:1:2': '89e0156cfa513b0bc8639d2ea921f2233e75143982930d44b2d80e1b4030fbdf',
+    'exact random:2:0': 'b22bc9a18fd06052c247f3bdb0169fd689c7904b31d5b68e2a3dcddaa6ee39e9',
+    'exact random:2:1': 'c3e29e4032d9ee360d7d1eb7fc2ca6302e4687ee9d6a09278349e582022f6a10',
+    'exact random:2:2': '64a113ccb336ec91eff86f7f4c19329aae2a35cffedfc39fc8572489007b50e8',
+    'exact random:3:0': 'd27b89e63a1d8e93e71c349639d48079976ba4e96b4ed5b825b38dad6ef73d5b',
+    'exact random:3:1': 'ea23047ea4c4c77f8b0fe26ad16cd95c48b7afb83f64bec7974941a74468fcbf',
+    'exact random:3:2': 'b4e888e6ec0d5c5fb98a7b572ad5b87bf9903e088cf06f2b94328dc8dde168d8',
+    'exact random:4:0': '4a7412375cf7f7c829fdfc829a8e9e339e33f7e295c1975ffe10289c67655839',
+    'exact random:4:1': '10c33b9652fe8ae1f264eb90a6fa382be48497e34ed547cec3e90b557996144e',
+    'exact random:4:2': '817d59670bf4f974c9c210a897300b66eb9c813589ffd833ede5f560ab98e940',
+    'exact random:5:0': '95e1163e145e23bd981aa57d179d26d39d3b23ab98b554d7f9f13beb26d5ceb2',
+    'exact random:5:1': '5df4ffd736e43c1b225e3f987e496cedb8d6db3bf8f2b640e6de3e737f9e6a73',
+    'exact random:5:2': '98a6fdc1d7e1b492d34683e336da7488dd377b8dd6bcbf853724126b415008c1',
+    'exact random:6:0': 'ee93a4b4a8e86207c6efba9f3c8d6be9aca7bd215bca7ddf87ce9927e8db4c53',
+    'exact random:6:1': 'beb6b203076ed132ec2cc05aead40f65a247347a5925c9f4c976e6640bc0b6b6',
+    'exact random:6:2': 'a983f87a4ba887000cf2c5260285ed2f4af0376ddf97a0539ceed56151b373ca',
+    'exact random:7:0': 'd72d58558b91b4fbdf54e6856135f8070d442e2d6519da9ba703362c4acae707',
+    'exact random:7:1': '3bd5801b62ac1a8da323bba073f71af4dcfd33d68a8a74c834133576c4b739c8',
+    'exact random:7:2': 'd0e2960e846d0ecba3ef9c30f7353558dc28f04067324ee268eb8d1ca5651b76',
+    'exact random:8:0': '07a79a6de6d28bd73cac76ffc9547588ce69756ef30c3d9a6472c7d6474ec130',
+    'exact random:8:1': '04dfc17dc24d0c2c7b014d303eaafaa5a0eba9771b9cd7a94c89c2e9175d16c6',
+    'exact random:8:2': 'e913b78d6359208713221cec612e0bc5c2e2e00ee6384542f56b1a34d7169823',
+    'exact random:9:0': '7276b9827f9ce64f3ae606773bda5c13b405faf97431d0acc8bb681d5931869f',
+    'exact random:9:1': '6d38322ffcea1e2809fee7bb5017438db97db6c471bc9078bafb6bd6ec51a779',
+    'exact random:9:2': '506d79226e52b6167f44b3fc4328cefa7033c205d01e6fe1e643fc2edf211d94',
+    'exact random:10:0': 'b80837c91be71eaee873bb6903f81b6ed520d9b04dc1056713cb4965c4f1c4cb',
+    'exact random:10:1': 'eb588e8437abeacfe43cccaf8047d00a52995d9904d7fb83be7da77d97d2d1ef',
+    'exact random:10:2': 'cf546720cb2e8ef49c3cfc8498883f20b57615b435bd52352defa58660944a01',
+    'float random:1:0': 'fc0eff059dde7d80e26aa0f0c3645c8cde531b83b85513ee5d8cd4eeaa9ebea7',
+    'float random:1:1': '761d838e994fb7e318149af57686198119fb9f1f397a4029ceb5a74216bab1b3',
+    'float random:1:2': 'b14cb5640706d29cabb5b976c0c26eaf8d3efdf8d40348b629d9895cc6014403',
+    'float random:2:0': 'f97b8059630594af6ec80c3c26f4d6ab854fb1ce8746361d43fa5b9e9ebf9ca8',
+    'float random:2:1': '5b79ffd2a9261ebe69571a7816d6ee3481bcde306b585b7ee5c5da8d148d3ee1',
+    'float random:2:2': '0d3504299df875e99f667cedfd1b98de80b1ba16d2fae2b41ab49045fb147b91',
+    'float random:3:0': 'a72812066e9a45af4183e7150be66ee0617812d5692f693abc716d30ade88033',
+    'float random:3:1': 'a09651f8b01f791dbd21609d0a77cf5ecee66e026e3f41154583f2e2ec11dfd7',
+    'float random:3:2': 'c80a6264a1e838b865e4d7144a0949b6e3e19389d22ac69e5da38871369d8ab7',
+    'float random:4:0': '992c962401c5673cd556c5636c3626188fafd6253b84bbee648005dbba4d8da7',
+    'float random:4:1': '4442a36e2cc2cb94c3db4600a525422c69c65eadbaca4dc4951c70f3b35ce80c',
+    'float random:4:2': '9d517448733ec831a0fd4960bed7f55777be808a2e2d11e72fdd6992415175eb',
+    'float random:5:0': 'f8d1ef5bc7f0c4befd188b80a060fc37ac9ba417c15b6c109dceebd25e1aca42',
+    'float random:5:1': '7461049f134552744d702e8d4bb4b91be2b83196a0ca7ccc95aa62f2b2ac38bf',
+    'float random:5:2': 'a48c2871a94fa76b69ede738a9fd0beb68c3e11660bae8275250f614f8015c0e',
+    'float random:6:0': '057614e66b18233c4aa935d511f37dc67c0a6a380f99c2894e04f9f2e7ce8480',
+    'float random:6:1': '8a731404e570c14befa8a08fe310d4044945a9c8ba61e4106787c407873829ec',
+    'float random:6:2': 'e1073b7088fd6c47981e0c529effbdf7c13d55a918de4990d2bab88020b088c2',
+    'float random:7:0': '8dbc4819cad342f5918349d73edf72d70fe65d76a2e16e25a81440d6bdb65879',
+    'float random:7:1': 'e05aaed23201b75553d6369984db5cefadd69e6765d5f12c782453e8923d7d63',
+    'float random:7:2': '95aab6460f9d866b77d355caa2c4bdd5ca1ff555ca4f4b94440562b44a8b5ee0',
+    'float random:8:0': '435087d95c22d9d903d58d33228be5e5b9a29317cdeaa7d267d672c0c93c209b',
+    'float random:8:1': '0213480ac39622cc9481d99cd8c90cf696dfe165496d4524e2dd3a2fdc316003',
+    'float random:8:2': '4f74db906f1badab176c883b315e647d8630215af59938217167015ef5fcaba0',
+    'float random:9:0': 'd65eca9b6d14a3567b8e5f0dc76bb297eddae3d7229bbb36bfb14ab34a59b8c0',
+    'float random:9:1': 'a1ea1cc82c5c150bf21fa09b06c9e52b2ffaedf3733daff36a4ac60f2ef28cf4',
+    'float random:9:2': '42f9e6cea70289b57e7177714f460469e589576eb2efa4c8f2222cc5169049ea',
+    'float random:10:0': '783a10724d956c255272102b519802d995f5e2ed55d81ae54ffe5320eae95ab7',
+    'float random:10:1': 'ba5369606aa14c6bd3f505af31689ef5dda8921445de0a6c7cb455141eb81105',
+    'float random:10:2': '9f541e95d05ea58779fbca54383bcf8f28d0736c27d55003861760b931ec6933',
+    'fk:10:1:well@0': 'cc8299a5a46a5970ebd24af1c4c860fedff4a119c0466b18f49cbce280cf2798',
+    'fk:10:1:well@3': 'b0361c51885844e28228d792ae7f53208f69e644eb0916845d6cc520cdf8efb6',
+    'fk:10:1:well@7': '9d211d03589108aa154d18f896d4593bdad1c0e7c2e033bba85314e45639883e',
+    'override t2': 'eb79e26cdd230f13d92f31269e2f875e4e7855f03c49653f31e5cf4815734675',
+    'override t3': '9d6331346f8dfdc19469c4cad544c719665fc97d073b23a71ca6d345b6333f6f',
+    'override random:5:2 off grid': '1bf847a30800d67c2d1788660a8eec17dd3e884ff8aed07783d102db608aa99c',
+    'override float random:5:3': 'aa52b3b426ae8d8e9a0e9d33b5f361e4b6cea6ca34a46f2061d7076f9f4faca6',
 }
 
 

@@ -193,9 +193,9 @@ def test_aubry_vertices_decided_once_per_critical_data(monkeypatch, mode):
     decided = []
     aubry_set = wkam.critical._aubry_set
 
-    def counted(inst, p):
+    def counted(p):
         decided.append(p)
-        return aubry_set(inst, p)
+        return aubry_set(p)
 
     monkeypatch.setattr(wkam.critical, "_aubry_set", counted)
     for seed in range(3):
@@ -205,7 +205,7 @@ def test_aubry_vertices_decided_once_per_critical_data(monkeypatch, mode):
         wkam.jump_F(inst, crit, phi=phi)
         wkam.jump_f(inst, crit, phi=phi)
         bar = peierls_barrier(inst, crit)
-        assert wkam.aubry(inst, crit, bar, phi=phi).vertices is crit.aubry_vertices(inst)
+        assert wkam.aubry(inst, crit, bar, phi=phi).vertices is crit.aubry_vertices()
         wkam.max_strict_subsolution(inst, crit)
         assert decided == [crit.kernel_plus()]
         decided.clear()
@@ -216,7 +216,7 @@ def test_exact_kernel_plus_condenses_the_tight_graph(calls):
     # is one of the 2 x 2 condensed matrix, not of the 128 x 128 kernel
     inst = gen_random(128, 0, -2, 2)
     crit = critical_value(inst)
-    assert len(crit.class_leaders(inst)) == 1
+    assert len(crit.class_leaders()) == 1
     assert [len(a) for a in calls["plus"]] == [2]
     assert _kernel_plus_count(calls) == 1
 

@@ -294,7 +294,7 @@ def test_mix_backward_walk_is_the_walks_off_the_aubry_set_capped_by_u_minus():
     for inst in insts:
         crit = critical_value(inst)
         D, u, lo, _ = limits_grid(inst, crit, uniform_subsolution_mix(inst, crit))
-        A = crit.aubry_vertices(inst)
+        A = crit.aubry_vertices()
         B = [x for x in range(inst.n) if x not in A]
         r = crit.kernel.at(D)
         g = {y: u[y] for y in B}  # g_0 = u on B
