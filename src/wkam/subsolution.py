@@ -17,17 +17,18 @@ bi-infinite calibrated chain through them, and agrees with u on the Aubry
 set of u.  Applying the same construction to a mix of all normalized
 potential rows gives a sub-solution strict off the global Aubry edges.
 Both averages are sums on the integer grid of ``core``, divided once; the
-strictification keeps one running sum per orbit, walked once to its known
-limit, and never the iterates.
+strictification takes each orbit's sum of iterates from
+``barrier.orbit_sum``, which steps to the known limit and jumps whole
+periods where the orbit repeats up to a shift, and never keeps the
+iterates.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
 from typing import Sequence
 
-from .barrier import _limits, limits_grid, orbit_walk
+from .barrier import _limits, limits_grid, orbit_sum
 from .core import CostInstance, ValueFunction, check_function
 from .critical import CriticalData, _dominated_grid
 from .numbers import ConstructionError, InputError
@@ -84,19 +85,14 @@ def strict_subsolution(
 def _strictify(
     inst: CostInstance, crit: CriticalData, u: ValueFunction, D: int, start, lo, hi
 ) -> ValueFunction:
-    """One running sum per walk, padded with its last iterate to N steps,
-    then one division; the iterates are never kept."""
-    walks = [orbit_walk(inst, crit, D, start, lim, pos) for lim, pos in ((lo, False), (hi, True))]
-    total, steps, lasts = list(start), [], []
-    for walk in walks:
-        last, k = next(walk), 0
-        for k, last in enumerate(walk, 1):
-            total = list(map(add, total, last))
-        steps.append(k)
-        lasts.append(last)
-    N = max(1, *steps)
-    for k, last in zip(steps, lasts):
-        total = [t + (N - k) * v for t, v in zip(total, last)]
+    """u plus each walk's sum of iterates 1..K, padded with (N - K) times
+    its limit to N = max(1, K-, K+), then one division; the iterates are
+    never kept."""
+    sums = [orbit_sum(inst, crit, D, start, lim, pos) for lim, pos in ((lo, False), (hi, True))]
+    N = max(1, *(k for _, k in sums))
+    total = list(start)
+    for (part, k), lim in zip(sums, (lo, hi)):
+        total = [t + v + (N - k) * w for t, v, w in zip(total, part, lim)]
     tag = f"strict[{u.tag}]" if u.tag else "strict"
     return ValueFunction.on_grid(total, D * (2 * N + 1), inst.mode, tag)
 

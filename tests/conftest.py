@@ -3,16 +3,18 @@ from fractions import Fraction as F
 import pytest
 
 from wkam import make_instance
-from wkam.barrier import limits_grid, orbit_walk
+from wkam.barrier import limits_grid
 from wkam.core import PotentialTable, from_grid, minplus_product
+
+from walk_reference import ref_orbit
 
 
 def orbit(inst, crit, u, forward=False):
     """The normalized orbit of u up to its limit: u, T-u + alpha0, ... up to
-    u_minus, or with ``forward`` u, T+u - alpha0, ... up to u_plus."""
-    D, start, lo, hi = limits_grid(inst, crit, u)
-    walk = orbit_walk(inst, crit, D, start, hi if forward else lo, forward)
-    return [from_grid(inst.mode, v, D) for v in walk]
+    u_minus, or with ``forward`` u, T+u - alpha0, ... up to u_plus, by the
+    reference's full steps on the kernel's grid refined to u's."""
+    D, start, _, _ = limits_grid(inst, crit, u)
+    return [from_grid(inst.mode, v, D) for v in ref_orbit(crit.kernel.at(D), start, forward)]
 
 
 def power(inst, n):

@@ -36,6 +36,7 @@ from wkam.potential import mane_potential, phi_n
 from wkam.subsolution import aubry_of, max_strict_subsolution
 
 from conftest import orbit
+from walk_reference import ref_orbit, walk_sum
 
 
 def crit_bar(inst):
@@ -240,21 +241,32 @@ def test_float_u_plus_answers_past_4n_squared():
 
 
 def test_walk_refused_after_its_work_limit(monkeypatch):
-    # the self-loops of 100 bound each step's move by 100, so the walk passes
-    # the check on the call; but the backward orbit of 0 climbs by the 1/100
-    # two-cycle inside B, 1/200 a step, and has not reached its limit 1000
-    # when it has made the (lowered) work limit of 50 steps at n = 3
+    # the work limit is lowered to 50000 steps at n = 3, and each walk is
+    # the backward orbit of 0.  On ``slopes`` it climbs to its limit 100 at
+    # points 1 and 2 by their self-loops off the Aubry set, 1/1000 and
+    # 1/999 a step: the difference of the two never repeats before point 2
+    # settles at step 99900, so the walk steps every step and is refused.
+    # On ``cycle`` it climbs by the 1/100 two-cycle, 1/200 a step, for
+    # 200000 steps, repeating up to a shift every 2 steps from the start.
+    # On ``lagged`` point 2 climbs by 1/10 a step until it meets point 1
+    # plus the cost 1 between them, then follows point 1, 1/1000 a step:
+    # the period starts after that transient, so the tortoise must move to
+    # find it.  Both jump and pass the same limit
     import wkam.barrier as barrier
 
-    inst = make_instance([[0, 1000, 1000], [1000, 100, F(1, 100)], [1000, 0, 100]])
-    crit = critical_value(inst)
-    D, start, lo, _ = barrier.limits_grid(inst, crit, as_value_function(inst, [0, 0, 0]))
-    assert lo == [0, 1000 * D, 1000 * D]
-    monkeypatch.setattr(barrier, "_WALK_WORK_LIMIT", 50 * 9)
-    walk = barrier.orbit_walk(inst, crit, D, start, lo, False)
-    with pytest.raises(SizeGuardError, match="did not settle in 50 steps"):
-        for _ in walk:
-            pass
+    slopes = make_instance([[0, 100, 100], [100, F(1, 1000), 100], [100, 100, F(1, 999)]])
+    cycle = make_instance([[0, 1000, 1000], [1000, 100, F(1, 100)], [1000, 0, 100]])
+    lagged = make_instance([[0, 100, 100], [100, F(1, 1000), 1], [100, 100, F(1, 10)]])
+    monkeypatch.setattr(barrier, "_WALK_WORK_LIMIT", 50000 * 9)
+    walks = []
+    for inst, L in ((slopes, 100), (cycle, 1000), (lagged, 100)):
+        crit = critical_value(inst)
+        D, start, lo, _ = barrier.limits_grid(inst, crit, as_value_function(inst, [0, 0, 0]))
+        assert lo == [0, L * D, L * D]
+        walks.append((inst, crit, D, start, lo, False))
+    with pytest.raises(SizeGuardError, match="did not settle in 50000 steps"):
+        barrier.orbit_sum(*walks[0])
+    assert [barrier.orbit_sum(*w)[1] for w in walks[1:]] == [200000, 100000]
 
 
 def test_orbits_monotone_and_solutions():
@@ -279,12 +291,25 @@ def test_orbits_monotone_and_solutions():
 
 
 
+def _walks_match_the_reference(inst, crit, u):
+    """Both walks of u: orbit_sum gives the sum and length of the
+    reference's full steps, which end at the closed-form limits."""
+    from wkam.barrier import limits_grid, orbit_sum
+
+    D, start, lo, hi = limits_grid(inst, crit, u)
+    r = crit.kernel.at(D)
+    for limit, positive in ((lo, False), (hi, True)):
+        walk = ref_orbit(r, start, positive)
+        assert list(walk[-1]) == list(limit)
+        assert orbit_sum(inst, crit, D, start, limit, positive) == walk_sum(walk)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 24), st.integers(0, 10**6), st.integers(0, 3))
 def test_exact_walk_gives_the_full_steps(n, seed, sample):
-    # an exact step computes only the points off their limit; every iterate
-    # must still be the full T- + alpha0 (T+ - alpha0) step of the last one
-    from wkam.barrier import limits_grid, orbit_walk
+    # a walk steps only the points off their limit and jumps whole periods;
+    # its sum and length must still be those of the full T- + alpha0
+    # (T+ - alpha0) steps
     from wkam.subsolution import uniform_subsolution_mix
 
     inst = gen_random(n, seed, -2, 2)
@@ -292,18 +317,42 @@ def test_exact_walk_gives_the_full_steps(n, seed, sample):
     u = uniform_subsolution_mix(inst, crit)
     if sample:
         u = list(subsolution_sampler(inst, crit, seed=seed, count=sample))[-1]
-    D, start, lo, hi = limits_grid(inst, crit, u)
-    r = crit.kernel.at(D)
-    pts = range(n)
-    for limit, positive in ((lo, False), (hi, True)):
-        walk = list(orbit_walk(inst, crit, D, start, limit, positive))
-        assert list(walk[0]) == list(start) and list(walk[-1]) == list(limit)
-        for v, w in zip(walk, walk[1:]):
-            if positive:
-                want = [max(v[z] - r[x][z] for z in pts) for x in pts]
-            else:
-                want = [min(v[z] + r[z][y] for z in pts) for y in pts]
-            assert list(w) == want
+    _walks_match_the_reference(inst, crit, u)
+
+
+@st.composite
+def _walks(draw):
+    """(inst, u) in either mode: a random instance with its potential-row
+    mix or a sampled u, or an instance whose points 1..m climb off the
+    Aubry point 0 by self-loops of about 1/1000 and two-cycles among them
+    for 10^3 to 10^5 steps.  Points there that share a slope keep their
+    difference, so the walk jumps, and the points off their limit shrink
+    between its periods as the lower gaps settle."""
+    from wkam.subsolution import uniform_subsolution_mix
+
+    mode = draw(st.sampled_from((Mode("exact"), Mode("float", 1e-9))))
+    seed, count = draw(st.integers(0, 10**6)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        span = draw(st.sampled_from((2, 100)))
+        inst = gen_random(draw(st.integers(1, 8)), seed, -span, span, mode=mode)
+    else:
+        m = draw(st.integers(1, 3))
+        gaps = [draw(st.sampled_from((1, 3, 10, 30, 75))) for _ in range(m)]
+        loop = st.sampled_from((1000, F(1, 1000), F(1, 999)))
+        cost = [[0, *gaps]] + [[g] + [draw(loop) for _ in range(m)] for g in gaps]
+        for i in range(m):
+            cost[1 + i][1 + i] = F(1, 999 if i and draw(st.booleans()) else 1000)
+        inst = make_instance(cost, mode=mode)
+    crit = critical_value(inst)
+    if count:
+        return inst, crit, list(subsolution_sampler(inst, crit, seed=seed, count=count))[-1]
+    return inst, crit, uniform_subsolution_mix(inst, crit)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_walks())
+def test_orbit_sum_is_the_reference_walks_sum(case):
+    _walks_match_the_reference(*case)
 
 
 def test_limits_are_enveloping_solutions():

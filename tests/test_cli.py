@@ -299,25 +299,38 @@ def test_subsolution_slow_orbit_exits_0(capsys, tmp_path):
     assert doc["u1"] == [0, 0]
 
 
-def test_subsolution_over_orbit_budget_exits_2_fast(capsys, tmp_path):
-    # the off-Aubry self-loop 1/1000 bounds each step's move, so both orbits
-    # of the mix u* = (0, 0) need at least 10^6 / (1/1000) = 10^9 steps to
-    # reach their limits; the walk is refused before any step
-    from wkam import SizeGuardError, critical_value, uniform_subsolution_mix
-    from wkam.barrier import limits_grid, orbit_walk
+def test_subsolution_long_orbit_answers_fast(capsys, tmp_path, monkeypatch):
+    # the off-Aubry self-loop 1/100000 (1/1000) moves each orbit of the mix
+    # u* = (0, 0) by that much a step, so both take 10^10 (10^9) steps to
+    # reach their limits; each repeats up to that shift from its first
+    # step and jumps there, well within a work limit lowered to 1000 steps.
+    # The certificate: u1 is dominated and strict exactly off the Aubry
+    # edges, which the exhaustive cycle scan gives
+    import wkam.barrier as barrier
+    from wkam import as_value_function, critical_value, is_dominated
     from wkam.models import load
+    from wkam.oracle import cycle_scan
 
-    p = tmp_path / "slower.json"
-    p.write_text('{"cost": [[0, 1000000], [1000000, "1/1000"]]}')
-    code, _, err = run(capsys, "subsolution", "--in", str(p))
-    assert code == 2
-    assert "1000000000 steps" in err
-    inst = load(p)
-    crit = critical_value(inst)
-    D, start, lo, hi = limits_grid(inst, crit, uniform_subsolution_mix(inst, crit))
-    for limit, forward in ((lo, False), (hi, True)):
-        with pytest.raises(SizeGuardError):
-            orbit_walk(inst, crit, D, start, limit, forward)  # raises on the call
+    monkeypatch.setattr(barrier, "_WALK_WORK_LIMIT", 1000 * 4)
+    for name, cost in (("big", '[[0, 100000], [100000, "1/100000"]]'),
+                       ("slower", '[[0, 1000000], [1000000, "1/1000"]]')):
+        p = tmp_path / f"{name}.json"
+        p.write_text(f'{{"cost": {cost}}}')
+        code, out, _ = run(capsys, "subsolution", "--in", str(p), "--check")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["u1"] == [0, 0]
+        assert doc["strict_matches_aubry_complement"] is True
+        inst = load(p)
+        crit = critical_value(inst)
+        assert is_dominated(inst, as_value_function(inst, doc["u1"]), crit.alpha0).ok
+        tight = set(cycle_scan(inst).zero_edges)
+        assert doc["strict_pairs"] == [
+            [inst.labels[x], inst.labels[y]]
+            for x in range(inst.n)
+            for y in range(inst.n)
+            if (x, y) not in tight
+        ]
 
 
 def test_potential_output(capsys, t2_file):

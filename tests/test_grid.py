@@ -47,6 +47,7 @@ from wkam.potential import jump_F, jump_f, mane_potential, phi_n
 from wkam.subsolution import max_strict_subsolution, uniform_subsolution_mix
 
 from conftest import orbit, power
+from walk_reference import ref_orbit
 
 
 def _mixed(n: int, seed: int):
@@ -131,21 +132,14 @@ def _ref_dominated(inst, u, alpha):
     return True, None
 
 
-def _ref_orbit(inst, crit, u, forward):
-    cur, out = tuple(u), [tuple(u)]
-    while True:
-        if forward:
-            nxt = tuple(v - crit.alpha0 for v in _ref_pos(inst, cur))
-        else:
-            nxt = tuple(v + crit.alpha0 for v in _ref_neg(inst, cur))
-        if nxt == cur:
-            return out
-        out.append(nxt)
-        cur = nxt
+def _ref_reduced(inst, crit):
+    """c + alpha0 from the instance's own values."""
+    return [[c + crit.alpha0 for c in row] for row in inst.cost]
 
 
 def _ref_strict(inst, crit, u):
-    neg, pos = _ref_orbit(inst, crit, u, False), _ref_orbit(inst, crit, u, True)
+    r = _ref_reduced(inst, crit)
+    neg, pos = ref_orbit(r, u, False), ref_orbit(r, u, True)
     N = max(1, len(neg) - 1, len(pos) - 1)
     comps = [neg[min(k, len(neg) - 1)] for k in range(N + 1)]
     comps += [pos[min(k, len(pos) - 1)] for k in range(1, N + 1)]
@@ -205,7 +199,7 @@ def test_orbits_off_the_grid_match_fraction_reference(idx):
     assert all(v.denominator % 11 == 0 for v in u)
     for forward in (False, True):
         got = orbit(inst, crit, ValueFunction(u), forward)
-        want = _ref_orbit(inst, crit, u, forward)
+        want = ref_orbit(_ref_reduced(inst, crit), u, forward)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             _same(g, w)

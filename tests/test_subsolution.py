@@ -19,10 +19,12 @@ from wkam import (
     uniform_subsolution_mix,
     weak_kam_neg,
 )
-from wkam.barrier import limits_grid, orbit_walk
+from wkam.barrier import limits_grid, orbit_sum
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import Mode
 from wkam.oracle import aubry_chain_sets, enum_zero_cycles, subsolution_sampler
+
+from walk_reference import ref_orbit, walk_sum
 
 
 def test_chain_validation(t2):
@@ -298,11 +300,14 @@ def test_mix_backward_walk_is_the_walks_off_the_aubry_set_capped_by_u_minus():
         B = [x for x in range(inst.n) if x not in A]
         r = crit.kernel.at(D)
         g = {y: u[y] for y in B}  # g_0 = u on B
-        for v in orbit_walk(inst, crit, D, u, lo, False):
+        walk = ref_orbit(r, u, False)
+        for v in walk:
             assert [v[a] for a in A] == [u[a] for a in A]
             assert [v[y] for y in B] == [min(lo[y], g[y]) for y in B]
             g = {y: min(g[x] + r[x][y] for x in B) for y in B}
             iterates += 1
+        assert list(walk[-1]) == lo
+        assert orbit_sum(inst, crit, D, u, lo, False) == walk_sum(walk)
     assert (len(insts), iterates) == (184, 1075)
 
 
