@@ -32,12 +32,23 @@ The front of x at length j holds those
 w, each with the least weight of a j-edge walk to it, which is exact, as
 the least walk to a front entry has its prefixes on fronts.  k is the least
 j whose fronts are all empty.  The search advances every front by a step
-``S^L`` (one ``minplus_row`` per row, over the front's rows of ``S^L``); it
-squares the step once the walk has made ``|B|^3`` entry updates since the
-last squaring, the price of one product, and after the first advance that
-empties every front it lifts j back with the smaller powers.  So a long
-transient takes at most ``2 + ceil(log2 k)`` products, a short one about
-one, and none is a Kleene plus.  h costs O(n^2 * classes) on top of
+``S^L``; it squares the step once the walk has made ``|B|^3`` entry
+updates since the last squaring, the price of one product, and after the
+first advance that empties every front it lifts j back with the smaller
+powers.  So a long transient takes at most ``2 + ceil(log2 k)`` products,
+a short one about one, and none is a Kleene plus.
+
+All of it runs on ``core.MinPlusRows``, packed rows of nonnegative ints.
+The Bellman-Ford potentials of ``CriticalData`` make every operand so:
+``t'(x, y) = t(x, y) + pot(x) - pot(y) >= 0`` for t = S, P and h, and for
+every power of S, and a walk's weight shifts the same way.  m is
+``top + m'``, one product of ``top - h'`` (``top`` the largest h') with
+P' transposed, and a front keeps w iff its shifted weight is below
+``-m'(x, w)``: one integer comparison.  An advance lowers a packed row
+once per front entry, ``c * ones + row`` and a guarded min, in place of
+a ``min`` per entry, and the packed powers are kept for the lift.  A
+power whose sums would pass 63 bits (float grids near 2^1049) runs on
+the entry loop, with the same ints.  h costs O(n^2 * classes) on top of
 ``phi_1``, and ``CriticalData`` holds ``phi_1`` once; the transient is
 computed on
 the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
@@ -95,12 +106,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, sub
+from itertools import compress
+from operator import add, lt, sub
 from typing import Optional
 
 from .core import (
     CostInstance,
     Matrix,
+    MinPlusRows,
     PotentialTable,
     ValueFunction,
     backward,
@@ -169,44 +182,52 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTabl
 
 def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
     """Least j whose fronts are all empty (see the module docstring)."""
-    r, p, hg = crit.kernel.grid, crit.kernel_plus().grid, h.grid
-    verts = set(crit.aubry_vertices())
+    pot, verts = crit._pot, set(crit.aubry_vertices())
     off = [x for x in range(inst.n) if x not in verts]
     b = len(off)
     if not b:
         return 0
-    s = tuple(tuple(r[x][y] for y in off) for x in off)
-    pb = [[p[x][y] for y in off] for x in off]
-    hb = [[hg[x][y] for y in off] for x in off]
-    # m(x, w) = min_y P(w, y) - h(x, y), the product of -h_B and P_B transposed
-    m = minplus_product(tuple(tuple(-v for v in row) for row in hb), tuple(zip(*pb)))
 
-    def front(x: int, row: list) -> tuple[list, list]:
-        """The entries w of row x with v = row[w] + m(x, w) < 0."""
-        ws = [w for w, t in enumerate(map(add, row, m[x])) if t < 0]
-        return ws, [row[w] for w in ws]
+    def shifted(t: Matrix) -> Matrix:
+        """t(x, y) + pot(x) - pot(y) on B x B, nonnegative for r, P and h."""
+        return tuple(tuple(t[x][y] + pot[x] - pot[y] for y in off) for x in off)
 
-    def advance(fronts: list, q: Matrix) -> Optional[list]:
+    hb = shifted(h.grid)
+    top = max(map(max, hb))
+    # m(x, w) = min_y P'(w, y) - h'(x, y), as top + m, the product of
+    # top - h' and P' transposed; a walk x -> w of shifted weight v extends
+    # below h iff v + m(x, w) < 0, that is v < lim(x, w) = -m(x, w)
+    pt = MinPlusRows(tuple(zip(*shifted(crit.kernel_plus().grid))), top)
+    lim = [[top - v for v in row] for row in pt.product([[top - v for v in row] for row in hb])]
+
+    def front(x: int, row: tuple) -> tuple[list, list]:
+        """The entries w of row x with row[w] < lim(x, w)."""
+        ws = list(compress(range(b), map(lt, row, lim[x])))
+        return ws, list(map(row.__getitem__, ws))
+
+    def advance(fronts: list, q: MinPlusRows) -> Optional[list]:
         """The fronts a walk of q's length further on, or None if all are empty."""
-        out = [
-            front(x, minplus_row(vs, zip(*(q[w] for w in ws)))) if ws else ([], [])
-            for x, (ws, vs) in enumerate(fronts)
-        ]
+        out = [front(x, q.row(vs, ws)) if ws else ([], []) for x, (ws, vs) in enumerate(fronts)]
         return out if any(ws for ws, _ in out) else None
 
+    def power(t: Matrix) -> MinPlusRows:
+        """A power of S', held for fronts (weights below top) and its square."""
+        return MinPlusRows(t, max(top, max(map(max, t))))
+
     # j = 0: the empty walk at x, kept as ``front`` keeps an entry
-    fronts = [([x], [0]) if m[x][x] < 0 else ([], []) for x in range(b)]
+    fronts = [([x], [0]) if lim[x][x] > 0 else ([], []) for x in range(b)]
     if not any(ws for ws, _ in fronts):
         return 0
-    # Invariant: the fronts at length j are not all empty and powers[t] = S^(2^t);
-    # the step is squared once the walk has made |B|^3 entry updates, the
-    # price of the squaring, since the last one.
-    j, powers, work = 0, [s], 0
+    # Invariant: the fronts at length j are not all empty and powers[t] holds
+    # S'^(2^t); the step is squared once the walk has made |B|^3 entry
+    # updates, the price of the squaring, since the last one.
+    j, powers, work = 0, [power(shifted(crit.kernel.grid))], 0
     while (nxt := advance(fronts, powers[-1])) is not None:
         work += b * sum(len(ws) for ws, _ in fronts)
         fronts, j = nxt, j + (1 << (len(powers) - 1))
         if work >= b**3:
-            powers.append(minplus_product(powers[-1], powers[-1]))
+            q = powers[-1]
+            powers.append(power(q.product(q.rows)))
             work = 0
     # the fronts empty within the last step; lift j to the longest length
     # whose fronts are not all empty

@@ -9,9 +9,10 @@ point ``y``.  The two value-update operators are
 
 Every min-plus loop of the solver is a kernel here: ``minplus_row`` (a row
 times a matrix given by its columns; ``minplus_product`` is one per row,
-or folds the rows of a thin right factor) and ``kleene_plus`` (the closure,
-whose diagonal holds the jumps; on packed rows for a matrix of nonnegative
-ints), but ``critical._relax``, one Bellman-Ford round that relaxes in
+or folds the rows of a thin right factor), ``kleene_plus`` (the closure,
+whose diagonal holds the jumps) and ``MinPlusRows`` (rows and products
+against one right factor, the barrier's transient), but
+``critical._relax``, one Bellman-Ford round that relaxes in
 place, whose predecessors the search for the critical constant reads: a
 Jacobi round of ``minplus_row`` would set others.  That round serves
 ``critical._bellman_ford`` and the search.  ``backward`` is ``T-`` by ``minplus_row``, and ``forward`` is
@@ -19,6 +20,13 @@ Jacobi round of ``minplus_row`` would set others.  That round serves
 identity ``T+(u) = -T-_(c transposed)(-u)`` is checked by the oracle, not
 used to compute ``T+``.  All operations are pure functions of immutable
 inputs and deterministic (ties in argmins break to the lowest point index).
+
+``kleene_plus`` of nonnegative ints and ``MinPlusRows`` share one packed
+row kernel (``_fields``): each row is one int of fixed-width fields, and
+one ``lower`` step, ``c * ones + row`` and a guarded min, updates a whole
+row with a few int operations.  Where the fields would need 64 bits or
+more, or an entry is negative, both run their entry loops, with the same
+ints.
 
 Both modes compute on an integer grid: with ``D`` a common denominator of
 the values involved (``grid_scale``), ``to_grid`` maps ``v`` to the integer
@@ -56,7 +64,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .numbers import EXACT, INF, InputError, Mode, Value, format_value, is_inf
 
@@ -336,6 +344,30 @@ def check_metric(g: Matrix, mode: Mode = EXACT, scale: int = 1) -> None:
                     raise InputError(f"metric violates triangle inequality at ({i},{k},{j})")
 
 
+def check_circulant(row: Sequence[int]) -> None:
+    """``check_metric``, in exact mode and with its messages, of the
+    circulant matrix d(i, j) = row[(j - i) mod m], in O(m^2).
+
+    Each value of d is in row 0, so the entry and symmetry checks scan it
+    alone; d(i, k) + d(k, j) is row[a] + row[b] with a = k - i and
+    b = j - k, so the triangle inequality over all triples is row[a + b]
+    <= row[a] + row[b], mod m: d(0, j) <= d(0, k) + d(k, j) for all j and
+    k, and a violation at (i, j) is one at (0, j - i)."""
+    row = list(row)
+    if row[0] != 0:
+        raise InputError("metric diagonal must be zero at 0")
+    for j, v in enumerate(row):
+        if is_inf(v) or v < 0:
+            raise InputError(f"metric entry (0,{j}) must be finite >= 0")
+        if v != row[-j]:
+            raise InputError(f"metric not symmetric at (0,{j})")
+    for j in range(1, len(row)):
+        via = list(map(add, row, row[j::-1] + row[:j:-1]))  # d(0, k) + d(k, j)
+        if row[j] > min(via):
+            k = next(k for k, v in enumerate(via) if row[j] > v)
+            raise InputError(f"metric violates triangle inequality at (0,{k},{j})")
+
+
 @lru_cache(maxsize=None)
 def _default_labels(n: int) -> tuple[str, ...]:
     """Labels p0 .. p(n-1), one tuple per n shared by every unlabelled
@@ -392,8 +424,10 @@ def kleene_plus(a: Matrix) -> Matrix:
     loop on packed rows (``_packed_plus``) and gives the same ints.
     """
     flat = list(chain.from_iterable(a))
-    if flat and set(map(type, flat)) == {int} and min(flat) >= 0 and 2 * max(flat) < 2**63:
-        return _packed_plus(a, max(flat))
+    if flat and set(map(type, flat)) == {int} and min(flat) >= 0:
+        f = _fields(len(a), 2 * max(flat))
+        if f is not None:
+            return _packed_plus(a, f)
     d = [list(row) for row in a]
     for k in range(len(d)):
         dk = d[k]
@@ -403,34 +437,103 @@ def kleene_plus(a: Matrix) -> Matrix:
     return _freeze(d)
 
 
+def _packed_plus(a: Matrix, f: _Fields) -> Matrix:
+    """``kleene_plus`` of a matrix of nonnegative ints on packed rows, in
+    fields ``f`` that hold twice its largest entry: entries only decrease,
+    so every sum d(i, k) + d(k, y) fits, and a pivot lowers a whole row with
+    one ``f.lower`` in place of a loop over its entries."""
+    rows = list(map(f.pack, a))
+    lower, w, mask = f.lower, f.width, (1 << f.width) - 1
+    for k in range(len(rows)):
+        dk, at = rows[k], w * k
+        for i, row in enumerate(rows):
+            rows[i] = lower(row, (row >> at) & mask, dk)  # d(i, k) + d(k, y)
+    return tuple(map(f.unpack, rows))
+
+
+class MinPlusRows:
+    """The rows of a matrix ``b`` of ints, held for min-plus rows against
+    it: ``row(coeffs, zs)`` is min_i coeffs[i] + b(zs[i], y) for each y,
+    and ``product(a)`` is ``minplus_product(a, b)``.
+
+    The caller promises coefficients in [0, ``lead``].  When b's entries
+    are nonnegative and every sum, up to ``lead`` plus b's largest entry,
+    fits a field of ``_fields``, b's rows are packed once, and a row costs
+    one ``lower`` per coefficient in place of one ``min`` per entry; else
+    ``row`` and ``product`` are the entry loops ``minplus_row`` and
+    ``minplus_product``.  Both give the same ints."""
+
+    __slots__ = ("rows", "_fields", "_packed")
+
+    def __init__(self, b: Matrix, lead: int) -> None:
+        self.rows = b
+        f = _fields(len(b[0]), lead + max(map(max, b))) if min(map(min, b)) >= 0 else None
+        self._fields, self._packed = f, None if f is None else list(map(f.pack, b))
+
+    def row(self, coeffs: Sequence[int], zs: Optional[Sequence[int]] = None) -> tuple:
+        """min_i coeffs[i] + b(zs[i], y) for each y; zs defaults to every
+        row of b in order.  coeffs is not empty."""
+        f = self._fields
+        if f is None:
+            rows = self.rows if zs is None else map(self.rows.__getitem__, zs)
+            return tuple(minplus_row(coeffs, zip(*rows)))
+        packed = self._packed if zs is None else map(self._packed.__getitem__, zs)
+        lower, out = f.lower, f.inf
+        for c, b in zip(coeffs, packed):
+            out = lower(out, c, b)
+        return f.unpack(out)
+
+    def product(self, a: Matrix) -> Matrix:
+        """min_z a(x, z) + b(z, y): one ``row`` per row of a."""
+        if self._fields is None:
+            return minplus_product(a, self.rows)
+        return tuple(map(self.row, a))
+
+
 # array typecodes by item size in bytes
 _FIELD_CODES = {array(t).itemsize: t for t in "QLIHB"}
 
 
-def _packed_plus(a: Matrix, top: int) -> Matrix:
-    """``kleene_plus`` of a matrix of ints in [0, top], ``2 * top < 2**63``,
-    each row packed into one int of fixed-width fields, so that a pivot
-    updates a whole row with a few int operations in place of a loop over
-    its entries.
+class _Fields(NamedTuple):
+    """Rows of n ints packed each into one int of ``width``-bit fields,
+    whole bytes, so that ``array`` packs and unpacks them.
 
-    Entries only decrease from at most ``top``, so every sum d(i, k) +
-    d(k, y) is below ``2 * top`` and fits a field below its top bit, which
-    guards the field: ``(row | guard) - s`` keeps it set exactly where
-    d(i, y) >= s, without borrowing from the next field.  Fields are whole
-    bytes, so that ``array`` packs and unpacks the rows."""
-    size = next(s for s in (1, 2, 4, 8) if (2 * top).bit_length() < 8 * s)
-    code, w = _FIELD_CODES[size], 8 * size
-    order, n = sys.byteorder, len(a)
+    ``lower(row, c, b)`` lowers each field y of ``row`` to c + b(y) where
+    that is less, with a few int operations on the whole row.  Every value
+    and sum it meets lies below 2^(width - 1), so a field's top bit is
+    clear and guards it: ``(row | guard) - s`` keeps the guard set exactly
+    where row(y) >= s(y), without borrowing from the next field.  ``inf``
+    is the row of the largest such values, which any sum lowers."""
+
+    width: int
+    pack: Callable[[Sequence[int]], int]
+    unpack: Callable[[int], tuple]
+    lower: Callable[[int, int, int], int]
+    inf: int
+
+
+def _fields(n: int, top: int) -> Optional[_Fields]:
+    """The narrowest fields for rows of n ints whose values and sums are at
+    most ``top``; None when ``top`` needs 64 bits or more."""
+    size = next((s for s in (1, 2, 4, 8) if top.bit_length() < 8 * s), None)
+    if size is None:
+        return None
+    code, w, order = _FIELD_CODES[size], 8 * size, sys.byteorder
     ones = int.from_bytes(array(code, [1] * n).tobytes(), order)
-    guard, field = ones << (w - 1), (1 << w) - 1
-    rows = [int.from_bytes(array(code, row).tobytes(), order) for row in a]
-    for k in range(n):
-        dk, at = rows[k], w * k
-        for i, row in enumerate(rows):
-            s = ((row >> at) & field) * ones + dk  # d(i, k) + d(k, y) in field y
-            t = ((row | guard) - s) & guard  # guard bits where d(i, y) >= s
-            rows[i] = row ^ ((row ^ s) & (t - (t >> (w - 1))))  # s there
-    return tuple(tuple(memoryview(row.to_bytes(size * n, order)).cast(code)) for row in rows)
+    guard = ones << (w - 1)
+
+    def pack(row: Sequence[int]) -> int:
+        return int.from_bytes(array(code, row).tobytes(), order)
+
+    def unpack(row: int) -> tuple:
+        return tuple(memoryview(row.to_bytes(size * n, order)).cast(code))
+
+    def lower(row: int, c: int, b: int) -> int:
+        s = c * ones + b
+        t = ((row | guard) - s) & guard  # guard bits where row(y) >= s(y)
+        return row ^ ((row ^ s) & (t - (t >> (w - 1))))  # s there
+
+    return _Fields(w, pack, unpack, lower, guard - ones)
 
 
 # ---------------------------------------------------------------------------

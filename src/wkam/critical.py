@@ -29,6 +29,9 @@ common denominator of the costs and alpha0: the integer kernel
 
 The witness cycle is read off the tight graph of the kernel r: the edges
 with ``pot(y) = pot(x) + r(x, y)``, ``pot`` the Bellman-Ford potentials.
+The search's certifying round leaves them: its weights ``c * q - p`` are
+an integer multiple of r, and so are its converged distances.  Only when
+Karp answered does ``_bellman_ford`` run on r.
 ``CriticalData`` keeps both and computes the Kleene plus P of r on the
 tight graph's strongly connected components (Tarjan, 1972).
 With ``r'(x, y) = r(x, y) + pot(x) - pot(y) >= 0``, zero on tight edges,
@@ -191,12 +194,17 @@ def critical_value(inst: CostInstance) -> CriticalData:
         for x, row in enumerate(t.grid):
             if all(is_inf(v) for v in row):
                 raise InputError(f"point {inst.labels[x]} has out-degree 0")
-    total, length = _least_cycle_mean(t.grid, inst.total)
+    total, length, dist = _least_cycle_mean(t.grid, inst.total)
     alpha0 = Fraction(-total, length * t.scale)
     D = grid_scale((alpha0,), t.scale)
     (a,) = to_grid((alpha0,), D)
     kernel = _shifted(t.at(D), a)
-    pot, adj = _tight(inst, kernel)
+    edges = _finite_edges(kernel, inst.total)
+    # the search's weights c * q - p are M = q * D0 / D times the kernel's,
+    # so its distances are M times the kernel's potentials
+    M = length * t.scale // D
+    pot = _bellman_ford(edges)[0] if dist is None else [d // M for d in dist]
+    adj = _tight(pot, edges)
     return CriticalData(a, _zero_cycle(adj), PotentialTable(kernel, D, inst.mode), pot, adj)
 
 
@@ -221,8 +229,10 @@ def _rows(edges: Edges):
     return map(enumerate, weights) if targets is None else map(zip, targets, weights)
 
 
-def _least_cycle_mean(cost: Matrix, total: bool) -> tuple[int, int]:
-    """The least cycle mean of an integer matrix, as (cycle total, length).
+def _least_cycle_mean(cost: Matrix, total: bool) -> tuple[int, int, Optional[list[int]]]:
+    """The least cycle mean of an integer matrix, as (cycle total, length,
+    distances): the distances of the certifying round, or None when Karp
+    answered.
 
     The candidate p/q is always the mean of a real cycle: first the least
     finite self-loop or, when there is none, the best cycle of the graph
@@ -249,10 +259,10 @@ def _least_cycle_mean(cost: Matrix, total: bool) -> tuple[int, int]:
         pred: list[Optional[int]] = [None] * n
         while True:
             if rounds > n:
-                return _karp_min_cycle_mean(cost if total else _priced(cost))
+                return (*_karp_min_cycle_mean(cost if total else _priced(cost)), None)
             rounds += 1
             if not _relax(dist, pred, w):
-                return p, q
+                return p, q, dist
             found = _best_cycle(pred, lambda y: cost[pred[y]][y])
             if found is not None:
                 break
@@ -341,14 +351,11 @@ def _zero_cycle(adj: list[list[int]]) -> tuple[int, ...]:
     return cyc
 
 
-def _tight(inst: CostInstance, kernel: Matrix) -> tuple[list[Value], list[list[int]]]:
-    """The shortest-path potentials p of the finite edges of the reduced
-    weights r, and the tight subgraph p(v) = p(u) + r(u, v) as ascending
+def _tight(pot: Sequence[int], edges: Edges) -> list[list[int]]:
+    """The tight subgraph pot(v) = pot(u) + r(u, v) of the finite edges of
+    the reduced weights r, pot their shortest-path potentials, as ascending
     successor lists, each pair decided by one integer comparison."""
-    edges = _finite_edges(kernel, inst.total)
-    pot, _ = _bellman_ford(edges)
-    rows = zip(pot, _rows(edges))
-    return pot, [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in rows]
+    return [[v for v, r in pairs if pu + r == pot[v]] for pu, pairs in zip(pot, _rows(edges))]
 
 
 def _components(adj: list[list[int]]) -> tuple[list[int], int]:

@@ -44,6 +44,7 @@ from .core import (
     _freeze,
     _instance,
     _table,
+    check_circulant,
     check_function,
     check_metric,
     from_grid,
@@ -169,7 +170,11 @@ def gen_fk(
     cost = _least_grid(mode, rows, D)
     if not mode.exact:
         cost = grid_table(mode, cost.entries)
-    return _instance(cost, [str(i) for i in range(m)], _least_grid(mode, _rotations(base)))
+    # the costs are finite and square by construction, and the metric is
+    # circulant: its base row decides every triangle
+    check_circulant(base)
+    labels = tuple(map(str, range(m)))
+    return CostInstance(m, labels, cost, mode, _least_grid(mode, _rotations(base)))
 
 
 def fk_potential_well(m: int, center: int = 0) -> list[Value]:

@@ -7,7 +7,9 @@ give the integers that ``core.kleene_plus`` on the whole kernel and the
 product over every Aubry vertex give.  The condensed matrix has
 nonnegative int entries, whose Kleene plus ``core.kleene_plus`` computes
 on packed rows: it must give the ints of the entry loop at every field
-width.  The thin ``core.minplus_product`` must give the floats of the
+width.  So must ``core.MinPlusRows``, the packed product and row of the
+barrier's transient, which falls back to the entry loop past 63 bits.
+The thin ``core.minplus_product`` must give the floats of the
 one-``min``-per-entry form, signed zeros included.
 """
 
@@ -25,7 +27,8 @@ from wkam import (
     gen_random,
     make_instance,
 )
-from wkam.core import kleene_plus, minplus_product
+import wkam.core as core
+from wkam.core import MinPlusRows, kleene_plus, minplus_product, minplus_row
 from wkam.models import fk_potential_well
 from wkam.numbers import INF
 
@@ -112,6 +115,61 @@ def test_packed_plus_at_every_field_boundary():
     for top in TOPS:
         a = ((top, 0, top // 2), (top // 3, top, 0), (0, top, top))
         assert kleene_plus(a) == _floyd_warshall(a)
+
+
+def _entry_product(a, b):
+    """min_z a(x, z) + b(z, y), one min per entry."""
+    return tuple(tuple(min(map(add, arow, col)) for col in zip(*b)) for arow in a)
+
+
+@CASES
+@given(st.data())
+def test_packed_product_and_row_match_the_entry_loop(data):
+    # at 2^62 - 1 and lead = top every sum fits 63 bits; at 2^62 and past
+    # 64 bits the kernel falls back to the entry loop
+    n, k, rows = (data.draw(st.integers(1, hi), label=name) for name, hi in (("n", 12), ("k", 8), ("rows", 4)))
+    top = data.draw(st.sampled_from(TOPS), label="top")
+    lead = data.draw(st.sampled_from([0, top // 3, top]), label="lead")
+    entry = st.integers(0, top) | st.sampled_from([0, top])
+    coeff = st.integers(0, lead) | st.sampled_from([0, lead])
+    b = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(k))
+    a = tuple(tuple(data.draw(coeff) for _ in range(k)) for _ in range(rows))
+    kernel = MinPlusRows(b, lead)
+    assert kernel.product(a) == _entry_product(a, b)
+    # a front advance: a few rows of b, in any order, with their weights
+    zs = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k), label="zs")
+    vs = [data.draw(coeff) for _ in zs]
+    assert kernel.row(vs, zs) == _entry_product([vs], [b[z] for z in zs])[0]
+
+
+def test_packed_rows_fall_back_past_63_bits(monkeypatch):
+    # the fields hold sums up to lead + top below 2^63; from 2^63 on, and
+    # for negative entries, the entry loop answers
+    calls = []
+    monkeypatch.setattr(core, "minplus_row", lambda *a: calls.append(1) or minplus_row(*a))
+    cases = [(2**62 - 1, 2**62 - 1, 0), (2**62, 2**62, 1), (2**70, 0, 1), (-1, 0, 1)]
+    for top, lead, entry_loops in cases:
+        calls.clear()
+        b = ((top, 0), (1, top))
+        assert MinPlusRows(b, lead).row([lead, 0], [0, 1]) == (min(lead + top, 1), min(lead, top))
+        assert len(calls) == entry_loops, top
+
+
+@CASES
+@given(st.data())
+def test_offset_operand_of_m_matches_the_entry_loop(data):
+    # the transient's m(x, w) = min_y P(w, y) - h(x, y) takes -h, whose
+    # entries are negative; on packed rows it takes top - h >= 0, with top
+    # the largest h, and gives top + m
+    n = data.draw(st.integers(1, 10), label="n")
+    top = data.draw(st.sampled_from(TOPS), label="top")
+    entry = st.integers(0, top) | st.sampled_from([0, top])
+    h = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(n))
+    p = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(n))
+    want = _entry_product([[-v for v in row] for row in h], tuple(zip(*p)))
+    high = max(map(max, h))
+    got = MinPlusRows(tuple(zip(*p)), high).product([[high - v for v in row] for row in h])
+    assert tuple(tuple(v - high for v in row) for row in got) == want
 
 SIGNED = st.sampled_from([0.0, -0.0, INF, 1.0, -1.0, 0.5, -0.5]) | st.floats(-4, 4, width=16)
 

@@ -15,9 +15,9 @@ from wkam import (
     make_instance,
     reverse_cost,
 )
-from wkam.core import check_metric, minplus_product
+from wkam.core import check_circulant, check_metric, minplus_product
 from wkam.numbers import Mode, parse_value
-from wkam.models import gen_constant
+from wkam.models import circle_metric, gen_constant
 
 from conftest import power
 from walk_reference import enum_walks
@@ -68,6 +68,33 @@ def test_triangle_violation_names_first_triple(metric, where):
     n = len(metric)
     with pytest.raises(InputError, match=re.escape(f"triangle inequality at {where}")):
         make_instance([[0] * n] * n, metric=metric)
+
+
+def _verdict(check, *args):
+    """The message of the InputError that check raises, or None."""
+    try:
+        check(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-1, 5), min_size=1, max_size=8), st.booleans())
+def test_circulant_check_is_check_metric_on_its_matrix(row, mirrored):
+    # gen_fk checks its circle metric on the base row, in O(m^2): it must
+    # reject what check_metric rejects on the whole matrix, with its message
+    if mirrored:  # nonnegative, a zero diagonal and symmetric: only triangles can fail
+        row[0] = 0
+        for a in range(1, len(row)):
+            row[-a] = row[a] = abs(row[a])
+    matrix = tuple(tuple(row[-i:] + row[:-i]) for i in range(len(row)))
+    assert _verdict(check_circulant, row) == _verdict(check_metric, matrix)
+
+
+def test_circulant_check_accepts_the_circle_metric():
+    for m in range(1, 65):
+        check_circulant(circle_metric(m)[0])
 
 
 LINE = [[0, F(1, 10), F(8, 10)], [F(1, 10), 0, F(7, 10)], [F(8, 10), F(7, 10), 0]]

@@ -324,9 +324,9 @@ def test_witness_cycle_in_polynomial_time():
 def _search_and_karp(inst):
     """The least cycle mean by the search and by Karp, as Fractions."""
     t = inst.cost_grid
-    found = critical._least_cycle_mean(t.grid, inst.total)
-    total, length = critical._karp_min_cycle_mean(t.grid)
-    return F(*found) / t.scale, F(total, length * t.scale)
+    found, length, _ = critical._least_cycle_mean(t.grid, inst.total)
+    total, karp_length = critical._karp_min_cycle_mean(t.grid)
+    return F(found, length * t.scale), F(total, karp_length * t.scale)
 
 
 def _counting(monkeypatch, name):
@@ -425,7 +425,7 @@ def test_fk_well_is_certified_in_one_round(monkeypatch, n):
     karp = _counting(monkeypatch, "_karp_min_cycle_mean")
     rounds = _counting(monkeypatch, "_relax")
     g = inst.cost_grid.grid
-    assert critical._least_cycle_mean(g, True) == (0, 1)
+    assert critical._least_cycle_mean(g, True)[:2] == (0, 1)
     assert (len(karp), len(rounds)) == (0, 1)
 
 
@@ -434,7 +434,7 @@ def test_random_256_finishes_within_its_round_budget(monkeypatch):
     karp = _counting(monkeypatch, "_karp_min_cycle_mean")
     rounds = _counting(monkeypatch, "_relax")
     g = inst.cost_grid.grid
-    p, q = critical._least_cycle_mean(g, True)
+    p, q, _ = critical._least_cycle_mean(g, True)
     assert not karp and len(rounds) <= 257
     # no cycle is lower: reduced by the mean, the costs have potentials;
     # and the witness cycle has that mean
@@ -442,6 +442,23 @@ def test_random_256_finishes_within_its_round_budget(monkeypatch):
     assert solve_subsolution(inst, alpha0).feasible
     cyc = critical_value(inst).witness_cycle
     assert sum(inst.cost[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1])) == -alpha0 * len(cyc)
+
+
+def test_potentials_are_the_kernels_bellman_ford_distances(monkeypatch):
+    # critical_value reads the potentials off the search's certifying round,
+    # scaled down by q * D0 / D, and runs Bellman-Ford on the kernel only
+    # when Karp answered; both give the distances of one Bellman-Ford
+    karp = _counting(monkeypatch, "_karp_min_cycle_mean")
+    inf = float("inf")
+    insts = [gen_random(n, s, -100, 100) for n in range(2, 9) for s in range(40)]
+    insts += [gen_random(n, s, -2, 2, mode=FLOAT) for n in (3, 8) for s in range(5)]
+    insts += [gen_fk(m, F(1, 3), fk_potential_well(m, m // 2)) for m in (5, 12)]
+    insts.append(make_instance([[inf, F(5, 3), 0], [-8, inf, inf], [F(9, 2), 9, inf]]))
+    for inst in insts:
+        crit = critical_value(inst)
+        edges = critical._finite_edges(crit.kernel.grid, inst.total)
+        assert crit._pot == critical._bellman_ford(edges)[0]
+    assert len(karp) >= 5  # the corpus reaches the search's fallback
 
 
 def test_search_refuses_a_cycle_that_does_not_lower_the_mean(monkeypatch):

@@ -4,7 +4,10 @@
 the walks that can still end below h, and squares its step once the walk
 has paid for a product.  These tests check its k against
 ``transient_reference.reference_transient``, which doubles over the dense
-tables G_j, and count the min-plus products each search makes.
+tables G_j, and count the min-plus products each search makes, packed or
+entry loop.  The search runs on packed rows of potential-shifted ints
+(``core.MinPlusRows``) and on the entry loop only where the fields would
+pass 63 bits.
 """
 
 import math
@@ -15,7 +18,9 @@ import pytest
 
 import transient_reference
 import wkam.barrier
+import wkam.core
 from wkam import critical_value, make_instance, peierls_barrier
+from wkam.core import MinPlusRows
 from wkam.models import fk_potential_well, gen_fk, gen_random
 from wkam.numbers import Mode
 
@@ -24,15 +29,18 @@ FLOAT = Mode("float", 1e-9)
 
 @pytest.fixture
 def products(monkeypatch):
-    """The min-plus products of the solver's search and of the reference,
-    counted apart."""
+    """The min-plus products of the solver's search, packed or entry loop,
+    and of the reference, counted apart."""
     rec = {"solver": 0, "reference": 0}
-    for key, mod in (("solver", wkam.barrier), ("reference", transient_reference)):
-        def counted(a, b, key=key, product=mod.minplus_product):
+    for key, owner, name in (
+        ("solver", MinPlusRows, "product"),
+        ("reference", transient_reference, "minplus_product"),
+    ):
+        def counted(*args, key=key, product=getattr(owner, name)):
             rec[key] += 1
-            return product(a, b)
+            return product(*args)
 
-        monkeypatch.setattr(mod, "minplus_product", counted)
+        monkeypatch.setattr(owner, name, counted)
     return rec
 
 
@@ -70,6 +78,58 @@ def test_transient_matches_reference_on_fk_at_every_centre(products, mode, n):
         k, want, made = _both(gen_fk(n, 1, fk_potential_well(n, c), mode=mode), products)
         assert k == want, c
         assert made <= _limit(k), c
+
+
+@pytest.mark.parametrize("mode", [Mode(), FLOAT], ids=["exact", "float"])
+def test_transient_matches_reference_at_mid_sizes(products, mode):
+    lo, hi = (-100, 100) if mode.exact else (-100.0, 100.0)
+    for n in (16, 24, 32, 48):
+        well = gen_fk(n, 1, fk_potential_well(n, n // 3), mode=mode)
+        for inst in (well, gen_random(n, n, lo, hi, mode=mode)):
+            k, want, made = _both(inst, products)
+            assert k == want, n
+            assert made <= _limit(k), n
+
+
+def _entry_loops(monkeypatch):
+    """Count the entry-loop kernels wherever the transient could call them."""
+    calls = []
+    for mod in (wkam.core, wkam.barrier):
+        for name in ("minplus_product", "minplus_row"):
+            def counted(*args, kernel=getattr(mod, name)):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_fk_transient_runs_on_packed_rows(monkeypatch):
+    inst = gen_fk(24, 1, fk_potential_well(24, 0))
+    crit = critical_value(inst)
+    h = peierls_barrier(inst, crit).h
+    calls = _entry_loops(monkeypatch)
+    assert wkam.barrier._transient(inst, crit, h) == 8
+    assert calls == []
+
+
+def test_transient_past_64_bit_fields_takes_the_entry_loop(monkeypatch):
+    # a double of 1e-300 next to ones near 1 puts the grid at 2^1049, so no
+    # field holds the shifted weights
+    cost = [
+        [-1.05, 0.18, -0.52, 0.42],
+        [0.5, -1.74, 1e-300, 1.35],
+        [-0.96, -1.06, 1.98, -0.12],
+        [1.35, -0.09, 0.56, -1.4],
+    ]
+    inst = make_instance(cost, mode=FLOAT)
+    crit = critical_value(inst)
+    h = peierls_barrier(inst, crit).h
+    assert crit.kernel.scale.bit_length() > 1000
+    calls = _entry_loops(monkeypatch)
+    k = wkam.barrier._transient(inst, crit, h)
+    assert calls
+    assert k == transient_reference.reference_transient(inst, crit, h) == 13
 
 
 def test_long_transient_in_logarithmic_products(products):
