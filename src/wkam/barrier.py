@@ -27,32 +27,47 @@ with ``phi_{1+k} = h``, is the least k past which no walk inside B weighs
 less than h (0 when B is empty).  Such walks end: as
 ``h(x, y) <= phi_1(x, w) + h(w, y)``, a walk x -> w inside B of weight v
 extends to one below h iff ``v + m(x, w) < 0``, with
-``m(x, w) = min_y phi_1(w, y) - h(x, y)`` on B, one min-plus product.
-The front of x at length j holds those
-w, each with the least weight of a j-edge walk to it, which is exact, as
-the least walk to a front entry has its prefixes on fronts.  k is the least
-j whose fronts are all empty.  The search advances every front by a step
-``S^L``; it squares the step once the walk has made ``|B|^3`` entry
-updates since the last squaring, the price of one product, and after the
-first advance that empties every front it lifts j back with the smaller
-powers.  So a long transient takes at most ``2 + ceil(log2 k)`` products,
-a short one about one, and none is a Kleene plus.
+``m(x, w) = min_y phi_1(w, y) - h(x, y)`` on B.
+
+With one Aubry class, led by a, h separates:
+``h(x, y) = phi_1(x, a) + phi_1(a, y)``, so ``m(x, w) = g(w) - phi_1(x, a)``
+with ``g(w) = min_{y in B} phi_1(w, y) - phi_1(a, y)``, and some j-edge walk
+from x extends below h iff ``e_j(x) < phi_1(x, a)``, where ``e_j = S^j g``
+is one column vector and ``e_{j+1} = S e_j``.  k is 1 plus the last j at
+which some ``e_j(x)`` is below its bound, and the search walks e_j: no m,
+and O(|B|^2) a step.  With two or more classes h does not separate; m is
+one min-plus product, and the search walks fronts.  The front of x at
+length j holds the w reached by a j-edge walk that still extends below h,
+each with the least weight of such a walk, which is exact, as the least
+walk to a front entry has its prefixes on fronts; k is the least j whose
+fronts are all empty, and a step costs up to O(|B|^3).  Either walk
+advances by a step ``S^L``; one loop squares the step once the walk has
+made ``|B|^3`` entry updates since the last squaring, the price of one
+product, and after the first step that ends the walk it lifts j back with
+the smaller powers.  Each squaring follows a step at every smaller power,
+so a transient k takes at most ``floor(log2 k)`` squarings, and m one
+product more; none is a Kleene plus.
 
 All of it runs on ``core.MinPlusRows``, packed rows of nonnegative ints.
 The Bellman-Ford potentials of ``CriticalData`` make every operand so:
 ``t'(x, y) = t(x, y) + pot(x) - pot(y) >= 0`` for t = S, P and h, and for
-every power of S, and a walk's weight shifts the same way.  m is
-``top + m'``, one product of ``top - h'`` (``top`` the largest h') with
-P' transposed, and a front keeps w iff its shifted weight is below
-``-m'(x, w)``: one integer comparison.  An advance lowers a packed row
-once per front entry, ``c * ones + row`` and a guarded min, in place of
-a ``min`` per entry, and the packed powers are kept for the lift.  A
-power whose sums would pass 63 bits (float grids near 2^1049) runs on
-the entry loop, with the same ints.  h costs O(n^2 * classes) on top of
-``phi_1``, and ``CriticalData`` holds ``phi_1`` once; the transient is
-computed on
-the first read of ``BarrierData.iterations_to_fix`` and kept, so callers
-that never read it never pay for it.  The closed form, the transient and
+every power of S, and a walk's weight shifts the same way.  The vector walk
+holds ``e'_j = e_j + pot`` against the bounds ``phi_1(x, a) + pot(x)``,
+both less ``min g'`` (``g' = g + pot``; as S' >= 0, no e'_j falls below
+it).  A step is one packed row of S' transposed, a ``c * ones + row`` and a
+guarded min per entry kept, and it keeps only the entries below the largest
+bound: as S' >= 0, an entry at or above it never brings a later one below a
+bound.  The fronts hold m as ``top + m'``, one product of ``top - h'``
+(``top`` the largest h') with P' transposed; a front keeps w iff its
+shifted weight is below ``-m'(x, w)``, one integer comparison, and a step
+lowers a packed row of S' once per front entry.  The packed powers are kept
+for the lift.  A power whose sums would pass 63 bits (float grids near
+2^1049) runs on the entry loop, with the same ints.
+
+h costs O(n^2 * classes) on top of ``phi_1``, and ``CriticalData`` holds
+``phi_1`` once; the transient is computed on the first read of
+``BarrierData.iterations_to_fix`` and kept, so callers that never read it
+never pay for it.  The closed form, the transient and
 the orbit walk run on the integer kernel of ``CriticalData`` (see
 ``core``); ``h`` is a table on the kernel's grid, read as values only
 through its ``entries``.  Rows of ``h`` are fixed points of ``T- + alpha0``
@@ -108,7 +123,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import add, lt, sub
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     CostInstance,
@@ -181,23 +196,91 @@ def barrier_closed_form(inst: CostInstance, crit: CriticalData) -> PotentialTabl
 
 
 def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int:
-    """Least j whose fronts are all empty (see the module docstring)."""
-    pot, verts = crit._pot, set(crit.aubry_vertices())
+    """Least j past which no walk inside B weighs less than h (see the
+    module docstring): the vector walk for one Aubry class, the fronts for
+    several, on one loop of steps, squarings and the lift."""
+    verts = set(crit.aubry_vertices())
     off = [x for x in range(inst.n) if x not in verts]
     b = len(off)
     if not b:
         return 0
+    if len(crit.class_leaders()) == 1:
+        start, step, base, top = _vector_walk(crit, off)
+    else:
+        start, step, base, top = _fronts(crit, h, off)
+    if start is None:
+        return 0
 
-    def shifted(t: Matrix) -> Matrix:
-        """t(x, y) + pot(x) - pot(y) on B x B, nonnegative for r, P and h."""
-        return tuple(tuple(t[x][y] + pot[x] - pot[y] for y in off) for x in off)
+    def power(t: Matrix) -> MinPlusRows:
+        """A power of the step matrix, held for steps (coefficients below
+        top) and its square."""
+        return MinPlusRows(t, max(top, max(map(max, t))))
 
-    hb = shifted(h.grid)
+    # Invariant: the state at length j is not None and powers[t] holds the
+    # step matrix to the 2^t; the step is squared once the walk has made
+    # |B|^3 entry updates (|B| per point it holds), the price of the
+    # squaring, since the last one.
+    state, j, powers, spent = start, 0, [power(base)], 0
+    while (nxt := step(state, powers[-1])) is not None:
+        spent += b * sum(len(ws) for ws, _ in state)
+        state, j = nxt, j + (1 << (len(powers) - 1))
+        if spent >= b**3:
+            q = powers[-1]
+            powers.append(power(q.product(q.rows)))
+            spent = 0
+    # the walk ends within the last step; lift j to the longest length
+    # whose state is not None
+    for i in range(len(powers) - 2, -1, -1):
+        if (nxt := step(state, powers[i])) is not None:
+            state, j = nxt, j + (1 << i)
+    return j + 1
+
+
+def _on_b(t: Matrix, pot: list, off: list) -> Matrix:
+    """t(x, y) + pot(x) - pot(y) on B x B, nonnegative for r, P and h."""
+    return tuple(tuple(t[x][y] + pot[x] - pot[y] for y in off) for x in off)
+
+
+def _vector_walk(crit: CriticalData, off: list) -> tuple:
+    """(start, step, S' transposed, cap) of the walk of e_j for one Aubry
+    class led by a.  A state is e'_j less min g', as one (points, values)
+    of its entries below ``cap``, the largest bound; a step is one packed
+    row; None ends the walk."""
+    pot, p = crit._pot, crit.kernel_plus().grid
+    (a,) = crit.class_leaders()
+    pa = [p[a][y] for y in off]
+    # g'(w) = min_y P(w, y) - P(a, y) + pot(w), against P(x, a) + pot(x)
+    g = [min(map(sub, map(p[w].__getitem__, off), pa)) + pot[w] for w in off]
+    low = min(g)
+    bound = [p[x][a] + pot[x] - low for x in off]
+    cap = max(bound)
+
+    def keep(e: Sequence[int]) -> Optional[list]:
+        """e's entries below cap, or None if none is below its bound."""
+        if not any(map(lt, e, bound)):
+            return None
+        ws = [w for w, v in enumerate(e) if v < cap]
+        return [(ws, [e[w] for w in ws])]
+
+    def step(state: list, q: MinPlusRows) -> Optional[list]:
+        ((ws, vs),) = state
+        return keep(q.row(vs, ws))
+
+    base = tuple(zip(*_on_b(crit.kernel.grid, pot, off)))
+    return keep([v - low for v in g]), step, base, cap
+
+
+def _fronts(crit: CriticalData, h: PotentialTable, off: list) -> tuple:
+    """(start, step, S', top) of the walk of the fronts for two or more
+    Aubry classes.  A state is the fronts, each as (points, weights);
+    a step is one packed row per front entry; None ends the walk."""
+    pot, b = crit._pot, len(off)
+    hb = _on_b(h.grid, pot, off)
     top = max(map(max, hb))
     # m(x, w) = min_y P'(w, y) - h'(x, y), as top + m, the product of
     # top - h' and P' transposed; a walk x -> w of shifted weight v extends
     # below h iff v + m(x, w) < 0, that is v < lim(x, w) = -m(x, w)
-    pt = MinPlusRows(tuple(zip(*shifted(crit.kernel_plus().grid))), top)
+    pt = MinPlusRows(tuple(zip(*_on_b(crit.kernel_plus().grid, pot, off))), top)
     lim = [[top - v for v in row] for row in pt.product([[top - v for v in row] for row in hb])]
 
     def front(x: int, row: tuple) -> tuple[list, list]:
@@ -205,36 +288,15 @@ def _transient(inst: CostInstance, crit: CriticalData, h: PotentialTable) -> int
         ws = list(compress(range(b), map(lt, row, lim[x])))
         return ws, list(map(row.__getitem__, ws))
 
-    def advance(fronts: list, q: MinPlusRows) -> Optional[list]:
-        """The fronts a walk of q's length further on, or None if all are empty."""
+    def step(fronts: list, q: MinPlusRows) -> Optional[list]:
         out = [front(x, q.row(vs, ws)) if ws else ([], []) for x, (ws, vs) in enumerate(fronts)]
         return out if any(ws for ws, _ in out) else None
 
-    def power(t: Matrix) -> MinPlusRows:
-        """A power of S', held for fronts (weights below top) and its square."""
-        return MinPlusRows(t, max(top, max(map(max, t))))
-
     # j = 0: the empty walk at x, kept as ``front`` keeps an entry
-    fronts = [([x], [0]) if lim[x][x] > 0 else ([], []) for x in range(b)]
-    if not any(ws for ws, _ in fronts):
-        return 0
-    # Invariant: the fronts at length j are not all empty and powers[t] holds
-    # S'^(2^t); the step is squared once the walk has made |B|^3 entry
-    # updates, the price of the squaring, since the last one.
-    j, powers, work = 0, [power(shifted(crit.kernel.grid))], 0
-    while (nxt := advance(fronts, powers[-1])) is not None:
-        work += b * sum(len(ws) for ws, _ in fronts)
-        fronts, j = nxt, j + (1 << (len(powers) - 1))
-        if work >= b**3:
-            q = powers[-1]
-            powers.append(power(q.product(q.rows)))
-            work = 0
-    # the fronts empty within the last step; lift j to the longest length
-    # whose fronts are not all empty
-    for i in range(len(powers) - 2, -1, -1):
-        if (nxt := advance(fronts, powers[i])) is not None:
-            fronts, j = nxt, j + (1 << i)
-    return j + 1
+    start = [([x], [0]) if lim[x][x] > 0 else ([], []) for x in range(b)]
+    if not any(ws for ws, _ in start):
+        start = None
+    return start, step, _on_b(crit.kernel.grid, pot, off), top
 
 
 def aubry(

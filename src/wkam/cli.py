@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from functools import cache
+from itertools import chain
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -152,6 +153,47 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def json_text(v, level: int = 0) -> str:
+    """``json.dumps(v, indent=2)``, the same text, for v laid out at nesting
+    ``level``: dicts with string keys and nested lists are laid out here,
+    and each list of scalars, list of such lists, or scalar goes whole to
+    the C encoder of CPython's ``_json``, whose item separator carries the
+    newline and the indent.  json's own indent makes it use its
+    pure-Python encoder; this relies on ``_json`` and has no other path."""
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(v, (list, tuple)) and v:
+        types = set(map(type, v))
+        if types <= _SCALARS:
+            return "[" + pad + "".join(_encoder(level + 1)(v, 0))[1:-1] + pad[:-2] + "]"
+        if types <= _LISTS and all(v) and set(map(type, chain.from_iterable(v))) <= _SCALARS:
+            # rows of scalars in one call: "]" + separator + "[" occurs only
+            # between rows, as no scalar's text starts with "[" or ends
+            # with "]" and none holds a newline
+            inner = pad + "  "
+            rows = "".join(_encoder(level + 2)(v, 0))[2:-2]
+            rows = rows.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
+            return "[" + pad + "[" + inner + rows + pad + "]" + pad[:-2] + "]"
+        return "[" + pad + ("," + pad).join([json_text(x, level + 1) for x in v]) + pad[:-2] + "]"
+    if isinstance(v, dict) and v:
+        items = [f"{encode_basestring_ascii(k)}: {json_text(x, level + 1)}" for k, x in v.items()]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    return "".join(_encoder(level)(v, 0))
+
+
+# What the C encoder takes whole: lists of these scalars, and lists of
+# non-empty lists of them; other types, subclasses too, go item by item.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_LISTS = frozenset((list, tuple))
+
+
+@cache
+def _encoder(level: int):
+    """The C encoder whose lists put each item on its own line at ``level``."""
+    sep = ",\n" + "  " * level
+    default = JSONEncoder().default
+    return c_make_encoder(None, default, encode_basestring_ascii, None, ": ", sep, False, False, True)
+
+
 def _fmt_matrix(t: PotentialTable) -> list:
     return [format_grid(t.mode, row, t.scale) for row in t.grid]
 
@@ -193,7 +235,7 @@ def cmd_critical(args) -> int:
     reduced = _fmt_matrix(crit.kernel)
     if args.fmt == "json":
         doc = {"alpha0": format_value(crit.alpha0), "witness_cycle": cycle, "reduced": reduced}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, json_text(doc) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
         rows.append(("witness_cycle", "", "", "->".join(cycle)))
@@ -213,7 +255,7 @@ def cmd_potential(args) -> int:
     vecs = {"F": _fmt_vector(F), "f": _fmt_vector(f)}
     if args.fmt == "json":
         doc = {"alpha0": format_value(crit.alpha0), **mats, **vecs}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, json_text(doc) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
         for tag, mat in mats.items():
@@ -236,7 +278,7 @@ def cmd_barrier(args) -> int:
             "finite": True,
             "iterations_to_fix": bar.iterations_to_fix,
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, json_text(doc) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
         rows.append(("iterations_to_fix", "", "", str(bar.iterations_to_fix)))
@@ -258,7 +300,7 @@ def cmd_aubry(args) -> int:
             "edges": [[inst.labels[a], inst.labels[b]] for a, b in aub.edges],
             "F": F,
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, json_text(doc) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
         for v in aub.vertices:
@@ -291,7 +333,7 @@ def cmd_subsolution(args) -> int:
         }
         doc["strict_matches_aubry_complement"] = set(pairs) == expected
     if args.fmt == "json":
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, json_text(doc) + "\n")
     else:
         rows = [("alpha0", "", "", value_str(crit.alpha0))]
         for tag in ("u_star", "u1"):
@@ -318,7 +360,7 @@ def cmd_verify(args) -> int:
                 for c in report.checks
             ],
         }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+        _emit(args, json_text(doc) + "\n")
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
