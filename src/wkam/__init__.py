@@ -38,9 +38,7 @@ from .critical import (
     solve_subsolution,
 )
 from .models import (
-    LengthSpaceReport,
     check_apriori,
-    check_length_space,
     gen_constant,
     gen_fk,
     gen_random,

@@ -57,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("exact", "float"), default=None)
     common.add_argument("--tol", type=float, default=None, help="float-mode tolerance")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--horizon", type=int, default=None, metavar="N")
+    common.add_argument("--horizon", type=int, default=None, metavar="N",
+                        help="verify: fail the liminf check unless the tail minima of the "
+                        "reduced powers are fixed by N (N >= 2)")
     p = argparse.ArgumentParser(prog="wkam", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name, helptext in [

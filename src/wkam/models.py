@@ -4,14 +4,10 @@ File format: a JSON object ``{n, labels?, mode, tolerance?, cost, metric?}``
 where cost/metric entries are numbers or rational strings ("p/q"); "inf"
 marks a missing edge in graph mode.  Exact-mode round trips are byte-stable.
 
-The metric validators implement the coarse length-space machinery: a metric
-space is a B-length space at scale K when every pair is joined by a chain of
-steps of length at most K whose total length is at most B times the
-distance; such a chain can always be thinned to at most 2*B*d/K + 1 steps.
-So no hop cap is needed to decide it: one Floyd closure q of the step graph
-(the pairs within distance K, weighted by distance, on the metric's integer
-grid) gives every pair's least chain length, a pair passes iff
-q(x, y) <= B*d(x, y), and a least path, thinned, is its witness chain.
+The metric validators check the coarse estimates on a B-length space at
+scale K, a metric space in which every pair is joined by a chain of steps of
+length at most K whose total length is at most B times the distance; every
+metric is one at B = 1 and K = its diameter, with one-step chains.
 Dominated functions on such spaces are Lipschitz in the large,
 ``|u(x)-u(y)| <= k d(x,y) + b`` with
 
@@ -28,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import add
@@ -43,21 +38,17 @@ from .core import (
     _default_labels,
     _freeze,
     _instance,
-    _table,
     check_circulant,
     check_function,
-    check_metric,
     from_grid,
     grid_scale,
     grid_table,
-    kleene_plus,
     make_instance,
     ratio,
     to_grid,
 )
 from .numbers import (
     EXACT,
-    INF,
     InputError,
     Mode,
     Value,
@@ -182,86 +173,6 @@ def fk_potential_well(m: int, center: int = 0) -> list[Value]:
     c = range(m)[center]  # the metric's row index: IndexError outside it
     base = _circle_row(m)
     return [Fraction(k * k) for k in base[-c:] + base[:-c]]
-
-
-# ---------------------------------------------------------------------------
-# length-space checker
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LengthSpaceReport:
-    B: Value
-    K: Value
-    ok: bool
-    witness_chains: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    max_chain_length_bound: int = 0
-    failures: tuple[tuple[int, int], ...] = ()
-
-
-def check_length_space(
-    metric: Sequence[Sequence[Value]],
-    B: Value,
-    K: Value,
-    mode: Mode = EXACT,
-) -> LengthSpaceReport:
-    """Decide, pair by pair, whether chains certify the (B, K) length bound.
-
-    One Kleene plus q of the step graph decides every pair (see the module
-    docstring).  The thinning bound needs the triangle inequality, so the
-    matrix is checked to be a metric first.  A witness chain walks a least
-    path to its target and is thinned as it goes.
-    """
-    n = len(metric)
-    if n < 1 or any(len(r) != n for r in metric):
-        raise InputError("metric matrix is not square")
-    B, K = mode.coerce(B), mode.coerce(K)
-    if is_inf(B) or B < 1 or K <= 0:
-        raise InputError("need a finite B >= 1 and K > 0")
-    t = _table(mode, metric)
-    check_metric(t.grid, mode, t.scale)
-    d = t.grid
-    (pb, qb), (pk, qk) = ratio(B), ratio(K)
-    kg = pk * t.scale  # d <= K iff d * scale * qk <= kg
-    step = tuple(tuple(v if v * qk <= kg else INF for v in row) for row in d)
-    q = kleene_plus(step)
-    bound = math.floor(2 * B * from_grid(mode, (max(map(max, d)),), t.scale)[0] / K + 1)
-    # hop[y][x], the next point after x on a least path to y.  Points settle
-    # in the order of q(x, y) (q is symmetric: q[y][x]), each on the least z
-    # of least step(x, z) + q(z, y) among settled points a step away, so no
-    # walk loops.  Exactly, every z with q(z, y) < q(x, y) settles first and
-    # that least is q(x, y).  A step of length 0 can leave a point with no
-    # settled neighbour yet: it goes to the back of the line, which moves
-    # on, as steps join every point of finite q(x, y) to y.
-    steps = [[(z, s) for z, s in enumerate(row) if s != INF] for row in step]
-    hop = []
-    for y, qy in enumerate(q):
-        hy = [None] * n
-        hy[y] = y
-        todo = sorted((x for x, v in enumerate(qy) if v != INF and x != y), key=qy.__getitem__)
-        for x in todo:
-            near = [(s + qy[z], z) for z, s in steps[x] if hy[z] is not None]
-            if near:
-                hy[x] = min(near)[1]
-            else:
-                todo.append(x)
-        hop.append(hy)
-    chains: dict[tuple[int, int], tuple[int, ...]] = {}
-    failures = []
-    for x, (qrow, drow) in enumerate(zip(q, d)):
-        for y, (qv, dv) in enumerate(zip(qrow, drow)):
-            if mode.le(qb * qv, pb * dv, qb * t.scale):
-                # walk the least path to y, thinned as it goes: a point
-                # is dropped while its neighbours lie within K
-                out, cur, hy = [x], x, hop[y]
-                while cur != y:
-                    z = hy[cur]
-                    if cur != x and d[out[-1]][z] * qk > kg:
-                        out.append(cur)
-                    cur = z
-                chains[(x, y)] = tuple(out) if x == y else (*out, y)
-            else:
-                failures.append((x, y))
-    return LengthSpaceReport(B, K, not failures, chains, bound, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

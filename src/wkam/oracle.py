@@ -10,10 +10,11 @@ zero cycles are the least ones: the per-vertex minimum reduced weight comes
 from the same totals, and a backward subset DP of least reduced returns
 gives, through each DP state and edge, the least reduced weight of the
 cycles that run through it, hence the vertices and edges of the zero
-cycles, with no cycle listed.  The barrier comes from the eventual
-periodicity of reduced min-plus powers, and the per-function Aubry sets from
-reachability in the tight-edge graph.  A failed check always carries a
-concrete witness.
+cycles, with no cycle listed.  The barrier is the fixed point of the tail
+minima of the reduced min-plus powers, found by doubling, and the
+per-function Aubry sets come from reachability in the tight-edge graph.
+A high power, of the costs or of the kernel, is a product of kept squares,
+never a walk.  A failed check always carries a concrete witness.
 
 The harness computes on one integer grid of ``core``, the kernel's grid
 refined to a claimed barrier and to the samples' scales, so each identity
@@ -44,7 +45,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, eq, le, mul, sub
 from random import Random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .barrier import (
     AubryData,
@@ -85,14 +86,9 @@ from .subsolution import (
 )
 
 CYCLE_GUARD = 10
-# Most entry additions the liminf oracle may make without a horizon (n^3 a
-# power): 125000 powers at n = 2 and 1000 at n = 10, which take about 1.3 s
-# and 0.2 s with CPython 3.11 on one core of a 2-vCPU VM.  (At n = 1 the
-# reduced matrix is [[0]], whose powers repeat at once.)
-_LIMINF_WORK_LIMIT = 10**6
-# phi tables _Workspace keeps: orders 1..8 are the ones the chain-splitting
-# suite compares
-_PHI_KEPT = 8
+# orders _Workspace walks to one product at a time, keeping each: 1..8 are the
+# ones the chain-splitting suite compares; a higher order is one jump
+_WALK = 8
 _SAMPLES = 20  # dominated functions verify_all draws for its sample checks
 
 
@@ -303,15 +299,37 @@ def enum_zero_cycles(inst: CostInstance) -> AubryData:
 
 
 # ---------------------------------------------------------------------------
-# liminf of reduced powers
+# min-plus powers and the liminf of reduced powers
 # ---------------------------------------------------------------------------
+
+class _Powers:
+    """The powers a^k, k >= 1, of one matrix a: a^k is the product of the
+    squares a^(2^i) over the set bits i of k, and the squares made are kept
+    for the next k, so a^k costs O(log k) products.  ``products`` counts the
+    min-plus products made."""
+
+    def __init__(self, a: Matrix):
+        self.squares, self.products = [a], 0
+
+    def __call__(self, k: int) -> Matrix:
+        squares, out = self.squares, None
+        for i in range(k.bit_length()):
+            if i == len(squares):
+                squares.append(self.mul(squares[-1], squares[-1]))
+            if k >> i & 1:
+                out = squares[i] if out is None else self.mul(out, squares[i])
+        return out
+
+    def mul(self, a: Matrix, b: Matrix) -> Matrix:
+        self.products += 1
+        return minplus_product(a, b)
+
 
 @dataclass(frozen=True)
 class LiminfReport:
     table: PotentialTable
     stabilized: bool
-    period: int = 0
-    powers_used: int = 0
+    powers_used: int = 0  # min-plus products made
 
     @property
     def matrix(self) -> Matrix:
@@ -321,47 +339,39 @@ class LiminfReport:
 def liminf_barrier_bounded(
     inst: CostInstance, crit: CriticalData, N: Optional[int] = None
 ) -> LiminfReport:
-    """Tail-minimum of reduced powers, with explicit stabilization.
+    """The liminf of the reduced powers R^k, the barrier, as the fixed point
+    of their tail minima.
 
-    The reduced matrix powers R^1, R^2, ..., taken on the kernel's integer
-    grid, become eventually periodic, R^(t+p) = R^t from a transient t on;
-    the limiting tail minimum, the entrywise min over one period, is exactly
-    the barrier.  Brent's cycle detection (1980) finds the period p with two
-    powers and a running minimum held: when the hare meets the tortoise, its
-    powers since the tortoise last moved make up one period.  A horizon N
-    asks for the first repeat R^(t+p) within N powers: the search stops at
-    3N powers, which reach every such repeat, and a second pass finds t;
-    without one the report is flagged unstabilized and carries the last
-    power.  Without a horizon, the search may take ``_LIMINF_WORK_LIMIT / n^3``
-    powers and raises ``SizeGuardError`` when it has taken them.
+    R, the kernel on its integer grid, has no negative cycle, so R* = (I +
+    R)^(2^m) for 2^m >= n.  The tail minima L_t = min_(j >= t) R^j = R^t (x)
+    R* are nondecreasing in t and L_(t+1) = R (x) L_t, so they are fixed from
+    the first t with L_(t+1) = L_t on, at the liminf (the powers are
+    eventually periodic: Cohen, Dubois, Quadrat and Viot, 1985).  As L_t <=
+    L_(t+1) <= L_(2t) = R^t (x) L_t, L_t is fixed iff L_(2t) = L_t, and
+    doubling t finds a fixed tail in O(log t) products.  With a horizon N
+    the report carries L_N = phi_N and is stabilized iff L_N is fixed, which
+    on a correct solver holds iff N >= 1 + ``iterations_to_fix``.  A faulty
+    kernel, with a negative cycle or no zero cycle, has no fixed tail: the
+    report carries its first tail, unstabilized.
     """
     if N is not None and N < 2:
         raise SizeGuardError("need N >= 2")
     inst.require_total("liminf oracle")
-    mode, red, D = inst.mode, crit.kernel.grid, crit.kernel.scale
-    limit = 3 * N if N is not None else max(2, _LIMINF_WORK_LIMIT // inst.n**3)
-    tortoise = hare = red
-    power, period, used, low = 1, 0, 1, red
-    while not (period and tortoise == hare):
-        if used == limit:
-            if N is None:
-                what = f"found no repeat in {limit} powers at n = {inst.n}"
-                raise SizeGuardError(f"liminf oracle {what}")
-            return LiminfReport(PotentialTable(hare, D, mode), False, powers_used=used)
-        if period == power:
-            tortoise, power, period = hare, 2 * power, 0
-        hare, period, used = minplus_product(hare, red), period + 1, used + 1
-        low = hare if period == 1 else tuple(tuple(map(min, a, b)) for a, b in zip(low, hare))
-    if N is not None:  # the least t with R^t = R^(t+p)
-        a, b, t = red, red, 1
-        for _ in range(period):
-            b = minplus_product(b, red)
-        while a != b:
-            a, b, t = minplus_product(a, red), minplus_product(b, red), t + 1
-        used += period + 2 * (t - 1)
-        if t + period > N:
-            return LiminfReport(PotentialTable(b, D, mode), False, powers_used=used)
-    return LiminfReport(PotentialTable(low, D, mode), True, period, used)
+    mode, red, D, pts = inst.mode, crit.kernel.grid, crit.kernel.scale, range(inst.n)
+    short = _Powers(tuple(tuple(min(v, 0) if x == y else v for y, v in enumerate(row))
+                          for x, row in enumerate(red)))  # I + R: walks of at most one step
+    star = short(1 << (inst.n - 1).bit_length())
+    powers = _Powers(red)
+    power = powers(N or 1)  # R^t
+    tail = powers.mul(power, star)  # L_t
+    endless = any(star[x][x] for x in pts) or all(tail[x][x] for x in pts)
+    while True:
+        ahead = powers.mul(power, tail)  # L_2t
+        if ahead == tail or N is not None or endless:
+            break
+        power, tail = powers.mul(power, power), ahead
+    used = short.products + powers.products
+    return LiminfReport(PotentialTable(tail, D, mode), ahead == tail, used)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +545,7 @@ class _Workspace:
         # the barrier itself when there is no override, so products are shared
         self.h_claimed = self.h if claimed is None else tuple(to_grid(r, D) for r in claimed)
         self.grid_samples = [u.at(mode, D) for u in self.samples]
+        self._c_powers, self._r_powers = _Powers(self.c), _Powers(self.r)
         self._raw_powers: dict[int, Matrix] = {1: self.c}
         self._phi_tables: dict[int, Matrix] = {1: self.phi1.at(D)}
         self._products: dict[tuple[int, int], tuple[Matrix, Matrix, Matrix]] = {}
@@ -542,27 +553,21 @@ class _Workspace:
 
     def raw_power(self, k: int) -> Matrix:
         """c^k times D."""
-        m = max(self._raw_powers)
-        while m < k:
-            self._raw_powers[m + 1] = minplus_product(self._raw_powers[m], self.c)
-            m += 1
-        return self._raw_powers[k]
+        return self._kept(self._raw_powers, self._c_powers, k)
 
     def phi_table(self, k: int) -> Matrix:
-        """phi_k times D.  The orders up to ``_PHI_KEPT`` are kept; a higher
-        order is walked to from the highest order kept below it, and of the
-        orders past ``_PHI_KEPT`` only the last two walked stay (the
-        closed-form check compares phi_(1+k) with phi_k for the transient k)."""
-        tables = self._phi_tables
-        if k not in tables:
+        """phi_k times D."""
+        return self._kept(self._phi_tables, self._r_powers, k)
+
+    def _kept(self, tables: dict[int, Matrix], powers: _Powers, k: int) -> Matrix:
+        """t_k of a sequence t_k = t_1 (x) a^(k - 1) held in ``tables``, with
+        ``powers`` those of a: t_(m + j) = t_m (x) a^j from the highest order
+        m kept below k, one order at a time up to ``_WALK`` and then in one
+        jump, a^j a product of kept squares.  Every order made is kept."""
+        while k not in tables:
             m = max(t for t in tables if t < k)
-            table = tables[m]
-            for t in [t for t in tables if t > _PHI_KEPT]:
-                del tables[t]
-            for m in range(m + 1, k + 1):
-                table = minplus_product(table, self.r)
-                if m <= _PHI_KEPT or m >= k - 1:
-                    tables[m] = table
+            j = 1 if m < _WALK else k - m
+            tables[m + j] = minplus_product(tables[m], powers(j))
         return tables[k]
 
     def product(self, a: Matrix, b: Matrix) -> Matrix:
@@ -589,14 +594,15 @@ class _Workspace:
 
     def first_violation(self, *ineqs: tuple) -> Optional[tuple[int, int, int, int]]:
         """The first (x, y, z, i) in lexicographic order where the i-th of
-        ``ineqs`` (lhs, a, b, s), lhs[x][z] <= a[x][y] + b[y][z] + s, fails.
+        ``ineqs`` (lhs, a, b, s), lhs[x][z] <= a[x][y] + b[y][z] + s, fails,
+        for x over the rows of lhs, which may be more or fewer than n.
 
         Row x holds for all y iff it holds against row x of a (x) b, the least
         right-hand side.  Only a failing row is scanned entry by entry, for
         the witness."""
         pts = range(self.inst.n)
         rows = [(lhs, self.product(a, b), s) for lhs, a, b, s in ineqs]
-        for x in pts:
+        for x in range(len(ineqs[0][0])):
             if all(all(map(le, lhs[x], [t + s for t in prod[x]])) for lhs, prod, s in rows):
                 continue
             for y in pts:
@@ -606,19 +612,15 @@ class _Workspace:
                             return x, y, z, i
         return None
 
-    def orbit(self, table: Matrix, steps: int, forward: bool) -> Iterator[Matrix]:
-        """Iterates 1..steps of u -> T- u + alpha0, or with ``forward`` of
+    def orbit(self, table: Matrix, k: int, forward: bool) -> Matrix:
+        """Iterate k of u -> T- u + alpha0, or with ``forward`` of
         u -> T+ u - alpha0, on every row u of ``table``, one min-plus product
-        per step: T- u = u (x) c and T+ u (w) = -((-u) (x) c^T)(w)."""
-        c, a = self.c, self.a
-        cT = tuple(zip(*c))
-        for _ in range(steps):
-            if forward:
-                low = minplus_product(tuple(tuple(-v for v in row) for row in table), cT)
-                table = tuple(tuple(-v - a for v in row) for row in low)
-            else:
-                table = tuple(tuple(v + a for v in row) for row in minplus_product(table, c))
-            yield table
+        with c^k: T-^k u = u (x) c^k and T+^k u (w) = -((-u) (x) (c^k)^T)(w)."""
+        ck, s = self.raw_power(k), k * self.a
+        if forward:
+            low = minplus_product(tuple(tuple(-v for v in row) for row in table), tuple(zip(*ck)))
+            return tuple(tuple(-v - s for v in row) for row in low)
+        return tuple(tuple(v + s for v in row) for row in minplus_product(table, ck))
 
     def max_strict(self) -> ValueFunction | ConstructionError:
         """The solver's maximally strict sub-solution, or the
@@ -832,7 +834,8 @@ def _check_phi_vs_phi1(ws: _Workspace) -> CheckResult:
 
 def _check_iterated_vanish(ws: _Workspace) -> CheckResult:
     name = "potential.iterated_forward_vanish"
-    orbits = [list(ws.orbit(start, 5, forward=True)) for start in (ws.phi_table(1), ws.p)]
+    starts = (ws.phi_table(1), ws.p)
+    orbits = [[ws.orbit(start, m, forward=True) for m in range(1, 6)] for start in starts]
     for x in range(ws.inst.n):
         for orbit in orbits:
             for m, table in enumerate(orbit, 1):
@@ -880,11 +883,11 @@ def _check_barrier_vs_liminf(ws: _Workspace) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _check_barrier_closed_form(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
+def _check_barrier_closed_form(ws: _Workspace) -> CheckResult:
     # h comes from the Aubry closed form; the phi tables check it on their
     # own: h = phi_{1+k} for the reported transient k, and phi_k != h.
     name = "barrier.closed_form_via_aubry"
-    h = ws.h_claimed if h is None else h
+    h = ws.h_claimed
     k = ws.bar.iterations_to_fix
     for x, (row, hrow) in enumerate(zip(ws.phi_table(1 + k), h)):
         if not all(map(eq, row, hrow)):
@@ -894,10 +897,10 @@ def _check_barrier_closed_form(ws: _Workspace, h: Optional[Matrix] = None) -> Ch
     return CheckResult(name, True)
 
 
-def _check_barrier_triangle(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
+def _check_barrier_triangle(ws: _Workspace) -> CheckResult:
     # the floor at (x, y) is checked before the triangles at (x, y, z)
     name = "barrier.triangle_and_floor"
-    h = ws.h_claimed if h is None else h
+    h = ws.h_claimed
     hit = ws.first_violation((h, h, h, 0))
     floor = ws.first_pair(lambda x, y: not ws.p[x][y] <= h[x][y])
     if floor is not None and (hit is None or floor <= hit[:2]):
@@ -907,9 +910,9 @@ def _check_barrier_triangle(ws: _Workspace, h: Optional[Matrix] = None) -> Check
     return CheckResult(name, True)
 
 
-def _check_hh_suite(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
+def _check_hh_suite(ws: _Workspace) -> CheckResult:
     name = "barrier.chain_splitting_suite"
-    h = ws.h_claimed if h is None else h
+    h = ws.h_claimed
 
     def fail(what: str, hit: tuple) -> CheckResult:
         return CheckResult(name, False, "{} ({},{},{})".format(what, *hit[:3]))
@@ -942,30 +945,26 @@ def _check_hh_suite(ws: _Workspace, h: Optional[Matrix] = None) -> CheckResult:
 def _check_representation(ws: _Workspace) -> CheckResult:
     # S(x, y) = max_{k <= N} T-^k u(y) + k a0 - min_{k <= N} T+^k u(x) + k a0
     # never exceeds h, and the rows u of phi_1 attain h on row x of their S.
+    # The first steps T- u + a0 >= u and T+ u - a0 <= u each say that u is
+    # dominated; as T-+ are monotone, every later step then moves the same
+    # way, so the max and the min are iterate N.
     name = "barrier.orbit_representation"
-    h = ws.h
-
-    def bounds(table: Matrix, N: int) -> list[tuple]:
-        """(hi, lo) of the orbits of each row of table, iterates 0..N, as a
-        running max and min: no iterate is kept past its step."""
-        hi = lo = table
-        for up in ws.orbit(table, N, False):
-            hi = [list(map(max, a, b)) for a, b in zip(hi, up)]
-        for down in ws.orbit(table, N, True):
-            lo = [list(map(min, a, b)) for a, b in zip(lo, down)]
-        return list(zip(hi, lo))
-
-    def below(hi: list, lo: list, h: Matrix) -> bool:
-        return all(all(map(le, [v - lx for v in hi], row)) for lx, row in zip(lo, h))
-
-    for u, (hi, lo) in zip(ws.samples, bounds(tuple(ws.grid_samples[:10]), 6)):
-        if not below(hi, lo, h):
-            return CheckResult(name, False, f"S > h for {u.tag}")
-    for x, (hi, lo) in enumerate(bounds(ws.phi_table(1), max(1, ws.bar.iterations_to_fix))):
-        if not below(hi, lo, h):
-            return CheckResult(name, False, f"S > h for phi1 row {x}")
-        if not all(map(eq, [v - lo[x] for v in hi], h[x])):
-            return CheckResult(name, False, f"no attainment in row {x}")
+    h, phi1 = ws.h, ws.phi_table(1)
+    starts = (
+        ([u.tag for u in ws.samples[:10]], tuple(ws.grid_samples[:10]), 6),
+        ([f"phi1 row {x}" for x in range(ws.inst.n)], phi1, max(1, ws.bar.iterations_to_fix)),
+    )
+    for tags, table, N in starts:
+        hit = ws.first_violation((table, table, ws.c, ws.a))
+        if hit is not None:
+            what = "{} steps the wrong way: not dominated at ({},{})"
+            return CheckResult(name, False, what.format(tags[hit[0]], *hit[1:3]))
+        up, down = ws.orbit(table, N, forward=False), ws.orbit(table, N, forward=True)
+        for x, (tag, hi, lo) in enumerate(zip(tags, up, down)):
+            if not all(all(map(le, [v - lx for v in hi], row)) for lx, row in zip(lo, h)):
+                return CheckResult(name, False, f"S > h for {tag}")
+            if table is phi1 and not all(map(eq, [v - lo[x] for v in hi], h[x])):
+                return CheckResult(name, False, f"no attainment in row {x}")
     return CheckResult(name, True)
 
 
@@ -999,7 +998,7 @@ def _check_u_limits_extremal(ws: _Workspace) -> CheckResult:
 
 def _check_phi_orbit_identity(ws: _Workspace) -> CheckResult:
     name = "barrier.potential_orbit_identity"
-    orbit = list(ws.orbit(ws.p, 4, forward=False))
+    orbit = [ws.orbit(ws.p, k, forward=False) for k in range(1, 5)]
     for x in range(ws.inst.n):
         for k, table in enumerate(orbit, 1):
             if not all(map(eq, table[x], ws.phi_table(k)[x])):
@@ -1028,7 +1027,7 @@ def _check_conjugation(ws: _Workspace) -> CheckResult:
     # the pointwise min of the negative solutions h(x, .) is again one
     low = tuple(map(min, zip(*ws.h)))
     (image,) = ws.orbit((low,), 1, forward=False)
-    if not all(map(eq, image[0], low)):
+    if not all(map(eq, image, low)):
         what = "pointwise min of solutions failed the fixed-point test"
         return CheckResult(name, False, f"inf of solutions: {what}")
     return CheckResult(name, True)

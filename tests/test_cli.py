@@ -411,25 +411,40 @@ def test_plotdata_needs_metric(capsys):
     assert code == 2
 
 
-def test_verify_with_tiny_horizon_exits_3(capsys, t2_file):
-    # a uselessly small liminf horizon leaves the oracle unstabilized,
-    # which counts as a failed check
-    code, out, _ = run(capsys, "verify", "--in", t2_file, "--horizon", "2")
+def test_verify_with_tiny_horizon_exits_3(capsys, tmp_path):
+    # the tails of this instance are fixed only from N = 200000 on: a
+    # smaller horizon leaves the oracle unstabilized, which counts as a
+    # failed check, and that horizon passes
+    p = tmp_path / "slow.json"
+    p.write_text('{"cost": [[0, 1000], [1000, "1/100"]]}')
+    code, out, _ = run(capsys, "verify", "--in", str(p), "--horizon", "2")
     assert code == 3
     doc = json.loads(out)
     bad = [c for c in doc["checks"] if not c["passed"]]
     assert any("liminf" in c["name"] or "liminf" in c["witness"] for c in bad)
+    code, out, _ = run(capsys, "verify", "--in", str(p), "--horizon", "200000")
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_verify_long_transient_never_fails_a_check(capsys, tmp_path):
     # the reduced powers of this instance repeat only after a transient of
-    # about 2 * 10^5; the liminf oracle refuses it at its work limit with a
-    # typed error (exit 2), as it may, but never fails the correct answer
+    # about 2 * 10^5, which the oracle's powers by doubling reach in a few
+    # dozen products
     p = tmp_path / "slow.json"
     p.write_text('{"cost": [[0, 1000], [1000, "1/100"]]}')
-    code, _, err = run(capsys, "verify", "--in", str(p))
-    assert code in (0, 2), err
-    assert code == 0 or "liminf oracle found no repeat" in err
+    code, out, err = run(capsys, "verify", "--in", str(p))
+    assert code == 0, err
+    assert json.loads(out)["ok"]
+
+
+def test_verify_passes_every_check_past_a_transient_of_3e8(capsys, tmp_path):
+    # the barrier's transient is 285714287: the tails are fixed only past it
+    p = tmp_path / "near.json"
+    p.write_text('{"cost": [["1/1000000007", "-5/7"], [1, 0]]}')
+    code, out, err = run(capsys, "verify", "--in", str(p))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] and len(doc["checks"]) == 32
 
 
 def test_verify_with_zero_horizon_exits_2(capsys, t2_file):

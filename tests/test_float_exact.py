@@ -8,8 +8,7 @@ as an exact instance file, and ``rounded_once`` compares the two outputs.
 
 The named regressions are inputs on which float mode once decided its zero
 tests within a tolerance band, in places that disagreed near the band's
-edge: each now answers, or meets a size guard of the walks and the liminf
-oracle (exit 2), and never exits 1 or 3.
+edge: each now answers with exit 0.
 """
 
 from __future__ import annotations
@@ -138,10 +137,11 @@ def test_float_five_point_subsolution_answers(tmp_path):
 
 def test_float_verify_tells_a_near_zero_cycle_from_zero(tmp_path):
     # a 1e-9 band called the cycle of weight 1/1000000007 a zero cycle while
-    # the solver did not: exit 3.  Exact on its double, verify now meets the
-    # liminf oracle's work limit, as exact mode does on this file (exit 2)
-    code, _, err = run_cli(["verify", *_file(tmp_path, NEAR_ZERO_CYCLE), "--mode", "float"])
-    assert code == 2 and "liminf oracle" in err
+    # the solver did not: exit 3.  Exact on its double, verify passes, as
+    # exact mode does on this file, past a barrier transient of about 3 * 10^8
+    code, out, err = run_cli(["verify", *_file(tmp_path, NEAR_ZERO_CYCLE), "--mode", "float"])
+    assert code == 0, err
+    assert json.loads(out)["ok"]
 
 
 def test_float_verify_passes_on_mixed_magnitudes(tmp_path):

@@ -8,7 +8,6 @@ from wkam import (
     InputError,
     as_value_function,
     check_apriori,
-    check_length_space,
     critical_value,
     gen_constant,
     gen_fk,
@@ -195,48 +194,6 @@ def test_gen_fk_rejects_bad_potential():
         gen_fk(3, 1, [1, 2, 3])  # minimum not zero
     with pytest.raises(InputError):
         gen_fk(3, 1, [0, 0])  # wrong length
-
-
-# --- length-space checker ----------------------------------------------------------
-
-def test_two_point_space_scale_one():
-    rep = check_length_space([[0, 1], [1, 0]], 1, 1)
-    assert rep.ok
-    assert rep.witness_chains[(0, 1)] == (0, 1)
-
-
-def test_two_point_space_small_scale_fails():
-    rep = check_length_space([[0, 1], [1, 0]], 5, F(1, 2))
-    assert not rep.ok
-    assert (0, 1) in rep.failures
-
-
-def test_circle_grid_length_space():
-    m = 8
-    rep = check_length_space(circle_metric(m), 1, 1)
-    assert rep.ok
-    d = circle_metric(m)
-    for (x, y), chain in rep.witness_chains.items():
-        total = sum(d[a][b] for a, b in zip(chain, chain[1:]))
-        assert all(d[a][b] <= 1 for a, b in zip(chain, chain[1:]))
-        assert total <= d[x][y]  # B = 1
-        assert len(chain) - 1 <= 2 * d[x][y] + 1  # thinning bound at K = 1
-
-
-def test_length_space_forced_multi_hop_chain():
-    # collinear points: the far pair is only reachable through the middle
-    d = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-    rep = check_length_space(d, 1, 1)
-    assert rep.ok
-    assert rep.witness_chains[(0, 2)] == (0, 1, 2)
-    assert rep.witness_chains[(2, 0)] == (2, 1, 0)
-
-
-def test_length_space_bad_args():
-    with pytest.raises(InputError):
-        check_length_space([[0, 1], [1, 0]], F(1, 2), 1)  # B < 1
-    with pytest.raises(InputError):
-        check_length_space([[0, 1]], 1, 1)
 
 
 # --- growth constants ----------------------------------------------------------------

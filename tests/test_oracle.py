@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from random import Random
@@ -16,6 +17,7 @@ from wkam import (
     make_instance,
     peierls_barrier,
 )
+from wkam.core import PotentialTable, minplus_product
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import INF, Mode
 from wkam.oracle import (
@@ -26,6 +28,7 @@ from wkam.oracle import (
     subsolution_sampler,
     verify_all,
 )
+from wkam.potential import phi_n
 
 from conftest import power
 from cycle_reference import naive_cycle_scan
@@ -118,6 +121,61 @@ def test_liminf_matches_barrier_on_randoms():
         rep = liminf_barrier_bounded(inst, crit, 4 * n * n + 8)
         assert rep.stabilized
         assert rep.matrix == peierls_barrier(inst, crit).h.entries
+
+
+# instances whose barrier transient k is at least 2: the two 2-point files
+# whose tails are fixed only after about 2 * 10^5 and 2.9 * 10^8 powers,
+# random +-100 costs at n = 2..8, and two fk wells
+LONG_TRANSIENTS = {
+    "slow": lambda: make_instance([[F(0), F(1000)], [F(1000), F(1, 100)]]),
+    "near_zero_cycle": lambda: make_instance([[F(1, 1000000007), F(-5, 7)], [F(1), F(0)]]),
+    **{f"random:{n}:1:-100:100": lambda n=n: gen_random(n, 1, -100, 100) for n in range(2, 9)},
+    "fk:8:1:two_wells": lambda: gen_fk(8, 1, [0, 1, 4, 1, 0, 1, 4, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_TRANSIENTS))
+def test_liminf_horizon_stabilizes_exactly_past_the_transient(name):
+    # the tails L_N = phi_N are fixed iff N >= 1 + k, the solver's transient
+    inst = LONG_TRANSIENTS[name]()
+    crit = critical_value(inst)
+    bar = peierls_barrier(inst, crit)
+    k = bar.iterations_to_fix
+    assert k >= 2
+    at, before = liminf_barrier_bounded(inst, crit, 1 + k), liminf_barrier_bounded(inst, crit, k)
+    assert at.stabilized and at.matrix == bar.h.entries
+    assert not before.stabilized and before.matrix != bar.h.entries
+
+
+def test_unstabilized_liminf_carries_the_tail_minimum():
+    inst = gen_random(5, 1, -100, 100)
+    crit = critical_value(inst)
+    rep = liminf_barrier_bounded(inst, crit, 2)
+    assert not rep.stabilized and rep.table == phi_n(inst, crit, 2)
+
+
+def test_liminf_of_alternating_powers_is_their_min(t2):
+    # t2's reduced powers alternate from R^2 on, so the liminf is the
+    # entrywise min of R^2 and R^3, which equals neither
+    crit = critical_value(t2)
+    r = crit.kernel.grid
+    even = minplus_product(r, r)
+    odd = minplus_product(even, r)
+    assert minplus_product(odd, r) == even != odd
+    low = tuple(tuple(map(min, a, b)) for a, b in zip(even, odd))
+    rep = liminf_barrier_bounded(t2, crit)
+    assert rep.stabilized and rep.table.grid == low and low not in (even, odd)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_liminf_of_a_kernel_that_is_not_reduced_is_unstabilized(t2, shift):
+    # a kernel one grid step off has a negative cycle, or no zero cycle: its
+    # powers fall or climb without end, and the doubling stops at once
+    crit = critical_value(t2)
+    k = crit.kernel
+    off = PotentialTable(tuple(tuple(v + shift for v in row) for row in k.grid), k.scale, k.mode)
+    rep = liminf_barrier_bounded(t2, replace(crit, kernel=off))
+    assert not rep.stabilized and rep.powers_used <= 3
 
 
 # --- zero-cycle reference -----------------------------------------------------------------
@@ -445,6 +503,29 @@ def test_h_split_tie_names_the_right_split():
     assert ws.first_violation((late, zero, zero, 0), (early, zero, zero, 0)) == (0, 0, 1, 1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 13, 100])
+def test_powers_are_products_of_kept_squares(k):
+    # a^k by the squares a^(2^i) over the bits of k: the squares up to the
+    # top bit, and one product per further set bit
+    inst = gen_random(4, 2, -2, 2)
+    want, bits = power(inst, k).grid, bin(k).count("1")
+    powers = oracle._Powers(inst.cost_grid.grid)
+    assert powers(k) == want and powers.products == k.bit_length() - 1 + bits - 1
+    assert powers(k) == want and powers.products == k.bit_length() - 1 + 2 * (bits - 1)
+
+
+def test_orbit_bound_fails_a_start_that_steps_the_wrong_way():
+    # phi_1(0, 1) one step low: row 0 is not dominated, so its backward
+    # orbit falls somewhere at its first step and the bound names the pair
+    ws = _Workspace(gen_random(5, 3, -2, 2), 1, 20, None, None)
+    p1 = [list(row) for row in ws.phi_table(1)]
+    p1[0][1] -= ws.D // ws.crit.kernel.scale
+    ws._phi_tables = {1: tuple(map(tuple, p1))}
+    res = oracle._check_representation(ws)
+    assert not res.passed
+    assert res.witness == "phi1 row 0 steps the wrong way: not dominated at (1,0)"
+
+
 def test_verify_all_makes_each_table_product_once(monkeypatch):
     # Passing verify_all at n = 10 computes each min-plus product it needs
     # once: the raw and phi powers, the liminf powers, the nine products of
@@ -502,6 +583,6 @@ def test_chain_splitting_suite_compares_rows_not_entries(monkeypatch, mode):
     monkeypatch.setattr(oracle, "minplus_product", counted_product)
     monkeypatch.setattr(Mode, "le", counted_le)
     monkeypatch.setattr(oracle, "le", counted_entry_le)
-    assert oracle._check_hh_suite(ws, ws.h).passed
+    assert oracle._check_hh_suite(ws).passed
     assert counts["products"] <= 44
     assert (counts["le"], counts["entries"]) == (0, 88 * 10 * 10)

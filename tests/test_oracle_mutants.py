@@ -131,7 +131,7 @@ KILLS = {
     "edge_dropped": {name: {FOUR_WAY} for name in INSTANCES},
     "non_edge_added": {name: {FOUR_WAY} for name in INSTANCES},
     "P_low": {
-        "random:5:3": P_CHECKS | P_AXIOMS,
+        "random:5:3": P_CHECKS | P_AXIOMS | {"barrier.orbit_representation"},
         "random:6:7": P_CHECKS | P_AXIOMS | H_CHECKS | {
             FOUR_WAY,
             SAMPLER,

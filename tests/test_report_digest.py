@@ -7,10 +7,11 @@ three wells, and corrupted barriers that must fail with their witnesses.
 A rewrite of a check's loops must leave every digest unchanged.
 
 The float instance ``random:6:1`` passes every check: its reduced powers
-first repeat at R^196 = R^199, which the liminf oracle finds by Brent's
-cycle detection.  Its digest was re-recorded when that search replaced a
-fixed horizon of 4n^2 + 8 = 152 powers, within which the oracle did not
-stabilize and ``barrier.matches_liminf_oracle`` failed.
+first repeat at R^196 = R^199, past which the liminf oracle's tail minima,
+found by doubling, are fixed.  Its digest was re-recorded when a period
+search replaced a fixed horizon of 4n^2 + 8 = 152 powers, within which the
+oracle did not stabilize and ``barrier.matches_liminf_oracle`` failed; the
+doubling that replaced the period search moved no digest.
 
 The float digests were re-recorded when float mode became exact mode on the
 dyadic values of its doubles: in the 14 that moved, only the last digits of
