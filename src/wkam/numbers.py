@@ -12,9 +12,9 @@ means doubles in, exact in between, each output rounded once: ``coerce``
 rounds each input to a double, whose exact (dyadic) value the solver then
 uses on the integer grid of ``core``, and ``core.from_grid`` rounds each
 value it reads off that grid to the nearest double.  The mode's tolerance
-governs only ``Mode.le``, the banded order of the metric checks of
-``models`` (the triangle inequality, the length-space bound and
-Lipschitz-in-the-large).
+governs only ``Mode.le``, the banded order of two metric checks: the
+triangle inequality of ``core.check_metric`` and Lipschitz-in-the-large of
+``models.lipschitz_large_check``.
 """
 
 from __future__ import annotations

@@ -2,17 +2,15 @@
 
 Everything here recomputes solver outputs by a different route at desk
 scale.  The simple cycles are scanned from the costs alone (with exact
-integer-scaled weights), least vertex first.  Per least
-vertex, a forward subset DP over (vertex set, last vertex) holds the number
-of paths and the least path total; it gives the cycle count and the least
-mean.  At the scan's own alpha = -(least mean) no cycle is negative, so the
-zero cycles are the least ones: the per-vertex minimum reduced weight comes
-from the same totals, and a backward subset DP of least reduced returns
-gives, through each DP state and edge, the least reduced weight of the
-cycles that run through it, hence the vertices and edges of the zero
-cycles, with no cycle listed.  The barrier is the fixed point of the tail
-minima of the reduced min-plus powers, found by doubling, and the
-per-function Aubry sets come from reachability in the tight-edge graph.
+integer-scaled weights), least vertex first.  Per least vertex, a forward
+subset DP over (vertex set, last vertex) holds the number of paths and the
+least path total; it gives the cycle count and the least mean.  At the
+scan's own alpha = -(least mean) no cycle is negative, so the reduced
+weights R have a closure R*, and an edge (x, y) lies on a zero cycle iff
+R(x, y) + R*(y, x) = 0, with no cycle listed.  The barrier is the fixed
+point of the tail minima of the reduced min-plus powers, found by doubling
+from the kernel's own closure, and the per-function Aubry sets come from
+reachability in the tight-edge graph.
 A high power, of the costs or of the kernel, is a product of kept squares,
 never a walk.  A failed check always carries a concrete witness.
 
@@ -118,14 +116,13 @@ def _members(k: int) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
 
 
-def _closings(w: list, m: int, members: list) -> tuple[int, list, list[Value]]:
+def _closings(w: list, m: int, members: list) -> tuple[int, Value, int]:
     """Forward subset DP over the cycles whose least vertex is m.
 
     Bit i of a mask S stands for vertex m + 1 + i.  Per (S, i) the DP keeps
     tot[S][i], the least total of the paths from m through the vertices of
     S that end at m + 1 + i, and the number of these paths.  Return the
-    number of cycles, tot, and for each S the least total of the cycles on
-    the vertex set {m} + S."""
+    number of cycles and their least mean, as a total s over a length L."""
     k = len(w) - 1 - m
     full = 1 << k
     sub = [row[m + 1:] for row in w[m + 1:]]
@@ -138,9 +135,7 @@ def _closings(w: list, m: int, members: list) -> tuple[int, list, list[Value]]:
             num[1 << i][i] = 1
     x = w[m][m]
     count = 0 if x is None else 1
-    cyc_min: list[Value] = [INF] * full
-    if x is not None:
-        cyc_min[0] = x
+    low_s, low_len = INF if x is None else x, 1
     for S in range(1, full):
         tS, nS = tot[S], num[S]
         outside = members[full - 1 ^ S]
@@ -166,64 +161,10 @@ def _closings(w: list, m: int, members: list) -> tuple[int, list, list[Value]]:
                         tot[T][j] = x
                     num[T][j] += p
         count += c
-        cyc_min[S] = low
-    return count, tot, cyc_min
-
-
-def _zero_edges(
-    w: list, m: int, members: list, tot: list, f: int, a: Value
-) -> set[tuple[int, int]]:
-    """The edges of the zero cycles whose least vertex is m.
-
-    The reduced weights are r = w * f + a, with f the ratio of the grids
-    and a the scan's alpha, so no cycle is negative.  A backward subset DP
-    gives least[R][i], the least reduced weight of a path from m + 1 + i
-    through a subset of R back to m (bits as in ``_closings``).  The paths
-    to (S, i) weigh at least pre = tot[S][i] * f + |S| a.  With rest the
-    vertices not in S, the least cycle through (S, i) weighs
-    pre + least[rest][i], and the least one that goes on by the edge (i, j)
-    weighs pre + (r(i, j) + least[rest - j][j]); the edge is zero when that
-    is 0.  least[rest][i] is the least of r(i, m) and r(i, j) +
-    least[rest - j][j], so no edge sum is below its state's: a state
-    skipped for its own sum drops no zero edge."""
-    k = len(w) - 1 - m
-    top = (1 << k) - 1
-    sub = [[None if x is None else x * f + a for x in row[m + 1:]] for row in w[m + 1:]]
-    back = [INF if row[m] is None else row[m] * f + a for row in w[m + 1:]]
-    least: list[list[Value]] = [[INF] * k for _ in range(top + 1)]
-    for R in range(top + 1):
-        for i in members[top ^ R]:
-            low, row = back[i], sub[i]
-            for j in members[R]:
-                x = row[j]
-                if x is not None:
-                    x += least[R ^ 1 << j][j]
-                    if x < low:
-                        low = x
-            least[R][i] = low
-    edges = set()
-    x = w[m][m]
-    if x is not None and x * f + a <= 0:
-        edges.add((m, m))
-    for j, x in enumerate(w[m][m + 1:]):
-        if x is not None and x * f + a + least[top ^ 1 << j][j] <= 0:
-            edges.add((m, m + 1 + j))
-    for S in range(1, top + 1):
-        rest = top ^ S
-        shift = len(members[S]) * a
-        for i in members[S]:
-            pre = tot[S][i] * f + shift
-            if pre + least[rest][i] > 0:  # no zero cycle runs through (S, i)
-                continue
-            v = m + 1 + i
-            if pre + back[i] <= 0:
-                edges.add((v, m))
-            row = sub[i]
-            for j in members[rest]:
-                x = row[j]
-                if x is not None and pre + (x + least[rest ^ 1 << j][j]) <= 0:
-                    edges.add((v, m + 1 + j))
-    return edges
+        L = len(members[S]) + 1
+        if low * low_len < low_s * L:
+            low_s, low_len = low, L
+    return count, low_s, low_len
 
 
 def cycle_scan(inst: CostInstance) -> CycleScan:
@@ -232,18 +173,20 @@ def cycle_scan(inst: CostInstance) -> CycleScan:
     A forward subset DP per least vertex m (``_closings``) gives
     ``cycle_count`` and the least mean, the least total over length over
     the vertex sets, with no cycle closed one by one.  The zero structure is
-    taken at the scan's own alpha = -min_mean, where no simple cycle is
-    negative, so a cycle is zero iff it is least: ``vertex_min_reduced`` is
-    the least total plus L * alpha over the vertex sets through the vertex,
-    and a backward subset DP per m (``_zero_edges``) finds the edges of the
-    zero cycles from the least reduced weight through each DP state and
-    edge.  The zero vertices are the ends of the zero edges.  The costs and
-    alpha are scaled to integers on the grid of ``core``, so every
-    comparison is integer arithmetic; ``min_mean`` is exact in both modes.
+    read off the closure R* of the reduced weights R = c + alpha at the
+    scan's own alpha = -min_mean, where no cycle is negative.  A least
+    y -> x walk and the edge (x, y) close a walk of weight R(x, y) +
+    R*(y, x) >= 0, which splits into simple cycles of weight >= 0; so the
+    sum is 0 iff a zero simple cycle runs through (x, y), and
+    ``vertex_min_reduced`` is min_y R(v, y) + R*(y, v), the least closed
+    walk through v, which is the least simple cycle through v.  The zero
+    vertices are the ends of the zero edges.  The costs and alpha are
+    scaled to integers on the grid of ``core``, so every comparison is
+    integer arithmetic; ``min_mean`` is exact in both modes.
     """
     _guard(inst.n, CYCLE_GUARD, "cycle enumeration")
     n = inst.n
-    mode = inst.mode
+    pts = range(n)
     t = inst.cost_grid
     D0 = t.scale
     w = [[None if is_inf(v) else v for v in row] for row in t.grid]
@@ -252,15 +195,11 @@ def cycle_scan(inst: CostInstance) -> CycleScan:
     count = 0
     low_s: Value = INF  # the least mean is low_s / low_len
     low_len = 1
-    dps = []
-    for m in range(n):
-        c, tot, cyc_min = _closings(w, m, members)
+    for m in pts:
+        c, s, L = _closings(w, m, members)
         count += c
-        dps.append((tot, cyc_min))
-        for S, low in enumerate(cyc_min):
-            L = len(members[S]) + 1
-            if low * low_len < low_s * L:
-                low_s, low_len = low, L
+        if s * low_len < low_s * L:
+            low_s, low_len = s, L
     if count == 0:
         raise SizeGuardError("instance has no cycle")
     min_mean = Fraction(low_s, low_len * D0)
@@ -269,21 +208,15 @@ def cycle_scan(inst: CostInstance) -> CycleScan:
     D = grid_scale((min_mean,), D0)
     (a,) = to_grid((-min_mean,), D)
     f = D // D0
-    zero_e: set[tuple[int, int]] = set()
-    vmin: list[Value] = [INF] * n
-    for m, (tot, cyc_min) in enumerate(dps):
-        zero_e |= _zero_edges(w, m, members, tot, f, a)
-        for S, low in enumerate(cyc_min):
-            red = low * f + (len(members[S]) + 1) * a
-            for v in (m, *(m + 1 + i for i in members[S])):
-                if red < vmin[v]:
-                    vmin[v] = red
+    r = tuple(tuple(v * f + a for v in row) for row in t.grid)  # +inf stays +inf
+    back = tuple(zip(*_star(r)))  # back[x][y] = R*(y, x)
+    zero_e = [(x, y) for x in pts for y in pts if r[x][y] + back[x][y] == 0]
     return CycleScan(
         min_mean=min_mean,
         cycle_count=count,
         zero_vertices=tuple(sorted({v for e in zero_e for v in e})),
-        zero_edges=tuple(sorted(zero_e)),
-        vertex_min_reduced=from_grid(mode, vmin, D),
+        zero_edges=tuple(zero_e),
+        vertex_min_reduced=from_grid(inst.mode, [min(map(add, *rb)) for rb in zip(r, back)], D),
     )
 
 
@@ -325,6 +258,15 @@ class _Powers:
         return minplus_product(a, b)
 
 
+def _star(a: Matrix) -> Matrix:
+    """a* = (I + a)^(2^m) for 2^m >= n, made by m squarings of I + a, the
+    walks of at most one step: the least weight of the walks of any length,
+    the empty walk too, for a matrix with no negative cycle."""
+    short = tuple(tuple(min(v, 0) if x == y else v for y, v in enumerate(row))
+                  for x, row in enumerate(a))
+    return _Powers(short)(1 << (len(a) - 1).bit_length())
+
+
 @dataclass(frozen=True)
 class LiminfReport:
     table: PotentialTable
@@ -358,9 +300,7 @@ def liminf_barrier_bounded(
         raise SizeGuardError("need N >= 2")
     inst.require_total("liminf oracle")
     mode, red, D, pts = inst.mode, crit.kernel.grid, crit.kernel.scale, range(inst.n)
-    short = _Powers(tuple(tuple(min(v, 0) if x == y else v for y, v in enumerate(row))
-                          for x, row in enumerate(red)))  # I + R: walks of at most one step
-    star = short(1 << (inst.n - 1).bit_length())
+    star = _star(red)
     powers = _Powers(red)
     power = powers(N or 1)  # R^t
     tail = powers.mul(power, star)  # L_t
@@ -370,7 +310,7 @@ def liminf_barrier_bounded(
         if ahead == tail or N is not None or endless:
             break
         power, tail = powers.mul(power, power), ahead
-    used = short.products + powers.products
+    used = (inst.n - 1).bit_length() + powers.products  # with the squarings of the star
     return LiminfReport(PotentialTable(tail, D, mode), ahead == tail, used)
 
 
@@ -1049,6 +989,9 @@ def _check_aubry_invariance(ws: _Workspace) -> CheckResult:
     inst = ws.inst
     for u in ws.samples[:8]:
         tu = _shift(ws, lax_oleinik_neg(inst, u), ws.alpha)
+        res = is_dominated(inst, tu, ws.alpha)
+        if not res.ok:  # a faulty T-: aubry_of takes dominated functions only
+            return CheckResult(name, False, f"{u.tag} -> pair {res.witness}")
         if aubry_of(inst, ws.crit, u) != aubry_of(inst, ws.crit, tu):
             return CheckResult(name, False, f"{u.tag}")
     return CheckResult(name, True)

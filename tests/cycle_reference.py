@@ -4,7 +4,8 @@ Every simple cycle is yielded as its own tuple with its own total, and the
 scan's fields are accumulated cycle by cycle on the exact values of the
 costs (``Fraction``, no integer grid; a float instance's doubles at their
 dyadic values), so the reference shares nothing with the scan's subset
-DPs.  ``vertex_min_reduced`` is rounded once to doubles in float mode.
+DP and closure.  ``vertex_min_reduced`` is rounded once to doubles in float
+mode.
 """
 
 from typing import Callable, Optional

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wkam.core as core
+import wkam.critical as critical
 import wkam.oracle as oracle
 
 from wkam import (
@@ -18,6 +20,7 @@ from wkam import (
     peierls_barrier,
 )
 from wkam.core import PotentialTable, minplus_product
+from wkam.critical import CriticalData
 from wkam.models import fk_potential_well, gen_constant, gen_fk, gen_random
 from wkam.numbers import INF, Mode
 from wkam.oracle import (
@@ -255,8 +258,8 @@ def test_cycle_scan_is_exhaustive_at_the_desk_limit():
 
 def test_cycle_scan_all_cycles_zero():
     # Every cycle of a constant instance has the least mean, so at the
-    # scan's alpha = -1 all 1,112,083 are zero and no DP state is pruned:
-    # every vertex and edge lies on a zero cycle.
+    # scan's alpha = -1 all 1,112,083 are zero: every vertex and edge lies
+    # on a zero cycle.
     n = 10
     scan = cycle_scan(gen_constant(n, F(1)))
     assert scan.cycle_count == 1_112_083
@@ -335,6 +338,24 @@ def test_cycle_scan_matches_naive_reference(kind):
             want = naive_cycle_scan(inst)
             for f in fields:
                 assert getattr(got, f) == getattr(want, f), f"{kind} n={n} seed={seed}: {f}"
+
+
+def test_cycle_scan_never_reads_the_solver(monkeypatch):
+    # The scan is the reference that verify_all checks the solver against:
+    # its closure comes from the costs and its own alpha, never from the
+    # solver's alpha0, kernel or Kleene plus.
+    insts = [_SCAN_KINDS[kind](n, 1) for kind in ("exact", "float-near-tie", "sparse-exact",
+                                                  "constant-float") for n in (1, 4, 7)]
+
+    def refuse(*args):
+        raise AssertionError("cycle_scan read the solver")
+
+    for owner, attr in ((oracle, "critical_value"), (critical, "critical_value"),
+                        (CriticalData, "kernel_plus"), (core, "kleene_plus"),
+                        (critical, "kleene_plus")):
+        monkeypatch.setattr(owner, attr, refuse)
+    for inst in insts:
+        assert cycle_scan(inst) == naive_cycle_scan(inst)
 
 
 def test_liminf_rejects_tiny_horizon(t2):
@@ -532,7 +553,9 @@ def test_verify_all_makes_each_table_product_once(monkeypatch):
     # the semigroup law, 60 products for the whole-table checks, the two
     # orbits of the samples (6 steps) and of phi_1 (the transient, at least
     # 1) for the orbit bound, and one step of the pointwise min of the
-    # barrier rows.
+    # barrier rows.  The cycle scan's closure adds its four squarings of
+    # I + R, which the count leaves to its slack (104 products made, 117
+    # allowed).
     inst = gen_random(10, 1, -2, 2)
     workspaces = []
     init = oracle._Workspace.__init__

@@ -29,7 +29,10 @@ The mutants (a nudged value moves by one step 1/D of the kernel's grid D):
   it tight at a pair that is no Aubry edge;
 - ``u_minus_up``: u_minus one step up, still a solution above u;
 - ``strict_pair_dropped``: the first strict pair dropped from
-  ``strict_pairs``.
+  ``strict_pairs``;
+- ``T_minus_low`` and ``T_plus_high``: the image of every function under
+  the backward operator T- one step low at point 0, and under the forward
+  operator T+ one step high there, where the harness calls them.
 
 Two mutants are equivalent: no check can kill them, because the solver's
 output stays correct.  ``witness_rotated`` starts the witness cycle at its
@@ -57,6 +60,7 @@ import pytest
 import wkam.oracle as oracle
 from wkam.barrier import BarrierData
 from wkam.core import PotentialTable, ValueFunction, make_instance
+from wkam.critical import critical_value
 from wkam.models import fk_potential_well, gen_fk, gen_random
 from wkam.numbers import Mode
 from wkam.subsolution import uniform_subsolution_mix
@@ -106,19 +110,22 @@ ALPHA_CHECKS = {
     "subsolution.tight_pair_forces_fixed_point",
     "subsolution.strict_exactly_off_aubry_edges",
 }
-# the checks that no mutant here reaches: the operator laws, which read
-# ``core`` and the samples; phi against phi_1, which read the same P; the
-# sample-mixing laws of domination and calibration; and the models checks
+# the checks that both operator mutants fail on every instance
+OPERATOR_CHECKS = {"tropical.reversal_identity", "barrier.conjugation_idempotent"}
+TIGHT = "subsolution.tight_pair_forces_fixed_point"
+IN_BETWEEN = "subsolution.in_between"
+# the checks that no mutant here reaches: the power law, which reads only
+# the costs; the operator laws that hold for an operator moved the same at
+# both sides, monotonicity and the commutation with constants; phi against
+# phi_1, which read the same P; the sample-mixing laws of domination and
+# calibration; and the models checks
 UNREACHED = {
     "tropical.semigroup_law",
     "tropical.monotonicity",
     "tropical.constant_commutation",
-    "tropical.reversal_identity",
     "critical.dominated_set_convex",
     "potential.phi_matches_phi1",
-    "barrier.aubry_set_invariant_under_T",
     "subsolution.mix_calibrates_iff_all_do",
-    "subsolution.in_between",
     "models.lipschitz_in_the_large",
     "models.apriori_argmin_radius",
 }
@@ -164,6 +171,16 @@ KILLS = {
     "strict_pair_dropped": {
         name: {STRICT_MAX, "subsolution.strict_exactly_off_aubry_edges"} for name in INSTANCES
     },
+    # a lower T- u + alpha0 is no longer dominated on random:6:7, which the
+    # sampler's check and the Aubry invariance report
+    "T_minus_low": {name: OPERATOR_CHECKS for name in INSTANCES} | {
+        "random:5:3": OPERATOR_CHECKS | {DICHOTOMY, TIGHT},
+        "random:6:7": OPERATOR_CHECKS | {
+            SAMPLER, TIGHT, IN_BETWEEN, "barrier.aubry_set_invariant_under_T"
+        },
+    },
+    "T_plus_high": {name: OPERATOR_CHECKS for name in INSTANCES}
+    | {"random:6:7": OPERATOR_CHECKS | {IN_BETWEEN}},
 }
 EQUIVALENT = ("witness_rotated", "u1_is_u_star")
 
@@ -184,6 +201,13 @@ def _nudge(jump, sign):
         return ValueFunction.on_grid(grid, D, v.mode, v.tag)
 
     return mutant
+
+
+def _moved_image(operator, sign):
+    """The image of u under ``operator`` nudged at point 0, one step of the
+    grid of the instance's own kernel."""
+    moved = _nudge(lambda inst, crit, u: operator(inst, u), sign)
+    return lambda inst, u: moved(inst, critical_value(inst), u)
 
 
 def _edit_aubry(change):
@@ -312,6 +336,8 @@ MUTANTS = {
     "u1_is_u_star": ("max_strict_subsolution", lambda: uniform_subsolution_mix),
     "u_minus_up": ("u_minus", _raised_u_minus),
     "strict_pair_dropped": ("strict_pairs", _dropped_strict_pair),
+    "T_minus_low": ("lax_oleinik_neg", lambda: _moved_image(oracle.lax_oleinik_neg, -1)),
+    "T_plus_high": ("lax_oleinik_pos", lambda: _moved_image(oracle.lax_oleinik_pos, 1)),
 }
 
 
